@@ -569,7 +569,7 @@ func addPerfObjectives(eval *perfslo.Evaluator, layer *proxy.Layer, o options) {
 	thresholds := map[string]time.Duration{
 		proxy.StageServe:        2*flush + 500*time.Millisecond,
 		proxy.StageShuffleWait:  2 * flush,
-		proxy.StageEcallDecrypt: 25 * time.Millisecond,
+		proxy.StageEcallDecrypt: proxy.EcallDecryptObjective(o.shuffle, o.workers, 0),
 		proxy.StageForward:      250 * time.Millisecond,
 	}
 	stages := []string{proxy.StageServe}

@@ -843,11 +843,7 @@ func (d *Deployment) perfThreshold(stage string, spec Spec) float64 {
 		// A message should never wait much past the flush timer.
 		return (2 * flush).Seconds()
 	case proxy.StageEcallDecrypt:
-		t := 10 * spec.EcallCost
-		if t < 25*time.Millisecond {
-			t = 25 * time.Millisecond
-		}
-		return t.Seconds()
+		return proxy.EcallDecryptObjective(spec.Shuffle, spec.Workers, spec.EcallCost).Seconds()
 	case proxy.StageForward:
 		t := 10 * spec.StubDelay
 		if t < 250*time.Millisecond {

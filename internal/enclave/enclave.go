@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,6 +55,13 @@ var (
 
 	// ErrUnknownEcall reports a call to an unregistered entry point.
 	ErrUnknownEcall = errors.New("enclave: unknown ECALL")
+
+	// ErrNoSecret reports a Secrets.Derived lookup of a secret that was
+	// not provisioned.
+	ErrNoSecret = errors.New("enclave: secret not provisioned")
+
+	// ErrCrossingClosed reports a Submit on a crossing after its Close.
+	ErrCrossingClosed = errors.New("enclave: crossing closed")
 )
 
 // CodeIdentity names the code loaded into an enclave. Its measurement is
@@ -79,13 +85,53 @@ func Measure(ci CodeIdentity) Measurement {
 type Secrets interface {
 	// Get returns the named secret, or false if it was not provisioned.
 	Get(name string) ([]byte, bool)
+	// Derived returns the object build makes of the named secret — a
+	// parsed key, say — building it on first use and keeping it resident
+	// for as long as this secret set is installed: Provision replaces the
+	// set, and every derived object with it. A missing secret is
+	// ErrNoSecret; a build error is returned and nothing is kept. The
+	// result is shared between concurrent handlers, so it must be safe
+	// for concurrent use.
+	Derived(name string, build func(raw []byte) (any, error)) (any, error)
 }
 
-type secretsView map[string][]byte
+// secretSet is one provisioned set of secrets plus the objects handlers
+// derived from them. A set is never modified after Provision installs it
+// (only the memo grows), so handlers use it without the enclave lock.
+type secretSet struct {
+	raw map[string][]byte
 
-func (s secretsView) Get(name string) ([]byte, bool) {
-	v, ok := s[name]
+	mu      sync.RWMutex
+	derived map[string]any
+}
+
+func (s *secretSet) Get(name string) ([]byte, bool) {
+	v, ok := s.raw[name]
 	return v, ok
+}
+
+func (s *secretSet) Derived(name string, build func(raw []byte) (any, error)) (any, error) {
+	s.mu.RLock()
+	v, ok := s.derived[name]
+	s.mu.RUnlock()
+	if ok {
+		return v, nil
+	}
+	raw, ok := s.raw[name]
+	if !ok {
+		return nil, ErrNoSecret
+	}
+	v, err := build(raw)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if first, ok := s.derived[name]; ok {
+		return first, nil // a concurrent handler built it first
+	}
+	s.derived[name] = v
+	return v, nil
 }
 
 // Handler is an ECALL entry point: it runs inside the enclave with access
@@ -102,7 +148,8 @@ type Enclave struct {
 
 	mu          sync.Mutex
 	kemPriv     *ecdh.PrivateKey
-	secrets     secretsView
+	secrets     *secretSet
+	secretPages int // EPC pages the installed secret set holds
 	provisioned bool
 	compromised bool
 	handlers    map[string]Handler
@@ -111,7 +158,7 @@ type Enclave struct {
 	epcPages     int
 	epcUsedPages int
 
-	ecalls        uint64 // enclave crossings (Ecall and CallBatch each count 1)
+	ecalls        uint64 // enclave crossings (an Ecall and an entered Crossing each count 1)
 	msgs          uint64 // messages processed across all crossings
 	observer      atomic.Pointer[EcallObserver]
 	batchObserver atomic.Pointer[BatchObserver]
@@ -123,8 +170,8 @@ type Enclave struct {
 // cache/EPC repopulation that follows (tens of microseconds on the
 // paper's SGX v1 hardware, more under EPC paging pressure). The default
 // is zero: crossings are free, as in a plain function call. When set,
-// every crossing — one per Ecall, one per CallBatch regardless of batch
-// size — spins the CPU for d, so experiments measure what epoch
+// every crossing — one per Ecall, one per Crossing however many messages
+// it carries — spins the CPU for d, so experiments measure what epoch
 // batching actually amortizes. Safe to call concurrently with traffic.
 func (e *Enclave) SetTransitionCost(d time.Duration) {
 	e.transitionNs.Store(int64(d))
@@ -143,11 +190,12 @@ func (e *Enclave) crossTransition() {
 	}
 }
 
-// EcallObserver receives the name, wall-clock duration, and outcome of
-// every ECALL, for the observability layer (ECALL count/duration metrics
-// and hop-local tracing). It runs on the caller's goroutine after the
-// handler returns, outside the enclave lock, so it must be cheap and
-// must not call back into the enclave.
+// EcallObserver receives the name, handler time, and outcome of every
+// crossing, for the observability layer (ECALL count/duration metrics and
+// hop-local tracing): one event per Ecall, and one per Crossing when it
+// ends, carrying the crossing's busy time (crossing.go) and a nil error.
+// It runs after the handler returns, outside the enclave lock, so it
+// must be cheap and must not call back into the enclave.
 type EcallObserver func(name string, d time.Duration, err error)
 
 // SetEcallObserver installs (or, with nil, removes) the ECALL observer.
@@ -160,15 +208,16 @@ func (e *Enclave) SetEcallObserver(fn EcallObserver) {
 	e.observer.Store(&fn)
 }
 
-// BatchObserver receives one batched crossing: the entry point, how many
-// messages the crossing carried, and its total wall-clock duration. Like
-// EcallObserver it runs on the caller's goroutine outside the enclave
-// lock, after the crossing completes. Ecall does not fire it (a plain
-// ECALL is a crossing of one message; the legacy observer covers it).
+// BatchObserver receives one finished Crossing: the entry point, how many
+// messages the crossing carried, and its busy time — the sum of its
+// handlers' run times, not the wall time it stayed open. Like
+// EcallObserver it runs outside the enclave lock, once the crossing has
+// ended. Ecall does not fire it (a plain ECALL is a crossing of one
+// message; the legacy observer covers it).
 type BatchObserver func(name string, n int, d time.Duration)
 
 // SetBatchObserver installs (or, with nil, removes) the batch-crossing
-// observer. Safe to call concurrently with CallBatch.
+// observer. Safe to call concurrently with open crossings.
 func (e *Enclave) SetBatchObserver(fn BatchObserver) {
 	if fn == nil {
 		e.batchObserver.Store(nil)
@@ -206,20 +255,25 @@ func (e *Enclave) Quote(nonce []byte) Quote {
 
 // Provision installs the layer's key material after the provisioner has
 // verified a quote. Keys are copied so the caller cannot retain aliases
-// into enclave memory.
+// into enclave memory. Provisioning again (key rotation) replaces the
+// whole set in one step: the previous set's EPC pages are released, the
+// objects handlers derived from it go with it, and the next message —
+// on a new crossing or one already open — sees only the new keys. A set
+// the EPC cannot hold is refused and the previous one stays installed.
 func (e *Enclave) Provision(secrets map[string][]byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	pages := 0
-	cp := make(secretsView, len(secrets))
+	raw := make(map[string][]byte, len(secrets))
 	for k, v := range secrets {
-		cp[k] = append([]byte(nil), v...)
+		raw[k] = append([]byte(nil), v...)
 		pages += pagesFor(len(v))
 	}
-	if err := e.allocLocked(pages); err != nil {
+	if err := e.allocLocked(pages - e.secretPages); err != nil {
 		return fmt.Errorf("provision secrets: %w", err)
 	}
-	e.secrets = cp
+	e.secretPages = pages
+	e.secrets = &secretSet{raw: raw, derived: make(map[string]any)}
 	e.provisioned = true
 	return nil
 }
@@ -236,14 +290,10 @@ func (e *Enclave) Provisioned() bool {
 // buffers are the only data crossing the boundary.
 func (e *Enclave) Ecall(name string, in []byte) ([]byte, error) {
 	e.mu.Lock()
-	h, ok := e.handlers[name]
-	if !ok {
+	h, err := e.handlerLocked(name)
+	if err != nil {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownEcall, name)
-	}
-	if !e.provisioned {
-		e.mu.Unlock()
-		return nil, ErrNotProvisioned
+		return nil, err
 	}
 	secrets := e.secrets
 	kv := e.kv
@@ -260,86 +310,17 @@ func (e *Enclave) Ecall(name string, in []byte) ([]byte, error) {
 	return out, err
 }
 
-// CallBatch transfers control into the enclave ONCE for a whole epoch of
-// messages: the named handler runs over every input inside a single
-// crossing, amortizing the transition cost the per-message path pays N
-// times. The crossing's marshalling buffer — all inputs resident at the
-// boundary at once — is charged against the EPC for the crossing's
-// duration, so an epoch the EPC cannot hold fails up front with
-// ErrEPCExhausted (callers fall back to per-message ECALLs).
-//
-// outs[i]/errs[i] carry each message's individual outcome; err reports
-// crossing-level failures only (unknown ECALL, not provisioned, EPC), in
-// which case no handler ran. The crossing counts once toward EcallCount
-// and len(ins) times toward MessageCount; the legacy ECALL observer sees
-// one crossing, the batch observer sees (name, len(ins), duration).
-func (e *Enclave) CallBatch(name string, ins [][]byte) (outs [][]byte, errs []error, err error) {
-	if len(ins) == 0 {
-		return nil, nil, nil
-	}
-	e.mu.Lock()
+// handlerLocked resolves an entry point for a crossing about to be made:
+// it must be registered and the enclave provisioned.
+func (e *Enclave) handlerLocked(name string) (Handler, error) {
 	h, ok := e.handlers[name]
 	if !ok {
-		e.mu.Unlock()
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownEcall, name)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownEcall, name)
 	}
 	if !e.provisioned {
-		e.mu.Unlock()
-		return nil, nil, ErrNotProvisioned
+		return nil, ErrNotProvisioned
 	}
-	total := 0
-	for _, in := range ins {
-		total += len(in)
-	}
-	pages := pagesFor(total)
-	if err := e.allocLocked(pages); err != nil {
-		e.mu.Unlock()
-		return nil, nil, fmt.Errorf("batch crossing buffer: %w", err)
-	}
-	secrets := e.secrets
-	kv := e.kv
-	e.ecalls++
-	e.msgs += uint64(len(ins))
-	e.mu.Unlock()
-	e.crossTransition()
-
-	// Inside the crossing the epoch is processed by resident enclave
-	// worker threads (the switchless-call design: threads stay in the
-	// enclave and drain the batch without per-message transitions).
-	// Handlers already run concurrently in per-message operation, so
-	// parallel use is part of their contract.
-	start := time.Now()
-	outs = make([][]byte, len(ins))
-	errs = make([]error, len(ins))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ins) {
-		workers = len(ins)
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ins) {
-					return
-				}
-				outs[i], errs[i] = h(secrets, kv, ins[i])
-			}
-		}()
-	}
-	wg.Wait()
-	d := time.Since(start)
-	e.free(pages)
-	if obs := e.observer.Load(); obs != nil {
-		(*obs)(name, d, nil)
-	}
-	if bobs := e.batchObserver.Load(); bobs != nil {
-		(*bobs)(name, len(ins), d)
-	}
-	return outs, errs, nil
+	return h, nil
 }
 
 // EcallCount returns the number of enclave crossings served (a batched
@@ -352,7 +333,7 @@ func (e *Enclave) EcallCount() uint64 {
 }
 
 // MessageCount returns the number of messages processed across all
-// crossings: Ecall adds one, CallBatch adds the batch size.
+// crossings: Ecall adds one, a Crossing one per message it admitted.
 func (e *Enclave) MessageCount() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -418,9 +399,11 @@ func pagesFor(bytes int) int {
 // the adversary's loot.
 func (e *Enclave) Compromise() map[string][]byte {
 	e.mu.Lock()
-	loot := make(map[string][]byte, len(e.secrets))
-	for k, v := range e.secrets {
-		loot[k] = append([]byte(nil), v...)
+	loot := make(map[string][]byte)
+	if e.secrets != nil {
+		for k, v := range e.secrets.raw {
+			loot[k] = append([]byte(nil), v...)
+		}
 	}
 	e.compromised = true
 	e.mu.Unlock()

@@ -16,9 +16,11 @@ import (
 
 // This file is the epoch-batched hop pipeline (DESIGN.md §4f). The
 // per-message path wakes S goroutines per shuffle flush, each paying one
-// enclave crossing and one UA→IA round trip; here a flush hands the whole
-// permuted epoch to ONE job that crosses the enclave once per message
-// kind and leaves as ONE batch envelope. The IA demultiplexes the
+// enclave crossing and one UA→IA round trip; here a request is decrypted
+// and pseudonymized when it arrives, inside the one enclave crossing its
+// message kind holds open for the epoch that is filling, its processed
+// body joins the shuffle epoch, and a flush hands the whole permuted epoch
+// to ONE job that sends it as ONE batch envelope. The IA demultiplexes the
 // envelope, batch-processes it, speaks the legacy per-message API to the
 // LRS under a bounded fan-out, and returns every result in one envelope
 // whose entry order is re-permuted by its own shuffler.
@@ -31,7 +33,8 @@ import (
 // entries echo them, which reveals no more than per-message HTTP did,
 // where each response rode its own request's exchange.
 
-// batchItem is one request riding a shuffle epoch in batch mode.
+// batchItem is one request riding a shuffle epoch in batch mode: body is
+// what the UA enclave made of it on arrival, ready for the IA.
 type batchItem struct {
 	isGet bool
 	body  []byte
@@ -66,13 +69,19 @@ func failBatchItems(vals []any, err error) {
 	}
 }
 
-// handleUABatch is the UA request path in batch mode: join the current
-// shuffle epoch without blocking a goroutine inside the pipeline, then
-// wait for the epoch's batch job to resolve this message.
+// handleUABatch is the UA request path in batch mode, in the paper's
+// order: process the request in the enclave now, then park the result in
+// the shuffle epoch without blocking a goroutine inside the pipeline, and
+// wait for the epoch's batch job to resolve it. A request the enclave
+// rejects is answered at once and never takes a shuffle slot.
 func (l *Layer) handleUABatch(ctx context.Context, body []byte, isGet bool) (int, []byte, error) {
+	out, err := l.processArrival(body, isGet)
+	if err != nil {
+		return 0, nil, err
+	}
 	it := &batchItem{
 		isGet: isGet,
-		body:  body,
+		body:  out,
 		ctx:   ctx,
 		enq:   time.Now(),
 		done:  make(chan batchResult, 1),
@@ -87,11 +96,88 @@ func (l *Layer) handleUABatch(ctx context.Context, body []byte, isGet bool) (int
 		}
 		return res.status, res.body, nil
 	case <-ctx.Done():
-		// The caller departs; the epoch still processes the message
+		// The caller departs; the epoch still forwards the message
 		// (deliver lands in the buffered channel), exactly like a Wait
 		// slot whose owner timed out.
 		return 0, nil, ctx.Err()
 	}
+}
+
+// uaCrossings is the UA enclave crossing each message kind holds open for
+// the shuffle epoch that is filling now: opened by the kind's first
+// arrival, fed every later one, closed when the shuffler releases the
+// epoch — so an epoch costs at most one crossing per kind, and each
+// request's cryptography is done by the time its epoch leaves.
+type uaCrossings struct {
+	mu     sync.Mutex
+	open   [2]*enclave.Crossing // 0: posts, 1: gets
+	closed bool                 // Layer.Close ran: no flush will end another
+}
+
+// crossing returns the open crossing for kind k, opening one into ecall if
+// the epoch has none yet.
+func (l *Layer) crossing(k int, ecall string) (*enclave.Crossing, error) {
+	l.cross.mu.Lock()
+	defer l.cross.mu.Unlock()
+	if c := l.cross.open[k]; c != nil {
+		return c, nil
+	}
+	if l.cross.closed {
+		return nil, ErrShufflerClosed
+	}
+	c, err := l.cfg.Enclave.OpenBatch(ecall)
+	if err != nil {
+		return nil, err
+	}
+	l.cross.open[k] = c
+	return c, nil
+}
+
+// closeCrossings ends the filling epoch's crossings. It runs on the flush
+// path under the shuffler lock (Crossing.Close does not wait for handlers
+// still running: a message that finishes after the flush joins the next
+// epoch, its crossing's accounting settles when it returns).
+func (l *Layer) closeCrossings() {
+	l.cross.mu.Lock()
+	open := l.cross.open
+	l.cross.open = [2]*enclave.Crossing{}
+	l.cross.mu.Unlock()
+	for _, c := range open {
+		if c != nil {
+			c.Close()
+		}
+	}
+}
+
+// processArrival runs one arriving request through its kind's open
+// crossing, under the data-processing worker pool like every per-message
+// ECALL. A crossing that cannot take the message — most notably a buffer
+// the EPC cannot hold — falls back to a per-message ECALL.
+func (l *Layer) processArrival(body []byte, isGet bool) ([]byte, error) {
+	k, ecall := 0, ecallUAPost
+	if isGet {
+		k, ecall = 1, ecallUAGet
+	}
+	return l.onWorker(StageEcallDecrypt, func() ([]byte, error) {
+		for {
+			c, err := l.crossing(k, ecall)
+			if err != nil {
+				return nil, err
+			}
+			out, herr, err := c.Submit(body)
+			switch {
+			case err == nil:
+				return out, herr
+			case errors.Is(err, enclave.ErrCrossingClosed):
+				// A flush ended the crossing between lookup and submit;
+				// this message belongs to the next epoch's.
+				continue
+			case errors.Is(err, enclave.ErrEPCExhausted):
+				l.epcFallbacks.Add(1)
+			}
+			return l.cfg.Enclave.Ecall(ecall, body)
+		}
+	})
 }
 
 // callBatch runs one batched enclave crossing, falling back to
@@ -113,74 +199,32 @@ func (l *Layer) callBatch(name string, ins [][]byte) ([][]byte, []error) {
 	return outs, errs
 }
 
-// runBatch processes one released epoch end to end on the job pool. vals
-// arrive in the shuffler's permuted order; that order is the envelope
-// order and slot index is entry id.
+// runBatch forwards one released epoch on the job pool. vals arrive in
+// the shuffler's permuted order; that order is the envelope order and
+// slot index is entry id. Every body was processed by the enclave when
+// its request arrived, so the job starts at envelope assembly.
 func (l *Layer) runBatch(vals []any) {
-	items := make([]*batchItem, 0, len(vals))
+	owners := make([]*batchItem, 0, len(vals))
 	for _, v := range vals {
 		if it, ok := v.(*batchItem); ok {
-			items = append(items, it)
+			owners = append(owners, it)
 		}
 	}
-	if len(items) == 0 {
+	if len(owners) == 0 {
 		return
 	}
 	now := time.Now()
-	for _, it := range items {
+	entries := make([]message.BatchEntry, len(owners))
+	for i, it := range owners {
 		l.observeStageDur(StageShuffleWait, now.Sub(it.enq))
-	}
-	l.batches.Add(1)
-	l.batchMsgs.Add(uint64(len(items)))
-
-	// Stage 1: one enclave crossing per message kind for the whole epoch.
-	outs := make([][]byte, len(items))
-	dead := make([]bool, len(items))
-	for _, group := range []struct {
-		ecall string
-		isGet bool
-	}{{ecallUAGet, true}, {ecallUAPost, false}} {
-		var idxs []int
-		var ins [][]byte
-		for i, it := range items {
-			if it.isGet == group.isGet {
-				idxs = append(idxs, i)
-				ins = append(ins, it.body)
-			}
-		}
-		if len(idxs) == 0 {
-			continue
-		}
-		start := time.Now()
-		gouts, gerrs := l.callBatch(group.ecall, ins)
-		l.observeStageDur(StageEcallDecrypt, time.Since(start))
-		for j, i := range idxs {
-			if gerrs[j] != nil {
-				items[i].deliver(batchResult{err: gerrs[j]})
-				dead[i] = true
-				continue
-			}
-			outs[i] = gouts[j]
-		}
-	}
-
-	// Assemble the envelope in epoch (slot) order; ids are slot indexes.
-	entries := make([]message.BatchEntry, 0, len(items))
-	owners := make([]*batchItem, 0, len(items))
-	for i, it := range items {
-		if dead[i] {
-			continue
-		}
 		kind := message.BatchKindPost
 		if it.isGet {
 			kind = message.BatchKindGet
 		}
-		entries = append(entries, message.BatchEntry{ID: i, Kind: kind, Body: outs[i]})
-		owners = append(owners, it)
+		entries[i] = message.BatchEntry{ID: i, Kind: kind, Body: it.body}
 	}
-	if len(entries) == 0 {
-		return
-	}
+	l.batches.Add(1)
+	l.batchMsgs.Add(uint64(len(owners)))
 
 	delivered := make([]bool, len(entries))
 	deliver := func(idx int, res batchResult) {

@@ -1,16 +1,22 @@
 package proxy_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"pprox/internal/audit"
 	"pprox/internal/message"
+	"pprox/internal/ppcrypto"
 	"pprox/internal/proxy"
 	"pprox/internal/reccache"
 	"pprox/internal/resilience"
+	"pprox/internal/transport"
 )
 
 // batchPolicy keeps ladder backoffs negligible in tests.
@@ -76,6 +82,125 @@ func TestBatchEndToEnd(t *testing.T) {
 	}
 	if flushes, _ := st.ia.Shuffler().Stats(); flushes == 0 {
 		t.Error("IA shuffler saw no epochs: ReleaseBatch accounting missing")
+	}
+}
+
+// TestBatchGarbageNeverTakesAShuffleSlot: requests are processed by the
+// enclave when they arrive, so one the enclave rejects is answered at
+// once and never enters the shuffle buffer. An adversary who pads an
+// epoch with S−1 undecryptable requests therefore cannot make it release
+// on occupancy around one victim: the victim waits until S−1 real
+// requests have joined it, every envelope the UA forwards still carries
+// exactly S messages, and the auditor sees only full epochs.
+func TestBatchGarbageNeverTakesAShuffleSlot(t *testing.T) {
+	const s = 4
+	var mu sync.Mutex
+	var frames []int // entries per forwarded batch envelope
+	st := newStack(t, stackOptions{
+		useStub:        true,
+		shuffleSize:    s,
+		shuffleTimeout: time.Minute, // only occupancy may release an epoch here
+		batch:          true,
+		pairLink:       true,
+		iaMiddleware: func(next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == message.BatchPath {
+					body, _ := io.ReadAll(r.Body)
+					r.Body = io.NopCloser(bytes.NewReader(body))
+					_, entries, err := message.UnmarshalBatchEpoch(body)
+					if err != nil {
+						t.Errorf("forwarded envelope does not parse: %v", err)
+					}
+					mu.Lock()
+					frames = append(frames, len(entries))
+					mu.Unlock()
+				}
+				next.ServeHTTP(w, r)
+			})
+		},
+	})
+	auditor := audit.New(audit.Config{TargetS: s})
+	st.ua.SetEpochObserver(func(batch int) { auditor.ObserveEpoch("ua", batch) })
+	st.ia.SetEpochObserver(func(batch int) { auditor.ObserveEpoch("ia", batch) })
+	ctx := ctxT(t)
+
+	// S−1 well-formed requests whose user field decrypts to nothing.
+	garbage, err := message.Marshal(message.GetRequest{
+		EncUser:    message.Encode64(make([]byte, ppcrypto.RSACiphertextSize)),
+		EncTempKey: message.Encode64(make([]byte, ppcrypto.RSACiphertextSize)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := transport.HTTPClient(st.net, 5*time.Second)
+	for i := 0; i < s-1; i++ {
+		resp, err := raw.Post("http://ua"+message.QueriesPath, "application/json", bytes.NewReader(garbage))
+		if err != nil {
+			t.Fatalf("garbage request %d: %v", i, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("garbage request %d: status %d, want 400 at once", i, resp.StatusCode)
+		}
+	}
+	if got := st.ua.Shuffler().Pending(); got != 0 {
+		t.Fatalf("shuffle buffer holds %d messages after %d rejected requests, want 0", got, s-1)
+	}
+
+	// One valid request: S−1 rejected + 1 valid must NOT release an epoch.
+	errc := make(chan error, s)
+	get := func(i int) {
+		items, err := st.client.Get(ctx, fmt.Sprintf("user-%d", i))
+		if err == nil && len(items) != message.MaxRecommendations {
+			err = fmt.Errorf("got %d items", len(items))
+		}
+		errc <- err
+	}
+	go get(0)
+	deadline := time.Now().Add(5 * time.Second)
+	for st.ua.Shuffler().Pending() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the valid request never joined the shuffle buffer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if flushes, _ := st.ua.Shuffler().Stats(); flushes != 0 {
+		t.Fatalf("epoch released with 1 real message and %d rejected ones", s-1)
+	}
+	select {
+	case err := <-errc:
+		t.Fatalf("the valid request was answered alone (err %v): its anonymity set was the garbage", err)
+	default:
+	}
+
+	// S−1 more valid requests fill the epoch for real.
+	for i := 1; i < s; i++ {
+		go get(i)
+	}
+	for i := 0; i < s; i++ {
+		if err := <-errc; err != nil {
+			t.Fatalf("valid get: %v", err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(frames) != 1 || frames[0] != s {
+		t.Errorf("forwarded envelopes carried %v messages, want exactly one of %d", frames, s)
+	}
+	if state := auditor.State(); state != audit.StateOK {
+		t.Errorf("auditor state = %v, want ok", state)
+	}
+	if epochs, underfilled, _, _ := auditor.Stats(); underfilled != 0 || epochs != 2 {
+		t.Errorf("auditor saw %d epochs, %d under-filled; want 2 (UA, IA) and 0", epochs, underfilled)
+	}
+	// The rejected requests rode the epoch's one open crossing like the
+	// valid ones: processing on arrival did not cost extra crossings.
+	if got := st.uaEncl.EcallCount(); got != 1 {
+		t.Errorf("UA enclave crossings = %d, want 1", got)
+	}
+	if got := st.uaEncl.MessageCount(); got != 2*s-1 {
+		t.Errorf("UA enclave messages = %d, want %d", got, 2*s-1)
 	}
 }
 

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"crypto/rand"
+	"crypto/rsa"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -138,6 +139,11 @@ func unwrapLink(key, data []byte) ([]byte, error) {
 	if err := message.Unmarshal(data, &env); err != nil || env.Link == "" {
 		return nil, fmt.Errorf("%w: not a link envelope", errEnclave)
 	}
+	return openLink(key, env)
+}
+
+// openLink decrypts an already-parsed envelope.
+func openLink(key []byte, env linkEnvelope) ([]byte, error) {
 	ct, err := message.Decode64(env.Link)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errEnclave, err)
@@ -172,7 +178,7 @@ func maybeUnwrapLink(s enclave.Secrets, data []byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: link-wrapped message but no link key provisioned", errEnclave)
 	}
-	return unwrapLink(key, data)
+	return openLink(key, env)
 }
 
 // mintIdem draws a fresh idempotency key for a feedback event. Minted
@@ -186,16 +192,23 @@ func mintIdem() (string, error) {
 	return message.Encode64(b[:]), nil
 }
 
-func privateKey(s enclave.Secrets, tenant string) (*ppcrypto.KeyPair, error) {
-	der, err := getSecret(s, SecretPrivateKey, tenant)
+// privateKey returns the tenant's layer private key, parsed. Parsing a
+// PKCS#8 RSA key costs as much as a tenth of the decryption it serves
+// (x509 parse, CRT precomputation, key validation), so the parsed key is
+// enclave-resident state derived from the provisioned secret: built on
+// the first message after a provisioning and dropped with the secret set
+// when the next provisioning replaces it.
+func privateKey(s enclave.Secrets, tenant string) (*rsa.PrivateKey, error) {
+	name := TenantSecret(SecretPrivateKey, tenant)
+	v, err := s.Derived(name, parsePrivateKey)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: secret %q: %v", errEnclave, name, err)
 	}
-	priv, err := ppcrypto.UnmarshalPrivateKey(der)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errEnclave, err)
-	}
-	return &ppcrypto.KeyPair{Private: priv, Public: &priv.PublicKey}, nil
+	return v.(*rsa.PrivateKey), nil
+}
+
+func parsePrivateKey(der []byte) (any, error) {
+	return ppcrypto.UnmarshalPrivateKey(der)
 }
 
 // NewUAEnclave launches a User Anonymizer enclave on the platform and
@@ -206,7 +219,7 @@ func NewUAEnclave(p *enclave.Platform) *enclave.Enclave {
 	e := p.Launch(UAIdentity)
 
 	pseudonymizeUser := func(s enclave.Secrets, tenant, encUser string) (string, error) {
-		kp, err := privateKey(s, tenant)
+		priv, err := privateKey(s, tenant)
 		if err != nil {
 			return "", err
 		}
@@ -218,7 +231,7 @@ func NewUAEnclave(p *enclave.Platform) *enclave.Enclave {
 		if err != nil {
 			return "", fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		block, err := ppcrypto.DecryptOAEP(kp.Private, ct)
+		block, err := ppcrypto.DecryptOAEP(priv, ct)
 		if err != nil {
 			return "", fmt.Errorf("%w: %v", errEnclave, err)
 		}
@@ -334,7 +347,7 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 	}
 
 	decryptItem := func(s enclave.Secrets, tenant, encItem string) (string, error) {
-		kp, err := privateKey(s, tenant)
+		priv, err := privateKey(s, tenant)
 		if err != nil {
 			return "", err
 		}
@@ -342,7 +355,7 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 		if err != nil {
 			return "", fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		block, err := ppcrypto.DecryptOAEP(kp.Private, ct)
+		block, err := ppcrypto.DecryptOAEP(priv, ct)
 		if err != nil {
 			return "", fmt.Errorf("%w: %v", errEnclave, err)
 		}
@@ -446,7 +459,7 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 		if err := message.Unmarshal(body, &req); err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		kp, err := privateKey(s, req.Tenant)
+		priv, err := privateKey(s, req.Tenant)
 		if err != nil {
 			return nil, err
 		}
@@ -454,7 +467,7 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		ku, err := ppcrypto.DecryptOAEP(kp.Private, ct)
+		ku, err := ppcrypto.DecryptOAEP(priv, ct)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}

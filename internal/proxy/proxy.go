@@ -133,8 +133,10 @@ type Layer struct {
 	workers  chan struct{}
 	policy   resilience.Policy
 	breaker  *resilience.Breaker
-	// jobs runs one job per shuffle epoch in batch mode (UA role).
-	jobs *eventloop.JobPool
+	// jobs runs one job per shuffle epoch in batch mode (UA role), and
+	// cross holds the enclave crossings of the epoch filling now.
+	jobs  *eventloop.JobPool
+	cross uaCrossings
 	// lrsSem bounds the IA→LRS fan-out (IA role; nil = unbounded).
 	lrsSem *resilience.Semaphore
 	// hop is the binary frame transport toward Next (nil = HTTP only).
@@ -193,7 +195,7 @@ func New(cfg Config) (*Layer, error) {
 		cfg.HTTPClient = transport.DefaultHTTPClient(defaultClientTimeout)
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = 2
+		cfg.Workers = defaultWorkers
 	}
 	pol := resilience.Policy{MaxAttempts: 1}
 	if cfg.Resilience != nil {
@@ -254,9 +256,11 @@ func New(cfg Config) (*Layer, error) {
 		}
 		l.jobs = eventloop.NewJobPool(cfg.Workers)
 		l.shuffler.SetBatchSink(func(vals []any) {
-			// Runs under the shuffler lock: only hand the epoch to the
-			// pool. If the pool is already closed, fail the epoch's
-			// messages fast — the shuffler is closing too.
+			// Runs under the shuffler lock: end the epoch's enclave
+			// crossings and hand the epoch to the pool. If the pool is
+			// already closed, fail the epoch's messages fast — the
+			// shuffler is closing too.
+			l.closeCrossings()
 			if !l.jobs.Submit(func() { l.runBatch(vals) }) {
 				failBatchItems(vals, ErrShufflerClosed)
 			}
@@ -264,6 +268,10 @@ func New(cfg Config) (*Layer, error) {
 	}
 	return l, nil
 }
+
+// defaultWorkers sizes the data-processing pool when Config.Workers is
+// unset: one thread per core on the paper's 2-core nodes.
+const defaultWorkers = 2
 
 // defaultClientTimeout bounds next-hop requests when no HTTP client is
 // injected.
@@ -281,7 +289,13 @@ func (l *Layer) Close() {
 		// messages still buffered would release them as a sub-S batch.
 		l.drainStranded.Store(true)
 	}
+	l.cross.mu.Lock()
+	l.cross.closed = true
+	l.cross.mu.Unlock()
 	l.shuffler.Close()
+	// An epoch whose every arrival the enclave rejected opened crossings
+	// no flush will end.
+	l.closeCrossings()
 	l.jobs.Close()
 	l.hop.Close()
 	l.tracer.Load().AdvanceEpoch()
@@ -719,6 +733,14 @@ func (l *Layer) dropHandle(handle string) {
 // itself — the paper's in-enclave queueing + crypto cost; the ECALL-only
 // duration is measured separately by the enclave's own observer.
 func (l *Layer) process(stage, ecall string, in []byte) ([]byte, error) {
+	return l.onWorker(stage, func() ([]byte, error) {
+		return l.cfg.Enclave.Ecall(ecall, in)
+	})
+}
+
+// onWorker runs one message's enclave work on a data-processing worker,
+// observed as the given stage.
+func (l *Layer) onWorker(stage string, work func() ([]byte, error)) ([]byte, error) {
 	span := l.tracer.Load().Start(stage)
 	start := time.Now()
 	defer func() {
@@ -727,7 +749,7 @@ func (l *Layer) process(stage, ecall string, in []byte) ([]byte, error) {
 	}()
 	l.workers <- struct{}{}
 	defer func() { <-l.workers }()
-	return l.cfg.Enclave.Ecall(ecall, in)
+	return work()
 }
 
 // forwardLRS is the IA→LRS hop: forwardResilient under the layer's
