@@ -37,7 +37,7 @@ func runMeasuredMacro() error {
 		{"b1-like (plain → engine)", cluster.Spec{LRSFrontends: 1}},
 		{"f1-like (PProx → engine)", cluster.Spec{
 			ProxyEnabled: true, UA: 1, IA: 1,
-			Encryption: true, ItemPseudonyms: true,
+			Encryption: true, ItemPseudonyms: true, RSAOnlyKeys: true, // the paper's suite
 			LRSFrontends: 1,
 		}},
 	} {

@@ -294,11 +294,12 @@ func runAllocBenchmarks() (map[string]AllocStat, error) {
 			}
 		}},
 		{"full_path_get", func(b *testing.B) {
-			// Whole-stack heap churn per request on the m3 path
-			// (encryption + SGX, no shuffle) with the frame transport on
-			// both hops — the number the hopwire PR drives down against
-			// the HTTP-hop baseline the root BenchmarkAblation_BodyBuffers
-			// documents (798 allocs/op, 123965 B/op).
+			// Whole-stack heap churn per request on the m3 shape
+			// (encryption + SGX, no shuffle) with the default key
+			// material (box suite) and the frame transport on both hops —
+			// the number the hopwire PR drives down against the HTTP-hop
+			// baseline the root BenchmarkAblation_BodyBuffers documents
+			// (798 allocs/op, 123965 B/op).
 			d, err := cluster.Deploy(cluster.Spec{
 				ProxyEnabled: true, UA: 1, IA: 1,
 				Encryption: true, ItemPseudonyms: true,

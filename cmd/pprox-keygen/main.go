@@ -1,13 +1,19 @@
 // Command pprox-keygen generates the key material of a PProx deployment
-// as the RaaS *client application* would (§4.1): a private key pair and a
-// permanent pseudonymization key per proxy layer, plus the public bundle
-// embedded in the user-side library.
+// as the RaaS *client application* would (§4.1): an RSA-2048 key pair, an
+// X25519 sealed-box key and a permanent pseudonymization key per proxy
+// layer, plus the public bundle embedded in the user-side library.
 //
 //	pprox-keygen -out ./keys
 //
 // writes keys.json (both layers, secret — provisioned to attested
 // enclaves only) and bundle.json (public keys only — safe to ship as
-// static web code).
+// static web code). Clients holding this bundle seal boxes; bundles from
+// older key files (RSA only) keep working against the same proxies.
+//
+//	pprox-keygen -out ./keys -rsa-only
+//
+// writes paper-faithful key files: RSA-2048-OAEP and no box key, the suite
+// the paper measured.
 package main
 
 import (
@@ -22,23 +28,28 @@ import (
 
 func main() {
 	out := flag.String("out", ".", "output directory")
+	rsaOnly := flag.Bool("rsa-only", false, "write the paper's key material: RSA-2048-OAEP, no X25519 box key")
 	flag.Parse()
 
-	if err := run(*out); err != nil {
+	if err := run(*out, *rsaOnly); err != nil {
 		obslog.New(os.Stderr, "pprox-keygen", nil).Error("fatal", "error", err.Error())
 		os.Exit(1)
 	}
 }
 
-func run(out string) error {
+func run(out string, rsaOnly bool) error {
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
-	ua, err := proxy.NewLayerKeys()
+	newKeys := proxy.NewLayerKeys
+	if rsaOnly {
+		newKeys = proxy.NewRSAOnlyLayerKeys
+	}
+	ua, err := newKeys()
 	if err != nil {
 		return err
 	}
-	ia, err := proxy.NewLayerKeys()
+	ia, err := newKeys()
 	if err != nil {
 		return err
 	}

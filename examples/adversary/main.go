@@ -22,6 +22,7 @@ import (
 	"pprox/internal/lrs/store"
 	"pprox/internal/message"
 	"pprox/internal/ppcrypto"
+	"pprox/internal/proxy"
 )
 
 func main() {
@@ -110,13 +111,16 @@ func run() error {
 }
 
 // buildCapturedPost recreates the message the user-side library put on the
-// wire, as a network adversary would capture it.
+// wire, as a network adversary would capture it: each identifier sealed
+// for its layer with the keys the deployment's bundle carries (boxes, on
+// the key material Deploy ships).
 func buildCapturedPost(d *cluster.Deployment, user, item string) (message.PostRequest, error) {
+	bundle := proxy.Bundle(d.UAKeys, d.IAKeys)
 	userBlock, err := ppcrypto.PadID(user)
 	if err != nil {
 		return message.PostRequest{}, err
 	}
-	encUser, err := ppcrypto.EncryptOAEP(d.UAKeys.Pair.Public, userBlock)
+	encUser, err := ppcrypto.SealField(bundle.UABox, bundle.UAPublic, ppcrypto.RoleUAUser, userBlock)
 	if err != nil {
 		return message.PostRequest{}, err
 	}
@@ -124,7 +128,7 @@ func buildCapturedPost(d *cluster.Deployment, user, item string) (message.PostRe
 	if err != nil {
 		return message.PostRequest{}, err
 	}
-	encItem, err := ppcrypto.EncryptOAEP(d.IAKeys.Pair.Public, itemBlock)
+	encItem, err := ppcrypto.SealField(bundle.IABox, bundle.IAPublic, ppcrypto.RoleIAItem, itemBlock)
 	if err != nil {
 		return message.PostRequest{}, err
 	}

@@ -2,6 +2,8 @@ package adversary_test
 
 import (
 	"context"
+	"crypto/ecdh"
+	"crypto/rsa"
 	"fmt"
 	"io"
 	"net/http"
@@ -38,19 +40,52 @@ type tappedStack struct {
 	net    *transport.Network
 }
 
-func newTappedStack(t *testing.T, shuffleSize int) *tappedStack {
-	return newTappedStackWithCache(t, shuffleSize, nil)
+// keyMaterial is one of the two kinds of layer key material a deployment
+// can run: what this version provisions (RSA and box keys, clients seal
+// boxes) and the paper's (RSA only). Every attack in this package runs
+// against both, and must reach the same verdict: the suite changes how a
+// field is sealed for a layer, not what any layer or observer learns.
+type keyMaterial struct {
+	name    string
+	rsaOnly bool
+}
+
+func (km keyMaterial) newKeys() (*proxy.LayerKeys, error) {
+	if km.rsaOnly {
+		return proxy.NewRSAOnlyLayerKeys()
+	}
+	return proxy.NewLayerKeys()
+}
+
+// fieldSize is the length of an identifier field clients of this key
+// material put on the wire.
+func (km keyMaterial) fieldSize() int {
+	if km.rsaOnly {
+		return ppcrypto.RSACiphertextSize
+	}
+	return ppcrypto.IDBlockSize + ppcrypto.BoxOverhead
+}
+
+func eachKeyMaterial(t *testing.T, fn func(t *testing.T, km keyMaterial)) {
+	for _, km := range []keyMaterial{{name: "box"}, {name: "rsa-only", rsaOnly: true}} {
+		km := km
+		t.Run(km.name, func(t *testing.T) { fn(t, km) })
+	}
+}
+
+func newTappedStack(t *testing.T, km keyMaterial, shuffleSize int) *tappedStack {
+	return newTappedStackWithCache(t, km, shuffleSize, nil)
 }
 
 // newTappedStackWithCache optionally equips the IA layer with the
 // in-enclave recommendation cache, for the cache-specific attacks.
-func newTappedStackWithCache(t *testing.T, shuffleSize int, cache *reccache.Cache) *tappedStack {
-	return newTappedStackEngine(t, shuffleSize, cache, engine.DefaultConfig())
+func newTappedStackWithCache(t *testing.T, km keyMaterial, shuffleSize int, cache *reccache.Cache) *tappedStack {
+	return newTappedStackEngine(t, km, shuffleSize, cache, engine.DefaultConfig())
 }
 
 // newTappedStackEngine additionally takes the LRS engine configuration,
 // so the shard/WAL attacks can run against a durable sharded store.
-func newTappedStackEngine(t *testing.T, shuffleSize int, cache *reccache.Cache, engCfg engine.Config) *tappedStack {
+func newTappedStackEngine(t *testing.T, km keyMaterial, shuffleSize int, cache *reccache.Cache, engCfg engine.Config) *tappedStack {
 	t.Helper()
 	st := &tappedStack{rec: adversary.NewRecorder(), net: transport.NewNetwork()}
 	t.Cleanup(func() { st.net.Close() })
@@ -63,10 +98,10 @@ func newTappedStackEngine(t *testing.T, shuffleSize int, cache *reccache.Cache, 
 	platform := enclave.NewPlatform(as)
 	st.uaEncl = proxy.NewUAEnclave(platform)
 	st.iaEncl = proxy.NewIAEnclave(platform, iaOpts)
-	if st.uaKeys, err = proxy.NewLayerKeys(); err != nil {
+	if st.uaKeys, err = km.newKeys(); err != nil {
 		t.Fatal(err)
 	}
-	if st.iaKeys, err = proxy.NewLayerKeys(); err != nil {
+	if st.iaKeys, err = km.newKeys(); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.uaKeys.Provision(as, st.uaEncl, proxy.UAIdentity); err != nil {
@@ -148,7 +183,11 @@ func (st *tappedStack) truth(t *testing.T, users []string) map[string]string {
 }
 
 func TestTimingAttackSucceedsWithoutShuffling(t *testing.T) {
-	st := newTappedStack(t, 0)
+	eachKeyMaterial(t, testTimingAttackSucceedsWithoutShuffling)
+}
+
+func testTimingAttackSucceedsWithoutShuffling(t *testing.T, km keyMaterial) {
+	st := newTappedStack(t, km, 0)
 	ctx := context.Background()
 
 	const n = 20
@@ -180,9 +219,13 @@ func TestTimingAttackSucceedsWithoutShuffling(t *testing.T) {
 }
 
 func TestTimingAttackDefeatedByShuffling(t *testing.T) {
+	eachKeyMaterial(t, testTimingAttackDefeatedByShuffling)
+}
+
+func testTimingAttackDefeatedByShuffling(t *testing.T, km keyMaterial) {
 	const s = 8
 	const batches = 8
-	st := newTappedStack(t, s)
+	st := newTappedStack(t, km, s)
 	ctx := context.Background()
 
 	var users []string
@@ -247,7 +290,11 @@ func seedDB(t *testing.T, st *tappedStack) []adversary.DBEvent {
 }
 
 func TestCompromisedUACannotLinkUserToItem(t *testing.T) {
-	st := newTappedStack(t, 0)
+	eachKeyMaterial(t, testCompromisedUACannotLinkUserToItem)
+}
+
+func testCompromisedUACannotLinkUserToItem(t *testing.T, km keyMaterial) {
+	st := newTappedStack(t, km, 0)
 	db := seedDB(t, st)
 
 	loot := adversary.Loot{UA: st.uaEncl.Compromise()}
@@ -266,7 +313,11 @@ func TestCompromisedUACannotLinkUserToItem(t *testing.T) {
 }
 
 func TestCompromisedIACannotLinkUserToItem(t *testing.T) {
-	st := newTappedStack(t, 0)
+	eachKeyMaterial(t, testCompromisedIACannotLinkUserToItem)
+}
+
+func testCompromisedIACannotLinkUserToItem(t *testing.T, km keyMaterial) {
+	st := newTappedStack(t, km, 0)
 	db := seedDB(t, st)
 
 	loot := adversary.Loot{IA: st.iaEncl.Compromise()}
@@ -285,10 +336,14 @@ func TestCompromisedIACannotLinkUserToItem(t *testing.T) {
 }
 
 func TestBothLayersCompromisedDoesLink(t *testing.T) {
+	eachKeyMaterial(t, testBothLayersCompromisedDoesLink)
+}
+
+func testBothLayersCompromisedDoesLink(t *testing.T, km keyMaterial) {
 	// Sanity check on the model's sharpness: breaking BOTH layers (which
 	// the adversary model §2.3 excludes — one enclave at a time) links
 	// users to items. The defence is the split, not obscurity.
-	st := newTappedStack(t, 0)
+	st := newTappedStack(t, km, 0)
 	db := seedDB(t, st)
 
 	loot := adversary.Loot{UA: st.uaEncl.Compromise(), IA: st.iaEncl.Compromise()}
@@ -308,13 +363,23 @@ func TestBothLayersCompromisedDoesLink(t *testing.T) {
 }
 
 func TestInterceptedPostRevealsOnlyOneSide(t *testing.T) {
-	st := newTappedStack(t, 0)
+	eachKeyMaterial(t, testInterceptedPostRevealsOnlyOneSide)
+}
+
+func testInterceptedPostRevealsOnlyOneSide(t *testing.T, km keyMaterial) {
+	st := newTappedStack(t, km, 0)
 
 	// Capture a post message as the user-side library emits it (§6.1
 	// cases 1a and 2a): build it with the public bundle directly.
-	encUser := mustEncrypt(t, st.uaKeys, "alice")
-	encItem := mustEncrypt(t, st.iaKeys, "war-and-peace")
+	bundle := proxy.Bundle(st.uaKeys, st.iaKeys)
+	encUser := mustSealID(t, bundle.UABox, bundle.UAPublic, ppcrypto.RoleUAUser, "alice")
+	encItem := mustSealID(t, bundle.IABox, bundle.IAPublic, ppcrypto.RoleIAItem, "war-and-peace")
 	captured := message.PostRequest{EncUser: encUser, EncItem: encItem}
+	// The capture is of this key material's suite — the loot below must
+	// open boxes where clients seal boxes, or the verdicts are vacuous.
+	if ct, err := message.Decode64(encUser); err != nil || len(ct) != km.fieldSize() {
+		t.Fatalf("captured enc_user is %d bytes (err %v), want %d", len(ct), err, km.fieldSize())
+	}
 
 	uaLoot := adversary.Loot{UA: st.uaEncl.Compromise()}
 	got := adversary.DecryptInterceptedPost(uaLoot, captured)
@@ -336,9 +401,13 @@ func TestInterceptedPostRevealsOnlyOneSide(t *testing.T) {
 }
 
 func TestInterceptedGetResponseStaysOpaque(t *testing.T) {
+	eachKeyMaterial(t, testInterceptedGetResponseStaysOpaque)
+}
+
+func testInterceptedGetResponseStaysOpaque(t *testing.T, km keyMaterial) {
 	// Case 1b: the response list is encrypted under k_u, held only by
 	// the client and the IA layer; UA loot must not open it.
-	st := newTappedStack(t, 0)
+	st := newTappedStack(t, km, 0)
 	ctx := context.Background()
 
 	// Seed and train so the get returns a real list, then capture the
@@ -352,13 +421,10 @@ func TestInterceptedGetResponseStaysOpaque(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encKu, err := ppcrypto.EncryptOAEP(st.iaKeys.Pair.Public, ku)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bundle := proxy.Bundle(st.uaKeys, st.iaKeys)
 	body, err := message.Marshal(message.GetRequest{
-		EncUser:    mustEncrypt(t, st.uaKeys, "alice"),
-		EncTempKey: message.Encode64(encKu),
+		EncUser:    mustSealID(t, bundle.UABox, bundle.UAPublic, ppcrypto.RoleUAUser, "alice"),
+		EncTempKey: mustSeal(t, bundle.IABox, bundle.IAPublic, ppcrypto.RoleIATempKey, ku),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -404,15 +470,22 @@ func TestInterceptedGetResponseStaysOpaque(t *testing.T) {
 	}
 }
 
-func mustEncrypt(t *testing.T, keys *proxy.LayerKeys, id string) string {
+// mustSeal encrypts a field for one layer as the user-side library holding
+// the bundle does.
+func mustSeal(t *testing.T, box *ecdh.PublicKey, pub *rsa.PublicKey, role ppcrypto.Role, plain []byte) string {
+	t.Helper()
+	ct, err := ppcrypto.SealField(box, pub, role, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return message.Encode64(ct)
+}
+
+func mustSealID(t *testing.T, box *ecdh.PublicKey, pub *rsa.PublicKey, role ppcrypto.Role, id string) string {
 	t.Helper()
 	block, err := ppcrypto.PadID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ppcrypto.EncryptOAEP(keys.Pair.Public, block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return message.Encode64(ct)
+	return mustSeal(t, box, pub, role, block)
 }

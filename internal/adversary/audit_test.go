@@ -49,6 +49,10 @@ func runSchedule(t *testing.T, st *tappedStack, schedule []int) (users []string,
 // accuracy 1 (a random permutation of one element has one fixed point),
 // and the auditor must flag exactly those.
 func TestAuditorFlagsExactlyTheLinkableEpochs(t *testing.T) {
+	eachKeyMaterial(t, testAuditorFlagsExactlyTheLinkableEpochs)
+}
+
+func testAuditorFlagsExactlyTheLinkableEpochs(t *testing.T, km keyMaterial) {
 	const s = 8
 	// Two singleton epochs in a stream of full ones — released by the
 	// flush timer, each is perfectly linkable. The stack's timeout is
@@ -56,7 +60,7 @@ func TestAuditorFlagsExactlyTheLinkableEpochs(t *testing.T) {
 	// under race-detector slowdown: a timer split would fabricate
 	// phantom epochs and break every schedule-aligned assertion here.
 	schedule := []int{s, s, 1, s, 1, s}
-	st := newTappedStack(t, s)
+	st := newTappedStack(t, km, s)
 	aud := audit.New(audit.Config{TargetS: s})
 	st.ua.SetEpochObserver(func(batch int) { aud.ObserveEpoch("ua-0", batch) })
 
@@ -127,9 +131,13 @@ func TestAuditorFlagsExactlyTheLinkableEpochs(t *testing.T) {
 // identifiers — and epoch sizes are something the network adversary
 // already observes, so the report must add zero linking advantage.
 func TestPrivacyReportGrantsNoLinkingAdvantage(t *testing.T) {
+	eachKeyMaterial(t, testPrivacyReportGrantsNoLinkingAdvantage)
+}
+
+func testPrivacyReportGrantsNoLinkingAdvantage(t *testing.T, km keyMaterial) {
 	const s = 8
 	schedule := []int{s, s, s, s}
-	st := newTappedStack(t, s)
+	st := newTappedStack(t, km, s)
 	aud := audit.New(audit.Config{TargetS: s})
 	st.ua.SetEpochObserver(func(batch int) { aud.ObserveEpoch("ua-0", batch) })
 

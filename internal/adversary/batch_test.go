@@ -23,7 +23,7 @@ import (
 // on: link key paired, UA in batch mode, and (optionally) a middleware
 // wrapping the IA node so the adversary can capture the raw UA→IA batch
 // envelopes — the new wire surface this mode introduces.
-func newBatchTappedStack(t *testing.T, shuffleSize int, wrapIA func(http.Handler) http.Handler) *tappedStack {
+func newBatchTappedStack(t *testing.T, km keyMaterial, shuffleSize int, wrapIA func(http.Handler) http.Handler) *tappedStack {
 	t.Helper()
 	st := &tappedStack{rec: adversary.NewRecorder(), net: transport.NewNetwork()}
 	t.Cleanup(func() { st.net.Close() })
@@ -35,10 +35,10 @@ func newBatchTappedStack(t *testing.T, shuffleSize int, wrapIA func(http.Handler
 	platform := enclave.NewPlatform(as)
 	st.uaEncl = proxy.NewUAEnclave(platform)
 	st.iaEncl = proxy.NewIAEnclave(platform, proxy.IAOptions{})
-	if st.uaKeys, err = proxy.NewLayerKeys(); err != nil {
+	if st.uaKeys, err = km.newKeys(); err != nil {
 		t.Fatal(err)
 	}
-	if st.iaKeys, err = proxy.NewLayerKeys(); err != nil {
+	if st.iaKeys, err = km.newKeys(); err != nil {
 		t.Fatal(err)
 	}
 	if err := proxy.PairLinkKey(st.uaKeys, st.iaKeys); err != nil {
@@ -89,7 +89,9 @@ func newBatchTappedStack(t *testing.T, shuffleSize int, wrapIA func(http.Handler
 		t.Fatal(err)
 	}
 	st.ua = ua
-	st.serve(t, "ua", adversary.Tap(st.rec, "client→ua", nil, ua))
+	// Edge tap: bodies are encrypted, so no identity is extractable from
+	// content — but which suite sealed the fields is: it is their length.
+	st.serve(t, "ua", adversary.Tap(st.rec, "client→ua", suiteOnTheWire, ua))
 
 	st.client = client.New(proxy.Bundle(st.uaKeys, st.iaKeys), httpClient, "http://ua")
 	return st
@@ -101,9 +103,13 @@ func newBatchTappedStack(t *testing.T, shuffleSize int, wrapIA func(http.Handler
 // adversary correlating client→UA arrival order with IA→LRS order must
 // stay at ≈ 1/S exactly as in per-message mode.
 func TestTimingAttackDefeatedWithBatching(t *testing.T) {
+	eachKeyMaterial(t, testTimingAttackDefeatedWithBatching)
+}
+
+func testTimingAttackDefeatedWithBatching(t *testing.T, km keyMaterial) {
 	const s = 8
 	const batches = 8
-	st := newBatchTappedStack(t, s, nil)
+	st := newBatchTappedStack(t, km, s, nil)
 	ctx := context.Background()
 
 	var users []string
@@ -144,6 +150,10 @@ func TestTimingAttackDefeatedWithBatching(t *testing.T) {
 // re-permuted by the IA — so the envelope reveals nothing per-message
 // HTTP exchanges did not already reveal.
 func TestBatchEnvelopeLeaksNoCorrespondence(t *testing.T) {
+	eachKeyMaterial(t, testBatchEnvelopeLeaksNoCorrespondence)
+}
+
+func testBatchEnvelopeLeaksNoCorrespondence(t *testing.T, km keyMaterial) {
 	const s = 8
 	type capture struct {
 		req, resp []byte
@@ -165,7 +175,7 @@ func TestBatchEnvelopeLeaksNoCorrespondence(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	st := newBatchTappedStack(t, s, wrap)
+	st := newBatchTappedStack(t, km, s, wrap)
 	ctx := context.Background()
 
 	users := make([]string, s)

@@ -43,13 +43,17 @@ func getBatches(t *testing.T, st *tappedStack, schedule [][]string) (edge []adve
 }
 
 func TestTimingAttackDefeatedWithCacheHits(t *testing.T) {
+	eachKeyMaterial(t, testTimingAttackDefeatedWithCacheHits)
+}
+
+func testTimingAttackDefeatedWithCacheHits(t *testing.T, km keyMaterial) {
 	// §6.2's 1/S bound must survive the cache: a hit epoch and a miss
 	// epoch release identically, and hits additionally never appear on
 	// the IA→LRS link at all — the adversary's egress stream thins out
 	// while the bound on what remains stays 1/S.
 	const s = 8
 	cache := reccache.New(reccache.Config{TTL: time.Minute})
-	st := newTappedStackWithCache(t, s, cache)
+	st := newTappedStackWithCache(t, km, s, cache)
 	ctx := context.Background()
 
 	// Population the cache will serve: seed their histories (full post
@@ -130,6 +134,10 @@ func TestTimingAttackDefeatedWithCacheHits(t *testing.T) {
 }
 
 func TestCacheHitTimingIndistinguishableInsideEpoch(t *testing.T) {
+	eachKeyMaterial(t, testCacheHitTimingIndistinguishableInsideEpoch)
+}
+
+func testCacheHitTimingIndistinguishableInsideEpoch(t *testing.T, km keyMaterial) {
 	// The latency side channel: a hit skips the LRS round trip, so if
 	// hits returned early the adversary (or the user's own network
 	// observer) could tell cached users from uncached ones. Hits must
@@ -139,6 +147,7 @@ func TestCacheHitTimingIndistinguishableInsideEpoch(t *testing.T) {
 	const s = 8
 	const stubDelay = 60 * time.Millisecond
 	d, err := cluster.Deploy(cluster.Spec{
+		RSAOnlyKeys:  km.rsaOnly,
 		ProxyEnabled: true, UA: 1, IA: 1,
 		Encryption: true, ItemPseudonyms: true,
 		Shuffle: s, ShuffleTimeout: 5 * time.Second,

@@ -16,9 +16,11 @@ import (
 // Loot is the key material leaked from compromised enclaves; either field
 // set may be nil if that layer holds.
 type Loot struct {
-	// UA holds skUA/kUA when a User Anonymizer enclave was broken.
+	// UA holds skUA, the UA's box key and kUA when a User Anonymizer
+	// enclave was broken.
 	UA map[string][]byte
-	// IA holds skIA/kIA when an Item Anonymizer enclave was broken.
+	// IA holds skIA, the IA's box key and kIA when an Item Anonymizer
+	// enclave was broken.
 	IA map[string][]byte
 }
 
@@ -48,6 +50,7 @@ type DBFindings struct {
 // APIs.
 const (
 	secretPrivateKey   = "sk"
+	secretBoxKey       = "bsk"
 	secretPermanentKey = "k"
 )
 
@@ -96,29 +99,38 @@ type InterceptedPost struct {
 // post(enc(u,pkUA), enc(i,pkIA)) message.
 func DecryptInterceptedPost(loot Loot, req message.PostRequest) InterceptedPost {
 	var out InterceptedPost
-	out.User = tryDecryptField(loot.UA, req.EncUser)
-	out.Item = tryDecryptField(loot.IA, req.EncItem)
+	out.User = decryptID(loot.UA, ppcrypto.RoleUAUser, req.EncUser)
+	out.Item = decryptID(loot.IA, ppcrypto.RoleIAItem, req.EncItem)
 	return out
 }
 
-func tryDecryptField(secrets map[string][]byte, field string) string {
-	der := secrets[secretPrivateKey]
-	if der == nil {
-		return ""
+// openField decrypts a captured field with whichever stolen private key
+// fits it, the way the robbed enclave would have: an RSA-sized block with
+// the RSA key, anything else as a sealed box with the X25519 key. Nil
+// without the key or when the field was not sealed for it.
+func openField(secrets map[string][]byte, role ppcrypto.Role, ct []byte) []byte {
+	if len(ct) == ppcrypto.RSACiphertextSize {
+		priv, err := ppcrypto.UnmarshalPrivateKey(secrets[secretPrivateKey])
+		if err != nil {
+			return nil
+		}
+		plain, _ := ppcrypto.DecryptOAEP(priv, ct)
+		return plain
 	}
-	priv, err := ppcrypto.UnmarshalPrivateKey(der)
+	priv, err := ppcrypto.UnmarshalBoxPrivateKey(secrets[secretBoxKey])
 	if err != nil {
-		return ""
+		return nil
 	}
+	plain, _ := ppcrypto.OpenBox(priv, role, ct)
+	return plain
+}
+
+func decryptID(secrets map[string][]byte, role ppcrypto.Role, field string) string {
 	ct, err := message.Decode64(field)
 	if err != nil {
 		return ""
 	}
-	block, err := ppcrypto.DecryptOAEP(priv, ct)
-	if err != nil {
-		return ""
-	}
-	id, err := ppcrypto.UnpadID(block)
+	id, err := ppcrypto.UnpadID(openField(secrets, role, ct))
 	if err != nil {
 		return ""
 	}
@@ -130,25 +142,20 @@ func tryDecryptField(secrets map[string][]byte, field string) string {
 // its way to the user. It returns whether any item leaked (it must not:
 // k_u is only held by the client and the IA layer).
 func DecryptInterceptedGetResponse(loot Loot, resp message.GetResponse) ([]string, bool) {
-	// The UA private key cannot decrypt symmetric AES-CTR ciphertext;
-	// the only plausible attack is if k_u were RSA-encrypted for the UA
-	// layer — it never is. Try anyway, as a real adversary would.
+	// No layer private key decrypts symmetric AES-CTR ciphertext; the only
+	// plausible attack is if the list (or k_u) were encrypted for a layer
+	// key — it never is. Try anyway, as a real adversary would: every
+	// stolen key, and for the box key every role.
 	ct, err := message.Decode64(resp.EncItems)
 	if err != nil {
 		return nil, false
 	}
 	for _, secrets := range []map[string][]byte{loot.UA, loot.IA} {
-		der := secrets[secretPrivateKey]
-		if der == nil {
-			continue
-		}
-		priv, err := ppcrypto.UnmarshalPrivateKey(der)
-		if err != nil {
-			continue
-		}
-		if block, err := ppcrypto.DecryptOAEP(priv, ct); err == nil {
-			if items, err := message.DecodeItemList(block); err == nil {
-				return items, true
+		for _, role := range []ppcrypto.Role{ppcrypto.RoleUAUser, ppcrypto.RoleIAItem, ppcrypto.RoleIATempKey} {
+			if block := openField(secrets, role, ct); block != nil {
+				if items, err := message.DecodeItemList(block); err == nil {
+					return items, true
+				}
 			}
 		}
 	}

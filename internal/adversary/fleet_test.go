@@ -32,9 +32,14 @@ import (
 // effective anonymity set never shrank), and the deployed auditor —
 // including its fleet drain-integrity check — stayed "ok" throughout.
 func TestLinkingBoundHoldsDuringFleetChurn(t *testing.T) {
+	eachKeyMaterial(t, testLinkingBoundHoldsDuringFleetChurn)
+}
+
+func testLinkingBoundHoldsDuringFleetChurn(t *testing.T, km keyMaterial) {
 	const s = 8
 	rec := adversary.NewRecorder()
 	d, err := cluster.Deploy(cluster.Spec{
+		RSAOnlyKeys:    km.rsaOnly,
 		ProxyEnabled:   true,
 		UA:             1,
 		IA:             1,

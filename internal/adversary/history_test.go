@@ -55,7 +55,9 @@ func TestHistoryAttackEmptyInput(t *testing.T) {
 	}
 }
 
-func TestHistoryAttackEndToEnd(t *testing.T) {
+func TestHistoryAttackEndToEnd(t *testing.T) { eachKeyMaterial(t, testHistoryAttackEndToEnd) }
+
+func testHistoryAttackEndToEnd(t *testing.T, km keyMaterial) {
 	// The full §6.3 scenario against the real stack: the victim posts in
 	// every shuffle batch among churning decoys; the adversary taps the
 	// LRS link, slices windows, and intersects. With enough windows the
@@ -64,7 +66,7 @@ func TestHistoryAttackEndToEnd(t *testing.T) {
 	// protect heavy repeat users against a patient adversary).
 	const s = 8
 	const rounds = 6
-	st := newTappedStack(t, s)
+	st := newTappedStack(t, km, s)
 	ctx := context.Background()
 
 	var victimIngress []adversary.Event

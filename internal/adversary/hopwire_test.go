@@ -80,6 +80,10 @@ func (c *recordingConn) Write(p []byte) (int, error) {
 // observable sizes identical, a size-based linking classifier has no
 // advantage over the uniform 1/S guess the shuffle already forces.
 func TestHopwireFramesCloseSizeChannel(t *testing.T) {
+	eachKeyMaterial(t, testHopwireFramesCloseSizeChannel)
+}
+
+func testHopwireFramesCloseSizeChannel(t *testing.T, km keyMaterial) {
 	const s = 8
 	net2 := transport.NewNetwork()
 	t.Cleanup(func() { net2.Close() })
@@ -91,11 +95,11 @@ func TestHopwireFramesCloseSizeChannel(t *testing.T) {
 	platform := enclave.NewPlatform(as)
 	uaEncl := proxy.NewUAEnclave(platform)
 	iaEncl := proxy.NewIAEnclave(platform, proxy.IAOptions{})
-	uaKeys, err := proxy.NewLayerKeys()
+	uaKeys, err := km.newKeys()
 	if err != nil {
 		t.Fatal(err)
 	}
-	iaKeys, err := proxy.NewLayerKeys()
+	iaKeys, err := km.newKeys()
 	if err != nil {
 		t.Fatal(err)
 	}

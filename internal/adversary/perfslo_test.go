@@ -21,9 +21,13 @@ import (
 // are shuffle-epoch ids, something the network adversary already counts
 // by watching flushes, so the report must add zero linking advantage.
 func TestPerfReportGrantsNoLinkingAdvantage(t *testing.T) {
+	eachKeyMaterial(t, testPerfReportGrantsNoLinkingAdvantage)
+}
+
+func testPerfReportGrantsNoLinkingAdvantage(t *testing.T, km keyMaterial) {
 	const s = 8
 	schedule := []int{s, s, s, s}
-	st := newTappedStack(t, s)
+	st := newTappedStack(t, km, s)
 
 	// The evaluator reads the layer's own stage histograms; registering
 	// metrics installs them, exactly as every binary does.

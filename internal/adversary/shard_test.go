@@ -85,11 +85,15 @@ func diskBytes(t *testing.T, dir string) []byte {
 }
 
 func TestShardStorageExposesOnlyPseudonyms(t *testing.T) {
+	eachKeyMaterial(t, testShardStorageExposesOnlyPseudonyms)
+}
+
+func testShardStorageExposesOnlyPseudonyms(t *testing.T, km keyMaterial) {
 	dir := t.TempDir()
 	engCfg := engine.DefaultConfig()
 	engCfg.Shards = 4
 	engCfg.WALDir = dir
-	st := newTappedStackEngine(t, 0, nil, engCfg)
+	st := newTappedStackEngine(t, km, 0, nil, engCfg)
 	ctx := context.Background()
 
 	users := []string{"alice-reader", "bob-reader", "carol-reader"}
@@ -153,13 +157,17 @@ func TestShardStorageExposesOnlyPseudonyms(t *testing.T) {
 // link it is a degraded view of (WAL sequence numbers are per shard, so
 // even the all-shards adversary cannot reconstruct global arrival order).
 func TestShardTapLinkingBoundedByShuffle(t *testing.T) {
+	eachKeyMaterial(t, testShardTapLinkingBoundedByShuffle)
+}
+
+func testShardTapLinkingBoundedByShuffle(t *testing.T, km keyMaterial) {
 	const s = 8
 	const batches = 8
 	dir := t.TempDir()
 	engCfg := engine.DefaultConfig()
 	engCfg.Shards = 4
 	engCfg.WALDir = dir
-	st := newTappedStackEngine(t, s, nil, engCfg)
+	st := newTappedStackEngine(t, km, s, nil, engCfg)
 	ctx := context.Background()
 
 	var users []string
@@ -223,11 +231,15 @@ func TestShardTapLinkingBoundedByShuffle(t *testing.T) {
 // only fresh keys — and the adversary's pre-rotation loot decrypts
 // nothing that remains.
 func TestRotationScrubsOldPseudonymsFromDisk(t *testing.T) {
+	eachKeyMaterial(t, testRotationScrubsOldPseudonymsFromDisk)
+}
+
+func testRotationScrubsOldPseudonymsFromDisk(t *testing.T, km keyMaterial) {
 	dir := t.TempDir()
 	engCfg := engine.DefaultConfig()
 	engCfg.Shards = 3
 	engCfg.WALDir = dir
-	st := newTappedStackEngine(t, 0, nil, engCfg)
+	st := newTappedStackEngine(t, km, 0, nil, engCfg)
 	ctx := context.Background()
 
 	users := []string{"alice-reader", "bob-reader", "carol-reader", "dave-reader"}

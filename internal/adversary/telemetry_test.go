@@ -46,9 +46,13 @@ func (p *leakPusher) Close() {}
 // snapshot-guided attack must gain exactly nothing over the report-free
 // in-order attack: the same guesses, accuracy pinned at the 1/S bound.
 func TestFleetTelemetryGrantsNoLinkingAdvantage(t *testing.T) {
+	eachKeyMaterial(t, testFleetTelemetryGrantsNoLinkingAdvantage)
+}
+
+func testFleetTelemetryGrantsNoLinkingAdvantage(t *testing.T, km keyMaterial) {
 	const s = 8
 	schedule := []int{s, s, s, s}
-	st := newTappedStack(t, s)
+	st := newTappedStack(t, km, s)
 
 	reg := metrics.NewRegistry()
 	st.ua.RegisterMetrics(reg, "ua")

@@ -22,9 +22,13 @@ import (
 // adversary no per-request handle, so its linking accuracy stays at the
 // shuffler's 1/S bound instead of climbing back toward 1.
 func TestTraceExportCannotLinkRequests(t *testing.T) {
+	eachKeyMaterial(t, testTraceExportCannotLinkRequests)
+}
+
+func testTraceExportCannotLinkRequests(t *testing.T, km keyMaterial) {
 	const s = 8
 	const batches = 8
-	st := newTappedStack(t, s)
+	st := newTappedStack(t, km, s)
 	col := trace.NewCollector()
 	st.ua.SetTracer(trace.New("ua-0", col.Sink(), nil))
 	st.ia.SetTracer(trace.New("ia-0", col.Sink(), nil))

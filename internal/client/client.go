@@ -4,14 +4,21 @@
 // layers, and decrypts returned recommendation lists. The paper ships it
 // as static JavaScript; this is the same logic as a Go library.
 //
-// The library holds only globally known information — the two layer public
-// keys — and the user's identifier with the application. No private key or
-// model is ever provisioned client-side (§3, ease of deployment).
+// The library holds only globally known information — the two layers'
+// public keys — and the user's identifier with the application. No private
+// key or model is ever provisioned client-side (§3, ease of deployment).
+//
+// Which keys the bundle carries decides how a field is encrypted for its
+// layer: a sealed box whenever the bundle has the layer's X25519 key,
+// RSA-OAEP (the paper's suite) otherwise. There is no setting: the suite
+// shows on the wire as the field's length, so every client of a deployment
+// must make the same choice, and the bundle is what they share.
 package client
 
 import (
 	"bytes"
 	"context"
+	"crypto/ecdh"
 	"crypto/rsa"
 	"errors"
 	"fmt"
@@ -54,9 +61,9 @@ type Client struct {
 
 // WithGetRetries returns a copy of the client that retries failed get
 // calls up to n extra attempts (jittered by a doubling backoff). Only gets
-// retry: every attempt is freshly encrypted end to end — new OAEP
-// randomness on the user identifier and a brand-new temporary key — so a
-// network observer cannot link a retry to the attempt it repeats.
+// retry: every attempt is freshly encrypted end to end — a new ephemeral
+// key (or OAEP seed) on the user identifier and a brand-new temporary key
+// — so a network observer cannot link a retry to the attempt it repeats.
 //
 // Posts deliberately never retry from the client. A safe post retry needs
 // an idempotency key the LRS can deduplicate on, and a client-chosen key
@@ -116,11 +123,11 @@ func (c *Client) PostEvent(ctx context.Context, user, item, payload, eventType s
 		body, err = message.Marshal(message.LRSPost{User: user, Item: item, Payload: payload, Event: eventType})
 	} else {
 		var encUser, encItem string
-		encUser, err = c.encryptID(user, c.bundle.UAPublic)
+		encUser, err = encryptID(user, ppcrypto.RoleUAUser, c.bundle.UABox, c.bundle.UAPublic)
 		if err != nil {
 			return err
 		}
-		encItem, err = c.encryptID(item, c.bundle.IAPublic)
+		encItem, err = encryptID(item, ppcrypto.RoleIAItem, c.bundle.IABox, c.bundle.IAPublic)
 		if err != nil {
 			return err
 		}
@@ -182,7 +189,7 @@ func (c *Client) getOnce(ctx context.Context, user string) ([]string, int, error
 		return c.getPlain(ctx, user)
 	}
 
-	encUser, err := c.encryptID(user, c.bundle.UAPublic)
+	encUser, err := encryptID(user, ppcrypto.RoleUAUser, c.bundle.UABox, c.bundle.UAPublic)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -190,13 +197,13 @@ func (c *Client) getOnce(ctx context.Context, user string) ([]string, int, error
 	if err != nil {
 		return nil, 0, err
 	}
-	encKu, err := ppcrypto.EncryptOAEP(c.bundle.IAPublic, ku)
+	encKu, err := encryptField(ku, ppcrypto.RoleIATempKey, c.bundle.IABox, c.bundle.IAPublic)
 	if err != nil {
 		return nil, 0, err
 	}
 	body, err := message.Marshal(message.GetRequest{
 		EncUser:    encUser,
-		EncTempKey: message.Encode64(encKu),
+		EncTempKey: encKu,
 		Tenant:     c.tenant,
 	})
 	if err != nil {
@@ -251,12 +258,18 @@ func (c *Client) getPlain(ctx context.Context, user string) ([]string, int, erro
 
 // encryptID pads an identifier to the constant block size and encrypts it
 // for exactly one layer.
-func (c *Client) encryptID(id string, pub *rsa.PublicKey) (string, error) {
+func encryptID(id string, role ppcrypto.Role, box *ecdh.PublicKey, pub *rsa.PublicKey) (string, error) {
 	block, err := ppcrypto.PadID(id)
 	if err != nil {
 		return "", err
 	}
-	ct, err := ppcrypto.EncryptOAEP(pub, block)
+	return encryptField(block, role, box, pub)
+}
+
+// encryptField encrypts a short payload for exactly one layer with the
+// keys the bundle carries for it.
+func encryptField(plain []byte, role ppcrypto.Role, box *ecdh.PublicKey, pub *rsa.PublicKey) (string, error) {
+	ct, err := ppcrypto.SealField(box, pub, role, plain)
 	if err != nil {
 		return "", err
 	}

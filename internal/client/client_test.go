@@ -38,8 +38,45 @@ func testBundle(t *testing.T) (proxy.PublicBundle, *proxy.LayerKeys, *proxy.Laye
 	return proxy.Bundle(sharedUA, sharedIA), sharedUA, sharedIA
 }
 
+// eachBundleKind runs fn against the two kinds of bundle a client can hold
+// for one and the same layer key material: the one this version mints (box
+// keys present, so every field is a sealed box) and an RSA-only one still
+// in the field. fieldSize is what enc_user must measure under that kind.
+func eachBundleKind(t *testing.T, fn func(t *testing.T, bundle proxy.PublicBundle, fieldSize int)) {
+	bundle, _, _ := testBundle(t)
+	t.Run("box", func(t *testing.T) { fn(t, bundle, ppcrypto.IDBlockSize+ppcrypto.BoxOverhead) })
+	bundle.UABox, bundle.IABox = nil, nil
+	t.Run("rsa-only", func(t *testing.T) { fn(t, bundle, ppcrypto.RSACiphertextSize) })
+}
+
+// openField decrypts a field as the layer's enclave would: by the key its
+// length names.
+func openField(keys *proxy.LayerKeys, role ppcrypto.Role, field string) ([]byte, error) {
+	ct, err := message.Decode64(field)
+	if err != nil {
+		return nil, err
+	}
+	if len(ct) == ppcrypto.RSACiphertextSize {
+		return ppcrypto.DecryptOAEP(keys.Pair.Private, ct)
+	}
+	return ppcrypto.OpenBox(keys.Box, role, ct)
+}
+
+func fieldSize(t *testing.T, field string) int {
+	t.Helper()
+	ct, err := message.Decode64(field)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return len(ct)
+}
+
 func TestPostEncryptsBothIdentifiers(t *testing.T) {
-	bundle, ua, ia := testBundle(t)
+	eachBundleKind(t, testPostEncryptsBothIdentifiers)
+}
+
+func testPostEncryptsBothIdentifiers(t *testing.T, bundle proxy.PublicBundle, wantSize int) {
+	_, ua, ia := testBundle(t)
 	var got message.PostRequest
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != message.EventsPath {
@@ -65,20 +102,21 @@ func TestPostEncryptsBothIdentifiers(t *testing.T) {
 		t.Errorf("payload = %q", got.Payload)
 	}
 	// Each field decrypts only with its layer's private key.
-	assertDecryptsTo(t, ua, got.EncUser, "alice")
-	assertDecryptsTo(t, ia, got.EncItem, "casablanca")
-	if err := tryDecrypt(ia, got.EncUser); err == nil {
+	assertDecryptsTo(t, ua, ppcrypto.RoleUAUser, got.EncUser, "alice")
+	assertDecryptsTo(t, ia, ppcrypto.RoleIAItem, got.EncItem, "casablanca")
+	if _, err := openField(ia, ppcrypto.RoleUAUser, got.EncUser); err == nil {
 		t.Error("IA key decrypted the user field")
+	}
+	// The bundle's keys alone chose the suite, for both fields alike: a
+	// bundle with box keys never emits an RSA-sized field.
+	if u, i := fieldSize(t, got.EncUser), fieldSize(t, got.EncItem); u != wantSize || i != wantSize {
+		t.Errorf("enc_user is %d bytes and enc_item %d, want %d each", u, i, wantSize)
 	}
 }
 
-func assertDecryptsTo(t *testing.T, keys *proxy.LayerKeys, field, want string) {
+func assertDecryptsTo(t *testing.T, keys *proxy.LayerKeys, role ppcrypto.Role, field, want string) {
 	t.Helper()
-	ct, err := message.Decode64(field)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	block, err := ppcrypto.DecryptOAEP(keys.Pair.Private, ct)
+	block, err := openField(keys, role, field)
 	if err != nil {
 		t.Fatalf("decrypt: %v", err)
 	}
@@ -89,15 +127,6 @@ func assertDecryptsTo(t *testing.T, keys *proxy.LayerKeys, field, want string) {
 	if id != want {
 		t.Errorf("decrypted %q, want %q", id, want)
 	}
-}
-
-func tryDecrypt(keys *proxy.LayerKeys, field string) error {
-	ct, err := message.Decode64(field)
-	if err != nil {
-		return err
-	}
-	_, err = ppcrypto.DecryptOAEP(keys.Pair.Private, ct)
-	return err
 }
 
 func TestGetGeneratesFreshTempKeys(t *testing.T) {
@@ -125,7 +154,11 @@ func TestGetGeneratesFreshTempKeys(t *testing.T) {
 }
 
 func TestGetDecryptsAndDiscardsPadding(t *testing.T) {
-	bundle, _, ia := testBundle(t)
+	eachBundleKind(t, testGetDecryptsAndDiscardsPadding)
+}
+
+func testGetDecryptsAndDiscardsPadding(t *testing.T, bundle proxy.PublicBundle, wantSize int) {
+	_, _, ia := testBundle(t)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req message.GetRequest
 		if err := message.Unmarshal(readAll(t, r), &req); err != nil {
@@ -133,12 +166,10 @@ func TestGetDecryptsAndDiscardsPadding(t *testing.T) {
 		}
 		// Act as UA+IA+LRS in one: recover k_u and answer with an
 		// encrypted, padded 3-item list.
-		ct, err := message.Decode64(req.EncTempKey)
-		if err != nil {
-			t.Errorf("decode temp key: %v", err)
-			return
+		if n := fieldSize(t, req.EncUser); n != wantSize {
+			t.Errorf("enc_user is %d bytes, want %d", n, wantSize)
 		}
-		ku, err := ppcrypto.DecryptOAEP(ia.Pair.Private, ct)
+		ku, err := openField(ia, ppcrypto.RoleIATempKey, req.EncTempKey)
 		if err != nil {
 			t.Errorf("decrypt temp key: %v", err)
 			return
@@ -248,7 +279,11 @@ func readAll(t *testing.T, r *http.Request) []byte {
 }
 
 func TestGetRetriesAreFreshlyEncrypted(t *testing.T) {
-	bundle, _, ia := testBundle(t)
+	eachBundleKind(t, testGetRetriesAreFreshlyEncrypted)
+}
+
+func testGetRetriesAreFreshlyEncrypted(t *testing.T, bundle proxy.PublicBundle, _ int) {
+	_, _, ia := testBundle(t)
 	var mu sync.Mutex
 	var seenUsers, seenKeys []string
 	fails := 2
@@ -267,8 +302,7 @@ func TestGetRetriesAreFreshlyEncrypted(t *testing.T) {
 			http.Error(w, "overloaded", http.StatusServiceUnavailable)
 			return
 		}
-		ct, _ := message.Decode64(req.EncTempKey)
-		ku, err := ppcrypto.DecryptOAEP(ia.Pair.Private, ct)
+		ku, err := openField(ia, ppcrypto.RoleIATempKey, req.EncTempKey)
 		if err != nil {
 			t.Errorf("decrypt temp key: %v", err)
 			return
@@ -289,8 +323,9 @@ func TestGetRetriesAreFreshlyEncrypted(t *testing.T) {
 		t.Errorf("items = %v", items)
 	}
 
-	// Three attempts, each a completely fresh encryption: OAEP randomness
-	// on the user identifier and a brand-new temporary key. Identical
+	// Three attempts, each a completely fresh encryption: a new ephemeral
+	// key (or OAEP seed) on the user identifier and a brand-new temporary
+	// key. Identical
 	// ciphertexts would let an observer link a retry to the original.
 	mu.Lock()
 	defer mu.Unlock()

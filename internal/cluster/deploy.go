@@ -42,6 +42,12 @@ type Spec struct {
 	Encryption bool
 	// ItemPseudonyms pseudonymizes item identifiers (off in m4).
 	ItemPseudonyms bool
+	// RSAOnlyKeys generates the paper's key material (§4.1): RSA-2048-OAEP
+	// and no sealed-box key, so clients and enclaves run the suite the
+	// paper measured. SpecFromMicro and SpecFromMacro set it — Tables 2–3
+	// and Figures 6–10 are reproduced on RSA; everything else deploys
+	// what pprox-keygen ships, both keys (DESIGN.md §4l).
+	RSAOnlyKeys bool
 	// Shuffle is S (0 = off) and ShuffleTimeout the flush timer.
 	Shuffle        int
 	ShuffleTimeout time.Duration
@@ -181,6 +187,7 @@ func SpecFromMicro(c MicroConfig) Spec {
 		IA:             c.IA,
 		Encryption:     c.Encryption,
 		ItemPseudonyms: c.ItemPseudonyms,
+		RSAOnlyKeys:    true,
 		Shuffle:        c.Shuffle,
 		UseStub:        true,
 		LRSFrontends:   1,
@@ -195,6 +202,7 @@ func SpecFromMacro(c MacroConfig) Spec {
 		IA:             c.IA,
 		Encryption:     c.Proxy,
 		ItemPseudonyms: c.Proxy,
+		RSAOnlyKeys:    true,
 		Shuffle:        c.Shuffle,
 		LRSFrontends:   c.LRSFrontends,
 	}
@@ -370,10 +378,14 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 			return nil, err
 		}
 		platform = enclave.NewPlatform(as)
-		if d.UAKeys, err = proxy.NewLayerKeys(); err != nil {
+		newKeys := proxy.NewLayerKeys
+		if spec.RSAOnlyKeys {
+			newKeys = proxy.NewRSAOnlyLayerKeys
+		}
+		if d.UAKeys, err = newKeys(); err != nil {
 			return nil, err
 		}
-		if d.IAKeys, err = proxy.NewLayerKeys(); err != nil {
+		if d.IAKeys, err = newKeys(); err != nil {
 			return nil, err
 		}
 		// One shared hop-envelope key: the UA→IA link travels as

@@ -75,17 +75,10 @@ func TestArrivalEPCFallback(t *testing.T) {
 
 func (f *layerFixture) getRequest(t *testing.T, uaKeys *LayerKeys, user string) []byte {
 	t.Helper()
-	ku, err := ppcrypto.NewSymmetricKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	encKu, err := ppcrypto.EncryptOAEP(f.iaKeys.Pair.Public, ku)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, encKu := f.tempKey(t)
 	in, err := message.Marshal(message.GetRequest{
-		EncUser:    f.encFor(t, uaKeys, user),
-		EncTempKey: message.Encode64(encKu),
+		EncUser:    f.encFor(t, uaKeys, ppcrypto.RoleUAUser, user),
+		EncTempKey: encKu,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,9 +90,13 @@ func (f *layerFixture) getRequest(t *testing.T, uaKeys *LayerKeys, user string) 
 // state derived from the provisioned secret, so re-provisioning must
 // replace it at once — on the very next message, even one submitted to a
 // crossing that was opened under the old keys, a ciphertext for the old
-// key no longer decrypts and one for the fresh key does.
+// key no longer decrypts and one for the fresh key does. Both resident
+// keys are replaced, the box key as much as the RSA one.
 func TestRotationReplacesResidentKeyOnNextMessage(t *testing.T) {
-	f := newFixture(t)
+	eachSuite(t, testRotationReplacesResidentKeyOnNextMessage)
+}
+
+func testRotationReplacesResidentKeyOnNextMessage(t *testing.T, f *layerFixture) {
 	e := NewUAEnclave(enclave.NewPlatform(f.as))
 	fresh, err := NewLayerKeys()
 	if err != nil {
@@ -148,21 +145,42 @@ func TestRotationReplacesResidentKeyOnNextMessage(t *testing.T) {
 // small constant beyond the RSA-OAEP decryption at its core (JSON in and
 // out, base64, the pseudonym) — 18 when written. Parsing the PKCS#8 key
 // per message costs 62 more, so a reintroduced parse fails here.
+//
+// A box request gets the same ceiling over OpenBox's own allocations, and
+// OpenBox its own: 7 when written (the point, the shared secret, AES, GCM,
+// the plaintext). The key derivation runs in fixed arrays
+// (ppcrypto.hmacSHA256); crypto/hmac's ten objects per derivation would
+// put a box request above the RSA one it replaces, and fail here.
 func TestUAGetHandlerAllocationFloor(t *testing.T) {
-	f := newFixture(t)
-	in := f.getRequest(t, f.uaKeys, "dave")
-	ct, err := message.Decode64(f.encFor(t, f.uaKeys, "dave"))
-	if err != nil {
-		t.Fatal(err)
+	rsa, box := *newFixture(t), *newFixture(t)
+	rsa.rsaOnly = true
+	handlerAllocs := func(f *layerFixture) (handler float64, field []byte) {
+		in := f.getRequest(t, f.uaKeys, "dave")
+		field, err := message.Decode64(f.encFor(t, f.uaKeys, ppcrypto.RoleUAUser, "dave"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.uaEncl.Ecall(ecallUAGet, in); err != nil {
+			t.Fatal(err) // also builds the resident key
+		}
+		return testing.AllocsPerRun(20, func() { f.uaEncl.Ecall(ecallUAGet, in) }), field
 	}
-	if _, err := f.uaEncl.Ecall(ecallUAGet, in); err != nil {
-		t.Fatal(err) // also builds the resident key
-	}
-	oaep := testing.AllocsPerRun(20, func() { ppcrypto.DecryptOAEP(f.uaKeys.Pair.Private, ct) })
-	handler := testing.AllocsPerRun(20, func() { f.uaEncl.Ecall(ecallUAGet, in) })
-	if over := handler - oaep; over > 30 {
+
+	rsaHandler, ct := handlerAllocs(&rsa)
+	oaep := testing.AllocsPerRun(20, func() { ppcrypto.DecryptOAEP(rsa.uaKeys.Pair.Private, ct) })
+	if over := rsaHandler - oaep; over > 30 {
 		t.Errorf("ua/get allocates %.0f per message, %.0f beyond OAEP's own %.0f; want ≤ 30 beyond (is the key parsed per message again?)",
-			handler, over, oaep)
+			rsaHandler, over, oaep)
+	}
+
+	boxHandler, ct := handlerAllocs(&box)
+	open := testing.AllocsPerRun(20, func() { ppcrypto.OpenBox(box.uaKeys.Box, ppcrypto.RoleUAUser, ct) })
+	if over := boxHandler - open; over > 30 {
+		t.Errorf("ua/get on a box allocates %.0f per message, %.0f beyond OpenBox's own %.0f; want ≤ 30 beyond",
+			boxHandler, over, open)
+	}
+	if open > 12 {
+		t.Errorf("OpenBox allocates %.0f per field, want ≤ 12 (is the key derivation on the heap again?)", open)
 	}
 }
 

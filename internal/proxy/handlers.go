@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/rsa"
 	"encoding/json"
@@ -16,9 +17,14 @@ import (
 // Secret names under which layer key material is provisioned into
 // enclaves (Table 1 of the paper).
 const (
-	// SecretPrivateKey is skUA / skIA: the layer private key decrypting
-	// fields the user-side library encrypted for this layer alone.
+	// SecretPrivateKey is skUA / skIA: the layer's RSA private key
+	// decrypting fields the user-side library encrypted for this layer
+	// alone.
 	SecretPrivateKey = "sk"
+	// SecretBoxKey is the layer's X25519 private key (PKCS#8), opening
+	// the same fields when they arrive as sealed boxes. Absent on
+	// RSA-only key material.
+	SecretBoxKey = "bsk"
 	// SecretPermanentKey is kUA / kIA: the permanent symmetric key
 	// deterministically pseudonymizing identifiers for the LRS.
 	SecretPermanentKey = "k"
@@ -192,24 +198,49 @@ func mintIdem() (string, error) {
 	return message.Encode64(b[:]), nil
 }
 
-// privateKey returns the tenant's layer private key, parsed. Parsing a
-// PKCS#8 RSA key costs as much as a tenth of the decryption it serves
-// (x509 parse, CRT precomputation, key validation), so the parsed key is
-// enclave-resident state derived from the provisioned secret: built on
-// the first message after a provisioning and dropped with the secret set
-// when the next provisioning replaces it.
-func privateKey(s enclave.Secrets, tenant string) (*rsa.PrivateKey, error) {
-	name := TenantSecret(SecretPrivateKey, tenant)
-	v, err := s.Derived(name, parsePrivateKey)
+// open decrypts one field the user-side library encrypted for this layer
+// alone. The key's type is the suite: a field the length of an RSA-2048
+// block is an OAEP ciphertext for the RSA key, anything else a sealed box
+// for the X25519 key under the field's role. The two lengths never meet (a
+// box of 256 bytes would carry 208 bytes of plaintext; fields are 64 and
+// 32), so there is no tag to read and nothing to try twice. A field for a
+// key this enclave was not provisioned with fails like any other
+// undecryptable one.
+//
+// Parsing a PKCS#8 RSA key costs as much as a tenth of the decryption it
+// serves (x509 parse, CRT precomputation, key validation), so the parsed
+// key is enclave-resident state derived from the provisioned secret: built
+// on the first message after a provisioning and dropped with the secret
+// set when the next provisioning replaces it.
+func open(s enclave.Secrets, tenant string, role ppcrypto.Role, field string) ([]byte, error) {
+	ct, err := message.Decode64(field)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errEnclave, err)
+	}
+	base, parse := SecretBoxKey, parseBoxKey
+	if len(ct) == ppcrypto.RSACiphertextSize {
+		base, parse = SecretPrivateKey, parsePrivateKey
+	}
+	name := TenantSecret(base, tenant)
+	key, err := s.Derived(name, parse)
 	if err != nil {
 		return nil, fmt.Errorf("%w: secret %q: %v", errEnclave, name, err)
 	}
-	return v.(*rsa.PrivateKey), nil
+	var plain []byte
+	switch k := key.(type) {
+	case *rsa.PrivateKey:
+		plain, err = ppcrypto.DecryptOAEP(k, ct)
+	case *ecdh.PrivateKey:
+		plain, err = ppcrypto.OpenBox(k, role, ct)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errEnclave, err)
+	}
+	return plain, nil
 }
 
-func parsePrivateKey(der []byte) (any, error) {
-	return ppcrypto.UnmarshalPrivateKey(der)
-}
+func parsePrivateKey(der []byte) (any, error) { return ppcrypto.UnmarshalPrivateKey(der) }
+func parseBoxKey(der []byte) (any, error)     { return ppcrypto.UnmarshalBoxPrivateKey(der) }
 
 // NewUAEnclave launches a User Anonymizer enclave on the platform and
 // registers its measured code. The UA layer sees the user identifier in
@@ -219,21 +250,13 @@ func NewUAEnclave(p *enclave.Platform) *enclave.Enclave {
 	e := p.Launch(UAIdentity)
 
 	pseudonymizeUser := func(s enclave.Secrets, tenant, encUser string) (string, error) {
-		priv, err := privateKey(s, tenant)
-		if err != nil {
-			return "", err
-		}
 		kUA, err := getSecret(s, SecretPermanentKey, tenant)
 		if err != nil {
 			return "", err
 		}
-		ct, err := message.Decode64(encUser)
+		block, err := open(s, tenant, ppcrypto.RoleUAUser, encUser)
 		if err != nil {
-			return "", fmt.Errorf("%w: %v", errEnclave, err)
-		}
-		block, err := ppcrypto.DecryptOAEP(priv, ct)
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", errEnclave, err)
+			return "", err
 		}
 		u, err := ppcrypto.UnpadID(block)
 		if err != nil {
@@ -347,17 +370,9 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 	}
 
 	decryptItem := func(s enclave.Secrets, tenant, encItem string) (string, error) {
-		priv, err := privateKey(s, tenant)
+		block, err := open(s, tenant, ppcrypto.RoleIAItem, encItem)
 		if err != nil {
 			return "", err
-		}
-		ct, err := message.Decode64(encItem)
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", errEnclave, err)
-		}
-		block, err := ppcrypto.DecryptOAEP(priv, ct)
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", errEnclave, err)
 		}
 		item, err := ppcrypto.UnpadID(block)
 		if err != nil {
@@ -459,17 +474,9 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 		if err := message.Unmarshal(body, &req); err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		priv, err := privateKey(s, req.Tenant)
+		ku, err := open(s, req.Tenant, ppcrypto.RoleIATempKey, req.EncTempKey)
 		if err != nil {
 			return nil, err
-		}
-		ct, err := message.Decode64(req.EncTempKey)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errEnclave, err)
-		}
-		ku, err := ppcrypto.DecryptOAEP(priv, ct)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
 		if len(ku) != ppcrypto.SymmetricKeySize {
 			return nil, fmt.Errorf("%w: temporary key has wrong size", errEnclave)

@@ -22,6 +22,26 @@ type layerFixture struct {
 	iaEncl *enclave.Enclave
 	uaKeys *LayerKeys
 	iaKeys *LayerKeys
+	// rsaOnly makes the fixture's client side seal fields as a holder of
+	// an RSA-only bundle would. The enclaves hold both keys either way.
+	rsaOnly bool
+}
+
+// eachSuite runs fn twice over the shared fixture: with fields sealed as
+// boxes (what bundles minted today produce) and as RSA-OAEP blocks (the
+// paper's suite, and bundles still in the field). A handler must not be
+// able to tell which it got beyond open()'s dispatch.
+func eachSuite(t *testing.T, fn func(t *testing.T, f *layerFixture)) {
+	base := newFixture(t)
+	for _, rsaOnly := range []bool{false, true} {
+		f := *base
+		f.rsaOnly = rsaOnly
+		name := "box"
+		if rsaOnly {
+			name = "rsa"
+		}
+		t.Run(name, func(t *testing.T) { fn(t, &f) })
+	}
 }
 
 // Key generation is slow; share one fixture per test binary and rebuild
@@ -60,17 +80,37 @@ func newFixture(t *testing.T) *layerFixture {
 	return fixture
 }
 
-func (f *layerFixture) encFor(t *testing.T, keys *LayerKeys, id string) string {
+// seal encrypts a field for one layer as the user-side library would.
+func (f *layerFixture) seal(t *testing.T, keys *LayerKeys, role ppcrypto.Role, plain []byte) string {
+	t.Helper()
+	box := keys.Box.PublicKey()
+	if f.rsaOnly {
+		box = nil
+	}
+	ct, err := ppcrypto.SealField(box, keys.Pair.Public, role, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return message.Encode64(ct)
+}
+
+func (f *layerFixture) encFor(t *testing.T, keys *LayerKeys, role ppcrypto.Role, id string) string {
 	t.Helper()
 	block, err := ppcrypto.PadID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ppcrypto.EncryptOAEP(keys.Pair.Public, block)
+	return f.seal(t, keys, role, block)
+}
+
+// tempKey draws a k_u and seals it for the IA layer.
+func (f *layerFixture) tempKey(t *testing.T) (ku []byte, enc string) {
+	t.Helper()
+	ku, err := ppcrypto.NewSymmetricKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return message.Encode64(ct)
+	return ku, f.seal(t, f.iaKeys, ppcrypto.RoleIATempKey, ku)
 }
 
 func (f *layerFixture) pseudonym(t *testing.T, keys *LayerKeys, id string) string {
@@ -83,10 +123,13 @@ func (f *layerFixture) pseudonym(t *testing.T, keys *LayerKeys, id string) strin
 }
 
 func TestUAPostEcallPseudonymizesUserOnly(t *testing.T) {
-	f := newFixture(t)
+	eachSuite(t, testUAPostEcallPseudonymizesUserOnly)
+}
+
+func testUAPostEcallPseudonymizesUserOnly(t *testing.T, f *layerFixture) {
 	in, err := message.Marshal(message.PostRequest{
-		EncUser: f.encFor(t, f.uaKeys, "alice"),
-		EncItem: f.encFor(t, f.iaKeys, "dune"),
+		EncUser: f.encFor(t, f.uaKeys, ppcrypto.RoleUAUser, "alice"),
+		EncItem: f.encFor(t, f.iaKeys, ppcrypto.RoleIAItem, "dune"),
 		Payload: "4.5",
 	})
 	if err != nil {
@@ -115,19 +158,13 @@ func TestUAPostEcallPseudonymizesUserOnly(t *testing.T) {
 	}
 }
 
-func TestUAGetEcallPreservesTempKey(t *testing.T) {
-	f := newFixture(t)
-	ku, err := ppcrypto.NewSymmetricKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	encKu, err := ppcrypto.EncryptOAEP(f.iaKeys.Pair.Public, ku)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestUAGetEcallPreservesTempKey(t *testing.T) { eachSuite(t, testUAGetEcallPreservesTempKey) }
+
+func testUAGetEcallPreservesTempKey(t *testing.T, f *layerFixture) {
+	_, encKu := f.tempKey(t)
 	in, err := message.Marshal(message.GetRequest{
-		EncUser:    f.encFor(t, f.uaKeys, "bob"),
-		EncTempKey: message.Encode64(encKu),
+		EncUser:    f.encFor(t, f.uaKeys, ppcrypto.RoleUAUser, "bob"),
+		EncTempKey: encKu,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +180,7 @@ func TestUAGetEcallPreservesTempKey(t *testing.T) {
 	if got.EncUser != f.pseudonym(t, f.uaKeys, "bob") {
 		t.Error("user not pseudonymized")
 	}
-	if got.EncTempKey != message.Encode64(encKu) {
+	if got.EncTempKey != encKu {
 		t.Error("temp key field modified by the UA layer")
 	}
 }
@@ -159,6 +196,12 @@ func TestUAEcallRejectsBadInput(t *testing.T) {
 		{"wrong size ciphertext", `{"enc_user":"AAAA","enc_item":"AAAA"}`},
 		{"garbage ciphertext", fmt.Sprintf(`{"enc_user":%q,"enc_item":"AAAA"}`,
 			message.Encode64(make([]byte, ppcrypto.RSACiphertextSize)))},
+		// All zeros at a box's length is the low-order point u = 0: X25519
+		// refuses it, and the handler must not say so.
+		{"box with a low-order ephemeral point", fmt.Sprintf(`{"enc_user":%q,"enc_item":"AAAA"}`,
+			message.Encode64(make([]byte, ppcrypto.IDBlockSize+ppcrypto.BoxOverhead)))},
+		{"box for another role", fmt.Sprintf(`{"enc_user":%q,"enc_item":"AAAA"}`,
+			f.encFor(t, f.uaKeys, ppcrypto.RoleIAItem, "alice"))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -170,11 +213,14 @@ func TestUAEcallRejectsBadInput(t *testing.T) {
 }
 
 func TestUARejectsCiphertextForWrongLayer(t *testing.T) {
+	eachSuite(t, testUARejectsCiphertextForWrongLayer)
+}
+
+func testUARejectsCiphertextForWrongLayer(t *testing.T, f *layerFixture) {
 	// A user field encrypted for the IA layer must not decrypt at the UA.
-	f := newFixture(t)
 	in, err := message.Marshal(message.PostRequest{
-		EncUser: f.encFor(t, f.iaKeys, "alice"), // wrong key on purpose
-		EncItem: f.encFor(t, f.iaKeys, "dune"),
+		EncUser: f.encFor(t, f.iaKeys, ppcrypto.RoleUAUser, "alice"), // wrong key on purpose
+		EncItem: f.encFor(t, f.iaKeys, ppcrypto.RoleIAItem, "dune"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,11 +231,14 @@ func TestUARejectsCiphertextForWrongLayer(t *testing.T) {
 }
 
 func TestIAPostEcallProducesLRSPseudonyms(t *testing.T) {
-	f := newFixture(t)
+	eachSuite(t, testIAPostEcallProducesLRSPseudonyms)
+}
+
+func testIAPostEcallProducesLRSPseudonyms(t *testing.T, f *layerFixture) {
 	userPseudo := f.pseudonym(t, f.uaKeys, "alice")
 	in, err := message.Marshal(message.PostRequest{
 		EncUser: userPseudo, // already rewritten by the UA layer
-		EncItem: f.encFor(t, f.iaKeys, "dune"),
+		EncItem: f.encFor(t, f.iaKeys, ppcrypto.RoleIAItem, "dune"),
 		Payload: "3.0",
 	})
 	if err != nil {
@@ -226,7 +275,7 @@ func TestIAPostWithItemPseudonymizationDisabled(t *testing.T) {
 	}
 	in, err := message.Marshal(message.PostRequest{
 		EncUser: f.pseudonym(t, f.uaKeys, "alice"),
-		EncItem: f.encFor(t, f.iaKeys, "dune"),
+		EncItem: f.encFor(t, f.iaKeys, ppcrypto.RoleIAItem, "dune"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -244,19 +293,13 @@ func TestIAPostWithItemPseudonymizationDisabled(t *testing.T) {
 	}
 }
 
-func TestIAGetRoundTripThroughKV(t *testing.T) {
-	f := newFixture(t)
-	ku, err := ppcrypto.NewSymmetricKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	encKu, err := ppcrypto.EncryptOAEP(f.iaKeys.Pair.Public, ku)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestIAGetRoundTripThroughKV(t *testing.T) { eachSuite(t, testIAGetRoundTripThroughKV) }
+
+func testIAGetRoundTripThroughKV(t *testing.T, f *layerFixture) {
+	ku, encKu := f.tempKey(t)
 	reqBody, err := message.Marshal(message.GetRequest{
 		EncUser:    f.pseudonym(t, f.uaKeys, "carol"),
-		EncTempKey: message.Encode64(encKu),
+		EncTempKey: encKu,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -328,16 +371,14 @@ func TestIAGetRoundTripThroughKV(t *testing.T) {
 	}
 }
 
-func TestIAGetRejectsWrongSizeTempKey(t *testing.T) {
-	f := newFixture(t)
+func TestIAGetRejectsWrongSizeTempKey(t *testing.T) { eachSuite(t, testIAGetRejectsWrongSizeTempKey) }
+
+func testIAGetRejectsWrongSizeTempKey(t *testing.T, f *layerFixture) {
 	// Encrypt a 16-byte blob as the "temp key": must be rejected.
-	short, err := ppcrypto.EncryptOAEP(f.iaKeys.Pair.Public, make([]byte, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
+	short := f.seal(t, f.iaKeys, ppcrypto.RoleIATempKey, make([]byte, 16))
 	reqBody, err := message.Marshal(message.GetRequest{
 		EncUser:    f.pseudonym(t, f.uaKeys, "x"),
-		EncTempKey: message.Encode64(short),
+		EncTempKey: short,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -356,11 +397,10 @@ func TestIAGetRejectsWrongSizeTempKey(t *testing.T) {
 
 func TestIAGetResponseTruncatesOversizedLists(t *testing.T) {
 	f := newFixture(t)
-	ku, _ := ppcrypto.NewSymmetricKey()
-	encKu, _ := ppcrypto.EncryptOAEP(f.iaKeys.Pair.Public, ku)
+	ku, encKu := f.tempKey(t)
 	reqBody, _ := message.Marshal(message.GetRequest{
 		EncUser:    f.pseudonym(t, f.uaKeys, "y"),
-		EncTempKey: message.Encode64(encKu),
+		EncTempKey: encKu,
 	})
 	framed, _ := message.Marshal(iaGetCall{Handle: "h-big", Body: reqBody})
 	if _, err := f.iaEncl.Ecall("ia/get", framed); err != nil {
@@ -401,11 +441,10 @@ func TestIAGetResponseConstantSize(t *testing.T) {
 	f := newFixture(t)
 	sizes := map[int]bool{}
 	for _, n := range []int{1, 7, message.MaxRecommendations} {
-		ku, _ := ppcrypto.NewSymmetricKey()
-		encKu, _ := ppcrypto.EncryptOAEP(f.iaKeys.Pair.Public, ku)
+		_, encKu := f.tempKey(t)
 		reqBody, _ := message.Marshal(message.GetRequest{
 			EncUser:    f.pseudonym(t, f.uaKeys, "z"),
-			EncTempKey: message.Encode64(encKu),
+			EncTempKey: encKu,
 		})
 		handle := fmt.Sprintf("h-size-%d", n)
 		framed, _ := message.Marshal(iaGetCall{Handle: handle, Body: reqBody})
@@ -458,4 +497,117 @@ func TestIAGetCallFrameRoundTrip(t *testing.T) {
 	if got.Handle != "h" || string(got.Body) != string(body) {
 		t.Errorf("frame round trip: %+v", got)
 	}
+}
+
+// recordingSecrets serves a layer's provisioned secrets and records which
+// ones a handler asked for.
+type recordingSecrets struct {
+	mapSecrets
+	asked []string
+}
+
+func (r *recordingSecrets) Derived(name string, build func([]byte) (any, error)) (any, error) {
+	r.asked = append(r.asked, name)
+	raw, ok := r.mapSecrets[name]
+	if !ok {
+		return nil, enclave.ErrNoSecret
+	}
+	return build(raw)
+}
+
+func secretsOf(t testing.TB, keys *LayerKeys) mapSecrets {
+	t.Helper()
+	m, err := keys.Secrets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestOpenPicksTheKeyByLength: the ciphertext's length names the one key
+// open() asks the enclave for — never both, never one after the other.
+func TestOpenPicksTheKeyByLength(t *testing.T) {
+	box := newFixture(t)
+	rsa := *box
+	rsa.rsaOnly = true
+	block, _ := ppcrypto.PadID("alice")
+	boxField, rsaField := box.encFor(t, box.uaKeys, ppcrypto.RoleUAUser, "alice"), rsa.encFor(t, rsa.uaKeys, ppcrypto.RoleUAUser, "alice")
+
+	both := secretsOf(t, box.uaKeys)
+	rsaOnly := secretsOf(t, &LayerKeys{Pair: box.uaKeys.Pair, Permanent: box.uaKeys.Permanent})
+	if _, ok := rsaOnly[SecretBoxKey]; ok {
+		t.Fatal("RSA-only key material provisions a box key")
+	}
+	tenant := mapSecrets{}
+	for name, v := range both {
+		tenant[TenantSecret(name, "shop")] = v
+	}
+
+	for _, tc := range []struct {
+		name    string
+		secrets mapSecrets
+		tenant  string
+		field   string
+		asks    string
+		opens   bool
+	}{
+		{"both keys, box field", both, "", boxField, SecretBoxKey, true},
+		{"both keys, RSA field", both, "", rsaField, SecretPrivateKey, true},
+		{"RSA-only keys, RSA field", rsaOnly, "", rsaField, SecretPrivateKey, true},
+		{"RSA-only keys, box field", rsaOnly, "", boxField, SecretBoxKey, false},
+		{"tenant keys, box field", tenant, "shop", boxField, SecretBoxKey + "@shop", true},
+		{"tenant keys, RSA field", tenant, "shop", rsaField, SecretPrivateKey + "@shop", true},
+		{"another tenant's keys", tenant, "other", boxField, SecretBoxKey + "@other", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &recordingSecrets{mapSecrets: tc.secrets}
+			got, err := open(s, tc.tenant, ppcrypto.RoleUAUser, tc.field)
+			if len(s.asked) != 1 || s.asked[0] != tc.asks {
+				t.Errorf("open asked for %v, want exactly [%s]", s.asked, tc.asks)
+			}
+			if !tc.opens {
+				if !errors.Is(err, errEnclave) {
+					t.Errorf("err = %v, want errEnclave", err)
+				}
+				return
+			}
+			if err != nil || string(got) != string(block) {
+				t.Errorf("open = %x, %v; want the padded identifier", got, err)
+			}
+		})
+	}
+}
+
+// FuzzOpen: whatever arrives in a field, open() neither panics nor looks
+// at a key its length does not name, and nothing but a real ciphertext
+// opens.
+func FuzzOpen(f *testing.F) {
+	keys, err := NewLayerKeys()
+	if err != nil {
+		f.Fatal(err)
+	}
+	secrets := secretsOf(f, keys)
+	for _, n := range []int{0, 31, 32, 255, 256, 257} {
+		f.Add(make([]byte, n))
+	}
+	block, _ := ppcrypto.PadID("alice")
+	sealed, err := ppcrypto.SealBox(keys.Box.PublicKey(), ppcrypto.RoleUAUser, block)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sealed)
+	f.Fuzz(func(t *testing.T, ct []byte) {
+		s := &recordingSecrets{mapSecrets: secrets}
+		want := SecretBoxKey
+		if len(ct) == ppcrypto.RSACiphertextSize {
+			want = SecretPrivateKey
+		}
+		_, err := open(s, "", ppcrypto.RoleIAItem, message.Encode64(ct))
+		if !errors.Is(err, errEnclave) {
+			t.Errorf("%d bytes nobody sealed as ia/item: err = %v, want errEnclave", len(ct), err)
+		}
+		if len(s.asked) != 1 || s.asked[0] != want {
+			t.Errorf("%d bytes: open asked for %v, want exactly [%s]", len(ct), s.asked, want)
+		}
+	})
 }

@@ -572,7 +572,7 @@ func encryptIDForTest(keys *proxy.LayerKeys, id string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	ct, err := ppcrypto.EncryptOAEP(keys.Pair.Public, block)
+	ct, err := ppcrypto.SealBox(keys.Box.PublicKey(), ppcrypto.RoleUAUser, block)
 	if err != nil {
 		return "", err
 	}

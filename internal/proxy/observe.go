@@ -57,8 +57,9 @@ var Stages = []string{StageServe, StageEcallDecrypt, StageShuffleWait, StageForw
 // for one of `workers` data-processing workers plus one handler run. The
 // worst regular case is a message that arrives together with the rest of
 // its epoch and is served last, behind ⌈S/workers⌉ handler runs; each is
-// budgeted 2.5 ms (an RSA-2048 OAEP decryption takes 1–2 ms on the hosts
-// this runs on) on top of ten modeled transitions, and nothing below
+// budgeted 2.5 ms (an RSA-2048 OAEP decryption, the slower of the two
+// forms a field may arrive in, takes 1–2 ms on the hosts this runs on)
+// on top of ten modeled transitions, and nothing below
 // 25 ms is worth paging on. It flags a sustained regression, not a slow
 // request.
 func EcallDecryptObjective(shuffle, workers int, ecallCost time.Duration) time.Duration {

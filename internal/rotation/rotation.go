@@ -70,8 +70,16 @@ type Result struct {
 // served model speaks the fresh pseudonym space. RotateKeys blocks until
 // every shard has settled — callers that clear breach state (the
 // auditor) therefore only do so once the whole database is re-keyed.
+//
+// Every asymmetric key the layer held is replaced — the adversary has the
+// box key as surely as the RSA one — and the fresh material is of the old
+// one's kind, so a rotation never changes which suite a deployment runs.
 func RotateKeys(layer Layer, old *proxy.LayerKeys, eng *engine.Engine) (*Result, error) {
-	fresh, err := proxy.NewLayerKeys()
+	newKeys := proxy.NewLayerKeys
+	if old.Box == nil {
+		newKeys = proxy.NewRSAOnlyLayerKeys
+	}
+	fresh, err := newKeys()
 	if err != nil {
 		return nil, fmt.Errorf("rotation: fresh keys: %w", err)
 	}

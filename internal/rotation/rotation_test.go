@@ -138,6 +138,32 @@ func TestRotateIA(t *testing.T) {
 	}
 }
 
+// TestRotationKeepsTheKindOfKeyMaterial: fresh keys replace every
+// asymmetric key the layer held and add none it did not — a rotation on a
+// paper-suite deployment must not start advertising a box key its clients
+// never used, and one on a default deployment must not leave the stolen
+// box key in service.
+func TestRotationKeepsTheKindOfKeyMaterial(t *testing.T) {
+	d := deployAndSeed(t)
+	res, err := rotation.RotateKeys(rotation.LayerIA, d.IAKeys, d.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fresh.Box == nil || res.Fresh.Box.Equal(d.IAKeys.Box) {
+		t.Error("default key material: rotation did not replace the box key")
+	}
+
+	paper := *d.IAKeys
+	paper.Box, paper.Permanent = nil, res.Fresh.Permanent // the database now speaks the fresh key
+	res, err = rotation.RotateKeys(rotation.LayerIA, &paper, d.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fresh.Box != nil {
+		t.Error("RSA-only key material: rotation introduced a box key")
+	}
+}
+
 func TestRotateKeysUnknownLayer(t *testing.T) {
 	d := deployAndSeed(t)
 	if _, err := rotation.RotateKeys(rotation.Layer(99), d.UAKeys, d.Engine); !errors.Is(err, rotation.ErrUnknownLayer) {
