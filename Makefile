@@ -72,9 +72,10 @@ cache-smoke:
 
 # Epoch-batched pipeline smoke test: run the pprox-bench batch scenario
 # (S=32 get epochs, batch off vs on). The scenario exits non-zero unless
-# batching collapses UA enclave crossings to ≤ 2/S + ε per request,
-# throughput does not regress, and the privacy auditor stays ok on both
-# variants. Output is kept in batch-smoke.txt for CI artifact upload.
+# batching collapses UA enclave crossings to ≤ 2/S + ε per request, no
+# request fails, and the privacy auditor stays ok on both variants; the
+# off/on throughput comparison is printed for information (it sits within
+# host noise on small hosts). Output is kept in batch-smoke.txt for CI artifact upload.
 batch-smoke:
 	$(GO) run ./cmd/pprox-bench -quick batch | tee batch-smoke.txt
 

@@ -44,6 +44,12 @@ type Model struct {
 	Popularity map[string]int
 	// Users is the number of distinct users seen at training time.
 	Users int
+
+	// ranked is Popularity in cold-start order, filled in by whatever
+	// built the model (Train, TrainMulti, Incremental.Model); the model is
+	// immutable afterwards. A Model assembled by hand has none and ranks
+	// its map on demand (popular).
+	ranked ranking
 }
 
 // Config bounds the trainer the way Mahout does.
@@ -132,6 +138,7 @@ func Train(events []Event, cfg Config) *Model {
 		Indicators: make(map[string][]Correlation, len(cooc)),
 		Popularity: popularity,
 		Users:      total,
+		ranked:     rankPopularity(popularity),
 	}
 	for item, neighbors := range cooc {
 		cs := make([]Correlation, 0, len(neighbors))
@@ -220,26 +227,20 @@ func (m *Model) TopIndicators(item string, n int) []string {
 // most popular first, ties broken by ascending item ID. It backs the
 // cold-start path.
 func (m *Model) PopularItems(n int) []string {
-	type pop struct {
-		item  string
-		count int
+	return m.popular().top(n)
+}
+
+// AppendPopular appends the most popular items not in skip to dst, in
+// PopularItems order, until dst holds n items or the catalogue runs out.
+func (m *Model) AppendPopular(dst []string, n int, skip map[string]bool) []string {
+	return m.popular().appendTop(dst, n, skip)
+}
+
+// popular returns the ranking the model was built with; a hand-assembled
+// Model (a Popularity map and nothing else) is ranked as given.
+func (m *Model) popular() ranking {
+	if len(m.ranked) != len(m.Popularity) {
+		return rankPopularity(m.Popularity)
 	}
-	all := make([]pop, 0, len(m.Popularity))
-	for it, c := range m.Popularity {
-		all = append(all, pop{it, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
-		}
-		return all[i].item < all[j].item
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].item
-	}
-	return out
+	return m.ranked
 }

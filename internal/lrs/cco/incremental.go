@@ -28,6 +28,12 @@ import (
 // pure function of the counts — so re-scoring all rows reproduces the
 // batch model bit for bit (TestIncrementalConvergesToBatch).
 //
+// The popularity ranking (ranking.go) rides on the same deltas: each of
+// the two places Apply changes a popularity count re-ranks that one item
+// (new item, increment, eviction decrement, removal at zero), so the view
+// always equals a fresh sort of the counts — the cold-start fill reads it
+// without sorting (TestRankingTracksBatchAfterEveryApply).
+//
 // What online re-scoring does NOT chase: a new user or a popularity
 // change shifts the LLR margins of *every* row. Apply re-scores only the
 // rows whose pair counts changed (they are the ones retrieval quality
@@ -61,6 +67,7 @@ type Incremental struct {
 	cfg     Config
 	users   map[string]*userWindow
 	pop     map[string]int
+	rank    ranking // pop in cold-start order, kept current by Apply
 	cooc    map[string]map[string]int
 	applied uint64
 }
@@ -108,10 +115,13 @@ func (inc *Incremental) Apply(ev Event) []RowUpdate {
 	if len(uw.window) >= inc.cfg.MaxInteractionsPerUser {
 		oldest := uw.window[0]
 		uw.window = uw.window[1:]
-		inc.pop[oldest]--
-		if inc.pop[oldest] == 0 {
+		c := inc.pop[oldest] - 1
+		if c == 0 {
 			delete(inc.pop, oldest)
+		} else {
+			inc.pop[oldest] = c
 		}
+		inc.rank.move(oldest, c+1, c)
 		for _, w := range uw.window {
 			inc.decPair(oldest, w)
 			inc.decPair(w, oldest)
@@ -127,7 +137,9 @@ func (inc *Incremental) Apply(ev Event) []RowUpdate {
 		changed[w] = struct{}{}
 	}
 	uw.window = append(uw.window, ev.Item)
-	inc.pop[ev.Item]++
+	c := inc.pop[ev.Item] + 1
+	inc.pop[ev.Item] = c
+	inc.rank.move(ev.Item, c-1, c)
 
 	items := make([]string, 0, len(changed))
 	for it := range changed {
@@ -201,8 +213,8 @@ func (inc *Incremental) Row(item string) []Correlation {
 }
 
 // Model materializes the full model from the current counts: every row
-// re-scored, popularity and user count copied. The result equals
-// Train(events, cfg) over the applied event stream.
+// re-scored; popularity, its ranking and the user count copied. The
+// result equals Train(events, cfg) over the applied event stream.
 func (inc *Incremental) Model() *Model {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
@@ -210,6 +222,7 @@ func (inc *Incremental) Model() *Model {
 		Indicators: make(map[string][]Correlation, len(inc.cooc)),
 		Popularity: make(map[string]int, len(inc.pop)),
 		Users:      len(inc.users),
+		ranked:     append(ranking(nil), inc.rank...),
 	}
 	for it, c := range inc.pop {
 		m.Popularity[it] = c
@@ -223,11 +236,20 @@ func (inc *Incremental) Model() *Model {
 }
 
 // PopularItems returns the n most popular items, most popular first,
-// ties broken by ascending item ID — the cold-start ranking.
+// ties broken by ascending item ID — the cold-start ranking. It copies
+// the head of the maintained view: O(n) under the lock.
 func (inc *Incremental) PopularItems(n int) []string {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	return (&Model{Popularity: inc.pop}).PopularItems(n)
+	return inc.rank.top(n)
+}
+
+// AppendPopular appends the most popular items not in skip to dst, in
+// PopularItems order, until dst holds n items or the catalogue runs out.
+func (inc *Incremental) AppendPopular(dst []string, n int, skip map[string]bool) []string {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	return inc.rank.appendTop(dst, n, skip)
 }
 
 // Users returns the distinct-user count.

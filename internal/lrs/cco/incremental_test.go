@@ -56,6 +56,12 @@ func TestIncrementalConvergesToBatch(t *testing.T) {
 					if got.Users != want.Users {
 						t.Fatalf("prefix %d: users %d, batch %d", i+1, got.Users, want.Users)
 					}
+					// The materialized model carries a copy of the live
+					// ranking; both must read as batch's does.
+					n := len(want.Popularity) + 1
+					if p, q, w := got.PopularItems(n), inc.PopularItems(n), want.PopularItems(n); !reflect.DeepEqual(p, w) || !reflect.DeepEqual(q, w) {
+						t.Fatalf("prefix %d: popular items diverged\nmodel: %v\nlive: %v\nbatch: %v", i+1, p, q, w)
+					}
 				}
 			})
 		}

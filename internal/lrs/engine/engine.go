@@ -97,6 +97,7 @@ type Engine struct {
 	queries atomic.Uint64
 	trains  atomic.Uint64
 	dups    atomic.Uint64
+	fills   atomic.Uint64 // queries completed from the popularity ranking
 
 	applied    atomic.Uint64 // events folded into the incremental model
 	applyNanos atomic.Int64  // cumulative time spent in incremental applies
@@ -395,6 +396,10 @@ func applyRowUpdate(idx *search.Index, up cco.RowUpdate) {
 // duplicates.
 func (e *Engine) DupEvents() uint64 { return e.dups.Load() }
 
+// PopularFills reports how many queries fell short of n search hits and
+// were completed from the popularity ranking (the cold-start share).
+func (e *Engine) PopularFills() uint64 { return e.fills.Load() }
+
 // WALErrors reports how many posts were rejected by WAL append failures.
 func (e *Engine) WALErrors() uint64 { return e.walErrs.Load() }
 
@@ -577,9 +582,10 @@ func (e *Engine) Recommend(user string, n int) []string {
 	if len(recs) < n {
 		// Cold-start popularity: live counts in incremental mode, the
 		// last batch model otherwise.
-		popFn := model.Primary.PopularItems
+		e.fills.Add(1)
+		popFn := model.Primary.AppendPopular
 		if inc := e.inc.Load(); inc != nil {
-			popFn = inc.PopularItems
+			popFn = inc.AppendPopular
 		}
 		recs = fillWithPopular(recs, primary, popFn, n)
 	}
@@ -595,8 +601,9 @@ func tail(s []string, k int) []string {
 }
 
 // fillWithPopular completes a short result list with popular items the
-// user has not seen and that are not already recommended.
-func fillWithPopular(recs, history []string, popFn func(int) []string, n int) []string {
+// user has not seen and that are not already recommended: popFn walks the
+// popularity ranking and stops at the n-th item.
+func fillWithPopular(recs, history []string, popFn func([]string, int, map[string]bool) []string, n int) []string {
 	taken := make(map[string]bool, len(recs)+len(history))
 	for _, r := range recs {
 		taken[r] = true
@@ -604,16 +611,7 @@ func fillWithPopular(recs, history []string, popFn func(int) []string, n int) []
 	for _, h := range history {
 		taken[h] = true
 	}
-	for _, p := range popFn(n + len(taken)) {
-		if len(recs) >= n {
-			break
-		}
-		if !taken[p] {
-			recs = append(recs, p)
-			taken[p] = true
-		}
-	}
-	return recs
+	return popFn(recs, n, taken)
 }
 
 // userHistory returns the user's distinct primary-indicator items and a

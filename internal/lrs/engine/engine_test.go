@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"pprox/internal/metrics"
 )
 
 // seedClusters inserts two disjoint user communities: "sci" users share
@@ -85,6 +87,37 @@ func TestColdStartFallsBackToPopular(t *testing.T) {
 		if !valid[r] {
 			t.Errorf("cold-start recommended unknown item %q", r)
 		}
+	}
+}
+
+// TestPopularFillsCounted: the counter an operator reads the cold-start
+// share from advances exactly on the queries that fall through to the
+// popularity ranking, and is exported beside the query counter.
+func TestPopularFillsCounted(t *testing.T) {
+	e := New(DefaultConfig())
+	reg := metrics.NewRegistry()
+	e.RegisterMetrics(reg, "")
+	seedClusters(e)
+	e.InsertEvent("newbie", "dune", "")
+	if err := e.TrainNow(); err != nil {
+		t.Fatal(err)
+	}
+	// Retrieval alone finds the two other sci-fi items.
+	if got := e.Recommend("newbie", 2); len(got) != 2 {
+		t.Fatalf("newbie got %v, want 2 retrieved items", got)
+	}
+	if f := e.PopularFills(); f != 0 {
+		t.Fatalf("a full page of search hits counted %d popularity fills", f)
+	}
+	e.Recommend("total-stranger", 3) // no history: all popularity
+	e.Recommend("newbie", 4)         // 2 hits < 4: topped up
+	if f := e.PopularFills(); f != 2 {
+		t.Fatalf("popularity fills = %d, want 2", f)
+	}
+	snap := reg.Snapshot()
+	if snap["pprox_lrs_popular_fills_total"] != 2 || snap["pprox_lrs_queries_total"] != 3 {
+		t.Fatalf("exported fills/queries = %v/%v, want 2/3",
+			snap["pprox_lrs_popular_fills_total"], snap["pprox_lrs_queries_total"])
 	}
 }
 

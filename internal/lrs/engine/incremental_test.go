@@ -110,21 +110,63 @@ func TestIncrementalSurvivesTrainNowReseed(t *testing.T) {
 	batchCfg.Shards = 2
 	twin := New(batchCfg)
 
+	// samePopularity: the live ranking (what an incremental engine fills
+	// from), the served model's ranking and the batch twin's all read the
+	// same, past the end of the catalogue.
+	samePopularity := func(stage string) {
+		t.Helper()
+		if err := twin.TrainNow(); err != nil {
+			t.Fatal(err)
+		}
+		want := twin.model.Load().Primary.PopularItems(15)
+		if got := e.inc.Load().PopularItems(15); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: live ranking %v, twin %v", stage, got, want)
+		}
+		if got := e.model.Load().Primary.PopularItems(15); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: served model ranking %v, twin %v", stage, got, want)
+		}
+		if got, want := e.Recommend("cold-user", 10), twin.Recommend("cold-user", 10); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: cold start %v, twin %v", stage, got, want)
+		}
+	}
+
 	feedStream(3, 200, 5, 10, e, twin)
 	if err := e.TrainNow(); err != nil {
 		t.Fatal(err)
 	}
+	samePopularity("after TrainNow reseed")
 	feedStream(4, 200, 5, 10, e, twin)
 
-	if err := twin.TrainNow(); err != nil {
-		t.Fatal(err)
-	}
 	e.Refresh()
+	samePopularity("after Refresh")
 	for u := 0; u < 5; u++ {
 		user := fmt.Sprintf("user-%02d", u)
 		if got, want := e.Recommend(user, 10), twin.Recommend(user, 10); !reflect.DeepEqual(got, want) {
 			t.Fatalf("user %s after reseed: %v, twin %v", user, got, want)
 		}
+	}
+}
+
+// BenchmarkRecommendColdStart: a get with no usable history is all
+// popularity fill; its cost must not grow with the catalogue. One user
+// per item keeps seeding linear (no pair counts), so the three engines
+// differ in catalogue size only.
+func BenchmarkRecommendColdStart(b *testing.B) {
+	for _, items := range []int{1_000, 17_000, 171_000} {
+		cfg := DefaultConfig()
+		cfg.Incremental = true
+		e := New(cfg)
+		for i := 0; i < items; i++ {
+			e.InsertEvent(fmt.Sprintf("user-%06d", i), fmt.Sprintf("item-%06d", i), "")
+		}
+		b.Run(fmt.Sprintf("items=%d", items), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := e.Recommend("cold-user", 20); len(got) != 20 {
+					b.Fatalf("cold start returned %d items", len(got))
+				}
+			}
+		})
 	}
 }
 

@@ -25,6 +25,10 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry, node string) func(http.Han
 		_, queries, _ := e.Stats()
 		return float64(queries)
 	})
+	r.CounterFunc("pprox_lrs_popular_fills_total",
+		"Queries completed from the popularity ranking (cold start or too few hits).", func() float64 {
+			return float64(e.PopularFills())
+		})
 	r.CounterFunc("pprox_lrs_trains_total", "Completed training runs.", func() float64 {
 		_, _, trains := e.Stats()
 		return float64(trains)

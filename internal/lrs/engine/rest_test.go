@@ -53,6 +53,11 @@ func TestRESTEventInsertAndQuery(t *testing.T) {
 	if len(resp.Items) == 0 || resp.Items[0] != "b" {
 		t.Errorf("items = %v, want b first", resp.Items)
 	}
+	// One hit for five asked: the REST query was topped up from the
+	// popularity ranking, and counted as such.
+	if _, queries, _ := e.Stats(); queries != 1 || e.PopularFills() != 1 {
+		t.Errorf("queries/popular fills = %d/%d, want 1/1", queries, e.PopularFills())
+	}
 }
 
 func TestRESTValidation(t *testing.T) {
