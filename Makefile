@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify bench bench-json bench-compare audit-smoke cache-smoke batch-smoke lrs-smoke ops-smoke scale-smoke clean
+.PHONY: all build vet test race lrs-bench-once verify bench bench-json bench-compare audit-smoke cache-smoke batch-smoke lrs-smoke ops-smoke scale-smoke clean
 
 all: verify
 
@@ -21,7 +21,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-verify: build vet test race
+# The LRS post path's cost benchmarks, one iteration each: they are the
+# only place its per-event cost is pinned, so they must keep running.
+lrs-bench-once:
+	$(GO) test -run '^$$' -bench 'Incremental|SetField' -benchtime 1x ./internal/lrs/...
+
+verify: build vet test race lrs-bench-once
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; \
 		staticcheck ./...; \

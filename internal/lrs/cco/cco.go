@@ -174,15 +174,35 @@ func Train(events []Event, cfg Config) *Model {
 //
 // Degenerate inputs (zero counts, inconsistent margins) yield 0.
 func LLR(k11, countA, countB, total int) float64 {
-	k12 := countA - k11 // A without B
-	k21 := countB - k11 // B without A
-	k22 := total - countA - countB + k11
-	if k11 < 0 || k12 < 0 || k21 < 0 || k22 < 0 || total <= 0 {
+	k12, k21, k22, ok := contingency(k11, countA, countB, total)
+	if !ok {
 		return 0
 	}
-	rowEntropy := entropy2(k11+k12, k21+k22)
-	colEntropy := entropy2(k11+k21, k12+k22)
-	matEntropy := entropy4(k11, k12, k21, k22)
+	return llrOf(xlogx(total),
+		xlogx(countA), xlogx(total-countA),
+		xlogx(countB), xlogx(total-countB),
+		xlogx(k11), xlogx(k12), xlogx(k21), xlogx(k22))
+}
+
+// contingency completes the 2×2 table from k11 and its margins: A without
+// B, B without A, neither. ok is false for the degenerate inputs LLR
+// scores 0.
+func contingency(k11, countA, countB, total int) (k12, k21, k22 int, ok bool) {
+	k12 = countA - k11
+	k21 = countB - k11
+	k22 = total - countA - countB + k11
+	return k12, k21, k22, k11 >= 0 && k12 >= 0 && k21 >= 0 && k22 >= 0 && total > 0
+}
+
+// llrOf is the statistic's arithmetic over the nine x·ln x terms of the
+// table — the total, the row margins, the column margins, the cells. It is
+// the single definition: LLR feeds it math.Log terms, the incremental
+// model feeds it the same terms read from its xlogxTable, and since the
+// operations and their order are the same the two agree bit for bit.
+func llrOf(xN, xA, xNotA, xB, xNotB, x11, x12, x21, x22 float64) float64 {
+	rowEntropy := xN - xA - xNotA
+	colEntropy := xN - xB - xNotB
+	matEntropy := xN - x11 - x12 - x21 - x22
 	llr := 2 * (rowEntropy + colEntropy - matEntropy)
 	if llr < 0 || math.IsNaN(llr) {
 		return 0 // numerical noise
@@ -190,20 +210,39 @@ func LLR(k11, countA, countB, total int) float64 {
 	return llr
 }
 
+// xlogx is x·ln x, 0 at 0. The conversion rounds the product where it is
+// made, so a term kept in a table and a term computed in place are the
+// same float on architectures that would otherwise fuse the multiply into
+// the subtraction that follows.
 func xlogx(x int) float64 {
 	if x <= 0 {
 		return 0
 	}
 	f := float64(x)
-	return f * math.Log(f)
+	return float64(f * math.Log(f))
 }
 
-func entropy2(a, b int) float64 {
-	return xlogx(a+b) - xlogx(a) - xlogx(b)
-}
+// xlogxTable is xlogx evaluated once per integer: entry x holds xlogx(x).
+// The incremental model owns one and reads nine entries per scored pair
+// instead of taking nine logarithms; it never outgrows the user count,
+// the largest value a contingency table holds.
+type xlogxTable []float64
 
-func entropy4(a, b, c, d int) float64 {
-	return xlogx(a+b+c+d) - xlogx(a) - xlogx(b) - xlogx(c) - xlogx(d)
+// llr is LLR with every term read from the table, which is grown to cover
+// total (and with it every other term of a valid table) first.
+func (t *xlogxTable) llr(k11, countA, countB, total int) float64 {
+	k12, k21, k22, ok := contingency(k11, countA, countB, total)
+	if !ok {
+		return 0
+	}
+	for len(*t) <= total {
+		*t = append(*t, xlogx(len(*t)))
+	}
+	x := *t
+	return llrOf(x[total],
+		x[countA], x[total-countA],
+		x[countB], x[total-countB],
+		x[k11], x[k12], x[k21], x[k22])
 }
 
 // TopIndicators returns up to n indicator item IDs for an item, strongest

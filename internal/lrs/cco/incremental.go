@@ -1,7 +1,8 @@
 package cco
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -34,6 +35,18 @@ import (
 // always equals a fresh sort of the counts — the cold-start fill reads it
 // without sorting (TestRankingTracksBatchAfterEveryApply).
 //
+// Representation: an event costs what it changes. Items are interned to
+// dense int32 ids the first time Apply sees them; popularity is a slice
+// indexed by id, a co-occurrence row a pointer-free slice of (other, k)
+// sorted by other — ±1 is a binary search, entering or leaving a row one
+// copy — and windows and seen-sets hold ids. Scoring a row is a linear
+// walk with array-indexed popularity and table-read x·ln x terms, and the
+// garbage collector finds no pointers in the counts. Ids are never
+// reclaimed: an item evicted to zero keeps its id (and an empty row) for
+// when it is posted again, so the tables are bounded by the distinct items
+// ever seen, as the seen-sets already are. The id is an address, not an
+// order: every ordering the model exposes is by item name.
+//
 // What online re-scoring does NOT chase: a new user or a popularity
 // change shifts the LLR margins of *every* row. Apply re-scores only the
 // rows whose pair counts changed (they are the ones retrieval quality
@@ -51,24 +64,44 @@ type RowUpdate struct {
 	Indicators []Correlation
 }
 
+// pair is one entry of a co-occurrence row: k users hold both the row's
+// item and other in their windows.
+type pair struct {
+	other, k int32
+}
+
+// scored is a pair's LLR while its row is being ordered.
+type scored struct {
+	llr   float64
+	other int32
+}
+
 // userWindow is one user's interaction state: the ever-seen dedup set
-// and the sliding window of the last ≤ MaxInteractionsPerUser distinct
-// items, in arrival order.
+// (item ids, ascending) and the sliding window of the last
+// ≤ MaxInteractionsPerUser distinct items, in arrival order.
 type userWindow struct {
-	seen   map[string]struct{}
-	window []string
+	seen   []int32
+	window []int32
 }
 
 // Incremental maintains CCO counts under per-event updates. It is safe
 // for concurrent use; Apply calls are serialized internally, so the
 // caller's event order is the model's event order.
 type Incremental struct {
-	mu      sync.Mutex
-	cfg     Config
-	users   map[string]*userWindow
-	pop     map[string]int
-	rank    ranking // pop in cold-start order, kept current by Apply
-	cooc    map[string]map[string]int
+	mu    sync.Mutex
+	cfg   Config
+	users map[string]*userWindow
+
+	ids   map[string]int32 // item → dense id, assigned at first sight
+	names []string         // id → item
+	pop   []int32          // id → users whose window holds the item
+	rows  [][]pair         // id → co-occurrence row, ascending by other
+	nrows int              // rows that are not empty
+	rank  ranking          // pop in cold-start order, kept current by Apply
+
+	xlx     xlogxTable // x·ln x per integer, grown to the user count
+	touched []int32    // scratch: ids whose rows the running Apply changed
+	scratch []scored   // scratch: the row being ordered
 	applied uint64
 }
 
@@ -84,8 +117,7 @@ func NewIncremental(cfg Config) *Incremental {
 	return &Incremental{
 		cfg:   cfg,
 		users: make(map[string]*userWindow),
-		pop:   make(map[string]int),
-		cooc:  make(map[string]map[string]int),
+		ids:   make(map[string]int32),
 	}
 }
 
@@ -97,109 +129,179 @@ func NewIncremental(cfg Config) *Incremental {
 func (inc *Incremental) Apply(ev Event) []RowUpdate {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	inc.applied++
-
-	uw := inc.users[ev.User]
-	if uw == nil {
-		uw = &userWindow{seen: make(map[string]struct{})}
-		inc.users[ev.User] = uw
-	}
-	if _, dup := uw.seen[ev.Item]; dup {
+	touched := inc.fold(ev)
+	if len(touched) == 0 {
 		return nil
 	}
-	uw.seen[ev.Item] = struct{}{}
-
-	changed := map[string]struct{}{ev.Item: {}}
-
-	// Window full: evict the oldest item, undoing its contributions.
-	if len(uw.window) >= inc.cfg.MaxInteractionsPerUser {
-		oldest := uw.window[0]
-		uw.window = uw.window[1:]
-		c := inc.pop[oldest] - 1
-		if c == 0 {
-			delete(inc.pop, oldest)
-		} else {
-			inc.pop[oldest] = c
-		}
-		inc.rank.move(oldest, c+1, c)
-		for _, w := range uw.window {
-			inc.decPair(oldest, w)
-			inc.decPair(w, oldest)
-			changed[w] = struct{}{}
-		}
-		changed[oldest] = struct{}{}
-	}
-
-	// The new item co-occurs with every surviving window item.
-	for _, w := range uw.window {
-		inc.incPair(ev.Item, w)
-		inc.incPair(w, ev.Item)
-		changed[w] = struct{}{}
-	}
-	uw.window = append(uw.window, ev.Item)
-	c := inc.pop[ev.Item] + 1
-	inc.pop[ev.Item] = c
-	inc.rank.move(ev.Item, c-1, c)
-
-	items := make([]string, 0, len(changed))
-	for it := range changed {
-		items = append(items, it)
-	}
-	sort.Strings(items)
-	out := make([]RowUpdate, len(items))
-	for i, it := range items {
-		out[i] = RowUpdate{Item: it, Indicators: inc.scoreRow(it)}
+	slices.SortFunc(touched, func(a, b int32) int {
+		return strings.Compare(inc.names[a], inc.names[b])
+	})
+	out := make([]RowUpdate, len(touched))
+	for i, id := range touched {
+		out[i] = RowUpdate{Item: inc.names[id], Indicators: inc.scoreRow(id)}
 	}
 	return out
 }
 
-func (inc *Incremental) incPair(a, b string) {
-	row := inc.cooc[a]
-	if row == nil {
-		row = make(map[string]int)
-		inc.cooc[a] = row
-	}
-	row[b]++
+// Fold is Apply without the scoring: the same window, eviction, count and
+// ranking bookkeeping, no rows returned. It is what replaying a log into
+// a fresh model needs — TrainNow's reseed would throw the rows away, the
+// batch model it has just trained holds them all.
+func (inc *Incremental) Fold(ev Event) {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	inc.fold(ev)
 }
 
-func (inc *Incremental) decPair(a, b string) {
-	row := inc.cooc[a]
-	if row == nil {
-		return
+// fold applies one event's count deltas and returns the ids of the rows
+// they changed, in scratch storage valid until the next fold. Every id
+// appears once: a window never holds an item twice, the arriving item was
+// not in it, the evicted one no longer is. Callers hold inc.mu.
+func (inc *Incremental) fold(ev Event) []int32 {
+	inc.applied++
+
+	uw := inc.users[ev.User]
+	if uw == nil {
+		uw = &userWindow{}
+		inc.users[ev.User] = uw
 	}
-	row[b]--
-	if row[b] <= 0 {
-		delete(row, b)
-		if len(row) == 0 {
-			delete(inc.cooc, a)
+	item := inc.intern(ev.Item)
+	at, dup := slices.BinarySearch(uw.seen, item)
+	if dup {
+		return nil
+	}
+	uw.seen = slices.Insert(uw.seen, at, item)
+
+	touched := append(inc.touched[:0], item)
+
+	// Window full: evict the oldest item, undoing its contributions.
+	if len(uw.window) >= inc.cfg.MaxInteractionsPerUser {
+		oldest := uw.window[0]
+		copy(uw.window, uw.window[1:])
+		uw.window = uw.window[:len(uw.window)-1]
+		inc.pop[oldest]--
+		c := int(inc.pop[oldest])
+		inc.rank.move(inc.names[oldest], c+1, c)
+		for _, w := range uw.window {
+			inc.addPair(oldest, w, -1)
+			inc.addPair(w, oldest, -1)
+		}
+		touched = append(touched, oldest)
+	}
+
+	// The new item co-occurs with every surviving window item.
+	for _, w := range uw.window {
+		inc.addPair(item, w, 1)
+		inc.addPair(w, item, 1)
+	}
+	touched = append(touched, uw.window...)
+	uw.window = append(uw.window, item)
+	inc.pop[item]++
+	c := int(inc.pop[item])
+	inc.rank.move(inc.names[item], c-1, c)
+
+	inc.touched = touched
+	return touched
+}
+
+// intern returns the item's id, assigning the next one at first sight.
+func (inc *Incremental) intern(item string) int32 {
+	id, ok := inc.ids[item]
+	if !ok {
+		id = int32(len(inc.names))
+		inc.ids[item] = id
+		inc.names = append(inc.names, item)
+		inc.pop = append(inc.pop, 0)
+		inc.rows = append(inc.rows, nil)
+	}
+	return id
+}
+
+// addPair adds d (±1) to the count of b in a's row. An entry is inserted
+// at its first user and removed with its last; a decrement of a pair the
+// row does not hold changes nothing.
+func (inc *Incremental) addPair(a, b, d int32) {
+	row := inc.rows[a]
+	lo, hi := 0, len(row)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if row[mid].other < b {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
+	switch {
+	case lo < len(row) && row[lo].other == b:
+		if row[lo].k += d; row[lo].k > 0 {
+			return
+		}
+		row = append(row[:lo], row[lo+1:]...)
+		if len(row) == 0 {
+			inc.nrows--
+		}
+	case d > 0:
+		if len(row) == 0 {
+			inc.nrows++
+		}
+		row = append(row, pair{})
+		copy(row[lo+1:], row[lo:])
+		row[lo] = pair{other: b, k: d}
+	}
+	inc.rows[a] = row
 }
 
 // scoreRow computes one item's indicator row from the current counts —
-// the same filter/sort/cap pipeline as Train. Callers hold inc.mu.
-func (inc *Incremental) scoreRow(item string) []Correlation {
-	neighbors := inc.cooc[item]
-	if len(neighbors) == 0 {
+// the same filter/sort/cap pipeline as Train, ordered in scratch storage
+// and copied out once. Callers hold inc.mu.
+func (inc *Incremental) scoreRow(id int32) []Correlation {
+	row := inc.rows[id]
+	if len(row) == 0 {
 		return nil
 	}
-	total := len(inc.users)
-	cs := make([]Correlation, 0, len(neighbors))
-	for other, k11 := range neighbors {
-		score := LLR(k11, inc.pop[item], inc.pop[other], total)
+	total, count := len(inc.users), int(inc.pop[id])
+	sc := inc.scratch[:0]
+	for _, p := range row {
+		score := inc.xlx.llr(int(p.k), count, int(inc.pop[p.other]), total)
 		if score <= inc.cfg.MinLLR {
 			continue
 		}
-		cs = append(cs, Correlation{Item: other, LLR: score})
+		sc = append(sc, scored{llr: score, other: p.other})
 	}
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].LLR != cs[j].LLR {
-			return cs[i].LLR > cs[j].LLR
+	inc.scratch = sc
+	if len(sc) == 0 {
+		return nil
+	}
+	// Order: LLR descending, item name ascending on ties. The order is
+	// total (names are distinct), so keeping the best cap while walking the
+	// rest is the same row as sorting everything and cutting it.
+	ahead := func(a, b scored) int {
+		switch {
+		case a.llr > b.llr:
+			return -1
+		case a.llr < b.llr:
+			return 1
 		}
-		return cs[i].Item < cs[j].Item
-	})
-	if len(cs) > inc.cfg.MaxCorrelatorsPerItem {
-		cs = cs[:inc.cfg.MaxCorrelatorsPerItem]
+		return strings.Compare(inc.names[a.other], inc.names[b.other])
+	}
+	if limit := inc.cfg.MaxCorrelatorsPerItem; len(sc) > limit {
+		rest := sc[limit:]
+		sc = sc[:limit]
+		slices.SortFunc(sc, ahead)
+		for _, s := range rest {
+			if ahead(s, sc[limit-1]) > 0 {
+				continue
+			}
+			at, _ := slices.BinarySearchFunc(sc, s, ahead)
+			copy(sc[at+1:], sc[at:])
+			sc[at] = s
+		}
+	} else {
+		slices.SortFunc(sc, ahead)
+	}
+	cs := make([]Correlation, len(sc))
+	for i, s := range sc {
+		cs[i] = Correlation{Item: inc.names[s.other], LLR: s.llr}
 	}
 	return cs
 }
@@ -209,7 +311,11 @@ func (inc *Incremental) scoreRow(item string) []Correlation {
 func (inc *Incremental) Row(item string) []Correlation {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	return inc.scoreRow(item)
+	id, ok := inc.ids[item]
+	if !ok {
+		return nil
+	}
+	return inc.scoreRow(id)
 }
 
 // Model materializes the full model from the current counts: every row
@@ -219,17 +325,17 @@ func (inc *Incremental) Model() *Model {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	m := &Model{
-		Indicators: make(map[string][]Correlation, len(inc.cooc)),
-		Popularity: make(map[string]int, len(inc.pop)),
+		Indicators: make(map[string][]Correlation, inc.nrows),
+		Popularity: make(map[string]int, len(inc.rank)),
 		Users:      len(inc.users),
 		ranked:     append(ranking(nil), inc.rank...),
 	}
-	for it, c := range inc.pop {
-		m.Popularity[it] = c
+	for _, e := range inc.rank {
+		m.Popularity[e.item] = e.count
 	}
-	for item := range inc.cooc {
-		if cs := inc.scoreRow(item); len(cs) > 0 {
-			m.Indicators[item] = cs
+	for id := range inc.rows {
+		if cs := inc.scoreRow(int32(id)); len(cs) > 0 {
+			m.Indicators[inc.names[id]] = cs
 		}
 	}
 	return m
@@ -264,7 +370,7 @@ func (inc *Incremental) Users() int {
 func (inc *Incremental) Counts() (users, items, rows int) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	return len(inc.users), len(inc.pop), len(inc.cooc)
+	return len(inc.users), len(inc.rank), inc.nrows
 }
 
 // Applied returns how many events have been folded in (duplicates

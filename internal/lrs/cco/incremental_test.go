@@ -2,8 +2,10 @@ package cco
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -71,23 +73,163 @@ func TestIncrementalConvergesToBatch(t *testing.T) {
 // TestIncrementalRowUpdatesMatchBatchRows checks the online re-scoring
 // path: every row Apply returns must equal the corresponding row of the
 // batch model over the same prefix (or be empty exactly when batch has no
-// row for that item).
+// row for that item). The second stream is the repository benchmark's own
+// shape — windows of 20, rows capped at 30, 10× MovieLens cardinality — so
+// evictions, LLR ties at the cap boundary (a tie there is decided by item
+// name, never by id) and the MinLLR cut are all hit where they are paid.
 func TestIncrementalRowUpdatesMatchBatchRows(t *testing.T) {
-	cfg := Config{MaxInteractionsPerUser: 3, MaxCorrelatorsPerItem: 2}
-	events := randomStream(7, 250, 5, 10)
-	inc := NewIncremental(cfg)
-	for i, ev := range events {
-		updates := inc.Apply(ev)
-		batch := Train(events[:i+1], cfg)
-		for _, up := range updates {
-			want := batch.Indicators[up.Item]
-			if len(up.Indicators) == 0 && len(want) == 0 {
-				continue
+	scaled := benchTrainer()
+	scaled.MinLLR = 3
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		events []Event
+	}{
+		{"tiny", Config{MaxInteractionsPerUser: 3, MaxCorrelatorsPerItem: 2}, randomStream(7, 250, 5, 10)},
+		{"scaled", scaled, scaledStream(7, 1500)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inc := NewIncremental(tc.cfg)
+			var evictions, capped, tiedAtCap, cut int
+			for i, ev := range tc.events {
+				updates := inc.Apply(ev)
+				batch := Train(tc.events[:i+1], tc.cfg)
+				for _, up := range updates {
+					want := batch.Indicators[up.Item]
+					if len(up.Indicators) == 0 && len(want) == 0 {
+						continue
+					}
+					if !reflect.DeepEqual(up.Indicators, want) {
+						t.Fatalf("event %d: row %q = %v, batch %v", i, up.Item, up.Indicators, want)
+					}
+				}
+				// What this event exercised, read off the live counts.
+				if len(updates) > 0 && len(inc.users[ev.User].seen) > tc.cfg.MaxInteractionsPerUser {
+					evictions++
+				}
+				for _, up := range updates {
+					id := inc.ids[up.Item]
+					var scores []float64
+					for _, p := range inc.rows[id] {
+						if s := LLR(int(p.k), int(inc.pop[id]), int(inc.pop[p.other]), len(inc.users)); s > tc.cfg.MinLLR {
+							scores = append(scores, s)
+						}
+					}
+					if len(scores) < len(inc.rows[id]) {
+						cut++
+					}
+					if n := len(up.Indicators); len(scores) > n {
+						capped++
+						sort.Float64s(scores)
+						if best := scores[len(scores)-n:]; best[0] == scores[len(scores)-n-1] {
+							tiedAtCap++ // the last kept and the first dropped score alike
+						}
+					}
+				}
 			}
-			if !reflect.DeepEqual(up.Indicators, want) {
-				t.Fatalf("event %d: row %q = %v, batch %v", i, up.Item, up.Indicators, want)
+			t.Logf("%d evictions, %d capped rows (%d tied at the cap), %d rows cut by MinLLR", evictions, capped, tiedAtCap, cut)
+			if tc.name == "scaled" && (evictions == 0 || capped == 0 || tiedAtCap == 0 || cut == 0) {
+				t.Fatal("the scaled stream missed a case it is there for")
 			}
+		})
+	}
+}
+
+// TestTableLLREqualsLLR: the table is the function. For random and
+// degenerate contingency tables — including totals far past what the
+// table has been grown to — the table-read LLR is the same float64, bit
+// for bit, as LLR's math.Log one.
+func TestTableLLREqualsLLR(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var tab xlogxTable
+	check := func(k11, a, b, total int) {
+		t.Helper()
+		got, want := tab.llr(k11, a, b, total), LLR(k11, a, b, total)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("llr(%d, %d, %d, %d): table %v (%#x), LLR %v (%#x)",
+				k11, a, b, total, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
+	}
+	for _, d := range [][4]int{
+		{0, 0, 0, 0}, {0, 0, 0, 1}, {1, 1, 1, 1}, {1, 1, 1, 2}, {0, 1, 1, 2},
+		{-1, 1, 1, 5}, {2, 1, 3, 5}, {1, 3, 3, 4}, {1, 2, 2, 0}, {1, 2, 2, -3},
+		{5, 5, 5, 5}, {3, 3, 9, 9}, {0, 4, 5, 9}, {1, 1, 1, 100000},
+	} {
+		check(d[0], d[1], d[2], d[3])
+	}
+	for i := 0; i < 20000; i++ {
+		total := 1 + rng.Intn(1+i) // grows past the table's length as i does
+		a, b := rng.Intn(total+2), rng.Intn(total+2)
+		check(rng.Intn(min(a, b)+2)-1, a, b, total)
+	}
+	if len(tab) != 100001 {
+		t.Fatalf("table holds %d entries after totals up to 100000, want one per integer", len(tab))
+	}
+	for x, v := range tab {
+		if math.Float64bits(v) != math.Float64bits(xlogx(x)) {
+			t.Fatalf("table[%d] = %v, xlogx = %v", x, v, xlogx(x))
+		}
+	}
+}
+
+// TestFoldEqualsApply: the count-only fold TrainNow reseeds with leaves
+// the model Apply leaves — counts, ranking, every re-scored row — and the
+// two keep agreeing when events are applied on top of either.
+func TestFoldEqualsApply(t *testing.T) {
+	cfg := benchTrainer()
+	events := scaledStream(3, 3000)
+	applied, folded := NewIncremental(cfg), NewIncremental(cfg)
+	for _, ev := range events[:2500] {
+		applied.Apply(ev)
+		folded.Fold(ev)
+	}
+	same := func(stage string) {
+		t.Helper()
+		got, want := folded.Model(), applied.Model()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: folded model differs from applied model", stage)
+		}
+		if folded.Applied() != applied.Applied() {
+			t.Fatalf("%s: folded %d events, applied %d", stage, folded.Applied(), applied.Applied())
+		}
+	}
+	same("after the replay")
+	for i, ev := range events[2500:] {
+		if got, want := folded.Apply(ev), applied.Apply(ev); !reflect.DeepEqual(got, want) {
+			t.Fatalf("event %d on top: folded model returned %v, applied model %v", i, got, want)
+		}
+	}
+	same("after applying on top")
+}
+
+// TestIncrementalReusesIDAfterEvictionToZero: ids are never reclaimed. An
+// item whose every holder evicted it drops out of the model but keeps its
+// id; posted again it counts under that id and the model still equals
+// batch.
+func TestIncrementalReusesIDAfterEvictionToZero(t *testing.T) {
+	cfg := Config{MaxInteractionsPerUser: 2, MaxCorrelatorsPerItem: 10}
+	events := []Event{{"u", "a"}, {"u", "b"}, {"u", "c"}, {"u", "d"}}
+	inc := NewIncremental(cfg)
+	for _, ev := range events {
+		inc.Apply(ev)
+	}
+	id := inc.ids["a"]
+	if _, items, _ := inc.Counts(); items != 2 || inc.pop[id] != 0 || len(inc.rows[id]) != 0 {
+		t.Fatalf("a was not evicted to zero: %d items, pop %d, row %v", items, inc.pop[id], inc.rows[id])
+	}
+	events = append(events, Event{"v", "a"}, Event{"v", "d"}, Event{"w", "a"})
+	for _, ev := range events[4:] {
+		inc.Apply(ev)
+	}
+	if inc.ids["a"] != id || len(inc.names) != 4 {
+		t.Fatalf("a came back as id %d of %d, was %d of 4", inc.ids["a"], len(inc.names), id)
+	}
+	got, want := inc.Model(), Train(events, cfg)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the re-post: incremental %v / %v, batch %v / %v", got.Indicators, got.Popularity, want.Indicators, want.Popularity)
+	}
+	if row := inc.Row("a"); len(row) != 1 || row[0].Item != "d" {
+		t.Fatalf("re-posted item's row = %v, want one correlation with d", row)
 	}
 }
 

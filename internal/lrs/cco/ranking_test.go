@@ -55,9 +55,9 @@ func TestRankingTracksBatchAfterEveryApply(t *testing.T) {
 			for i, ev := range events {
 				inc.Apply(ev)
 				batch := Train(events[:i+1], cfg)
-				if len(inc.rank) != len(inc.pop) || len(inc.pop) != len(batch.Popularity) {
+				if _, items, _ := inc.Counts(); len(inc.rank) != items || items != len(batch.Popularity) {
 					t.Fatalf("seed %d window %d event %d: view has %d entries, pop %d, batch pop %d",
-						seed, window, i, len(inc.rank), len(inc.pop), len(batch.Popularity))
+						seed, window, i, len(inc.rank), items, len(batch.Popularity))
 				}
 				size := len(batch.Popularity)
 				for _, n := range []int{0, 1, 20, size, size + 5} {
@@ -139,7 +139,7 @@ func TestRankingUnderConcurrentPostsAndGets(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got, want := inc.PopularItems(20), referencePopular(inc.pop, 20); !reflect.DeepEqual(got, want) {
+	if got, want := inc.PopularItems(20), referencePopular(inc.Model().Popularity, 20); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after concurrent traffic the view reads %v, a fresh sort %v", got, want)
 	}
 }
@@ -159,7 +159,6 @@ func syntheticPopularity(n int) map[string]int {
 // given map, as if that many events had been applied.
 func syntheticIncremental(pop map[string]int) *Incremental {
 	inc := NewIncremental(DefaultConfig())
-	inc.pop = pop
 	inc.rank = rankPopularity(pop)
 	return inc
 }

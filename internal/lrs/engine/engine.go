@@ -100,6 +100,7 @@ type Engine struct {
 	fills   atomic.Uint64 // queries completed from the popularity ranking
 
 	applied    atomic.Uint64 // events folded into the incremental model
+	rescored   atomic.Uint64 // rows those events re-scored and patched into the index
 	applyNanos atomic.Int64  // cumulative time spent in incremental applies
 	trainNanos atomic.Int64  // duration of the last batch train
 	walErrs    atomic.Uint64 // posts rejected because the WAL append failed
@@ -361,6 +362,7 @@ func (e *Engine) applyIncrementalLocked(user, item, typ string) {
 		}
 	}
 	e.applied.Add(1)
+	e.rescored.Add(uint64(len(updates)))
 	e.applyNanos.Add(time.Since(start).Nanoseconds())
 }
 
@@ -368,28 +370,19 @@ func (e *Engine) applyIncrementalLocked(user, item, typ string) {
 // index, preserving whatever cross-indicator fields the last batch train
 // put on the document.
 func applyRowUpdate(idx *search.Index, up cco.RowUpdate) {
-	doc, ok := idx.Get(up.Item)
-	if !ok {
-		if len(up.Indicators) == 0 {
-			return
+	var terms []string
+	if len(up.Indicators) > 0 {
+		terms = make([]string, len(up.Indicators))
+		for i, c := range up.Indicators {
+			terms[i] = c.Item
 		}
-		doc = search.Doc{ID: up.Item, Fields: map[string][]string{"id": {up.Item}}}
 	}
-	if len(up.Indicators) == 0 {
-		delete(doc.Fields, "indicators")
-		if len(doc.Fields) <= 1 { // nothing left but the "id" self-field
-			idx.Delete(up.Item)
-			return
-		}
-		idx.Put(doc)
-		return
+	switch fields, indexed := idx.SetField(up.Item, "indicators", terms); {
+	case !indexed && terms != nil:
+		idx.Put(search.Doc{ID: up.Item, Fields: map[string][]string{"id": {up.Item}, "indicators": terms}})
+	case indexed && fields <= 1: // nothing left but the "id" self-field
+		idx.Delete(up.Item)
 	}
-	terms := make([]string, len(up.Indicators))
-	for i, c := range up.Indicators {
-		terms[i] = c.Item
-	}
-	doc.Fields["indicators"] = terms
-	idx.Put(doc)
 }
 
 // DupEvents reports how many insertions were dropped as idempotent
@@ -406,6 +399,11 @@ func (e *Engine) WALErrors() uint64 { return e.walErrs.Load() }
 // EventsApplied reports how many events the incremental model has folded
 // in.
 func (e *Engine) EventsApplied() uint64 { return e.applied.Load() }
+
+// RowsRescored reports how many indicator rows the online applies have
+// re-scored. Divided by EventsApplied it is the rows an event touches — a
+// property of the deployment's history lengths, and what an apply costs.
+func (e *Engine) RowsRescored() uint64 { return e.rescored.Load() }
 
 // ApplySeconds reports the cumulative time spent in incremental applies.
 func (e *Engine) ApplySeconds() float64 {
@@ -450,10 +448,11 @@ func (e *Engine) TrainNow() error {
 	idx := buildIndex(model)
 
 	if e.inc.Load() != nil {
+		// Counts only: the batch model above holds every row, scored.
 		inc := cco.NewIncremental(e.cfg.Trainer)
 		for _, ev := range events {
 			if ev.Type == "" {
-				inc.Apply(cco.Event{User: ev.User, Item: ev.Item})
+				inc.Fold(cco.Event{User: ev.User, Item: ev.Item})
 			}
 		}
 		e.inc.Store(inc)

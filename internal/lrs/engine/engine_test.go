@@ -121,6 +121,47 @@ func TestPopularFillsCounted(t *testing.T) {
 	}
 }
 
+// TestRowsRescoredCounted: the counter rows-per-event is read from
+// advances by exactly the rows each online apply re-scored — none for a
+// duplicate, a secondary-typed event or a batch-only engine — and is
+// exported beside the applied-events counter.
+func TestRowsRescoredCounted(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Incremental = true
+	e := New(cfg)
+	reg := metrics.NewRegistry()
+	e.RegisterMetrics(reg, "")
+	for _, step := range []struct {
+		user, item, typ string
+		rows            uint64 // rows re-scored so far
+	}{
+		{"u1", "a", "", 1},     // a
+		{"u1", "b", "", 3},     // a, b
+		{"u1", "a", "", 3},     // duplicate: counts unchanged
+		{"u1", "c", "view", 3}, // secondary indicator: batch only
+		{"u2", "b", "", 4},     // b
+		{"u2", "c", "", 6},     // b, c
+		{"u1", "c", "", 9},     // a, b, c
+	} {
+		e.InsertTypedEvent(step.user, step.item, "", step.typ)
+		if got := e.RowsRescored(); got != step.rows {
+			t.Fatalf("after %s/%s/%q: %d rows re-scored, want %d", step.user, step.item, step.typ, got, step.rows)
+		}
+	}
+	snap := reg.Snapshot()
+	if snap["pprox_lrs_rows_rescored_total"] != 9 || snap["pprox_lrs_events_applied_total"] != 6 {
+		t.Fatalf("exported rows/events = %v/%v, want 9/6",
+			snap["pprox_lrs_rows_rescored_total"], snap["pprox_lrs_events_applied_total"])
+	}
+
+	batch := New(DefaultConfig())
+	batch.InsertEvent("u1", "a", "")
+	batch.InsertEvent("u1", "b", "")
+	if got := batch.RowsRescored(); got != 0 {
+		t.Fatalf("a batch-only engine re-scored %d rows online", got)
+	}
+}
+
 func TestRecommendBeforeTraining(t *testing.T) {
 	e := New(DefaultConfig())
 	e.InsertEvent("u", "i", "")

@@ -50,6 +50,10 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry, node string) func(http.Han
 		"Events folded into the incremental model.", func() float64 {
 			return float64(e.EventsApplied())
 		})
+	r.CounterFunc("pprox_lrs_rows_rescored_total",
+		"Indicator rows re-scored by online applies; per event applied, the rows an event touches.", func() float64 {
+			return float64(e.RowsRescored())
+		})
 	r.CounterFunc("pprox_lrs_apply_seconds_total",
 		"Cumulative time spent applying events to the incremental model.", func() float64 {
 			return e.ApplySeconds()

@@ -95,6 +95,9 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// eventNotStored is the whole body of a post's 503.
+const eventNotStored = "event not stored"
+
 func (h *Handler) postEvent(w http.ResponseWriter, r *http.Request) {
 	var req message.LRSPost
 	if !readJSON(w, r, &req) {
@@ -107,9 +110,12 @@ func (h *Handler) postEvent(w http.ResponseWriter, r *http.Request) {
 	// A duplicate idempotency key still answers "ok": the event IS
 	// stored, just by the earlier delivery this one retried. A storage
 	// failure (the WAL append was rejected) must NOT answer "ok" — the
-	// event was dropped, so the client gets 503 and retries.
+	// event was dropped, so the client gets 503 and retries. The body is
+	// constant: the cause is an *os.PathError naming the WAL file, which
+	// the engine logs and which must not travel through IA and UA to the
+	// client.
 	if _, err := h.engine.InsertTypedEventIdem(req.User, req.Item, req.Payload, req.Event, req.Idem); err != nil {
-		http.Error(w, "event not stored: "+err.Error(), http.StatusServiceUnavailable)
+		http.Error(w, eventNotStored, http.StatusServiceUnavailable)
 		return
 	}
 	writeJSON(w, message.OK{Status: "ok"})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pprox/internal/message"
+	"pprox/internal/metrics"
 )
 
 func do(t *testing.T, h http.Handler, method, path, body string) *httptest.ResponseRecorder {
@@ -213,11 +214,42 @@ func TestRESTEventStorageFailureAnswers503(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("rejected post: status %d, want 503: %s", rec.Code, rec.Body)
 	}
+	// The cause names the WAL file; it is the engine's to log, not the
+	// client's to read.
+	if body := rec.Body.String(); body != "event not stored\n" || strings.Contains(body, cfg.WALDir) {
+		t.Fatalf("rejected post's body = %q, want the constant text and no path", body)
+	}
 	if e.EventCount() != 1 {
 		t.Fatalf("events = %d after rejected post, want 1", e.EventCount())
 	}
 	if e.WALErrors() != 1 {
 		t.Fatalf("wal errors = %d, want 1", e.WALErrors())
+	}
+}
+
+// TestRESTRowsRescoredOnMetricsPage: posts arriving over REST advance
+// the rows-re-scored counter, and the scrape an operator runs shows it
+// beside the applied-events counter as a plain unlabelled series.
+func TestRESTRowsRescoredOnMetricsPage(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Incremental = true
+	e := New(cfg)
+	reg := metrics.NewRegistry()
+	h := e.RegisterMetrics(reg, "")(NewHandler(e))
+	for _, body := range []string{
+		`{"user":"u1","item":"a"}`, // a
+		`{"user":"u1","item":"b"}`, // a, b
+		`{"user":"u2","item":"b"}`, // b
+	} {
+		if rec := do(t, h, http.MethodPost, message.EventsPath, body); rec.Code != http.StatusOK {
+			t.Fatalf("post %s: status %d: %s", body, rec.Code, rec.Body)
+		}
+	}
+	page := do(t, reg, http.MethodGet, "/metrics", "").Body.String()
+	for _, line := range []string{"pprox_lrs_rows_rescored_total 4\n", "pprox_lrs_events_applied_total 3\n"} {
+		if !strings.Contains(page, line) {
+			t.Errorf("metrics page lacks %q", line)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ package search
 import (
 	"container/heap"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -55,13 +56,14 @@ type posting struct {
 }
 
 // Index is an in-memory inverted index. It is safe for concurrent use;
-// writes (Put/Delete) take an exclusive lock, queries share a read lock —
-// the same single-writer/concurrent-reader regime an Elasticsearch shard
-// provides between refreshes.
+// writes (Put/SetField/Delete) take an exclusive lock, queries share a
+// read lock — the same single-writer/concurrent-reader regime an
+// Elasticsearch shard provides between refreshes.
 type Index struct {
 	mu       sync.RWMutex
 	postings map[string]map[string][]posting // field → term → postings
 	docs     map[string]Doc
+	diff     map[string]termChange // SetField's scratch, empty between calls
 }
 
 // NewIndex creates an empty index.
@@ -69,12 +71,22 @@ func NewIndex() *Index {
 	return &Index{
 		postings: make(map[string]map[string][]posting),
 		docs:     make(map[string]Doc),
+		diff:     make(map[string]termChange),
 	}
 }
 
+// lengthNorm is a term's weight within a field of n terms: 1/√n, the
+// standard length norm, so items with sparse indicator lists are not
+// drowned out.
+func lengthNorm(n int) float64 {
+	if n == 0 {
+		return 1
+	}
+	return 1 / math.Sqrt(float64(n))
+}
+
 // Put indexes a document, replacing any previous document with the same
-// ID. Term weight within a document is 1/√(field length), the standard
-// length norm, so items with sparse indicator lists are not drowned out.
+// ID. Term weight within a document is lengthNorm of the field.
 func (ix *Index) Put(doc Doc) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -92,10 +104,7 @@ func (ix *Index) Put(doc Doc) {
 			byTerm = make(map[string][]posting)
 			ix.postings[field] = byTerm
 		}
-		norm := 1.0
-		if len(terms) > 0 {
-			norm = 1 / math.Sqrt(float64(len(terms)))
-		}
+		norm := lengthNorm(len(terms))
 		seen := make(map[string]bool, len(terms))
 		for _, term := range terms {
 			if seen[term] {
@@ -104,6 +113,141 @@ func (ix *Index) Put(doc Doc) {
 			seen[term] = true
 			byTerm[term] = append(byTerm[term], posting{docID: doc.ID, weight: norm})
 		}
+	}
+}
+
+// termChange is where SetField's diff stands on one term of the field.
+type termChange int8
+
+const (
+	_      termChange = iota
+	leaves            // in the old list, not (yet) found in the new one
+	stays             // in both, or already entered
+	enters            // in the new list only
+	gone              // left: its posting is removed
+)
+
+// SetField replaces one field of an indexed document, leaving its other
+// fields alone, and reports how many fields the document then has; ok is
+// false, and nothing changes, when the document is not indexed. Empty
+// terms drop the field. The result is what Get, editing the field and Put
+// would leave, but the cost follows the change: only the postings of terms
+// that entered or left the field are touched, the remaining ones are
+// re-weighted only when the field's length — its norm — changed, and a
+// list equal to the stored one changes nothing and allocates nothing.
+func (ix *Index) SetField(id, field string, terms []string) (fields int, ok bool) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	d, ok := ix.docs[id]
+	if !ok {
+		return 0, false
+	}
+	old := d.Fields[field]
+
+	// An indicator row rarely changes by more than a term: set the common
+	// head and tail of the two lists aside and diff what lies between.
+	head := 0
+	for head < len(old) && head < len(terms) && old[head] == terms[head] {
+		head++
+	}
+	oldEnd, newEnd := len(old), len(terms)
+	for oldEnd > head && newEnd > head && old[oldEnd-1] == terms[newEnd-1] {
+		oldEnd--
+		newEnd--
+	}
+	if oldEnd == head && newEnd == head {
+		if len(terms) == 0 {
+			delete(d.Fields, field) // Put may have stored the field empty
+		}
+		return len(d.Fields), true
+	}
+	// A term set aside is in both lists, wherever else it occurs (only a
+	// repeated term occurs elsewhere).
+	setAside := func(term string) bool {
+		return slices.Contains(terms[:head], term) || slices.Contains(terms[newEnd:], term)
+	}
+
+	byTerm := ix.postings[field]
+	if byTerm == nil {
+		byTerm = make(map[string][]posting)
+		ix.postings[field] = byTerm
+	}
+	change := ix.diff
+	defer clear(change)
+	for _, term := range old[head:oldEnd] {
+		change[term] = leaves
+	}
+	for _, term := range terms[head:newEnd] {
+		switch change[term] {
+		case leaves:
+			change[term] = stays
+		case 0:
+			change[term] = enters
+		}
+	}
+
+	for _, term := range old[head:oldEnd] {
+		if change[term] != leaves {
+			continue
+		}
+		if setAside(term) {
+			change[term] = stays
+			continue
+		}
+		change[term] = gone
+		dropPosting(byTerm, term, id)
+	}
+	weight := lengthNorm(len(terms))
+	if len(old) != len(terms) {
+		for _, term := range old {
+			if change[term] == gone {
+				continue
+			}
+			ps := byTerm[term]
+			if i := postingOf(ps, id); i >= 0 {
+				ps[i].weight = weight
+			}
+		}
+	}
+	for _, term := range terms[head:newEnd] {
+		if change[term] != enters {
+			continue
+		}
+		change[term] = stays
+		if !setAside(term) {
+			byTerm[term] = append(byTerm[term], posting{docID: id, weight: weight})
+		}
+	}
+
+	if len(terms) == 0 {
+		delete(d.Fields, field)
+	} else {
+		d.Fields[field] = append(old[:0], terms...)
+	}
+	return len(d.Fields), true
+}
+
+// postingOf returns the index of the document's posting in ps, or -1.
+func postingOf(ps []posting, id string) int {
+	for i := range ps {
+		if ps[i].docID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// dropPosting removes the document's posting under term, and the term
+// with its last posting.
+func dropPosting(byTerm map[string][]posting, term, id string) {
+	ps := byTerm[term]
+	if i := postingOf(ps, id); i >= 0 {
+		ps = append(ps[:i], ps[i+1:]...)
+	}
+	if len(ps) == 0 {
+		delete(byTerm, term)
+	} else {
+		byTerm[term] = ps
 	}
 }
 
@@ -129,16 +273,7 @@ func (ix *Index) removeLocked(id string) {
 				continue
 			}
 			seen[term] = true
-			ps := byTerm[term]
-			for i := range ps {
-				if ps[i].docID == id {
-					byTerm[term] = append(ps[:i], ps[i+1:]...)
-					break
-				}
-			}
-			if len(byTerm[term]) == 0 {
-				delete(byTerm, term)
-			}
+			dropPosting(byTerm, term, id)
 		}
 	}
 }
