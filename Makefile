@@ -75,12 +75,12 @@ audit-smoke:
 cache-smoke:
 	$(GO) run ./cmd/pprox-bench -quick cache | tee cache-smoke.txt
 
-# Epoch-batched pipeline smoke test: run the pprox-bench batch scenario
-# (S=32 get epochs, batch off vs on). The scenario exits non-zero unless
-# batching collapses UA enclave crossings to ≤ 2/S + ε per request, no
-# request fails, and the privacy auditor stays ok on both variants; the
-# off/on throughput comparison is printed for information (it sits within
-# host noise on small hosts). Output is kept in batch-smoke.txt for CI artifact upload.
+# Request-pipeline smoke test: run the pprox-bench batch scenario (S=32
+# get epochs). The scenario exits non-zero unless the epoch pipeline
+# collapses UA enclave crossings to ≤ 2/S + ε per request, no request
+# fails, and the privacy auditor stays ok on every trial; throughput is
+# printed for information (it moves with host noise on small hosts).
+# Output is kept in batch-smoke.txt for CI artifact upload.
 batch-smoke:
 	$(GO) run ./cmd/pprox-bench -quick batch | tee batch-smoke.txt
 

@@ -18,19 +18,18 @@ import (
 	"pprox/internal/stats"
 )
 
-// batch.go measures what the epoch-batched hop pipeline buys: the same
-// epoch-aligned GET workload runs against the encrypted stub stack with
-// batching off and on, and the scenario reports throughput, end-to-end
-// candlesticks, and the UA's enclave crossings per request. It doubles as
-// the CI smoke test: batching that fails to collapse crossings to ~1 per
-// epoch, that fails a request, or that upsets the privacy auditor is a
-// hard error. The throughput comparison is printed, not gated: the two
-// best-of-N closed-loop figures sit within host noise of each other on a
-// small shared box, and a gate on them flips coins. With -out it also
-// emits the BENCH_batch.json snapshot (report.go) that the CI
-// perf-trajectory job compares against its committed baseline; with -inject-fault it drives the same workload
-// through a latency fault on the LRS to manufacture the p99 regression
-// that `pprox-bench compare` must catch.
+// batch.go measures the request pipeline (DESIGN.md §4f): an
+// epoch-aligned GET workload runs against the encrypted stub stack, and
+// the scenario reports throughput, end-to-end candlesticks, and the UA's
+// enclave crossings per request. It doubles as the CI smoke test: a
+// pipeline that fails to collapse crossings to ~1 per epoch, that fails a
+// request, or that upsets the privacy auditor is a hard error. Throughput
+// is printed, not gated: best-of-N closed-loop figures move with host
+// noise on a small shared box. With -out it also emits the
+// BENCH_batch.json snapshot (report.go) that the CI perf-trajectory job
+// compares against its committed baseline; with -inject-fault it drives
+// the same workload through a latency fault on the LRS to manufacture the
+// p99 regression that `pprox-bench compare` must catch.
 
 // benchPerfThresholds are the per-stage latency objectives the bench
 // deployments run under. Deliberately generous: the UA observes
@@ -67,13 +66,13 @@ func (t batchTrial) throughput() float64 {
 	return float64(t.sent) / t.elapsed.Seconds()
 }
 
-// driveBatchTrial deploys one variant, pushes epochs of S concurrent
+// driveBatchTrial deploys the stack, pushes epochs of S concurrent
 // gets through it in lock step (every shuffle flush is a full anonymity
 // set, so the crossings ratio measures the pipeline, not timer-flush
 // stragglers, and the auditor sees only full epochs), and tears it down.
 // A non-zero faultDelay arms a latency fault on the LRS for the whole
 // trial — the knob that manufactures a measurable p99 regression.
-func driveBatchTrial(batch bool, s, epochs int, faultDelay time.Duration) (batchTrial, error) {
+func driveBatchTrial(s, epochs int, faultDelay time.Duration) (batchTrial, error) {
 	spec := cluster.Spec{
 		ProxyEnabled: true, UA: 1, IA: 1,
 		Encryption: true, ItemPseudonyms: true,
@@ -81,21 +80,19 @@ func driveBatchTrial(batch bool, s, epochs int, faultDelay time.Duration) (batch
 		UseStub: true, StubDelay: 2 * time.Millisecond,
 		LRSFrontends: 1,
 		Audit:        &audit.Config{},
-		Batch:        batch,
 		// The shipped transport: binary frames on persistent connections
-		// for both hops (DESIGN.md §4h). Both variants run it so the
-		// off/on contrast still isolates the batching pipeline.
+		// for both hops (DESIGN.md §4h).
 		Hopwire: true,
 		PerfSLO: &perfslo.Config{},
 		// See benchPerfThresholds: the default cluster objectives assume
 		// per-message ECALL observations and would page on the IA's
 		// healthy whole-epoch crossings.
 		PerfThresholds: benchPerfThresholds(),
-		// Model the SGX world switch the batched pipeline amortizes:
-		// ~10µs of pure transition plus TLB/cache repopulation, at the
+		// Model the SGX world switch the pipeline amortizes: ~10µs of
+		// pure transition plus TLB/cache repopulation, at the
 		// EPC-paging-pressure end of what the paper's SGX v1 hardware
 		// pays per crossing. Without it a crossing is a free function
-		// call and the comparison measures only scheduler noise.
+		// call and the timing measures only scheduler noise.
 		EcallCost: 100 * time.Microsecond,
 	}
 	if faultDelay > 0 {
@@ -161,7 +158,7 @@ func driveBatchTrial(batch bool, s, epochs int, faultDelay time.Duration) (batch
 }
 
 func runBatchScenario(opts sim.RunOptions) error {
-	fmt.Println("\n=== batch — epoch-batched hop pipeline vs per-message (stub LRS) ===")
+	fmt.Println("\n=== batch — the epoch request pipeline (stub LRS) ===")
 
 	const s = 32
 	epochs := 40
@@ -177,64 +174,49 @@ func runBatchScenario(opts sim.RunOptions) error {
 		fmt.Printf("(fault injection: +%v latency on every LRS response — gates disabled)\n", faultDelay)
 	}
 
-	// Alternate off/on trials and score each variant by its best run:
-	// on a shared, single-tenant-hostile CI box the noise sources (GC
-	// pauses, scheduler stalls, a shuffle-timer flush) are one-sided —
-	// they only ever slow a run down — so best-of-N recovers the clean
-	// capacity of each pipeline while every individual run still has to
-	// pass the correctness, audit, and crossing checks. All trials are
-	// kept so the JSON snapshot reports the spread (min/median/max), which
-	// is what lets `compare` reject a noisy run instead of gating on it.
-	names := [2]string{"batch-off", "batch-on"}
-	var best [2]batchTrial
-	var rps [2][]float64
+	// Score the pipeline by its best trial: on a shared,
+	// single-tenant-hostile CI box the noise sources (GC pauses,
+	// scheduler stalls, a shuffle-timer flush) are one-sided — they only
+	// ever slow a run down — so best-of-N recovers the clean capacity
+	// while every individual run still has to pass the correctness, audit,
+	// and crossing checks. All trials are kept so the JSON snapshot
+	// reports the spread (min/median/max), which is what lets `compare`
+	// reject a noisy run instead of gating on it.
+	var best batchTrial
+	var rps []float64
 	for trial := 0; trial < trials; trial++ {
-		for v := 0; v < 2; v++ {
-			tr, err := driveBatchTrial(v == 1, s, epochs, faultDelay)
-			if err != nil {
-				return fmt.Errorf("batch scenario %s: %w", names[v], err)
-			}
-			rps[v] = append(rps[v], tr.throughput())
-			if best[v].sent == 0 || tr.throughput() > best[v].throughput() {
-				best[v] = tr
-			}
-			if faultDelay > 0 {
-				continue // degraded by design; gates would only re-state that
-			}
-			if tr.failed > 0 {
-				return fmt.Errorf("batch scenario: %s had %d failed requests", names[v], tr.failed)
-			}
-			if tr.state != audit.StateOK {
-				return fmt.Errorf("batch scenario: %s privacy-SLO state is %v, want ok", names[v], tr.state)
-			}
-			if v == 1 && tr.ladderUsed {
-				return fmt.Errorf("batch scenario: healthy run descended the degradation ladder")
-			}
-			if ratio := float64(tr.crossings) / float64(tr.sent); v == 1 {
-				// The point of batching: the whole epoch crosses the
-				// boundary together. One crossing per epoch of S for a
-				// single-kind workload; allow a second (a timer-split
-				// epoch) plus slack.
-				if bound := 2.0/float64(s) + 0.05; ratio > bound {
-					return fmt.Errorf("batch scenario: %.3f UA crossings/request, want ≤ %.3f", ratio, bound)
-				}
-			} else if ratio < 1 {
-				return fmt.Errorf("batch scenario: per-message baseline did %.3f crossings/request, expected ≥ 1", ratio)
-			}
+		tr, err := driveBatchTrial(s, epochs, faultDelay)
+		if err != nil {
+			return fmt.Errorf("batch scenario: %w", err)
+		}
+		rps = append(rps, tr.throughput())
+		if best.sent == 0 || tr.throughput() > best.throughput() {
+			best = tr
+		}
+		if faultDelay > 0 {
+			continue // degraded by design; gates would only re-state that
+		}
+		if tr.failed > 0 {
+			return fmt.Errorf("batch scenario: %d failed requests", tr.failed)
+		}
+		if tr.state != audit.StateOK {
+			return fmt.Errorf("batch scenario: privacy-SLO state is %v, want ok", tr.state)
+		}
+		if tr.ladderUsed {
+			return fmt.Errorf("batch scenario: healthy run descended the degradation ladder")
+		}
+		// The point of the epoch pipeline: the whole epoch crosses the
+		// boundary together. One crossing per epoch of S for a
+		// single-kind workload; allow a second (a timer-split epoch) plus
+		// slack.
+		if ratio, bound := float64(tr.crossings)/float64(tr.sent), 2.0/float64(s)+0.05; ratio > bound {
+			return fmt.Errorf("batch scenario: %.3f UA crossings/request, want ≤ %.3f", ratio, bound)
 		}
 	}
 
-	for v, tr := range best {
-		fmt.Printf("%-10s sent=%d×%d  best %6.0f req/s  ua-crossings/req=%.3f  %s\n",
-			names[v], tr.sent, trials, tr.throughput(),
-			float64(tr.crossings)/float64(tr.sent), tr.lat.Candlestick())
-	}
-	off, on := best[0], best[1]
-	fmt.Printf("throughput (best of %d): batch-off %.0f req/s, batch-on %.0f req/s (%+.1f%%); crossings/req %.3f → %.3f\n",
-		trials, off.throughput(), on.throughput(),
-		100*(on.throughput()-off.throughput())/off.throughput(),
-		float64(off.crossings)/float64(off.sent),
-		float64(on.crossings)/float64(on.sent))
+	fmt.Printf("sent=%d×%d  best %6.0f req/s  ua-crossings/req=%.3f  %s\n",
+		best.sent, trials, best.throughput(),
+		float64(best.crossings)/float64(best.sent), best.lat.Candlestick())
 	if faultDelay == 0 {
 		fmt.Println("(privacy-SLO auditor: ok on every trial — the epoch leaves in permuted order)")
 	}
@@ -244,7 +226,7 @@ func runBatchScenario(opts sim.RunOptions) error {
 		if err != nil {
 			return fmt.Errorf("alloc benchmarks: %w", err)
 		}
-		rep := buildBatchReport(s, epochs, trials, rps[1], on, faultDelay, allocs)
+		rep := buildBatchReport(s, epochs, trials, rps, best, faultDelay, allocs)
 		if err := rep.write(path); err != nil {
 			return err
 		}
@@ -253,15 +235,12 @@ func runBatchScenario(opts sim.RunOptions) error {
 }
 
 // buildBatchReport assembles the BENCH_batch.json snapshot from the
-// batch-on variant: the batched pipeline is the shipped configuration,
-// so its trajectory is the one CI tracks (batch-off exists only as the
-// in-run contrast).
+// scenario's trials and its best one.
 func buildBatchReport(s, epochs, trials int, onRPS []float64, on batchTrial, faultDelay time.Duration, allocs map[string]AllocStat) BenchReport {
 	rep := newBenchReport("batch")
 	rep.Config["shuffle_s"] = s
 	rep.Config["epochs"] = epochs
 	rep.Config["trials"] = trials
-	rep.Config["batch"] = true
 	rep.Config["hopwire"] = true
 	rep.Config["ecall_cost_us"] = 100
 	rep.GoodputTrials = newTrialStats(onRPS)

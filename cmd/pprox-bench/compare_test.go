@@ -178,14 +178,14 @@ func TestCompareDetectsInjectedLatencyFault(t *testing.T) {
 		t.Skip("drives two in-process deployments")
 	}
 	const s, epochs = 8, 5
-	healthy, err := driveBatchTrial(true, s, epochs, 0)
+	healthy, err := driveBatchTrial(s, epochs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if healthy.failed > 0 {
 		t.Fatalf("healthy trial had %d failures", healthy.failed)
 	}
-	faulted, err := driveBatchTrial(true, s, epochs, 300*time.Millisecond)
+	faulted, err := driveBatchTrial(s, epochs, 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

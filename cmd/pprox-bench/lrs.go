@@ -246,7 +246,6 @@ func driveLRS10xTrial(data *workload.Dataset, s, epochs int) (lrsTrial, error) {
 		LRSShards:      4,
 		LRSIncremental: true,
 		Audit:          &audit.Config{},
-		Batch:          true,
 		Hopwire:        true,
 		PerfSLO:        &perfslo.Config{},
 		// Looser than benchPerfThresholds: the forward stage carries a

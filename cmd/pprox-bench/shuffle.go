@@ -1,10 +1,8 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"pprox/internal/proxy"
@@ -42,31 +40,31 @@ func runShuffleExperiment() error {
 func measureLinkingProbability(s, instances, batches int) (float64, error) {
 	correct, total := 0, 0
 	for b := 0; b < batches; b++ {
-		shufflers := make([]*proxy.Shuffler, instances)
-		for i := range shufflers {
-			shufflers[i] = proxy.NewShuffler(s, time.Minute, 0)
-		}
-
 		n := s * instances
-		// positions[k] = (instance, within-batch release position) of
-		// the k-th arriving message; arrivals round-robin across
-		// instances as a balancer would spread them.
+		// results[k] = (instance, within-epoch release position) of the
+		// k-th arriving message; arrivals round-robin across instances
+		// as a balancer would spread them. Each message is its arrival
+		// index, so an epoch's sink call reads the positions off directly.
 		type released struct{ instance, pos int }
 		results := make([]released, n)
-		var wg sync.WaitGroup
-		for k := 0; k < n; k++ {
-			inst := k % instances
-			wg.Add(1)
-			go func(k, inst int) {
-				defer wg.Done()
-				pos, err := shufflers[inst].Wait(context.Background())
-				if err != nil {
-					pos = -1
-				}
-				results[k] = released{instance: inst, pos: pos}
-			}(k, inst)
+		for k := range results {
+			results[k].pos = -1
 		}
-		wg.Wait()
+		shufflers := make([]*proxy.Shuffler, instances)
+		for i := range shufflers {
+			inst := i
+			shufflers[i] = proxy.NewShuffler(s, time.Minute, 0)
+			shufflers[i].SetBatchSink(func(vals []any) {
+				for pos, v := range vals {
+					results[v.(int)] = released{instance: inst, pos: pos}
+				}
+			})
+		}
+		for k := 0; k < n; k++ {
+			if err := shufflers[k%instances].Enqueue(k); err != nil {
+				return 0, err
+			}
+		}
 		for i := range shufflers {
 			shufflers[i].Close()
 		}

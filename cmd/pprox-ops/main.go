@@ -434,17 +434,13 @@ func runScaleSmoke(out string, logger *slog.Logger) error {
 		Hysteresis:        1,
 	}
 	d, err := cluster.Deploy(cluster.Spec{
-		ProxyEnabled:   true,
-		UA:             1,
-		IA:             1,
-		Encryption:     true,
-		ItemPseudonyms: true,
-		Shuffle:        scaleShuffle,
-		ShuffleTimeout: 300 * time.Millisecond,
-		// Batch mode so epochs travel whole between hops: with two IA
-		// backends, per-message forwarding would split one UA epoch
-		// across them into sub-S releases (§4j).
-		Batch:             true,
+		ProxyEnabled:      true,
+		UA:                1,
+		IA:                1,
+		Encryption:        true,
+		ItemPseudonyms:    true,
+		Shuffle:           scaleShuffle,
+		ShuffleTimeout:    300 * time.Millisecond,
 		UseStub:           true,
 		LRSFrontends:      1,
 		OpsAddr:           "ops-0",

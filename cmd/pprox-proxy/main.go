@@ -14,7 +14,7 @@
 // -retry-backoff), and a circuit breaker (-breaker-threshold,
 // -breaker-cooldown) fails fast while probing the hop's /healthz. Retries
 // on a UA instance are privacy-aware: with a link key in the key file each
-// retry re-randomizes the hop envelope and re-enters the shuffler.
+// retried frame re-randomizes its hop envelopes first.
 //
 // -inject-fault arms deterministic fault injection on this instance's
 // application endpoints, for chaos experiments:
@@ -38,7 +38,6 @@ import (
 
 	"pprox/internal/audit"
 	"pprox/internal/enclave"
-	"pprox/internal/eventloop"
 	"pprox/internal/faults"
 	"pprox/internal/fleet"
 	"pprox/internal/hopwire"
@@ -64,12 +63,10 @@ type options struct {
 	shuffle        int
 	shuffleTimeout time.Duration
 	workers        int
-	batch          bool
 	hopwireOn      bool
 	lrsConcurrency int
 	noItemPseudo   bool
 	passthrough    bool
-	useEventloop   bool
 	opsAddr        string
 	node           string
 	telemetryEvery time.Duration
@@ -110,12 +107,10 @@ func main() {
 	flag.IntVar(&o.shuffle, "shuffle", 0, "shuffle buffer size S (0 = off)")
 	flag.DurationVar(&o.shuffleTimeout, "shuffle-timeout", 500*time.Millisecond, "shuffle flush timer")
 	flag.IntVar(&o.workers, "workers", 2, "data-processing pool size")
-	flag.BoolVar(&o.batch, "batch", false, "epoch-batched pipeline: one batched ECALL and one UA→IA envelope per shuffle epoch (ua role; needs -shuffle > 1, incompatible with -passthrough)")
-	flag.BoolVar(&o.hopwireOn, "hopwire", false, "speak the persistent binary frame protocol toward -next and serve frames alongside HTTP on -listen (DESIGN.md §4h; falls back to HTTP against peers that do not answer in frames; incompatible with -eventloop)")
+	flag.BoolVar(&o.hopwireOn, "hopwire", false, "speak the persistent binary frame protocol toward -next and serve frames alongside HTTP on -listen (DESIGN.md §4h; falls back to HTTP against peers that do not answer in frames)")
 	flag.IntVar(&o.lrsConcurrency, "lrs-concurrency", proxy.DefaultLRSConcurrency, "bound on concurrent IA→LRS requests (ia role; negative = unbounded)")
 	flag.BoolVar(&o.noItemPseudo, "no-item-pseudonyms", false, "send item identifiers to the LRS in the clear (§6.3)")
 	flag.BoolVar(&o.passthrough, "passthrough", false, "forward without cryptography (baseline m1)")
-	flag.BoolVar(&o.useEventloop, "eventloop", false, "serve with the §5 acceptor+queue+worker-pool architecture instead of net/http")
 	flag.StringVar(&o.opsAddr, "ops-addr", "", "pprox-ops collector address, e.g. localhost:9090: stream one telemetry snapshot per shuffle epoch (off when empty)")
 	flag.StringVar(&o.node, "node", "", "node name reported to -ops-addr (default: the role)")
 	flag.DurationVar(&o.telemetryEvery, "telemetry-interval", 0, "telemetry heartbeat when no shuffle epochs fire (default: -shuffle-timeout, or 250ms)")
@@ -174,18 +169,10 @@ func run(o options, logger *slog.Logger) error {
 		Workers:        o.workers,
 		PassThrough:    o.passthrough,
 	}
-	if r == proxy.RoleUA {
-		cfg.Batch = o.batch
-	} else {
+	if r == proxy.RoleIA {
 		cfg.LRSConcurrency = o.lrsConcurrency
 	}
-	if o.batch && r != proxy.RoleUA {
-		logger.Warn("-batch is a ua-role flag; ia serves /batch unconditionally")
-	}
 	if o.hopwireOn {
-		if o.useEventloop {
-			return fmt.Errorf("-hopwire and -eventloop are mutually exclusive: the frame mux needs the net/http server behind it")
-		}
 		cfg.Hopwire = true
 		cfg.HopDialer = &net.Dialer{Timeout: 10 * time.Second}
 	}
@@ -395,10 +382,11 @@ func run(o options, logger *slog.Logger) error {
 		}
 		defer f.Close()
 		layer.SetTracer(trace.New(o.role, trace.WriterSink(f), nil))
-		if o.shuffle <= 0 {
-			// Without a shuffler nothing flushes the trace buffer, so run
-			// the epochs on the flush timer instead. Batching still hides
-			// per-request timing, but only shuffling gives the 1/S bound.
+		if layer.Shuffler() == nil {
+			// An unshuffled IA has no epochs to flush the trace buffer,
+			// so run them on the flush timer instead. Batching still
+			// hides per-request timing, but only shuffling gives the 1/S
+			// bound.
 			stopEpochs := make(chan struct{})
 			defer close(stopEpochs)
 			go func() {
@@ -433,32 +421,14 @@ func run(o options, logger *slog.Logger) error {
 		return err
 	}
 
-	var shutdown func() error
-	if o.useEventloop {
-		srv := &eventloop.Server{Handler: handler, Workers: o.workers}
-		serveDone := make(chan error, 1)
-		go func() { serveDone <- srv.Serve(l) }()
-		shutdown = func() error {
-			err := srv.Close(l)
-			<-serveDone
-			return err
-		}
-	} else if o.hopwireOn {
-		shutdown = hopwire.ServeHTTPAndFrames(l, handler)
-	} else {
-		shutdown = transport.Serve(l, handler)
+	serve, mode := transport.Serve, "net/http"
+	if o.hopwireOn {
+		serve, mode = hopwire.ServeHTTPAndFrames, "hopwire+net/http"
 	}
-	mode := "net/http"
-	switch {
-	case o.useEventloop:
-		mode = "eventloop"
-	case o.hopwireOn:
-		mode = "hopwire+net/http"
-	}
+	shutdown := serve(l, handler)
 	logger.Info("layer serving",
 		"role", o.role, "listen", l.Addr().String(), "next", o.next,
-		"shuffle", o.shuffle, "workers", o.workers, "mode", mode,
-		"batch", o.batch && r == proxy.RoleUA, "audit", o.auditSLO)
+		"shuffle", o.shuffle, "workers", o.workers, "mode", mode, "audit", o.auditSLO)
 
 	// Fleet membership: register with the route registry once the
 	// listener is up, heartbeat until shutdown, and leave through the

@@ -83,7 +83,6 @@ func newBatchTappedStack(t *testing.T, km keyMaterial, shuffleSize int, wrapIA f
 	ua, err := proxy.New(proxy.Config{
 		Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://ia",
 		HTTPClient: httpClient, ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
-		Batch: true,
 	})
 	if err != nil {
 		t.Fatal(err)

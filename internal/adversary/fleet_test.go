@@ -47,7 +47,6 @@ func testLinkingBoundHoldsDuringFleetChurn(t *testing.T, km keyMaterial) {
 		ItemPseudonyms: true,
 		Shuffle:        s,
 		ShuffleTimeout: 300 * time.Millisecond,
-		Batch:          true, // epochs travel whole between hops (§4j)
 		UseStub:        true,
 		Fleet:          true,
 		Audit:          &audit.Config{},

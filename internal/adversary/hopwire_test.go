@@ -143,7 +143,7 @@ func testHopwireFramesCloseSizeChannel(t *testing.T, km keyMaterial) {
 	ua, err := proxy.New(proxy.Config{
 		Role: proxy.RoleUA, Enclave: uaEncl, Next: "http://ia",
 		HTTPClient: httpClient, ShuffleSize: s, ShuffleTimeout: 2 * time.Second,
-		Batch: true, Hopwire: true, HopDialer: tapped,
+		Hopwire: true, HopDialer: tapped,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -65,13 +65,14 @@ func testTraceExportCannotLinkRequests(t *testing.T, km keyMaterial) {
 	recs := col.Records()
 
 	// The export is operationally useful: it describes every request's
-	// passage through each hop's pipeline stages...
+	// passage through each hop's pipeline stages (the UA forwards each
+	// epoch as one frame)...
 	byStage := make(map[string]int)
 	for _, r := range recs {
 		byStage[r.Node+"/"+r.Stage]++
 	}
-	if got := byStage["ua-0/"+proxy.StageForward]; got != n {
-		t.Errorf("UA forward spans = %d, want %d", got, n)
+	if got := byStage["ua-0/"+proxy.StageForward]; got != batches {
+		t.Errorf("UA forward spans = %d, want one per epoch, %d", got, batches)
 	}
 	if got := byStage["ia-0/"+proxy.StageForward]; got != n {
 		t.Errorf("IA forward spans = %d, want %d", got, n)

@@ -30,7 +30,6 @@ func TestBatchClusterEndToEndWithAudit(t *testing.T) {
 		Shuffle:        s,
 		ShuffleTimeout: 100 * time.Millisecond,
 		UseStub:        true,
-		Batch:          true,
 		LRSConcurrency: 4,
 		Audit:          &audit.Config{},
 	})
@@ -85,7 +84,6 @@ func TestBatchClusterChaosExercisesLadder(t *testing.T) {
 		Shuffle:        s,
 		ShuffleTimeout: 100 * time.Millisecond,
 		UseStub:        true,
-		Batch:          true,
 		LRSConcurrency: 2,
 		Resilience: &resilience.Policy{
 			HopTimeout:  2 * time.Second,

@@ -190,12 +190,14 @@ func TestChaosKillRestartGoodputAndLinking(t *testing.T) {
 	t.Logf("linking accuracy under faults = %.3f (theory 1/S = %.3f)", acc, 1.0/s)
 }
 
-// TestRetriedGetUnlinkableOnInterProxyLink drops a GET twice on the IA
-// ingress and asserts the UA's retries are cryptographically unlinkable on
-// the UA→IA link: every attempt arrives link-wrapped with distinct bytes,
-// each in its own shuffle epoch, and the request still succeeds.
+// TestRetriedGetUnlinkableOnInterProxyLink drops a GET's epoch frame
+// twice on the IA ingress and asserts the UA's retries are
+// cryptographically unlinkable on the UA→IA link: every attempt arrives as
+// a fresh frame whose entry is link-wrapped with distinct bytes, and the
+// request still succeeds. A retry re-randomizes the epoch the shuffler
+// already released; it does not re-enter the shuffler.
 func TestRetriedGetUnlinkableOnInterProxyLink(t *testing.T) {
-	inj := faults.NewInjector(7, faults.Rule{Kind: faults.KindDrop, Path: message.QueriesPath, Count: 2})
+	inj := faults.NewInjector(7, faults.Rule{Kind: faults.KindDrop, Path: message.BatchPath, Count: 2})
 	defer inj.Close()
 
 	var mu sync.Mutex
@@ -242,8 +244,8 @@ func TestRetriedGetUnlinkableOnInterProxyLink(t *testing.T) {
 		t.Error("recovered get returned no items")
 	}
 
-	if retries, _ := d.UALayers[0].RetryStats(); retries != 2 {
-		t.Errorf("UA retries = %d, want 2", retries)
+	if retries := d.UALayers[0].BatchStats().Retries; retries != 2 {
+		t.Errorf("UA frame retries = %d, want 2", retries)
 	}
 
 	mu.Lock()
@@ -253,11 +255,15 @@ func TestRetriedGetUnlinkableOnInterProxyLink(t *testing.T) {
 	}
 	seen := make(map[string]bool, len(bodies))
 	for i, b := range bodies {
+		entries, err := message.UnmarshalBatch([]byte(b))
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("attempt %d is not a one-entry frame (%v)", i, err)
+		}
 		var env struct {
 			Link string `json:"link"`
 		}
-		if err := json.Unmarshal([]byte(b), &env); err != nil || env.Link == "" {
-			t.Fatalf("attempt %d is not link-wrapped: %.80s", i, b)
+		if err := json.Unmarshal(entries[0].Body, &env); err != nil || env.Link == "" {
+			t.Fatalf("attempt %d is not link-wrapped: %.80s", i, entries[0].Body)
 		}
 		if seen[env.Link] {
 			t.Errorf("attempt %d repeats an earlier ciphertext — retries are linkable", i)
@@ -265,10 +271,9 @@ func TestRetriedGetUnlinkableOnInterProxyLink(t *testing.T) {
 		seen[env.Link] = true
 	}
 
-	// Each attempt re-entered the shuffler: original + 2 retries = at
-	// least 3 flush epochs on the UA shuffler.
-	if flushes, _ := d.UALayers[0].Shuffler().Stats(); flushes < 3 {
-		t.Errorf("UA shuffler flushed %d times, want ≥ 3 (one epoch per attempt)", flushes)
+	// The epoch left the shuffler once; its retries rode that epoch.
+	if flushes, _ := d.UALayers[0].Shuffler().Stats(); flushes != 1 {
+		t.Errorf("UA shuffler flushed %d times, want 1 (retries do not re-enter it)", flushes)
 	}
 }
 

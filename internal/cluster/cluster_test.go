@@ -113,6 +113,18 @@ func TestDeployMicroEncrypted(t *testing.T) {
 	if items[0] != "stub-item-0000" {
 		t.Errorf("items[0] = %q", items[0])
 	}
+	assertEpochsOfOne(t, d, 2)
+}
+
+// assertEpochsOfOne checks an unshuffled deployment ran the one request
+// pipeline: each of n requests crossed UA→IA as its own one-entry frame.
+func assertEpochsOfOne(t *testing.T, d *Deployment, n uint64) {
+	t.Helper()
+	for _, l := range []*proxy.Layer{d.UALayers[0], d.IALayers[0]} {
+		if bs := l.BatchStats(); bs.Batches != n || bs.Messages != n {
+			t.Errorf("batch stats = %+v, want %d one-message frames", bs, n)
+		}
+	}
 }
 
 func TestDeployMicroPassThrough(t *testing.T) {
@@ -131,6 +143,7 @@ func TestDeployMicroPassThrough(t *testing.T) {
 	if d.UAKeys != nil || d.IAKeys != nil {
 		t.Error("pass-through deployment generated keys")
 	}
+	assertEpochsOfOne(t, d, 2)
 }
 
 func TestDeployScaledLayersBalanceLoad(t *testing.T) {

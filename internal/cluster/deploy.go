@@ -53,10 +53,11 @@ type Spec struct {
 	ShuffleTimeout time.Duration
 	// Workers sizes each proxy instance's data-processing pool.
 	Workers int
-	// Batch switches the UA layers to the epoch-batched hop pipeline
-	// (DESIGN.md §4f): one batched ECALL per epoch per message kind and
-	// one UA→IA envelope per epoch. Requires Encryption and Shuffle > 1.
-	// IA layers always serve /batch.
+	// Batch is ignored: the epoch pipeline (DESIGN.md §4f) is the only
+	// request path, so there is nothing to switch.
+	//
+	// Deprecated: kept so the frozen benchmark keeps compiling; the next
+	// benchmark PR deletes it.
 	Batch bool
 	// LRSConcurrency bounds each IA instance's concurrent LRS requests
 	// (0 = the proxy default, negative = unbounded).
@@ -65,13 +66,13 @@ type Spec struct {
 	// persistent-connection binary frame protocol (DESIGN.md §4h). Every
 	// node's listener then sniffs each connection and serves frames and
 	// HTTP side by side, and each layer's hop client falls back to HTTP
-	// against a peer that does not answer in frames — so mixed
-	// deployments (rolling upgrade) keep working.
+	// against a peer that does not answer in frames — so an unmodified,
+	// HTTP-only LRS keeps working.
 	Hopwire bool
 	// EcallCost models the CPU each enclave crossing burns (SGX world
 	// switch + TLB/cache repopulation). Zero — the default — keeps
-	// crossings free as plain function calls; benchmarks comparing the
-	// per-message and batched pipelines set it to hardware-like values
+	// crossings free as plain function calls; benchmarks measuring what
+	// the epoch pipeline amortizes set it to hardware-like values
 	// (enclave.SetTransitionCost).
 	EcallCost time.Duration
 	// Cache enables the in-enclave recommendation cache on every IA
@@ -313,9 +314,6 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 	}
 	if spec.Cache && !(spec.ProxyEnabled && spec.Encryption) {
 		return nil, errors.New("cluster: recommendation cache needs the encrypted proxy path")
-	}
-	if spec.Batch && !(spec.ProxyEnabled && spec.Encryption && spec.Shuffle > 1) {
-		return nil, errors.New("cluster: batch mode needs the encrypted proxy path with S > 1")
 	}
 	if spec.Elastic != nil {
 		spec.Fleet = true
@@ -898,9 +896,7 @@ func (d *Deployment) newLayer(role proxy.Role, spec Spec, platform *enclave.Plat
 		PassThrough:    !spec.Encryption,
 		Resilience:     spec.Resilience,
 	}
-	if role == proxy.RoleUA {
-		cfg.Batch = spec.Batch
-	} else {
+	if role == proxy.RoleIA {
 		cfg.LRSConcurrency = spec.LRSConcurrency
 	}
 	if spec.Hopwire {

@@ -40,7 +40,6 @@ func TestFleetScaleLifecycle(t *testing.T) {
 		ItemPseudonyms: true,
 		Shuffle:        s,
 		ShuffleTimeout: 100 * time.Millisecond,
-		Batch:          true,
 		UseStub:        true,
 		Fleet:          true,
 		Audit:          &audit.Config{},

@@ -24,7 +24,6 @@ func hopwireSpec(s int) cluster.Spec {
 		Shuffle:        s,
 		ShuffleTimeout: 100 * time.Millisecond,
 		UseStub:        true,
-		Batch:          true,
 		LRSConcurrency: 4,
 		Hopwire:        true,
 	}

@@ -124,7 +124,7 @@ func TestDefaultDeploymentSealsBoxes(t *testing.T) {
 	seen := &edgeFields{sizes: map[string][]int{}}
 	spec := Spec{
 		ProxyEnabled: true, UA: 1, IA: 1, Encryption: true, ItemPseudonyms: true,
-		Shuffle: s, ShuffleTimeout: 2 * time.Second, Batch: true, Hopwire: true,
+		Shuffle: s, ShuffleTimeout: 2 * time.Second, Hopwire: true,
 		UseStub: true, LRSFrontends: 1, NodeMiddleware: seen.middleware,
 	}
 	d, err := Deploy(spec)

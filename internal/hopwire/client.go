@@ -135,9 +135,8 @@ func (c *Client) Close() {
 // RoundTrip performs one exchange with HTTP-equivalent semantics: the
 // request that would have been POSTed to path travels as a frame, and the
 // result comes back as (status, body). For the batch path the body IS the
-// marshalled frame and the response body is the raw response frame —
-// message.UnmarshalBatch parses it exactly as it parses an HTTP /batch
-// response. ErrUnsupported means the peer does not speak frames and the
+// marshalled frame and the response body is the raw response frame, the
+// same bytes an HTTP /batch exchange carries. ErrUnsupported means the peer does not speak frames and the
 // caller should use its HTTP path; any other error is a transport fault
 // for the caller's breaker and retry ladder.
 func (c *Client) RoundTrip(ctx context.Context, path string, body []byte) (int, []byte, error) {
@@ -150,8 +149,8 @@ func (c *Client) RoundTrip(ctx context.Context, path string, body []byte) (int, 
 	switch path {
 	case message.BatchPath:
 		if !message.IsFrame(body) {
-			// A JSON envelope only appears when the local codec was
-			// downgraded; the HTTP path owns that case.
+			// Only frames ride hopwire; anything else is the HTTP
+			// path's to send and the IA's to refuse.
 			return 0, nil, ErrUnsupported
 		}
 		h, err := message.ParseFrameHeader(body)

@@ -1,13 +1,14 @@
 // Package hopwire is the persistent-connection binary hop transport for
-// the inter-proxy links (DESIGN.md §4h): UA→IA batch envelopes and
+// the inter-proxy links (DESIGN.md §4h): UA→IA batch frames and
 // per-message IA→LRS traffic travel as length-prefixed frames
 // (internal/message frame codec) over pooled connections instead of one
 // HTTP POST per exchange. HTTP remains the client-edge protocol, and
 // every hopwire server also speaks HTTP on the same listener (the
-// sniffing mux in mux.go), so health probes, metrics scrapes, and
-// JSON-era peers keep working — a peer that answers frames with anything
-// else makes the client latch ErrUnsupported and fall back to HTTP until
-// a cooldown expires (rolling-upgrade safety).
+// sniffing mux in mux.go), so health probes, metrics scrapes and direct
+// REST clients of an LRS keep working — and a peer that answers frames
+// with anything else, such as an unmodified HTTP-only LRS, makes the
+// client latch ErrUnsupported and fall back to HTTP until a cooldown
+// expires.
 //
 // The exchange model is strictly serial per connection: one request
 // frame, one response frame, matched by the epoch id echoed in the frame

@@ -20,8 +20,9 @@ const sniffTimeout = 30 * time.Second
 // accepted connection is sniffed on its first four bytes — the frame
 // magic routes it to the frame server, anything else to a regular HTTP
 // server running the same handler. One address therefore serves hopwire
-// exchanges, health probes, metrics scrapes, and JSON-era peers at once,
-// which is what makes the rolling upgrade safe in both directions.
+// exchanges, health probes, metrics scrapes, and direct REST clients at
+// once — an LRS answers the IA in frames and its own REST clients (b1,
+// lrs_direct_mixed) over HTTP on the same port.
 //
 // The returned shutdown stops accepting, closes live frame connections,
 // and drains the HTTP side exactly like transport.Serve.

@@ -31,17 +31,32 @@ func TestBatchEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchEnvelopeRejectsBadInput: anything but a well-formed frame is
+// refused — JSON of any shape as not a frame, broken frames as malformed
+// (frame_test.go covers every header and slot fault).
 func TestBatchEnvelopeRejectsBadInput(t *testing.T) {
+	good, err := MarshalBatch([]BatchEntry{{ID: 3, Kind: BatchKindGet}, {ID: 4, Kind: BatchKindPost}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := ParseFrameHeader(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Give the second slot the first slot's id.
+	dup := append([]byte(nil), good...)
+	second := FrameHeaderSize + slotHeaderSize + h.SlotSize
+	copy(dup[second:second+4], good[FrameHeaderSize:FrameHeaderSize+4])
 	cases := []struct {
 		name string
 		data []byte
 		want error
 	}{
-		{"not json", []byte("{"), ErrBatchEnvelope},
-		{"wrong version", []byte(`{"v":99,"entries":[{"id":0}]}`), ErrBatchVersion},
-		{"no entries", []byte(`{"v":1,"entries":[]}`), ErrBatchEnvelope},
-		{"duplicate ids", []byte(`{"v":1,"entries":[{"id":3},{"id":3}]}`), ErrBatchEnvelope},
-		{"negative id", []byte(`{"v":1,"entries":[{"id":-1}]}`), ErrBatchEnvelope},
+		{"empty", nil, ErrNotFrame},
+		{"not json", []byte("{"), ErrNotFrame},
+		{"json envelope", []byte(`{"v":1,"entries":[{"id":0}]}`), ErrNotFrame},
+		{"truncated frame", good[:len(good)-1], ErrMalformedFrame},
+		{"duplicate ids", dup, ErrMalformedFrame},
 	}
 	for _, tc := range cases {
 		if _, err := UnmarshalBatch(tc.data); !errors.Is(err, tc.want) {

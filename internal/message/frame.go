@@ -7,12 +7,10 @@ import (
 	"slices"
 )
 
-// This file is the binary batch-frame codec used on the inter-hop links
-// (internal/hopwire, DESIGN.md §4h). The JSON envelope in message.go
-// remains the v1 wire format — UnmarshalBatch accepts both, so a frame
-// speaker can talk to a JSON-era peer during a rolling upgrade — but
-// MarshalBatch now emits frames: no base64, no intermediate JSON, and the
-// encoder appends into caller-provided (poolable) buffers.
+// This file is the binary batch-frame codec, the one wire format of the
+// UA→IA link — over HTTP /batch or over hopwire (DESIGN.md §4h). No
+// base64, no intermediate JSON, and the encoder appends into
+// caller-provided (poolable) buffers.
 //
 // Frame layout (big-endian):
 //
@@ -29,7 +27,7 @@ import (
 // zeros) — so a wire observer cannot distinguish the messages inside a
 // frame by size, preserving the §4.3 constant-size discipline at frame
 // granularity. Ids are the sequential slot positions minted after the
-// shuffle, exactly as in the JSON envelope.
+// shuffle.
 //
 // An error frame (kind FrameError) carries no slots: its payload is
 // [status uint16][constant-class text], count and slot size are zero. It
@@ -37,9 +35,9 @@ import (
 
 // Frame layout constants.
 const (
-	// FrameVersion is the binary frame wire version. (Version 1 is the
-	// JSON envelope; the version byte here is independent of BatchVersion
-	// but kept disjoint so a hexdump is unambiguous.)
+	// FrameVersion is the binary frame wire version. (Version 1 was the
+	// retired JSON envelope; the numbers stay disjoint so a hexdump is
+	// unambiguous.)
 	FrameVersion = 2
 
 	// FrameHeaderSize is the fixed frame header length in bytes.
@@ -85,8 +83,7 @@ const (
 	FrameTelemetry byte = 4
 )
 
-// frameMagic starts every binary frame; JSON envelopes start with '{', so
-// one byte distinguishes the formats.
+// frameMagic starts every binary frame.
 var frameMagic = [4]byte{'P', 'P', 'X', 'B'}
 
 // Header bytes 6–7 are a literal CRLF, not free reserved space. An
@@ -102,15 +99,10 @@ const (
 	frameLF byte = '\n'
 )
 
-// Frame codec errors. Structural faults wrap ErrBatchEnvelope and version
-// faults ErrBatchVersion, so receivers classify frames and JSON envelopes
-// with the same errors.Is checks.
-var (
-	// ErrNotFrame reports bytes that do not start with the frame magic —
-	// the signal to try the JSON envelope path (or, for hopwire, that the
-	// peer does not speak the protocol).
-	ErrNotFrame = errors.New("message: not a batch frame")
-)
+// ErrNotFrame reports bytes that do not start with the frame magic — for
+// hopwire, the sign that the peer does not speak the protocol. Every other
+// frame fault, version included, wraps ErrMalformedFrame.
+var ErrNotFrame = errors.New("message: not a batch frame")
 
 // entry kind codes inside a slot.
 const (
@@ -170,13 +162,13 @@ func ParseFrameHeader(data []byte) (FrameHeader, error) {
 		return FrameHeader{}, ErrNotFrame
 	}
 	if len(data) < FrameHeaderSize {
-		return FrameHeader{}, fmt.Errorf("%w: truncated header (%d bytes)", ErrBatchEnvelope, len(data))
+		return FrameHeader{}, fmt.Errorf("%w: truncated header (%d bytes)", ErrMalformedFrame, len(data))
 	}
 	if v := data[4]; v != FrameVersion {
-		return FrameHeader{}, fmt.Errorf("%w: got frame v%d, want v%d", ErrBatchVersion, v, FrameVersion)
+		return FrameHeader{}, fmt.Errorf("%w: got frame v%d, want v%d", ErrMalformedFrame, v, FrameVersion)
 	}
 	if data[6] != frameCR || data[7] != frameLF {
-		return FrameHeader{}, fmt.Errorf("%w: missing header CRLF", ErrBatchEnvelope)
+		return FrameHeader{}, fmt.Errorf("%w: missing header CRLF", ErrMalformedFrame)
 	}
 	h := FrameHeader{
 		Kind:       data[5],
@@ -186,35 +178,35 @@ func ParseFrameHeader(data []byte) (FrameHeader, error) {
 		PayloadLen: int(binary.BigEndian.Uint32(data[24:28])),
 	}
 	if h.PayloadLen > MaxFramePayload {
-		return FrameHeader{}, fmt.Errorf("%w: payload %d exceeds bound", ErrBatchEnvelope, h.PayloadLen)
+		return FrameHeader{}, fmt.Errorf("%w: payload %d exceeds bound", ErrMalformedFrame, h.PayloadLen)
 	}
 	switch h.Kind {
 	case FrameBatch, FrameSingle, FrameTelemetry:
 		if h.Count == 0 {
-			return FrameHeader{}, fmt.Errorf("%w: no entries", ErrBatchEnvelope)
+			return FrameHeader{}, fmt.Errorf("%w: no entries", ErrMalformedFrame)
 		}
 		if h.Count > MaxFrameEntries {
-			return FrameHeader{}, fmt.Errorf("%w: %d entries exceeds bound", ErrBatchEnvelope, h.Count)
+			return FrameHeader{}, fmt.Errorf("%w: %d entries exceeds bound", ErrMalformedFrame, h.Count)
 		}
 		if h.Kind != FrameBatch && h.Count != 1 {
-			return FrameHeader{}, fmt.Errorf("%w: single frame with %d entries", ErrBatchEnvelope, h.Count)
+			return FrameHeader{}, fmt.Errorf("%w: single frame with %d entries", ErrMalformedFrame, h.Count)
 		}
 		if h.SlotSize <= 0 || h.SlotSize%SlotQuantum != 0 {
-			return FrameHeader{}, fmt.Errorf("%w: bad slot size %d", ErrBatchEnvelope, h.SlotSize)
+			return FrameHeader{}, fmt.Errorf("%w: bad slot size %d", ErrMalformedFrame, h.SlotSize)
 		}
 		if h.PayloadLen != h.Count*(slotHeaderSize+h.SlotSize) {
 			return FrameHeader{}, fmt.Errorf("%w: payload length %d does not match %d slots of %d",
-				ErrBatchEnvelope, h.PayloadLen, h.Count, h.SlotSize)
+				ErrMalformedFrame, h.PayloadLen, h.Count, h.SlotSize)
 		}
 	case FrameError:
 		if h.Count != 0 || h.SlotSize != 0 {
-			return FrameHeader{}, fmt.Errorf("%w: error frame with slots", ErrBatchEnvelope)
+			return FrameHeader{}, fmt.Errorf("%w: error frame with slots", ErrMalformedFrame)
 		}
 		if h.PayloadLen < 2 || h.PayloadLen > 2+maxErrorText {
-			return FrameHeader{}, fmt.Errorf("%w: error frame payload %d", ErrBatchEnvelope, h.PayloadLen)
+			return FrameHeader{}, fmt.Errorf("%w: error frame payload %d", ErrMalformedFrame, h.PayloadLen)
 		}
 	default:
-		return FrameHeader{}, fmt.Errorf("%w: unknown frame kind %d", ErrBatchEnvelope, h.Kind)
+		return FrameHeader{}, fmt.Errorf("%w: unknown frame kind %d", ErrMalformedFrame, h.Kind)
 	}
 	return h, nil
 }
@@ -241,21 +233,21 @@ func AppendBatchFrame(dst []byte, kind byte, epoch uint64, entries []BatchEntry)
 	case FrameBatch:
 	case FrameSingle, FrameTelemetry:
 		if len(entries) != 1 {
-			return nil, fmt.Errorf("%w: single frame needs exactly 1 entry, got %d", ErrBatchEnvelope, len(entries))
+			return nil, fmt.Errorf("%w: single frame needs exactly 1 entry, got %d", ErrMalformedFrame, len(entries))
 		}
 	default:
-		return nil, fmt.Errorf("%w: cannot encode frame kind %d", ErrBatchEnvelope, kind)
+		return nil, fmt.Errorf("%w: cannot encode frame kind %d", ErrMalformedFrame, kind)
 	}
 	if len(entries) == 0 {
-		return nil, fmt.Errorf("%w: no entries", ErrBatchEnvelope)
+		return nil, fmt.Errorf("%w: no entries", ErrMalformedFrame)
 	}
 	if len(entries) > MaxFrameEntries {
-		return nil, fmt.Errorf("%w: %d entries exceeds bound", ErrBatchEnvelope, len(entries))
+		return nil, fmt.Errorf("%w: %d entries exceeds bound", ErrMalformedFrame, len(entries))
 	}
 	slotSize := slotSizeFor(entries)
 	payloadLen := len(entries) * (slotHeaderSize + slotSize)
 	if payloadLen > MaxFramePayload {
-		return nil, fmt.Errorf("%w: payload %d exceeds bound", ErrBatchEnvelope, payloadLen)
+		return nil, fmt.Errorf("%w: payload %d exceeds bound", ErrMalformedFrame, payloadLen)
 	}
 
 	off := len(dst)
@@ -275,14 +267,14 @@ func AppendBatchFrame(dst []byte, kind byte, epoch uint64, entries []BatchEntry)
 	p := buf[FrameHeaderSize:]
 	for _, e := range entries {
 		if e.ID < 0 || e.ID > MaxFrameEntries {
-			return nil, fmt.Errorf("%w: id %d out of range", ErrBatchEnvelope, e.ID)
+			return nil, fmt.Errorf("%w: id %d out of range", ErrMalformedFrame, e.ID)
 		}
 		kc, ok := kindCode(e.Kind)
 		if !ok {
-			return nil, fmt.Errorf("%w: unknown entry kind %q", ErrBatchEnvelope, e.Kind)
+			return nil, fmt.Errorf("%w: unknown entry kind %q", ErrMalformedFrame, e.Kind)
 		}
 		if e.Status < 0 || e.Status > 0xFFFF {
-			return nil, fmt.Errorf("%w: status %d out of range", ErrBatchEnvelope, e.Status)
+			return nil, fmt.Errorf("%w: status %d out of range", ErrMalformedFrame, e.Status)
 		}
 		binary.BigEndian.PutUint32(p[0:4], uint32(e.ID))
 		p[4] = kc
@@ -328,18 +320,17 @@ func AppendErrorFrame(dst []byte, epoch uint64, status int, text string) []byte 
 
 // DecodeBatchFrame parses a batch or single frame. Decoded entry bodies
 // alias data — the caller owns data and must not recycle it while the
-// entries live. Entry ids are validated unique and in range, matching the
-// JSON envelope contract.
+// entries live. Entry ids are validated unique and in range.
 func DecodeBatchFrame(data []byte) (uint64, []BatchEntry, error) {
 	h, err := ParseFrameHeader(data)
 	if err != nil {
 		return 0, nil, err
 	}
 	if h.Kind == FrameError {
-		return 0, nil, fmt.Errorf("%w: error frame has no entries", ErrBatchEnvelope)
+		return 0, nil, fmt.Errorf("%w: error frame has no entries", ErrMalformedFrame)
 	}
 	if len(data) != h.FrameSize() {
-		return 0, nil, fmt.Errorf("%w: frame is %d bytes, header says %d", ErrBatchEnvelope, len(data), h.FrameSize())
+		return 0, nil, fmt.Errorf("%w: frame is %d bytes, header says %d", ErrMalformedFrame, len(data), h.FrameSize())
 	}
 	entries := make([]BatchEntry, h.Count)
 	seen := make(map[int]struct{}, h.Count)
@@ -347,15 +338,15 @@ func DecodeBatchFrame(data []byte) (uint64, []BatchEntry, error) {
 	for i := range entries {
 		id := int(binary.BigEndian.Uint32(p[0:4]))
 		if id > MaxFrameEntries {
-			return 0, nil, fmt.Errorf("%w: id %d out of range", ErrBatchEnvelope, id)
+			return 0, nil, fmt.Errorf("%w: id %d out of range", ErrMalformedFrame, id)
 		}
 		if _, dup := seen[id]; dup {
-			return 0, nil, fmt.Errorf("%w: duplicate id %d", ErrBatchEnvelope, id)
+			return 0, nil, fmt.Errorf("%w: duplicate id %d", ErrMalformedFrame, id)
 		}
 		seen[id] = struct{}{}
 		kind, ok := kindFromCode(p[4])
 		if !ok {
-			return 0, nil, fmt.Errorf("%w: unknown entry kind code %d", ErrBatchEnvelope, p[4])
+			return 0, nil, fmt.Errorf("%w: unknown entry kind code %d", ErrMalformedFrame, p[4])
 		}
 		status := int(binary.BigEndian.Uint16(p[5:7]))
 		body, err := unpadSlot(p[slotHeaderSize : slotHeaderSize+h.SlotSize])
@@ -375,10 +366,10 @@ func DecodeErrorFrame(data []byte) (epoch uint64, status int, text string, err e
 		return 0, 0, "", perr
 	}
 	if h.Kind != FrameError {
-		return 0, 0, "", fmt.Errorf("%w: frame kind %d is not an error frame", ErrBatchEnvelope, h.Kind)
+		return 0, 0, "", fmt.Errorf("%w: frame kind %d is not an error frame", ErrMalformedFrame, h.Kind)
 	}
 	if len(data) != h.FrameSize() {
-		return 0, 0, "", fmt.Errorf("%w: frame is %d bytes, header says %d", ErrBatchEnvelope, len(data), h.FrameSize())
+		return 0, 0, "", fmt.Errorf("%w: frame is %d bytes, header says %d", ErrMalformedFrame, len(data), h.FrameSize())
 	}
 	p := data[FrameHeaderSize:]
 	return h.Epoch, int(binary.BigEndian.Uint16(p[0:2])), string(p[2:]), nil
@@ -392,11 +383,10 @@ func unpadSlot(p []byte) ([]byte, error) {
 		i--
 	}
 	if i < 0 || p[i] != 0x80 {
-		return nil, fmt.Errorf("%w: malformed slot padding", ErrBatchEnvelope)
+		return nil, fmt.Errorf("%w: malformed slot padding", ErrMalformedFrame)
 	}
 	if i == 0 {
-		// Keep zero-length bodies nil, matching the JSON envelope where
-		// an empty body field round-trips as nil.
+		// Keep zero-length bodies nil: an empty body round-trips as nil.
 		return nil, nil
 	}
 	return p[:i], nil

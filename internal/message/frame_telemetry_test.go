@@ -50,7 +50,7 @@ func TestTelemetryFrameRequiresSingleSlot(t *testing.T) {
 		{ID: 0, Kind: BatchKindPost, Body: []byte("a")},
 		{ID: 1, Kind: BatchKindPost, Body: []byte("b")},
 	}
-	if _, err := AppendBatchFrame(nil, FrameTelemetry, 1, two); !errors.Is(err, ErrBatchEnvelope) {
+	if _, err := AppendBatchFrame(nil, FrameTelemetry, 1, two); !errors.Is(err, ErrMalformedFrame) {
 		t.Fatalf("two-slot telemetry frame encoded: err = %v", err)
 	}
 
@@ -61,7 +61,7 @@ func TestTelemetryFrameRequiresSingleSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[5] = FrameTelemetry
-	if _, err := ParseFrameHeader(data); !errors.Is(err, ErrBatchEnvelope) {
+	if _, err := ParseFrameHeader(data); !errors.Is(err, ErrMalformedFrame) {
 		t.Fatalf("forged multi-slot telemetry header accepted: err = %v", err)
 	}
 }

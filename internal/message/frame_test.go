@@ -115,7 +115,7 @@ func TestErrorFrameRoundTrip(t *testing.T) {
 		t.Fatalf("got (%d, %d, %q)", epoch, status, text)
 	}
 	// Error frames are not entry frames.
-	if _, _, err := DecodeBatchFrame(data); !errors.Is(err, ErrBatchEnvelope) {
+	if _, _, err := DecodeBatchFrame(data); !errors.Is(err, ErrMalformedFrame) {
 		t.Fatalf("DecodeBatchFrame(error frame): err = %v", err)
 	}
 }
@@ -140,8 +140,8 @@ func TestFrameHeaderCarriesCRLF(t *testing.T) {
 		}
 		bad := append([]byte(nil), frame...)
 		bad[6], bad[7] = 0, 0
-		if _, err := ParseFrameHeader(bad); !errors.Is(err, ErrBatchEnvelope) {
-			t.Errorf("%s frame without CRLF: err = %v, want ErrBatchEnvelope", name, err)
+		if _, err := ParseFrameHeader(bad); !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("%s frame without CRLF: err = %v, want ErrMalformedFrame", name, err)
 		}
 	}
 }
@@ -168,35 +168,35 @@ func TestFrameDecodeRejectsBadInput(t *testing.T) {
 	}{
 		{"empty", []byte{}, ErrNotFrame},
 		{"bad magic", mutate(func(b []byte) { b[0] = 'X' }), ErrNotFrame},
-		{"bad version", mutate(func(b []byte) { b[4] = 99 }), ErrBatchVersion},
-		{"unknown frame kind", mutate(func(b []byte) { b[5] = 77 }), ErrBatchEnvelope},
-		{"truncated header", good[:FrameHeaderSize-1], ErrBatchEnvelope},
-		{"truncated payload", good[:len(good)-3], ErrBatchEnvelope},
-		{"trailing garbage", append(append([]byte(nil), good...), 0xFF), ErrBatchEnvelope},
-		{"zero count", mutate(func(b []byte) { binary.BigEndian.PutUint32(b[16:20], 0) }), ErrBatchEnvelope},
-		{"oversized count", mutate(func(b []byte) { binary.BigEndian.PutUint32(b[16:20], 1<<24) }), ErrBatchEnvelope},
-		{"oversized payload len", mutate(func(b []byte) { binary.BigEndian.PutUint32(b[24:28], MaxFramePayload+1) }), ErrBatchEnvelope},
-		{"slot size mismatch", mutate(func(b []byte) { binary.BigEndian.PutUint32(b[20:24], SlotQuantum*100) }), ErrBatchEnvelope},
-		{"unquantized slot size", mutate(func(b []byte) { binary.BigEndian.PutUint32(b[20:24], 65) }), ErrBatchEnvelope},
+		{"bad version", mutate(func(b []byte) { b[4] = 99 }), ErrMalformedFrame},
+		{"unknown frame kind", mutate(func(b []byte) { b[5] = 77 }), ErrMalformedFrame},
+		{"truncated header", good[:FrameHeaderSize-1], ErrMalformedFrame},
+		{"truncated payload", good[:len(good)-3], ErrMalformedFrame},
+		{"trailing garbage", append(append([]byte(nil), good...), 0xFF), ErrMalformedFrame},
+		{"zero count", mutate(func(b []byte) { binary.BigEndian.PutUint32(b[16:20], 0) }), ErrMalformedFrame},
+		{"oversized count", mutate(func(b []byte) { binary.BigEndian.PutUint32(b[16:20], 1<<24) }), ErrMalformedFrame},
+		{"oversized payload len", mutate(func(b []byte) { binary.BigEndian.PutUint32(b[24:28], MaxFramePayload+1) }), ErrMalformedFrame},
+		{"slot size mismatch", mutate(func(b []byte) { binary.BigEndian.PutUint32(b[20:24], SlotQuantum*100) }), ErrMalformedFrame},
+		{"unquantized slot size", mutate(func(b []byte) { binary.BigEndian.PutUint32(b[20:24], 65) }), ErrMalformedFrame},
 		{"duplicate ids", mutate(func(b []byte) {
 			h, _ := ParseFrameHeader(b)
 			second := FrameHeaderSize + slotHeaderSize + h.SlotSize
 			binary.BigEndian.PutUint32(b[second:second+4], 0)
-		}), ErrBatchEnvelope},
-		{"bad entry kind code", mutate(func(b []byte) { b[FrameHeaderSize+4] = 9 }), ErrBatchEnvelope},
+		}), ErrMalformedFrame},
+		{"bad entry kind code", mutate(func(b []byte) { b[FrameHeaderSize+4] = 9 }), ErrMalformedFrame},
 		{"broken padding", mutate(func(b []byte) {
 			h, _ := ParseFrameHeader(b)
 			// Zero the whole first slot body: no 0x80 terminator anywhere.
 			clear(b[FrameHeaderSize+slotHeaderSize : FrameHeaderSize+slotHeaderSize+h.SlotSize])
-		}), ErrBatchEnvelope},
+		}), ErrMalformedFrame},
 	}
 	for _, tc := range cases {
 		if _, _, err := UnmarshalBatchEpoch(tc.data); err == nil {
 			t.Errorf("%s: decode accepted bad input", tc.name)
 		} else if tc.want != nil && !errors.Is(err, tc.want) {
 			// Bad magic falls through to the JSON path, which reports
-			// ErrBatchEnvelope; accept either classification there.
-			if !(errors.Is(tc.want, ErrNotFrame) && errors.Is(err, ErrBatchEnvelope)) {
+			// ErrMalformedFrame; accept either classification there.
+			if !(errors.Is(tc.want, ErrNotFrame) && errors.Is(err, ErrMalformedFrame)) {
 				t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 			}
 		}
@@ -223,28 +223,15 @@ func TestFrameEncodeRejectsUnrepresentable(t *testing.T) {
 	}
 }
 
-// Rolling upgrade: a binary-era receiver must still accept the JSON v1
-// envelope byte-for-byte.
-func TestUnmarshalBatchAcceptsLegacyJSON(t *testing.T) {
-	in := []BatchEntry{
-		{ID: 0, Kind: BatchKindGet, Body: []byte("legacy")},
-		{ID: 1, Kind: BatchKindPost, Body: []byte("bytes")},
-	}
-	data, err := MarshalBatchJSON(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if IsFrame(data) {
+// The JSON v1 envelope of PR 7's rolling upgrade is retired: a receiver
+// refuses it as not a frame instead of parsing it.
+func TestUnmarshalBatchRejectsLegacyJSON(t *testing.T) {
+	legacy := []byte(`{"v":1,"entries":[{"id":0,"kind":"get","body":"bGVnYWN5"}]}`)
+	if IsFrame(legacy) {
 		t.Fatal("JSON envelope sniffed as a frame")
 	}
-	out, err := UnmarshalBatch(data)
-	if err != nil {
-		t.Fatalf("UnmarshalBatch(JSON): %v", err)
-	}
-	for i := range in {
-		if out[i].ID != in[i].ID || out[i].Kind != in[i].Kind || !bytes.Equal(out[i].Body, in[i].Body) {
-			t.Errorf("entry %d = %+v, want %+v", i, out[i], in[i])
-		}
+	if _, err := UnmarshalBatch(legacy); !errors.Is(err, ErrNotFrame) {
+		t.Fatalf("UnmarshalBatch(JSON) err = %v, want ErrNotFrame", err)
 	}
 }
 

@@ -30,10 +30,10 @@ const (
 	QueriesPath = "/queries"
 	// HealthPath reports liveness.
 	HealthPath = "/healthz"
-	// BatchPath accepts one batch envelope per shuffle epoch on the
-	// UA→IA link (epoch-batched pipeline, DESIGN.md §4f). The LRS never
-	// serves it: the IA demultiplexes and speaks the legacy per-message
-	// API downstream.
+	// BatchPath accepts one batch frame per shuffle epoch on the UA→IA
+	// link (the request pipeline, DESIGN.md §4f), the only route an IA
+	// serves. The LRS never serves it: the IA demultiplexes and speaks
+	// the legacy per-message API downstream.
 	BatchPath = "/batch"
 	// TelemetryPath accepts one epoch-granular node snapshot
 	// (internal/telemetry) at the fleet collector. Frame speakers carry
@@ -41,10 +41,6 @@ const (
 	// POST it here directly.
 	TelemetryPath = "/telemetry"
 )
-
-// BatchVersion is the batch-envelope wire version. A receiver rejects
-// envelopes from a future version instead of guessing at their layout.
-const BatchVersion = 1
 
 // Batch entry kinds, the request-direction dispatch tag standing in for
 // the per-message URL path.
@@ -64,13 +60,10 @@ var (
 	// ErrMalformedList reports an item-list block of the wrong size.
 	ErrMalformedList = errors.New("message: malformed fixed-size item list")
 
-	// ErrBatchVersion reports a batch envelope with an unsupported wire
-	// version.
-	ErrBatchVersion = errors.New("message: unsupported batch envelope version")
-
-	// ErrBatchEnvelope reports a structurally invalid batch envelope
-	// (duplicate or negative ids, no entries).
-	ErrBatchEnvelope = errors.New("message: malformed batch envelope")
+	// ErrMalformedFrame reports a malformed batch frame: an unsupported
+	// frame version or a structural fault (duplicate ids, no entries,
+	// bad sizes). Bytes that are no frame at all report ErrNotFrame.
+	ErrMalformedFrame = errors.New("message: malformed batch frame")
 )
 
 // PostRequest is the encrypted form of post(u, i[, p]) as it travels from
@@ -162,30 +155,20 @@ type OK struct {
 	Status string `json:"status"`
 }
 
-// BatchEntry is one opaque message inside a batch envelope. IDs are
+// BatchEntry is one opaque message inside a batch frame. IDs are
 // positions in the epoch's permuted release order (0..n-1) — sequential
 // integers minted after the shuffle, so they carry no information about
 // arrival order or the client behind a slot. The request direction sets
 // Kind; the response direction echoes the request's ID and sets Status.
-// Body is opaque to every hop that only forwards it (encoding/json
-// transports []byte as base64, matching the §5 ciphertext convention).
+// Body is opaque to every hop that only forwards it.
 type BatchEntry struct {
-	ID     int    `json:"id"`
-	Kind   string `json:"kind,omitempty"`
-	Status int    `json:"status,omitempty"`
-	Body   []byte `json:"body,omitempty"`
+	ID     int
+	Kind   string
+	Status int
+	Body   []byte
 }
 
-// BatchEnvelope is the versioned frame carrying one shuffle epoch as a
-// single message on the UA→IA link (one POST per epoch instead of S).
-type BatchEnvelope struct {
-	V       int          `json:"v"`
-	Entries []BatchEntry `json:"entries"`
-}
-
-// MarshalBatch frames entries as a binary batch frame (frame.go). The
-// JSON envelope remains accepted on the receive side, so the two wire
-// formats interoperate across a rolling upgrade.
+// MarshalBatch frames entries as a binary batch frame (frame.go).
 func MarshalBatch(entries []BatchEntry) ([]byte, error) {
 	return MarshalBatchEpoch(nil, 0, entries)
 }
@@ -198,51 +181,18 @@ func MarshalBatchEpoch(dst []byte, epoch uint64, entries []BatchEntry) ([]byte, 
 	return AppendBatchFrame(dst, FrameBatch, epoch, entries)
 }
 
-// MarshalBatchJSON frames entries into the legacy version-tagged JSON
-// envelope (wire format v1), kept for rolling-upgrade tests and JSON-era
-// peers.
-func MarshalBatchJSON(entries []BatchEntry) ([]byte, error) {
-	return Marshal(BatchEnvelope{V: BatchVersion, Entries: entries})
-}
-
-// UnmarshalBatch parses and validates a batch envelope in either wire
-// format: bytes starting with the frame magic decode as a binary frame,
-// anything else as the legacy JSON envelope. Entry ids are unique and
-// non-negative in both, so a receiver can key per-message results by id
-// without aliasing.
+// UnmarshalBatch parses and validates a batch frame. Entry ids are
+// unique, so a receiver can key per-message results by id without
+// aliasing.
 func UnmarshalBatch(data []byte) ([]BatchEntry, error) {
 	_, entries, err := UnmarshalBatchEpoch(data)
 	return entries, err
 }
 
 // UnmarshalBatchEpoch is UnmarshalBatch plus the frame's epoch id, so a
-// receiver can echo it on the response frame (JSON envelopes carry no
-// epoch and report 0).
+// receiver can echo it on the response frame.
 func UnmarshalBatchEpoch(data []byte) (uint64, []BatchEntry, error) {
-	if IsFrame(data) {
-		return DecodeBatchFrame(data)
-	}
-	var env BatchEnvelope
-	if err := Unmarshal(data, &env); err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrBatchEnvelope, err)
-	}
-	if env.V != BatchVersion {
-		return 0, nil, fmt.Errorf("%w: got v%d, want v%d", ErrBatchVersion, env.V, BatchVersion)
-	}
-	if len(env.Entries) == 0 {
-		return 0, nil, fmt.Errorf("%w: no entries", ErrBatchEnvelope)
-	}
-	seen := make(map[int]struct{}, len(env.Entries))
-	for _, e := range env.Entries {
-		if e.ID < 0 {
-			return 0, nil, fmt.Errorf("%w: negative id %d", ErrBatchEnvelope, e.ID)
-		}
-		if _, dup := seen[e.ID]; dup {
-			return 0, nil, fmt.Errorf("%w: duplicate id %d", ErrBatchEnvelope, e.ID)
-		}
-		seen[e.ID] = struct{}{}
-	}
-	return 0, env.Entries, nil
+	return DecodeBatchFrame(data)
 }
 
 // BatchKindPath maps an entry kind to the per-message path it stands for,

@@ -35,7 +35,7 @@ func TestArrivalEPCFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseline, _ := e.EPCUsage()
-	l, err := New(Config{Role: RoleUA, Next: "http://ia", Enclave: e, ShuffleSize: 4, Batch: true})
+	l, err := New(Config{Role: RoleUA, Next: "http://ia", Enclave: e, ShuffleSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,34 +12,36 @@ import (
 	"pprox/internal/enclave"
 	"pprox/internal/message"
 	"pprox/internal/resilience"
+	"pprox/internal/trace"
 )
 
-// This file is the epoch-batched hop pipeline (DESIGN.md §4f). The
-// per-message path wakes S goroutines per shuffle flush, each paying one
-// enclave crossing and one UA→IA round trip; here a request is decrypted
-// and pseudonymized when it arrives, inside the one enclave crossing its
-// message kind holds open for the epoch that is filling, its processed
-// body joins the shuffle epoch, and a flush hands the whole permuted epoch
-// to ONE job that sends it as ONE batch envelope. The IA demultiplexes the
-// envelope, batch-processes it, speaks the legacy per-message API to the
-// LRS under a bounded fan-out, and returns every result in one envelope
-// whose entry order is re-permuted by its own shuffler.
+// This file is the request pipeline (DESIGN.md §4f), the only one. A
+// request is decrypted and pseudonymized when it arrives at the UA, inside
+// the one enclave crossing its message kind holds open for the epoch that
+// is filling; its processed body joins the shuffle epoch, and a flush hands
+// the whole permuted epoch to ONE goroutine that sends it as ONE batch
+// frame to the IA's /batch route. The IA demultiplexes the frame,
+// batch-processes it, speaks the legacy per-message API to the LRS under a
+// bounded fan-out, and returns every result in one frame whose entry order
+// is re-permuted by its own shuffler. With shuffling off (S ≤ 1) every
+// epoch holds one request, so each leaves as a one-entry frame in arrival
+// order; pass-through (m1) runs the same path with both enclave steps as
+// identity.
 //
-// Privacy: a request's envelope slot is its position in the shuffler's
-// permuted release order, so a wire observer of the UA→IA link learns
-// exactly what the per-message path already showed — S messages leaving
-// in permuted order — minus the per-message timing. Entry ids are those
-// positions (sequential integers minted after the shuffle); response
-// entries echo them, which reveals no more than per-message HTTP did,
-// where each response rode its own request's exchange.
+// Privacy: a request's frame slot is its position in the shuffler's
+// permuted release order, so a wire observer of the UA→IA link learns S
+// messages leaving in permuted order and nothing about the order inside
+// the epoch. Entry ids are those positions (sequential integers minted
+// after the shuffle); response entries echo them.
 
-// batchItem is one request riding a shuffle epoch in batch mode: body is
-// what the UA enclave made of it on arrival, ready for the IA.
+// batchItem is one request riding a shuffle epoch: body is what the UA
+// enclave made of it on arrival, ready for the IA.
 type batchItem struct {
 	isGet bool
 	body  []byte
 	ctx   context.Context
 	enq   time.Time
+	wait  trace.Span       // the shuffle_wait span, ended at release
 	done  chan batchResult // buffered 1: delivery never blocks the pipeline
 }
 
@@ -59,22 +61,12 @@ func (it *batchItem) deliver(res batchResult) {
 	}
 }
 
-// failBatchItems resolves a whole epoch with one error (pool closed
-// before the epoch could run).
-func failBatchItems(vals []any, err error) {
-	for _, v := range vals {
-		if it, ok := v.(*batchItem); ok {
-			it.deliver(batchResult{err: err})
-		}
-	}
-}
-
-// handleUABatch is the UA request path in batch mode, in the paper's
-// order: process the request in the enclave now, then park the result in
-// the shuffle epoch without blocking a goroutine inside the pipeline, and
-// wait for the epoch's batch job to resolve it. A request the enclave
-// rejects is answered at once and never takes a shuffle slot.
-func (l *Layer) handleUABatch(ctx context.Context, body []byte, isGet bool) (int, []byte, error) {
+// admit is the UA request path, in the paper's order: process the request
+// in the enclave now, then park the result in the shuffle epoch without
+// blocking a goroutine inside the pipeline, and wait for the epoch's job
+// to resolve it. A request the enclave rejects is answered at once and
+// never takes a shuffle slot.
+func (l *Layer) admit(ctx context.Context, body []byte, isGet bool) (int, []byte, error) {
 	out, err := l.processArrival(body, isGet)
 	if err != nil {
 		return 0, nil, err
@@ -84,6 +76,7 @@ func (l *Layer) handleUABatch(ctx context.Context, body []byte, isGet bool) (int
 		body:  out,
 		ctx:   ctx,
 		enq:   time.Now(),
+		wait:  l.tracer.Load().Start(StageShuffleWait),
 		done:  make(chan batchResult, 1),
 	}
 	if err := l.shuffler.Enqueue(it); err != nil {
@@ -96,9 +89,9 @@ func (l *Layer) handleUABatch(ctx context.Context, body []byte, isGet bool) (int
 		}
 		return res.status, res.body, nil
 	case <-ctx.Done():
-		// The caller departs; the epoch still forwards the message
-		// (deliver lands in the buffered channel), exactly like a Wait
-		// slot whose owner timed out.
+		// The caller departs; its slot stays in the epoch, which still
+		// forwards the message (deliver lands in the buffered channel) —
+		// a real proxy drains a timed-out client's socket too.
 		return 0, nil, ctx.Err()
 	}
 }
@@ -150,10 +143,13 @@ func (l *Layer) closeCrossings() {
 }
 
 // processArrival runs one arriving request through its kind's open
-// crossing, under the data-processing worker pool like every per-message
-// ECALL. A crossing that cannot take the message — most notably a buffer
-// the EPC cannot hold — falls back to a per-message ECALL.
+// crossing, under the data-processing worker pool. A crossing that cannot
+// take the message — most notably a buffer the EPC cannot hold — falls
+// back to a per-message ECALL. In pass-through it is the identity.
 func (l *Layer) processArrival(body []byte, isGet bool) ([]byte, error) {
+	if l.cfg.PassThrough {
+		return body, nil
+	}
 	k, ecall := 0, ecallUAPost
 	if isGet {
 		k, ecall = 1, ecallUAGet
@@ -199,10 +195,10 @@ func (l *Layer) callBatch(name string, ins [][]byte) ([][]byte, []error) {
 	return outs, errs
 }
 
-// runBatch forwards one released epoch on the job pool. vals arrive in
-// the shuffler's permuted order; that order is the envelope order and
-// slot index is entry id. Every body was processed by the enclave when
-// its request arrived, so the job starts at envelope assembly.
+// runBatch forwards one released epoch. vals arrive in the shuffler's
+// permuted order; that order is the frame order and slot index is entry
+// id. Every body was processed by the enclave when its request arrived, so
+// the job starts at frame assembly.
 func (l *Layer) runBatch(vals []any) {
 	owners := make([]*batchItem, 0, len(vals))
 	for _, v := range vals {
@@ -217,6 +213,7 @@ func (l *Layer) runBatch(vals []any) {
 	entries := make([]message.BatchEntry, len(owners))
 	for i, it := range owners {
 		l.observeStageDur(StageShuffleWait, now.Sub(it.enq))
+		it.wait.End()
 		kind := message.BatchKindPost
 		if it.isGet {
 			kind = message.BatchKindGet
@@ -235,33 +232,20 @@ func (l *Layer) runBatch(vals []any) {
 		owners[idx].deliver(res)
 	}
 
-	// send forwards one (sub-)envelope and delivers its results; an
-	// error means envelope-level failure with nothing delivered, which
-	// is what the ladder retries, splits, and finally degrades.
-	send := func(ids []int) error {
-		if !l.breaker.Allow() {
-			l.failFast.Add(1)
-			return resilience.ErrBreakerOpen
-		}
+	// frame encodes the (sub-)epoch ids as one batch frame. Each call
+	// mints a fresh epoch id: the frame transport matches the pooled
+	// response to this exact exchange by it, and a retry is a new
+	// exchange.
+	frame := func(ids []int) ([]byte, error) {
 		sub := make([]message.BatchEntry, len(ids))
 		for j, id := range ids {
 			sub[j] = entries[id]
 		}
-		// Each (sub-)envelope send mints a fresh epoch id: the frame
-		// transport matches the pooled response to this exact exchange by
-		// it, and a retry is a new exchange.
-		payload, err := message.MarshalBatchEpoch(nil, l.hopEpoch.Add(1), sub)
-		if err != nil {
-			return err
-		}
-		actx, cancel := l.policy.AttemptContext(context.Background())
-		status, respBody, err := l.forward(actx, message.BatchPath, payload)
-		cancel()
-		if err != nil {
-			l.breaker.Report(false)
-			return err
-		}
-		l.breaker.Report(true)
+		return message.MarshalBatchEpoch(nil, l.hopEpoch.Add(1), sub)
+	}
+	// answer delivers a frame exchange's results to the ids it carried;
+	// an error means frame-level failure with nothing delivered.
+	answer := func(ids []int, status int, respBody []byte) error {
 		if status != http.StatusOK {
 			return fmt.Errorf("proxy: batch hop status %d", status)
 		}
@@ -288,11 +272,34 @@ func (l *Layer) runBatch(vals []any) {
 		return nil
 	}
 
-	// prep re-randomizes the sub-batch's hop envelopes as a unit before a
-	// retry leaves: one link/rewrap crossing for the whole sub-batch, the
-	// batch analogue of uaRetryPrep. (No shuffler re-entry: the epoch
-	// already granted these messages their anonymity set, and the batch
-	// itself leaves as one message.)
+	// send forwards one (sub-)frame and delivers its results; an error
+	// means frame-level failure with nothing delivered, which is what the
+	// ladder retries, splits, and finally degrades.
+	send := func(ids []int) error {
+		if !l.breaker.Allow() {
+			l.failFast.Add(1)
+			return resilience.ErrBreakerOpen
+		}
+		payload, err := frame(ids)
+		if err != nil {
+			return err
+		}
+		actx, cancel := l.policy.AttemptContext(context.Background())
+		status, respBody, err := l.forward(actx, message.BatchPath, payload)
+		cancel()
+		if err != nil {
+			l.breaker.Report(false)
+			return err
+		}
+		l.breaker.Report(true)
+		return answer(ids, status, respBody)
+	}
+
+	// prep re-randomizes the sub-epoch's hop envelopes as a unit before a
+	// retry leaves: one link/rewrap crossing for the whole sub-epoch, on a
+	// data-processing worker like every enclave step. (No shuffler
+	// re-entry: the epoch already granted these messages their anonymity
+	// set, and the frame itself leaves as one message.)
 	prep := func(ids []int) error {
 		if len(ids) == 0 || !isLinkWrapped(entries[ids[0]].Body) {
 			return nil
@@ -302,7 +309,9 @@ func (l *Layer) runBatch(vals []any) {
 			ins[j] = entries[id].Body
 		}
 		start := time.Now()
+		l.workers <- struct{}{}
 		routs, rerrs := l.callBatch(ecallLinkRewrap, ins)
+		<-l.workers
 		l.observeStageDur(StageEcallRewrap, time.Since(start))
 		for j, id := range ids {
 			if rerrs[j] != nil {
@@ -313,21 +322,29 @@ func (l *Layer) runBatch(vals []any) {
 		return nil
 	}
 
-	// single degrades one message to the per-message forwarding path
-	// under the item's own context, so one poison message cannot wedge
-	// its epoch.
+	// single degrades one message to a one-entry frame of its own, sent
+	// under the item's own context with the same rewrap prep on retries,
+	// so one poison message cannot wedge its epoch.
 	single := func(id int) {
-		it := owners[id]
-		path := message.EventsPath
-		if it.isGet {
-			path = message.QueriesPath
+		ids := []int{id}
+		payload, err := frame(ids)
+		if err == nil {
+			var status int
+			var respBody []byte
+			status, respBody, err = l.forwardResilient(owners[id].ctx, message.BatchPath, payload,
+				func(context.Context, []byte) ([]byte, error) {
+					if err := prep(ids); err != nil {
+						return nil, err
+					}
+					return frame(ids)
+				})
+			if err == nil {
+				err = answer(ids, status, respBody)
+			}
 		}
-		status, respBody, err := l.forwardResilient(it.ctx, path, entries[id].Body, l.uaBatchRetryPrep)
 		if err != nil {
 			deliver(id, batchResult{err: err})
-			return
 		}
-		deliver(id, batchResult{status: status, body: respBody})
 	}
 
 	outcome, err := resilience.RunBatch(context.Background(), l.policy, len(entries), send, prep, single)
@@ -344,24 +361,12 @@ func (l *Layer) runBatch(vals []any) {
 	}
 }
 
-// uaBatchRetryPrep is uaRetryPrep for degraded per-message sends out of a
-// batch epoch: re-randomize the hop envelope, but do NOT re-enter the
-// shuffler — the message already spent its epoch wait, and blocking the
-// job pool on a future epoch could deadlock shutdown.
-func (l *Layer) uaBatchRetryPrep(ctx context.Context, body []byte) ([]byte, error) {
-	if isLinkWrapped(body) {
-		return l.process(StageEcallRewrap, ecallLinkRewrap, body)
-	}
-	return body, nil
-}
-
 // --- IA side: the /batch route ------------------------------------------
 
-// handleBatch demultiplexes one batch envelope: batch ECALLs for the
-// enclave stages, per-message LRS traffic under the bounded fan-out, and
-// one response envelope whose entry order follows this layer's own
-// shuffle permutation — so batch epochs feed the auditor, tracer, and
-// cache exactly like waiter epochs do.
+// handleBatch demultiplexes one batch frame: batch ECALLs for the enclave
+// stages, per-message LRS traffic under the bounded fan-out, and one
+// response frame whose entry order follows this layer's own shuffle
+// permutation — so inbound epochs feed the auditor, tracer, and cache.
 func (l *Layer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(r.Body, maxBatchBody)
 	if err != nil {
@@ -389,15 +394,9 @@ func (l *Layer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, p := range perm {
 		out[i] = results[p]
 	}
-	// Answer in the wire format of the request, echoing its epoch id: a
-	// frame-era UA validates the echo against its exchange, a JSON-era UA
-	// (rolling upgrade) gets the envelope it can parse.
-	var payload []byte
-	if message.IsFrame(body) {
-		payload, err = message.MarshalBatchEpoch(nil, epoch, out)
-	} else {
-		payload, err = message.MarshalBatchJSON(out)
-	}
+	// Echo the request's epoch id: the UA validates it against its
+	// exchange.
+	payload, err := message.MarshalBatchEpoch(nil, epoch, out)
 	if err != nil {
 		l.fail(w, http.StatusInternalServerError, "marshal batch")
 		return
@@ -409,22 +408,18 @@ func (l *Layer) handleBatch(w http.ResponseWriter, r *http.Request) {
 			l.failed.Add(1)
 		}
 	}
-	if message.IsFrame(payload) {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-	}
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(payload)
 }
 
 // errEntry prices a failed entry with the same status mapping and
-// constant text the per-message path uses.
+// constant text a UA answers its client with.
 func errEntry(id int, err error) message.BatchEntry {
 	return message.BatchEntry{ID: id, Status: statusFor(err), Body: []byte(failText(err))}
 }
 
-// processBatch resolves every entry of an inbound envelope, in request
-// order (the caller permutes afterwards).
+// processBatch resolves every entry of an inbound frame, in request order
+// (the caller permutes afterwards).
 func (l *Layer) processBatch(ctx context.Context, entries []message.BatchEntry) []message.BatchEntry {
 	l.batches.Add(1)
 	l.batchMsgs.Add(uint64(len(entries)))
@@ -440,15 +435,36 @@ func (l *Layer) processBatch(ctx context.Context, entries []message.BatchEntry) 
 			results[i] = message.BatchEntry{ID: e.ID, Status: http.StatusBadRequest, Body: []byte("unknown kind")}
 		}
 	}
+	if l.cfg.PassThrough {
+		// m1: both enclave steps are the identity, so each entry goes to
+		// the LRS as it came and its answer goes back as it came.
+		live := append(posts, gets...)
+		l.fanOut(len(live), func(k int) {
+			e := entries[live[k]]
+			path, _ := message.BatchKindPath(e.Kind)
+			results[live[k]] = l.relayLRS(ctx, e.ID, path, e.Body)
+		})
+		return results
+	}
 	l.processBatchPosts(ctx, entries, posts, results)
 	l.processBatchGets(ctx, entries, gets, results)
 	return results
 }
 
+// relayLRS sends one entry's LRS request and prices the answer as the
+// entry's result.
+func (l *Layer) relayLRS(ctx context.Context, id int, path string, body []byte) message.BatchEntry {
+	status, respBody, err := l.forwardLRS(ctx, path, body)
+	if err != nil {
+		return errEntry(id, err)
+	}
+	return message.BatchEntry{ID: id, Status: status, Body: respBody}
+}
+
 // fanOut runs fn(k) for k in [0, n) on at most the LRS semaphore's
 // capacity of workers — the bounded replacement for one goroutine per
 // message. fn still acquires the semaphore per request, sharing the
-// budget with every other epoch and the per-message path.
+// budget with every other epoch.
 func (l *Layer) fanOut(n int, fn func(k int)) {
 	workers := l.lrsSem.Cap()
 	if workers <= 0 || workers > n {
@@ -502,13 +518,7 @@ func (l *Layer) processBatchPosts(ctx context.Context, entries []message.BatchEn
 	}
 	l.fanOut(len(live), func(k int) {
 		j := live[k]
-		idx := idxs[j]
-		status, respBody, err := l.forwardLRS(ctx, message.EventsPath, outs[j])
-		if err != nil {
-			results[idx] = errEntry(entries[idx].ID, err)
-			return
-		}
-		results[idx] = message.BatchEntry{ID: entries[idx].ID, Status: status, Body: respBody}
+		results[idxs[j]] = l.relayLRS(ctx, entries[idxs[j]].ID, message.EventsPath, outs[j])
 	})
 }
 
@@ -634,33 +644,25 @@ func (l *Layer) processBatchGets(ctx context.Context, entries []message.BatchEnt
 }
 
 // batchGetFetch runs one get's LRS round trip, coalescing concurrent
-// misses for the same pseudonym through the cache's single-flight door
-// (with the same follower-retry-on-leader-failure rule as the
-// per-message path).
+// misses for the same pseudonym through the cache's single-flight door.
 func (l *Layer) batchGetFetch(ctx context.Context, st *batchGetState) (status int, body []byte, shared bool, err error) {
 	if st.key == "" {
 		status, body, err = l.forwardLRS(ctx, message.QueriesPath, st.body)
 		return status, body, false, err
 	}
-	v, shared, err := l.cfg.RecCache.Do(ctx, st.key, func() (any, error) {
+	fetch := func() (any, error) {
 		status, lrsBody, err := l.forwardLRS(ctx, message.QueriesPath, st.body)
-		if err != nil {
-			return nil, err
-		}
-		return fetchResult{status, lrsBody}, nil
-	})
+		return message.BatchEntry{Status: status, Body: lrsBody}, err
+	}
+	v, shared, err := l.cfg.RecCache.Do(ctx, st.key, fetch)
 	if err != nil && shared && ctx.Err() == nil {
 		// The leader failed under its own deadline and breaker draw;
 		// this follower is still alive, so give it one fetch of its own.
-		var s int
-		var b []byte
-		if s, b, err = l.forwardLRS(ctx, message.QueriesPath, st.body); err == nil {
-			v = fetchResult{s, b}
-		}
+		v, err = fetch()
 	}
 	if err != nil {
 		return 0, nil, shared, err
 	}
-	fr := v.(fetchResult)
-	return fr.status, fr.body, shared, nil
+	res := v.(message.BatchEntry)
+	return res.Status, res.Body, shared, nil
 }

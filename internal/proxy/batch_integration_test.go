@@ -28,16 +28,14 @@ var batchPolicy = &resilience.Policy{
 }
 
 // TestBatchEndToEnd drives one full epoch of concurrent gets through the
-// batched pipeline and checks the headline property: results identical to
-// per-message mode while the UA enclave is crossed ~once per epoch
-// instead of once per message.
+// pipeline and checks the headline property: every result correct while
+// the UA enclave is crossed ~once per epoch instead of once per message.
 func TestBatchEndToEnd(t *testing.T) {
 	const s = 8
 	st := newStack(t, stackOptions{
 		useStub:        true,
 		shuffleSize:    s,
 		shuffleTimeout: 200 * time.Millisecond,
-		batch:          true,
 		pairLink:       true,
 	})
 	ctx := ctxT(t)
@@ -100,7 +98,6 @@ func TestBatchGarbageNeverTakesAShuffleSlot(t *testing.T) {
 		useStub:        true,
 		shuffleSize:    s,
 		shuffleTimeout: time.Minute, // only occupancy may release an epoch here
-		batch:          true,
 		pairLink:       true,
 		iaMiddleware: func(next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -213,7 +210,6 @@ func TestBatchMixedPostsAndGets(t *testing.T) {
 		useStub:        true,
 		shuffleSize:    s,
 		shuffleTimeout: 200 * time.Millisecond,
-		batch:          true,
 		pairLink:       true,
 	})
 	ctx := ctxT(t)
@@ -238,10 +234,10 @@ func TestBatchMixedPostsAndGets(t *testing.T) {
 	}
 }
 
-// TestBatchDegradationLadder kills the IA's /batch route for long enough
-// that the whole-envelope attempts and both split halves fail: every
-// message must still succeed via per-message degradation, and the ladder
-// counters must show the descent.
+// TestBatchDegradationLadder makes the IA refuse every frame carrying
+// more than one entry, so the whole-frame attempts and both split halves
+// fail: every message must still succeed via degradation to a one-entry
+// frame of its own, and the ladder counters must show the descent.
 func TestBatchDegradationLadder(t *testing.T) {
 	const s = 4
 	var batchFails atomic.Int64
@@ -249,12 +245,13 @@ func TestBatchDegradationLadder(t *testing.T) {
 		useStub:        true,
 		shuffleSize:    s,
 		shuffleTimeout: 100 * time.Millisecond,
-		batch:          true,
 		pairLink:       true,
 		policy:         batchPolicy,
 		iaMiddleware: func(next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == message.BatchPath {
+				body, _ := io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				if _, entries, err := message.UnmarshalBatchEpoch(body); err == nil && len(entries) > 1 {
 					batchFails.Add(1)
 					http.Error(w, "injected", http.StatusServiceUnavailable)
 					return
@@ -292,7 +289,7 @@ func TestBatchDegradationLadder(t *testing.T) {
 		t.Errorf("degraded = %d, want all %d messages", stats.Degraded, s)
 	}
 	if got := batchFails.Load(); got < 3 {
-		t.Errorf("injector saw %d /batch attempts, want ≥ 3 (retry + both halves)", got)
+		t.Errorf("injector refused %d frames, want ≥ 3 (retry + both halves)", got)
 	}
 }
 
@@ -306,7 +303,6 @@ func TestBatchWithRecommendationCache(t *testing.T) {
 		useStub:        true,
 		shuffleSize:    s,
 		shuffleTimeout: 200 * time.Millisecond,
-		batch:          true,
 		pairLink:       true,
 		recCache:       cache,
 	})
@@ -338,18 +334,28 @@ func TestBatchWithRecommendationCache(t *testing.T) {
 	}
 }
 
-// TestBatchConfigValidation: batch mode is meaningless without the
-// enclave path and an anonymity set, so New must refuse those configs.
+// TestBatchConfigValidation: there is one pipeline, so the configurations
+// that used to need the per-message path — pass-through, S ≤ 1 — are
+// valid, and a UA always gets a shuffler (size 1 when shuffling is off).
+// Hopwire still needs a dialer.
 func TestBatchConfigValidation(t *testing.T) {
-	if _, err := proxy.New(proxy.Config{
-		Role: proxy.RoleUA, Next: "http://ia", PassThrough: true,
-		ShuffleSize: 4, Batch: true,
-	}); err == nil {
-		t.Error("New accepted Batch with PassThrough")
+	for _, cfg := range []proxy.Config{
+		{Role: proxy.RoleUA, Next: "http://ia", PassThrough: true, ShuffleSize: 4},
+		{Role: proxy.RoleUA, Next: "http://ia", PassThrough: true},
+		{Role: proxy.RoleUA, Next: "http://ia", PassThrough: true, ShuffleSize: 1},
+	} {
+		l, err := proxy.New(cfg)
+		if err != nil {
+			t.Fatalf("New(S=%d, pass-through): %v", cfg.ShuffleSize, err)
+		}
+		if got, want := l.Shuffler().Size(), max(cfg.ShuffleSize, 1); got != want {
+			t.Errorf("S=%d: UA shuffler size %d, want %d", cfg.ShuffleSize, got, want)
+		}
+		l.Close()
 	}
 	if _, err := proxy.New(proxy.Config{
-		Role: proxy.RoleUA, Next: "http://ia", Batch: true,
+		Role: proxy.RoleUA, Next: "http://ia", PassThrough: true, Hopwire: true,
 	}); err == nil {
-		t.Error("New accepted Batch without a shuffler")
+		t.Error("New accepted Hopwire without a HopDialer")
 	}
 }

@@ -30,7 +30,6 @@ func TestCallBatchEPCFallback(t *testing.T) {
 		Next:        "http://ia",
 		Enclave:     e,
 		ShuffleSize: 4,
-		Batch:       true,
 	})
 	if err != nil {
 		t.Fatal(err)

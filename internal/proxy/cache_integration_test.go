@@ -1,8 +1,10 @@
 package proxy_test
 
 import (
+	"net/http"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,20 +57,30 @@ func TestCachedGetEndToEnd(t *testing.T) {
 
 func TestCacheStatsExportFrozenMidEpoch(t *testing.T) {
 	// The privacy property of the cache's observability: counters
-	// advance only when a shuffle epoch flushes, so a scraper polling
-	// /metrics mid-epoch cannot tell which of the in-flight requests hit
-	// the cache. The UA layer runs unshuffled here so requests can be
-	// parked inside the IA shuffler specifically.
+	// advance only when a shuffle epoch is released, so a scraper
+	// polling /metrics mid-epoch cannot tell which of the epoch's
+	// requests hit the cache. The IA holds an epoch between its ia/get
+	// crossing (where hits happen) and its release; a gated LRS keeps
+	// the second epoch there while two of its misses wait for the LRS.
 	cache := reccache.New(reccache.Config{TTL: time.Minute})
+	var gated atomic.Bool
+	gate := make(chan struct{})
 	st := newStack(t, stackOptions{
 		shuffleSize: 4, shuffleTimeout: 8 * time.Second,
-		useStub: true, recCache: cache, iaShuffleOnly: true,
+		useStub: true, recCache: cache,
+		lrsMiddleware: func(next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if gated.Load() {
+					<-gate
+				}
+				next.ServeHTTP(w, r)
+			})
+		},
 	})
 	reg := metrics.NewRegistry()
 	st.ia.RegisterMetrics(reg, "ia-0")
 	ctx := ctxT(t)
 
-	users := []string{"u0", "u1", "u2", "u3"}
 	get := func(u string, wg *sync.WaitGroup) {
 		defer wg.Done()
 		if _, err := st.client.Get(ctx, u); err != nil {
@@ -76,9 +88,9 @@ func TestCacheStatsExportFrozenMidEpoch(t *testing.T) {
 		}
 	}
 
-	// Epoch 1: four misses fill the cache and flush together.
+	// Epoch 1: four misses fill the cache and release together.
 	var warm sync.WaitGroup
-	for _, u := range users {
+	for _, u := range []string{"u0", "u1", "u2", "u3"} {
 		warm.Add(1)
 		go get(u, &warm)
 	}
@@ -87,9 +99,10 @@ func TestCacheStatsExportFrozenMidEpoch(t *testing.T) {
 		t.Fatalf("misses exported after full epoch = %g, want 4", got)
 	}
 
-	// Epoch 2, first half: two hits enter the shuffler and block there.
+	// Epoch 2: two hits and two misses; the misses block on the LRS.
+	gated.Store(true)
 	var epoch sync.WaitGroup
-	for _, u := range users[:2] {
+	for _, u := range []string{"u0", "u1", "u4", "u5"} {
 		epoch.Add(1)
 		go get(u, &epoch)
 	}
@@ -105,13 +118,10 @@ func TestCacheStatsExportFrozenMidEpoch(t *testing.T) {
 		t.Errorf("hits exported mid-epoch = %g, want 0 (export must be epoch-granular)", got)
 	}
 
-	// Second half fills the epoch; everything releases and publishes.
-	for _, u := range users[2:] {
-		epoch.Add(1)
-		go get(u, &epoch)
-	}
+	// The LRS answers; the epoch releases and publishes.
+	close(gate)
 	epoch.Wait()
-	if got := sumMetric(reg, "pprox_reccache_hits_total"); got != 4 {
-		t.Errorf("hits exported after flush = %g, want 4", got)
+	if got := sumMetric(reg, "pprox_reccache_hits_total"); got != 2 {
+		t.Errorf("hits exported after release = %g, want 2", got)
 	}
 }

@@ -49,11 +49,6 @@ type stackOptions struct {
 	// recCache equips the IA layer with the in-enclave recommendation
 	// cache.
 	recCache *reccache.Cache
-	// iaShuffleOnly keeps the UA layer unshuffled so cache tests can
-	// hold requests mid-epoch inside the IA shuffler specifically.
-	iaShuffleOnly bool
-	// batch switches the UA layer to the epoch-batched pipeline.
-	batch bool
 	// pairLink provisions the shared UA→IA hop-envelope key.
 	pairLink bool
 	// policy arms resilience on both layers.
@@ -62,8 +57,9 @@ type stackOptions struct {
 	lrsConcurrency int
 	// workers sizes each layer's worker/job pools (0 = proxy default).
 	workers int
-	// iaMiddleware wraps the IA's handler (fault injection).
-	iaMiddleware func(http.Handler) http.Handler
+	// iaMiddleware wraps the IA's handler (fault injection);
+	// lrsMiddleware wraps the LRS's.
+	iaMiddleware, lrsMiddleware func(http.Handler) http.Handler
 }
 
 func newStack(t *testing.T, opts stackOptions) *stack {
@@ -129,6 +125,9 @@ func newStack(t *testing.T, opts stackOptions) *stack {
 		st.engine = engine.New(engine.DefaultConfig())
 		lrsHandler = engine.NewHandler(st.engine)
 	}
+	if opts.lrsMiddleware != nil {
+		lrsHandler = opts.lrsMiddleware(lrsHandler)
+	}
 	st.serve(t, "lrs", lrsHandler)
 
 	httpClient := transport.HTTPClient(st.net, 10*time.Second)
@@ -156,19 +155,14 @@ func newStack(t *testing.T, opts stackOptions) *stack {
 	}
 	st.serve(t, "ia", iaHandler)
 
-	uaShuffle := opts.shuffleSize
-	if opts.iaShuffleOnly {
-		uaShuffle = 0
-	}
 	st.ua, err = proxy.New(proxy.Config{
 		Role:           proxy.RoleUA,
 		Enclave:        st.uaEncl,
 		Next:           "http://ia",
 		HTTPClient:     httpClient,
-		ShuffleSize:    uaShuffle,
+		ShuffleSize:    opts.shuffleSize,
 		ShuffleTimeout: opts.shuffleTimeout,
 		PassThrough:    opts.passThrough,
-		Batch:          opts.batch,
 		Resilience:     opts.policy,
 		Workers:        opts.workers,
 	})
@@ -380,8 +374,9 @@ func TestEndToEndWithShuffling(t *testing.T) {
 	if _, err := st.client.Get(ctx, "solo"); err != nil {
 		t.Fatalf("solo get under shuffling: %v", err)
 	}
-	if elapsed := time.Since(start); elapsed < 90*time.Millisecond {
-		// Two shuffle stages (UA requests, IA responses) × 50 ms timer.
+	if elapsed := time.Since(start); elapsed < 45*time.Millisecond {
+		// The UA's 50 ms timer releases the epoch; the IA permutes its
+		// answer frame without waiting again.
 		t.Errorf("solo request finished in %v; shuffle delay missing", elapsed)
 	}
 

@@ -23,10 +23,9 @@ const (
 	// StageEcallDecrypt is the request-path ECALL (pseudonymization /
 	// decryption), including the wait for a data-processing worker —
 	// the paper's in-enclave thread-pool queueing (§5). One observation
-	// per message wherever a message is processed on its own: every
-	// per-message path, and the batched UA, which processes each request
-	// as it arrives. The IA's /batch route still decrypts a demultiplexed
-	// epoch in one crossing per kind and observes that crossing once.
+	// per message on the UA, which processes each request as it arrives.
+	// The IA's /batch route decrypts a demultiplexed epoch in one crossing
+	// per kind and observes that crossing once.
 	StageEcallDecrypt = "ecall_decrypt"
 	// StageShuffleWait is the time a message spends buffered in the
 	// shuffler before its batch is released (§4.3).
@@ -34,8 +33,8 @@ const (
 	// StageForward is the next-hop round trip (IA balancer for UA
 	// instances, LRS for IA instances).
 	StageForward = "forward"
-	// StageEcallRewrap is the UA retry-path ECALL re-randomizing the hop
-	// envelope before a retried request leaves again; it only appears
+	// StageEcallRewrap is the UA retry-path crossing re-randomizing the
+	// hop envelopes before a retried frame leaves again; it only appears
 	// when retries run against a link-key deployment.
 	StageEcallRewrap = "ecall_rewrap"
 	// StageEcallReencrypt is the IA response-path ECALL that
@@ -43,7 +42,8 @@ const (
 	StageEcallReencrypt = "ecall_reencrypt"
 	// StageServe is the end-to-end request envelope at this hop: ingress
 	// to response written, covering every inner stage plus handler
-	// overhead. It is the histogram the end-to-end latency SLO evaluates.
+	// overhead — per client request on a UA, per epoch frame on an IA.
+	// It is the histogram the end-to-end latency SLO evaluates.
 	StageServe = "serve"
 )
 
@@ -243,35 +243,33 @@ func (l *Layer) RegisterMetrics(r *metrics.Registry, node string) {
 	l.rewireShuffler()
 }
 
-// registerBatchMetrics exposes the epoch-batched pipeline's families:
-// per-epoch forwards and the degradation ladder (UA batch mode and IA
-// /batch demultiplexing both feed the counters), plus the bounded IA→LRS
-// fan-out gauge when a semaphore is installed.
+// registerBatchMetrics exposes the request pipeline's families: per-epoch
+// forwards and the degradation ladder (UA epochs and IA /batch
+// demultiplexing both feed the counters), plus the bounded IA→LRS fan-out
+// gauge when a semaphore is installed.
 func (l *Layer) registerBatchMetrics(r *metrics.Registry, role, node string) {
-	if l.jobs != nil || l.cfg.Role == RoleIA {
-		counter := func(name, help string, read func(BatchStats) uint64) {
-			r.CounterFuncVec(name, help, "layer", "node").
-				With(func() float64 { return float64(read(l.BatchStats())) }, role, node)
-		}
-		counter("pprox_proxy_batch_forwards_total",
-			"Batch envelopes processed (UA: epochs forwarded; IA: envelopes demultiplexed).",
-			func(s BatchStats) uint64 { return s.Batches })
-		counter("pprox_proxy_batch_messages_total",
-			"Messages carried inside batch envelopes.",
-			func(s BatchStats) uint64 { return s.Messages })
-		counter("pprox_proxy_batch_retries_total",
-			"Whole-envelope batch sends beyond the first attempt.",
-			func(s BatchStats) uint64 { return s.Retries })
-		counter("pprox_proxy_batch_splits_total",
-			"Sub-envelope sends after splitting a failed batch.",
-			func(s BatchStats) uint64 { return s.Splits })
-		counter("pprox_proxy_batch_degraded_total",
-			"Messages degraded from batch to per-message forwarding.",
-			func(s BatchStats) uint64 { return s.Degraded })
-		counter("pprox_proxy_batch_epc_fallbacks_total",
-			"Batched crossings that fell back to per-message ECALLs (EPC pressure).",
-			func(s BatchStats) uint64 { return s.EPCFallbacks })
+	batch := func(name, help string, read func(BatchStats) uint64) {
+		r.CounterFuncVec(name, help, "layer", "node").
+			With(func() float64 { return float64(read(l.BatchStats())) }, role, node)
 	}
+	batch("pprox_proxy_batch_forwards_total",
+		"Batch frames processed (UA: epochs forwarded; IA: frames demultiplexed).",
+		func(s BatchStats) uint64 { return s.Batches })
+	batch("pprox_proxy_batch_messages_total",
+		"Messages carried inside batch frames.",
+		func(s BatchStats) uint64 { return s.Messages })
+	batch("pprox_proxy_batch_retries_total",
+		"Whole-frame batch sends beyond the first attempt.",
+		func(s BatchStats) uint64 { return s.Retries })
+	batch("pprox_proxy_batch_splits_total",
+		"Sub-frame sends after splitting a failed batch.",
+		func(s BatchStats) uint64 { return s.Splits })
+	batch("pprox_proxy_batch_degraded_total",
+		"Messages degraded to a one-entry frame under their own context.",
+		func(s BatchStats) uint64 { return s.Degraded })
+	batch("pprox_proxy_batch_epc_fallbacks_total",
+		"Batched crossings that fell back to per-message ECALLs (EPC pressure).",
+		func(s BatchStats) uint64 { return s.EPCFallbacks })
 	if l.lrsSem != nil {
 		r.GaugeVec("pprox_lrs_inflight",
 			"In-flight IA→LRS requests (bounded by -lrs-concurrency).", "layer", "node").

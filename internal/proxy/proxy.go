@@ -9,12 +9,16 @@
 //     identifiers and re-encrypts recommendation lists under the client's
 //     temporary key; it never sees user identifiers or addresses.
 //
-// Each layer buffers and shuffles traffic (UA on the request path, IA on
-// the response path) so a network observer cannot correlate flows across
-// the proxy (§4.3). The untrusted server part of each layer handles only
-// opaque bytes: all cryptography happens in ECALLs into the layer's
-// enclave, with a bounded data-processing worker pool standing in for the
-// paper's in-enclave thread pool (§5).
+// Each layer shuffles traffic (UA on the request path, IA on the response
+// path) so a network observer cannot correlate flows across the proxy
+// (§4.3). There is one request pipeline (batch.go): the UA releases
+// requests in shuffle epochs, each epoch crosses to the IA as one batch
+// frame, and the IA answers it with one frame permuted by its own
+// shuffler; unshuffled deployments run the same path with epochs of one.
+// The untrusted server part of each layer handles only opaque bytes: all
+// cryptography happens in ECALLs into the layer's enclave, with a bounded
+// data-processing worker pool standing in for the paper's in-enclave
+// thread pool (§5).
 package proxy
 
 import (
@@ -25,12 +29,11 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"pprox/internal/enclave"
-	"pprox/internal/eventloop"
 	"pprox/internal/hopwire"
 	"pprox/internal/message"
 	"pprox/internal/reccache"
@@ -72,8 +75,10 @@ type Config struct {
 	Next string
 	// HTTPClient carries traffic to the next hop.
 	HTTPClient *http.Client
-	// ShuffleSize is S; values ≤ 1 disable shuffling (§4.3). The UA
-	// layer shuffles requests, the IA layer shuffles responses.
+	// ShuffleSize is S (§4.3). The UA layer shuffles requests, the IA
+	// layer shuffles responses. Values ≤ 1 turn shuffling off: the UA
+	// then releases every request as an epoch of one, the IA answers in
+	// arrival order.
 	ShuffleSize int
 	// ShuffleTimeout bounds how long a partially filled buffer waits.
 	ShuffleTimeout time.Duration
@@ -83,7 +88,8 @@ type Config struct {
 	// per core on 2-core nodes, so the default is 2.
 	Workers int
 	// PassThrough forwards bodies untouched (micro-benchmark m1: no
-	// encryption). Shuffling still applies if configured.
+	// encryption): the same pipeline with both enclave steps as identity.
+	// Shuffling still applies if configured.
 	PassThrough bool
 	// Resilience bounds this layer's fault handling toward the next hop:
 	// per-attempt deadline, retries, and the circuit breaker probing the
@@ -97,23 +103,15 @@ type Config struct {
 	// IAOptions.Cache: the layer drives coalescing and epoch-granular
 	// stat publication on it, the enclave does lookups and fills.
 	RecCache *reccache.Cache
-	// Batch selects the epoch-batched pipeline on a UA layer (DESIGN.md
-	// §4f): requests join shuffle epochs without blocking a goroutine
-	// each, every epoch is processed in one batch ECALL, and leaves as
-	// ONE batch envelope POSTed to the IA's /batch route. Requires the
-	// enclave path and ShuffleSize > 1 (epochs are what is batched). An
-	// IA layer ignores the flag — it always serves /batch when it has an
-	// enclave.
-	Batch bool
 	// LRSConcurrency bounds the IA→LRS fan-out (IA role only): at most
-	// this many LRS requests in flight per layer instance, covering both
-	// demultiplexed batch epochs and the per-message path. 0 selects
-	// DefaultLRSConcurrency; negative disables the bound.
+	// this many LRS requests in flight per layer instance, across every
+	// demultiplexed epoch. 0 selects DefaultLRSConcurrency; negative
+	// disables the bound.
 	LRSConcurrency int
 	// Hopwire selects the persistent binary-framed hop transport toward
-	// Next (DESIGN.md §4h): batch envelopes and per-message forwards ride
-	// pooled frame connections, falling back to HTTP while the peer does
-	// not speak the protocol. Requires HopDialer.
+	// Next (DESIGN.md §4h): batch frames and IA→LRS requests ride pooled
+	// frame connections, falling back to HTTP while the peer does not
+	// speak the protocol (an unmodified LRS). Requires HopDialer.
 	Hopwire bool
 	// HopDialer dials hopwire connections — the memnet network, a
 	// cluster balancer, or a *net.Dialer — matching how HTTPClient
@@ -133,10 +131,10 @@ type Layer struct {
 	workers  chan struct{}
 	policy   resilience.Policy
 	breaker  *resilience.Breaker
-	// jobs runs one job per shuffle epoch in batch mode (UA role), and
-	// cross holds the enclave crossings of the epoch filling now.
-	jobs  *eventloop.JobPool
-	cross uaCrossings
+	// epochs joins the UA's per-epoch forwarding goroutines, and cross
+	// holds the enclave crossings of the epoch filling now.
+	epochs sync.WaitGroup
+	cross  uaCrossings
 	// lrsSem bounds the IA→LRS fan-out (IA role; nil = unbounded).
 	lrsSem *resilience.Semaphore
 	// hop is the binary frame transport toward Next (nil = HTTP only).
@@ -216,18 +214,39 @@ func New(cfg Config) (*Layer, error) {
 	}
 	l.breaker = resilience.NewBreaker(pol.BreakerThreshold, pol.BreakerCooldown,
 		resilience.HTTPHealthProbe(cfg.HTTPClient, cfg.Next+message.HealthPath, pol.HopTimeout))
-	if cfg.ShuffleSize > 1 {
+	switch {
+	case cfg.Role == RoleUA:
+		// The UA always has epochs: at S ≤ 1 a size-1 shuffler flushes on
+		// every Enqueue, so each request leaves as an epoch of one.
 		l.shuffler = NewShuffler(cfg.ShuffleSize, cfg.ShuffleTimeout, cfg.TableSize)
-		// Install the flush hooks that exist independently of metrics
-		// registration — in particular the cache's epoch-granular stat
-		// publication must not depend on an observability call.
-		l.rewireShuffler()
-	} else if cfg.RecCache != nil {
+		l.shuffler.SetBatchSink(func(vals []any) {
+			// Runs under the shuffler lock: end the epoch's enclave
+			// crossings and forward the epoch on a goroutine of its own
+			// (network wait plus at most one rewrap crossing, which takes
+			// a worker slot like every other enclave step). Every epoch
+			// carries at least one admitted request, so these are bounded
+			// as the request handlers are, and a pool would only cap the
+			// epochs in flight. Close joins them, so every admitted
+			// request gets its answer.
+			l.closeCrossings()
+			l.epochs.Add(1)
+			go func() {
+				defer l.epochs.Done()
+				l.runBatch(vals)
+			}()
+		})
+	case cfg.ShuffleSize > 1:
+		l.shuffler = NewShuffler(cfg.ShuffleSize, cfg.ShuffleTimeout, cfg.TableSize)
+	case cfg.RecCache != nil:
 		// Without a shuffler there are no epochs to batch stat export
 		// into — and no 1/S bound for sub-epoch updates to erode — so
 		// cache counters publish live.
 		cfg.RecCache.SetPublishLive(true)
 	}
+	// Install the flush hooks that exist independently of metrics
+	// registration — in particular the cache's epoch-granular stat
+	// publication must not depend on an observability call.
+	l.rewireShuffler()
 	if cfg.Role == RoleIA {
 		n := cfg.LRSConcurrency
 		if n == 0 {
@@ -247,25 +266,6 @@ func New(cfg Config) (*Layer, error) {
 		}
 		l.hop = hw
 	}
-	if cfg.Batch && cfg.Role == RoleUA {
-		if cfg.PassThrough {
-			return nil, errors.New("proxy: batch mode requires the enclave path")
-		}
-		if l.shuffler == nil {
-			return nil, errors.New("proxy: batch mode requires ShuffleSize > 1")
-		}
-		l.jobs = eventloop.NewJobPool(cfg.Workers)
-		l.shuffler.SetBatchSink(func(vals []any) {
-			// Runs under the shuffler lock: end the epoch's enclave
-			// crossings and hand the epoch to the pool. If the pool is
-			// already closed, fail the epoch's messages fast — the
-			// shuffler is closing too.
-			l.closeCrossings()
-			if !l.jobs.Submit(func() { l.runBatch(vals) }) {
-				failBatchItems(vals, ErrShufflerClosed)
-			}
-		})
-	}
 	return l, nil
 }
 
@@ -277,11 +277,11 @@ const defaultWorkers = 2
 // injected.
 const defaultClientTimeout = 30 * time.Second
 
-// Close releases buffered messages, drains in-flight batch epochs, and
+// Close releases buffered messages, waits for in-flight epochs, and
 // flushes the final partial trace epoch (shutdown path). The shuffler
-// closes first — its final flush still submits to the job pool — and the
-// pool's Close runs every accepted epoch to completion, so no admitted
-// request is left without a response.
+// closes first — its final flush still starts that epoch's goroutine, and
+// no flush can follow it — then every started epoch runs to completion,
+// so no admitted request is left without a response.
 func (l *Layer) Close() {
 	if l.draining.Load() && l.shuffler.Pending() > 0 {
 		// A drained instance must leave through an empty shuffler: its
@@ -296,7 +296,7 @@ func (l *Layer) Close() {
 	// An epoch whose every arrival the enclave rejected opened crossings
 	// no flush will end.
 	l.closeCrossings()
-	l.jobs.Close()
+	l.epochs.Wait()
 	l.hop.Close()
 	l.tracer.Load().AdvanceEpoch()
 }
@@ -310,8 +310,9 @@ func (l *Layer) Stats() (served, failed uint64) {
 	return l.served.Load(), l.failed.Load()
 }
 
-// Shuffler exposes the layer's shuffler (nil when disabled), for tests and
-// operational metrics.
+// Shuffler exposes the layer's shuffler, for tests and operational
+// metrics: a UA always has one (size 1 when shuffling is off), an IA only
+// when S > 1.
 func (l *Layer) Shuffler() *Shuffler { return l.shuffler }
 
 // RetryStats returns how many forward retries ran and how many requests
@@ -320,11 +321,11 @@ func (l *Layer) RetryStats() (retries, failFast uint64) {
 	return l.retries.Load(), l.failFast.Load()
 }
 
-// BatchStats reports the epoch-batched pipeline's counters: epochs
-// forwarded as one envelope, messages inside them, whole-envelope retry
-// sends, sub-envelope sends after splitting, messages degraded to
-// per-message forwarding, and batch ECALLs that fell back to per-message
-// crossings on EPC exhaustion.
+// BatchStats reports the request pipeline's counters: epochs forwarded
+// (UA) or demultiplexed (IA) as one frame, messages inside them,
+// whole-frame retry sends, sub-frame sends after splitting, messages
+// degraded to one-entry frames under their own context, and batch ECALLs
+// that fell back to per-message crossings on EPC exhaustion.
 type BatchStats struct {
 	Batches      uint64
 	Messages     uint64
@@ -334,8 +335,7 @@ type BatchStats struct {
 	EPCFallbacks uint64
 }
 
-// BatchStats returns the layer's batch-pipeline counters (all zero when
-// batch mode is off).
+// BatchStats returns the layer's pipeline counters.
 func (l *Layer) BatchStats() BatchStats {
 	return BatchStats{
 		Batches:      l.batches.Load(),
@@ -363,38 +363,38 @@ func (l *Layer) Enclave() *enclave.Enclave { return l.cfg.Enclave }
 // for rotation flush hooks, audit checks, and metrics.
 func (l *Layer) RecCache() *reccache.Cache { return l.cfg.RecCache }
 
-// ServeHTTP implements the layer's REST endpoint.
+// ServeHTTP implements the layer's endpoint: a UA serves the LRS REST API
+// (/events, /queries) to clients, an IA serves only /batch frames from the
+// UA layer; both serve /healthz.
 func (l *Layer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	isApp := r.Method == http.MethodPost &&
-		(r.URL.Path == message.EventsPath || r.URL.Path == message.QueriesPath ||
-			(r.URL.Path == message.BatchPath && l.cfg.Role == RoleIA && !l.cfg.PassThrough))
-	if isApp {
-		if l.refusing.Load() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
+	var serve http.HandlerFunc
+	if r.Method == http.MethodPost {
+		switch {
+		case l.cfg.Role == RoleUA && (r.URL.Path == message.EventsPath || r.URL.Path == message.QueriesPath):
+			serve = l.handle
+		case l.cfg.Role == RoleIA && r.URL.Path == message.BatchPath:
+			serve = l.handleBatch
+		}
+	}
+	if serve == nil {
+		if r.Method == http.MethodGet && r.URL.Path == message.HealthPath {
+			fmt.Fprint(w, "ok")
 			return
 		}
-		if l.draining.Load() {
-			// Soft drain: keep serving, but evict this connection from
-			// keep-alive pools so no new request rides it back here.
-			w.Header().Set("Connection", "close")
-		}
-		l.inflight.Add(1)
-		defer l.inflight.Add(-1)
-	}
-	switch {
-	case r.Method == http.MethodPost && (r.URL.Path == message.EventsPath || r.URL.Path == message.QueriesPath):
-		l.handle(w, r)
-	case r.Method == http.MethodPost && r.URL.Path == message.BatchPath &&
-		l.cfg.Role == RoleIA && !l.cfg.PassThrough:
-		l.handleBatch(w, r)
-	case r.Method == http.MethodGet && r.URL.Path == message.HealthPath:
-		fmt.Fprint(w, "ok")
-	default:
 		http.NotFound(w, r)
+		return
 	}
-}
-
-func (l *Layer) handle(w http.ResponseWriter, r *http.Request) {
+	if l.refusing.Load() {
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+		return
+	}
+	if l.draining.Load() {
+		// Soft drain: keep serving, but evict this connection from
+		// keep-alive pools so no new request rides it back here.
+		w.Header().Set("Connection", "close")
+	}
+	l.inflight.Add(1)
+	defer l.inflight.Add(-1)
 	// The serve span wraps the whole hop, success or failure: it is the
 	// end-to-end histogram the latency SLO evaluates, and — like every
 	// stage — it surfaces in traces only as an epoch-batched record.
@@ -404,7 +404,14 @@ func (l *Layer) handle(w http.ResponseWriter, r *http.Request) {
 		l.observeStage(StageServe, start)
 		span.End()
 	}()
+	serve(w, r)
+}
 
+// handle serves one client request on a UA: process it in the enclave,
+// let it ride a shuffle epoch to the IA, and relay the (client-encrypted)
+// answer. A request counts as served only if the answer is 2xx — the same
+// rule the IA's handleBatch applies to each entry.
+func (l *Layer) handle(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(r.Body, maxBody)
 	if err != nil {
 		if errors.Is(err, ErrBodyTooLarge) {
@@ -414,15 +421,8 @@ func (l *Layer) handle(w http.ResponseWriter, r *http.Request) {
 		l.fail(w, http.StatusBadRequest, "read request")
 		return
 	}
-	isGet := r.URL.Path == message.QueriesPath
 
-	var status int
-	var respBody []byte
-	if l.cfg.Role == RoleUA {
-		status, respBody, err = l.handleUA(r.Context(), r.URL.Path, body, isGet)
-	} else {
-		status, respBody, err = l.handleIA(r.Context(), r.URL.Path, body, isGet)
-	}
+	status, respBody, err := l.admit(r.Context(), body, r.URL.Path == message.QueriesPath)
 	if err != nil {
 		l.fail(w, statusFor(err), failText(err))
 		l.logWarn("request failed",
@@ -430,7 +430,11 @@ func (l *Layer) handle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	l.served.Add(1)
+	if status >= 200 && status < 300 {
+		l.served.Add(1)
+	} else {
+		l.failed.Add(1)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(respBody)
@@ -498,225 +502,12 @@ func failClass(err error) string {
 	}
 }
 
-// handleUA implements the UA node pipeline: pseudonymize the user
-// identifier in the enclave, shuffle the request batch, forward to the IA
-// layer, and relay the (already client-encrypted) response untouched.
-func (l *Layer) handleUA(ctx context.Context, path string, body []byte, isGet bool) (int, []byte, error) {
-	if l.jobs != nil {
-		return l.handleUABatch(ctx, body, isGet)
-	}
-	out := body
-	if !l.cfg.PassThrough {
-		ecall := ecallUAPost
-		if isGet {
-			ecall = ecallUAGet
-		}
-		var err error
-		out, err = l.process(StageEcallDecrypt, ecall, out)
-		if err != nil {
-			return 0, nil, err
-		}
-	}
-	// Request shuffling happens between the UA and IA layers (§4.3).
-	if err := l.shuffleWait(ctx); err != nil {
-		return 0, nil, err
-	}
-	return l.forwardResilient(ctx, path, out, l.uaRetryPrep)
-}
-
-// uaRetryPrep re-establishes a retry's unlinkability before it leaves the
-// UA again: the hop envelope is re-encrypted with a fresh IV (so the
-// retried bytes are unrelated to the failed attempt's), and the request
-// re-enters the shuffler so it departs inside a fresh batch instead of
-// alone right after the failure it repeats.
-func (l *Layer) uaRetryPrep(ctx context.Context, body []byte) ([]byte, error) {
-	if !l.cfg.PassThrough && isLinkWrapped(body) {
-		out, err := l.process(StageEcallRewrap, ecallLinkRewrap, body)
-		if err != nil {
-			return nil, err
-		}
-		body = out
-	}
-	if err := l.shuffleWait(ctx); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
 // isLinkWrapped is the host-side envelope probe. The *presence* of an
 // envelope is plain wire format — every message on the link has one when a
 // link key is deployed — only its content is protected.
 func isLinkWrapped(body []byte) bool {
 	var env linkEnvelope
 	return json.Unmarshal(body, &env) == nil && env.Link != ""
-}
-
-// shuffleWait blocks in the shuffler, timing the buffered delay as the
-// shuffle_wait stage.
-func (l *Layer) shuffleWait(ctx context.Context) error {
-	if l.shuffler == nil {
-		return nil
-	}
-	span := l.tracer.Load().Start(StageShuffleWait)
-	start := time.Now()
-	_, err := l.shuffler.Wait(ctx)
-	l.observeStage(StageShuffleWait, start)
-	span.End()
-	return err
-}
-
-// handleIA implements the IA node pipeline: pseudonymize the item (post)
-// or park the temporary key (get) in the enclave, forward to the LRS,
-// transform the response in the enclave, and shuffle the response batch
-// before it travels back toward the UA layer.
-func (l *Layer) handleIA(ctx context.Context, path string, body []byte, isGet bool) (int, []byte, error) {
-	if isGet && l.cfg.RecCache != nil && !l.cfg.PassThrough {
-		return l.handleIAGetCached(ctx, path, body)
-	}
-	out := body
-	var handle string
-	if !l.cfg.PassThrough {
-		if isGet {
-			handle = strconv.FormatUint(l.nextHandle.Add(1), 36)
-			framed, err := message.Marshal(iaGetCall{Handle: handle, Body: body})
-			if err != nil {
-				return 0, nil, err
-			}
-			out, err = l.process(StageEcallDecrypt, ecallIAGet, framed)
-			if err != nil {
-				return 0, nil, err
-			}
-		} else {
-			var err error
-			out, err = l.process(StageEcallDecrypt, ecallIAPost, out)
-			if err != nil {
-				return 0, nil, err
-			}
-		}
-	}
-
-	// IA→LRS retries need no rewrap/reshuffle prep: the request leaving
-	// the IA is the pseudonymized cleartext the LRS expects, and the
-	// shuffle the IA owns is on the *response* path below.
-	status, lrsBody, err := l.forwardLRS(ctx, path, out)
-	if err != nil {
-		l.dropHandle(handle)
-		return 0, nil, err
-	}
-
-	respBody := lrsBody
-	if !l.cfg.PassThrough && isGet {
-		if status == http.StatusOK {
-			framed, err := message.Marshal(iaGetCall{Handle: handle, Body: lrsBody})
-			if err != nil {
-				l.dropHandle(handle)
-				return 0, nil, err
-			}
-			respBody, err = l.process(StageEcallReencrypt, ecallIAGetResp, framed)
-			if err != nil {
-				// The re-encrypt ECALL consumes the parked key with
-				// KV.Take only on success; clear it here or every
-				// malformed LRS response leaks one EPC entry.
-				l.dropHandle(handle)
-				return 0, nil, err
-			}
-		} else {
-			l.dropHandle(handle)
-		}
-	}
-
-	// Response shuffling happens between the IA and UA layers (§4.3).
-	if err := l.shuffleWait(ctx); err != nil {
-		return 0, nil, err
-	}
-	return status, respBody, nil
-}
-
-// fetchResult carries a coalesced LRS round trip's outcome between the
-// leader that ran it and the followers sharing it.
-type fetchResult struct {
-	status int
-	body   []byte
-}
-
-// handleIAGetCached is the IA get pipeline with the recommendation cache
-// enabled. The ia/get ECALL decides hit or miss behind the enclave
-// boundary; a hit comes back already sealed under the client's k_u and
-// skips the LRS hop, a miss returns the LRS request plus the coalescing
-// key so concurrent misses for the same pseudonym share one fetch. Both
-// outcomes re-enter the response shuffler, so a network observer sees
-// hits and misses leave inside the same epoch batches — the 1/S bound is
-// untouched, and the only externally visible difference is epoch-level
-// throughput.
-func (l *Layer) handleIAGetCached(ctx context.Context, path string, body []byte) (int, []byte, error) {
-	handle := strconv.FormatUint(l.nextHandle.Add(1), 36)
-	framed, err := message.Marshal(iaGetCall{Handle: handle, Body: body})
-	if err != nil {
-		return 0, nil, err
-	}
-	out, err := l.process(StageEcallDecrypt, ecallIAGet, framed)
-	if err != nil {
-		return 0, nil, err
-	}
-	var res iaGetResult
-	if err := message.Unmarshal(out, &res); err != nil {
-		l.dropHandle(handle)
-		return 0, nil, fmt.Errorf("%w: %v", errEnclave, err)
-	}
-
-	if res.Hit {
-		if err := l.shuffleWait(ctx); err != nil {
-			return 0, nil, err
-		}
-		return http.StatusOK, res.Body, nil
-	}
-
-	v, shared, err := l.cfg.RecCache.Do(ctx, res.Key, func() (any, error) {
-		status, lrsBody, err := l.forwardLRS(ctx, path, res.Body)
-		if err != nil {
-			return nil, err
-		}
-		return fetchResult{status, lrsBody}, nil
-	})
-	if err != nil && shared && ctx.Err() == nil {
-		// The leader's failure was under *its* deadline and breaker
-		// draw; this follower is still alive, so give it one fetch of
-		// its own rather than inheriting the error.
-		var status int
-		var lrsBody []byte
-		if status, lrsBody, err = l.forwardLRS(ctx, path, res.Body); err == nil {
-			v = fetchResult{status, lrsBody}
-		}
-	}
-	if err != nil {
-		l.dropHandle(handle)
-		return 0, nil, err
-	}
-	fr := v.(fetchResult)
-	if fr.status != http.StatusOK {
-		l.dropHandle(handle)
-		if err := l.shuffleWait(ctx); err != nil {
-			return 0, nil, err
-		}
-		return fr.status, fr.body, nil
-	}
-
-	// Only the coalescing leader fills the cache; followers just seal
-	// the shared body under their own parked k_u.
-	framed, err = message.Marshal(iaGetCall{Handle: handle, Body: fr.body, Fill: !shared})
-	if err != nil {
-		l.dropHandle(handle)
-		return 0, nil, err
-	}
-	respBody, err := l.process(StageEcallReencrypt, ecallIAGetResp, framed)
-	if err != nil {
-		l.dropHandle(handle)
-		return 0, nil, err
-	}
-	if err := l.shuffleWait(ctx); err != nil {
-		return 0, nil, err
-	}
-	return fr.status, respBody, nil
 }
 
 // dropHandle clears a parked temporary key when the request it belongs to
@@ -727,19 +518,12 @@ func (l *Layer) dropHandle(handle string) {
 	}
 }
 
-// process runs an ECALL under the data-processing worker pool, modelling
-// the fixed pool of in-enclave threads consuming the shared queue (§5).
-// The stage measurement covers the wait for a free worker plus the ECALL
-// itself — the paper's in-enclave queueing + crypto cost; the ECALL-only
-// duration is measured separately by the enclave's own observer.
-func (l *Layer) process(stage, ecall string, in []byte) ([]byte, error) {
-	return l.onWorker(stage, func() ([]byte, error) {
-		return l.cfg.Enclave.Ecall(ecall, in)
-	})
-}
-
 // onWorker runs one message's enclave work on a data-processing worker,
-// observed as the given stage.
+// modelling the fixed pool of in-enclave threads consuming the shared
+// queue (§5). The stage measurement covers the wait for a free worker plus
+// the ECALL itself — the paper's in-enclave queueing + crypto cost; the
+// ECALL-only duration is measured separately by the enclave's own
+// observer.
 func (l *Layer) onWorker(stage string, work func() ([]byte, error)) ([]byte, error) {
 	span := l.tracer.Load().Start(stage)
 	start := time.Now()
@@ -753,9 +537,9 @@ func (l *Layer) onWorker(stage string, work func() ([]byte, error)) ([]byte, err
 }
 
 // forwardLRS is the IA→LRS hop: forwardResilient under the layer's
-// fan-out semaphore, so a demultiplexed epoch (or a burst of per-message
-// misses) holds at most LRSConcurrency requests against the legacy API
-// at once instead of one goroutine each, unbounded.
+// fan-out semaphore, so demultiplexed epochs hold at most LRSConcurrency
+// requests against the legacy API at once instead of one goroutine each,
+// unbounded.
 func (l *Layer) forwardLRS(ctx context.Context, path string, body []byte) (int, []byte, error) {
 	if err := l.lrsSem.Acquire(ctx); err != nil {
 		return 0, nil, err
@@ -767,8 +551,8 @@ func (l *Layer) forwardLRS(ctx context.Context, path string, body []byte) (int, 
 // forwardResilient drives forward attempts under the layer's resilience
 // policy: breaker gating, jittered backoff, a per-attempt deadline, and a
 // per-retry prep callback that re-establishes the privacy properties of
-// the attempt before it leaves again (UA layer only; nil for the IA→LRS
-// hop). The breaker is fed transport outcomes only — an HTTP error status
+// the attempt before it leaves again (a UA entry degraded to a one-entry
+// frame; nil for the IA→LRS hop). The breaker is fed transport outcomes only — an HTTP error status
 // still proves the hop alive.
 func (l *Layer) forwardResilient(ctx context.Context, path string, body []byte, prep func(context.Context, []byte) ([]byte, error)) (int, []byte, error) {
 	pol := l.policy
@@ -862,6 +646,6 @@ func (l *Layer) forward(ctx context.Context, path string, body []byte) (int, []b
 // maxBody bounds message sizes; PProx traffic is constant-size and small.
 const maxBody = 1 << 20
 
-// maxBatchBody bounds a whole batch envelope: one epoch of up to
-// table-size messages plus framing.
+// maxBatchBody bounds a whole batch frame: one epoch of up to table-size
+// messages plus framing.
 const maxBatchBody = 8 << 20

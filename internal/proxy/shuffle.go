@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"context"
 	crand "crypto/rand"
 	"errors"
 	mrand "math/rand/v2"
@@ -16,7 +15,7 @@ import (
 // requests").
 var ErrTableFull = errors.New("proxy: pending-request table full")
 
-// ErrShufflerClosed reports a Wait or Enqueue after Close: the shuffler is
+// ErrShufflerClosed reports an Enqueue after Close: the shuffler is
 // terminal on shutdown, so late arrivals fail fast instead of re-arming
 // the flush timer and stranding themselves in a buffer nobody will flush.
 var ErrShufflerClosed = errors.New("proxy: shuffler closed")
@@ -27,15 +26,17 @@ var ErrShufflerClosed = errors.New("proxy: shuffler closed")
 // wire cannot map an individual incoming message to the corresponding
 // outgoing one with probability better than 1/S.
 //
-// A Shuffler with size ≤ 1 is a no-op (every message is released
-// immediately), which is the "shuffling off" configuration (m1–m4).
+// Messages only ever leave as whole epochs handed to the batch sink
+// (SetBatchSink). A Shuffler of size 1 is the "shuffling off" configuration
+// (m1–m4): every Enqueue flushes at once, so each message leaves as an
+// epoch of one, in arrival order.
 type Shuffler struct {
 	size    int
 	timeout time.Duration
 	table   int // capacity of the pending table T
 
 	mu      sync.Mutex
-	pending []*pendingMsg
+	pending []any
 	timer   *time.Timer
 	rng     *mrand.Rand
 	flushes uint64
@@ -45,14 +46,14 @@ type Shuffler struct {
 	// Observability hooks (SetHooks); both run under the shuffler lock.
 	onEnqueue func(depth int)
 	onFlush   func(batch int)
-	// sink receives whole permuted epochs in batch-release mode
-	// (SetBatchSink); it runs under the shuffler lock.
+	// sink receives whole permuted epochs (SetBatchSink); it runs under
+	// the shuffler lock.
 	sink func(vals []any)
 }
 
-// NewShuffler creates a shuffler with buffer size S, a flush timer, and a
-// pending-table capacity (values ≤ 0 select the paper-faithful defaults:
-// timeout 500 ms, table 4×S). Per §5 the table must be larger than S; a
+// NewShuffler creates a shuffler with buffer size S (values < 1 select 1),
+// a flush timer, and a pending-table capacity (values ≤ 0 select the
+// paper-faithful defaults: timeout 500 ms, table 4×S). Per §5 the table must be larger than S; a
 // smaller table is honored as a hard cap and sheds the excess, which is
 // exactly the drop behaviour the paper sizes T to avoid.
 // The permutation stream is ChaCha8 seeded from crypto/rand. The seed must
@@ -73,6 +74,7 @@ func NewShuffler(size int, timeout time.Duration, table int) *Shuffler {
 // deterministic tests. Production code must use NewShuffler: a fixed or
 // guessable seed makes every permutation reconstructable.
 func NewShufflerSeeded(size int, timeout time.Duration, table int, seed [32]byte) *Shuffler {
+	size = max(size, 1)
 	if timeout <= 0 {
 		timeout = 500 * time.Millisecond
 	}
@@ -106,12 +108,11 @@ func (s *Shuffler) SetHooks(onEnqueue func(depth int), onFlush func(batch int)) 
 	s.mu.Unlock()
 }
 
-// SetBatchSink installs the batch-release consumer: every flush hands the
-// epoch's enqueued values (Enqueue), in the epoch's permuted order, to fn
-// in one call instead of waking one goroutine per message. The sink runs
-// under the shuffler lock on the flush path, so it must be cheap and
-// non-blocking — submitting the epoch to a job pool qualifies, processing
-// it inline does not. Safe on a nil shuffler.
+// SetBatchSink installs the epoch consumer: every flush hands the epoch's
+// enqueued values, in the epoch's permuted order, to fn in one call. The
+// sink runs under the shuffler lock on the flush path, so it must be cheap
+// and non-blocking — starting the epoch's job qualifies, processing it
+// inline does not. Safe on a nil shuffler.
 func (s *Shuffler) SetBatchSink(fn func(vals []any)) {
 	if s == nil {
 		return
@@ -121,46 +122,16 @@ func (s *Shuffler) SetBatchSink(fn func(vals []any)) {
 	s.mu.Unlock()
 }
 
-// Wait blocks the calling message until the shuffler releases it as part
-// of a randomized batch, and returns the message's position in the
-// batch's randomized release order (0 when shuffling is disabled). It
-// returns ErrTableFull when the pending table is at capacity,
-// ErrShufflerClosed after Close, or the context error if the caller gives
-// up first.
-func (s *Shuffler) Wait(ctx context.Context) (int, error) {
-	if s == nil || s.size <= 1 {
-		return 0, nil
-	}
-
-	release := &pendingMsg{ch: make(chan struct{})}
-
-	s.mu.Lock()
-	if err := s.admitLocked(release); err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	s.mu.Unlock()
-
-	select {
-	case <-release.ch:
-		return release.pos, nil
-	case <-ctx.Done():
-		// The slot stays in the buffer; its release is a no-op for a
-		// departed caller but still advances the flush threshold,
-		// matching a real proxy where a timed-out client's socket is
-		// still drained.
-		return 0, ctx.Err()
-	}
-}
-
-// Enqueue admits one message into the current epoch in batch-release
-// mode: instead of blocking a goroutine, the value travels with the epoch
-// and is handed to the batch sink, in permuted order, when the epoch
-// flushes. The same shedding (ErrTableFull) and shutdown
-// (ErrShufflerClosed) rules as Wait apply.
+// Enqueue admits one message into the current epoch: the value travels
+// with the epoch and is handed to the batch sink, in permuted order, when
+// the epoch flushes — on reaching S, on the timer, or on Close. It returns
+// ErrTableFull when the pending table is at capacity and ErrShufflerClosed
+// after Close. An admitted value always reaches the sink, whether or not
+// whoever enqueued it is still waiting, so a departed caller's slot still
+// advances the flush threshold.
 func (s *Shuffler) Enqueue(v any) error {
-	if s == nil || s.size <= 1 {
-		return errors.New("proxy: batch enqueue requires a shuffler with S > 1")
+	if s == nil {
+		return errors.New("proxy: enqueue on a nil shuffler")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -168,22 +139,13 @@ func (s *Shuffler) Enqueue(v any) error {
 		return ErrShufflerClosed
 	}
 	if s.sink == nil {
-		return errors.New("proxy: batch enqueue without a batch sink")
-	}
-	return s.admitLocked(&pendingMsg{v: v})
-}
-
-// admitLocked appends one message to the pending table and arms the
-// flush threshold/timer, enforcing capacity and shutdown.
-func (s *Shuffler) admitLocked(msg *pendingMsg) error {
-	if s.closed {
-		return ErrShufflerClosed
+		return errors.New("proxy: enqueue without a batch sink")
 	}
 	if len(s.pending) >= s.table {
 		s.sheds++
 		return ErrTableFull
 	}
-	s.pending = append(s.pending, msg)
+	s.pending = append(s.pending, v)
 	if s.onEnqueue != nil {
 		s.onEnqueue(len(s.pending))
 	}
@@ -195,14 +157,6 @@ func (s *Shuffler) admitLocked(msg *pendingMsg) error {
 	return nil
 }
 
-// pendingMsg is one buffered message awaiting release: a blocked waiter
-// (Wait, ch non-nil) or a batch-mode value (Enqueue, v non-nil).
-type pendingMsg struct {
-	ch  chan struct{}
-	pos int
-	v   any
-}
-
 func (s *Shuffler) onTimer() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -212,11 +166,9 @@ func (s *Shuffler) onTimer() {
 	}
 }
 
-// flushLocked releases every pending message in uniformly random order:
-// each waiter learns its randomized position and is unblocked in that
-// order, and batch-mode values are handed to the sink as one epoch in
-// that same order — so the wire order downstream follows the permutation
-// either way.
+// flushLocked releases every pending message as one epoch, in uniformly
+// random order, to the sink — so the wire order downstream follows the
+// permutation.
 func (s *Shuffler) flushLocked() {
 	batch := s.pending
 	s.pending = nil
@@ -225,18 +177,7 @@ func (s *Shuffler) flushLocked() {
 		s.timer = nil
 	}
 	s.rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-	var vals []any
-	for pos, msg := range batch {
-		if msg.ch != nil {
-			msg.pos = pos
-			close(msg.ch)
-			continue
-		}
-		vals = append(vals, msg.v)
-	}
-	if len(vals) > 0 && s.sink != nil {
-		s.sink(vals)
-	}
+	s.sink(batch)
 	s.flushes++
 	if s.onFlush != nil {
 		s.onFlush(len(batch))
@@ -246,9 +187,9 @@ func (s *Shuffler) flushLocked() {
 // ReleaseBatch accounts one whole inbound epoch of n messages — a batch
 // envelope demultiplexed on the IA — as a shuffle flush and returns the
 // permutation its releases must follow. The permutation draws on the same
-// crypto-seeded stream as Wait-mode flushes, and the flush hooks fire so
-// the auditor, tracer, and cache see batch epochs exactly like waiter
-// epochs. A nil shuffler (or S ≤ 1) returns the identity permutation and
+// crypto-seeded stream as Enqueue flushes, and the flush hooks fire so the
+// auditor, tracer, and cache see inbound epochs exactly like outbound
+// ones. A nil shuffler (or S ≤ 1) returns the identity permutation and
 // touches nothing.
 func (s *Shuffler) ReleaseBatch(n int) ([]int, error) {
 	if n < 0 {
@@ -300,7 +241,7 @@ func (s *Shuffler) Pending() int {
 }
 
 // Close releases any buffered messages immediately and makes the
-// shuffler terminal: every later Wait/Enqueue/ReleaseBatch fails fast
+// shuffler terminal: every later Enqueue/ReleaseBatch fails fast
 // with ErrShufflerClosed instead of re-arming the flush timer and
 // stranding itself during shutdown. Closing twice is a no-op.
 func (s *Shuffler) Close() {

@@ -3,6 +3,7 @@ package proxy
 import (
 	"context"
 	"errors"
+	"net/http"
 	"runtime"
 	"sort"
 	"sync"
@@ -10,56 +11,59 @@ import (
 	"time"
 )
 
+// TestShufflerDisabledIsImmediate: shuffling off is a shuffler of size 1
+// (sizes below 1 select it), and every Enqueue flushes at once — each
+// message leaves alone, as an epoch of one, in arrival order, without
+// waiting for the timer.
 func TestShufflerDisabledIsImmediate(t *testing.T) {
-	for _, s := range []*Shuffler{nil, NewShuffler(0, 0, 0), NewShuffler(1, 0, 0)} {
-		start := time.Now()
-		if _, err := s.Wait(context.Background()); err != nil {
-			t.Fatalf("Wait: %v", err)
+	for _, size := range []int{0, 1} {
+		sh := NewShuffler(size, time.Hour, 0)
+		if sh.Size() != 1 {
+			t.Fatalf("NewShuffler(%d).Size() = %d, want 1", size, sh.Size())
 		}
-		if time.Since(start) > 50*time.Millisecond {
-			t.Error("disabled shuffler delayed the message")
+		var epochs [][]any
+		sh.SetBatchSink(func(vals []any) { epochs = append(epochs, append([]any(nil), vals...)) })
+		for i := 0; i < 5; i++ {
+			if err := sh.Enqueue(i); err != nil {
+				t.Fatalf("Enqueue: %v", err)
+			}
+			if len(epochs) != i+1 || sh.Pending() != 0 {
+				t.Fatalf("S=%d: message %d not released at once (%d epochs, %d pending)", size, i, len(epochs), sh.Pending())
+			}
+		}
+		for i, e := range epochs {
+			if len(e) != 1 || e[0] != i {
+				t.Fatalf("S=%d: epoch %d = %v, want [%d]", size, i, e, i)
+			}
+		}
+		if flushes, _ := sh.Stats(); flushes != 5 {
+			t.Errorf("S=%d: flushes = %d, want one per message", size, flushes)
 		}
 	}
 }
 
-// runBatch enqueues n messages and returns each message's release
-// position, indexed by arrival index.
+// runBatch enqueues the values 0..n-1 in order and returns each value's
+// release position, indexed by arrival index. Enqueue is synchronous and
+// the sink runs inside the Enqueue that completes the epoch, so arrival
+// order is exactly the loop order.
 func runBatch(t *testing.T, sh *Shuffler, n int) []int {
 	t.Helper()
 	positions := make([]int, n)
-	var wg sync.WaitGroup
+	released := 0
+	sh.SetBatchSink(func(vals []any) {
+		for pos, v := range vals {
+			positions[v.(int)] = pos
+		}
+		released += len(vals)
+	})
 	for i := 0; i < n; i++ {
-		// Arrivals strictly ordered: wait for this message to be
-		// buffered (pending reaches want) — or for the batch to flush,
-		// when this message was the one that completed it — before
-		// enqueueing the next. Checking the flush counter rather than
-		// Pending()==0 matters: pending is also 0 *before* the message
-		// arrives, and exiting early there would let two goroutines
-		// race into Wait in arbitrary slot order.
-		want := sh.Pending() + 1
-		flushed, _ := sh.Stats()
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			pos, err := sh.Wait(context.Background())
-			if err != nil {
-				t.Errorf("Wait: %v", err)
-				return
-			}
-			positions[i] = pos
-		}(i)
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
-			if sh.Pending() == want {
-				break
-			}
-			if f, _ := sh.Stats(); f != flushed {
-				break
-			}
-			time.Sleep(50 * time.Microsecond)
+		if err := sh.Enqueue(i); err != nil {
+			t.Fatalf("Enqueue: %v", err)
 		}
 	}
-	wg.Wait()
+	if released != n {
+		t.Fatalf("released %d of %d messages", released, n)
+	}
 	return positions
 }
 
@@ -104,10 +108,13 @@ func TestShufflerRandomizesOrder(t *testing.T) {
 
 func TestShufflerTimerFlushesPartialBatch(t *testing.T) {
 	sh := NewShuffler(10, 30*time.Millisecond, 0)
+	released := make(chan struct{})
+	sh.SetBatchSink(func([]any) { close(released) })
 	start := time.Now()
-	if _, err := sh.Wait(context.Background()); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if err := sh.Enqueue(0); err != nil {
+		t.Fatalf("Enqueue: %v", err)
 	}
+	<-released
 	elapsed := time.Since(start)
 	if elapsed < 20*time.Millisecond {
 		t.Errorf("released after %v, before the timer", elapsed)
@@ -119,27 +126,27 @@ func TestShufflerTimerFlushesPartialBatch(t *testing.T) {
 
 func TestShufflerBlocksUntilBatchCompletes(t *testing.T) {
 	sh := NewShuffler(2, time.Minute, 0)
-	first := make(chan error, 1)
-	go func() {
-		_, err := sh.Wait(context.Background())
-		first <- err
-	}()
-	select {
-	case err := <-first:
-		t.Fatalf("first message released alone (err=%v)", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	// Second message completes the batch; both release.
-	if _, err := sh.Wait(context.Background()); err != nil {
+	released := make(chan int, 2)
+	sh.SetBatchSink(func(vals []any) { released <- len(vals) })
+	if err := sh.Enqueue(0); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case err := <-first:
-		if err != nil {
-			t.Fatalf("first Wait: %v", err)
+	case n := <-released:
+		t.Fatalf("first message released alone (epoch of %d)", n)
+	case <-time.After(50 * time.Millisecond):
+	}
+	// Second message completes the epoch; both release together.
+	if err := sh.Enqueue(1); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case n := <-released:
+		if n != 2 {
+			t.Fatalf("epoch of %d, want 2", n)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("first message never released")
+		t.Fatal("epoch never released")
 	}
 }
 
@@ -149,39 +156,22 @@ func TestShufflerTableFullSheds(t *testing.T) {
 	// flush threshold is never reached, the table saturates at 100, and
 	// further arrivals shed with ErrTableFull.
 	sh3 := NewShuffler(200, time.Minute, 100)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	shed, released := 0, 0
+	released := 0
+	sh3.SetBatchSink(func(vals []any) { released += len(vals) })
+	shed := 0
 	for i := 0; i < 150; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := sh3.Wait(context.Background())
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				released++
-			case errors.Is(err, ErrTableFull):
-				shed++
-			default:
-				t.Errorf("unexpected error: %v", err)
-			}
-		}()
-	}
-	// Wait until the table is saturated, then release everyone.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		done := shed
-		mu.Unlock()
-		if done == 50 && sh3.Pending() == 100 {
-			break
+		switch err := sh3.Enqueue(i); {
+		case err == nil:
+		case errors.Is(err, ErrTableFull):
+			shed++
+		default:
+			t.Fatalf("unexpected error: %v", err)
 		}
-		time.Sleep(time.Millisecond)
+	}
+	if sh3.Pending() != 100 {
+		t.Fatalf("pending = %d, want the table's 100", sh3.Pending())
 	}
 	sh3.Close()
-	wg.Wait()
 	if shed != 50 || released != 100 {
 		t.Errorf("shed=%d released=%d, want 50/100", shed, released)
 	}
@@ -190,38 +180,35 @@ func TestShufflerTableFullSheds(t *testing.T) {
 	}
 }
 
+// TestShufflerContextCancellation: a UA caller that gives up returns its
+// context's error, and its message keeps its slot in the epoch.
 func TestShufflerContextCancellation(t *testing.T) {
-	sh := NewShuffler(10, time.Minute, 0)
+	l, err := New(Config{Role: RoleUA, PassThrough: true, Next: "http://ia", ShuffleSize: 10, ShuffleTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := sh.Wait(ctx)
-	if !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := l.admit(ctx, []byte(`{}`), true); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 	// The abandoned slot still counts toward the next flush.
-	if sh.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", sh.Pending())
+	if l.Shuffler().Pending() != 1 {
+		t.Errorf("pending = %d, want 1", l.Shuffler().Pending())
 	}
 }
 
 func TestShufflerCloseReleasesPending(t *testing.T) {
 	sh := NewShuffler(10, time.Minute, 0)
-	done := make(chan error, 1)
-	go func() {
-		_, err := sh.Wait(context.Background())
-		done <- err
-	}()
-	for i := 0; i < 1000 && sh.Pending() == 0; i++ {
-		time.Sleep(time.Millisecond)
+	var released []any
+	sh.SetBatchSink(func(vals []any) { released = append(released, vals...) })
+	if err := sh.Enqueue("pending"); err != nil {
+		t.Fatal(err)
 	}
 	sh.Close()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Wait after Close: %v", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Close did not release pending message")
+	if len(released) != 1 || released[0] != "pending" {
+		t.Fatalf("Close released %v, want the pending message", released)
 	}
 	// Closing an idle or nil shuffler is a no-op.
 	sh.Close()
@@ -275,62 +262,62 @@ func TestShufflerSeedUnpredictable(t *testing.T) {
 }
 
 // TestShufflerDepartedCallersAdvanceFlush covers the cancellation path: a
-// caller that gives up leaves its slot in the buffer, so later arrivals
-// still reach the flush threshold instead of waiting for the timer.
+// UA caller that gives up leaves its message in the epoch, so later
+// arrivals still reach the flush threshold instead of waiting for the
+// timer, and the departed messages still travel in the epoch's frame.
 func TestShufflerDepartedCallersAdvanceFlush(t *testing.T) {
-	sh := NewShuffler(3, time.Minute, 0)
+	frames := make(chan int, 4)
+	ia := fakeIA(t, func(n int) { frames <- n })
+	l, err := New(Config{Role: RoleUA, PassThrough: true, Next: ia.URL, ShuffleSize: 3, ShuffleTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	for i := 0; i < 2; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := sh.Wait(ctx); !errors.Is(err, context.Canceled) {
-			t.Fatalf("Wait with departed caller: err = %v", err)
+		if _, _, err := l.admit(ctx, []byte(`{}`), true); !errors.Is(err, context.Canceled) {
+			t.Fatalf("admit with departed caller: err = %v", err)
 		}
 	}
-	if sh.Pending() != 2 {
-		t.Fatalf("pending = %d after two departures, want 2", sh.Pending())
+	if l.Shuffler().Pending() != 2 {
+		t.Fatalf("pending = %d after two departures, want 2", l.Shuffler().Pending())
 	}
-	// A third, live caller completes the batch: it must release right
-	// away (the timer is a minute out), at a position drawn over the full
-	// 3-slot batch including the departed slots.
+	// A third, live caller completes the epoch: it must be answered right
+	// away (the timer is a minute out), out of the full 3-message frame.
 	start := time.Now()
-	pos, err := sh.Wait(context.Background())
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
+	status, _, err := l.admit(context.Background(), []byte(`{}`), true)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("admit: status %d, err %v", status, err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("live caller released after %v; departed slots did not advance the flush", elapsed)
+		t.Errorf("live caller answered after %v; departed slots did not advance the flush", elapsed)
 	}
-	if pos < 0 || pos >= 3 {
-		t.Errorf("release position %d outside the 3-message batch", pos)
+	if n := <-frames; n != 3 {
+		t.Errorf("frame carried %d entries, want 3", n)
 	}
-	if flushes, _ := sh.Stats(); flushes != 1 {
+	if flushes, _ := l.Shuffler().Stats(); flushes != 1 {
 		t.Errorf("flushes = %d, want 1", flushes)
 	}
 }
 
-// TestShufflerCloseTerminal: Close flushes the pending partial batch so
-// in-flight waiters release, and is TERMINAL — later admissions fail
-// fast with ErrShufflerClosed instead of parking in a batch that will
-// never flush (the pre-terminal behavior silently re-armed the timer and
-// kept "serving" during shutdown, racing the HTTP server teardown).
+// TestShufflerCloseTerminal: Close flushes the pending partial epoch to
+// the sink, and is TERMINAL — later admissions fail fast with
+// ErrShufflerClosed instead of parking in an epoch that will never flush
+// (the pre-terminal behavior silently re-armed the timer and kept
+// "serving" during shutdown, racing the HTTP server teardown).
 func TestShufflerCloseTerminal(t *testing.T) {
 	sh := NewShuffler(10, 30*time.Millisecond, 0)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := sh.Wait(context.Background()); err != nil {
-			t.Errorf("Wait before Close: %v", err)
-		}
-	}()
-	for i := 0; i < 1000 && sh.Pending() == 0; i++ {
-		time.Sleep(time.Millisecond)
+	released := 0
+	sh.SetBatchSink(func(vals []any) { released += len(vals) })
+	if err := sh.Enqueue("early"); err != nil {
+		t.Fatalf("Enqueue before Close: %v", err)
 	}
 	sh.Close()
-	<-done
-
-	if _, err := sh.Wait(context.Background()); !errors.Is(err, ErrShufflerClosed) {
-		t.Fatalf("Wait after Close: err = %v, want ErrShufflerClosed", err)
+	if released != 1 {
+		t.Fatalf("Close released %d messages, want 1", released)
 	}
+
 	if err := sh.Enqueue("late"); !errors.Is(err, ErrShufflerClosed) {
 		t.Fatalf("Enqueue after Close: err = %v, want ErrShufflerClosed", err)
 	}
@@ -338,40 +325,53 @@ func TestShufflerCloseTerminal(t *testing.T) {
 		t.Fatalf("ReleaseBatch after Close: err = %v, want ErrShufflerClosed", err)
 	}
 	sh.Close() // idempotent
+	if released != 1 {
+		t.Errorf("a message released after Close (%d total)", released)
+	}
 }
 
-// TestShufflerCloseRace hammers Close against concurrent Wait admissions:
-// every waiter must resolve (batch release, flush-on-close, or
-// ErrShufflerClosed) — none may hang, and none may park after the close.
+// TestShufflerCloseRace hammers Close against concurrent admissions:
+// every Enqueue either fails fast (ErrShufflerClosed, ErrTableFull) or its
+// value reaches the sink exactly once — none is stranded, none released
+// twice.
 func TestShufflerCloseRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		sh := NewShuffler(4, time.Hour, 0)
-		const waiters = 32
-		errs := make(chan error, waiters)
+		var mu sync.Mutex
+		released := make(map[int]int)
+		sh.SetBatchSink(func(vals []any) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, v := range vals {
+				released[v.(int)]++
+			}
+		})
+		const senders = 32
+		admitted := make([]bool, senders)
 		var wg sync.WaitGroup
-		for i := 0; i < waiters; i++ {
+		for i := 0; i < senders; i++ {
 			wg.Add(1)
-			go func() {
+			go func(i int) {
 				defer wg.Done()
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				_, err := sh.Wait(ctx)
-				errs <- err
-			}()
+				switch err := sh.Enqueue(i); {
+				case err == nil:
+					admitted[i] = true
+				case errors.Is(err, ErrShufflerClosed), errors.Is(err, ErrTableFull):
+				default:
+					t.Errorf("round %d: unexpected Enqueue error: %v", round, err)
+				}
+			}(i)
 		}
 		runtime.Gosched()
 		sh.Close()
 		wg.Wait()
-		close(errs)
-		for err := range errs {
-			switch {
-			case err == nil, errors.Is(err, ErrShufflerClosed), errors.Is(err, ErrTableFull):
-			case errors.Is(err, context.DeadlineExceeded):
-				t.Fatalf("round %d: a waiter hung across Close", round)
-			default:
-				t.Fatalf("round %d: unexpected waiter error: %v", round, err)
+		mu.Lock()
+		for i, ok := range admitted {
+			if want := map[bool]int{true: 1}[ok]; released[i] != want {
+				t.Fatalf("round %d: message %d admitted=%v released %d times", round, i, ok, released[i])
 			}
 		}
+		mu.Unlock()
 	}
 }
 
@@ -485,52 +485,6 @@ func TestShufflerBatchTimerFlush(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("timer never flushed the partial epoch to the sink")
-	}
-}
-
-// TestShufflerMixedWaitAndEnqueue: waiter slots and batch values share
-// one epoch — the flush threshold counts both, waiters get positions and
-// the sink gets the values.
-func TestShufflerMixedWaitAndEnqueue(t *testing.T) {
-	sh := NewShuffler(4, time.Hour, 0)
-	vals := make(chan []any, 1)
-	sh.SetBatchSink(func(v []any) {
-		batch := make([]any, len(v))
-		copy(batch, v)
-		vals <- batch
-	})
-	type waitRes struct {
-		pos int
-		err error
-	}
-	waited := make(chan waitRes, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			pos, err := sh.Wait(context.Background())
-			waited <- waitRes{pos, err}
-		}()
-	}
-	for i := 0; i < 1000 && sh.Pending() < 2; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sh.Enqueue("a"); err != nil {
-		t.Fatalf("Enqueue: %v", err)
-	}
-	if err := sh.Enqueue("b"); err != nil {
-		t.Fatalf("Enqueue: %v", err)
-	}
-	batch := <-vals
-	if len(batch) != 2 {
-		t.Fatalf("sink got %d values, want 2", len(batch))
-	}
-	for i := 0; i < 2; i++ {
-		r := <-waited
-		if r.err != nil {
-			t.Errorf("waiter: %v", r.err)
-		}
-		if r.pos < 0 || r.pos >= 4 {
-			t.Errorf("waiter position %d out of the epoch's range", r.pos)
-		}
 	}
 }
 

@@ -64,15 +64,15 @@ func (s *Semaphore) Cap() int {
 	return cap(s.slots)
 }
 
-// BatchOutcome summarizes one epoch's trip down the batch→split→
-// per-message degradation ladder.
+// BatchOutcome summarizes one epoch's trip down the batch→split→single
+// degradation ladder.
 type BatchOutcome struct {
 	// Attempts counts whole-envelope sends (1 when the first succeeded).
 	Attempts int
 	// Splits counts sub-envelope sends after splitting.
 	Splits int
-	// Degraded counts messages that fell through to per-message
-	// forwarding.
+	// Degraded counts messages that fell through to a send of their
+	// own.
 	Degraded int
 }
 
@@ -85,7 +85,7 @@ type BatchOutcome struct {
 //     attempt's privacy (the UA link-rewraps the sub-batch as a unit).
 //  2. Split: after whole-envelope exhaustion the ids split into halves;
 //     each half is prepped and sent once.
-//  3. Per-message: ids of a failed half degrade to single(id), which must
+//  3. Single: ids of a failed half degrade to single(id), which must
 //     terminally resolve its message (it owns delivery, including
 //     failure delivery). A one-message batch skips the split rung.
 //
