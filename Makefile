@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lrs-bench-once verify bench bench-json bench-compare audit-smoke cache-smoke batch-smoke lrs-smoke ops-smoke scale-smoke clean
+.PHONY: all build vet test race lrs-bench-once ia-bench-once verify bench bench-json bench-compare audit-smoke cache-smoke batch-smoke lrs-smoke ops-smoke scale-smoke clean
 
 all: verify
 
@@ -26,7 +26,13 @@ race:
 lrs-bench-once:
 	$(GO) test -run '^$$' -bench 'Incremental|SetField' -benchtime 1x ./internal/lrs/...
 
-verify: build vet test race lrs-bench-once
+# The IA enclave's get path (ia/get + ia/get-response on a 20-item
+# reply), one iteration per key material, so the benchmark keeps building
+# and running; its allocation ceilings are tests (handlers_test.go).
+ia-bench-once:
+	$(GO) test -run '^$$' -bench 'IAGetPath' -benchtime 1x ./internal/proxy/
+
+verify: build vet test race lrs-bench-once ia-bench-once
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; \
 		staticcheck ./...; \

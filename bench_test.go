@@ -364,14 +364,16 @@ func provisionedLayers(b *testing.B, newKeys func() (*proxy.LayerKeys, error)) (
 	return ua, ia, get
 }
 
-// BenchmarkEnclave_UAGetEcall and _IAGetEcall are the request-path
-// handlers on provisioned enclaves, per key material. On rsa-only read
-// them beside BenchmarkCrypto_OAEPDecrypt: each is one RSA-OAEP decryption
-// plus framing, so ns/op should sit a few per cent above the decryption's
-// and allocs/op a small constant above its 7; a handler that parses the
-// layer's PKCS#8 key per message shows as +62 allocs/op and ~+8 % ns/op.
-// On box read them beside BenchmarkCrypto_BoxOpen: the framing is the
-// same, so it is most of what is left.
+// BenchmarkEnclave_UAGetEcall is the UA's request-path handler on a
+// provisioned enclave, per key material. On rsa-only read it beside
+// BenchmarkCrypto_OAEPDecrypt: it is one RSA-OAEP decryption plus framing,
+// so ns/op should sit a few per cent above the decryption's and allocs/op
+// a small constant above its 7; a handler that parses the layer's PKCS#8
+// key per message shows as +62 allocs/op and ~+8 % ns/op. On box read it
+// beside BenchmarkCrypto_BoxOpen: the framing is the same, so it is most
+// of what is left. The IA's two get-path crossings are
+// internal/proxy's BenchmarkIAGetPath: their host↔enclave frames are
+// internal to that package.
 func BenchmarkEnclave_UAGetEcall(b *testing.B) {
 	for _, km := range keyMaterials {
 		b.Run(km.name, func(b *testing.B) {
@@ -382,28 +384,6 @@ func BenchmarkEnclave_UAGetEcall(b *testing.B) {
 				if _, err := ua.Ecall("ua/get", get); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-func BenchmarkEnclave_IAGetEcall(b *testing.B) {
-	for _, km := range keyMaterials {
-		b.Run(km.name, func(b *testing.B) {
-			ua, ia, get := provisionedLayers(b, km.newKeys)
-			forIA, err := ua.Ecall("ua/get", get)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// The host frames the body with the handle the enclave parks k_u under.
-			framed := []byte(fmt.Sprintf(`{"handle":"h","body":%s}`, forIA))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ia.Ecall("ia/get", framed); err != nil {
-					b.Fatal(err)
-				}
-				ia.KV().Delete("h")
 			}
 		})
 	}

@@ -253,14 +253,19 @@ func Unmarshal(data []byte, v any) error {
 // 0xFFFF length header can never be produced by ppcrypto.PadID, so padding
 // is unambiguous. The user-side library discards them (§4.3: "The
 // pseudo-items used for padding are automatically discarded").
-func pseudoItemBlock() []byte {
-	b := make([]byte, ppcrypto.IDBlockSize)
-	b[0], b[1] = 0xFF, 0xFF
-	return b
-}
-
 func isPseudoItemBlock(b []byte) bool {
 	return len(b) == ppcrypto.IDBlockSize && b[0] == 0xFF && b[1] == 0xFF
+}
+
+// PadItemList appends pseudo-item blocks to a packed list of whole
+// ppcrypto.IDBlockSize blocks until it holds MaxRecommendations of them.
+func PadItemList(list []byte) []byte {
+	var pseudo [ppcrypto.IDBlockSize]byte
+	pseudo[0], pseudo[1] = 0xFF, 0xFF
+	for len(list) < MaxRecommendations*ppcrypto.IDBlockSize {
+		list = append(list, pseudo[:]...)
+	}
+	return list
 }
 
 // EncodeItemList packs up to MaxRecommendations item identifiers into a
@@ -280,10 +285,7 @@ func EncodeItemList(items []string) ([]byte, error) {
 		}
 		out = append(out, block...)
 	}
-	for i := len(items); i < MaxRecommendations; i++ {
-		out = append(out, pseudoItemBlock()...)
-	}
-	return out, nil
+	return PadItemList(out), nil
 }
 
 // DecodeItemList unpacks a fixed-size item list, dropping pseudo-items.

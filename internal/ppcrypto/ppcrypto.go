@@ -16,6 +16,7 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
+	"crypto/subtle"
 	"crypto/x509"
 	"encoding/binary"
 	"errors"
@@ -156,19 +157,31 @@ func PadID(id string) ([]byte, error) {
 
 // UnpadID decodes a fixed-size identifier block produced by PadID.
 func UnpadID(block []byte) (string, error) {
+	n, err := paddedLen(block)
+	if err != nil {
+		return "", err
+	}
+	return string(block[2 : 2+n]), nil
+}
+
+// paddedLen is UnpadID's check without the string: the identifier length
+// a well-formed block's header names. For every block it accepts,
+// PadID(UnpadID(block)) == block, so an accepted block is already the
+// identifier's canonical padded form.
+func paddedLen(block []byte) (int, error) {
 	if len(block) != IDBlockSize {
-		return "", fmt.Errorf("%w: block is %d bytes", ErrMalformedPadding, len(block))
+		return 0, fmt.Errorf("%w: block is %d bytes", ErrMalformedPadding, len(block))
 	}
 	n := int(binary.BigEndian.Uint16(block[:2]))
 	if n > IDBlockSize-2 {
-		return "", fmt.Errorf("%w: header length %d", ErrMalformedPadding, n)
+		return 0, fmt.Errorf("%w: header length %d", ErrMalformedPadding, n)
 	}
 	for _, b := range block[2+n:] {
 		if b != 0 {
-			return "", fmt.Errorf("%w: nonzero padding", ErrMalformedPadding)
+			return 0, fmt.Errorf("%w: nonzero padding", ErrMalformedPadding)
 		}
 	}
-	return string(block[2 : 2+n]), nil
+	return n, nil
 }
 
 // EncryptOAEP encrypts a short payload (a padded identifier or a temporary
@@ -196,19 +209,86 @@ func DecryptOAEP(priv *rsa.PrivateKey, ciphertext []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// DetEncrypt deterministically encrypts a fixed-size block with AES-256-CTR
-// and a constant (all-zero) initialization vector. Determinism is required
-// so the LRS recognizes two pseudonymized identifiers as the same entity:
-// det_enc(u, kUA) is the stable pseudonym of user u (§4.1). The trade-off —
-// lower resilience against known-plaintext analysis than probabilistic
-// encryption — is the one the paper makes explicitly.
-func DetEncrypt(key, block []byte) ([]byte, error) {
+// DetStream is deterministic encryption under one permanent key: the
+// AES-256-CTR key stream under the constant (all-zero) initialization
+// vector, IDBlockSize bytes of it. Every identifier block is XORed with
+// these same bytes, so a holder of the stream pseudonymizes or
+// re-identifies with one XOR and expands no AES key per identifier. The
+// enclaves keep one per provisioned permanent key; DetEncrypt, DetDecrypt,
+// Pseudonymize and Depseudonymize are one-shot uses of it, so there is one
+// definition of a pseudonym and no second cipher path.
+type DetStream struct {
+	ks [IDBlockSize]byte
+}
+
+// NewDetStream expands key into its deterministic key stream.
+func NewDetStream(key []byte) (*DetStream, error) {
+	s := new(DetStream)
+	if err := s.init(key); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+func (s *DetStream) init(key []byte) error {
 	c, err := newCTR(key, make([]byte, ivSize))
+	if err != nil {
+		return err
+	}
+	c.XORKeyStream(s.ks[:], s.ks[:])
+	return nil
+}
+
+// xor sets dst[:len(src)] to src XOR the key stream — encryption and
+// decryption alike, CTR being an involution. src is at most IDBlockSize
+// bytes; dst may alias it exactly.
+func (s *DetStream) xor(dst, src []byte) error {
+	if len(src) > IDBlockSize {
+		return fmt.Errorf("%w: %d bytes, deterministic blocks are at most %d", ErrCiphertextSize, len(src), IDBlockSize)
+	}
+	subtle.XORBytes(dst, src, s.ks[:len(src)])
+	return nil
+}
+
+// Pseudonymize pads id to a fixed-size block and encrypts it: the stable
+// pseudonym stored by the LRS.
+func (s *DetStream) Pseudonymize(id string) ([]byte, error) {
+	block, err := PadID(id)
 	if err != nil {
 		return nil, err
 	}
+	subtle.XORBytes(block, block, s.ks[:])
+	return block, nil
+}
+
+// OpenBlock decrypts a pseudonym into block and applies UnpadID's checks
+// to it, without building the identifier string: an accepted block is
+// exactly what PadID makes of the identifier, so it can be packed as is.
+func (s *DetStream) OpenBlock(block *[IDBlockSize]byte, pseudonym []byte) error {
+	if len(pseudonym) != IDBlockSize {
+		return fmt.Errorf("%w: pseudonym is %d bytes", ErrCiphertextSize, len(pseudonym))
+	}
+	subtle.XORBytes(block[:], pseudonym, s.ks[:])
+	_, err := paddedLen(block[:])
+	return err
+}
+
+// DetEncrypt deterministically encrypts a block of at most IDBlockSize
+// bytes with AES-256-CTR and a constant (all-zero) initialization vector.
+// Determinism is required so the LRS recognizes two pseudonymized
+// identifiers as the same entity: det_enc(u, kUA) is the stable pseudonym
+// of user u (§4.1). The trade-off — lower resilience against
+// known-plaintext analysis than probabilistic encryption — is the one the
+// paper makes explicitly.
+func DetEncrypt(key, block []byte) ([]byte, error) {
+	var s DetStream
+	if err := s.init(key); err != nil {
+		return nil, err
+	}
 	out := make([]byte, len(block))
-	c.XORKeyStream(out, block)
+	if err := s.xor(out, block); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -268,11 +348,11 @@ func newCTR(key, iv []byte) (cipher.Stream, error) {
 // encrypt it under the layer's permanent key. The result is the stable
 // pseudonym stored by the LRS.
 func Pseudonymize(key []byte, id string) ([]byte, error) {
-	block, err := PadID(id)
-	if err != nil {
+	var s DetStream
+	if err := s.init(key); err != nil {
 		return nil, err
 	}
-	return DetEncrypt(key, block)
+	return s.Pseudonymize(id)
 }
 
 // Depseudonymize reverses Pseudonymize: decrypt a stable pseudonym back to
@@ -280,12 +360,13 @@ func Pseudonymize(key []byte, id string) ([]byte, error) {
 // this (the IA layer does, to translate LRS recommendations back to catalog
 // item identifiers).
 func Depseudonymize(key, pseudonym []byte) (string, error) {
-	if len(pseudonym) != IDBlockSize {
-		return "", fmt.Errorf("%w: pseudonym is %d bytes", ErrCiphertextSize, len(pseudonym))
-	}
-	block, err := DetDecrypt(key, pseudonym)
-	if err != nil {
+	var s DetStream
+	if err := s.init(key); err != nil {
 		return "", err
 	}
-	return UnpadID(block)
+	var block [IDBlockSize]byte
+	if err := s.OpenBlock(&block, pseudonym); err != nil {
+		return "", err
+	}
+	return UnpadID(block[:])
 }

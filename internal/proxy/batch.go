@@ -452,13 +452,34 @@ func (l *Layer) processBatch(ctx context.Context, entries []message.BatchEntry) 
 }
 
 // relayLRS sends one entry's LRS request and prices the answer as the
-// entry's result.
+// entry's result. On the private path the LRS's status travels back but
+// its body does not: the IA writes a constant in its place (lrsBody), so
+// nothing the LRS chooses per request — an event id, an error naming the
+// pseudonym — reaches the UA and the client past the shuffler. Pass-through
+// (m1) relays the body: it is the identity by definition.
 func (l *Layer) relayLRS(ctx context.Context, id int, path string, body []byte) message.BatchEntry {
 	status, respBody, err := l.forwardLRS(ctx, path, body)
 	if err != nil {
 		return errEntry(id, err)
 	}
+	if !l.cfg.PassThrough {
+		respBody = lrsBody(status)
+	}
 	return message.BatchEntry{ID: id, Status: status, Body: respBody}
+}
+
+// lrsBody is the constant body an IA answers an LRS status with on the
+// private path: message.OK{Status: "ok"} as message.Marshal renders it for
+// a 2xx, the status's own text otherwise — like errEntry, one text per
+// class and no detail.
+func lrsBody(status int) []byte {
+	if status >= 200 && status < 300 {
+		return []byte(`{"status":"ok"}`)
+	}
+	if text := http.StatusText(status); text != "" {
+		return []byte(text)
+	}
+	return []byte("upstream error")
 }
 
 // fanOut runs fn(k) for k in [0, n) on at most the LRS semaphore's
@@ -547,12 +568,7 @@ func (l *Layer) processBatchGets(ctx context.Context, entries []message.BatchEnt
 	ins := make([][]byte, len(idxs))
 	for j, idx := range idxs {
 		handles[j] = strconv.FormatUint(l.nextHandle.Add(1), 36)
-		framed, err := message.Marshal(iaGetCall{Handle: handles[j], Body: entries[idx].Body})
-		if err != nil {
-			results[idx] = errEntry(entries[idx].ID, err)
-			continue
-		}
-		ins[j] = framed
+		ins[j] = appendIAGetCall(nil, handles[j], false, entries[idx].Body)
 	}
 	start := time.Now()
 	outs, errs := l.callBatch(ecallIAGet, ins)
@@ -560,9 +576,6 @@ func (l *Layer) processBatchGets(ctx context.Context, entries []message.BatchEnt
 
 	states := make([]*batchGetState, 0, len(idxs))
 	for j, idx := range idxs {
-		if ins[j] == nil {
-			continue // marshal failure already priced
-		}
 		if errs[j] != nil {
 			results[idx] = errEntry(entries[idx].ID, errs[j])
 			l.dropHandle(handles[j])
@@ -572,8 +585,8 @@ func (l *Layer) processBatchGets(ctx context.Context, entries []message.BatchEnt
 		if cache == nil {
 			st.body = outs[j]
 		} else {
-			var res iaGetResult
-			if err := message.Unmarshal(outs[j], &res); err != nil {
+			res, err := decodeIAGetResult(outs[j])
+			if err != nil {
 				results[idx] = errEntry(entries[idx].ID, fmt.Errorf("%w: %v", errEnclave, err))
 				l.dropHandle(handles[j])
 				continue
@@ -583,7 +596,7 @@ func (l *Layer) processBatchGets(ctx context.Context, entries []message.BatchEnt
 				results[idx] = message.BatchEntry{ID: entries[idx].ID, Status: http.StatusOK, Body: res.Body}
 				continue
 			}
-			st.key = res.Key
+			st.key = string(res.Key)
 			st.body = res.Body
 		}
 		states = append(states, st)
@@ -593,7 +606,7 @@ func (l *Layer) processBatchGets(ctx context.Context, entries []message.BatchEnt
 	// cache is on (duplicate keys inside one epoch share a single fetch).
 	l.fanOut(len(states), func(k int) {
 		st := states[k]
-		status, lrsBody, shared, err := l.batchGetFetch(ctx, st)
+		status, reply, shared, err := l.batchGetFetch(ctx, st)
 		if err != nil {
 			results[st.idx] = errEntry(entries[st.idx].ID, err)
 			l.dropHandle(st.handle)
@@ -601,12 +614,12 @@ func (l *Layer) processBatchGets(ctx context.Context, entries []message.BatchEnt
 			return
 		}
 		if status != http.StatusOK {
-			results[st.idx] = message.BatchEntry{ID: entries[st.idx].ID, Status: status, Body: lrsBody}
+			results[st.idx] = message.BatchEntry{ID: entries[st.idx].ID, Status: status, Body: lrsBody(status)}
 			l.dropHandle(st.handle)
 			st.done = true
 			return
 		}
-		st.body = lrsBody
+		st.body = reply
 		st.fill = cache != nil && !shared
 	})
 
@@ -616,14 +629,8 @@ func (l *Layer) processBatchGets(ctx context.Context, entries []message.BatchEnt
 		if st.done {
 			continue
 		}
-		framed, err := message.Marshal(iaGetCall{Handle: st.handle, Body: st.body, Fill: st.fill})
-		if err != nil {
-			results[st.idx] = errEntry(entries[st.idx].ID, err)
-			l.dropHandle(st.handle)
-			continue
-		}
 		pending = append(pending, st)
-		respIns = append(respIns, framed)
+		respIns = append(respIns, appendIAGetCall(nil, st.handle, st.fill, st.body))
 	}
 	if len(pending) == 0 {
 		return

@@ -4,9 +4,10 @@ import (
 	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/rsa"
-	"encoding/json"
+	"encoding/base64"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pprox/internal/enclave"
 	"pprox/internal/message"
@@ -62,40 +63,6 @@ var (
 	IAIdentityNoItemPseudonyms = enclave.CodeIdentity{Name: "pprox-ia", Version: "1.0-noitempseudo"}
 )
 
-// iaGetCall frames the IA get-path ECALL: the opaque request body plus the
-// host-chosen handle under which the enclave parks the temporary key k_u
-// in its EPC key-value store until the LRS response arrives. Fill, on the
-// response ECALL, marks the coalescing leader: only it writes the fetched
-// list into the recommendation cache, so N coalesced followers do not
-// re-fill N times.
-type iaGetCall struct {
-	Handle string          `json:"handle"`
-	Body   json.RawMessage `json:"body"`
-	Fill   bool            `json:"fill,omitempty"`
-}
-
-// iaGetResult is the ia/get ECALL output when the recommendation cache is
-// enabled. On a hit, Body is the finished GetResponse — sealed under the
-// client's k_u inside the ECALL — and no LRS hop is needed. On a miss,
-// Body is the LRSGet request to forward and Key is the coalescing key
-// (tenant + user pseudonym, both of which the host sees on the LRS link
-// anyway) under which concurrent misses share one fetch.
-type iaGetResult struct {
-	Hit  bool            `json:"hit"`
-	Key  string          `json:"key,omitempty"`
-	Body json.RawMessage `json:"body"`
-}
-
-// parkedKey is the pending-response state the ia/get ECALL parks in the
-// EPC KV store until the LRS answers: the client's temporary key, the
-// tenant whose kIA decodes the response, and the user pseudonym the
-// response ECALL fills the cache under. It never leaves the enclave.
-type parkedKey struct {
-	Ku     []byte `json:"ku"`
-	Tenant string `json:"tenant"`
-	User   string `json:"user"`
-}
-
 // errEnclave wraps handler-internal failures; the untrusted server sees
 // only that processing failed, never why a ciphertext was rejected.
 var errEnclave = errors.New("proxy: enclave processing failed")
@@ -110,14 +77,22 @@ func TenantSecret(base, tenant string) string {
 	return base + "@" + tenant
 }
 
-func getSecret(s enclave.Secrets, base, tenant string) ([]byte, error) {
-	name := TenantSecret(base, tenant)
-	v, ok := s.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: secret %q missing", errEnclave, name)
+// detStream returns the tenant's pseudonymization stream: kUA's or kIA's
+// deterministic key stream (ppcrypto.DetStream), which is the same bytes
+// for every identifier the key ever pseudonymizes. Like open()'s parsed
+// keys it is enclave-resident state derived from the provisioned secret,
+// built on first use after a provisioning and dropped with the secret set
+// when the next provisioning (a rotation) replaces it.
+func detStream(s enclave.Secrets, tenant string) (*ppcrypto.DetStream, error) {
+	name := TenantSecret(SecretPermanentKey, tenant)
+	v, err := s.Derived(name, parseDetStream)
+	if err != nil {
+		return nil, fmt.Errorf("%w: secret %q: %v", errEnclave, name, err)
 	}
-	return v, nil
+	return v.(*ppcrypto.DetStream), nil
 }
+
+func parseDetStream(key []byte) (any, error) { return ppcrypto.NewDetStream(key) }
 
 // linkEnvelope is the hop-encrypted form of a message on the UA→IA link:
 // the inner JSON encrypted under the shared link key with ppcrypto's
@@ -250,7 +225,7 @@ func NewUAEnclave(p *enclave.Platform) *enclave.Enclave {
 	e := p.Launch(UAIdentity)
 
 	pseudonymizeUser := func(s enclave.Secrets, tenant, encUser string) (string, error) {
-		kUA, err := getSecret(s, SecretPermanentKey, tenant)
+		kUA, err := detStream(s, tenant)
 		if err != nil {
 			return "", err
 		}
@@ -262,7 +237,7 @@ func NewUAEnclave(p *enclave.Platform) *enclave.Enclave {
 		if err != nil {
 			return "", fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		pseudo, err := ppcrypto.Pseudonymize(kUA, u)
+		pseudo, err := kUA.Pseudonymize(u)
 		if err != nil {
 			return "", fmt.Errorf("%w: %v", errEnclave, err)
 		}
@@ -362,6 +337,7 @@ func IAIdentityFor(opts IAOptions) enclave.CodeIdentity {
 // re-encrypt the recommendation list so the UA layer cannot read it.
 func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 	e := p.Launch(IAIdentityFor(opts))
+	clearItems := opts.DisableItemPseudonymization
 	if opts.Cache != nil {
 		// Cache entries draw on this enclave's EPC budget, like the KV
 		// store does; EPC pressure evicts LRU entries instead of
@@ -379,46 +355,6 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 			return "", fmt.Errorf("%w: %v", errEnclave, err)
 		}
 		return item, nil
-	}
-
-	// sealItems finishes a recommendation list for release: truncate,
-	// de-pseudonymize under kIA, and encrypt under the client's temporary
-	// key k_u. Shared by the cache-hit path and the LRS-response path, so
-	// a cached entry is only ever sealed at release time, under the key of
-	// the client asking *now* — nothing client-encrypted is ever stored.
-	sealItems := func(s enclave.Secrets, tenant string, ku []byte, items []string) ([]byte, error) {
-		if len(items) > message.MaxRecommendations {
-			items = items[:message.MaxRecommendations]
-		}
-		clear := make([]string, 0, len(items))
-		if opts.DisableItemPseudonymization {
-			clear = append(clear, items...)
-		} else {
-			kIA, err := getSecret(s, SecretPermanentKey, tenant)
-			if err != nil {
-				return nil, err
-			}
-			for _, it := range items {
-				pseudo, err := message.Decode64(it)
-				if err != nil {
-					return nil, fmt.Errorf("%w: %v", errEnclave, err)
-				}
-				id, err := ppcrypto.Depseudonymize(kIA, pseudo)
-				if err != nil {
-					return nil, fmt.Errorf("%w: %v", errEnclave, err)
-				}
-				clear = append(clear, id)
-			}
-		}
-		packed, err := message.EncodeItemList(clear)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errEnclave, err)
-		}
-		encrypted, err := ppcrypto.SymEncrypt(ku, packed)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errEnclave, err)
-		}
-		return message.Marshal(message.GetResponse{EncItems: message.Encode64(encrypted)})
 	}
 
 	e.Register(ecallIAPost, func(s enclave.Secrets, _ *enclave.KV, in []byte) ([]byte, error) {
@@ -441,11 +377,11 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 		}
 		lrsItem := item
 		if !opts.DisableItemPseudonymization {
-			kIA, err := getSecret(s, SecretPermanentKey, req.Tenant)
+			kIA, err := detStream(s, req.Tenant)
 			if err != nil {
 				return nil, err
 			}
-			pseudo, err := ppcrypto.Pseudonymize(kIA, item)
+			pseudo, err := kIA.Pseudonymize(item)
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", errEnclave, err)
 			}
@@ -462,8 +398,8 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 	})
 
 	e.Register(ecallIAGet, func(s enclave.Secrets, kv *enclave.KV, in []byte) ([]byte, error) {
-		var call iaGetCall
-		if err := message.Unmarshal(in, &call); err != nil {
+		call, err := decodeIAGetCall(in)
+		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
 		body, err := maybeUnwrapLink(s, call.Body)
@@ -487,22 +423,23 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 				// client's k_u right here, inside the enclave. The host
 				// gets a finished GetResponse and skips the LRS hop; the
 				// response still re-enters the shuffler like any miss.
-				sealed, err := sealItems(s, req.Tenant, ku, items)
+				list := make([][]byte, len(items))
+				for i, it := range items {
+					list[i] = []byte(it)
+				}
+				sealed, err := sealItems(s, req.Tenant, ku, list, clearItems)
 				if err != nil {
 					return nil, err
 				}
-				return message.Marshal(iaGetResult{Hit: true, Body: sealed})
+				return appendIAGetResult(nil, true, "", sealed), nil
 			}
 		}
 		// Park k_u (plus the tenant whose kIA decodes the response and
 		// the pseudonym the response fills the cache under) in the EPC KV
 		// store until the LRS answers; none of it ever crosses the
-		// enclave boundary.
-		parked, err := message.Marshal(parkedKey{Ku: ku, Tenant: req.Tenant, User: req.EncUser})
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errEnclave, err)
-		}
-		if err := kv.Put(call.Handle, parked); err != nil {
+		// enclave boundary. The store copies the value.
+		var parked [256]byte
+		if err := kv.Put(string(call.Handle), appendParkedKey(parked[:0], ku, req.Tenant, req.EncUser)); err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
 		lrs, err := message.Marshal(message.LRSGet{User: req.EncUser, N: message.MaxRecommendations, Tenant: req.Tenant})
@@ -512,39 +449,118 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 		if opts.Cache == nil {
 			return lrs, nil
 		}
-		return message.Marshal(iaGetResult{Key: req.Tenant + "\x00" + req.EncUser, Body: lrs})
+		return appendIAGetResult(nil, false, req.Tenant+"\x00"+req.EncUser, lrs), nil
 	})
 
 	e.Register(ecallIAGetResp, func(s enclave.Secrets, kv *enclave.KV, in []byte) ([]byte, error) {
-		var call iaGetCall
-		if err := message.Unmarshal(in, &call); err != nil {
+		call, err := decodeIAGetCall(in)
+		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		var resp message.LRSGetResponse
-		if err := message.Unmarshal(call.Body, &resp); err != nil {
+		var buf [message.MaxRecommendations][]byte
+		items, err := message.LRSItems(buf[:0], call.Body)
+		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		parked, ok := kv.Take(call.Handle)
+		parked, ok := kv.Take(string(call.Handle))
 		if !ok {
 			return nil, fmt.Errorf("%w: no pending temporary key for handle", errEnclave)
 		}
-		var pk parkedKey
-		if err := message.Unmarshal(parked, &pk); err != nil || len(pk.Ku) != ppcrypto.SymmetricKeySize {
+		pk, err := decodeParkedKey(parked)
+		if err != nil || len(pk.Ku) != ppcrypto.SymmetricKeySize {
 			return nil, fmt.Errorf("%w: pending-key state corrupt", errEnclave)
 		}
 
-		items := resp.Items
 		if len(items) > message.MaxRecommendations {
 			items = items[:message.MaxRecommendations]
 		}
+		tenant := string(pk.Tenant)
 		if opts.Cache != nil && call.Fill {
 			// Fill with the list exactly as the LRS returned it —
 			// pseudonymized, never client-encrypted. Best effort: a fill
 			// the EPC cannot hold is dropped, the request is not.
-			_ = opts.Cache.Put(pk.Tenant, pk.User, items)
+			list := make([]string, len(items))
+			for i, it := range items {
+				list[i] = string(it)
+			}
+			_ = opts.Cache.Put(tenant, string(pk.User), list)
 		}
-		return sealItems(s, pk.Tenant, pk.Ku, items)
+		return sealItems(s, tenant, pk.Ku, items, clearItems)
 	})
 
 	return e
+}
+
+// sealItems finishes a recommendation list for release: truncate,
+// re-identify under kIA, pack, and encrypt under the client's temporary
+// key k_u. Shared by the cache-hit path and the LRS-response path, so a
+// cached entry is only ever sealed at release time, under the key of the
+// client asking *now* — nothing client-encrypted is ever stored.
+//
+// Re-identification works on blocks, not strings: a pseudonym decrypts
+// to its identifier's padded block, and a block UnpadID accepts is exactly
+// what PadID makes of that identifier, so the checked block goes into the
+// packed list as is. With cleartext set (item pseudonymization disabled,
+// §6.3) the items are identifiers and are padded instead.
+func sealItems(s enclave.Secrets, tenant string, ku []byte, items [][]byte, cleartext bool) ([]byte, error) {
+	if len(items) > message.MaxRecommendations {
+		items = items[:message.MaxRecommendations]
+	}
+	var kIA *ppcrypto.DetStream
+	if !cleartext {
+		var err error
+		if kIA, err = detStream(s, tenant); err != nil {
+			return nil, err
+		}
+	}
+	var packed [message.MaxRecommendations * ppcrypto.IDBlockSize]byte
+	list := packed[:0]
+	for _, it := range items {
+		if cleartext {
+			padded, err := ppcrypto.PadID(string(it))
+			if err != nil {
+				return nil, fmt.Errorf("%w: %v", errEnclave, err)
+			}
+			list = append(list, padded...)
+			continue
+		}
+		var block [ppcrypto.IDBlockSize]byte
+		if err := reidentify(kIA, &block, it); err != nil {
+			return nil, err
+		}
+		list = append(list, block[:]...)
+	}
+	encrypted, err := ppcrypto.SymEncrypt(ku, message.PadItemList(list))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errEnclave, err)
+	}
+	return appendGetResponse(nil, encrypted), nil
+}
+
+// reidentify decodes one base64 pseudonym from the LRS into a stack buffer
+// and opens it under kIA into block.
+func reidentify(kIA *ppcrypto.DetStream, block *[ppcrypto.IDBlockSize]byte, item []byte) error {
+	var raw [ppcrypto.IDBlockSize + 2]byte // base64.StdEncoding.DecodedLen of a pseudonym's 88 characters
+	if base64.StdEncoding.DecodedLen(len(item)) > len(raw) {
+		return fmt.Errorf("%w: pseudonym is %d characters", errEnclave, len(item))
+	}
+	n, err := base64.StdEncoding.Decode(raw[:], item)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errEnclave, err)
+	}
+	if err := kIA.OpenBlock(block, raw[:n]); err != nil {
+		return fmt.Errorf("%w: %v", errEnclave, err)
+	}
+	return nil
+}
+
+// appendGetResponse renders message.GetResponse{EncItems: base64(encItems)}
+// byte for byte as message.Marshal does (base64 needs no JSON escaping),
+// in one append.
+func appendGetResponse(dst, encItems []byte) []byte {
+	const head, tail = `{"enc_items":"`, `"}`
+	dst = slices.Grow(dst, len(head)+base64.StdEncoding.EncodedLen(len(encItems))+len(tail))
+	dst = append(dst, head...)
+	dst = base64.StdEncoding.AppendEncode(dst, encItems)
+	return append(dst, tail...)
 }

@@ -1,7 +1,7 @@
 package proxy
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -52,7 +52,7 @@ var (
 	fixtureErr  error
 )
 
-func newFixture(t *testing.T) *layerFixture {
+func newFixture(t testing.TB) *layerFixture {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		f := &layerFixture{}
@@ -81,7 +81,7 @@ func newFixture(t *testing.T) *layerFixture {
 }
 
 // seal encrypts a field for one layer as the user-side library would.
-func (f *layerFixture) seal(t *testing.T, keys *LayerKeys, role ppcrypto.Role, plain []byte) string {
+func (f *layerFixture) seal(t testing.TB, keys *LayerKeys, role ppcrypto.Role, plain []byte) string {
 	t.Helper()
 	box := keys.Box.PublicKey()
 	if f.rsaOnly {
@@ -94,7 +94,7 @@ func (f *layerFixture) seal(t *testing.T, keys *LayerKeys, role ppcrypto.Role, p
 	return message.Encode64(ct)
 }
 
-func (f *layerFixture) encFor(t *testing.T, keys *LayerKeys, role ppcrypto.Role, id string) string {
+func (f *layerFixture) encFor(t testing.TB, keys *LayerKeys, role ppcrypto.Role, id string) string {
 	t.Helper()
 	block, err := ppcrypto.PadID(id)
 	if err != nil {
@@ -104,7 +104,7 @@ func (f *layerFixture) encFor(t *testing.T, keys *LayerKeys, role ppcrypto.Role,
 }
 
 // tempKey draws a k_u and seals it for the IA layer.
-func (f *layerFixture) tempKey(t *testing.T) (ku []byte, enc string) {
+func (f *layerFixture) tempKey(t testing.TB) (ku []byte, enc string) {
 	t.Helper()
 	ku, err := ppcrypto.NewSymmetricKey()
 	if err != nil {
@@ -113,7 +113,7 @@ func (f *layerFixture) tempKey(t *testing.T) (ku []byte, enc string) {
 	return ku, f.seal(t, f.iaKeys, ppcrypto.RoleIATempKey, ku)
 }
 
-func (f *layerFixture) pseudonym(t *testing.T, keys *LayerKeys, id string) string {
+func (f *layerFixture) pseudonym(t testing.TB, keys *LayerKeys, id string) string {
 	t.Helper()
 	p, err := ppcrypto.Pseudonymize(keys.Permanent, id)
 	if err != nil {
@@ -304,10 +304,7 @@ func testIAGetRoundTripThroughKV(t *testing.T, f *layerFixture) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed, err := message.Marshal(iaGetCall{Handle: "h-1", Body: reqBody})
-	if err != nil {
-		t.Fatal(err)
-	}
+	framed := appendIAGetCall(nil, "h-1", false, reqBody)
 	lrsReq, err := f.iaEncl.Ecall("ia/get", framed)
 	if err != nil {
 		t.Fatalf("ia/get: %v", err)
@@ -334,10 +331,7 @@ func testIAGetRoundTripThroughKV(t *testing.T, f *layerFixture) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	framedResp, err := message.Marshal(iaGetCall{Handle: "h-1", Body: lrsResp})
-	if err != nil {
-		t.Fatal(err)
-	}
+	framedResp := appendIAGetCall(nil, "h-1", false, lrsResp)
 	out, err := f.iaEncl.Ecall("ia/get-response", framedResp)
 	if err != nil {
 		t.Fatalf("ia/get-response: %v", err)
@@ -383,10 +377,7 @@ func testIAGetRejectsWrongSizeTempKey(t *testing.T, f *layerFixture) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed, err := message.Marshal(iaGetCall{Handle: "h-bad", Body: reqBody})
-	if err != nil {
-		t.Fatal(err)
-	}
+	framed := appendIAGetCall(nil, "h-bad", false, reqBody)
 	if _, err := f.iaEncl.Ecall("ia/get", framed); !errors.Is(err, errEnclave) {
 		t.Fatalf("err = %v, want errEnclave", err)
 	}
@@ -402,7 +393,7 @@ func TestIAGetResponseTruncatesOversizedLists(t *testing.T) {
 		EncUser:    f.pseudonym(t, f.uaKeys, "y"),
 		EncTempKey: encKu,
 	})
-	framed, _ := message.Marshal(iaGetCall{Handle: "h-big", Body: reqBody})
+	framed := appendIAGetCall(nil, "h-big", false, reqBody)
 	if _, err := f.iaEncl.Ecall("ia/get", framed); err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +403,7 @@ func TestIAGetResponseTruncatesOversizedLists(t *testing.T) {
 		items[i] = f.pseudonym(t, f.iaKeys, fmt.Sprintf("item-%d", i))
 	}
 	lrsResp, _ := message.Marshal(message.LRSGetResponse{Items: items})
-	framedResp, _ := message.Marshal(iaGetCall{Handle: "h-big", Body: lrsResp})
+	framedResp := appendIAGetCall(nil, "h-big", false, lrsResp)
 	out, err := f.iaEncl.Ecall("ia/get-response", framedResp)
 	if err != nil {
 		t.Fatalf("oversized LRS list: %v", err)
@@ -447,7 +438,7 @@ func TestIAGetResponseConstantSize(t *testing.T) {
 			EncTempKey: encKu,
 		})
 		handle := fmt.Sprintf("h-size-%d", n)
-		framed, _ := message.Marshal(iaGetCall{Handle: handle, Body: reqBody})
+		framed := appendIAGetCall(nil, handle, false, reqBody)
 		if _, err := f.iaEncl.Ecall("ia/get", framed); err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +447,7 @@ func TestIAGetResponseConstantSize(t *testing.T) {
 			items[i] = f.pseudonym(t, f.iaKeys, fmt.Sprintf("i%d", i))
 		}
 		lrsResp, _ := message.Marshal(message.LRSGetResponse{Items: items})
-		framedResp, _ := message.Marshal(iaGetCall{Handle: handle, Body: lrsResp})
+		framedResp := appendIAGetCall(nil, handle, false, lrsResp)
 		out, err := f.iaEncl.Ecall("ia/get-response", framedResp)
 		if err != nil {
 			t.Fatal(err)
@@ -481,21 +472,6 @@ func TestIAIdentityForVariants(t *testing.T) {
 	}
 	if enclave.Measure(IAIdentity) == enclave.Measure(IAIdentityNoItemPseudonyms) {
 		t.Error("the two IA variants share a measurement; attestation could not tell them apart")
-	}
-}
-
-func TestIAGetCallFrameRoundTrip(t *testing.T) {
-	body := json.RawMessage(`{"enc_user":"AAA"}`)
-	framed, err := message.Marshal(iaGetCall{Handle: "h", Body: body})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got iaGetCall
-	if err := message.Unmarshal(framed, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Handle != "h" || string(got.Body) != string(body) {
-		t.Errorf("frame round trip: %+v", got)
 	}
 }
 
@@ -610,4 +586,253 @@ func FuzzOpen(f *testing.F) {
 			t.Errorf("%d bytes: open asked for %v, want exactly [%s]", len(ct), s.asked, want)
 		}
 	})
+}
+
+// FuzzIAGetCall: the host↔enclave get frame decodes whatever the host
+// hands it without panicking, refuses a length the input does not hold,
+// and round-trips with the body as the frame's trailing bytes.
+func FuzzIAGetCall(f *testing.F) {
+	f.Add("h", false, []byte(`{"enc_user":"AAA"}`))
+	f.Add("", true, []byte{})
+	f.Add("1z", true, []byte{0x80, 0xff, 0x00})
+	f.Fuzz(func(t *testing.T, handle string, fill bool, body []byte) {
+		frame := appendIAGetCall(nil, handle, fill, body)
+		got, err := decodeIAGetCall(frame)
+		if err != nil || string(got.Handle) != handle || got.Fill != fill || !bytes.Equal(got.Body, body) {
+			t.Fatalf("round trip of (%q, %v, %q) = %+v, %v", handle, fill, body, got, err)
+		}
+		if len(body) > 0 && &got.Body[0] != &frame[len(frame)-len(body)] {
+			t.Fatal("body was copied, not sliced off the frame")
+		}
+		for n := 0; n < len(frame)-len(body); n++ {
+			if _, err := decodeIAGetCall(frame[:n]); err == nil {
+				t.Fatalf("frame truncated to %d of %d header bytes decoded", n, len(frame)-len(body))
+			}
+		}
+		// Arbitrary bytes as a frame, and as the other two frames: no panic.
+		decodeIAGetCall(body)
+		decodeIAGetResult(body)
+		decodeParkedKey(body)
+	})
+}
+
+func TestIAGetResultAndParkedKeyRoundTrip(t *testing.T) {
+	for _, hit := range []bool{false, true} {
+		got, err := decodeIAGetResult(appendIAGetResult(nil, hit, "shop\x00pseudo", []byte("body")))
+		if err != nil || got.Hit != hit || string(got.Key) != "shop\x00pseudo" || string(got.Body) != "body" {
+			t.Errorf("iaGetResult round trip: %+v, %v", got, err)
+		}
+	}
+	ku := bytes.Repeat([]byte{7}, ppcrypto.SymmetricKeySize)
+	frame := appendParkedKey(nil, ku, "shop", "pseudo")
+	pk, err := decodeParkedKey(frame)
+	if err != nil || !bytes.Equal(pk.Ku, ku) || string(pk.Tenant) != "shop" || string(pk.User) != "pseudo" {
+		t.Errorf("parkedKey round trip: %+v, %v", pk, err)
+	}
+	for n := 0; n < len(frame)-len("pseudo"); n++ {
+		if _, err := decodeParkedKey(frame[:n]); err == nil {
+			t.Errorf("parkedKey truncated to %d bytes decoded", n)
+		}
+	}
+	if _, err := decodeIAGetCall([]byte{1, 'h', 2}); err == nil {
+		t.Error("a fill byte other than 0 or 1 decoded")
+	}
+}
+
+// TestGetResponseRenderingMatchesMarshal: the GetResponse the IA enclave
+// renders with one append is the bytes message.Marshal makes of it, for
+// every length of ciphertext and so every base64 padding.
+func TestGetResponseRenderingMatchesMarshal(t *testing.T) {
+	for n := 0; n < 70; n++ {
+		ct := bytes.Repeat([]byte{0xfb, 0xff, 0x3e}, n)[:n*3/2]
+		want, err := message.Marshal(message.GetResponse{EncItems: message.Encode64(ct)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendGetResponse(nil, ct); !bytes.Equal(got, want) {
+			t.Errorf("%d bytes: rendered %s, message.Marshal %s", len(ct), got, want)
+		}
+	}
+}
+
+// iaGetPath is one get through the IA enclave's two crossings on the shared
+// fixture: the UA's body framed for ia/get, and the stub-shaped LRS reply
+// of MaxRecommendations items pseudonymized under kIA.
+type iaGetPath struct {
+	f        *layerFixture
+	ku       []byte
+	get      []byte // the UA's request body, pseudonym and sealed k_u
+	lrsReply []byte
+}
+
+func newIAGetPath(t testing.TB, f *layerFixture) *iaGetPath {
+	t.Helper()
+	ku, encKu := f.tempKey(t)
+	get, err := message.Marshal(message.GetRequest{EncUser: f.pseudonym(t, f.uaKeys, "erin"), EncTempKey: encKu})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]string, message.MaxRecommendations)
+	for i := range items {
+		items[i] = f.pseudonym(t, f.iaKeys, fmt.Sprintf("stub-item-%04d", i))
+	}
+	reply, err := message.Marshal(message.LRSGetResponse{Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &iaGetPath{f: f, ku: ku, get: get, lrsReply: reply}
+}
+
+func (p *iaGetPath) run(t testing.TB, handle string) []byte {
+	t.Helper()
+	if _, err := p.f.iaEncl.Ecall(ecallIAGet, appendIAGetCall(nil, handle, false, p.get)); err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.f.iaEncl.Ecall(ecallIAGetResp, appendIAGetCall(nil, handle, false, p.lrsReply))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestIAGetPathAllocationCeilings pins what one recommendation costs the
+// IA enclave on the heap. ia/get-response on a 20-item reply was ≈ 200
+// allocations when its frames were JSON, its items strings and each
+// pseudonym a fresh AES key schedule; it is the reply's strict read, 20
+// XORs into one packed list, one SymEncrypt and one append now. ia/get was
+// 34; what is left is OpenBox, the request's JSON and the LRS request's.
+func TestIAGetPathAllocationCeilings(t *testing.T) {
+	f := newFixture(t)
+	p := newIAGetPath(t, f)
+	packed := p.run(t, "warm") // builds the resident keys and stream
+	if items := decodeSealed(t, p.ku, packed); len(items) != message.MaxRecommendations || items[0] != "stub-item-0000" {
+		t.Fatalf("sealed list = %v", items)
+	}
+	getFrame := appendIAGetCall(nil, "h", false, p.get)
+	respFrame := appendIAGetCall(nil, "h", false, p.lrsReply)
+	kv := f.iaEncl.KV()
+
+	get := testing.AllocsPerRun(50, func() {
+		f.iaEncl.Ecall(ecallIAGet, getFrame)
+		kv.Delete("h")
+	})
+	if get > 28 {
+		t.Errorf("ia/get allocates %.0f per request, want ≤ 28", get)
+	}
+	// Each run re-parks k_u first, as ia/get would; that Put is in the count.
+	if _, err := f.iaEncl.Ecall(ecallIAGet, getFrame); err != nil {
+		t.Fatal(err)
+	}
+	parked, _ := kv.Get("h")
+	resp := testing.AllocsPerRun(50, func() {
+		kv.Put("h", parked)
+		f.iaEncl.Ecall(ecallIAGetResp, respFrame)
+	})
+	if resp > 20 {
+		t.Errorf("ia/get-response on a %d-item reply allocates %.0f, want ≤ 20 (per-item strings or key schedules back?)",
+			message.MaxRecommendations, resp)
+	}
+	t.Logf("ia/get %.0f allocs, ia/get-response %.0f", get, resp)
+}
+
+// TestPseudonymizeThroughDerivedStream: a layer holding its stream pays
+// one allocation per pseudonym — the block — where the one-shot path
+// expands the AES key every time; and the stream a handler gets is the
+// one resident for the provisioning, not rebuilt per message.
+func TestPseudonymizeThroughDerivedStream(t *testing.T) {
+	f := newFixture(t)
+	s := memoSecrets{raw: secretsOf(t, f.uaKeys)}
+	stream, err := detStream(&s, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived := testing.AllocsPerRun(100, func() {
+		st, _ := detStream(&s, "")
+		st.Pseudonymize("user-12345")
+	})
+	if derived > 1 {
+		t.Errorf("Pseudonymize through the derived stream: %.0f allocs, want 1", derived)
+	}
+	oneShot := testing.AllocsPerRun(100, func() { ppcrypto.Pseudonymize(f.uaKeys.Permanent, "user-12345") })
+	if oneShot <= derived {
+		t.Errorf("one-shot Pseudonymize %.0f allocs, derived %.0f: the stream saves nothing?", oneShot, derived)
+	}
+	if s.builds != 1 {
+		t.Errorf("stream built %d times for one provisioning, want 1", s.builds)
+	}
+	got, _ := stream.Pseudonymize("alice")
+	if message.Encode64(got) != f.pseudonym(t, f.uaKeys, "alice") {
+		t.Error("the derived stream's pseudonym differs from ppcrypto.Pseudonymize's")
+	}
+}
+
+// memoSecrets is mapSecrets with Derived memoised per name, as the
+// enclave's secret set does it, counting builds.
+type memoSecrets struct {
+	raw     mapSecrets
+	derived map[string]any
+	builds  int
+}
+
+func (m *memoSecrets) Get(name string) ([]byte, bool) { return m.raw.Get(name) }
+
+func (m *memoSecrets) Derived(name string, build func([]byte) (any, error)) (any, error) {
+	if v, ok := m.derived[name]; ok {
+		return v, nil
+	}
+	v, err := build(m.raw[name])
+	if err != nil {
+		return nil, err
+	}
+	if m.derived == nil {
+		m.derived = map[string]any{}
+	}
+	m.derived[name] = v
+	m.builds++
+	return v, nil
+}
+
+func decodeSealed(t testing.TB, ku, out []byte) []string {
+	t.Helper()
+	var resp message.GetResponse
+	if err := message.Unmarshal(out, &resp); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := message.Decode64(resp.EncItems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := ppcrypto.SymDecrypt(ku, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items, err := message.DecodeItemList(packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return items
+}
+
+// BenchmarkIAGetPath is one recommendation through the IA enclave: the
+// ia/get crossing (open k_u, park it, emit the LRS request) and the
+// ia/get-response crossing on a 20-item pseudonymized reply (re-identify,
+// pack, seal), per key material. `make verify` runs it once.
+func BenchmarkIAGetPath(b *testing.B) {
+	base := newFixture(b)
+	for _, rsaOnly := range []bool{false, true} {
+		name := "box"
+		if rsaOnly {
+			name = "rsa"
+		}
+		b.Run(name, func(b *testing.B) {
+			f := *base
+			f.rsaOnly = rsaOnly
+			p := newIAGetPath(b, &f)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.run(b, "bench")
+			}
+		})
+	}
 }

@@ -3,6 +3,7 @@ package proxy_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"pprox/internal/client"
 	"pprox/internal/message"
+	"pprox/internal/proxy"
 	"pprox/internal/transport"
 )
 
@@ -190,5 +193,90 @@ func TestServedCountsOnly2xxOnBothLayers(t *testing.T) {
 		if served, failed := l.served(); served != 1 || failed != 2 {
 			t.Errorf("%s stats = %d served, %d failed; want 1 and 2", l.name, served, failed)
 		}
+	}
+}
+
+// edgeTap records the status and body of every answer a client receives.
+type edgeTap struct {
+	base http.RoundTripper
+	mu   sync.Mutex
+	seen []string
+}
+
+func (e *edgeTap) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := e.base.RoundTrip(r)
+	if err != nil {
+		return nil, err
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	e.mu.Lock()
+	e.seen = append(e.seen, fmt.Sprintf("%s %d %s", r.URL.Path, resp.StatusCode, body))
+	e.mu.Unlock()
+	return resp, nil
+}
+
+// chattyLRS answers like a PredictionIO-style event server — every post
+// gets its own event id — and refuses every get with a 404 naming the
+// pseudonym it was asked about: two per-request correlators an LRS
+// chooses, which must not reach the client past the shuffler.
+func chattyLRS(http.Handler) http.Handler {
+	var n atomic.Int64
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		if r.URL.Path == message.EventsPath {
+			fmt.Fprintf(w, `{"eventId":"evt-%d"}`, n.Add(1))
+			return
+		}
+		var get message.LRSGet
+		message.Unmarshal(body, &get)
+		http.Error(w, "no history for "+get.User, http.StatusNotFound)
+	})
+}
+
+// TestIAWritesConstantBodiesForLRSAnswers: on the private path the LRS's
+// status travels back to the client but its body does not — every post
+// answers the same bytes and every refused get the same bytes, whatever
+// the LRS wrote. Pass-through relays the LRS's body: it is the identity.
+func TestIAWritesConstantBodiesForLRSAnswers(t *testing.T) {
+	for _, passThrough := range []bool{false, true} {
+		t.Run(fmt.Sprintf("passthrough=%v", passThrough), func(t *testing.T) {
+			st := newStack(t, stackOptions{useStub: true, passThrough: passThrough, lrsMiddleware: chattyLRS})
+			tap := &edgeTap{base: transport.HTTPClient(st.net, 5*time.Second).Transport}
+			cl := client.New(proxy.Bundle(st.uaKeys, st.iaKeys), &http.Client{Transport: tap}, "http://ua")
+			if passThrough {
+				cl = client.NewPlain(&http.Client{Transport: tap}, "http://ua")
+			}
+			ctx := ctxT(t)
+			for i := 0; i < 3; i++ {
+				if err := cl.Post(ctx, fmt.Sprintf("user-%d", i), "item", ""); err != nil {
+					t.Fatalf("post: %v", err)
+				}
+				if _, err := cl.Get(ctx, fmt.Sprintf("user-%d", i)); !errors.Is(err, client.ErrServiceStatus) {
+					t.Fatalf("get against a refusing LRS: err = %v, want a 404 status", err)
+				}
+			}
+
+			tap.mu.Lock()
+			defer tap.mu.Unlock()
+			distinct := map[string]bool{}
+			for _, s := range tap.seen {
+				distinct[s] = true
+			}
+			if passThrough {
+				if len(distinct) != len(tap.seen) {
+					t.Errorf("pass-through answers %q: the LRS's bodies must be relayed as they are", tap.seen)
+				}
+				return
+			}
+			want := []string{
+				message.EventsPath + ` 200 {"status":"ok"}`,
+				message.QueriesPath + " 404 Not Found",
+			}
+			if len(distinct) != len(want) || !distinct[want[0]] || !distinct[want[1]] {
+				t.Errorf("client saw %q, want only %q", tap.seen, want)
+			}
+		})
 	}
 }
