@@ -6,9 +6,8 @@
 // anonymity set to the batch it actually released; a pseudonymization
 // key that outlives a breach hands the adversary the LRS database; a
 // breaker-induced traffic collapse starves the shuffler until every
-// epoch is a singleton. PR 1's instruments expose the raw counters, but
-// nothing interprets them against the bound. This package does: it
-// consumes the instrument streams (epoch batch sizes per node, key
+// epoch is a singleton. The auditor is internal/slo's privacy instance:
+// it consumes the instrument streams (epoch batch sizes per node, key
 // rotations, enclave compromise flags, breaker/ejection state) and
 // maintains
 //
@@ -16,10 +15,10 @@
 //     released batch size, the exact denominator of the linking bound
 //     for the requests in that epoch),
 //   - a rolling worst-epoch watermark (lifetime and windowed), and
-//   - multi-window burn-rate evaluation of the occupancy SLO ("at least
-//     99% of epochs fully occupied"), with state transitions (ok →
-//     warn → violated) exported as metrics, logged, and served as an
-//     epoch-granular JSON report on /privacy.
+//   - the occupancy objective ("at least 99% of epochs fully occupied")
+//     on the engine's multi-window burn rates, with state transitions
+//     (ok → warn → violated) exported as metrics, logged, and served as
+//     an epoch-granular JSON report on /privacy.
 //
 // The report deliberately contains nothing an on-path adversary does not
 // already observe: batch sizes are visible on the wire as message
@@ -29,53 +28,20 @@
 package audit
 
 import (
-	"log/slog"
-	"sort"
-	"sync"
+	"strconv"
 	"time"
+
+	"pprox/internal/slo"
 )
 
-// State is the privacy SLO's current position.
-type State int
+// State is the privacy SLO's position: the engine's states.
+type State = slo.State
 
-// SLO states. Numeric values are stable: metrics export them as a gauge.
+// The states callers compare against.
 const (
-	// StateOK: every window within budget, no degraded signals.
-	StateOK State = 0
-	// StateWarn: budget burning in some window, or a degraded-path
-	// signal (open breaker, ejected backend, stale key) that historically
-	// precedes under-filled epochs.
-	StateWarn State = 1
-	// StateViolated: the occupancy SLO is burning in every window
-	// (requests measurably travelled in epochs smaller than S), or an
-	// enclave compromise is unremediated — the 1/S bound does not hold.
-	StateViolated State = 2
+	StateOK       = slo.StateOK
+	StateViolated = slo.StateViolated
 )
-
-// String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case StateWarn:
-		return "warn"
-	case StateViolated:
-		return "violated"
-	default:
-		return "ok"
-	}
-}
-
-// Window is one burn-rate evaluation window of the occupancy SLO.
-type Window struct {
-	// Name labels the window in metrics and the report (e.g. "5m").
-	Name string
-	// Duration is the lookback.
-	Duration time.Duration
-	// Burn is the burn-rate threshold: the window trips when
-	// (under-filled fraction) / (error budget) reaches it. 1.0 means
-	// "burning the whole budget at sustained rate"; higher values catch
-	// fast burns sooner relative to the window length.
-	Burn float64
-}
 
 // Config parameterizes the auditor.
 type Config struct {
@@ -85,50 +51,12 @@ type Config struct {
 	// Objective is the fraction of epochs that must be fully occupied
 	// (default 0.99; the error budget is 1−Objective).
 	Objective float64
-	// Windows are the burn-rate windows, shortest first (default 5m and
-	// 1h, both with Burn 1.0). The SLO is violated only when EVERY
-	// window trips — the standard multi-window guard against a single
-	// slow epoch paging an operator — and warns when any window trips.
-	Windows []Window
 	// MaxKeyAge warns when a layer's pseudonymization key has not
 	// rotated within this horizon (0 disables; key age only matters for
 	// deployments that arm rotation).
 	MaxKeyAge time.Duration
-	// Now overrides the clock for tests.
-	Now func() time.Time
-}
-
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.TargetS < 1 {
-		c.TargetS = 1
-	}
-	if c.Objective <= 0 || c.Objective >= 1 {
-		c.Objective = 0.99
-	}
-	if len(c.Windows) == 0 {
-		c.Windows = []Window{
-			{Name: "5m", Duration: 5 * time.Minute, Burn: 1},
-			{Name: "1h", Duration: time.Hour, Burn: 1},
-		}
-	}
-	for i := range c.Windows {
-		if c.Windows[i].Burn <= 0 {
-			c.Windows[i].Burn = 1
-		}
-	}
-	sort.Slice(c.Windows, func(i, j int) bool { return c.Windows[i].Duration < c.Windows[j].Duration })
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
-
-// epochObs is one observed shuffle-epoch release.
-type epochObs struct {
-	at    time.Time
-	node  string
-	batch int
+	// Config holds the burn-rate windows and the clock.
+	slo.Config
 }
 
 // nodeStats aggregates one node's epoch history.
@@ -154,78 +82,46 @@ type EpochRecord struct {
 	Underfilled bool   `json:"underfilled"`
 }
 
-// Auditor is the privacy-SLO engine. All methods are safe for concurrent
-// use; observation paths take one short mutex (they run on shuffler
-// flush, not per request).
+// Auditor is the privacy-SLO engine. Its one objective is occupancy:
+// good = full epochs, bad = under-filled ones, read at every
+// ObserveEpoch, each reading marked with its epoch's batch so the
+// windowed minimum batch is exact. All methods are safe for concurrent
+// use; observation runs on shuffler flush, not per request.
 type Auditor struct {
+	*slo.Engine
 	cfg Config
+	occ *slo.Objective
 
-	mu         sync.Mutex
-	obs        []epochObs // pruned beyond the longest window
-	nodes      map[string]*nodeStats
-	state      State
-	stateSince time.Time
-	lastEpoch  time.Time
-
-	epochsTotal      uint64
-	underfilledTotal uint64
-	violations       uint64
-	warns            uint64
-
-	rotations    map[string]time.Time // layer → last rotation (or start)
+	// Guarded by the engine lock.
+	occupancy    slo.Reading // full and under-filled epochs, lifetime
+	nodes        map[string]*nodeStats
+	rotations    map[string]time.Time // layer → last rotation (or baseline)
 	breaches     map[string]time.Time // layer → unremediated breach time
-	checks       []check
 	cacheWatches []*cacheWatch
-
-	logger *slog.Logger
-
-	// OnTransition, when set, receives every state change after the
-	// auditor's own bookkeeping (e.g. to push an alert). Called without
-	// the auditor lock held.
-	OnTransition func(from, to State, reason string)
-}
-
-// check is a sampled external signal.
-type check struct {
-	name     string
-	fn       func() bool
-	violates bool // true → StateViolated while firing, else StateWarn
 }
 
 // New creates an auditor.
 func New(cfg Config) *Auditor {
-	cfg = cfg.withDefaults()
-	return &Auditor{
-		cfg:        cfg,
-		nodes:      make(map[string]*nodeStats),
-		rotations:  make(map[string]time.Time),
-		breaches:   make(map[string]time.Time),
-		stateSince: cfg.Now(),
+	if cfg.TargetS < 1 {
+		cfg.TargetS = 1
 	}
-}
-
-// SetLogger installs the auditor's logger (state transitions, violation
-// details). Nil disables logging.
-func (a *Auditor) SetLogger(l *slog.Logger) {
-	a.mu.Lock()
-	a.logger = l
-	a.mu.Unlock()
-}
-
-// AddCheck registers a sampled degraded-path signal (open breaker,
-// ejected backend): while fn returns true the state is at least Warn.
-func (a *Auditor) AddCheck(name string, fn func() bool) {
-	a.mu.Lock()
-	a.checks = append(a.checks, check{name: name, fn: fn})
-	a.mu.Unlock()
-}
-
-// AddViolationCheck registers a sampled signal that forces StateViolated
-// while true — an unremediated enclave compromise flag.
-func (a *Auditor) AddViolationCheck(name string, fn func() bool) {
-	a.mu.Lock()
-	a.checks = append(a.checks, check{name: name, fn: fn, violates: true})
-	a.mu.Unlock()
+	if cfg.Objective <= 0 || cfg.Objective >= 1 {
+		cfg.Objective = 0.99
+	}
+	a := &Auditor{
+		Engine:    slo.New(cfg.Config, "privacy SLO state transition", "target_s", cfg.TargetS),
+		cfg:       cfg,
+		nodes:     make(map[string]*nodeStats),
+		rotations: make(map[string]time.Time),
+		breaches:  make(map[string]time.Time),
+	}
+	a.occ = a.Add(&slo.Objective{
+		Budget:   1 - cfg.Objective,
+		Read:     func() slo.Reading { return a.occupancy },
+		Describe: a.describe,
+	})
+	a.AddSignal(a.keySignal)
+	return a
 }
 
 // ObserveEpoch records one shuffle-epoch release on a node: batch is the
@@ -233,35 +129,28 @@ func (a *Auditor) AddViolationCheck(name string, fn func() bool) {
 // anonymity set of every request in that epoch. Wire it to the layer's
 // epoch observer (shuffle flush).
 func (a *Auditor) ObserveEpoch(node string, batch int) {
-	now := a.cfg.Now()
-	a.mu.Lock()
-	under := batch < a.cfg.TargetS
-	a.obs = append(a.obs, epochObs{at: now, node: node, batch: batch})
-	a.pruneLocked(now)
-	a.lastEpoch = now
-	a.epochsTotal++
-	if under {
-		a.underfilledTotal++
-	}
-	ns := a.nodes[node]
-	if ns == nil {
-		ns = &nodeStats{worstBatch: batch}
-		a.nodes[node] = ns
-	}
-	ns.epochs++
-	if under {
-		ns.underfilled++
-	}
-	if batch < ns.worstBatch {
-		ns.worstBatch = batch
-	}
-	ns.lastBatch = batch
-	ns.recent = append(ns.recent, EpochRecord{Seq: ns.epochs, Batch: batch, Underfilled: under})
-	if len(ns.recent) > maxRecentEpochs {
-		ns.recent = ns.recent[len(ns.recent)-maxRecentEpochs:]
-	}
-	a.recomputeLocked(now)
-	a.mu.Unlock()
+	a.Update(func(now time.Time) {
+		under := batch < a.cfg.TargetS
+		ns := a.nodes[node]
+		if ns == nil {
+			ns = &nodeStats{worstBatch: batch}
+			a.nodes[node] = ns
+		}
+		ns.epochs++
+		if under {
+			a.occupancy.Bad++
+			ns.underfilled++
+		} else {
+			a.occupancy.Good++
+		}
+		ns.worstBatch = min(ns.worstBatch, batch)
+		ns.lastBatch = batch
+		ns.recent = append(ns.recent, EpochRecord{Seq: ns.epochs, Batch: batch, Underfilled: under})
+		if len(ns.recent) > maxRecentEpochs {
+			ns.recent = ns.recent[len(ns.recent)-maxRecentEpochs:]
+		}
+		a.occ.Record(now, batch)
+	})
 }
 
 // ObserveBreach records a detected enclave compromise on a layer. The
@@ -269,28 +158,24 @@ func (a *Auditor) ObserveEpoch(node string, batch int) {
 // rotated — stolen permanent keys de-pseudonymize the LRS database for as
 // long as they stay in service (§2.3 footnote 1).
 func (a *Auditor) ObserveBreach(layer string) {
-	now := a.cfg.Now()
-	a.mu.Lock()
-	a.breaches[layer] = now
-	// Every registered recommendation cache now owes a wholesale flush,
-	// whichever layer leaked: cached lists derive from the pre-breach
-	// key world (see RegisterCacheCheck).
-	for _, w := range a.cacheWatches {
-		w.noteBreach()
-	}
-	a.recomputeLocked(now)
-	a.mu.Unlock()
+	a.Update(func(now time.Time) {
+		a.breaches[layer] = now
+		// Every registered recommendation cache now owes a wholesale
+		// flush, whichever layer leaked: cached lists derive from the
+		// pre-breach key world (see RegisterCacheCheck).
+		for _, w := range a.cacheWatches {
+			w.noteBreach()
+		}
+	})
 }
 
 // ObserveRotation records a completed key rotation for a layer, clearing
 // its breach flag and resetting its key age.
 func (a *Auditor) ObserveRotation(layer string) {
-	now := a.cfg.Now()
-	a.mu.Lock()
-	a.rotations[layer] = now
-	delete(a.breaches, layer)
-	a.recomputeLocked(now)
-	a.mu.Unlock()
+	a.Update(func(now time.Time) {
+		a.rotations[layer] = now
+		delete(a.breaches, layer)
+	})
 }
 
 // SetKeyBaseline marks a layer's key as fresh when its first instance is
@@ -298,186 +183,59 @@ func (a *Auditor) ObserveRotation(layer string) {
 // unknown past. Every instance of a layer calls it; only the first call,
 // before any rotation, sets the age.
 func (a *Auditor) SetKeyBaseline(layer string) {
-	a.mu.Lock()
-	if _, ok := a.rotations[layer]; !ok {
-		a.rotations[layer] = a.cfg.Now()
-	}
-	a.mu.Unlock()
+	a.Update(func(now time.Time) {
+		if _, ok := a.rotations[layer]; !ok {
+			a.rotations[layer] = now
+		}
+	})
 }
 
-// pruneLocked drops observations beyond the longest window.
-func (a *Auditor) pruneLocked(now time.Time) {
-	horizon := now.Add(-a.cfg.Windows[len(a.cfg.Windows)-1].Duration)
-	i := 0
-	for i < len(a.obs) && a.obs[i].at.Before(horizon) {
-		i++
+// keySignal holds the SLO violated while a layer's breach is
+// unremediated — an unremediated compromise breaks the guarantee
+// outright, whatever the shuffler does — and at warn while a layer's key
+// is older than MaxKeyAge. The reason names the first such layer in
+// sorted order, so identical runs give identical reasons.
+func (a *Auditor) keySignal(now time.Time) (slo.State, string) {
+	if layer := firstLayer(a.breaches, func(time.Time) bool { return true }); layer != "" {
+		return slo.StateViolated, "unremediated breach on " + layer
 	}
-	if i > 0 {
-		a.obs = append(a.obs[:0], a.obs[i:]...)
+	if a.cfg.MaxKeyAge > 0 {
+		stale := func(at time.Time) bool { return now.Sub(at) > a.cfg.MaxKeyAge }
+		if layer := firstLayer(a.rotations, stale); layer != "" {
+			return slo.StateWarn, "stale pseudonymization key on " + layer
+		}
 	}
+	return slo.StateOK, ""
 }
 
-// windowEval is one window's burn-rate evaluation.
-type windowEval struct {
-	Window      string  `json:"window"`
-	Epochs      uint64  `json:"epochs"`
-	Underfilled uint64  `json:"underfilled"`
-	BurnRate    float64 `json:"burn_rate"`
-	Burning     bool    `json:"burning"`
-	// MinBatch is the windowed worst-epoch watermark: the smallest
-	// effective anonymity set any request got within the window (0 when
-	// the window saw no epochs).
-	MinBatch int `json:"min_batch"`
+// firstLayer is the first layer in sorted order whose time passes keep
+// ("" when none does).
+func firstLayer(layers map[string]time.Time, keep func(time.Time) bool) string {
+	first := ""
+	for layer, at := range layers {
+		if keep(at) && (first == "" || layer < first) {
+			first = layer
+		}
+	}
+	return first
 }
 
-// evalWindowLocked computes one window's burn rate at time now.
-func (a *Auditor) evalWindowLocked(w Window, now time.Time) windowEval {
-	ev := windowEval{Window: w.Name}
-	horizon := now.Add(-w.Duration)
-	budget := 1 - a.cfg.Objective
-	for _, o := range a.obs {
-		if o.at.Before(horizon) {
-			continue
-		}
-		ev.Epochs++
-		if o.batch < a.cfg.TargetS {
-			ev.Underfilled++
-		}
-		if ev.MinBatch == 0 || o.batch < ev.MinBatch {
-			ev.MinBatch = o.batch
-		}
+// describe names an occupancy transition; a violation carries the
+// smallest batch the longest window saw.
+func (a *Auditor) describe(now time.Time, s slo.State, w slo.Window) string {
+	if s == slo.StateViolated {
+		return "occupancy SLO burning in every window (min effective anonymity " +
+			strconv.Itoa(a.occ.MinMark(w, now)) + " < S=" + strconv.Itoa(a.cfg.TargetS) + ")"
 	}
-	if ev.Epochs > 0 {
-		ev.BurnRate = (float64(ev.Underfilled) / float64(ev.Epochs)) / budget
-		ev.Burning = ev.BurnRate >= w.Burn
-	}
-	return ev
-}
-
-// recomputeLocked re-derives the SLO state and fires transitions.
-func (a *Auditor) recomputeLocked(now time.Time) {
-	next := StateOK
-	reason := ""
-
-	// Hard violations first: an unremediated compromise breaks the
-	// guarantee outright, no matter what the shuffler does.
-	for layer := range a.breaches {
-		next, reason = StateViolated, "unremediated breach on "+layer
-	}
-	violated, warned := false, false
-	var checkReason string
-	for _, c := range a.checks {
-		if !c.fn() {
-			continue
-		}
-		if c.violates {
-			violated, checkReason = true, c.name
-		} else if !warned {
-			warned, checkReason = true, c.name
-		}
-	}
-	if next != StateViolated && violated {
-		next, reason = StateViolated, checkReason
-	}
-
-	// Occupancy burn rates: violated when every window burns, warned
-	// when any does.
-	if next != StateViolated {
-		burningAll, burningAny := len(a.obs) > 0, false
-		var slowest windowEval
-		for _, w := range a.cfg.Windows {
-			ev := a.evalWindowLocked(w, now)
-			if ev.Burning {
-				burningAny = true
-				slowest = ev
-			} else {
-				burningAll = false
-			}
-		}
-		switch {
-		case burningAll:
-			next = StateViolated
-			reason = "occupancy SLO burning in every window (min effective anonymity " +
-				itoa(slowest.MinBatch) + " < S=" + itoa(a.cfg.TargetS) + ")"
-		case burningAny && next == StateOK:
-			next, reason = StateWarn, "occupancy budget burning in window "+slowest.Window
-		}
-	}
-
-	// Degraded-path warnings.
-	if next == StateOK && warned {
-		next, reason = StateWarn, checkReason
-	}
-	if next == StateOK && a.cfg.MaxKeyAge > 0 {
-		for layer, at := range a.rotations {
-			if now.Sub(at) > a.cfg.MaxKeyAge {
-				next, reason = StateWarn, "stale pseudonymization key on "+layer
-			}
-		}
-	}
-
-	if next == a.state {
-		return
-	}
-	from := a.state
-	a.state = next
-	a.stateSince = now
-	switch next {
-	case StateViolated:
-		a.violations++
-	case StateWarn:
-		a.warns++
-	}
-	logger, hook := a.logger, a.OnTransition
-	if logger != nil {
-		logger.Warn("privacy SLO state transition",
-			"from", from.String(), "to", next.String(), "reason", reason,
-			"target_s", a.cfg.TargetS)
-	}
-	if hook != nil {
-		// Run the hook off-lock; transitions are rare.
-		go hook(from, next, reason)
-	}
-}
-
-// State returns the current SLO state, re-evaluated against the clock
-// (windows empty out as time passes even with no new epochs).
-func (a *Auditor) State() State {
-	now := a.cfg.Now()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.pruneLocked(now)
-	a.recomputeLocked(now)
-	return a.state
+	return "occupancy budget burning in window " + w.Name
 }
 
 // Stats returns lifetime counters: epochs observed, under-filled epochs,
 // violation transitions, and warn transitions.
 func (a *Auditor) Stats() (epochs, underfilled, violations, warns uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.epochsTotal, a.underfilledTotal, a.violations, a.warns
-}
-
-// itoa avoids strconv in the hot transition path message.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+	a.Read(func(_ time.Time, st slo.Status) {
+		epochs, underfilled = a.occupancy.Good+a.occupancy.Bad, a.occupancy.Bad
+		violations, warns = st.Violations, st.Warns
+	})
+	return epochs, underfilled, violations, warns
 }

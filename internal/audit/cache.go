@@ -1,6 +1,6 @@
 package audit
 
-import "sync"
+import "time"
 
 // CacheState is the auditor's sampled view of one IA recommendation
 // cache: its flush generation (advances exactly once per wholesale
@@ -16,45 +16,32 @@ type CacheState interface {
 // ObserveBreach it snapshots the cache's flush generation; while the
 // cache still held entries at breach time and its generation has not
 // advanced since, the breach-era entries may still be getting served —
-// a violation until Flush runs.
+// a violation until Flush runs. Its methods run under the engine lock.
 type cacheWatch struct {
-	name string
-	c    CacheState
-
-	mu        sync.Mutex
+	c         CacheState
 	pending   bool
 	breachGen uint64
 }
 
-// noteBreach arms the watch: a flush (generation bump) is now owed.
-// A cache that was already empty owes nothing.
+// noteBreach arms the watch: a flush (generation bump) is now owed. An
+// outstanding (older) debt stands, and a cache that was already empty
+// owes nothing.
 func (w *cacheWatch) noteBreach() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.pending {
-		return // the outstanding (older) debt stands
-	}
-	if w.c.Len() == 0 {
+	if w.pending || w.c.Len() == 0 {
 		return
 	}
 	w.pending = true
 	w.breachGen = w.c.Generation()
 }
 
-// stale reports whether the cache still owes a post-breach flush. It is
-// called from recomputeLocked under the auditor lock, so it must not
-// call back into the auditor.
+// stale reports whether the cache still owes a post-breach flush. It
+// runs as a check under the engine lock, so it must not call back into
+// the auditor.
 func (w *cacheWatch) stale() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.pending {
-		return false
-	}
-	if w.c.Generation() > w.breachGen {
+	if w.pending && w.c.Generation() > w.breachGen {
 		w.pending = false
-		return false
 	}
-	return true
+	return w.pending
 }
 
 // RegisterCacheCheck puts a recommendation cache under audit, named for
@@ -68,14 +55,8 @@ func (w *cacheWatch) stale() bool {
 //
 // Call during deployment wiring, like AddCheck.
 func (a *Auditor) RegisterCacheCheck(name string, c CacheState) {
-	w := &cacheWatch{name: name, c: c}
-	a.mu.Lock()
-	a.cacheWatches = append(a.cacheWatches, w)
-	a.checks = append(a.checks,
-		check{name: "expired reccache entries resident on " + name, fn: func() bool {
-			return c.ExpiredResident() > 0
-		}},
-		check{name: "reccache not flushed after breach on " + name, fn: w.stale, violates: true},
-	)
-	a.mu.Unlock()
+	w := &cacheWatch{c: c}
+	a.Update(func(time.Time) { a.cacheWatches = append(a.cacheWatches, w) })
+	a.AddCheck("expired reccache entries resident on "+name, func() bool { return c.ExpiredResident() > 0 })
+	a.AddViolationCheck("reccache not flushed after breach on "+name, w.stale)
 }

@@ -2,6 +2,8 @@ package audit
 
 import (
 	"testing"
+
+	"pprox/internal/slo"
 )
 
 // fakeCache is a controllable CacheState.
@@ -31,7 +33,7 @@ func TestCacheCheckExpiredEntriesWarn(t *testing.T) {
 		t.Fatalf("state = %v with fresh cache, want ok", got)
 	}
 	fc.expired = 2
-	if got := a.State(); got != StateWarn {
+	if got := a.State(); got != slo.StateWarn {
 		t.Fatalf("state = %v with expired entries resident, want warn", got)
 	}
 	fc.expired = 0 // epoch sweep ran

@@ -1,12 +1,12 @@
 package audit
 
 import (
-	"encoding/json"
 	"net/http"
 	"sort"
 	"time"
 
 	"pprox/internal/metrics"
+	"pprox/internal/slo"
 )
 
 // Report is the /privacy payload: the auditor's full assessment at epoch
@@ -63,59 +63,80 @@ type NodeReport struct {
 	RecentEpochs []EpochRecord `json:"recent_epochs"`
 }
 
+// windowEval is one window's occupancy evaluation.
+type windowEval struct {
+	Window      string  `json:"window"`
+	Epochs      uint64  `json:"epochs"`
+	Underfilled uint64  `json:"underfilled"`
+	BurnRate    float64 `json:"burn_rate"`
+	Burning     bool    `json:"burning"`
+	// MinBatch is the windowed worst-epoch watermark: the smallest
+	// effective anonymity set any request got within the window (0 when
+	// the window saw no epochs).
+	MinBatch int `json:"min_batch"`
+}
+
+// window evaluates the occupancy objective over w at now.
+func (a *Auditor) window(w slo.Window, now time.Time) windowEval {
+	ev := a.occ.Window(w, now)
+	return windowEval{Window: w.Name, Epochs: ev.Good + ev.Bad, Underfilled: ev.Bad,
+		BurnRate: ev.BurnRate, Burning: ev.Burning, MinBatch: a.occ.MinMark(w, now)}
+}
+
+// worstBatch is the lifetime worst-epoch watermark over every node (0
+// before the first epoch).
+func (a *Auditor) worstBatch() int {
+	worst := 0
+	for _, ns := range a.nodes {
+		if worst == 0 || ns.worstBatch < worst {
+			worst = ns.worstBatch
+		}
+	}
+	return worst
+}
+
 // Report assembles the current assessment.
 func (a *Auditor) Report() Report {
-	now := a.cfg.Now()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.pruneLocked(now)
-	a.recomputeLocked(now)
-
-	r := Report{
-		TargetS:          a.cfg.TargetS,
-		Objective:        a.cfg.Objective,
-		State:            a.state.String(),
-		StateSeconds:     int64(now.Sub(a.stateSince) / time.Second),
-		EpochsTotal:      a.epochsTotal,
-		UnderfilledTotal: a.underfilledTotal,
-		Violations:       a.violations,
-		Warns:            a.warns,
-	}
-	for _, w := range a.cfg.Windows {
-		r.Windows = append(r.Windows, a.evalWindowLocked(w, now))
-	}
-	if len(r.Windows) > 0 {
+	var r Report
+	a.Read(func(now time.Time, st slo.Status) {
+		r = Report{
+			TargetS:          a.cfg.TargetS,
+			Objective:        a.cfg.Objective,
+			State:            st.State.String(),
+			StateSeconds:     int64(now.Sub(st.Since) / time.Second),
+			WorstEpochBatch:  a.worstBatch(),
+			EpochsTotal:      a.occupancy.Good + a.occupancy.Bad,
+			UnderfilledTotal: a.occupancy.Bad,
+			Violations:       st.Violations,
+			Warns:            st.Warns,
+			DegradedChecks:   append([]string(nil), st.Firing...),
+		}
+		for _, w := range a.Windows() {
+			r.Windows = append(r.Windows, a.window(w, now))
+		}
 		r.EffectiveAnonymity = r.Windows[0].MinBatch
-	}
-	for name, ns := range a.nodes {
-		if r.WorstEpochBatch == 0 || ns.worstBatch < r.WorstEpochBatch {
-			r.WorstEpochBatch = ns.worstBatch
+		for name, ns := range a.nodes {
+			r.Nodes = append(r.Nodes, NodeReport{
+				Node:         name,
+				Epochs:       ns.epochs,
+				Underfilled:  ns.underfilled,
+				WorstBatch:   ns.worstBatch,
+				LastBatch:    ns.lastBatch,
+				RecentEpochs: append([]EpochRecord(nil), ns.recent...),
+			})
 		}
-		r.Nodes = append(r.Nodes, NodeReport{
-			Node:         name,
-			Epochs:       ns.epochs,
-			Underfilled:  ns.underfilled,
-			WorstBatch:   ns.worstBatch,
-			LastBatch:    ns.lastBatch,
-			RecentEpochs: append([]EpochRecord(nil), ns.recent...),
-		})
-	}
+		if len(a.rotations) > 0 {
+			r.KeyAges = make(map[string]int64, len(a.rotations))
+			for layer, at := range a.rotations {
+				r.KeyAges[layer] = int64(now.Sub(at) / time.Second)
+			}
+		}
+		for layer := range a.breaches {
+			r.Breached = append(r.Breached, layer)
+		}
+	})
 	sort.Slice(r.Nodes, func(i, j int) bool { return r.Nodes[i].Node < r.Nodes[j].Node })
-	if len(a.rotations) > 0 {
-		r.KeyAges = make(map[string]int64, len(a.rotations))
-		for layer, at := range a.rotations {
-			r.KeyAges[layer] = int64(now.Sub(at) / time.Second)
-		}
-	}
-	for layer := range a.breaches {
-		r.Breached = append(r.Breached, layer)
-	}
 	sort.Strings(r.Breached)
-	for _, c := range a.checks {
-		if c.fn() {
-			r.DegradedChecks = append(r.DegradedChecks, c.name)
-		}
-	}
 	return r
 }
 
@@ -124,92 +145,46 @@ const PrivacyPath = "/privacy"
 
 // Handler serves the JSON report (GET /privacy).
 func (a *Auditor) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(a.Report())
-	})
+	return slo.Handler(func() any { return a.Report() })
 }
 
-// RegisterMetrics exposes the auditor on the registry:
+// RegisterMetrics exposes the auditor on the registry: the engine's
+// pprox_audit_slo_state (0 ok, 1 warn, 2 violated),
+// pprox_audit_violations_total, pprox_audit_warns_total and
+// pprox_audit_burn_rate{window}, and
 //
-//   - pprox_audit_slo_state gauge (0 ok, 1 warn, 2 violated),
 //   - pprox_audit_effective_anonymity_set gauge (shortest-window min
 //     batch) and pprox_audit_worst_epoch_batch gauge (lifetime),
-//   - pprox_audit_epochs_total / pprox_audit_underfilled_epochs_total /
-//     pprox_audit_violations_total / pprox_audit_warns_total counters,
-//   - pprox_audit_burn_rate{window} gauges,
+//   - pprox_audit_epochs_total / pprox_audit_underfilled_epochs_total
+//     counters,
 //   - pprox_audit_key_age_seconds{layer} gauges (when rotation is wired),
 //   - pprox_audit_breached_layers gauge.
 func (a *Auditor) RegisterMetrics(r *metrics.Registry) {
-	r.Gauge("pprox_audit_slo_state",
-		"Privacy SLO state: 0 ok, 1 warn, 2 violated.", func() float64 {
-			return float64(a.State())
-		})
+	a.Engine.RegisterMetrics(r, slo.Families{Kind: "privacy", State: "pprox_audit_slo_state", Prefix: "pprox_audit"})
 	r.Gauge("pprox_audit_effective_anonymity_set",
-		"Smallest shuffle batch released within the shortest burn window.", func() float64 {
-			rep := a.Report()
-			return float64(rep.EffectiveAnonymity)
-		})
+		"Smallest shuffle batch released within the shortest burn window.",
+		a.Sampler(func(now time.Time) float64 { return float64(a.occ.MinMark(a.Windows()[0], now)) }))
 	r.Gauge("pprox_audit_worst_epoch_batch",
-		"Lifetime worst-epoch watermark (smallest batch ever released).", func() float64 {
-			return float64(a.Report().WorstEpochBatch)
-		})
+		"Lifetime worst-epoch watermark (smallest batch ever released).",
+		a.Sampler(func(time.Time) float64 { return float64(a.worstBatch()) }))
 	r.CounterFunc("pprox_audit_epochs_total",
-		"Shuffle epochs observed by the auditor.", func() float64 {
-			epochs, _, _, _ := a.Stats()
-			return float64(epochs)
-		})
+		"Shuffle epochs observed by the auditor.",
+		a.Sampler(func(time.Time) float64 { return float64(a.occupancy.Good + a.occupancy.Bad) }))
 	r.CounterFunc("pprox_audit_underfilled_epochs_total",
-		"Epochs released with fewer than S messages.", func() float64 {
-			_, under, _, _ := a.Stats()
-			return float64(under)
-		})
-	r.CounterFunc("pprox_audit_violations_total",
-		"Transitions into the violated state.", func() float64 {
-			_, _, violations, _ := a.Stats()
-			return float64(violations)
-		})
-	r.CounterFunc("pprox_audit_warns_total",
-		"Transitions into the warn state.", func() float64 {
-			_, _, _, warns := a.Stats()
-			return float64(warns)
-		})
-	burn := r.GaugeVec("pprox_audit_burn_rate",
-		"Occupancy error-budget burn rate per evaluation window.", "window")
-	for _, w := range a.cfg.Windows {
-		w := w
-		burn.With(func() float64 {
-			now := a.cfg.Now()
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			a.pruneLocked(now)
-			return a.evalWindowLocked(w, now).BurnRate
-		}, w.Name)
-	}
+		"Epochs released with fewer than S messages.",
+		a.Sampler(func(time.Time) float64 { return float64(a.occupancy.Bad) }))
 	r.Gauge("pprox_audit_breached_layers",
-		"Layers with a detected, unremediated enclave compromise.", func() float64 {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return float64(len(a.breaches))
-		})
+		"Layers with a detected, unremediated enclave compromise.",
+		a.Sampler(func(time.Time) float64 { return float64(len(a.breaches)) }))
 	ages := r.GaugeVec("pprox_audit_key_age_seconds",
 		"Seconds since each layer's pseudonymization key was rotated or baselined.", "layer")
-	a.mu.Lock()
-	for layer := range a.rotations {
-		layer := layer
-		ages.With(func() float64 {
-			a.mu.Lock()
-			at, ok := a.rotations[layer]
-			a.mu.Unlock()
-			if !ok {
-				return 0
-			}
-			return a.cfg.Now().Sub(at).Seconds()
-		}, layer)
+	var layers []string
+	a.Read(func(time.Time, slo.Status) {
+		for layer := range a.rotations {
+			layers = append(layers, layer)
+		}
+	})
+	for _, layer := range layers {
+		ages.With(a.Sampler(func(now time.Time) float64 { return now.Sub(a.rotations[layer]).Seconds() }), layer)
 	}
-	a.mu.Unlock()
 }

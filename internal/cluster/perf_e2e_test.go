@@ -13,6 +13,7 @@ import (
 	"pprox/internal/faults"
 	"pprox/internal/metrics"
 	"pprox/internal/perfslo"
+	"pprox/internal/slo"
 )
 
 // TestPerfSLOFlagsInjectedLatencyRegression is the performance
@@ -39,7 +40,7 @@ func TestPerfSLOFlagsInjectedLatencyRegression(t *testing.T) {
 		UseStub:        true,
 		Trace:          true,
 		PerfSLO: &perfslo.Config{
-			Windows: []perfslo.Window{
+			Windows: []slo.Window{
 				{Name: "500ms", Duration: 500 * time.Millisecond, Burn: 1},
 				{Name: "2s", Duration: 2 * time.Second, Burn: 1},
 			},

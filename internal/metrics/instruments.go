@@ -96,29 +96,28 @@ func (h *Histogram) snapshot() (cum []uint64, sum float64, count uint64) {
 	return cum, h.Sum(), acc
 }
 
-// CountLE returns the number of observations that landed in buckets whose
-// upper bound is ≤ v — i.e. the observations provably ≤ v at histogram
-// resolution. When v is an exact bucket bound the count is exact;
+// Split counts the observations that landed in buckets whose upper bound
+// is ≤ v — the observations provably ≤ v at histogram resolution — and
+// those above. When v is an exact bucket bound the split is exact;
 // otherwise v is effectively rounded DOWN to the nearest bound below it
 // (callers wanting exactness should align thresholds to bucket bounds,
-// see AlignBound).
-func (h *Histogram) CountLE(v float64) uint64 {
-	var n uint64
-	for i, b := range h.bounds {
-		if b > v {
-			break
+// see AlignBound). One pass reads each bucket once, so under concurrent
+// observations each part never decreases from one call to the next.
+func (h *Histogram) Split(v float64) (le, above uint64) {
+	for i := range h.counts {
+		n := h.counts[i].Load()
+		if math.IsInf(v, 1) || i < len(h.bounds) && h.bounds[i] <= v {
+			le += n
+		} else {
+			above += n
 		}
-		n += h.counts[i].Load()
 	}
-	if math.IsInf(v, 1) {
-		n += h.counts[len(h.bounds)].Load()
-	}
-	return n
+	return le, above
 }
 
 // AlignBound rounds v UP to the histogram's nearest bucket upper bound so
-// CountLE(AlignBound(v)) counts exactly the observations the bucket
-// layout can attribute to "≤ v". Values above every bound return +Inf
+// Split(AlignBound(v)) splits exactly where the bucket layout can
+// attribute observations to "≤ v". Values above every bound return +Inf
 // (the implicit last bucket).
 func (h *Histogram) AlignBound(v float64) float64 {
 	i := sort.SearchFloat64s(h.bounds, v)

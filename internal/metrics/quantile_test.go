@@ -82,7 +82,7 @@ func TestQuantileInfBucket(t *testing.T) {
 	}
 }
 
-func TestCountLEAndAlignBound(t *testing.T) {
+func TestSplitAndAlignBound(t *testing.T) {
 	h := newHistogram([]float64{1, 2, 4})
 	for _, v := range []float64{0.5, 1, 1.5, 2, 3, 8} {
 		h.Observe(v)
@@ -99,8 +99,8 @@ func TestCountLEAndAlignBound(t *testing.T) {
 		{math.Inf(1), 6}, // everything, including the +Inf bucket
 	}
 	for _, c := range cases {
-		if got := h.CountLE(c.v); got != c.want {
-			t.Errorf("CountLE(%g) = %d, want %d", c.v, got, c.want)
+		if le, above := h.Split(c.v); le != c.want || above != 6-c.want {
+			t.Errorf("Split(%g) = %d, %d; want %d, %d", c.v, le, above, c.want, 6-c.want)
 		}
 	}
 	if got := h.AlignBound(1.5); got != 2 {

@@ -253,23 +253,10 @@ func NewEvaluator(c Config, profileSource string, logger *slog.Logger) (*perfslo
 	eval.SetLogger(logger)
 	eval.OnTransition = func(from, to perfslo.State, reason string) {
 		if to != perfslo.StateOK {
-			harvester.Trigger(reason, newestExemplar(eval), from.String(), to.String())
+			harvester.Trigger(reason, eval.NewestExemplar(), from.String(), to.String())
 		}
 	}
 	return eval, harvester, nil
-}
-
-// newestExemplar is the most recent breach epoch across the evaluator's
-// objectives, so a capture's meta.json points at the shuffle epoch that
-// tripped it.
-func newestExemplar(eval *perfslo.Evaluator) uint64 {
-	var newest uint64
-	for _, o := range eval.Report().Objectives {
-		if n := len(o.ExemplarEpochs); n > 0 && o.ExemplarEpochs[n-1] > newest {
-			newest = o.ExemplarEpochs[n-1]
-		}
-	}
-	return newest
 }
 
 // NewEmitter starts a node's telemetry stream to the collector at opsAddr,

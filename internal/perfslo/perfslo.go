@@ -1,12 +1,13 @@
-// Package perfslo is the performance-SLO engine: the latency counterpart
-// of internal/audit's privacy auditor. PProx's claim is privacy *at
-// production latency* — the paper's evaluation is a latency/throughput
-// story — so a latency regression is a first-class incident, not a
-// curiosity. This package evaluates per-stage latency objectives ("p99
-// of shuffle_wait ≤ 500ms") online against the lock-free histograms the
-// pipeline already maintains, using the same multi-window burn-rate
-// semantics as the privacy auditor: an objective is violated when its
-// error budget burns in EVERY window, and warns when it burns in any.
+// Package perfslo is the performance-SLO engine: internal/slo's latency
+// instance, the counterpart of internal/audit's privacy auditor. PProx's
+// claim is privacy *at production latency* — the paper's evaluation is a
+// latency/throughput story — so a latency regression is a first-class
+// incident, not a curiosity. This package states per-stage latency
+// objectives ("p99 of shuffle_wait ≤ 500ms") over the lock-free
+// histograms the pipeline already maintains: an objective's good events
+// are the observations at or below its threshold, its bad events the
+// rest, and the engine's multi-window burn rates judge them exactly as
+// they judge epoch occupancy.
 //
 // The evaluator never touches the request hot path: observation stays in
 // the existing atomic histogram instruments, and evaluation is driven by
@@ -21,91 +22,26 @@
 package perfslo
 
 import (
-	"log/slog"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"pprox/internal/metrics"
+	"pprox/internal/slo"
 )
 
-// State is a performance SLO's current position. Numeric values are
-// stable (exported as a gauge) and identical to internal/audit's.
-type State int
+// Config parameterizes the evaluator: its burn-rate windows (the privacy
+// auditor's 5m/1h default, so operators reason about one alerting
+// scheme) and its clock.
+type Config = slo.Config
 
-// SLO states.
+// State is a performance SLO's position: the engine's states.
+type State = slo.State
+
+// The states callers compare against.
 const (
-	// StateOK: every objective within budget in every window.
-	StateOK State = 0
-	// StateWarn: some objective's budget is burning in at least one
-	// window.
-	StateWarn State = 1
-	// StateViolated: some objective is burning in EVERY window — the
-	// latency target is measurably not being met at sustained rate.
-	StateViolated State = 2
+	StateOK       = slo.StateOK
+	StateViolated = slo.StateViolated
 )
-
-// String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case StateWarn:
-		return "warn"
-	case StateViolated:
-		return "violated"
-	default:
-		return "ok"
-	}
-}
-
-// Window is one burn-rate evaluation window.
-type Window struct {
-	// Name labels the window in metrics and the report (e.g. "5m").
-	Name string
-	// Duration is the lookback.
-	Duration time.Duration
-	// Burn is the burn-rate threshold: the window trips when (slow
-	// fraction) / (error budget) reaches it.
-	Burn float64
-}
-
-// Config parameterizes the evaluator.
-type Config struct {
-	// Windows are the burn-rate windows, shortest first (default 5m and
-	// 1h, both with Burn 1.0 — the same layout the privacy auditor uses,
-	// so operators reason about one alerting scheme).
-	Windows []Window
-	// Now overrides the clock for tests.
-	Now func() time.Time
-}
-
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if len(c.Windows) == 0 {
-		c.Windows = []Window{
-			{Name: "5m", Duration: 5 * time.Minute, Burn: 1},
-			{Name: "1h", Duration: time.Hour, Burn: 1},
-		}
-	}
-	for i := range c.Windows {
-		if c.Windows[i].Burn <= 0 {
-			c.Windows[i].Burn = 1
-		}
-	}
-	sort.Slice(c.Windows, func(i, j int) bool { return c.Windows[i].Duration < c.Windows[j].Duration })
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
-
-// sample is one cumulative (good, total) reading of an objective's
-// histogram, taken at an epoch flush. Burn rates are deltas between the
-// live reading and the newest sample at or before each window's horizon.
-type sample struct {
-	at    time.Time
-	good  uint64
-	total uint64
-}
 
 // maxExemplars bounds the per-objective breach-exemplar ring. Exemplars
 // are epoch ids only — the ring is O(epochs), never O(requests).
@@ -113,8 +49,9 @@ const maxExemplars = 32
 
 // objective is one latency SLO: "quantile q of this histogram ≤
 // threshold". good = observations ≤ threshold (at histogram resolution),
-// budget = 1−q.
+// bad = the rest, budget = 1−q.
 type objective struct {
+	*slo.Objective
 	name string // e.g. "shuffle_wait"
 	node string // node whose epoch flushes drive sampling, e.g. "ua-0"
 
@@ -123,48 +60,22 @@ type objective struct {
 	rawThreshold float64 // as configured
 	threshold    float64 // aligned UP to a bucket bound (see AlignBound)
 
-	samples []sample // oldest first; pruned beyond the longest window
-	state   State
-
 	exemplars []uint64 // breach epoch ids, oldest first, bounded ring
 	lastEpoch uint64   // last epoch sampled (exemplar attribution)
 }
 
 // Evaluator is the performance-SLO engine. All methods are safe for
-// concurrent use; evaluation takes one short mutex and runs on shuffle
-// flush or report reads, never per request — the histogram observation
-// path stays lock-free.
+// concurrent use; evaluation runs on shuffle flush or report reads,
+// never per request — the histogram observation path stays lock-free.
 type Evaluator struct {
-	cfg Config
-
-	mu         sync.Mutex
-	objectives []*objective
-	state      State
-	stateSince time.Time
-
-	violations uint64
-	warns      uint64
-
-	logger *slog.Logger
-
-	// OnTransition, when set, receives every overall state change —
-	// the triggered-profile harvester hooks here. Called without the
-	// evaluator lock held.
-	OnTransition func(from, to State, reason string)
+	*slo.Engine
+	objectives []*objective  // guarded by the engine lock
+	newest     atomic.Uint64 // newest breach exemplar across objectives
 }
 
 // New creates an evaluator.
 func New(cfg Config) *Evaluator {
-	cfg = cfg.withDefaults()
-	return &Evaluator{cfg: cfg, stateSince: cfg.Now()}
-}
-
-// SetLogger installs the evaluator's logger (state transitions). Nil
-// disables logging.
-func (e *Evaluator) SetLogger(l *slog.Logger) {
-	e.mu.Lock()
-	e.logger = l
-	e.mu.Unlock()
+	return &Evaluator{Engine: slo.New(cfg, "performance SLO state transition")}
 }
 
 // AddObjective registers one latency SLO: quantile q (e.g. 0.99) of the
@@ -177,184 +88,64 @@ func (e *Evaluator) AddObjective(name, node string, hist *metrics.Histogram, q, 
 	if hist == nil || q <= 0 || q >= 1 {
 		return
 	}
-	e.mu.Lock()
-	e.objectives = append(e.objectives, &objective{
-		name:         name,
-		node:         node,
-		hist:         hist,
-		quantile:     q,
-		rawThreshold: threshold,
-		threshold:    hist.AlignBound(threshold),
-	})
-	e.mu.Unlock()
-}
-
-// read takes a live (good, total) reading of the objective's histogram.
-// The two passes are not atomic with respect to concurrent observes, so
-// clamp good ≤ total rather than let the bad count underflow.
-func (o *objective) read() (good, total uint64) {
-	good = o.hist.CountLE(o.threshold)
-	total = o.hist.Count()
-	if good > total {
-		good = total
+	o := &objective{name: name, node: node, hist: hist, quantile: q,
+		rawThreshold: threshold, threshold: hist.AlignBound(threshold)}
+	o.Objective = &slo.Objective{
+		Budget: 1 - q,
+		Read: func() slo.Reading {
+			good, bad := hist.Split(o.threshold)
+			return slo.Reading{Good: good, Bad: bad}
+		},
+		Describe: func(_ time.Time, s slo.State, _ slo.Window) string {
+			return "latency objective " + name + " on " + node + " " + s.String()
+		},
+		Labels: []string{name, node},
 	}
-	return good, total
+	e.Update(func(time.Time) {
+		e.objectives = append(e.objectives, o)
+		e.Add(o.Objective)
+	})
 }
 
 // Sample records an epoch flush on a node: every objective keyed to that
-// node takes a cumulative histogram reading stamped with the flush time,
-// and — if the objective is burning and this epoch's interval contained
-// over-threshold observations — records the epoch id as a breach
+// node records a cumulative histogram reading stamped with the flush
+// time, and — if the objective is burning and this epoch's interval
+// contained over-threshold observations — the epoch id as a breach
 // exemplar. epoch must be the trace epoch the flushed records carry, so
 // an exemplar resolves to a real per-epoch trace.
 func (e *Evaluator) Sample(node string, epoch uint64) {
-	now := e.cfg.Now()
-	e.mu.Lock()
-	for _, o := range e.objectives {
-		if o.node != node {
-			continue
-		}
-		good, total := o.read()
-		var prevGood, prevTotal uint64
-		if n := len(o.samples); n > 0 {
-			prevGood, prevTotal = o.samples[n-1].good, o.samples[n-1].total
-		}
-		dBad := (total - good) - (prevTotal - prevGood)
-		o.samples = append(o.samples, sample{at: now, good: good, total: total})
-		o.pruneLocked(now, e.cfg.Windows[len(e.cfg.Windows)-1].Duration)
-		o.lastEpoch = epoch
-		o.state = e.evalObjectiveLocked(o, now)
-		if o.state != StateOK && dBad > 0 {
-			if n := len(o.exemplars); n == 0 || o.exemplars[n-1] != epoch {
-				o.exemplars = append(o.exemplars, epoch)
-				if len(o.exemplars) > maxExemplars {
-					o.exemplars = o.exemplars[len(o.exemplars)-maxExemplars:]
-				}
+	e.Update(func(now time.Time) {
+		for _, o := range e.objectives {
+			if o.node != node {
+				continue
+			}
+			prev, cur := o.Record(now, 0)
+			o.lastEpoch = epoch
+			if cur.Bad == prev.Bad {
+				continue
+			}
+			if s, _ := o.Evaluate(now); s != slo.StateOK {
+				e.exemplar(o, epoch)
 			}
 		}
-	}
-	e.recomputeLocked(now)
-	e.mu.Unlock()
+	})
 }
 
-// pruneLocked drops samples beyond the longest window, keeping the
-// newest sample at or before the horizon as that window's baseline.
-func (o *objective) pruneLocked(now time.Time, longest time.Duration) {
-	horizon := now.Add(-longest)
-	i := 0
-	for i+1 < len(o.samples) && !o.samples[i+1].at.After(horizon) {
-		i++
-	}
-	if i > 0 {
-		o.samples = append(o.samples[:0], o.samples[i:]...)
-	}
-}
-
-// windowEval is one window's burn-rate evaluation for one objective.
-type windowEval struct {
-	Window string `json:"window"`
-	// Observations / Slow count the window's histogram delta: total
-	// observations and those over the threshold.
-	Observations uint64  `json:"observations"`
-	Slow         uint64  `json:"slow"`
-	BurnRate     float64 `json:"burn_rate"`
-	Burning      bool    `json:"burning"`
-}
-
-// evalWindowLocked computes one window's burn rate at time now: the
-// over-threshold fraction of the delta between the live histogram
-// reading and the newest sample at or before the window's horizon,
-// divided by the error budget 1−q.
-func (e *Evaluator) evalWindowLocked(o *objective, w Window, now time.Time) windowEval {
-	ev := windowEval{Window: w.Name}
-	good, total := o.read()
-	horizon := now.Add(-w.Duration)
-	var base sample // zero sample: process start is the baseline
-	for _, s := range o.samples {
-		if s.at.After(horizon) {
-			break
-		}
-		base = s
-	}
-	ev.Observations = total - base.total
-	ev.Slow = (total - good) - (base.total - base.good)
-	if ev.Observations > 0 {
-		budget := 1 - o.quantile
-		ev.BurnRate = (float64(ev.Slow) / float64(ev.Observations)) / budget
-		ev.Burning = ev.Slow > 0 && ev.BurnRate >= w.Burn
-	}
-	return ev
-}
-
-// evalObjectiveLocked derives one objective's state: violated when every
-// window burns, warn when any does.
-func (e *Evaluator) evalObjectiveLocked(o *objective, now time.Time) State {
-	burningAll, burningAny := true, false
-	for _, w := range e.cfg.Windows {
-		if e.evalWindowLocked(o, w, now).Burning {
-			burningAny = true
-		} else {
-			burningAll = false
-		}
-	}
-	switch {
-	case burningAll && burningAny:
-		return StateViolated
-	case burningAny:
-		return StateWarn
-	default:
-		return StateOK
-	}
-}
-
-// recomputeLocked re-derives the overall state (max over objectives) and
-// fires transitions.
-func (e *Evaluator) recomputeLocked(now time.Time) {
-	next := StateOK
-	reason := ""
-	for _, o := range e.objectives {
-		o.state = e.evalObjectiveLocked(o, now)
-		if o.state > next {
-			next = o.state
-			reason = "latency objective " + o.name + " on " + o.node + " " + o.state.String()
-		}
-	}
-	if next == e.state {
+// exemplar appends epoch to o's breach ring, once per epoch.
+func (e *Evaluator) exemplar(o *objective, epoch uint64) {
+	if n := len(o.exemplars); n > 0 && o.exemplars[n-1] == epoch {
 		return
 	}
-	from := e.state
-	e.state = next
-	e.stateSince = now
-	switch next {
-	case StateViolated:
-		e.violations++
-	case StateWarn:
-		e.warns++
+	o.exemplars = append(o.exemplars, epoch)
+	if len(o.exemplars) > maxExemplars {
+		o.exemplars = o.exemplars[len(o.exemplars)-maxExemplars:]
 	}
-	logger, hook := e.logger, e.OnTransition
-	if logger != nil {
-		logger.Warn("performance SLO state transition",
-			"from", from.String(), "to", next.String(), "reason", reason)
-	}
-	if hook != nil {
-		// Run the hook off-lock; transitions are rare.
-		go hook(from, next, reason)
+	if epoch > e.newest.Load() {
+		e.newest.Store(epoch)
 	}
 }
 
-// State returns the current overall SLO state, re-evaluated against the
-// clock (windows empty out as time passes even with no new epochs).
-func (e *Evaluator) State() State {
-	now := e.cfg.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.recomputeLocked(now)
-	return e.state
-}
-
-// Stats returns lifetime transition counters.
-func (e *Evaluator) Stats() (violations, warns uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.violations, e.warns
-}
+// NewestExemplar is the most recent breach epoch across the objectives (0
+// when none), so a profile capture's meta.json points at the shuffle
+// epoch that tripped it. It takes no lock: a transition hook may call it.
+func (e *Evaluator) NewestExemplar() uint64 { return e.newest.Load() }

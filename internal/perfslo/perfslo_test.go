@@ -5,10 +5,12 @@ import (
 	"math"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"pprox/internal/metrics"
+	"pprox/internal/slo"
 )
 
 // clock is a fake time source.
@@ -21,7 +23,7 @@ func newTestEval(c *clock) (*Evaluator, *metrics.Histogram) {
 	r := metrics.NewRegistry()
 	h := r.Histogram("test_stage_seconds", "test", []float64{0.001, 0.01, 0.1, 1})
 	e := New(Config{
-		Windows: []Window{
+		Windows: []slo.Window{
 			{Name: "1s", Duration: time.Second, Burn: 1},
 			{Name: "10s", Duration: 10 * time.Second, Burn: 1},
 		},
@@ -56,10 +58,8 @@ func TestEvaluatorViolatesAndRecordsExemplars(t *testing.T) {
 	c := &clock{t: time.Unix(1000, 0)}
 	e, h := newTestEval(c)
 	var transitions []string
-	done := make(chan struct{}, 8)
 	e.OnTransition = func(from, to State, reason string) {
 		transitions = append(transitions, from.String()+">"+to.String())
-		done <- struct{}{}
 	}
 	// Every observation slow: burns the whole budget in every window.
 	for epoch := uint64(1); epoch <= 5; epoch++ {
@@ -72,10 +72,8 @@ func TestEvaluatorViolatesAndRecordsExemplars(t *testing.T) {
 	if got := e.State(); got != StateViolated {
 		t.Fatalf("state = %v, want violated", got)
 	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("OnTransition hook never fired")
+	if len(transitions) != 1 || transitions[0] != "ok>violated" {
+		t.Fatalf("transitions = %v, want [ok>violated]", transitions)
 	}
 	rep := e.Report()
 	if rep.State != "violated" {
@@ -93,8 +91,7 @@ func TestEvaluatorViolatesAndRecordsExemplars(t *testing.T) {
 	if o.State != "violated" {
 		t.Fatalf("objective state = %q", o.State)
 	}
-	v, _ := e.Stats()
-	if v == 0 {
+	if v, _ := e.Transitions(); v == 0 {
 		t.Fatal("violation transition not counted")
 	}
 }
@@ -139,7 +136,7 @@ func TestWarnWhenOnlyShortWindowBurns(t *testing.T) {
 		e.Sample("ua-0", epoch)
 		c.advance(100 * time.Millisecond)
 	}
-	if got := e.State(); got != StateWarn {
+	if got := e.State(); got != slo.StateWarn {
 		t.Fatalf("state = %v, want warn", got)
 	}
 }
@@ -208,5 +205,55 @@ func TestThresholdAlignsToBucketBound(t *testing.T) {
 	}
 	if got := rep.Objectives[0].RawThresholdSeconds; got != 0.05 {
 		t.Fatalf("raw threshold = %g, want 0.05", got)
+	}
+}
+
+// TestSlowCountNeverDropsUnderConcurrentObservers: observers write only
+// fast values while the objective is read back to back. A reading taken
+// in two passes (≤ threshold, then total) counted an observation landing
+// between them as slow and the next reading took it back, so the
+// cumulative bad count went down, window deltas wrapped around as uint64
+// and the evaluator reported burns that never happened.
+func TestSlowCountNeverDropsUnderConcurrentObservers(t *testing.T) {
+	c := &clock{t: time.Unix(1000, 0)}
+	e, h := newTestEval(c)
+	o := e.objectives[0]
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(0.0005)
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	var prev slo.Reading
+	for i := 0; i < 20000; i++ {
+		r := o.Read()
+		if r.Good < prev.Good || r.Bad < prev.Bad {
+			t.Fatalf("reading %d went down: %+v after %+v", i, r, prev)
+		}
+		prev = r
+		if i%10 == 0 {
+			e.Sample("ua-0", uint64(i/10))
+			c.advance(time.Second)
+			if st := e.State(); st != StateOK {
+				t.Fatalf("state %v after %d fast-only samples", st, i/10+1)
+			}
+		}
+	}
+	if v, w := e.Transitions(); v+w != 0 {
+		t.Fatalf("%d violation and %d warn transitions without one slow observation", v, w)
 	}
 }

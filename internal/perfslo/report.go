@@ -1,13 +1,13 @@
 package perfslo
 
 import (
-	"encoding/json"
 	"math"
 	"net/http"
 	"sort"
 	"time"
 
 	"pprox/internal/metrics"
+	"pprox/internal/slo"
 )
 
 // Report is the /perf payload: the evaluator's full assessment. Like the
@@ -67,39 +67,50 @@ type ObjectiveReport struct {
 	LastEpoch uint64 `json:"last_epoch"`
 }
 
+// windowEval is one window's burn-rate evaluation for one objective.
+type windowEval struct {
+	Window string `json:"window"`
+	// Observations / Slow count the window's histogram delta: total
+	// observations and those over the threshold.
+	Observations uint64  `json:"observations"`
+	Slow         uint64  `json:"slow"`
+	BurnRate     float64 `json:"burn_rate"`
+	Burning      bool    `json:"burning"`
+}
+
 // Report assembles the current assessment.
 func (e *Evaluator) Report() Report {
-	now := e.cfg.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.recomputeLocked(now)
-
-	r := Report{
-		State:        e.state.String(),
-		StateSeconds: int64(now.Sub(e.stateSince) / time.Second),
-		Violations:   e.violations,
-		Warns:        e.warns,
-	}
-	for _, o := range e.objectives {
-		or := ObjectiveReport{
-			Name:                o.name,
-			Node:                o.node,
-			Quantile:            o.quantile,
-			ThresholdSeconds:    clampInf(o.threshold, o.hist),
-			RawThresholdSeconds: o.rawThreshold,
-			Observations:        o.hist.Count(),
-			State:               o.state.String(),
-			ExemplarEpochs:      append([]uint64(nil), o.exemplars...),
-			LastEpoch:           o.lastEpoch,
+	var r Report
+	e.Read(func(now time.Time, st slo.Status) {
+		r = Report{
+			State:        st.State.String(),
+			StateSeconds: int64(now.Sub(st.Since) / time.Second),
+			Violations:   st.Violations,
+			Warns:        st.Warns,
 		}
-		q := o.hist.Quantile(o.quantile)
-		or.ObservedSeconds = clampInf(q, o.hist)
-		or.ObservedOverflow = math.IsInf(q, 1)
-		for _, w := range e.cfg.Windows {
-			or.Windows = append(or.Windows, e.evalWindowLocked(o, w, now))
+		for _, o := range e.objectives {
+			q := o.hist.Quantile(o.quantile)
+			or := ObjectiveReport{
+				Name:                o.name,
+				Node:                o.node,
+				Quantile:            o.quantile,
+				ThresholdSeconds:    clampInf(o.threshold, o.hist),
+				RawThresholdSeconds: o.rawThreshold,
+				ObservedSeconds:     clampInf(q, o.hist),
+				ObservedOverflow:    math.IsInf(q, 1),
+				Observations:        o.hist.Count(),
+				State:               o.State().String(),
+				ExemplarEpochs:      append([]uint64(nil), o.exemplars...),
+				LastEpoch:           o.lastEpoch,
+			}
+			for _, w := range e.Windows() {
+				ev := o.Window(w, now)
+				or.Windows = append(or.Windows, windowEval{Window: w.Name, Observations: ev.Good + ev.Bad,
+					Slow: ev.Bad, BurnRate: ev.BurnRate, Burning: ev.Burning})
+			}
+			r.Objectives = append(r.Objectives, or)
 		}
-		r.Objectives = append(r.Objectives, or)
-	}
+	})
 	sort.Slice(r.Objectives, func(i, j int) bool {
 		if r.Objectives[i].Node != r.Objectives[j].Node {
 			return r.Objectives[i].Node < r.Objectives[j].Node
@@ -123,77 +134,38 @@ const PerfPath = "/perf"
 
 // Handler serves the JSON report (GET /perf).
 func (e *Evaluator) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(e.Report())
-	})
+	return slo.Handler(func() any { return e.Report() })
 }
 
-// RegisterMetrics exposes the evaluator on the registry:
+// RegisterMetrics exposes the evaluator on the registry: the engine's
+// pprox_perfslo_state (0 ok, 1 warn, 2 violated),
+// pprox_perfslo_violations_total, pprox_perfslo_warns_total and
+// pprox_perfslo_burn_rate{objective,node,window}, and
 //
-//   - pprox_perfslo_state gauge (0 ok, 1 warn, 2 violated),
 //   - pprox_perfslo_objective_state{objective,node} gauges,
-//   - pprox_perfslo_burn_rate{objective,node,window} gauges,
-//   - pprox_perfslo_violations_total / pprox_perfslo_warns_total,
 //   - pprox_perfslo_exemplar_epoch{objective,node} gauges (the latest
 //     breach's shuffle-epoch id; 0 when none).
 //
 // Call it after every AddObjective: objectives registered later are not
 // picked up.
 func (e *Evaluator) RegisterMetrics(r *metrics.Registry) {
-	r.Gauge("pprox_perfslo_state",
-		"Performance SLO state: 0 ok, 1 warn, 2 violated.", func() float64 {
-			return float64(e.State())
-		})
-	r.CounterFunc("pprox_perfslo_violations_total",
-		"Transitions into the violated performance-SLO state.", func() float64 {
-			v, _ := e.Stats()
-			return float64(v)
-		})
-	r.CounterFunc("pprox_perfslo_warns_total",
-		"Transitions into the warn performance-SLO state.", func() float64 {
-			_, w := e.Stats()
-			return float64(w)
-		})
+	e.Engine.RegisterMetrics(r, slo.Families{Kind: "performance", State: "pprox_perfslo_state",
+		Prefix: "pprox_perfslo", Labels: []string{"objective", "node"}})
 	objState := r.GaugeVec("pprox_perfslo_objective_state",
 		"Per-objective performance SLO state: 0 ok, 1 warn, 2 violated.",
 		"objective", "node")
-	burn := r.GaugeVec("pprox_perfslo_burn_rate",
-		"Latency error-budget burn rate per objective and window.",
-		"objective", "node", "window")
 	exemplar := r.GaugeVec("pprox_perfslo_exemplar_epoch",
 		"Shuffle-epoch id of the latest SLO breach exemplar (0 when none).",
 		"objective", "node")
-	e.mu.Lock()
-	for _, o := range e.objectives {
-		o := o
-		objState.With(func() float64 {
-			now := e.cfg.Now()
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return float64(e.evalObjectiveLocked(o, now))
-		}, o.name, o.node)
-		exemplar.With(func() float64 {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			if len(o.exemplars) == 0 {
-				return 0
+	var objectives []*objective
+	e.Read(func(time.Time, slo.Status) { objectives = append(objectives, e.objectives...) })
+	for _, o := range objectives {
+		objState.With(e.Sampler(func(time.Time) float64 { return float64(o.State()) }), o.name, o.node)
+		exemplar.With(e.Sampler(func(time.Time) float64 {
+			if n := len(o.exemplars); n > 0 {
+				return float64(o.exemplars[n-1])
 			}
-			return float64(o.exemplars[len(o.exemplars)-1])
-		}, o.name, o.node)
-		for _, w := range e.cfg.Windows {
-			w := w
-			burn.With(func() float64 {
-				now := e.cfg.Now()
-				e.mu.Lock()
-				defer e.mu.Unlock()
-				return e.evalWindowLocked(o, w, now).BurnRate
-			}, o.name, o.node, w.Name)
-		}
+			return 0
+		}), o.name, o.node)
 	}
-	e.mu.Unlock()
 }
