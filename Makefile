@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lrs-bench-once ia-bench-once verify tcp-smoke bench bench-json bench-compare audit-smoke cache-smoke batch-smoke lrs-smoke ops-smoke scale-smoke clean
+.PHONY: all build vet test race lrs-bench-once ia-bench-once crypto-bench-once verify tcp-smoke bench bench-json bench-compare audit-smoke cache-smoke batch-smoke lrs-smoke ops-smoke scale-smoke clean
 
 all: verify
 
@@ -32,7 +32,14 @@ lrs-bench-once:
 ia-bench-once:
 	$(GO) test -run '^$$' -bench 'IAGetPath' -benchtime 1x ./internal/proxy/
 
-verify: build vet test race lrs-bench-once ia-bench-once
+# The client's and the UA enclave's field crypto (box seal/open, a get's
+# two sealed fields, the UA's get ECALL), one iteration each per key
+# material, so the root package's crypto benchmarks keep building and
+# running.
+crypto-bench-once:
+	$(GO) test -run '^$$' -bench 'Crypto_Box|Client_Seal|Enclave_UAGetEcall' -benchtime 1x .
+
+verify: build vet test race lrs-bench-once ia-bench-once crypto-bench-once
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; \
 		staticcheck ./...; \

@@ -112,15 +112,11 @@ func run() error {
 
 // buildCapturedPost recreates the message the user-side library put on the
 // wire, as a network adversary would capture it: each identifier sealed
-// for its layer with the keys the deployment's bundle carries (boxes, on
-// the key material Deploy ships).
+// for its layer with the keys the deployment's bundle carries (two boxes
+// under one ephemeral key, on the key material Deploy ships).
 func buildCapturedPost(d *cluster.Deployment, user, item string) (message.PostRequest, error) {
 	bundle := proxy.Bundle(d.UAKeys, d.IAKeys)
 	userBlock, err := ppcrypto.PadID(user)
-	if err != nil {
-		return message.PostRequest{}, err
-	}
-	encUser, err := ppcrypto.SealField(bundle.UABox, bundle.UAPublic, ppcrypto.RoleUAUser, userBlock)
 	if err != nil {
 		return message.PostRequest{}, err
 	}
@@ -128,7 +124,8 @@ func buildCapturedPost(d *cluster.Deployment, user, item string) (message.PostRe
 	if err != nil {
 		return message.PostRequest{}, err
 	}
-	encItem, err := ppcrypto.SealField(bundle.IABox, bundle.IAPublic, ppcrypto.RoleIAItem, itemBlock)
+	encUser, encItem, err := ppcrypto.SealPair(
+		bundle.UAField(ppcrypto.RoleUAUser, userBlock), bundle.IAField(ppcrypto.RoleIAItem, itemBlock))
 	if err != nil {
 		return message.PostRequest{}, err
 	}

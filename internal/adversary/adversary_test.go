@@ -2,8 +2,6 @@ package adversary_test
 
 import (
 	"context"
-	"crypto/ecdh"
-	"crypto/rsa"
 	"fmt"
 	"io"
 	"net/http"
@@ -374,8 +372,7 @@ func testInterceptedPostRevealsOnlyOneSide(t *testing.T, km keyMaterial) {
 	// Capture a post message as the user-side library emits it (§6.1
 	// cases 1a and 2a): build it with the public bundle directly.
 	bundle := proxy.Bundle(st.uaKeys, st.iaKeys)
-	encUser := mustSealID(t, bundle.UABox, bundle.UAPublic, ppcrypto.RoleUAUser, "alice")
-	encItem := mustSealID(t, bundle.IABox, bundle.IAPublic, ppcrypto.RoleIAItem, "war-and-peace")
+	encUser, encItem := mustSealPair(t, bundle, ppcrypto.RoleIAItem, padID(t, "alice"), padID(t, "war-and-peace"))
 	captured := message.PostRequest{EncUser: encUser, EncItem: encItem}
 	// The capture is of this key material's suite — the loot below must
 	// open boxes where clients seal boxes, or the verdicts are vacuous.
@@ -423,11 +420,8 @@ func testInterceptedGetResponseStaysOpaque(t *testing.T, km keyMaterial) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundle := proxy.Bundle(st.uaKeys, st.iaKeys)
-	body, err := message.Marshal(message.GetRequest{
-		EncUser:    mustSealID(t, bundle.UABox, bundle.UAPublic, ppcrypto.RoleUAUser, "alice"),
-		EncTempKey: mustSeal(t, bundle.IABox, bundle.IAPublic, ppcrypto.RoleIATempKey, ku),
-	})
+	encUser, encKu := mustSealPair(t, proxy.Bundle(st.uaKeys, st.iaKeys), ppcrypto.RoleIATempKey, padID(t, "alice"), ku)
+	body, err := message.Marshal(message.GetRequest{EncUser: encUser, EncTempKey: encKu})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,22 +466,23 @@ func testInterceptedGetResponseStaysOpaque(t *testing.T, km keyMaterial) {
 	}
 }
 
-// mustSeal encrypts a field for one layer as the user-side library holding
-// the bundle does.
-func mustSeal(t *testing.T, box *ecdh.PublicKey, pub *rsa.PublicKey, role ppcrypto.Role, plain []byte) string {
+// mustSealPair encrypts a request's user block for the UA and its other
+// field, in the given IA role, for the IA, as the user-side library
+// holding the bundle does.
+func mustSealPair(t *testing.T, bundle proxy.PublicBundle, iaRole ppcrypto.Role, userBlock, iaPlain []byte) (encUser, encIA string) {
 	t.Helper()
-	ct, err := ppcrypto.SealField(box, pub, role, plain)
+	ua, ia, err := ppcrypto.SealPair(bundle.UAField(ppcrypto.RoleUAUser, userBlock), bundle.IAField(iaRole, iaPlain))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return message.Encode64(ct)
+	return message.Encode64(ua), message.Encode64(ia)
 }
 
-func mustSealID(t *testing.T, box *ecdh.PublicKey, pub *rsa.PublicKey, role ppcrypto.Role, id string) string {
+func padID(t *testing.T, id string) []byte {
 	t.Helper()
 	block, err := ppcrypto.PadID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mustSeal(t, box, pub, role, block)
+	return block
 }

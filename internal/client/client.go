@@ -18,8 +18,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"crypto/ecdh"
-	"crypto/rsa"
 	"errors"
 	"fmt"
 	"io"
@@ -62,8 +60,9 @@ type Client struct {
 // WithGetRetries returns a copy of the client that retries failed get
 // calls up to n extra attempts (jittered by a doubling backoff). Only gets
 // retry: every attempt is freshly encrypted end to end — a new ephemeral
-// key (or OAEP seed) on the user identifier and a brand-new temporary key
-// — so a network observer cannot link a retry to the attempt it repeats.
+// key shared by the attempt's two boxes (or fresh OAEP seeds) and a
+// brand-new temporary key — so a network observer cannot link a retry to
+// the attempt it repeats: no two attempts share an ephemeral point.
 //
 // Posts deliberately never retry from the client. A safe post retry needs
 // an idempotency key the LRS can deduplicate on, and a client-chosen key
@@ -122,18 +121,21 @@ func (c *Client) PostEvent(ctx context.Context, user, item, payload, eventType s
 	if c.plain {
 		body, err = message.Marshal(message.LRSPost{User: user, Item: item, Payload: payload, Event: eventType})
 	} else {
-		var encUser, encItem string
-		encUser, err = encryptID(user, ppcrypto.RoleUAUser, c.bundle.UABox, c.bundle.UAPublic)
-		if err != nil {
+		var userBlock, itemBlock, encUser, encItem []byte
+		if userBlock, err = ppcrypto.PadID(user); err != nil {
 			return err
 		}
-		encItem, err = encryptID(item, ppcrypto.RoleIAItem, c.bundle.IABox, c.bundle.IAPublic)
+		if itemBlock, err = ppcrypto.PadID(item); err != nil {
+			return err
+		}
+		encUser, encItem, err = ppcrypto.SealPair(
+			c.bundle.UAField(ppcrypto.RoleUAUser, userBlock), c.bundle.IAField(ppcrypto.RoleIAItem, itemBlock))
 		if err != nil {
 			return err
 		}
 		body, err = message.Marshal(message.PostRequest{
-			EncUser: encUser,
-			EncItem: encItem,
+			EncUser: message.Encode64(encUser),
+			EncItem: message.Encode64(encItem),
 			Payload: payload,
 			Event:   eventType,
 			Tenant:  c.tenant,
@@ -189,7 +191,7 @@ func (c *Client) getOnce(ctx context.Context, user string) ([]string, int, error
 		return c.getPlain(ctx, user)
 	}
 
-	encUser, err := encryptID(user, ppcrypto.RoleUAUser, c.bundle.UABox, c.bundle.UAPublic)
+	userBlock, err := ppcrypto.PadID(user)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -197,13 +199,14 @@ func (c *Client) getOnce(ctx context.Context, user string) ([]string, int, error
 	if err != nil {
 		return nil, 0, err
 	}
-	encKu, err := encryptField(ku, ppcrypto.RoleIATempKey, c.bundle.IABox, c.bundle.IAPublic)
+	encUser, encKu, err := ppcrypto.SealPair(
+		c.bundle.UAField(ppcrypto.RoleUAUser, userBlock), c.bundle.IAField(ppcrypto.RoleIATempKey, ku))
 	if err != nil {
 		return nil, 0, err
 	}
 	body, err := message.Marshal(message.GetRequest{
-		EncUser:    encUser,
-		EncTempKey: encKu,
+		EncUser:    message.Encode64(encUser),
+		EncTempKey: message.Encode64(encKu),
 		Tenant:     c.tenant,
 	})
 	if err != nil {
@@ -254,26 +257,6 @@ func (c *Client) getPlain(ctx context.Context, user string) ([]string, int, erro
 		return nil, status, fmt.Errorf("%w: %v", ErrBadResponse, err)
 	}
 	return resp.Items, status, nil
-}
-
-// encryptID pads an identifier to the constant block size and encrypts it
-// for exactly one layer.
-func encryptID(id string, role ppcrypto.Role, box *ecdh.PublicKey, pub *rsa.PublicKey) (string, error) {
-	block, err := ppcrypto.PadID(id)
-	if err != nil {
-		return "", err
-	}
-	return encryptField(block, role, box, pub)
-}
-
-// encryptField encrypts a short payload for exactly one layer with the
-// keys the bundle carries for it.
-func encryptField(plain []byte, role ppcrypto.Role, box *ecdh.PublicKey, pub *rsa.PublicKey) (string, error) {
-	ct, err := ppcrypto.SealField(box, pub, role, plain)
-	if err != nil {
-		return "", err
-	}
-	return message.Encode64(ct), nil
 }
 
 func (c *Client) do(ctx context.Context, path string, body []byte) (int, []byte, error) {

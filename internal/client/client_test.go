@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pprox/internal/message"
@@ -61,6 +63,9 @@ func openField(keys *proxy.LayerKeys, role ppcrypto.Role, field string) ([]byte,
 	}
 	return ppcrypto.OpenBox(keys.Box, role, ct)
 }
+
+// boxPointSize is the X25519 ephemeral point every box starts with.
+const boxPointSize = 32
 
 func fieldSize(t *testing.T, field string) int {
 	t.Helper()
@@ -282,24 +287,43 @@ func TestGetRetriesAreFreshlyEncrypted(t *testing.T) {
 	eachBundleKind(t, testGetRetriesAreFreshlyEncrypted)
 }
 
-func testGetRetriesAreFreshlyEncrypted(t *testing.T, bundle proxy.PublicBundle, _ int) {
+func testGetRetriesAreFreshlyEncrypted(t *testing.T, bundle proxy.PublicBundle, fieldSize int) {
 	_, _, ia := testBundle(t)
 	var mu sync.Mutex
-	var seenUsers, seenKeys []string
+	var seen [][2][]byte // each request's two fields, decoded
 	fails := 2
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req message.GetRequest
-		if err := message.Unmarshal(readAll(t, r), &req); err != nil {
+		if r.URL.Path == message.EventsPath {
+			var post message.PostRequest
+			if err := message.Unmarshal(readAll(t, r), &post); err != nil {
+				t.Errorf("unmarshal post: %v", err)
+				return
+			}
+			req = message.GetRequest{EncUser: post.EncUser, EncTempKey: post.EncItem}
+		} else if err := message.Unmarshal(readAll(t, r), &req); err != nil {
 			t.Errorf("unmarshal: %v", err)
 			return
 		}
+		user, err1 := message.Decode64(req.EncUser)
+		other, err2 := message.Decode64(req.EncTempKey)
+		if err1 != nil || err2 != nil {
+			t.Errorf("decode fields: %v %v", err1, err2)
+			return
+		}
 		mu.Lock()
-		seenUsers = append(seenUsers, req.EncUser)
-		seenKeys = append(seenKeys, req.EncTempKey)
-		mu.Unlock()
-		if fails > 0 {
+		seen = append(seen, [2][]byte{user, other})
+		fail := fails > 0 && r.URL.Path == message.QueriesPath
+		if fail {
 			fails--
+		}
+		mu.Unlock()
+		if fail {
 			http.Error(w, "overloaded", http.StatusServiceUnavailable)
+			return
+		}
+		if r.URL.Path == message.EventsPath {
+			w.Write([]byte(`{"status":"ok"}`))
 			return
 		}
 		ku, err := openField(ia, ppcrypto.RoleIATempKey, req.EncTempKey)
@@ -322,26 +346,82 @@ func testGetRetriesAreFreshlyEncrypted(t *testing.T, bundle proxy.PublicBundle, 
 	if len(items) != 1 || items[0] != "i1" {
 		t.Errorf("items = %v", items)
 	}
+	// Then two concurrent gets of the same user and a post of theirs.
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func(post bool) {
+			defer wg.Done()
+			var err error
+			if post {
+				err = c.Post(context.Background(), "u", "i1", "")
+			} else {
+				_, err = c.Get(context.Background(), "u")
+			}
+			if err != nil {
+				t.Errorf("concurrent request (post %t): %v", post, err)
+			}
+		}(i == 2)
+	}
+	wg.Wait()
 
-	// Three attempts, each a completely fresh encryption: a new ephemeral
-	// key (or OAEP seed) on the user identifier and a brand-new temporary
-	// key. Identical
-	// ciphertexts would let an observer link a retry to the original.
+	// Every attempt and every request is a completely fresh encryption.
+	// On boxes the ephemeral point is what would link them: a request's
+	// two fields share one, and no point may recur across the three
+	// attempts, the concurrent gets and the post — a reused point with a
+	// fresh k_u would still differ as a whole ciphertext.
 	mu.Lock()
 	defer mu.Unlock()
-	if len(seenUsers) != 3 {
-		t.Fatalf("server saw %d attempts, want 3", len(seenUsers))
+	if len(seen) != 6 {
+		t.Fatalf("server saw %d requests, want 3 attempts + 2 gets + 1 post", len(seen))
 	}
-	for i := 1; i < len(seenUsers); i++ {
-		for j := 0; j < i; j++ {
-			if seenUsers[i] == seenUsers[j] {
-				t.Error("two attempts share an enc_user ciphertext")
+	var blobs [][]byte
+	for i, fields := range seen {
+		if len(fields[0]) != fieldSize {
+			t.Errorf("request %d: enc_user is %d bytes, want %d", i, len(fields[0]), fieldSize)
+		}
+		if fieldSize == ppcrypto.RSACiphertextSize {
+			if len(fields[1]) != ppcrypto.RSACiphertextSize {
+				t.Errorf("request %d: IA field is %d bytes, want an OAEP block", i, len(fields[1]))
 			}
-			if seenKeys[i] == seenKeys[j] {
-				t.Error("two attempts share an enc_temp_key ciphertext")
+			blobs = append(blobs, fields[0], fields[1])
+			continue
+		}
+		point := fields[0][:boxPointSize]
+		if !bytes.Equal(point, fields[1][:boxPointSize]) {
+			t.Errorf("request %d: its two boxes carry different ephemeral points", i)
+		}
+		blobs = append(blobs, point)
+	}
+	for i := 1; i < len(blobs); i++ {
+		for j := 0; j < i; j++ {
+			if bytes.Equal(blobs[i], blobs[j]) {
+				t.Errorf("two requests share an ephemeral point or ciphertext (%d, %d)", j, i)
 			}
 		}
 	}
+}
+
+// TestOneKeyForBothLayersFailsClosed: a bundle whose layers share a key
+// would let that layer read both fields; the library refuses to seal and
+// sends nothing.
+func TestOneKeyForBothLayersFailsClosed(t *testing.T) {
+	eachBundleKind(t, func(t *testing.T, bundle proxy.PublicBundle, _ int) {
+		bundle.IAPublic, bundle.IABox = bundle.UAPublic, bundle.UABox
+		var calls atomic.Int32
+		srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { calls.Add(1) }))
+		defer srv.Close()
+		c := New(bundle, srv.Client(), srv.URL)
+		if _, err := c.Get(context.Background(), "u"); !errors.Is(err, ppcrypto.ErrSameRecipient) {
+			t.Errorf("get: err %v, want ErrSameRecipient", err)
+		}
+		if err := c.Post(context.Background(), "u", "i", ""); !errors.Is(err, ppcrypto.ErrSameRecipient) {
+			t.Errorf("post: err %v, want ErrSameRecipient", err)
+		}
+		if n := calls.Load(); n != 0 {
+			t.Errorf("%d requests reached the service", n)
+		}
+	})
 }
 
 func TestPostNeverRetries(t *testing.T) {

@@ -1,17 +1,21 @@
 package ppcrypto
 
 // box.go is the second way to encrypt a short field for exactly one proxy
-// layer: an ECIES "sealed box". The sender draws a fresh ephemeral X25519
-// key per field, derives a single-use AES-256 key from the shared secret
-// with HKDF-SHA256 (RFC 5869) salted with both public keys, and seals the
-// field with AES-256-GCM, the field's role as associated data:
+// layer: an ECIES "sealed box". The sender draws one fresh ephemeral X25519
+// key per request, derives a single-use AES-256 key per recipient from the
+// shared secret with HKDF-SHA256 (RFC 5869) salted with the ephemeral and
+// the recipient public key, and seals each field with AES-256-GCM, the
+// field's role as associated data:
 //
 //	box = ephemeral public key (32 B) ‖ GCM(plaintext) ‖ tag (16 B)
 //
-// Nothing is kept between two fields — no session, no counter, no handle —
-// so a layer learns from a box exactly what it learns from an RSA-OAEP
-// block: the plaintext, and nothing that relates two fields to each other.
-// The length is constant per plaintext length (BoxOverhead more), which is
+// Nothing is kept between two requests — no session, no counter, no handle
+// — so a layer learns from a box exactly what it learns from an RSA-OAEP
+// block: the plaintext, and nothing that relates two requests to each
+// other. The two fields of one request carry the same ephemeral point, but
+// only the client, the UA and an observer of the edge ever see both, and
+// the salt binds each derived key to its recipient (DESIGN.md §4l). The
+// length is constant per plaintext length (BoxOverhead more), which is
 // what the constant-size message argument of §4.3 needs.
 
 import (
@@ -59,8 +63,15 @@ const boxInfo = "pprox sealed-box v1"
 
 // boxNonce is the GCM nonce of every box. A fixed nonce is sound because
 // each key seals exactly one message: the key is derived from an
-// ephemeral secret drawn for that field and thrown away after it.
+// ephemeral secret drawn for one request and thrown away after it, and
+// salted with the recipient's key, so it is one key per (ephemeral key,
+// recipient) — which is why SealPair refuses two fields for one recipient.
 var boxNonce [12]byte
+
+// ErrSameRecipient reports a request whose two fields are addressed to one
+// and the same key: the layer holding it could read both, and two boxes
+// would share one AES key under the zero nonce.
+var ErrSameRecipient = errors.New("ppcrypto: both fields are addressed to the same key")
 
 // GenerateBoxKey creates a fresh X25519 layer key.
 func GenerateBoxKey() (*ecdh.PrivateKey, error) {
@@ -71,37 +82,87 @@ func GenerateBoxKey() (*ecdh.PrivateKey, error) {
 	return k, nil
 }
 
-// SealBox encrypts a short payload so that only the holder of pub's
-// private half can read it, and only as the named role. Randomized: two
-// seals of one payload share no byte beyond chance.
-func SealBox(pub *ecdh.PublicKey, role Role, plaintext []byte) ([]byte, error) {
-	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("box seal: %w", err)
-	}
-	shared, err := eph.ECDH(pub)
-	if err != nil {
-		return nil, fmt.Errorf("box seal: %w", err)
-	}
-	ephPub := eph.PublicKey().Bytes()
-	aead, err := boxAEAD(ephPub, pub.Bytes(), shared)
-	if err != nil {
-		return nil, fmt.Errorf("box seal: %w", err)
-	}
-	out := make([]byte, boxPointSize, len(plaintext)+BoxOverhead)
-	copy(out, ephPub)
-	return aead.Seal(out, boxNonce[:], plaintext, []byte(role)), nil
+// Field is one request field to encrypt for one layer: the public keys
+// the user-side bundle carries for that layer, the field's role and its
+// plaintext. It travels as a sealed box when Box is set and as an RSA-OAEP
+// block under RSA (the paper's suite) otherwise.
+type Field struct {
+	Box   *ecdh.PublicKey
+	RSA   *rsa.PublicKey
+	Role  Role
+	Plain []byte
 }
 
-// SealField encrypts a short payload for exactly one layer with the public
-// keys a bundle carries for it: a sealed box when it has the layer's box
-// key, RSA-OAEP (the paper's suite) otherwise. This is the user-side
-// library's whole suite selection.
-func SealField(box *ecdh.PublicKey, pub *rsa.PublicKey, role Role, plaintext []byte) ([]byte, error) {
-	if box != nil {
-		return SealBox(box, role, plaintext)
+// SealPair encrypts a request's two fields — the one only the UA may read
+// and the one only the IA may read — each for its layer alone. Box fields
+// share one fresh ephemeral key, so a request costs the client one key
+// generation plus one X25519 per box; RSA fields are independent OAEP
+// blocks. Two fields for the same key are refused with ErrSameRecipient.
+// This is the user-side library's whole suite selection.
+func SealPair(ua, ia Field) (uaCt, iaCt []byte, err error) {
+	if sameRecipient(ua, ia) {
+		return nil, nil, ErrSameRecipient
 	}
-	return EncryptOAEP(pub, plaintext)
+	var s sealer
+	if uaCt, err = s.seal(ua); err != nil {
+		return nil, nil, err
+	}
+	if iaCt, err = s.seal(ia); err != nil {
+		return nil, nil, err
+	}
+	return uaCt, iaCt, nil
+}
+
+// SealBox encrypts a short payload so that only the holder of pub's
+// private half can read it, and only as the named role: SealPair's
+// sealing for one field. Randomized: two seals of one payload share no
+// byte beyond chance.
+func SealBox(pub *ecdh.PublicKey, role Role, plaintext []byte) ([]byte, error) {
+	var s sealer
+	return s.seal(Field{Box: pub, Role: role, Plain: plaintext})
+}
+
+// sameRecipient reports whether two fields would be encrypted to one key.
+func sameRecipient(a, b Field) bool {
+	switch {
+	case a.Box != nil && b.Box != nil:
+		return a.Box.Equal(b.Box)
+	case a.Box == nil && b.Box == nil:
+		return a.RSA.Equal(b.RSA)
+	}
+	return false
+}
+
+// sealer encrypts the fields of one request. It draws its ephemeral key
+// at the first box and seals every later box of the request under it; it
+// is never kept past the request.
+type sealer struct {
+	eph    *ecdh.PrivateKey
+	ephPub []byte
+}
+
+func (s *sealer) seal(f Field) ([]byte, error) {
+	if f.Box == nil {
+		return EncryptOAEP(f.RSA, f.Plain)
+	}
+	if s.eph == nil {
+		eph, err := ecdh.X25519().GenerateKey(rand.Reader)
+		if err != nil {
+			return nil, fmt.Errorf("box seal: %w", err)
+		}
+		s.eph, s.ephPub = eph, eph.PublicKey().Bytes()
+	}
+	shared, err := s.eph.ECDH(f.Box)
+	if err != nil {
+		return nil, fmt.Errorf("box seal: %w", err)
+	}
+	aead, err := boxAEAD(s.ephPub, f.Box.Bytes(), shared)
+	if err != nil {
+		return nil, fmt.Errorf("box seal: %w", err)
+	}
+	out := make([]byte, boxPointSize, len(f.Plain)+BoxOverhead)
+	copy(out, s.ephPub)
+	return aead.Seal(out, boxNonce[:], f.Plain, []byte(f.Role)), nil
 }
 
 // OpenBox reverses SealBox with the layer's private key. Every failure is

@@ -176,21 +176,84 @@ func FuzzOpenBox(f *testing.F) {
 	})
 }
 
-func TestSealFieldFollowsTheKeys(t *testing.T) {
+// TestSealPairFollowsTheKeys: each field is a box when its layer has a
+// box key and an OAEP block otherwise, whatever the other field is.
+func TestSealPairFollowsTheKeys(t *testing.T) {
 	k := mustBoxKey(t)
 	block, _ := PadID("user-42")
-	ct, err := SealField(k.PublicKey(), testKeyPair.Public, RoleUAUser, block)
+	ku := mustKey(t)
+	boxField := Field{Box: k.PublicKey(), RSA: testKeyPair.Public, Role: RoleUAUser, Plain: block}
+	rsaField := Field{RSA: testKeyPair.Public, Role: RoleIATempKey, Plain: ku}
+	boxCt, rsaCt, err := SealPair(boxField, rsaField)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenBox(k, RoleUAUser, ct); err != nil {
+	if _, err := OpenBox(k, RoleUAUser, boxCt); err != nil {
 		t.Errorf("with a box key the field is not a box: %v", err)
 	}
-	if ct, err = SealField(nil, testKeyPair.Public, RoleUAUser, block); err != nil {
+	if _, err := DecryptOAEP(testKeyPair.Private, rsaCt); err != nil {
+		t.Errorf("without a box key the field is not an OAEP block: %v", err)
+	}
+}
+
+// TestSealPairOpensEachFieldForItsRecipientOnly: the two boxes of a pair
+// share their ephemeral point, and still each opens under its own key and
+// role only — swapping keys or roles fails the tag.
+func TestSealPairOpensEachFieldForItsRecipientOnly(t *testing.T) {
+	ua, ia := mustBoxKey(t), mustBoxKey(t)
+	user, _ := PadID("user-42")
+	ku := mustKey(t)
+	encUser, encKu, err := SealPair(
+		Field{Box: ua.PublicKey(), Role: RoleUAUser, Plain: user},
+		Field{Box: ia.PublicKey(), Role: RoleIATempKey, Plain: ku})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecryptOAEP(testKeyPair.Private, ct); err != nil {
-		t.Errorf("without a box key the field is not an OAEP block: %v", err)
+	if !bytes.Equal(encUser[:boxPointSize], encKu[:boxPointSize]) {
+		t.Error("the two fields of one request carry different ephemeral points")
+	}
+	if len(encUser) != len(mustSeal(t, ua, RoleUAUser, user)) || len(encKu) != len(mustSeal(t, ia, RoleIATempKey, ku)) {
+		t.Errorf("pair lengths %d/%d differ from two SealBox calls", len(encUser), len(encKu))
+	}
+	for _, tc := range []struct {
+		name  string
+		key   *ecdh.PrivateKey
+		role  Role
+		box   []byte
+		plain []byte // nil: must not open
+	}{
+		{"ua field, ua key", ua, RoleUAUser, encUser, user},
+		{"ia field, ia key", ia, RoleIATempKey, encKu, ku},
+		{"ua field, ia key", ia, RoleUAUser, encUser, nil},
+		{"ia field, ua key", ua, RoleIATempKey, encKu, nil},
+		{"ua field, ia role", ua, RoleIATempKey, encUser, nil},
+		{"ia field, ua role", ia, RoleUAUser, encKu, nil},
+		{"ia field, item role", ia, RoleIAItem, encKu, nil},
+	} {
+		got, err := OpenBox(tc.key, tc.role, tc.box)
+		switch {
+		case tc.plain == nil && !errors.Is(err, ErrBox):
+			t.Errorf("%s: opened (err %v)", tc.name, err)
+		case tc.plain != nil && (err != nil || !bytes.Equal(got, tc.plain)):
+			t.Errorf("%s: does not open to its plaintext (err %v)", tc.name, err)
+		}
+	}
+}
+
+// TestSealPairRefusesOneRecipientTwice: two fields for one key would let
+// its holder read both, and two boxes would share one AES key under the
+// zero nonce.
+func TestSealPairRefusesOneRecipientTwice(t *testing.T) {
+	k := mustBoxKey(t)
+	block, _ := PadID("user-42")
+	same := Field{Box: k.PublicKey(), Role: RoleUAUser, Plain: block}
+	twin := Field{Box: k.PublicKey(), Role: RoleIATempKey, Plain: mustKey(t)}
+	if _, _, err := SealPair(same, twin); !errors.Is(err, ErrSameRecipient) {
+		t.Errorf("SealPair(k, k) on box keys: err %v, want ErrSameRecipient", err)
+	}
+	rsaField := Field{RSA: testKeyPair.Public, Role: RoleUAUser, Plain: block}
+	if _, _, err := SealPair(rsaField, rsaField); !errors.Is(err, ErrSameRecipient) {
+		t.Errorf("SealPair(k, k) on RSA keys: err %v, want ErrSameRecipient", err)
 	}
 }
 

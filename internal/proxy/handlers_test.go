@@ -83,11 +83,13 @@ func newFixture(t testing.TB) *layerFixture {
 // seal encrypts a field for one layer as the user-side library would.
 func (f *layerFixture) seal(t testing.TB, keys *LayerKeys, role ppcrypto.Role, plain []byte) string {
 	t.Helper()
-	box := keys.Box.PublicKey()
+	var ct []byte
+	var err error
 	if f.rsaOnly {
-		box = nil
+		ct, err = ppcrypto.EncryptOAEP(keys.Pair.Public, plain)
+	} else {
+		ct, err = ppcrypto.SealBox(keys.Box.PublicKey(), role, plain)
 	}
-	ct, err := ppcrypto.SealField(box, keys.Pair.Public, role, plain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,6 +123,12 @@ func UnmarshalKeyFile(data []byte) (ua, ia *LayerKeys, err error) {
 		return nil, nil, fmt.Errorf("key file: box_key_der is set for one layer only (ua: %t, ia: %t); a deployment runs one kind of key material",
 			ua.Box != nil, ia.Box != nil)
 	}
+	if ua.Pair.Public.Equal(ia.Pair.Public) {
+		return nil, nil, errSharedKey("key file", "ua.private_key_der", "ia.private_key_der")
+	}
+	if ua.Box != nil && ua.Box.Equal(ia.Box) {
+		return nil, nil, errSharedKey("key file", "ua.box_key_der", "ia.box_key_der")
+	}
 	if kf.LinkKey != "" {
 		link, err := base64.StdEncoding.DecodeString(kf.LinkKey)
 		if err != nil {
@@ -163,6 +169,13 @@ func layerFromJSON(lj LayerKeyJSON) (*LayerKeys, error) {
 		Box:       box,
 		Permanent: perm,
 	}, nil
+}
+
+// errSharedKey refuses a file whose two layers hold one key: the IA could
+// then open every field sealed for the UA, and the client would seal its
+// two boxes under one AES key.
+func errSharedKey(file, uaField, iaField string) error {
+	return fmt.Errorf("%s: %s and %s are the same key; each layer needs its own", file, uaField, iaField)
 }
 
 // keyFromField decodes one base64 DER key of a key or bundle file; its
@@ -232,6 +245,12 @@ func UnmarshalBundleFile(data []byte) (PublicBundle, error) {
 		if b.IABox, err = keyFromField("ia_box_der", bf.IABoxDER, ppcrypto.UnmarshalBoxPublicKey); err != nil {
 			return PublicBundle{}, err
 		}
+		if b.UABox.Equal(b.IABox) {
+			return PublicBundle{}, errSharedKey("bundle file", "ua_box_der", "ia_box_der")
+		}
+	}
+	if b.UAPublic.Equal(b.IAPublic) {
+		return PublicBundle{}, errSharedKey("bundle file", "ua_public_der", "ia_public_der")
 	}
 	return b, nil
 }

@@ -149,6 +149,8 @@ func TestKeyFilesAreValidatedAtLoad(t *testing.T) {
 		{"box key is not base64", func(kf *KeyFile) { kf.IA.BoxKeyDER = "!!" }, []string{"IA", "box_key_der"}},
 		{"only the UA carries a box key", func(kf *KeyFile) { kf.IA.BoxKeyDER = "" }, []string{"box_key_der", "one layer"}},
 		{"only the IA carries a box key", func(kf *KeyFile) { kf.UA.BoxKeyDER = "" }, []string{"box_key_der", "one layer"}},
+		{"both layers hold one RSA key", func(kf *KeyFile) { kf.IA.PrivateKeyDER = kf.UA.PrivateKeyDER }, []string{"ua.private_key_der", "ia.private_key_der", "same key"}},
+		{"both layers hold one box key", func(kf *KeyFile) { kf.IA.BoxKeyDER = kf.UA.BoxKeyDER }, []string{"ua.box_key_der", "ia.box_key_der", "same key"}},
 	} {
 		t.Run("keys/"+tc.name, func(t *testing.T) {
 			var kf KeyFile
@@ -175,6 +177,8 @@ func TestKeyFilesAreValidatedAtLoad(t *testing.T) {
 		{"RSA key as box key", func(bf *BundleFile) { bf.UABoxDER = bf.UAPublicDER }, []string{"ua_box_der", "X25519"}},
 		{"P-256 key as box key", func(bf *BundleFile) { bf.IABoxDER = b64(p256Pub) }, []string{"ia_box_der", "X25519"}},
 		{"only the UA's box key", func(bf *BundleFile) { bf.IABoxDER = "" }, []string{"ua_box_der", "ia_box_der"}},
+		{"one RSA key for both layers", func(bf *BundleFile) { bf.IAPublicDER = bf.UAPublicDER }, []string{"ua_public_der", "ia_public_der", "same key"}},
+		{"one box key for both layers", func(bf *BundleFile) { bf.IABoxDER = bf.UABoxDER }, []string{"ua_box_der", "ia_box_der", "same key"}},
 	} {
 		t.Run("bundle/"+tc.name, func(t *testing.T) {
 			var bf BundleFile

@@ -178,6 +178,17 @@ type PublicBundle struct {
 	IABox *ecdh.PublicKey
 }
 
+// UAField and IAField name a request field for one layer with the keys
+// the bundle carries for it, as ppcrypto.SealPair takes them: a box when
+// the bundle has the layer's box key, RSA-OAEP otherwise.
+func (b PublicBundle) UAField(role ppcrypto.Role, plain []byte) ppcrypto.Field {
+	return ppcrypto.Field{Box: b.UABox, RSA: b.UAPublic, Role: role, Plain: plain}
+}
+
+func (b PublicBundle) IAField(role ppcrypto.Role, plain []byte) ppcrypto.Field {
+	return ppcrypto.Field{Box: b.IABox, RSA: b.IAPublic, Role: role, Plain: plain}
+}
+
 // Bundle builds the user-side public bundle from the two layers' keys. It
 // advertises the box keys when both layers hold one: a deployment hands
 // out one kind of bundle, because the kind shows on the wire (DESIGN.md
