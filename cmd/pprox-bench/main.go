@@ -9,23 +9,14 @@
 //	pprox-bench fig9            # Harness LRS baseline
 //	pprox-bench fig10           # full integrated system
 //	pprox-bench shuffle         # §6.2 adversary linking probability
-//	pprox-bench cache           # in-enclave recommendation cache, Zipf gets
-//	pprox-bench lrs10x          # sharded WAL LRS, incremental CCO, 10× MovieLens cardinality
-//	pprox-bench measured        # real-plane latency spot-check (in-process stack)
+//	pprox-bench elastic         # §5 extension: fixed fleet vs autoscaler
 //	pprox-bench all             # everything above
 //
 // Figures are produced by the deterministic cluster simulator (see
-// DESIGN.md §1 for the testbed substitution); `measured` cross-checks the
-// request path with real cryptography on the in-process deployment.
-//
-// The batch and cache scenarios additionally emit machine-readable
-// BENCH_<scenario>.json snapshots with -out, and
-//
-//	pprox-bench compare old.json new.json
-//
-// diffs two snapshots against regression thresholds, exiting non-zero on
-// regression — the CI perf-trajectory gate (see README "Performance
-// trajectory").
+// DESIGN.md §1 for the testbed substitution); the shuffle experiment
+// drives the real proxy.Shuffler. Measurements of the real request path
+// on this host are the repository benchmark's job (`go run ./benchmark`,
+// see benchmark/README.md and BENCHMARK.json).
 package main
 
 import (
@@ -35,7 +26,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"pprox/internal/obslog"
@@ -43,23 +33,12 @@ import (
 )
 
 func main() {
-	// The compare subcommand has its own FlagSet; dispatch before the
-	// experiment flags can reject its arguments.
-	if len(os.Args) > 1 && os.Args[1] == "compare" {
-		os.Exit(runCompare(os.Args[2:]))
-	}
-
 	quick := flag.Bool("quick", false, "shorter simulations (smoke-test quality)")
 	duration := flag.Duration("duration", 0, "override virtual injection window per point")
 	reps := flag.Int("reps", 0, "override repetitions per point")
 	csvDir := flag.String("csv", "", "also write each figure's series as CSV into this directory")
-	out := flag.String("out", "", "write BENCH_<scenario>.json snapshots (file path, or directory for multiple scenarios)")
-	fault := flag.Duration("inject-fault", 0, "arm a latency fault on the LRS for the batch scenario (disables its gates)")
 	flag.Usage = usage
 	flag.Parse()
-	csvOut = *csvDir
-	outPath = *out
-	faultDelay = *fault
 
 	if flag.NArg() != 1 {
 		usage()
@@ -80,78 +59,60 @@ func main() {
 		opts.Repetitions = *reps
 	}
 
-	if err := run(flag.Arg(0), opts); err != nil {
+	if err := run(flag.Arg(0), opts, *csvDir); err != nil {
 		obslog.New(os.Stderr, "pprox-bench", nil).Error("fatal", "error", err.Error())
 		os.Exit(1)
 	}
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: pprox-bench [-quick] [-duration D] [-reps N] [-out PATH] <experiment>
-       pprox-bench compare [flags] old.json new.json
+	fmt.Fprintf(os.Stderr, `usage: pprox-bench [-quick] [-duration D] [-reps N] [-csv DIR] <experiment>
 
 experiments:
-  table2 table3 fig6 fig7 fig8 fig9 fig10 shuffle cache batch lrs10x elastic measured measured-macro all
+  table2 table3 fig6 fig7 fig8 fig9 fig10 shuffle elastic all
 `)
 	flag.PrintDefaults()
 }
 
-func run(what string, opts sim.RunOptions) error {
+// figures are the simulated series of §8, in the paper's order.
+var figures = []struct {
+	name, title string
+	rows        func(sim.RunOptions) []sim.Row
+}{
+	{"fig6", "Figure 6 — impact of privacy features (stub LRS)", sim.Figure6},
+	{"fig7", "Figure 7 — impact of shuffling (stub LRS)", sim.Figure7},
+	{"fig8", "Figure 8 — proxy service scaling (stub LRS, S=10)", sim.Figure8},
+	{"fig9", "Figure 9 — Harness LRS baseline", sim.Figure9},
+	{"fig10", "Figure 10 — PProx + Harness integrated", sim.Figure10},
+}
+
+// all is what `pprox-bench all` runs, in order.
+var all = []string{"table2", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "shuffle", "elastic"}
+
+// run executes one experiment. csvDir, when non-empty, receives one CSV
+// file per figure; a failed write is an error like any other.
+func run(what string, opts sim.RunOptions, csvDir string) error {
 	switch what {
 	case "table2":
 		printTable2()
 	case "table3":
 		printTable3()
-	case "fig6":
-		printFigure("Figure 6 — impact of privacy features (stub LRS)", sim.Figure6(opts))
-	case "fig7":
-		printFigure("Figure 7 — impact of shuffling (stub LRS)", sim.Figure7(opts))
-	case "fig8":
-		printFigure("Figure 8 — proxy service scaling (stub LRS, S=10)", sim.Figure8(opts))
-	case "fig9":
-		printFigure("Figure 9 — Harness LRS baseline", sim.Figure9(opts))
-	case "fig10":
-		printFigure("Figure 10 — PProx + Harness integrated", sim.Figure10(opts))
 	case "shuffle":
 		return runShuffleExperiment()
-	case "cache":
-		return runCacheScenario(opts)
-	case "batch":
-		return runBatchScenario(opts)
-	case "lrs10x":
-		return runLRS10xScenario(opts)
 	case "elastic":
 		printElastic(opts)
-	case "measured":
-		return runMeasured()
-	case "measured-macro":
-		return runMeasuredMacro()
 	case "all":
-		printTable2()
-		printTable3()
-		printFigure("Figure 6 — impact of privacy features (stub LRS)", sim.Figure6(opts))
-		printFigure("Figure 7 — impact of shuffling (stub LRS)", sim.Figure7(opts))
-		printFigure("Figure 8 — proxy service scaling (stub LRS, S=10)", sim.Figure8(opts))
-		printFigure("Figure 9 — Harness LRS baseline", sim.Figure9(opts))
-		printFigure("Figure 10 — PProx + Harness integrated", sim.Figure10(opts))
-		if err := runShuffleExperiment(); err != nil {
-			return err
+		for _, step := range all {
+			if err := run(step, opts, csvDir); err != nil {
+				return err
+			}
 		}
-		if err := runCacheScenario(opts); err != nil {
-			return err
-		}
-		if err := runBatchScenario(opts); err != nil {
-			return err
-		}
-		if err := runLRS10xScenario(opts); err != nil {
-			return err
-		}
-		printElastic(opts)
-		if err := runMeasured(); err != nil {
-			return err
-		}
-		return runMeasuredMacro()
 	default:
+		for _, f := range figures {
+			if f.name == what {
+				return printFigure(f.title, f.rows(opts), csvDir)
+			}
+		}
 		return fmt.Errorf("unknown experiment %q", what)
 	}
 	return nil
@@ -171,35 +132,7 @@ func printElastic(opts sim.RunOptions) {
 	}
 }
 
-// csvOut, when non-empty, receives one CSV file per figure for plotting.
-var csvOut string
-
-// outPath, when non-empty, is where scenarios write BENCH_<scenario>.json
-// snapshots: used verbatim when it names a .json file, otherwise treated
-// as a directory receiving BENCH_<scenario>.json per scenario.
-var outPath string
-
-// faultDelay, when non-zero, arms a latency fault on the LRS during the
-// batch scenario to manufacture a p99 regression for `compare` to catch.
-var faultDelay time.Duration
-
-// benchOutPath resolves the snapshot path for one scenario, creating the
-// directory when needed. Empty when -out was not given.
-func benchOutPath(scenario string) string {
-	if outPath == "" {
-		return ""
-	}
-	if strings.HasSuffix(outPath, ".json") {
-		return outPath
-	}
-	if err := os.MkdirAll(outPath, 0o755); err != nil {
-		obslog.New(os.Stderr, "pprox-bench", nil).Error("bench out dir", "error", err.Error())
-		return ""
-	}
-	return filepath.Join(outPath, "BENCH_"+scenario+".json")
-}
-
-func printFigure(title string, rows []sim.Row) {
+func printFigure(title string, rows []sim.Row, csvDir string) error {
 	fmt.Printf("\n=== %s ===\n", title)
 	fmt.Printf("%-6s %5s  %s\n", "config", "RPS", "round-trip latency (box = P25/median/P75, whiskers = 1.5·IQR)")
 	last := ""
@@ -212,29 +145,34 @@ func printFigure(title string, rows []sim.Row) {
 		}
 		fmt.Printf("%-6s %5d  %s\n", r.Config, r.RPS, r.Candle)
 	}
-	if csvOut != "" && len(rows) > 0 {
-		if err := writeCSV(csvOut, rows); err != nil {
-			obslog.New(os.Stderr, "pprox-bench", nil).Error("csv write failed", "error", err.Error())
-		}
+	if csvDir == "" || len(rows) == 0 {
+		return nil
 	}
+	path, err := writeCSV(csvDir, rows)
+	if err != nil {
+		return fmt.Errorf("csv: %w", err)
+	}
+	fmt.Printf("(csv written to %s)\n", path)
+	return nil
 }
 
 // writeCSV emits the rows as fig<N>.csv with millisecond columns matching
-// the candlestick definition of footnote 7.
-func writeCSV(dir string, rows []sim.Row) error {
+// the candlestick definition of footnote 7, and returns the file's path.
+// The file counts as written only once the rows are flushed and the file
+// is closed without error.
+func writeCSV(dir string, rows []sim.Row) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return "", err
 	}
 	path := filepath.Join(dir, "fig"+rows[0].Figure+".csv")
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return "", err
 	}
-	defer f.Close()
+	defer f.Close() // error paths; the success path checks Close below
 	w := csv.NewWriter(f)
-	defer w.Flush()
 	if err := w.Write([]string{"config", "rps", "n", "whisker_low_ms", "p25_ms", "median_ms", "p75_ms", "whisker_high_ms", "max_ms"}); err != nil {
-		return err
+		return "", err
 	}
 	msCol := func(d time.Duration) string {
 		return strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'f', 3, 64)
@@ -248,9 +186,12 @@ func writeCSV(dir string, rows []sim.Row) error {
 			msCol(c.WLow), msCol(c.P25), msCol(c.Median), msCol(c.P75), msCol(c.WHigh), msCol(c.Max),
 		}
 		if err := w.Write(rec); err != nil {
-			return err
+			return "", err
 		}
 	}
-	fmt.Printf("(csv written to %s)\n", path)
-	return nil
+	w.Flush()
+	if err := w.Error(); err != nil {
+		return "", err
+	}
+	return path, f.Close()
 }

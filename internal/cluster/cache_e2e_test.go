@@ -12,6 +12,7 @@ import (
 	"pprox/internal/cluster"
 	"pprox/internal/reccache"
 	"pprox/internal/rotation"
+	"pprox/internal/workload"
 )
 
 // cache_e2e_test.go drives the in-enclave recommendation cache through
@@ -73,6 +74,81 @@ func TestCacheServesHitsAndPostInvalidates(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 2 || st.Invalidations != 1 {
 		t.Errorf("stats hits=%d misses=%d invalidations=%d, want 1/2/1", st.Hits, st.Misses, st.Invalidations)
 	}
+}
+
+// TestCacheUnderZipfStream replays the user column of a scaled MovieLens
+// slice — per-user activity follows the dataset's Zipf skew — as full
+// shuffle epochs of gets. Every request whose user was asked in an
+// earlier epoch must be a hit, and must not reach the LRS. Inside one
+// epoch a repeated new user is a miss, but the stub's delay keeps the
+// first fetch in flight, so the repeat joins it: the LRS sees each
+// distinct user exactly once.
+func TestCacheUnderZipfStream(t *testing.T) {
+	const s, batches = 8, 40
+	spec := cacheSpec()
+	spec.Shuffle = s
+	spec.ShuffleTimeout = time.Minute // only full epochs release
+	spec.StubDelay = 50 * time.Millisecond
+	spec.Audit = &audit.Config{}
+	d, err := cluster.Deploy(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	cl := d.Client(10 * time.Second)
+	events := workload.Generate(workload.ScaledMovieLensParams(0.01)).Events
+
+	asked := map[string]bool{}
+	var wantHits uint64
+	for b := 0; b < batches; b++ {
+		users := make([]string, s)
+		for i := range users {
+			users[i] = events[b*s+i].User
+			if asked[users[i]] {
+				wantHits++
+			}
+		}
+		var wg sync.WaitGroup
+		for _, u := range users {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				if _, err := cl.Get(ctx, u); err != nil {
+					t.Errorf("epoch %d: get: %v", b, err)
+				}
+			}()
+		}
+		wg.Wait()
+		for _, u := range users {
+			asked[u] = true
+		}
+	}
+
+	const sent = s * batches
+	// Stats publish at the IA's epoch flush.
+	waitFor(t, "the last epoch's cache stats", func() bool {
+		st := d.RecCaches[0].Stats()
+		return st.Hits+st.Misses == sent
+	})
+	st := d.RecCaches[0].Stats()
+	if st.Hits != wantHits || st.Misses != sent-wantHits {
+		t.Errorf("hits=%d misses=%d, want %d/%d (a hit is a user asked in an earlier epoch)",
+			st.Hits, st.Misses, wantHits, sent-wantHits)
+	}
+	_, gets := d.Stub.Counts()
+	if gets != st.Misses-st.Coalesced {
+		t.Errorf("LRS saw %d gets, want misses−coalesced = %d−%d", gets, st.Misses, st.Coalesced)
+	}
+	if gets != uint64(len(asked)) {
+		t.Errorf("LRS saw %d gets for %d distinct users, want one each", gets, len(asked))
+	}
+	if got := d.Auditor.State(); got != audit.StateOK {
+		t.Errorf("auditor state = %v, want ok", got)
+	}
+	t.Logf("sent=%d hits=%d misses=%d coalesced=%d distinct=%d lrs-gets=%d",
+		sent, st.Hits, st.Misses, st.Coalesced, len(asked), gets)
 }
 
 func TestCacheEPCPressureEvictsNotFails(t *testing.T) {

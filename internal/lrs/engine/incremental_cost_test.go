@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"pprox/internal/lrs/cco"
@@ -57,4 +58,54 @@ func BenchmarkEngineInsertIncremental(b *testing.B) {
 	n := float64(b.N)
 	b.ReportMetric(float64(seedNanos)/n/seeded, "seed-ns/event")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds()-seedNanos)/n/posted, "post-ns/event")
+}
+
+// TestIncrementalApplyBeatsFullTrain is the online path's reason to
+// exist, at 10× the paper's MovieLens cardinality on eight WAL-backed
+// shards: folding one event in must cost at most a tenth of one full
+// TrainNow over the same log, and the folded model, once refreshed, must
+// recommend exactly what the batch-trained twin does. Both sides are
+// timed in this process on the same log, so the ratio holds across hosts.
+func TestIncrementalApplyBeatsFullTrain(t *testing.T) {
+	const events, minSpeedup = 5000, 10
+	cfg := DefaultConfig()
+	cfg.Trainer = cco.Config{MaxInteractionsPerUser: 20, MaxCorrelatorsPerItem: 30}
+	cfg.Shards, cfg.WALDir, cfg.Incremental = 8, t.TempDir(), true
+	inc, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inc.Close()
+	twinCfg := cfg
+	twinCfg.WALDir, twinCfg.Incremental = "", false
+	twin := New(twinCfg)
+
+	p := workload.ScaledMovieLensParams(10)
+	p.Events = events
+	data := workload.Generate(p)
+	for _, ev := range data.Events {
+		inc.InsertEvent(ev.User, ev.Item, ev.Rating)
+		twin.InsertEvent(ev.User, ev.Item, ev.Rating)
+	}
+	if got := inc.EventsApplied(); got != events {
+		t.Fatalf("%d of %d events applied incrementally", got, events)
+	}
+	if err := twin.TrainNow(); err != nil {
+		t.Fatal(err)
+	}
+	apply, train := inc.ApplySeconds()/events, twin.TrainSeconds()
+	if apply*minSpeedup > train {
+		t.Errorf("one apply costs %.0f µs, one TrainNow %.0f µs: ×%.1f, want ≥ ×%d",
+			apply*1e6, train*1e6, train/apply, minSpeedup)
+	}
+	t.Logf("apply %.1f µs/event, TrainNow %.1f ms: ×%.0f", apply*1e6, train*1e3, train/apply)
+
+	inc.Refresh()
+	users := data.DistinctUsers()
+	for i := 0; i < len(users); i += len(users)/200 + 1 {
+		u := users[i]
+		if got, want := inc.Recommend(u, 10), twin.Recommend(u, 10); !reflect.DeepEqual(got, want) {
+			t.Fatalf("user %s: incremental %v, batch %v", u, got, want)
+		}
+	}
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // BuildInfo identifies the running binary: module version, Go toolchain,
-// and the VCS revision the binary was built from. Benchmark emitters and
-// the pprox_build_info gauge both read it, so a scraped histogram and a
-// BENCH_*.json file are attributable to the same commit.
+// and the VCS revision the binary was built from. The pprox_build_info
+// gauge and every telemetry snapshot carry it, so a scraped histogram and
+// a fleet rollup are attributable to the same commit.
 type BuildInfo struct {
 	Version   string `json:"version"`
 	GoVersion string `json:"go_version"`
