@@ -11,15 +11,15 @@ import (
 // scalable item-based top-N work: instead of re-counting the whole event
 // log per training run, each arriving (user, item) interaction applies a
 // bounded delta to the pair counts, and only the rows those deltas touch
-// are re-scored online.
+// are re-scored.
 //
 // The invariant that makes the increments *exact* rather than
-// approximate: after every Apply, the popularity and pair counts equal
+// approximate: after every Fold, the popularity and pair counts equal
 // what batch Train would compute over the same event stream. Train's
 // counting pipeline is (1) global (user, item) dedup keeping the first
 // occurrence, (2) per-user keep-last-K downsampling of the deduped
 // history, (3) pair counting within each user's window, (4) per-user
-// popularity over the windows. Apply mirrors it as a sliding window: a
+// popularity over the windows. Fold mirrors it as a sliding window: a
 // duplicate is dropped against the user's ever-seen set (step 1); a
 // distinct item entering a full window evicts the oldest item, removing
 // its pair and popularity contributions (step 2, since keep-last-K over
@@ -29,14 +29,23 @@ import (
 // pure function of the counts — so re-scoring all rows reproduces the
 // batch model bit for bit (TestIncrementalConvergesToBatch).
 //
+// Counting and scoring are split in time. Fold changes counts and marks
+// the rows whose pair counts changed as pending (a per-id flag plus a
+// list, so bounded by the distinct items); Rescore scores each pending
+// row once, against the counts as they stand then, and empties the set.
+// A row five folds touched before the next Rescore is scored once, not
+// five times — the engine rescores at the next read, so seeding a model
+// costs a fold per event. Apply is the two back to back. Model scores
+// every row and so leaves nothing pending.
+//
 // The popularity ranking (ranking.go) rides on the same deltas: each of
-// the two places Apply changes a popularity count re-ranks that one item
+// the two places Fold changes a popularity count re-ranks that one item
 // (new item, increment, eviction decrement, removal at zero), so the view
 // always equals a fresh sort of the counts — the cold-start fill reads it
 // without sorting (TestRankingTracksBatchAfterEveryApply).
 //
 // Representation: an event costs what it changes. Items are interned to
-// dense int32 ids the first time Apply sees them; popularity is a slice
+// dense int32 ids the first time Fold sees them; popularity is a slice
 // indexed by id, a co-occurrence row a pointer-free slice of (other, k)
 // sorted by other — ±1 is a binary search, entering or leaving a row one
 // copy — and windows and seen-sets hold ids. Scoring a row is a linear
@@ -48,14 +57,14 @@ import (
 // order: every ordering the model exposes is by item name.
 //
 // What online re-scoring does NOT chase: a new user or a popularity
-// change shifts the LLR margins of *every* row. Apply re-scores only the
+// change shifts the LLR margins of *every* row. Rescore scores only the
 // rows whose pair counts changed (they are the ones retrieval quality
 // depends on for the just-active user); the remaining rows keep their
-// last scores until the next Apply touches them or Model() re-scores
+// last scores until a later fold marks them or Model() re-scores
 // everything. That staleness is in scores only — never in counts — and
 // disappears at every compaction.
 
-// RowUpdate is one re-scored indicator row produced by Apply: the item
+// RowUpdate is one re-scored indicator row produced by Rescore: the item
 // whose correlator list changed and its fresh (bounded, sorted) row. An
 // empty Indicators slice means the row scored below threshold and the
 // item should drop out of retrieval.
@@ -85,7 +94,7 @@ type userWindow struct {
 }
 
 // Incremental maintains CCO counts under per-event updates. It is safe
-// for concurrent use; Apply calls are serialized internally, so the
+// for concurrent use; Fold calls are serialized internally, so the
 // caller's event order is the model's event order.
 type Incremental struct {
 	mu    sync.Mutex
@@ -97,10 +106,12 @@ type Incremental struct {
 	pop   []int32          // id → users whose window holds the item
 	rows  [][]pair         // id → co-occurrence row, ascending by other
 	nrows int              // rows that are not empty
-	rank  ranking          // pop in cold-start order, kept current by Apply
+	rank  ranking          // pop in cold-start order, kept current by Fold
+
+	dirty  []int32 // ids whose rows changed since they were last scored
+	marked []bool  // id → in dirty
 
 	xlx     xlogxTable // x·ln x per integer, grown to the user count
-	touched []int32    // scratch: ids whose rows the running Apply changed
 	scratch []scored   // scratch: the row being ordered
 	applied uint64
 }
@@ -121,43 +132,47 @@ func NewIncremental(cfg Config) *Incremental {
 	}
 }
 
-// Apply folds one primary-indicator event into the counts and returns
-// the freshly re-scored rows of every item whose pair counts changed,
-// sorted by item for determinism. A duplicate (user, item) interaction
-// returns nil: the counts are unchanged, exactly as batch dedup would
-// drop it.
+// Fold applies one primary-indicator event's count deltas — window,
+// eviction, pair, popularity and ranking bookkeeping — and marks the rows
+// whose pair counts changed as pending, without scoring them. It reports
+// whether the counts changed: a duplicate (user, item) interaction changes
+// nothing, exactly as batch dedup would drop it.
+func (inc *Incremental) Fold(ev Event) bool {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	return inc.fold(ev)
+}
+
+// Rescore scores every pending row once against the current counts and
+// empties the pending set. It returns the rows sorted by item for
+// determinism; nil when nothing was pending.
+func (inc *Incremental) Rescore() []RowUpdate {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	return inc.rescore()
+}
+
+// Apply is Fold then Rescore under one lock: the rows the event changed,
+// plus any still pending from earlier folds, freshly scored.
 func (inc *Incremental) Apply(ev Event) []RowUpdate {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	touched := inc.fold(ev)
-	if len(touched) == 0 {
-		return nil
-	}
-	slices.SortFunc(touched, func(a, b int32) int {
-		return strings.Compare(inc.names[a], inc.names[b])
-	})
-	out := make([]RowUpdate, len(touched))
-	for i, id := range touched {
-		out[i] = RowUpdate{Item: inc.names[id], Indicators: inc.scoreRow(id)}
-	}
-	return out
+	inc.fold(ev)
+	return inc.rescore()
 }
 
-// Fold is Apply without the scoring: the same window, eviction, count and
-// ranking bookkeeping, no rows returned. It is what replaying a log into
-// a fresh model needs — TrainNow's reseed would throw the rows away, the
-// batch model it has just trained holds them all.
-func (inc *Incremental) Fold(ev Event) {
+// DropPending empties the pending set without scoring it, for a caller
+// that already holds every row scored from the same counts — TrainNow's
+// reseed, whose batch model was trained over the events it folded.
+func (inc *Incremental) DropPending() {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	inc.fold(ev)
+	inc.dropPending()
 }
 
-// fold applies one event's count deltas and returns the ids of the rows
-// they changed, in scratch storage valid until the next fold. Every id
-// appears once: a window never holds an item twice, the arriving item was
-// not in it, the evicted one no longer is. Callers hold inc.mu.
-func (inc *Incremental) fold(ev Event) []int32 {
+// fold applies one event's count deltas and marks the rows they changed.
+// Callers hold inc.mu.
+func (inc *Incremental) fold(ev Event) bool {
 	inc.applied++
 
 	uw := inc.users[ev.User]
@@ -168,11 +183,10 @@ func (inc *Incremental) fold(ev Event) []int32 {
 	item := inc.intern(ev.Item)
 	at, dup := slices.BinarySearch(uw.seen, item)
 	if dup {
-		return nil
+		return false
 	}
 	uw.seen = slices.Insert(uw.seen, at, item)
-
-	touched := append(inc.touched[:0], item)
+	inc.mark(item)
 
 	// Window full: evict the oldest item, undoing its contributions.
 	if len(uw.window) >= inc.cfg.MaxInteractionsPerUser {
@@ -186,22 +200,52 @@ func (inc *Incremental) fold(ev Event) []int32 {
 			inc.addPair(oldest, w, -1)
 			inc.addPair(w, oldest, -1)
 		}
-		touched = append(touched, oldest)
+		inc.mark(oldest)
 	}
 
 	// The new item co-occurs with every surviving window item.
 	for _, w := range uw.window {
 		inc.addPair(item, w, 1)
 		inc.addPair(w, item, 1)
+		inc.mark(w)
 	}
-	touched = append(touched, uw.window...)
 	uw.window = append(uw.window, item)
 	inc.pop[item]++
 	c := int(inc.pop[item])
 	inc.rank.move(inc.names[item], c-1, c)
+	return true
+}
 
-	inc.touched = touched
-	return touched
+// mark adds a row to the pending set, once.
+func (inc *Incremental) mark(id int32) {
+	if !inc.marked[id] {
+		inc.marked[id] = true
+		inc.dirty = append(inc.dirty, id)
+	}
+}
+
+// rescore scores and unmarks every pending row. Callers hold inc.mu.
+func (inc *Incremental) rescore() []RowUpdate {
+	if len(inc.dirty) == 0 {
+		return nil
+	}
+	slices.SortFunc(inc.dirty, func(a, b int32) int {
+		return strings.Compare(inc.names[a], inc.names[b])
+	})
+	out := make([]RowUpdate, len(inc.dirty))
+	for i, id := range inc.dirty {
+		out[i] = RowUpdate{Item: inc.names[id], Indicators: inc.scoreRow(id)}
+	}
+	inc.dropPending()
+	return out
+}
+
+// dropPending unmarks every pending row. Callers hold inc.mu.
+func (inc *Incremental) dropPending() {
+	for _, id := range inc.dirty {
+		inc.marked[id] = false
+	}
+	inc.dirty = inc.dirty[:0]
 }
 
 // intern returns the item's id, assigning the next one at first sight.
@@ -213,6 +257,7 @@ func (inc *Incremental) intern(item string) int32 {
 		inc.names = append(inc.names, item)
 		inc.pop = append(inc.pop, 0)
 		inc.rows = append(inc.rows, nil)
+		inc.marked = append(inc.marked, false)
 	}
 	return id
 }
@@ -306,8 +351,8 @@ func (inc *Incremental) scoreRow(id int32) []Correlation {
 	return cs
 }
 
-// Row returns one item's indicator row re-scored against the current
-// counts (always exact, regardless of which rows Apply has touched).
+// Row returns one item's indicator row scored against the current counts
+// (always exact, pending or not; it leaves the pending set alone).
 func (inc *Incremental) Row(item string) []Correlation {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
@@ -320,10 +365,12 @@ func (inc *Incremental) Row(item string) []Correlation {
 
 // Model materializes the full model from the current counts: every row
 // re-scored; popularity, its ranking and the user count copied. The
-// result equals Train(events, cfg) over the applied event stream.
+// result equals Train(events, cfg) over the folded event stream. Every
+// row having just been scored, nothing is pending afterwards.
 func (inc *Incremental) Model() *Model {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
+	inc.dropPending()
 	m := &Model{
 		Indicators: make(map[string][]Correlation, inc.nrows),
 		Popularity: make(map[string]int, len(inc.rank)),

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -135,6 +136,54 @@ func TestIncrementalRowUpdatesMatchBatchRows(t *testing.T) {
 	}
 }
 
+// TestRescoreCoversEveryChangedRow pins what a deferred Rescore owes:
+// over seeded interleavings of 1–5 folds per Rescore, on configs that
+// evict on most events, every row whose pair counts differ from what they
+// were at the previous Rescore is among the rows returned, none twice,
+// and every returned row equals Train's row over the folded prefix.
+func TestRescoreCoversEveryChangedRow(t *testing.T) {
+	for _, cfg := range []Config{
+		{MaxInteractionsPerUser: 3, MaxCorrelatorsPerItem: 2},
+		{MaxInteractionsPerUser: 5, MaxCorrelatorsPerItem: 50},
+	} {
+		events := randomStream(13, 400, 6, 12)
+		rng := rand.New(rand.NewSource(13))
+		inc := NewIncremental(cfg)
+		snapshot := func() map[string][]pair {
+			rows := make(map[string][]pair, len(inc.rows))
+			for id, row := range inc.rows {
+				rows[inc.names[id]] = slices.Clone(row)
+			}
+			return rows
+		}
+		before, folded := snapshot(), 0
+		for folded < len(events) {
+			for k := 1 + rng.Intn(5); k > 0 && folded < len(events); k-- {
+				inc.Fold(events[folded])
+				folded++
+			}
+			after := snapshot()
+			rescored := map[string]bool{}
+			batch := Train(events[:folded], cfg)
+			for _, up := range inc.Rescore() {
+				if rescored[up.Item] {
+					t.Fatalf("%v, %d folds: row %q rescored twice", cfg, folded, up.Item)
+				}
+				rescored[up.Item] = true
+				if want := batch.Indicators[up.Item]; (len(up.Indicators) > 0 || len(want) > 0) && !reflect.DeepEqual(up.Indicators, want) {
+					t.Fatalf("%v, %d folds: row %q = %v, batch %v", cfg, folded, up.Item, up.Indicators, want)
+				}
+			}
+			for item, row := range after {
+				if !slices.Equal(row, before[item]) && !rescored[item] {
+					t.Fatalf("%v, %d folds: row %q changed %v → %v and was not rescored", cfg, folded, item, before[item], row)
+				}
+			}
+			before = after
+		}
+	}
+}
+
 // TestTableLLREqualsLLR: the table is the function. For random and
 // degenerate contingency tables — including totals far past what the
 // table has been grown to — the table-read LLR is the same float64, bit
@@ -172,9 +221,10 @@ func TestTableLLREqualsLLR(t *testing.T) {
 	}
 }
 
-// TestFoldEqualsApply: the count-only fold TrainNow reseeds with leaves
-// the model Apply leaves — counts, ranking, every re-scored row — and the
-// two keep agreeing when events are applied on top of either.
+// TestFoldEqualsApply: folding without rescoring, as TrainNow reseeds,
+// leaves the model Apply leaves — counts, ranking, every re-scored row —
+// and the two keep agreeing when events are applied on top of either
+// (Model scores every row, so the folds leave nothing pending behind it).
 func TestFoldEqualsApply(t *testing.T) {
 	cfg := benchTrainer()
 	events := scaledStream(3, 3000)

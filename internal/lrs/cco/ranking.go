@@ -5,7 +5,7 @@ import "sort"
 // ranking.go holds the popularity ranking behind the cold-start fill:
 // every item with a popularity entry, most popular first, ties broken by
 // ascending item ID. The batch Model ranks once when it is built; the
-// Incremental model keeps the same view current under Apply's ±1 count
+// Incremental model keeps the same view current under Fold's ±1 count
 // deltas, so a get copies the head of the view instead of sorting the
 // catalogue.
 

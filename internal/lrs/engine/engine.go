@@ -11,7 +11,8 @@
 // pseudonym* — the engine shards blind ciphertexts, never identities —
 // and each shard can be WAL-backed for durability. In incremental mode
 // every accepted primary event is folded into the CCO counts online
-// (cco.Incremental), demoting the batch job to a compaction fallback.
+// (cco.Incremental), and the next read rescores the rows it changed,
+// demoting the batch job to a compaction fallback.
 //
 // The engine is agnostic to whether identifiers are cleartext or PProx
 // pseudonyms — exactly the property that makes PProx transparent to an
@@ -90,8 +91,9 @@ type Engine struct {
 	model atomic.Pointer[cco.MultiModel]
 	inc   atomic.Pointer[cco.Incremental] // nil unless cfg.Incremental
 
-	trainMu sync.Mutex // serializes batch training jobs
-	applyMu sync.Mutex // orders log appends with incremental applies
+	trainMu sync.Mutex  // serializes batch training jobs
+	applyMu sync.Mutex  // orders log appends with incremental folds and rescores
+	pending atomic.Bool // folded rows wait to be rescored; set and cleared under applyMu
 
 	posts   atomic.Uint64
 	queries atomic.Uint64
@@ -100,8 +102,8 @@ type Engine struct {
 	fills   atomic.Uint64 // queries completed from the popularity ranking
 
 	applied    atomic.Uint64 // events folded into the incremental model
-	rescored   atomic.Uint64 // rows those events re-scored and patched into the index
-	applyNanos atomic.Int64  // cumulative time spent in incremental applies
+	rescored   atomic.Uint64 // rows reads re-scored and patched into the index
+	applyNanos atomic.Int64  // cumulative time spent folding and rescoring
 	trainNanos atomic.Int64  // duration of the last batch train
 	walErrs    atomic.Uint64 // posts rejected because the WAL append failed
 
@@ -126,10 +128,11 @@ func (e *Engine) slogger() *slog.Logger { return e.logger.Load() }
 
 // idemRegistry remembers recently seen idempotency keys so a retried
 // insertion (the proxy resent an event whose reply was lost) is dropped
-// instead of double-counted. It is a fixed-size FIFO window, not a durable
-// log: retries arrive within seconds, the window holds the last
-// idemWindow keys, and an unbounded map would be a memory leak with the
-// same name.
+// instead of double-counted. It is a fixed-size FIFO window: retries
+// arrive within seconds, the window holds the last idemWindow keys, and
+// an unbounded map would be a memory leak with the same name. The keys
+// themselves are durable — each keyed event stores its key in its idem
+// field — and recallIdemKeys refills the window from them on start-up.
 type idemRegistry struct {
 	mu   sync.Mutex
 	seen map[string]struct{}
@@ -139,6 +142,11 @@ type idemRegistry struct {
 
 // idemWindow is how many recent keys the registry remembers.
 const idemWindow = 1 << 16
+
+// idemField is the event field a keyed post stores its idempotency key in.
+// The key is minted by the enclave per post, not derived from any
+// identifier, so storing it reveals nothing a pseudonym does not.
+const idemField = "idem"
 
 // claim records a key, reporting false when it was already seen. On
 // success it returns the ring slot holding the key, so a caller whose
@@ -217,6 +225,7 @@ func Open(cfg Config) (*Engine, error) {
 		e.inc.Store(cco.NewIncremental(cfg.Trainer))
 	}
 	if lg.Count() > 0 {
+		e.recallIdemKeys()
 		if err := e.TrainNow(); err != nil {
 			lg.Close()
 			return nil, err
@@ -251,7 +260,34 @@ func NewFromSnapshot(cfg Config, r io.Reader) (*Engine, error) {
 		e.log.Close()
 		return nil, err
 	}
+	e.recallIdemKeys()
 	return e, nil
+}
+
+// recallIdemKeys refills the idempotency window from the stored events,
+// so a retry whose first delivery landed before a restart is still a
+// duplicate after it. Each shard contributes its last idemWindow/shards
+// keyed events in insertion order; together they fit the window, so no
+// recalled key evicts another. An event lost to a torn WAL tail was never
+// replayed, and its key is not recalled: the retry stores it.
+func (e *Engine) recallIdemKeys() {
+	n := e.log.NumShards()
+	per := idemWindow / n
+	for i := 0; i < n; i++ {
+		var keys []string
+		e.log.ScanShard(i, func(d store.Document) bool {
+			if k := d.Fields[idemField]; k != "" {
+				if len(keys) == 2*per {
+					keys = append(keys[:0], keys[per:]...)
+				}
+				keys = append(keys, k)
+			}
+			return true
+		})
+		for _, k := range tail(keys, per) {
+			e.idem.claim(k)
+		}
+	}
 }
 
 // Close releases the engine's storage (open WAL files) without
@@ -283,9 +319,10 @@ func (e *Engine) InsertTypedEvent(user, item, payload, eventType string) {
 // InsertTypedEventIdem records feedback carrying an idempotency key and
 // reports (stored, err). A repeated key within the dedup window returns
 // (false, nil) and stores nothing — the retried delivery of an event the
-// store already has, which callers treat as success. The empty key
-// always stores (legacy clients and proxies without the feature). On a
-// durable log a failed WAL append returns (false, err): an event the
+// store already has, which callers treat as success. The window survives
+// a restart: the key is stored with the event and recalled on open. The
+// empty key always stores (legacy clients and proxies without the
+// feature). On a durable log a failed WAL append returns (false, err): an event the
 // engine cannot make durable is not accepted, the idempotency key is
 // released so a retry is not mistaken for a duplicate, and callers must
 // surface the failure as retryable.
@@ -309,11 +346,15 @@ func (e *Engine) InsertTypedEventIdem(user, item, payload, eventType, idem strin
 		"payload": payload,
 		"type":    eventType,
 	}
+	if idem != "" {
+		fields[idemField] = idem
+	}
 
 	// applyMu makes {append to log, fold into incremental model} one
 	// ordered step: the store's per-user event order is exactly the order
 	// the incremental counts saw, which is what keeps them convergent
-	// with a batch retrain over the log.
+	// with a batch retrain over the log. The rows the fold changed are
+	// rescored by the next read (rescorePending), not here.
 	e.applyMu.Lock()
 	var insErr error
 	if job := e.repseudo.Load(); job != nil {
@@ -332,7 +373,7 @@ func (e *Engine) InsertTypedEventIdem(user, item, payload, eventType, idem strin
 		}
 		return false, insErr
 	}
-	e.applyIncrementalLocked(user, item, eventType)
+	e.foldLocked(user, item, eventType)
 	e.applyMu.Unlock()
 
 	if l := e.slogger(); l != nil {
@@ -343,25 +384,40 @@ func (e *Engine) InsertTypedEventIdem(user, item, payload, eventType, idem strin
 	return true, nil
 }
 
-// applyIncrementalLocked folds one event into the incremental model and
-// patches the changed indicator rows into the live index. Secondary-typed
-// events only reach cross-occurrence at the next batch train (the online
-// model maintains the primary indicator, which drives retrieval).
-// Callers hold e.applyMu.
-func (e *Engine) applyIncrementalLocked(user, item, typ string) {
+// foldLocked folds one event's counts into the incremental model and
+// flags its rows for the next read to rescore. Secondary-typed events
+// only reach cross-occurrence at the next batch train (the online model
+// maintains the primary indicator, which drives retrieval). Callers hold
+// e.applyMu.
+func (e *Engine) foldLocked(user, item, typ string) {
 	inc := e.inc.Load()
 	if inc == nil || typ != "" {
 		return
 	}
 	start := time.Now()
-	updates := inc.Apply(cco.Event{User: user, Item: item})
-	if len(updates) > 0 {
-		idx := e.index.Load()
-		for _, up := range updates {
-			applyRowUpdate(idx, up)
-		}
+	if inc.Fold(cco.Event{User: user, Item: item}) {
+		e.pending.Store(true)
 	}
 	e.applied.Add(1)
+	e.applyNanos.Add(time.Since(start).Nanoseconds())
+}
+
+// rescorePending scores, once each, the rows every post since the last
+// read changed and patches them into the live index, so the read that
+// follows searches them. A read with nothing pending never gets here.
+func (e *Engine) rescorePending() {
+	e.applyMu.Lock()
+	defer e.applyMu.Unlock()
+	if !e.pending.Load() {
+		return // an earlier read drained them while this one waited
+	}
+	start := time.Now()
+	updates := e.inc.Load().Rescore()
+	idx := e.index.Load()
+	for _, up := range updates {
+		applyRowUpdate(idx, up)
+	}
+	e.pending.Store(false)
 	e.rescored.Add(uint64(len(updates)))
 	e.applyNanos.Add(time.Since(start).Nanoseconds())
 }
@@ -400,12 +456,14 @@ func (e *Engine) WALErrors() uint64 { return e.walErrs.Load() }
 // in.
 func (e *Engine) EventsApplied() uint64 { return e.applied.Load() }
 
-// RowsRescored reports how many indicator rows the online applies have
-// re-scored. Divided by EventsApplied it is the rows an event touches — a
-// property of the deployment's history lengths, and what an apply costs.
+// RowsRescored reports how many indicator rows reads have re-scored. A
+// row several posts touched before one read counts once; with a read
+// after every post, divided by EventsApplied it is the rows an event
+// touches — a property of the deployment's history lengths.
 func (e *Engine) RowsRescored() uint64 { return e.rescored.Load() }
 
-// ApplySeconds reports the cumulative time spent in incremental applies.
+// ApplySeconds reports the cumulative time spent folding events into the
+// incremental model and rescoring the rows they changed.
 func (e *Engine) ApplySeconds() float64 {
 	return time.Duration(e.applyNanos.Load()).Seconds()
 }
@@ -455,7 +513,9 @@ func (e *Engine) TrainNow() error {
 				inc.Fold(cco.Event{User: ev.User, Item: ev.Item})
 			}
 		}
+		inc.DropPending()
 		e.inc.Store(inc)
+		e.pending.Store(false)
 	}
 
 	e.model.Store(model)
@@ -510,18 +570,19 @@ func buildIndex(model *cco.MultiModel) *search.Index {
 // Refresh re-scores every row of the incremental model and swaps in a
 // fully rebuilt index and primary model, without re-reading the event
 // log (cross-indicators keep their last batch state). It closes the gap
-// online applies leave open: rows whose pair counts never changed carry
-// scores from an older population. A no-op in batch mode.
+// online rescoring leaves open: rows whose pair counts never changed
+// carry scores from an older population. Pending rows are among every
+// row, so none is left for the next read. A no-op in batch mode.
 func (e *Engine) Refresh() {
-	inc := e.inc.Load()
-	if inc == nil {
+	if e.inc.Load() == nil {
 		return
 	}
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
-	model := &cco.MultiModel{Primary: inc.Model(), Cross: e.model.Load().Cross}
+	model := &cco.MultiModel{Primary: e.inc.Load().Model(), Cross: e.model.Load().Cross}
 	e.model.Store(model)
 	e.index.Store(buildIndex(model))
+	e.pending.Store(false)
 }
 
 // Compact folds the log into fresh batch state (TrainNow, which also
@@ -541,7 +602,10 @@ func crossField(typ string) string { return "indicators_" + typ }
 // The query model is the Universal Recommender's: the user's recent
 // history items are OR-ed against every item's learned indicators; the
 // user's own items are blacklisted; users without usable history receive
-// the most popular items (cold start).
+// the most popular items (cold start). In incremental mode a get that
+// finds rows pending first rescores them (rescorePending), so it sees
+// every post acked before it started; one with none pending reads one
+// flag and takes no lock.
 func (e *Engine) Recommend(user string, n int) []string {
 	e.queries.Add(1)
 	if n <= 0 || n > e.cfg.DefaultN {
@@ -549,6 +613,9 @@ func (e *Engine) Recommend(user string, n int) []string {
 	}
 
 	primary, byType := e.userHistory(user)
+	if e.pending.Load() {
+		e.rescorePending()
+	}
 	model := e.model.Load()
 	idx := e.index.Load()
 

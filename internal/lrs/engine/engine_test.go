@@ -122,9 +122,11 @@ func TestPopularFillsCounted(t *testing.T) {
 }
 
 // TestRowsRescoredCounted: the counter rows-per-event is read from
-// advances by exactly the rows each online apply re-scored — none for a
-// duplicate, a secondary-typed event or a batch-only engine — and is
-// exported beside the applied-events counter.
+// advances, at the read that follows each post, by exactly the rows the
+// post changed — none for a duplicate, a secondary-typed event or a
+// batch-only engine — and is exported beside the applied-events counter.
+// Posts with no read between them coalesce: one read rescores each row
+// they changed once.
 func TestRowsRescoredCounted(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Incremental = true
@@ -143,7 +145,12 @@ func TestRowsRescoredCounted(t *testing.T) {
 		{"u2", "c", "", 6},     // b, c
 		{"u1", "c", "", 9},     // a, b, c
 	} {
+		before := e.RowsRescored()
 		e.InsertTypedEvent(step.user, step.item, "", step.typ)
+		if got := e.RowsRescored(); got != before {
+			t.Fatalf("posting %s/%s/%q re-scored %d rows before any read", step.user, step.item, step.typ, got-before)
+		}
+		e.Recommend(step.user, 5)
 		if got := e.RowsRescored(); got != step.rows {
 			t.Fatalf("after %s/%s/%q: %d rows re-scored, want %d", step.user, step.item, step.typ, got, step.rows)
 		}
@@ -154,9 +161,35 @@ func TestRowsRescoredCounted(t *testing.T) {
 			snap["pprox_lrs_rows_rescored_total"], snap["pprox_lrs_events_applied_total"])
 	}
 
+	// TrainNow's batch model holds every row scored: its reseed leaves
+	// nothing pending, and the next read rescores only what follows it.
+	if err := e.TrainNow(); err != nil {
+		t.Fatal(err)
+	}
+	e.InsertEvent("u3", "a", "")
+	e.Recommend("u3", 5)
+	if got := e.RowsRescored(); got != 10 {
+		t.Fatalf("a post after TrainNow and its read: %d rows re-scored in all, want 10 (a)", got)
+	}
+
+	// Four posts touching a and b six times between them, then one read.
+	coalesced := New(cfg)
+	for _, ev := range [][2]string{{"u1", "a"}, {"u1", "b"}, {"u2", "a"}, {"u2", "b"}} {
+		coalesced.InsertEvent(ev[0], ev[1], "")
+	}
+	if got := coalesced.RowsRescored(); got != 0 {
+		t.Fatalf("%d rows re-scored with no read yet", got)
+	}
+	coalesced.Recommend("u2", 5)
+	coalesced.Recommend("u1", 5) // nothing pending: rescores nothing
+	if got := coalesced.RowsRescored(); got != 2 {
+		t.Fatalf("one read after four posts re-scored %d rows, want 2 (a and b once each)", got)
+	}
+
 	batch := New(DefaultConfig())
 	batch.InsertEvent("u1", "a", "")
 	batch.InsertEvent("u1", "b", "")
+	batch.Recommend("u1", 5)
 	if got := batch.RowsRescored(); got != 0 {
 		t.Fatalf("a batch-only engine re-scored %d rows online", got)
 	}

@@ -3,13 +3,20 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"pprox/internal/lrs/cco"
+	"pprox/internal/message"
+	"pprox/internal/workload"
 )
 
 // tinyTrainer forces window evictions and row caps at test scale.
@@ -337,5 +344,176 @@ func TestSaveSnapshotFileAtomic(t *testing.T) {
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 1 {
 		t.Fatalf("temp litter in %v", entries)
+	}
+}
+
+// TestDeferredRescoreMatchesBatchRows is the deferral's property test at
+// the repository benchmark's shape (10× MovieLens, windows of 20, rows of
+// 30, four shards): seeded random interleavings of 1–5 posts and then a
+// get. A shadow cco.Incremental folds the same posts and rescores at the
+// same reads, so it names the rows each read rescored. Every such row
+// must equal cco.Train's row over the acked prefix, bit for bit, and the
+// live index must carry exactly its items. After Refresh the engine
+// recommends what a batch-trained twin does.
+func TestDeferredRescoreMatchesBatchRows(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Trainer = cco.Config{MaxInteractionsPerUser: 20, MaxCorrelatorsPerItem: 30}
+	cfg.Shards, cfg.Incremental = 4, true
+	e := New(cfg)
+	twinCfg := cfg
+	twinCfg.Incremental = false
+	twin := New(twinCfg)
+	shadow := cco.NewIncremental(cfg.Trainer)
+
+	events := scaledEvents(17, 1200)
+	rng := rand.New(rand.NewSource(17))
+	var acked []cco.Event
+	var reads, rows int
+	for len(acked) < len(events) {
+		for k := 1 + rng.Intn(5); k > 0 && len(acked) < len(events); k-- {
+			ev := events[len(acked)]
+			e.InsertEvent(ev.User, ev.Item, ev.Rating)
+			twin.InsertEvent(ev.User, ev.Item, ev.Rating)
+			shadow.Fold(cco.Event{User: ev.User, Item: ev.Item})
+			acked = append(acked, cco.Event{User: ev.User, Item: ev.Item})
+		}
+		before := e.RowsRescored()
+		e.Recommend(acked[len(acked)-1].User, 20)
+		rescored := shadow.Rescore()
+		if got := e.RowsRescored() - before; got != uint64(len(rescored)) {
+			t.Fatalf("read %d rescored %d rows, the shadow model %d", reads, got, len(rescored))
+		}
+		batch := cco.Train(acked, cfg.Trainer)
+		idx := e.index.Load()
+		for _, up := range rescored {
+			want := batch.Indicators[up.Item]
+			if !sameRowBits(up.Indicators, want) {
+				t.Fatalf("read %d after %d posts: row %q = %v, batch %v", reads, len(acked), up.Item, up.Indicators, want)
+			}
+			doc, _ := idx.Get(up.Item)
+			if terms := doc.Fields["indicators"]; !reflect.DeepEqual(terms, rowItems(want)) {
+				t.Fatalf("read %d: index row %q = %v, batch %v", reads, up.Item, terms, rowItems(want))
+			}
+		}
+		reads++
+		rows += len(rescored)
+	}
+	t.Logf("%d posts, %d reads, %d rows rescored", len(acked), reads, rows)
+
+	e.Refresh()
+	if err := twin.TrainNow(); err != nil {
+		t.Fatal(err)
+	}
+	users := (&workload.Dataset{Events: events}).DistinctUsers()
+	for i := 0; i < len(users); i += len(users)/100 + 1 {
+		if got, want := e.Recommend(users[i], 20), twin.Recommend(users[i], 20); !reflect.DeepEqual(got, want) {
+			t.Fatalf("user %s after Refresh: %v, batch twin %v", users[i], got, want)
+		}
+	}
+}
+
+// sameRowBits reports whether two indicator rows name the same items in
+// the same order with bit-identical scores; nil and empty are alike.
+func sameRowBits(a, b []cco.Correlation) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Item != b[i].Item || math.Float64bits(a[i].LLR) != math.Float64bits(b[i].LLR) {
+			return false
+		}
+	}
+	return true
+}
+
+// rowItems is a row as the index holds it: its items, nil when empty.
+func rowItems(row []cco.Correlation) []string {
+	var items []string
+	for _, c := range row {
+		items = append(items, c.Item)
+	}
+	return items
+}
+
+// TestConcurrentRESTPostsAndGets runs posts and gets side by side over
+// REST on a WAL-backed four-shard engine, with a TrainNow in the middle
+// (what /train or a rotation does), under the race detector in tier 1.
+// Each writer owns its users, so per-user order — all CCO depends on — is
+// fixed; after the final Refresh the engine recommends what a batch twin
+// fed the same events does.
+func TestConcurrentRESTPostsAndGets(t *testing.T) {
+	const writers, perWriter, users, items = 4, 150, 6, 40
+	cfg := DefaultConfig()
+	cfg.Trainer = tinyTrainer()
+	cfg.Shards, cfg.WALDir, cfg.Incremental = 4, t.TempDir(), true
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	h := NewHandler(e)
+
+	stream := func(w int) [][2]string {
+		rng := rand.New(rand.NewSource(int64(w)))
+		evs := make([][2]string, perWriter)
+		for i := range evs {
+			evs[i] = [2]string{fmt.Sprintf("w%d-user-%d", w, rng.Intn(users)), fmt.Sprintf("item-%02d", rng.Intn(items))}
+		}
+		return evs
+	}
+	serve := func(path, body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code
+	}
+
+	var wg sync.WaitGroup
+	trained := make(chan error, 1)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, ev := range stream(w) {
+				if code := serve(message.EventsPath, fmt.Sprintf(`{"user":%q,"item":%q}`, ev[0], ev[1])); code != http.StatusOK {
+					t.Errorf("post %v: status %d", ev, code)
+					return
+				}
+				if code := serve(message.QueriesPath, fmt.Sprintf(`{"user":%q}`, ev[0])); code != http.StatusOK {
+					t.Errorf("get %s: status %d", ev[0], code)
+					return
+				}
+				if w == 0 && i == perWriter/2 {
+					trained <- e.TrainNow()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := <-trained; err != nil {
+		t.Fatal(err)
+	}
+
+	twinCfg := cfg
+	twinCfg.WALDir, twinCfg.Incremental = "", false
+	twin := New(twinCfg)
+	for w := 0; w < writers; w++ {
+		for _, ev := range stream(w) {
+			twin.InsertEvent(ev[0], ev[1], "")
+		}
+	}
+	e.Refresh()
+	if err := twin.TrainNow(); err != nil {
+		t.Fatal(err)
+	}
+	if e.EventCount() != twin.EventCount() {
+		t.Fatalf("engine holds %d events, twin %d", e.EventCount(), twin.EventCount())
+	}
+	for w := 0; w < writers; w++ {
+		for u := 0; u < users; u++ {
+			user := fmt.Sprintf("w%d-user-%d", w, u)
+			if got, want := e.Recommend(user, 10), twin.Recommend(user, 10); !reflect.DeepEqual(got, want) {
+				t.Fatalf("user %s: %v, batch twin %v", user, got, want)
+			}
+		}
 	}
 }

@@ -51,11 +51,11 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry, node string) func(http.Han
 			return float64(e.EventsApplied())
 		})
 	r.CounterFunc("pprox_lrs_rows_rescored_total",
-		"Indicator rows re-scored by online applies; per event applied, the rows an event touches.", func() float64 {
+		"Indicator rows re-scored by gets before they search, each once however many posts changed it since the last get.", func() float64 {
 			return float64(e.RowsRescored())
 		})
 	r.CounterFunc("pprox_lrs_apply_seconds_total",
-		"Cumulative time spent applying events to the incremental model.", func() float64 {
+		"Cumulative time spent folding events into the incremental model and re-scoring the rows they changed.", func() float64 {
 			return e.ApplySeconds()
 		})
 	r.CounterFunc("pprox_lrs_wal_errors_total",

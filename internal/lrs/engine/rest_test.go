@@ -227,9 +227,10 @@ func TestRESTEventStorageFailureAnswers503(t *testing.T) {
 	}
 }
 
-// TestRESTRowsRescoredOnMetricsPage: posts arriving over REST advance
-// the rows-re-scored counter, and the scrape an operator runs shows it
-// beside the applied-events counter as a plain unlabelled series.
+// TestRESTRowsRescoredOnMetricsPage: posts arriving over REST, each
+// followed by a get, advance the rows-re-scored counter, and the scrape
+// an operator runs shows it beside the applied-events counter as a plain
+// unlabelled series.
 func TestRESTRowsRescoredOnMetricsPage(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Incremental = true
@@ -243,6 +244,9 @@ func TestRESTRowsRescoredOnMetricsPage(t *testing.T) {
 	} {
 		if rec := do(t, h, http.MethodPost, message.EventsPath, body); rec.Code != http.StatusOK {
 			t.Fatalf("post %s: status %d: %s", body, rec.Code, rec.Body)
+		}
+		if rec := do(t, h, http.MethodPost, message.QueriesPath, `{"user":"u1"}`); rec.Code != http.StatusOK {
+			t.Fatalf("get after %s: status %d: %s", body, rec.Code, rec.Body)
 		}
 	}
 	page := do(t, reg, http.MethodGet, "/metrics", "").Body.String()
