@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"pprox/internal/lrs/store"
@@ -158,5 +160,35 @@ func TestRandomizedPseudonymsDestroyProfiles(t *testing.T) {
 	m := randomized.model.Load()
 	if len(m.Primary.Indicators) != 0 {
 		t.Errorf("randomized pseudonyms still produced %d correlations — ablation broken", len(m.Primary.Indicators))
+	}
+}
+
+// TestRecommendIsDeterministicAcrossEventTypes: a get's clauses are the
+// order its scores are summed in, so they must not follow a map's
+// iteration order. With two secondary types, near-tied items swapped
+// places between two calls for the same user on the same model.
+func TestRecommendIsDeterministicAcrossEventTypes(t *testing.T) {
+	types := []string{"", "", "view", "buy"}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := New(DefaultConfig())
+		for i := 0; i < 400; i++ {
+			user := fmt.Sprintf("u%d", rng.Intn(25))
+			item := fmt.Sprintf("i%d", rng.Intn(15))
+			e.InsertTypedEvent(user, item, "", types[rng.Intn(len(types))])
+		}
+		if err := e.TrainNow(); err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < 25; u++ {
+			user := fmt.Sprintf("u%d", u)
+			first := e.Recommend(user, 20)
+			for call := 0; call < 20; call++ {
+				if again := e.Recommend(user, 20); !reflect.DeepEqual(again, first) {
+					t.Errorf("seed %d: Recommend(%s) gave %v, then %v", seed, user, first, again)
+					break
+				}
+			}
+		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -625,8 +626,15 @@ func (e *Engine) Recommend(user string, n int) []string {
 		for _, item := range tail(primary, e.cfg.MaxQueryHistory) {
 			q.Should = append(q.Should, search.TermQuery{Field: "indicators", Term: item})
 		}
-		for typ, hist := range byType {
-			for _, item := range tail(hist, e.cfg.MaxQueryHistory) {
+		// Clauses are the order a score's floats are summed in, so the
+		// types go in sorted order, not the map's.
+		types := make([]string, 0, len(byType))
+		for typ := range byType {
+			types = append(types, typ)
+		}
+		sort.Strings(types)
+		for _, typ := range types {
+			for _, item := range tail(byType[typ], e.cfg.MaxQueryHistory) {
 				q.Should = append(q.Should, search.TermQuery{
 					Field: crossField(typ),
 					Term:  item,

@@ -10,13 +10,21 @@
 // terms. This package implements exactly that query model — multi-term OR
 // queries with per-term boosts, TF-IDF-style scoring, must-not exclusion
 // (the blacklist of already-seen items), and top-k retrieval.
+//
+// A get is a few history terms matching ≈ 150 documents of which the top
+// twenty are wanted, so a query's cost must follow its candidates, not
+// the catalogue, and keep nothing per candidate. Every document ID is
+// given a dense slot the first time Put sees it, and postings name the
+// slot. Search adds each clause's contribution into a pooled per-slot
+// score array — clause by clause, posting by posting, the order the
+// floats have always been summed in — keeps its best k slots in a bounded
+// min-heap, and clears only the slots it touched. A warm query's one
+// allocation is the []Hit it returns.
 package search
 
 import (
-	"container/heap"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -51,7 +59,7 @@ type Hit struct {
 }
 
 type posting struct {
-	docID  string
+	slot   int32   // the document's slot: names[slot] is its ID
 	weight float64 // per-document term weight (stored at Put time)
 }
 
@@ -64,15 +72,36 @@ type Index struct {
 	postings map[string]map[string][]posting // field → term → postings
 	docs     map[string]Doc
 	diff     map[string]termChange // SetField's scratch, empty between calls
+
+	// slots numbers every ID the index has held, densely and for good: a
+	// deleted ID keeps its slot, and a re-put one gets it back, so the
+	// table is bounded by the distinct IDs, not by the writes.
+	slots map[string]int32
+	names []string  // slot → ID
+	spare sync.Pool // *scratch, clean between queries
 }
 
 // NewIndex creates an empty index.
 func NewIndex() *Index {
-	return &Index{
+	ix := &Index{
 		postings: make(map[string]map[string][]posting),
 		docs:     make(map[string]Doc),
 		diff:     make(map[string]termChange),
+		slots:    make(map[string]int32),
 	}
+	ix.spare.New = func() any { return new(scratch) }
+	return ix
+}
+
+// slotOf returns the ID's slot, numbering the ID if it has none yet.
+func (ix *Index) slotOf(id string) int32 {
+	slot, ok := ix.slots[id]
+	if !ok {
+		slot = int32(len(ix.names))
+		ix.slots[id] = slot
+		ix.names = append(ix.names, id)
+	}
+	return slot
 }
 
 // lengthNorm is a term's weight within a field of n terms: 1/√n, the
@@ -90,8 +119,9 @@ func lengthNorm(n int) float64 {
 func (ix *Index) Put(doc Doc) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	slot := ix.slotOf(doc.ID)
 	if _, exists := ix.docs[doc.ID]; exists {
-		ix.removeLocked(doc.ID)
+		ix.removeLocked(doc.ID, slot)
 	}
 	cp := Doc{ID: doc.ID, Fields: make(map[string][]string, len(doc.Fields))}
 	for f, terms := range doc.Fields {
@@ -111,7 +141,7 @@ func (ix *Index) Put(doc Doc) {
 				continue
 			}
 			seen[term] = true
-			byTerm[term] = append(byTerm[term], posting{docID: doc.ID, weight: norm})
+			byTerm[term] = append(byTerm[term], posting{slot: slot, weight: norm})
 		}
 	}
 }
@@ -143,6 +173,7 @@ func (ix *Index) SetField(id, field string, terms []string) (fields int, ok bool
 		return 0, false
 	}
 	old := d.Fields[field]
+	slot := ix.slots[id]
 
 	// An indicator row rarely changes by more than a term: set the common
 	// head and tail of the two lists aside and diff what lies between.
@@ -195,7 +226,7 @@ func (ix *Index) SetField(id, field string, terms []string) (fields int, ok bool
 			continue
 		}
 		change[term] = gone
-		dropPosting(byTerm, term, id)
+		dropPosting(byTerm, term, slot)
 	}
 	weight := lengthNorm(len(terms))
 	if len(old) != len(terms) {
@@ -204,7 +235,7 @@ func (ix *Index) SetField(id, field string, terms []string) (fields int, ok bool
 				continue
 			}
 			ps := byTerm[term]
-			if i := postingOf(ps, id); i >= 0 {
+			if i := postingOf(ps, slot); i >= 0 {
 				ps[i].weight = weight
 			}
 		}
@@ -215,7 +246,7 @@ func (ix *Index) SetField(id, field string, terms []string) (fields int, ok bool
 		}
 		change[term] = stays
 		if !setAside(term) {
-			byTerm[term] = append(byTerm[term], posting{docID: id, weight: weight})
+			byTerm[term] = append(byTerm[term], posting{slot: slot, weight: weight})
 		}
 	}
 
@@ -228,9 +259,9 @@ func (ix *Index) SetField(id, field string, terms []string) (fields int, ok bool
 }
 
 // postingOf returns the index of the document's posting in ps, or -1.
-func postingOf(ps []posting, id string) int {
+func postingOf(ps []posting, slot int32) int {
 	for i := range ps {
-		if ps[i].docID == id {
+		if ps[i].slot == slot {
 			return i
 		}
 	}
@@ -239,9 +270,9 @@ func postingOf(ps []posting, id string) int {
 
 // dropPosting removes the document's posting under term, and the term
 // with its last posting.
-func dropPosting(byTerm map[string][]posting, term, id string) {
+func dropPosting(byTerm map[string][]posting, term string, slot int32) {
 	ps := byTerm[term]
-	if i := postingOf(ps, id); i >= 0 {
+	if i := postingOf(ps, slot); i >= 0 {
 		ps = append(ps[:i], ps[i+1:]...)
 	}
 	if len(ps) == 0 {
@@ -258,11 +289,11 @@ func (ix *Index) Delete(id string) bool {
 	if _, ok := ix.docs[id]; !ok {
 		return false
 	}
-	ix.removeLocked(id)
+	ix.removeLocked(id, ix.slots[id])
 	return true
 }
 
-func (ix *Index) removeLocked(id string) {
+func (ix *Index) removeLocked(id string, slot int32) {
 	doc := ix.docs[id]
 	delete(ix.docs, id)
 	for field, terms := range doc.Fields {
@@ -273,7 +304,7 @@ func (ix *Index) removeLocked(id string) {
 				continue
 			}
 			seen[term] = true
-			dropPosting(byTerm, term, id)
+			dropPosting(byTerm, term, slot)
 		}
 	}
 }
@@ -310,15 +341,16 @@ func (ix *Index) Search(q Query) []Hit {
 		return nil
 	}
 
-	excluded := make(map[string]bool)
+	s := ix.spare.Get().(*scratch)
+	s.fit(len(ix.names))
+
 	for _, mn := range q.MustNot {
 		for _, p := range ix.postings[mn.Field][mn.Term] {
-			excluded[p.docID] = true
+			s.exclude(p.slot)
 		}
 	}
 
 	n := float64(len(ix.docs))
-	scores := make(map[string]float64)
 	for _, tq := range q.Should {
 		ps := ix.postings[tq.Field][tq.Term]
 		if len(ps) == 0 {
@@ -330,50 +362,136 @@ func (ix *Index) Search(q Query) []Hit {
 		}
 		idf := math.Log1p(n / float64(len(ps)))
 		for _, p := range ps {
-			if excluded[p.docID] {
-				continue
-			}
-			scores[p.docID] += boost * idf * p.weight
+			s.add(p.slot, boost*idf*p.weight)
 		}
 	}
 
-	return topK(scores, q.Size)
+	hits := s.topK(ix.names, q.Size)
+	s.reset()
+	ix.spare.Put(s)
+	return hits
 }
 
-// hitHeap is a min-heap of the current top-k hits.
-type hitHeap []Hit
+// A slot's mark in a query's scratch.
+const (
+	untouched uint8 = iota
+	scored
+	excluded
+)
 
-func (h hitHeap) Len() int { return len(h) }
-func (h hitHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
+// scratch is one query's working state over the index's slots. Between
+// queries every mark is untouched, every score zero and both lists empty.
+type scratch struct {
+	score   []float64
+	mark    []uint8
+	touched []int32 // every slot not untouched, in the order first marked
+	top     []int32 // the bounded min-heap of the best slots so far
+}
+
+// fit makes room for n slots. A clean scratch holds nothing worth
+// copying, so growing it is making new arrays.
+func (s *scratch) fit(n int) {
+	if n <= cap(s.mark) {
+		s.score, s.mark = s.score[:n], s.mark[:n]
+		return
 	}
-	return h[i].ID > h[j].ID // worst tie (largest ID) at the top
-}
-func (h hitHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *hitHeap) Push(x any)   { *h = append(*h, x.(Hit)) }
-func (h *hitHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	*h = old[:n-1]
-	return
+	c := max(n, 2*cap(s.mark))
+	s.score, s.mark = make([]float64, n, c), make([]uint8, n, c)
 }
 
-func topK(scores map[string]float64, k int) []Hit {
-	h := make(hitHeap, 0, k+1)
-	for id, score := range scores {
-		heap.Push(&h, Hit{ID: id, Score: score})
-		if len(h) > k {
-			heap.Pop(&h)
+// exclude keeps the slot out of the results whatever it scores.
+func (s *scratch) exclude(slot int32) {
+	if s.mark[slot] == untouched {
+		s.touched = append(s.touched, slot)
+	}
+	s.mark[slot] = excluded
+}
+
+// add adds one clause's contribution to the slot's score, unless the slot
+// is excluded. A score starts from zero, as a missing map entry did.
+func (s *scratch) add(slot int32, v float64) {
+	switch s.mark[slot] {
+	case excluded:
+		return
+	case untouched:
+		s.mark[slot] = scored
+		s.touched = append(s.touched, slot)
+	}
+	s.score[slot] += v
+}
+
+// reset cleans the slots the query touched, and only those.
+func (s *scratch) reset() {
+	for _, slot := range s.touched {
+		s.score[slot], s.mark[slot] = 0, untouched
+	}
+	s.touched, s.top = s.touched[:0], s.top[:0]
+}
+
+// worse reports whether slot a ranks below slot b: a lower score, or an
+// equal score and a later ID.
+func (s *scratch) worse(names []string, a, b int32) bool {
+	if s.score[a] != s.score[b] {
+		return s.score[a] < s.score[b]
+	}
+	return names[a] > names[b]
+}
+
+// topK returns the k best scored slots as hits, best first. The heap
+// keeps the worst of its slots on top; a candidate enters only when it
+// beats that one.
+func (s *scratch) topK(names []string, k int) []Hit {
+	h := s.top
+	for _, slot := range s.touched {
+		if s.mark[slot] != scored {
+			continue
+		}
+		switch {
+		case len(h) < k:
+			h = append(h, slot)
+			s.up(names, h, len(h)-1)
+		case s.worse(names, h[0], slot):
+			h[0] = slot
+			s.down(names, h, 0)
 		}
 	}
-	out := []Hit(h)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
+	s.top = h
+	out := make([]Hit, len(h))
+	for i := len(h) - 1; i >= 0; i-- {
+		slot := h[0]
+		out[i] = Hit{ID: names[slot], Score: s.score[slot]}
+		h[0] = h[i]
+		h = h[:i]
+		s.down(names, h, 0)
+	}
 	return out
+}
+
+// up restores the heap order above position i.
+func (s *scratch) up(names []string, h []int32, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.worse(names, h[i], h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// down restores the heap order below position i.
+func (s *scratch) down(names []string, h []int32, i int) {
+	for {
+		least := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && s.worse(names, h[c], h[least]) {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }

@@ -39,10 +39,11 @@ func postingSets(ix *Index) map[string]map[string]map[string]float64 {
 			}
 			set := make(map[string]float64, len(ps))
 			for _, p := range ps {
-				if _, twice := set[p.docID]; twice {
-					panic(fmt.Sprintf("document %s posted twice under %s/%s", p.docID, field, term))
+				id := ix.names[p.slot]
+				if _, twice := set[id]; twice {
+					panic(fmt.Sprintf("document %s posted twice under %s/%s", id, field, term))
 				}
-				set[p.docID] = p.weight
+				set[id] = p.weight
 			}
 			out[field][term] = set
 		}
