@@ -129,11 +129,13 @@ func (e *Engine) slogger() *slog.Logger { return e.logger.Load() }
 
 // idemRegistry remembers recently seen idempotency keys so a retried
 // insertion (the proxy resent an event whose reply was lost) is dropped
-// instead of double-counted. It is a fixed-size FIFO window: retries
-// arrive within seconds, the window holds the last idemWindow keys, and
-// an unbounded map would be a memory leak with the same name. The keys
-// themselves are durable — each keyed event stores its key in its idem
-// field — and recallIdemKeys refills the window from them on start-up.
+// instead of double-counted. It is a FIFO window: retries arrive within
+// seconds, the window holds the last idemWindow keys, and an unbounded
+// map would be a memory leak with the same name. The ring grows with use
+// up to idemWindow slots and then wraps, so an engine that sees few keyed
+// posts holds few. The keys themselves are durable — each keyed event
+// stores its key in its idem field — and recallIdemKeys refills the
+// window from them on start-up.
 type idemRegistry struct {
 	mu   sync.Mutex
 	seen map[string]struct{}
@@ -155,19 +157,22 @@ const idemField = "idem"
 func (ir *idemRegistry) claim(key string) (slot int, ok bool) {
 	ir.mu.Lock()
 	defer ir.mu.Unlock()
-	if ir.seen == nil {
-		ir.seen = make(map[string]struct{}, idemWindow)
-		ir.ring = make([]string, idemWindow)
-	}
 	if _, dup := ir.seen[key]; dup {
 		return 0, false
 	}
-	slot = ir.next
-	if old := ir.ring[slot]; old != "" {
-		delete(ir.seen, old)
+	if ir.seen == nil {
+		ir.seen = make(map[string]struct{})
 	}
-	ir.ring[slot] = key
-	ir.next = (ir.next + 1) % len(ir.ring)
+	slot = ir.next
+	if slot == len(ir.ring) {
+		ir.ring = append(ir.ring, key)
+	} else {
+		if old := ir.ring[slot]; old != "" {
+			delete(ir.seen, old)
+		}
+		ir.ring[slot] = key
+	}
+	ir.next = (slot + 1) % idemWindow
 	ir.seen[key] = struct{}{}
 	return slot, true
 }
@@ -694,6 +699,7 @@ func fillWithPopular(recs, history []string, popFn func([]string, int, map[strin
 func (e *Engine) userHistory(user string) (primary []string, byType map[string][]string) {
 	docs := e.log.FindBy("user", user)
 	seen := make(map[[2]string]bool, len(docs))
+	primary = make([]string, 0, len(docs))
 	for _, d := range docs {
 		item := d.Fields["item"]
 		typ := d.Fields["type"]

@@ -21,6 +21,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(buf.String())
 	f.Add(`{"version":1,"collections":[]}`)
 	f.Add(`{"version":1,"collections":[{"name":"x","docs":[{"id":"x/1"}]}]}`)
+	f.Add(`{"version":1,"collections":[{"name":"x","indexes":["u"],"docs":[{"id":"x/1","fields":{"u":"a"}},{"id":"x/1","fields":{"u":"a"}}]}]}`)
 	f.Add(`{`)
 	f.Add(``)
 

@@ -30,7 +30,7 @@ type Shard interface {
 	// loss too when per-append fsync is on (WALShard.SetSync).
 	Insert(fields map[string]string) error
 	// FindBy returns documents whose field equals value, in insertion
-	// order when the field is indexed.
+	// order.
 	FindBy(field, value string) []Document
 	// ScanOrdered visits every document in insertion order.
 	ScanOrdered(fn func(Document) bool)
@@ -69,7 +69,7 @@ func NewMemShard(indexFields ...string) *MemShard {
 }
 
 func (m *MemShard) Insert(fields map[string]string) error {
-	m.col.Insert(fields)
+	m.col.insert(fields)
 	return nil
 }
 
@@ -80,7 +80,7 @@ func (m *MemShard) Count() int                            { return m.col.Count()
 func (m *MemShard) Replace(docs []map[string]string) error {
 	m.col.Clear()
 	for _, fields := range docs {
-		m.col.Insert(fields)
+		m.col.insert(fields)
 	}
 	return nil
 }
@@ -165,7 +165,7 @@ func OpenWALShard(dir string, id int, indexFields ...string) (*WALShard, error) 
 		if rec.Seq <= appliedSeq {
 			return // already folded into the snapshot
 		}
-		col.Insert(rec.Fields)
+		col.insert(rec.Fields)
 	})
 	if err != nil {
 		return nil, err
@@ -205,7 +205,7 @@ func (w *WALShard) Insert(fields map[string]string) error {
 		}
 	}
 	w.seq++
-	w.col.Insert(fields)
+	w.col.insert(fields)
 	return nil
 }
 
@@ -221,7 +221,7 @@ func (w *WALShard) Replace(docs []map[string]string) error {
 	defer w.mu.Unlock()
 	w.col.Clear()
 	for _, fields := range docs {
-		w.col.Insert(fields)
+		w.col.insert(fields)
 	}
 	return w.compactLocked()
 }

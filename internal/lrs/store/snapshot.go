@@ -65,8 +65,10 @@ func (c *Collection) snapshot() collectionSnapshot {
 		snap.Indexes = append(snap.Indexes, field)
 	}
 	sort.Strings(snap.Indexes)
-	for _, d := range c.docs {
-		snap.Docs = append(snap.Docs, documentSnapshot{ID: d.ID, Fields: d.clone().Fields})
+	for _, r := range c.recs {
+		if r.fields != tombstone {
+			snap.Docs = append(snap.Docs, documentSnapshot{ID: c.id(r.seq), Fields: unpack(r.fields)})
+		}
 	}
 	sort.Slice(snap.Docs, func(i, j int) bool { return snap.Docs[i].ID < snap.Docs[j].ID })
 	return snap
@@ -113,7 +115,10 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 }
 
 // LoadSnapshot reads a snapshot into a fresh store; it fails without side
-// effects on malformed input.
+// effects on malformed input. Besides undecodable JSON and an unknown
+// version, a snapshot is malformed when a collection appears twice or a
+// document ID is not "<collection>/<n>" (n ≥ 1, no leading zeros) or
+// repeats.
 func LoadSnapshot(r io.Reader) (*Store, error) {
 	var file snapshotFile
 	dec := json.NewDecoder(r)
@@ -125,30 +130,46 @@ func LoadSnapshot(r io.Reader) (*Store, error) {
 	}
 	s := New()
 	for _, cs := range file.Collections {
+		if _, dup := s.collections[cs.Name]; dup {
+			return nil, fmt.Errorf("store: read snapshot: collection %q repeats", cs.Name)
+		}
 		c := s.Collection(cs.Name)
-		for _, field := range cs.Indexes {
-			c.EnsureIndex(field)
+		if err := c.load(cs); err != nil {
+			return nil, fmt.Errorf("store: read snapshot: collection %q: %w", cs.Name, err)
 		}
-		// Snapshots sort docs lexicographically by ID ("events/10" <
-		// "events/2") for byte determinism; secondary indexes must be
-		// rebuilt in insertion order (numeric sequence) or FindBy would
-		// return a restored user's history out of order.
-		sort.Slice(cs.Docs, func(i, j int) bool { return docSeq(cs.Docs[i].ID) < docSeq(cs.Docs[j].ID) })
-		c.mu.Lock()
-		for _, d := range cs.Docs {
-			doc := Document{ID: d.ID, Fields: make(map[string]string, len(d.Fields))}
-			for k, v := range d.Fields {
-				doc.Fields[k] = v
-			}
-			c.docs[d.ID] = doc
-			for field, idx := range c.indexes {
-				if v, ok := doc.Fields[field]; ok {
-					idx[v] = append(idx[v], d.ID)
-				}
-			}
-		}
-		c.nextID = cs.NextID
-		c.mu.Unlock()
 	}
 	return s, nil
+}
+
+// load fills a fresh collection from its snapshot. Snapshots sort docs
+// lexicographically by ID ("events/10" < "events/2") for byte
+// determinism; records go back in insertion order (numeric sequence), so
+// reads return a restored user's history in the order it was posted.
+func (c *Collection) load(cs collectionSnapshot) error {
+	recs := make([]record, len(cs.Docs))
+	for i, d := range cs.Docs {
+		seq, ok := c.parseID(d.ID)
+		if !ok {
+			return fmt.Errorf("malformed document ID %q", d.ID)
+		}
+		recs[i] = record{seq: seq, fields: pack(d.Fields)}
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
+	for i := 1; i < len(recs); i++ {
+		if recs[i].seq == recs[i-1].seq {
+			return fmt.Errorf("document ID %q repeats", c.id(recs[i].seq))
+		}
+	}
+	for _, r := range recs {
+		c.appendLocked(r)
+	}
+	// A next_id that lags the documents would hand out their IDs again.
+	c.nextID = cs.NextID
+	if n := len(recs); n > 0 && recs[n-1].seq > c.nextID {
+		c.nextID = recs[n-1].seq
+	}
+	for _, field := range cs.Indexes {
+		c.EnsureIndex(field)
+	}
+	return nil
 }

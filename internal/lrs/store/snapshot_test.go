@@ -125,3 +125,74 @@ func TestLoadSnapshotIndexesPreserveInsertionOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadSnapshotRefusesRepeatedID: a snapshot naming one document twice
+// is refused, directly and through ShardedLog.Restore. Loading it would
+// store the document once but index it twice, so a restored user's
+// history would count the event twice.
+func TestLoadSnapshotRefusesRepeatedID(t *testing.T) {
+	const snap = `{"version":1,"collections":[{"name":"events","indexes":["user"],"next_id":1,"docs":[` +
+		`{"id":"events/1","fields":{"item":"a","user":"u1"}},` +
+		`{"id":"events/1","fields":{"item":"b","user":"u1"}}]}]}`
+	if s, err := LoadSnapshot(strings.NewReader(snap)); err == nil {
+		c := s.Collection("events")
+		t.Fatalf("repeated ID accepted: count %d, FindBy returns %d docs", c.Count(), len(c.FindBy("user", "u1")))
+	}
+	l, err := OpenShardedLog(ShardedConfig{Shards: 2, IndexFields: []string{"user"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Restore(strings.NewReader(snap)); err == nil {
+		t.Fatalf("Restore accepted a repeated ID: FindBy returns %d docs", len(l.FindBy("user", "u1")))
+	}
+	if err := l.Restore(strings.NewReader(`{"version":2,"shards":[` + snap + `]}`)); err == nil {
+		t.Fatal("Restore accepted a repeated ID in a sharded snapshot")
+	}
+}
+
+// TestLoadSnapshotRefusesMalformedID: a document ID must be
+// "<collection>/<n>" with n ≥ 1 and no leading zeros.
+func TestLoadSnapshotRefusesMalformedID(t *testing.T) {
+	for _, id := range []string{"events/0", "events/01", "events/", "events/-1", "events/+1", "events/x", "events/1 ", "events1", "items/1", "/1", ""} {
+		snap := `{"version":1,"collections":[{"name":"events","next_id":5,"docs":[{"id":` + strconv.Quote(id) + `,"fields":{"user":"u"}}]}]}`
+		if _, err := LoadSnapshot(strings.NewReader(snap)); err == nil {
+			t.Errorf("ID %q accepted", id)
+		}
+	}
+	const ok = `{"version":1,"collections":[{"name":"events","next_id":12,"docs":[{"id":"events/12","fields":{"user":"u"}}]}]}`
+	s, err := LoadSnapshot(strings.NewReader(ok))
+	if err != nil {
+		t.Fatalf("canonical ID refused: %v", err)
+	}
+	if _, found := s.Collection("events").Get("events/12"); !found {
+		t.Error("restored document not found by its ID")
+	}
+}
+
+// TestLoadSnapshotRefusesRepeatedCollection: the documents of a
+// collection come from one entry.
+func TestLoadSnapshotRefusesRepeatedCollection(t *testing.T) {
+	const snap = `{"version":1,"collections":[{"name":"events","docs":[{"id":"events/2","fields":{}}]},` +
+		`{"name":"events","docs":[{"id":"events/1","fields":{}}]}]}`
+	if _, err := LoadSnapshot(strings.NewReader(snap)); err == nil {
+		t.Error("a collection appearing twice was accepted")
+	}
+}
+
+// TestLoadSnapshotNextIDCoversDocuments: a next_id below the largest
+// document ID does not hand that ID out again.
+func TestLoadSnapshotNextIDCoversDocuments(t *testing.T) {
+	const snap = `{"version":1,"collections":[{"name":"events","next_id":1,"docs":[{"id":"events/3","fields":{"user":"u"}}]}]}`
+	s, err := LoadSnapshot(strings.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Collection("events")
+	if id := c.Insert(map[string]string{"user": "v"}); id != "events/4" {
+		t.Errorf("insert after restore got ID %q, want events/4", id)
+	}
+	if c.Count() != 2 {
+		t.Errorf("count %d, want 2", c.Count())
+	}
+}

@@ -192,3 +192,76 @@ func TestConcurrentInsertFind(t *testing.T) {
 		}
 	}
 }
+
+// TestReadsReturnInsertionOrder: every read path returns documents in
+// insertion order — an unindexed FindBy and Scan included, not only
+// the indexed lookups.
+func TestReadsReturnInsertionOrder(t *testing.T) {
+	c := New().Collection("events")
+	const n = 64
+	var want []string
+	for i := 0; i < n; i++ {
+		want = append(want, c.Insert(map[string]string{"user": "u", "item": strconv.Itoa(i)}))
+	}
+	ids := func(docs []Document) []string {
+		out := make([]string, len(docs))
+		for i, d := range docs {
+			out[i] = d.ID
+		}
+		return out
+	}
+	check := func(path string, got []string) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s order:\n got %v\nwant %v", path, got, want)
+		}
+	}
+	check("unindexed FindBy", ids(c.FindBy("user", "u")))
+	var scanned, ordered []string
+	c.Scan(func(d Document) bool { scanned = append(scanned, d.ID); return true })
+	check("Scan", scanned)
+	c.ScanOrdered(func(d Document) bool { ordered = append(ordered, d.ID); return true })
+	check("ScanOrdered", ordered)
+	c.EnsureIndex("user")
+	check("indexed FindBy", ids(c.FindBy("user", "u")))
+}
+
+// TestConcurrentScanOrderedWithWrites: ScanOrdered walks the records it
+// read under the lock after releasing it, so inserts, deletes and clears
+// may run during the walk; each walk still sees an insertion-ordered
+// prefix of one state. Run under -race.
+func TestConcurrentScanOrderedWithWrites(t *testing.T) {
+	c := New().Collection("events")
+	c.EnsureIndex("user")
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= 2000; i++ {
+			id := c.Insert(map[string]string{"user": "u" + strconv.Itoa(i%5), "n": strconv.Itoa(i)})
+			switch {
+			case i%7 == 0:
+				c.Delete(id)
+			case i%500 == 0:
+				c.Clear()
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			last := 0
+			c.ScanOrdered(func(d Document) bool {
+				n, _ := strconv.Atoi(d.Fields["n"])
+				if n <= last {
+					t.Errorf("walk out of order: %d after %d", n, last)
+					return false
+				}
+				last = n
+				c.FindBy("user", d.Fields["user"])
+				return true
+			})
+		}
+	}()
+	wg.Wait()
+}
