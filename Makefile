@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lrs-bench-once ia-bench-once crypto-bench-once verify tcp-smoke bench audit-smoke ops-smoke scale-smoke clean
+.PHONY: all build vet test race lrs-bench-once ia-bench-once crypto-bench-once verify tcp-smoke bench clean
 
 all: verify
 
@@ -58,31 +58,6 @@ tcp-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Privacy-SLO smoke test: boot an in-process cluster, inject one
-# under-filled shuffle epoch, and fail unless the auditor reports the
-# violation. Writes the /privacy report to audit-report.json.
-audit-smoke:
-	$(GO) run ./cmd/pprox-audit -smoke -out audit-report.json
-
-# Fleet telemetry smoke test: deploy an in-process hopwire cluster with a
-# pprox-ops collector, drive traffic, and fail unless every node reports
-# fresh with sane rollups (merged stage quantiles, goodput, anonymity
-# watermark, no build skew), then kill one node and fail unless the
-# collector marks exactly it stale. Writes the /fleet report to
-# fleet.json for CI artifact upload.
-ops-smoke:
-	$(GO) run ./cmd/pprox-ops -smoke -out fleet.json
-
-# Elastic fleet smoke test: deploy an in-process cluster with the live
-# route registry and the autoscale reconciler, ramp request load up
-# (a UA/IA pair is spawned and admitted at the next shuffle-epoch
-# boundary) then down (the extra pair drains its final epoch whole and
-# deregisters), and fail unless the privacy audit stays ok through both
-# transitions and fleet goodput recovers on the remaining pair. Writes
-# the final /fleet report to scale-fleet.json for CI artifact upload.
-scale-smoke:
-	$(GO) run ./cmd/pprox-ops -scale-smoke -out scale-fleet.json
 
 clean:
 	rm -rf bin

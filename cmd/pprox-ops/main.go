@@ -1,9 +1,13 @@
-// Command pprox-ops is the fleet telemetry collector: every PProx node
-// pushes one epoch-granular snapshot per shuffle epoch (over hopwire
-// frames, or HTTP POST /telemetry), and pprox-ops aggregates them into
-// a fleet view — cross-node per-stage latency quantiles, fleet goodput,
-// the worst-epoch anonymity watermark, the SLO/audit state matrix, and
-// build-SHA skew — served as JSON on GET /fleet.
+// Command pprox-ops is the operator's tool for a PProx fleet. It runs
+// the fleet telemetry collector, renders the collector's fleet view, and
+// scrapes the nodes' own SLO reports.
+//
+// The collector: every PProx node pushes one epoch-granular snapshot per
+// shuffle epoch (over hopwire frames, or HTTP POST /telemetry), and
+// pprox-ops aggregates them into a fleet view — cross-node per-stage
+// latency quantiles, fleet goodput, the worst-epoch anonymity watermark,
+// the SLO/audit state matrix, and build-SHA skew — served as JSON on
+// GET /fleet.
 //
 // The collector sits OUTSIDE the trust boundary: a snapshot carries
 // only what the node's public /metrics endpoint already exposes, with
@@ -12,18 +16,23 @@
 //
 // Modes:
 //
-//	pprox-ops -listen :9090                 # serve /fleet + /telemetry
-//	pprox-ops top -addr localhost:9090      # live terminal fleet view
-//	pprox-ops -smoke -out fleet.json        # in-process cluster e2e
+//	pprox-ops -listen :9090                    # serve /fleet + /telemetry
+//	pprox-ops top -addr localhost:9090         # live terminal fleet view
+//	pprox-ops top -once -addr localhost:9090   # one frame, then the exit status
+//	pprox-ops audit -targets http://ua-0:8081,http://ia-0:8082
 //
-// Smoke mode boots the full in-process cluster with the telemetry
-// plane, runs a workload, asserts every node reports fresh with sane
-// rollups, kills one node, asserts the collector marks it stale, and
-// writes the final /fleet report to -out for artifact upload.
+// audit reads /privacy, /metrics and (when served) /perf from every
+// listed node and renders its report: privacy-SLO state, effective
+// anonymity set, worst-epoch watermark, burn rates, breached layers,
+// shuffler sheds, the recommendation cache, and the per-stage
+// latency-SLO assessment.
+//
+// top -once and audit are the cron/CI gate: they exit 3 when any node
+// reports its privacy or perf SLO violated — for top, a stale node's
+// last-known verdict counts — and 1 when a scrape fails.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -35,30 +44,30 @@ import (
 	"os/signal"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"pprox/internal/audit"
-	"pprox/internal/autoscale"
-	"pprox/internal/client"
-	"pprox/internal/cluster"
 	"pprox/internal/fleet"
 	"pprox/internal/hopwire"
 	"pprox/internal/metrics"
 	"pprox/internal/obslog"
 	"pprox/internal/perfslo"
-	"pprox/internal/proxy"
 	"pprox/internal/telemetry"
 )
 
+// exitViolated is the exit status of top -once and audit when any node
+// reports an SLO violated.
+const exitViolated = 3
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "top" {
-		if err := runTop(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "pprox-ops top:", err)
-			os.Exit(1)
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "top":
+			os.Exit(runTop(os.Args[2:], os.Stdout))
+		case "audit":
+			os.Exit(runAudit(os.Args[2:], os.Stdout))
 		}
-		return
 	}
 
 	listen := flag.String("listen", ":9090", "listen address")
@@ -66,29 +75,10 @@ func main() {
 	staleAfter := flag.Duration("stale-after", 0, "fixed staleness threshold (0 = adaptive: two observed epoch gaps)")
 	debugAddr := flag.String("debug-addr", "", "pprof listen address, e.g. localhost:6061 (off when empty)")
 	hostFleet := flag.Bool("fleet", false, "host the fleet route registry: pprox-proxy -fleet instances register/heartbeat/drain here, and the /fleet rollup carries live membership (DESIGN.md §4j)")
-	smoke := flag.Bool("smoke", false, "boot an in-process cluster with the telemetry plane and assert the fleet view tracks it")
-	scaleSmoke := flag.Bool("scale-smoke", false, "boot an in-process ELASTIC cluster, ramp load up (pair added) then down (pair drained at an epoch boundary), and assert the audit stays ok with goodput recovered")
-	out := flag.String("out", "", "smoke modes: write the final /fleet report (JSON) to this file")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 	flag.Parse()
 
 	logger := obslog.New(os.Stderr, "pprox-ops", obslog.ParseLevel(*logLevel))
-	switch {
-	case *smoke:
-		if err := runSmoke(*out, logger); err != nil {
-			logger.Error("smoke test failed", "error", err.Error())
-			os.Exit(1)
-		}
-		logger.Info("smoke test passed")
-		return
-	case *scaleSmoke:
-		if err := runScaleSmoke(*out, logger); err != nil {
-			logger.Error("scale smoke test failed", "error", err.Error())
-			os.Exit(1)
-		}
-		logger.Info("scale smoke test passed")
-		return
-	}
 	if err := runServe(*listen, *retention, *staleAfter, *debugAddr, *hostFleet, logger); err != nil {
 		logger.Error("fatal", "error", err.Error())
 		os.Exit(1)
@@ -176,27 +166,34 @@ func runServe(listen string, retention int, staleAfter time.Duration, debugAddr 
 	return shutdown()
 }
 
-// runTop renders a live terminal fleet view from a running collector.
-func runTop(args []string) error {
-	fs := flag.NewFlagSet("top", flag.ExitOnError)
+// runTop renders a live terminal fleet view from a running collector
+// and returns the process exit status. With -once it renders one frame
+// and returns exitViolated when any node's SLO reads violated.
+func runTop(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("top", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:9090", "collector address")
 	interval := fs.Duration("interval", time.Second, "refresh interval")
-	once := fs.Bool("once", false, "render one frame and exit (no screen clearing)")
+	once := fs.Bool("once", false, "render one frame and exit (no screen clearing); exit 3 when any node's privacy or perf SLO reads violated")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return 2
 	}
 	httpClient := &http.Client{Timeout: 5 * time.Second}
+	base := "http://" + strings.TrimPrefix(*addr, "http://")
 	for {
-		report, err := fetchFleet(httpClient, "http://"+strings.TrimPrefix(*addr, "http://"))
+		report, err := fetchFleet(httpClient, base)
 		if err != nil {
-			return err
+			fmt.Fprintln(os.Stderr, "pprox-ops top:", err)
+			return 1
 		}
 		if !*once {
-			fmt.Print("\x1b[2J\x1b[H") // clear screen, home cursor
+			fmt.Fprint(stdout, "\x1b[2J\x1b[H") // clear screen, home cursor
 		}
-		renderFleet(os.Stdout, report)
+		renderFleet(stdout, report)
 		if *once {
-			return nil
+			if fleetViolated(report) {
+				return exitViolated
+			}
+			return 0
 		}
 		time.Sleep(*interval)
 	}
@@ -204,19 +201,23 @@ func runTop(args []string) error {
 
 func fetchFleet(httpClient *http.Client, base string) (telemetry.FleetReport, error) {
 	var report telemetry.FleetReport
-	resp, err := httpClient.Get(base + telemetry.FleetPath)
-	if err != nil {
-		return report, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return report, fmt.Errorf("%s: status %s", base+telemetry.FleetPath, resp.Status)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
+	body, err := fetch(httpClient, base+telemetry.FleetPath)
 	if err != nil {
 		return report, err
 	}
 	return report, json.Unmarshal(body, &report)
+}
+
+// fleetViolated reports whether any node's privacy or perf SLO reads
+// violated. A stale node counts with its last-known verdict: silence is
+// no evidence that it recovered.
+func fleetViolated(r telemetry.FleetReport) bool {
+	for _, n := range r.Nodes {
+		if n.AuditState == audit.StateViolated.String() || n.PerfState == perfslo.StateViolated.String() {
+			return true
+		}
+	}
+	return false
 }
 
 // renderFleet prints the fleet view. Everything shown is epoch-granular;
@@ -285,322 +286,234 @@ func orDash(s string) string {
 	return s
 }
 
-// Smoke-mode shape: a full hopwire cluster with the telemetry plane,
-// driven through enough full batches that every node reports multiple
-// epochs, then one node killed to prove staleness detection.
-const (
-	smokeShuffle = 8
-	smokeBatches = 6
-)
-
-func runSmoke(out string, logger *slog.Logger) error {
-	spec := cluster.Spec{
-		ProxyEnabled:   true,
-		UA:             1,
-		IA:             1,
-		Encryption:     true,
-		ItemPseudonyms: true,
-		Shuffle:        smokeShuffle,
-		ShuffleTimeout: 100 * time.Millisecond,
-		UseStub:        true,
-		LRSFrontends:   1,
-		OpsAddr:        "ops-0",
-		Audit:          &audit.Config{},
-		PerfSLO:        &perfslo.Config{},
-		Logger:         logger,
+// runAudit scrapes every -targets node, renders its report and returns
+// the process exit status: exitViolated when any node reports either SLO
+// violated.
+func runAudit(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("audit", flag.ContinueOnError)
+	targets := fs.String("targets", "", "comma-separated node base URLs to scrape (e.g. http://ua-0:8081,http://ia-0:8082)")
+	timeout := fs.Duration("timeout", 5*time.Second, "per-scrape HTTP timeout")
+	out := fs.String("out", "", "write every node's /privacy report (JSON) to this file")
+	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn, error")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	d, err := cluster.Deploy(spec)
+	if *targets == "" {
+		fmt.Fprintln(os.Stderr, "usage: pprox-ops audit -targets URL[,URL...] [-timeout 5s] [-out report.json]")
+		return 2
+	}
+	logger := obslog.New(os.Stderr, "pprox-ops", obslog.ParseLevel(*logLevel))
+	violated, err := runScrape(stdout, strings.Split(*targets, ","), *timeout, *out)
 	if err != nil {
-		return err
+		logger.Error("fatal", "error", err.Error())
+		return 1
 	}
-	defer d.Close()
-
-	cl := d.Client(10 * time.Second)
-	runBatches := func(batches int) {
-		var wg sync.WaitGroup
-		for b := 0; b < batches; b++ {
-			for i := 0; i < smokeShuffle; i++ {
-				u := fmt.Sprintf("smoke-user-%02d", i)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-					defer cancel()
-					// Failures are tolerated: after the LRS kill below,
-					// requests still fill (and flush) the UA shuffler.
-					cl.Get(ctx, u)
-				}()
-			}
-			wg.Wait()
-		}
+	if violated {
+		return exitViolated
 	}
-
-	runBatches(smokeBatches)
-	// Let the last epoch leave on the flush timer and reach the collector.
-	time.Sleep(300 * time.Millisecond)
-
-	httpClient := d.HTTPClient(5 * time.Second)
-	report, err := fetchFleet(httpClient, "http://ops-0")
-	if err != nil {
-		return err
-	}
-	renderFleet(os.Stdout, report)
-
-	wantNodes := []string{"ia-0", "lrs-0", "ua-0"}
-	if len(report.Nodes) != len(wantNodes) {
-		return fmt.Errorf("fleet reports %d nodes, want %d", len(report.Nodes), len(wantNodes))
-	}
-	for i, n := range report.Nodes {
-		if n.Node != wantNodes[i] {
-			return fmt.Errorf("fleet node[%d] = %q, want %q", i, n.Node, wantNodes[i])
-		}
-		if n.Stale {
-			return fmt.Errorf("node %s stale while pushing", n.Node)
-		}
-		if n.Seq == 0 || n.Transport.Pushes == 0 {
-			return fmt.Errorf("node %s reported no pushes", n.Node)
-		}
-	}
-	if report.Rollups.GoodputRPS <= 0 {
-		return fmt.Errorf("fleet goodput %.1f rps, want > 0", report.Rollups.GoodputRPS)
-	}
-	if _, ok := report.Rollups.StageQuantiles["serve"]; !ok {
-		return fmt.Errorf("fleet rollup lacks merged serve-stage quantiles")
-	}
-	if w := report.Rollups.WorstEpochBatch; w <= 0 || w > smokeShuffle {
-		return fmt.Errorf("worst epoch batch %d, want within (0, %d]", w, smokeShuffle)
-	}
-	if report.Rollups.BuildSkew {
-		return fmt.Errorf("build skew flagged in a single-binary fleet: %v", report.Rollups.BuildSHAs)
-	}
-
-	// Kill the LRS front end: its feed must go silent and the collector
-	// must mark it stale while the proxies keep reporting.
-	if err := d.Kill("lrs-0"); err != nil {
-		return err
-	}
-	logger.Info("killed lrs-0")
-	runBatches(smokeBatches)
-	time.Sleep(500 * time.Millisecond)
-
-	report, err = fetchFleet(httpClient, "http://ops-0")
-	if err != nil {
-		return err
-	}
-	renderFleet(os.Stdout, report)
-	if out != "" {
-		if err := writeJSON(out, report); err != nil {
-			return err
-		}
-		logger.Info("fleet report written", "path", out)
-	}
-	var lrsStale bool
-	for _, n := range report.Nodes {
-		switch n.Node {
-		case "lrs-0":
-			lrsStale = n.Stale
-		case "ua-0", "ia-0":
-			if n.Stale {
-				return fmt.Errorf("node %s went stale while still pushing", n.Node)
-			}
-		}
-	}
-	if !lrsStale {
-		return fmt.Errorf("lrs-0 not marked stale after kill")
-	}
-	if report.Stale != 1 || report.Fresh != 2 {
-		return fmt.Errorf("fleet counts fresh=%d stale=%d, want 2/1", report.Fresh, report.Stale)
-	}
-	return nil
+	return 0
 }
 
-// Scale-smoke shape: an elastic cluster driven through a load ramp that
-// forces one scale-up and one scale-down, with the privacy audit
-// asserted ok at every phase — the CI gate for DESIGN.md §4j.
-const scaleShuffle = 8
+// nodeView is one scraped node: its privacy report, its perf report
+// when the node serves /perf, plus the audit metric families from
+// /metrics.
+type nodeView struct {
+	Target  string
+	Report  audit.Report
+	Perf    *perfslo.Report
+	Metrics metrics.ScrapeSet
+}
 
-func runScaleSmoke(out string, logger *slog.Logger) error {
-	// A vanishingly small pair capacity makes any observed traffic
-	// demand Max pairs and an idle window demand Min, so the ramp below
-	// forces exactly one scale-up and one scale-down regardless of
-	// wall-clock jitter. Interval 0: this harness ticks the reconciler
-	// itself so every assertion lands on a known loop state.
-	ctrl := &autoscale.Controller{
-		PairCapacityRPS:   0.001,
-		TargetUtilization: 1,
-		Min:               1,
-		Max:               2,
-		Hysteresis:        1,
-	}
-	d, err := cluster.Deploy(cluster.Spec{
-		ProxyEnabled:      true,
-		UA:                1,
-		IA:                1,
-		Encryption:        true,
-		ItemPseudonyms:    true,
-		Shuffle:           scaleShuffle,
-		ShuffleTimeout:    300 * time.Millisecond,
-		UseStub:           true,
-		LRSFrontends:      1,
-		OpsAddr:           "ops-0",
-		Audit:             &audit.Config{},
-		Elastic:           &cluster.ElasticSpec{Controller: ctrl},
-		TelemetryInterval: 50 * time.Millisecond,
-		Logger:            logger,
-	})
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	rec := d.Reconciler
-
-	// Keep-alives off so every request dials: the balancer's per-dial
-	// round robin then splits each two-pair round exactly S/S across
-	// the UAs and every shuffler flushes on occupancy, never the timer.
-	httpClient := &http.Client{
-		Timeout: 10 * time.Second,
-		Transport: &http.Transport{
-			DialContext:       d.Balancer.DialContext,
-			DisableKeepAlives: true,
-		},
-	}
-	cl := client.New(proxy.Bundle(d.UAKeys, d.IAKeys), httpClient, d.Entry)
-	round := func(size int) error {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		failed := 0
-		for i := 0; i < size; i++ {
-			u := fmt.Sprintf("scale-user-%02d", i)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				if _, err := cl.Get(ctx, u); err != nil {
-					mu.Lock()
-					failed++
-					mu.Unlock()
-				}
-			}()
+// runScrape reads every target and renders the operator report to w; it
+// reports whether any node's SLO is violated.
+func runScrape(w io.Writer, targets []string, timeout time.Duration, out string) (violated bool, err error) {
+	httpClient := &http.Client{Timeout: timeout}
+	var views []nodeView
+	for _, raw := range targets {
+		t := strings.TrimRight(strings.TrimSpace(raw), "/")
+		if t == "" {
+			continue
 		}
-		wg.Wait()
-		if failed != 0 {
-			return fmt.Errorf("%d of %d requests failed", failed, size)
+		v, err := scrapeNode(httpClient, t)
+		if err != nil {
+			return false, fmt.Errorf("scrape %s: %w", t, err)
 		}
-		return nil
+		views = append(views, v)
 	}
-	auditOK := func(phase string) error {
-		if st := d.Auditor.State(); st != audit.StateOK {
-			return fmt.Errorf("audit state %s during %q, want ok: %+v", st, phase, d.Auditor.Report())
+	if len(views) == 0 {
+		return false, fmt.Errorf("no targets")
+	}
+	for _, v := range views {
+		renderNode(w, v)
+		if v.Report.State == audit.StateViolated.String() {
+			violated = true
 		}
-		return nil
-	}
-
-	// Phase 1 — baseline on one pair. The first tick has no signal
-	// window yet and must hold.
-	if err := round(scaleShuffle); err != nil {
-		return err
-	}
-	if dec := rec.Tick(); dec.Action != fleet.ActionHold {
-		return fmt.Errorf("first tick = %+v, want hold", dec)
-	}
-	if err := auditOK("baseline"); err != nil {
-		return err
-	}
-
-	// Phase 2 — ramp up: the observed rate demands a second pair.
-	if err := round(scaleShuffle); err != nil {
-		return err
-	}
-	dec := rec.Tick()
-	if dec.Action != fleet.ActionUp || dec.Desired != 2 {
-		return fmt.Errorf("tick under load = %+v, want scale-up to 2", dec)
-	}
-	logger.Info("scaled up", "pairs", d.Pairs())
-	// The pending pair is admitted at the next epoch boundary.
-	if err := round(scaleShuffle); err != nil {
-		return err
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for d.Registry.Count("ua", fleet.StateActive) != 2 ||
-		d.Registry.Count("ia", fleet.StateActive) != 2 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("pair never admitted: %+v", d.Registry.Membership())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	logger.Info("pair admitted at epoch boundary")
-
-	// Phase 3 — churned steady state across both pairs.
-	for i := 0; i < 2; i++ {
-		if err := round(2 * scaleShuffle); err != nil {
-			return err
+		if v.Perf != nil && v.Perf.State == perfslo.StateViolated.String() {
+			violated = true
 		}
 	}
-	rec.Tick() // consume the loaded window (desired == current: hold)
-	if err := auditOK("two-pair traffic"); err != nil {
-		return err
-	}
-
-	// Phase 4 — ramp down: an idle window drains the extra pair at an
-	// epoch boundary, final epoch whole.
-	time.Sleep(400 * time.Millisecond)
-	dec = rec.Tick()
-	if dec.Action != fleet.ActionDown || dec.Desired != 1 {
-		return fmt.Errorf("idle tick = %+v, want scale-down to 1", dec)
-	}
-	if d.Pairs() != 1 {
-		return fmt.Errorf("pairs after scale-down = %d, want 1", d.Pairs())
-	}
-	if st := d.Registry.Stats(); st.Drains != 2 || st.Deregistrations != 2 {
-		return fmt.Errorf("registry stats after drain = %+v, want 2 drains and 2 deregistrations", st)
-	}
-	if err := auditOK("after drain"); err != nil {
-		return err
-	}
-	logger.Info("scaled down", "pairs", d.Pairs())
-
-	// Phase 5 — goodput recovery on the remaining pair.
-	for i := 0; i < 2; i++ {
-		if err := round(scaleShuffle); err != nil {
-			return err
-		}
-	}
-	if err := auditOK("post-drain traffic"); err != nil {
-		return err
-	}
-	time.Sleep(400 * time.Millisecond) // final epochs reach the collector
-
-	report, err := fetchFleet(d.HTTPClient(5*time.Second), "http://ops-0")
-	if err != nil {
-		return err
-	}
-	renderFleet(os.Stdout, report)
 	if out != "" {
-		if err := writeJSON(out, report); err != nil {
-			return err
+		reports := make(map[string]audit.Report, len(views))
+		for _, v := range views {
+			reports[v.Target] = v.Report
 		}
-		logger.Info("fleet report written", "path", out)
+		if err := writeJSON(out, reports); err != nil {
+			return violated, err
+		}
 	}
-	if report.Rollups.GoodputRPS <= 0 {
-		return fmt.Errorf("fleet goodput %.1f rps after scale-down, want > 0", report.Rollups.GoodputRPS)
+	return violated, nil
+}
+
+func scrapeNode(httpClient *http.Client, target string) (nodeView, error) {
+	v := nodeView{Target: target}
+	body, err := fetch(httpClient, target+audit.PrivacyPath)
+	if err != nil {
+		return v, err
 	}
-	fv := report.Rollups.Fleet
-	if fv == nil {
-		return fmt.Errorf("/fleet rollup carries no fleet overview")
+	if err := json.Unmarshal(body, &v.Report); err != nil {
+		return v, fmt.Errorf("decode %s: %w", audit.PrivacyPath, err)
 	}
-	if fv.CurrentPairs != 1 || fv.DesiredPairs != 1 {
-		return fmt.Errorf("fleet overview %d/%d pairs, want 1/1", fv.CurrentPairs, fv.DesiredPairs)
+	// /perf is optional: only nodes running the latency-SLO evaluator
+	// serve it, so a failed fetch means "not enabled", not an error.
+	if body, perfErr := fetch(httpClient, target+perfslo.PerfPath); perfErr == nil {
+		var perf perfslo.Report
+		if err := json.Unmarshal(body, &perf); err != nil {
+			return v, fmt.Errorf("decode %s: %w", perfslo.PerfPath, err)
+		}
+		v.Perf = &perf
 	}
-	var up, down bool
-	for _, dd := range fv.Decisions {
-		up = up || dd.Action == fleet.ActionUp
-		down = down || dd.Action == fleet.ActionDown
+	if body, err = fetch(httpClient, target+"/metrics"); err != nil {
+		return v, err
 	}
-	if !up || !down {
-		return fmt.Errorf("decision ring %+v missing the scale-up or scale-down", fv.Decisions)
+	v.Metrics = metrics.ParseExposition(string(body))
+	return v, nil
+}
+
+func fetch(httpClient *http.Client, url string) ([]byte, error) {
+	resp, err := httpClient.Get(url)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s: status %s", url, resp.Status)
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, 32<<20))
+}
+
+// renderNode prints one node's privacy assessment. Everything shown is
+// epoch-granular — the report carries nothing finer.
+func renderNode(w io.Writer, v nodeView) {
+	r := v.Report
+	fmt.Fprintf(w, "%s\n", v.Target)
+	fmt.Fprintf(w, "  privacy SLO: %s (for %ds)  target S=%d  objective %.2f%%\n",
+		strings.ToUpper(r.State), r.StateSeconds, r.TargetS, r.Objective*100)
+	fmt.Fprintf(w, "  effective anonymity set: %d   worst epoch ever: %d\n",
+		r.EffectiveAnonymity, r.WorstEpochBatch)
+	fmt.Fprintf(w, "  epochs: %d total, %d under-filled   transitions: %d violations, %d warns\n",
+		r.EpochsTotal, r.UnderfilledTotal, r.Violations, r.Warns)
+	if sheds, ok := sumFamily(v.Metrics, "pprox_proxy_shuffle_shed_total"); ok {
+		fmt.Fprintf(w, "  shuffler sheds: %.0f  (requests released without full-epoch cover)\n", sheds)
+	}
+	renderCache(w, v.Metrics)
+	for _, win := range r.Windows {
+		state := "ok"
+		if win.Burning {
+			state = "BURNING"
+		}
+		fmt.Fprintf(w, "  window %-4s burn rate %6.2f  (%d/%d under-filled, min batch %d)  %s\n",
+			win.Window, win.BurnRate, win.Underfilled, win.Epochs, win.MinBatch, state)
+	}
+	if len(r.Breached) > 0 {
+		fmt.Fprintf(w, "  BREACHED LAYERS (keys not yet rotated): %s\n", strings.Join(r.Breached, ", "))
+	}
+	if len(r.DegradedChecks) > 0 {
+		fmt.Fprintf(w, "  degraded: %s\n", strings.Join(r.DegradedChecks, "; "))
+	}
+	if len(r.KeyAges) > 0 {
+		layers := make([]string, 0, len(r.KeyAges))
+		for l := range r.KeyAges {
+			layers = append(layers, l)
+		}
+		sort.Strings(layers)
+		parts := make([]string, len(layers))
+		for i, l := range layers {
+			parts[i] = fmt.Sprintf("%s %ds", l, r.KeyAges[l])
+		}
+		fmt.Fprintf(w, "  key ages: %s\n", strings.Join(parts, ", "))
+	}
+	for _, n := range r.Nodes {
+		fmt.Fprintf(w, "  node %-6s epochs=%d under=%d worst=%d last=%d\n",
+			n.Node, n.Epochs, n.Underfilled, n.WorstBatch, n.LastBatch)
+	}
+	renderPerf(w, v.Perf)
+}
+
+// renderPerf prints the node's per-stage latency-SLO assessment when it
+// serves /perf. Exemplars are shuffle-epoch ids — the same granularity
+// the privacy report above exposes, nothing finer.
+func renderPerf(w io.Writer, p *perfslo.Report) {
+	if p == nil {
+		return
+	}
+	fmt.Fprintf(w, "  perf SLO: %s (for %ds)  transitions: %d violations, %d warns\n",
+		strings.ToUpper(p.State), p.StateSeconds, p.Violations, p.Warns)
+	for _, o := range p.Objectives {
+		observed := fmt.Sprintf("%.3gms", o.ObservedSeconds*1000)
+		if o.ObservedOverflow {
+			observed = ">" + observed
+		}
+		fmt.Fprintf(w, "    %-6s %-14s p%g ≤ %.3gms  observed %s over %d obs  %s\n",
+			o.Node, o.Name, o.Quantile*100, o.ThresholdSeconds*1000, observed,
+			o.Observations, strings.ToUpper(o.State))
+		for _, win := range o.Windows {
+			state := "ok"
+			if win.Burning {
+				state = "BURNING"
+			}
+			fmt.Fprintf(w, "      window %-5s burn rate %6.2f  (%d/%d slow)  %s\n",
+				win.Window, win.BurnRate, win.Slow, win.Observations, state)
+		}
+		if len(o.ExemplarEpochs) > 0 {
+			fmt.Fprintf(w, "      breach exemplar epochs: %v (resolve via the trace export)\n", o.ExemplarEpochs)
+		}
+	}
+}
+
+// sumFamily totals every series of one metric family across its label
+// combinations; ok reports whether the family appeared in the scrape at
+// all (a registered-but-zero counter still counts as present).
+func sumFamily(set metrics.ScrapeSet, fam string) (total float64, ok bool) {
+	for series, v := range set {
+		if name, _ := metrics.ParseSeries(series); name == fam {
+			total += v
+			ok = true
+		}
+	}
+	return total, ok
+}
+
+// renderCache prints the in-enclave recommendation cache's epoch-granular
+// counters when the node exports them (IA instances with -cache). The
+// shuffler line above is the privacy half of the story; this is the
+// efficiency half — hits, by construction, still travel in full epochs.
+func renderCache(w io.Writer, set metrics.ScrapeSet) {
+	hits, okH := sumFamily(set, "pprox_reccache_hits_total")
+	misses, okM := sumFamily(set, "pprox_reccache_misses_total")
+	if !okH && !okM {
+		return
+	}
+	rate := 0.0
+	if hits+misses > 0 {
+		rate = hits / (hits + misses)
+	}
+	coalesced, _ := sumFamily(set, "pprox_reccache_coalesced_total")
+	evictions, _ := sumFamily(set, "pprox_reccache_evictions_total")
+	flushes, _ := sumFamily(set, "pprox_reccache_flushes_total")
+	entries, _ := sumFamily(set, "pprox_reccache_entries")
+	pages, _ := sumFamily(set, "pprox_reccache_epc_pages")
+	fmt.Fprintf(w, "  reccache: hit rate %.1f%% (%.0f hits, %.0f misses)  coalesced %.0f  evictions %.0f  flushes %.0f  resident %.0f entries / %.0f EPC pages\n",
+		rate*100, hits, misses, coalesced, evictions, flushes, entries, pages)
 }
 
 func writeJSON(path string, v any) error {

@@ -17,7 +17,9 @@ import (
 	"pprox/internal/message"
 	"pprox/internal/metrics"
 	"pprox/internal/obslog"
+	"pprox/internal/perfslo"
 	"pprox/internal/ppcrypto"
+	"pprox/internal/reccache"
 )
 
 // getBatch issues size concurrent gets and waits for them, so the batch
@@ -50,7 +52,9 @@ func getBatch(t *testing.T, d *cluster.Deployment, size, tag int) int {
 // a fault injector swallows part of one batch before the UA shuffler, so
 // its survivors leave on the flush timer as an under-filled epoch, and
 // the deployed auditor must transition to violated — observable through
-// the same /metrics and /privacy endpoints an operator scrapes.
+// the same /metrics, /privacy and /perf endpoints an operator scrapes.
+// Every batch asks for the same users, so the IA cache serves hits, and
+// those hits must not thin an epoch.
 func TestAuditorFlagsInjectedUnderfilledEpoch(t *testing.T) {
 	const s = 8
 	const dropped = 3
@@ -66,7 +70,9 @@ func TestAuditorFlagsInjectedUnderfilledEpoch(t *testing.T) {
 		Shuffle:        s,
 		ShuffleTimeout: 100 * time.Millisecond,
 		UseStub:        true,
+		Cache:          &reccache.Config{},
 		Audit:          &audit.Config{},
+		PerfSLO:        &perfslo.Config{},
 		NodeMiddleware: func(addr string, h http.Handler) http.Handler {
 			if addr == "ua-0" {
 				return inj.Middleware(h)
@@ -80,7 +86,7 @@ func TestAuditorFlagsInjectedUnderfilledEpoch(t *testing.T) {
 	defer d.Close()
 
 	for b := 0; b < 2; b++ {
-		if failed := getBatch(t, d, s, b); failed != 0 {
+		if failed := getBatch(t, d, s, 0); failed != 0 {
 			t.Fatalf("healthy batch %d: %d gets failed", b, failed)
 		}
 	}
@@ -89,15 +95,13 @@ func TestAuditorFlagsInjectedUnderfilledEpoch(t *testing.T) {
 	}
 
 	inj.Arm(faults.Rule{Kind: faults.KindError, Status: http.StatusServiceUnavailable, Count: dropped})
-	if failed := getBatch(t, d, s, 2); failed != dropped {
+	if failed := getBatch(t, d, s, 0); failed != dropped {
 		t.Fatalf("faulty batch: %d gets failed, want %d", failed, dropped)
 	}
-	// The survivors leave on the flush timer; wait out the IA hop too.
-	time.Sleep(400 * time.Millisecond)
-
-	if st := d.Auditor.State(); st != audit.StateViolated {
-		t.Fatalf("auditor state after under-filled epoch = %v, want violated", st)
-	}
+	// The survivors leave on the flush timer.
+	waitFor(t, "auditor violated after the under-filled epoch", func() bool {
+		return d.Auditor.State() == audit.StateViolated
+	})
 
 	// The operator's view over the wire.
 	httpClient := d.HTTPClient(5 * time.Second)
@@ -120,6 +124,15 @@ func TestAuditorFlagsInjectedUnderfilledEpoch(t *testing.T) {
 	if v := scraped["pprox_audit_violations_total"]; v < 1 {
 		t.Errorf("pprox_audit_violations_total = %g, want ≥ 1", v)
 	}
+	var hits float64
+	for series, v := range scraped {
+		if name, _ := metrics.ParseSeries(series); name == "pprox_reccache_hits_total" {
+			hits += v
+		}
+	}
+	if hits == 0 {
+		t.Error("the IA cache reports no hits over a repeating user set")
+	}
 
 	resp, err = httpClient.Get("http://ua-0" + audit.PrivacyPath)
 	if err != nil {
@@ -136,6 +149,33 @@ func TestAuditorFlagsInjectedUnderfilledEpoch(t *testing.T) {
 	}
 	if want := s - dropped; rep.WorstEpochBatch != want {
 		t.Errorf("/privacy worst epoch batch = %d, want %d", rep.WorstEpochBatch, want)
+	}
+	// The flagged epochs are exactly those below S: the fault's, never a
+	// full epoch whose requests the cache answered.
+	flagged := 0
+	for _, n := range rep.Nodes {
+		for _, e := range n.RecentEpochs {
+			if e.Underfilled != (e.Batch < rep.TargetS) {
+				t.Errorf("epoch %d on %s: batch %d flagged=%v", e.Seq, n.Node, e.Batch, e.Underfilled)
+			}
+			if e.Underfilled {
+				flagged++
+			}
+		}
+	}
+	if flagged == 0 {
+		t.Error("/privacy flags no epoch under-filled")
+	}
+
+	resp, err = httpClient.Get("http://ua-0" + perfslo.PerfPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perf perfslo.Report
+	err = json.NewDecoder(resp.Body).Decode(&perf)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Errorf("/perf with the perf-SLO evaluator on = %d (%v), want a report", resp.StatusCode, err)
 	}
 }
 

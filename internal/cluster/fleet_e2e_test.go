@@ -128,7 +128,8 @@ func TestFleetScaleLifecycle(t *testing.T) {
 // TestElasticReconcilerClosesLoop drives the full autoscaling loop with
 // manual ticks: load pushes the desired pair count up (AddPair), idleness
 // brings it back down (DrainPair), and the fleet view reaches the
-// telemetry collector.
+// telemetry collector. The auditor reads ok through every phase: a pair
+// joins and leaves at epoch boundaries, never splitting an epoch.
 func TestElasticReconcilerClosesLoop(t *testing.T) {
 	const s = 4
 	// A vanishingly small pair capacity makes any traffic demand Max
@@ -148,8 +149,9 @@ func TestElasticReconcilerClosesLoop(t *testing.T) {
 		Encryption:        true,
 		ItemPseudonyms:    true,
 		Shuffle:           s,
-		ShuffleTimeout:    100 * time.Millisecond,
+		ShuffleTimeout:    300 * time.Millisecond, // a round's gets all arrive, even under -race
 		UseStub:           true,
+		Audit:             &audit.Config{},
 		Elastic:           &cluster.ElasticSpec{Controller: ctrl},
 		OpsAddr:           "ops",
 		TelemetryInterval: 50 * time.Millisecond,
@@ -163,29 +165,67 @@ func TestElasticReconcilerClosesLoop(t *testing.T) {
 		t.Fatal("elastic deployment has no reconciler")
 	}
 
-	// First tick: signals are window deltas, so the first sample knows
-	// nothing and the reconciler must hold.
+	// Keep-alives off so every request dials: the balancer's per-dial
+	// round robin then splits each two-pair round exactly S/S across the
+	// UAs, and every shuffler flushes on occupancy, never on the timer.
+	cl := client.New(proxy.Bundle(d.UAKeys, d.IAKeys), &http.Client{
+		Timeout:   10 * time.Second,
+		Transport: &http.Transport{DialContext: d.Balancer.DialContext, DisableKeepAlives: true},
+	}, d.Entry)
+	round := func(size, tag int) {
+		t.Helper()
+		var wg sync.WaitGroup
+		var failed atomic.Int64
+		for i := 0; i < size; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				if _, err := cl.Get(ctx, fmt.Sprintf("scale-user-%d-%d", tag, i)); err != nil {
+					failed.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		if n := failed.Load(); n != 0 {
+			t.Fatalf("round %d: %d of %d requests failed", tag, n, size)
+		}
+	}
+	auditOK := func(phase string) {
+		t.Helper()
+		if st := d.Auditor.State(); st != audit.StateOK {
+			t.Fatalf("audit state %s %s, want ok\nreport: %+v", st, phase, d.Auditor.Report())
+		}
+	}
+
+	// Baseline on one pair. Signals are window deltas, so the first
+	// sample knows nothing and the reconciler must hold.
+	round(s, 0)
 	if dec := rec.Tick(); dec.Action != fleet.ActionHold {
 		t.Fatalf("first tick = %+v, want hold", dec)
 	}
+	auditOK("at baseline")
 
 	// Load, then tick: the observed rate demands a second pair.
-	if failed := getBatch(t, d, 2*s, 1); failed != 0 {
-		t.Fatalf("%d requests failed", failed)
-	}
+	round(s, 1)
 	dec := rec.Tick()
 	if dec.Action != fleet.ActionUp || dec.Desired != 2 {
 		t.Fatalf("tick under load = %+v, want scale-up to 2", dec)
 	}
 
-	// Sustained load admits the pending pair at an epoch boundary.
-	if failed := getBatch(t, d, 2*s, 2); failed != 0 {
-		t.Fatalf("%d requests failed", failed)
-	}
-	rec.Tick()
+	// The next epoch boundary admits the pending pair.
+	round(s, 2)
 	waitFor(t, "second pair admission", func() bool {
-		return d.Registry.Count("ua", fleet.StateActive) == 2
+		return d.Registry.Count("ua", fleet.StateActive) == 2 &&
+			d.Registry.Count("ia", fleet.StateActive) == 2
 	})
+
+	// Two-pair traffic: every round fills one epoch on each UA.
+	round(2*s, 3)
+	round(2*s, 4)
+	rec.Tick() // consumes the loaded window: desired == current, hold
+	auditOK("under two-pair traffic")
 
 	// Idleness: the next sampled window sees no traffic, and the loop
 	// drains back to Min.
@@ -197,6 +237,10 @@ func TestElasticReconcilerClosesLoop(t *testing.T) {
 	if d.Pairs() != 1 {
 		t.Fatalf("pairs after scale-down = %d, want 1", d.Pairs())
 	}
+	if st := d.Registry.Stats(); st.Drains != 2 || st.Deregistrations != 2 {
+		t.Fatalf("registry stats after scale-down = %+v, want 2 drains and 2 deregistrations", st)
+	}
+	auditOK("after the drain")
 
 	ov := d.FleetOverview()
 	if ov == nil || ov.CurrentPairs != 1 || ov.DesiredPairs != 1 {
@@ -211,11 +255,31 @@ func TestElasticReconcilerClosesLoop(t *testing.T) {
 		t.Fatalf("decision ring %+v missing scale-up or scale-down", ov.Decisions)
 	}
 
-	// The control-plane emitter carries the fleet view to the collector.
-	waitFor(t, "fleet view at the collector", func() bool {
-		fv := d.Ops.Fleet().Rollups.Fleet
-		return fv != nil && fv.CurrentPairs == 1
+	// Goodput recovers on the remaining pair.
+	round(s, 5)
+	round(s, 6)
+	auditOK("after post-drain traffic")
+
+	// The control-plane emitter carries the fleet view to the collector,
+	// and the operator reads it over HTTP.
+	var fv *fleet.Overview
+	waitFor(t, "goodput and a 1/1 fleet view on /fleet", func() bool {
+		f := fetchFleetHTTP(t, d, "ops")
+		fv = f.Rollups.Fleet
+		return f.Rollups.GoodputRPS > 0 && fv != nil && fv.CurrentPairs == 1 && fv.DesiredPairs == 1
 	})
+	ups, downs := 0, 0
+	for _, dd := range fv.Decisions {
+		switch dd.Action {
+		case fleet.ActionUp:
+			ups++
+		case fleet.ActionDown:
+			downs++
+		}
+	}
+	if ups != 1 || downs != 1 {
+		t.Errorf("/fleet decisions %+v, want one scale-up and one scale-down", fv.Decisions)
+	}
 }
 
 // TestDrainPairSoftPhaseOverFrames retires a pair under steady traffic on

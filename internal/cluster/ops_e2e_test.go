@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -76,6 +77,18 @@ func TestOpsFleetTelemetryEndToEnd(t *testing.T) {
 		return f.Rollups.GoodputRPS > 0
 	}, "3 fresh nodes with goodput")
 
+	var names []string
+	for _, n := range fleet.Nodes {
+		names = append(names, n.Node)
+		// The snapshots rode the telemetry plane itself — transport
+		// counters prove every node's pushes happened.
+		if n.Seq == 0 || n.Transport.Pushes == 0 {
+			t.Errorf("node %s: seq %d, %d pushes; want both > 0", n.Node, n.Seq, n.Transport.Pushes)
+		}
+	}
+	if want := []string{"ia-0", "lrs-0", "ua-0"}; !slices.Equal(names, want) {
+		t.Errorf("fleet nodes = %v, want %v", names, want)
+	}
 	ua, ok := fleetNode(fleet, "ua-0")
 	if !ok || ua.Role != "ua" {
 		t.Fatalf("no ua-0 in fleet: %+v", fleet.Nodes)
@@ -94,11 +107,6 @@ func TestOpsFleetTelemetryEndToEnd(t *testing.T) {
 	}
 	if _, ok := fleet.Rollups.States["ua-0"]; !ok {
 		t.Errorf("state matrix missing ua-0: %+v", fleet.Rollups.States)
-	}
-	// The snapshots rode the telemetry plane itself — transport counters
-	// prove pushes happened.
-	if ua.Transport.Pushes == 0 {
-		t.Error("ua-0 transport reports zero pushes")
 	}
 
 	// The same report is served over HTTP on the ops node.

@@ -360,8 +360,8 @@ func (r *Registry) pruneLocked() int {
 }
 
 // Membership returns every registered endpoint with its state, sorted by
-// service then address — the fleet view the /fleet report and pprox-audit
-// render.
+// service then address — the fleet view the /fleet report and `pprox-ops
+// top` render.
 func (r *Registry) Membership() []Endpoint {
 	r.mu.Lock()
 	defer r.mu.Unlock()

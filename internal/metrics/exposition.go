@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the read side of the text exposition format: the scraper
-// counterpart of ServeHTTP. cmd/pprox-bench and cmd/pprox-audit consume
-// it, and its tests round-trip the render side through it so both ends
+// counterpart of ServeHTTP. `pprox-ops audit` consumes it, and its
+// tests round-trip the render side through it so both ends
 // agree on the edge cases (escaped label values, NaN/Inf samples, empty
 // families).
 
