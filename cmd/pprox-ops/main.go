@@ -475,7 +475,7 @@ func renderPerf(w io.Writer, p *perfslo.Report) {
 				win.Window, win.BurnRate, win.Slow, win.Observations, state)
 		}
 		if len(o.ExemplarEpochs) > 0 {
-			fmt.Fprintf(w, "      breach exemplar epochs: %v (resolve via the trace export)\n", o.ExemplarEpochs)
+			fmt.Fprintf(w, "      breach exemplar epochs: %v (the -trace-log records of those epochs)\n", o.ExemplarEpochs)
 		}
 	}
 }

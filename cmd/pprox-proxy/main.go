@@ -27,6 +27,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -48,13 +49,12 @@ import (
 	"pprox/internal/proxy"
 	"pprox/internal/reccache"
 	"pprox/internal/resilience"
-	"pprox/internal/trace"
 	"pprox/internal/transport"
 )
 
 // options is one process: the instance's node.Config plus what only a
 // process has — its listener, key file, fleet membership, pprof server,
-// trace file and log level.
+// epoch-record log and log level.
 type options struct {
 	node         node.Config
 	listen       string
@@ -118,7 +118,7 @@ func flagSet(o *options) (fs *flag.FlagSet, finish func() error) {
 	fs.StringVar(&o.advertise, "advertise", "", "address peers should dial for this instance (default: the bound listen address)")
 	fs.DurationVar(&c.DrainTimeout, "drain-timeout", 0, "bound on the graceful drain before stragglers are refused (default: 2×-shuffle-timeout + 5s)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "pprof listen address, e.g. localhost:6060 (off when empty)")
-	fs.StringVar(&o.traceLog, "trace-log", "", "append privacy-safe trace records (JSON lines) to this file")
+	fs.StringVar(&o.traceLog, "trace-log", "", "append the per-epoch stage records (JSON lines) to this file")
 	fs.StringVar(&o.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")
 	fs.BoolVar(&auditOn, "audit", false, "run the privacy-SLO auditor and serve its report on /privacy")
 	fs.Float64Var(&acfg.Objective, "audit-objective", 0, "fraction of shuffle epochs that must be fully occupied (default 0.99)")
@@ -218,7 +218,10 @@ func assemble(o options, logger *slog.Logger) (*instance, error) {
 		if in.traceFile, err = os.OpenFile(o.traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 			return nil, err
 		}
-		env.TraceSink = trace.WriterSink(in.traceFile)
+		// One JSON line per epoch record; the layer serializes the calls.
+		// A failed write loses one line of telemetry, never a request.
+		enc := json.NewEncoder(in.traceFile)
+		env.TraceSink = func(r proxy.EpochRecord) { _ = enc.Encode(r) }
 	}
 	if in.Proxy, err = node.NewProxy(cfg, env); err != nil {
 		in.close()

@@ -11,6 +11,7 @@ import (
 
 	"pprox/internal/adversary"
 	"pprox/internal/audit"
+	"pprox/internal/proxy"
 )
 
 // runSchedule drives the tapped stack with one batch per entry — a batch
@@ -62,7 +63,7 @@ func testAuditorFlagsExactlyTheLinkableEpochs(t *testing.T, km keyMaterial) {
 	schedule := []int{s, s, 1, s, 1, s}
 	st := newTappedStack(t, km, s)
 	aud := audit.New(audit.Config{TargetS: s})
-	st.ua.SetEpochObserver(func(batch int) { aud.ObserveEpoch("ua-0", batch) })
+	st.ua.SetEpochObserver(func(rec proxy.EpochRecord) { aud.ObserveEpoch("ua-0", rec.Batch) })
 
 	users, edge := runSchedule(t, st, schedule)
 	total := 0
@@ -139,7 +140,7 @@ func testPrivacyReportGrantsNoLinkingAdvantage(t *testing.T, km keyMaterial) {
 	schedule := []int{s, s, s, s}
 	st := newTappedStack(t, km, s)
 	aud := audit.New(audit.Config{TargetS: s})
-	st.ua.SetEpochObserver(func(batch int) { aud.ObserveEpoch("ua-0", batch) })
+	st.ua.SetEpochObserver(func(rec proxy.EpochRecord) { aud.ObserveEpoch("ua-0", rec.Batch) })
 
 	users, edge := runSchedule(t, st, schedule)
 	lrs := st.rec.Events("ia→lrs")

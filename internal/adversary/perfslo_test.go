@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"pprox/internal/adversary"
@@ -43,9 +42,8 @@ func testPerfReportGrantsNoLinkingAdvantage(t *testing.T, km keyMaterial) {
 		}
 		eval.AddObjective(stage, "ua-0", h, 0.99, 0.0001)
 	}
-	var epoch atomic.Uint64
-	st.ua.SetEpochObserver(func(batch int) {
-		eval.Sample("ua-0", epoch.Add(1)-1)
+	st.ua.SetEpochObserver(func(rec proxy.EpochRecord) {
+		eval.Sample("ua-0", rec.Epoch, rec.Stages)
 	})
 
 	users, edge := runSchedule(t, st, schedule)
@@ -106,8 +104,8 @@ func testPerfReportGrantsNoLinkingAdvantage(t *testing.T, km keyMaterial) {
 	baseline := adversary.CorrelateInOrder(edge, lrs)
 	var augmented []adversary.Guess
 	for e := range exemplars {
-		off := int(e) * s
-		if off+s > len(lrs) {
+		off := (int(e) - 1) * s // epochs number from 1
+		if off < 0 || off+s > len(lrs) {
 			t.Fatalf("exemplar epoch %d is outside the %d observed epochs — "+
 				"sub-epoch or phantom information in the report", e, len(schedule))
 		}

@@ -13,6 +13,7 @@ import (
 	"pprox/internal/audit"
 	"pprox/internal/message"
 	"pprox/internal/metrics"
+	"pprox/internal/proxy"
 	"pprox/internal/telemetry"
 )
 
@@ -74,9 +75,9 @@ func testFleetTelemetryGrantsNoLinkingAdvantage(t *testing.T, km keyMaterial) {
 	// the observer runs under the shuffler lock, and sampling the
 	// registry reads shuffler occupancy gauges.)
 	em.Pause()
-	st.ua.SetEpochObserver(func(batch int) {
-		aud.ObserveEpoch("ua-0", batch)
-		em.ObserveEpoch(batch)
+	st.ua.SetEpochObserver(func(rec proxy.EpochRecord) {
+		aud.ObserveEpoch("ua-0", rec.Batch)
+		em.ObserveEpoch(rec.Epoch, rec.Batch)
 	})
 
 	var users []string

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,7 +24,6 @@ import (
 	"pprox/internal/resilience"
 	"pprox/internal/stub"
 	"pprox/internal/telemetry"
-	"pprox/internal/trace"
 	"pprox/internal/transport"
 )
 
@@ -98,9 +98,8 @@ type Spec struct {
 	// LRSMiddleware, when set, wraps the LRS handler — e.g. with an
 	// adversary network tap for the security experiments.
 	LRSMiddleware func(http.Handler) http.Handler
-	// Trace enables privacy-safe hop-local tracing on every proxy
-	// layer; records collect in Deployment.Traces at shuffle-epoch
-	// granularity.
+	// Trace logs every proxy layer's epoch records (proxy.EpochRecord)
+	// into Deployment.Traces.
 	Trace bool
 	// Resilience arms fault handling across the deployment: every proxy
 	// layer retries/breaks per the policy, and the balancer ejects
@@ -196,6 +195,25 @@ func SpecFromMacro(c MacroConfig) Spec {
 	}
 }
 
+// EpochLog collects the proxy layers' epoch records, by node.
+type EpochLog struct {
+	mu   sync.Mutex
+	recs map[string][]proxy.EpochRecord
+}
+
+func (l *EpochLog) add(r proxy.EpochRecord) {
+	l.mu.Lock()
+	l.recs[r.Node] = append(l.recs[r.Node], r)
+	l.mu.Unlock()
+}
+
+// Records returns a node's records in the order it wrote them.
+func (l *EpochLog) Records(node string) []proxy.EpochRecord {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.recs[node])
+}
+
 // Deployment is a running in-process testbed.
 type Deployment struct {
 	Net      *transport.Network
@@ -216,8 +234,8 @@ type Deployment struct {
 	// GET /metrics (plus /healthz), so the bench injector can scrape
 	// per-stage histograms exactly as an operator would.
 	Metrics *metrics.Registry
-	// Traces collects the layers' trace exports when Spec.Trace is set.
-	Traces *trace.Collector
+	// Traces collects the layers' epoch records when Spec.Trace is set.
+	Traces *EpochLog
 	// Auditor is the deployment's privacy-SLO engine (nil unless
 	// Spec.Audit is set). Every node serves its report on /privacy.
 	Auditor *audit.Auditor
@@ -308,7 +326,7 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 		Net:     transport.NewNetwork(),
 		spec:    spec,
 		Metrics: metrics.NewRegistry(),
-		Traces:  trace.NewCollector(),
+		Traces:  &EpochLog{recs: make(map[string][]proxy.EpochRecord)},
 		nodes:   make(map[string]*runningNode),
 		proxies: make(map[string]*node.Proxy),
 		nextUA:  spec.UA,
@@ -392,7 +410,7 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 	}
 	d.env.Auditor, d.env.PerfSLO = d.Auditor, d.PerfSLO
 	if spec.Trace {
-		d.env.TraceSink = d.Traces.Sink()
+		d.env.TraceSink = d.Traces.add
 	}
 	if d.Registry != nil {
 		// A flush is a shuffle-epoch boundary: the moment no epoch is in

@@ -2,18 +2,23 @@ package cluster_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
 	"pprox/internal/cluster"
 	"pprox/internal/faults"
 	"pprox/internal/metrics"
+	"pprox/internal/obsprof"
 	"pprox/internal/perfslo"
 	"pprox/internal/slo"
+	"pprox/internal/telemetry"
 )
 
 // TestPerfSLOFlagsInjectedLatencyRegression is the performance
@@ -21,8 +26,10 @@ import (
 // the IA→LRS forward stage past its objective, and the deployed
 // evaluator must transition to violated — observable through the same
 // /metrics and /perf endpoints an operator scrapes — while the
-// harvester captures a profile into the ring and the breach exemplar
-// resolves to a real trace epoch.
+// harvester captures a profile into the ring. One number names an epoch
+// everywhere: each breach exemplar is an epoch record holding the
+// over-threshold forwards, the profile's meta.json names an exemplar, and
+// each proxy's telemetry snapshot names its latest record.
 func TestPerfSLOFlagsInjectedLatencyRegression(t *testing.T) {
 	const s = 4
 	inj := faults.NewInjector(1)
@@ -39,6 +46,10 @@ func TestPerfSLOFlagsInjectedLatencyRegression(t *testing.T) {
 		ShuffleTimeout: 50 * time.Millisecond,
 		UseStub:        true,
 		Trace:          true,
+		// Snapshots go out per epoch only: heartbeats would add load that
+		// the healthy phase's 25 ms ecall objective can feel under -race.
+		OpsAddr:           "ops-0",
+		TelemetryInterval: time.Hour,
 		PerfSLO: &perfslo.Config{
 			Windows: []slo.Window{
 				{Name: "500ms", Duration: 500 * time.Millisecond, Burn: 1},
@@ -128,14 +139,34 @@ func TestPerfSLOFlagsInjectedLatencyRegression(t *testing.T) {
 		t.Fatal("forward objective recorded no breach exemplars")
 	}
 
-	// The exemplar is a shuffle-epoch id, and it resolves to that
-	// epoch's records in the trace export — epoch granularity, nothing
-	// finer.
-	byEpoch := d.Traces.ByEpoch("ia-0")
-	for _, epoch := range forward.ExemplarEpochs {
-		if len(byEpoch[epoch]) == 0 {
-			t.Errorf("exemplar epoch %d has no trace records on ia-0", epoch)
+	// The exemplar is a shuffle-epoch number, and it names the epoch
+	// record whose forward counts hold the breach — epoch granularity,
+	// nothing finer.
+	above := make(map[uint64]uint64)
+	for _, r := range d.Traces.Records("ia-0") {
+		for le, c := range r.Stages["forward"] {
+			if b, err := strconv.ParseFloat(le, 64); err == nil && b > forward.ThresholdSeconds {
+				above[r.Epoch] += c
+			}
 		}
+	}
+	for _, epoch := range forward.ExemplarEpochs {
+		if above[epoch] == 0 {
+			t.Errorf("exemplar epoch %d has no record with a forward above %gs on ia-0", epoch, forward.ThresholdSeconds)
+		}
+	}
+
+	// Each proxy's latest telemetry snapshot names its latest record.
+	for _, name := range []string{"ua-0", "ia-0"} {
+		recs := d.Traces.Records(name)
+		if len(recs) == 0 {
+			t.Fatalf("no epoch records on %s", name)
+		}
+		last := recs[len(recs)-1].Epoch
+		waitFleet(t, d, func(f telemetry.FleetReport) bool {
+			n, ok := fleetNode(f, name)
+			return ok && n.Epoch == last
+		}, fmt.Sprintf("%s snapshot at epoch %d", name, last))
 	}
 
 	// The transition triggered a profile capture into the ring.
@@ -148,5 +179,55 @@ func TestPerfSLOFlagsInjectedLatencyRegression(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(caps[0], f)); err != nil {
 			t.Errorf("capture missing %s: %v", f, err)
 		}
+	}
+	raw, err := os.ReadFile(filepath.Join(caps[0], "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta obsprof.Meta
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(forward.ExemplarEpochs, meta.Epoch) {
+		t.Errorf("profile meta.json %+v names epoch %d, not a forward exemplar %v", meta, meta.Epoch, forward.ExemplarEpochs)
+	}
+}
+
+// TestUnshuffledIALogsOnTheFlushTimer: an IA without a shuffler releases
+// no epochs, so its node writes Batch-0 records on the flush timer
+// instead, to the log only, numbered from 1 like every record.
+func TestUnshuffledIALogsOnTheFlushTimer(t *testing.T) {
+	d, err := cluster.Deploy(cluster.Spec{
+		ProxyEnabled:   true,
+		UA:             1,
+		IA:             1,
+		ShuffleTimeout: 20 * time.Millisecond,
+		UseStub:        true,
+		Trace:          true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if failed := getBatch(t, d, 1, 0); failed != 0 {
+		t.Fatalf("%d gets failed", failed)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for forwards := uint64(0); forwards == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no timer record of the IA's forward")
+		}
+		time.Sleep(10 * time.Millisecond)
+		for i, r := range d.Traces.Records("ia-0") {
+			if r.Epoch != uint64(i+1) || r.Batch != 0 {
+				t.Fatalf("ia-0 record %d: epoch %d batch %d, want epoch %d batch 0", i, r.Epoch, r.Batch, i+1)
+			}
+			for _, c := range r.Stages["forward"] {
+				forwards += c
+			}
+		}
+	}
+	if recs := d.Traces.Records("ua-0"); len(recs) != 1 || recs[0].Epoch != 1 || recs[0].Batch != 1 {
+		t.Errorf("ua-0 records %+v, want epoch 1 of one request", recs)
 	}
 }

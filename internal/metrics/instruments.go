@@ -96,6 +96,23 @@ func (h *Histogram) snapshot() (cum []uint64, sum float64, count uint64) {
 	return cum, h.Sum(), acc
 }
 
+// Buckets appends each bucket's own count (not cumulative; the last is
+// +Inf) to dst, one atomic read per bucket.
+func (h *Histogram) Buckets(dst []uint64) []uint64 {
+	for i := range h.counts {
+		dst = append(dst, h.counts[i].Load())
+	}
+	return dst
+}
+
+// LE is bucket i's upper bound as the exposition's le label renders it.
+func (h *Histogram) LE(i int) string {
+	if i < len(h.bounds) {
+		return formatFloat(h.bounds[i])
+	}
+	return "+Inf"
+}
+
 // Split counts the observations that landed in buckets whose upper bound
 // is ≤ v — the observations provably ≤ v at histogram resolution — and
 // those above. When v is an exact bucket bound the split is exact;
@@ -129,7 +146,7 @@ func (h *Histogram) AlignBound(v float64) float64 {
 
 // MaxBound returns the histogram's largest finite bucket bound (0 for a
 // bucketless histogram). Reporters use it to stand in for +Inf where the
-// wire format cannot carry infinities (the trace exporter's bound×10
+// wire format cannot carry infinities (the /perf report's bound×10
 // convention).
 func (h *Histogram) MaxBound() float64 {
 	if len(h.bounds) == 0 {
@@ -143,8 +160,8 @@ func (h *Histogram) MaxBound() float64 {
 // count reaches q·Count. Observations beyond the last finite bound
 // resolve to +Inf; an empty histogram returns 0. The estimate matches the
 // rank-⌈q·n⌉ element of the sorted observations, coarsened up to its
-// bucket bound (the same convention the trace coarsening uses), which the
-// fuzz test in quantile_test.go pins against a sort-based reference.
+// bucket bound, which the fuzz test in quantile_test.go pins against a
+// sort-based reference.
 func (h *Histogram) Quantile(q float64) float64 {
 	cum, _, count := h.snapshot()
 	if count == 0 {

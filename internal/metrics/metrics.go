@@ -210,7 +210,7 @@ func (f *family) collect() []series {
 	case f.counter != nil:
 		return []series{{value: float64(f.counter.Value())}}
 	case f.hist != nil:
-		return histSeries(f.hist, f.bounds, nil, nil)
+		return histSeries(f.hist, nil, nil)
 	default:
 		f.mu.Lock()
 		keys := make([]string, 0, len(f.children))
@@ -238,24 +238,20 @@ func (f *family) collect() []series {
 					value:  inst(),
 				})
 			case *Histogram:
-				out = append(out, histSeries(inst, f.bounds, f.labelNames, c.labelValues)...)
+				out = append(out, histSeries(inst, f.labelNames, c.labelValues)...)
 			}
 		}
 		return out
 	}
 }
 
-func histSeries(h *Histogram, bounds []float64, labelNames, labelValues []string) []series {
+func histSeries(h *Histogram, labelNames, labelValues []string) []series {
 	cum, sum, count := h.snapshot()
 	out := make([]series, 0, len(cum)+2)
 	for i, c := range cum {
-		le := "+Inf"
-		if i < len(bounds) {
-			le = formatFloat(bounds[i])
-		}
 		out = append(out, series{
 			suffix: "_bucket",
-			labels: renderLabels(labelNames, labelValues, "le", le),
+			labels: renderLabels(labelNames, labelValues, "le", h.LE(i)),
 			value:  float64(c),
 		})
 	}

@@ -17,7 +17,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"pprox/internal/audit"
@@ -30,7 +29,6 @@ import (
 	"pprox/internal/reccache"
 	"pprox/internal/resilience"
 	"pprox/internal/telemetry"
-	"pprox/internal/trace"
 	"pprox/internal/transport"
 )
 
@@ -39,8 +37,8 @@ import (
 type Config struct {
 	// Role selects the UA or IA layer.
 	Role proxy.Role
-	// Name labels the instance in metrics, logs, traces, the auditor and
-	// telemetry (default: the role, "ua" or "ia").
+	// Name labels the instance in metrics, logs, epoch records, the
+	// auditor and telemetry (default: the role, "ua" or "ia").
 	Name string
 	// Next is the base URL of the next hop: the IA layer for a UA, the
 	// LRS for an IA.
@@ -146,9 +144,9 @@ type Env struct {
 	Registry *metrics.Registry
 	Auditor  *audit.Auditor
 	PerfSLO  *perfslo.Evaluator
-	// TraceSink receives the instance's epoch-batched trace records; nil
-	// is no tracing.
-	TraceSink trace.Sink
+	// TraceSink is the log of the instance's epoch records: every record,
+	// including the Batch-0 ones no epoch released; nil is no log.
+	TraceSink func(proxy.EpochRecord)
 	// OnEpoch runs after every shuffle epoch the instance releases (the
 	// fleet registry's EpochBoundary).
 	OnEpoch func()
@@ -253,7 +251,7 @@ func NewEvaluator(c Config, profileSource string, logger *slog.Logger) (*perfslo
 	eval.SetLogger(logger)
 	eval.OnTransition = func(from, to perfslo.State, reason string) {
 		if to != perfslo.StateOK {
-			harvester.Trigger(reason, eval.NewestExemplar(), from.String(), to.String())
+			harvester.Trigger(reason, eval.NewestExemplar, from.String(), to.String())
 		}
 	}
 	return eval, harvester, nil
@@ -295,13 +293,15 @@ type Proxy struct {
 	// Emitter streams the instance's telemetry; nil without OpsAddr.
 	Emitter *telemetry.Emitter
 
-	faults    *faults.Injector
-	stopTrace chan struct{}
+	faults *faults.Injector
+	// stopRecords stops the unshuffled IA's record timer; recordsDone
+	// closes once it has.
+	stopRecords, recordsDone chan struct{}
 }
 
 // NewProxy assembles one proxy instance: the provisioned enclave (and
-// cache), the layer, its auditor checks, latency objectives, trace and
-// telemetry, each shuffle epoch fed to the engines, and the handler to
+// cache), the layer, its auditor checks, latency objectives, epoch log
+// and telemetry, each epoch record fed to them, and the handler to
 // serve. Serve Handler, and Close once the listener has stopped.
 func NewProxy(c Config, env Env) (_ *Proxy, err error) {
 	if c, err = c.Resolve(); err != nil {
@@ -342,15 +342,12 @@ func NewProxy(c Config, env Env) (_ *Proxy, err error) {
 	layer.SetLogger(logger)
 	layer.RegisterMetrics(env.Registry, c.Name)
 
-	if env.TraceSink != nil {
-		layer.SetTracer(trace.New(c.Name, env.TraceSink, nil))
-		if layer.Shuffler() == nil {
-			// An unshuffled IA has no epochs to flush its trace buffer,
-			// so the flush timer runs them instead. Batching still hides
-			// per-request timing, but only shuffling gives the 1/S bound.
-			p.stopTrace = make(chan struct{})
-			go advanceEvery(layer.Tracer(), c.ShuffleTimeout, p.stopTrace)
-		}
+	if env.TraceSink != nil && layer.Shuffler() == nil {
+		// An unshuffled IA releases no epochs, so the flush timer writes
+		// its records instead, to the log only. Batching still hides
+		// per-request timing, but only shuffling gives the 1/S bound.
+		p.stopRecords, p.recordsDone = make(chan struct{}), make(chan struct{})
+		go recordEvery(layer, c.ShuffleTimeout, p.stopRecords, p.recordsDone)
 	}
 	if a := env.Auditor; a != nil {
 		if br := layer.Breaker(); br != nil {
@@ -386,7 +383,7 @@ func NewProxy(c Config, env Env) (_ *Proxy, err error) {
 			return nil, err
 		}
 	}
-	observeEpochs(layer, c.Name, env, p.Emitter)
+	observeEpochs(layer, env, p.Emitter)
 
 	var app http.Handler = layer
 	if c.Faults != "" {
@@ -410,8 +407,9 @@ func (p *Proxy) Close() {
 	if p.Emitter != nil {
 		p.Emitter.Close()
 	}
-	if p.stopTrace != nil {
-		close(p.stopTrace)
+	if p.stopRecords != nil {
+		close(p.stopRecords)
+		<-p.recordsDone
 	}
 	p.Layer.Close()
 	if p.faults != nil {
@@ -441,44 +439,45 @@ func Drain(ctx context.Context, layers ...*proxy.Layer) (err error) {
 	return err
 }
 
-// advanceEvery closes a trace epoch every interval until stop closes.
-func advanceEvery(tr *trace.Tracer, interval time.Duration, stop chan struct{}) {
+// recordEvery writes the layer's Batch-0 record every interval until stop
+// closes, then closes done.
+func recordEvery(layer *proxy.Layer, interval time.Duration, stop, done chan struct{}) {
+	defer close(done)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ticker.C:
-			tr.AdvanceEpoch()
+			layer.Record()
 		case <-stop:
 			return
 		}
 	}
 }
 
-// observeEpochs feeds every shuffle epoch the layer releases to the
-// engines that watch it.
-func observeEpochs(layer *proxy.Layer, name string, env Env, em *telemetry.Emitter) {
-	a, eval, onEpoch := env.Auditor, env.PerfSLO, env.OnEpoch
-	// The tracer is already installed, so its epoch — read BEFORE the
-	// flush hook advances it — is the epoch number the flushed trace
-	// records carry: a breach exemplar resolves to a real trace epoch.
-	tr := layer.Tracer()
-	var untraced atomic.Uint64
-	layer.SetEpochObserver(func(batch int) {
+// observeEpochs hands each of the layer's epoch records to the log, and
+// each released epoch to the engines that watch it: all of them read the
+// one record, so the log, the /perf exemplars and the telemetry snapshot
+// name the same epoch numbers.
+func observeEpochs(layer *proxy.Layer, env Env, em *telemetry.Emitter) {
+	a, eval, sink, onEpoch := env.Auditor, env.PerfSLO, env.TraceSink, env.OnEpoch
+	layer.SetEpochObserver(func(rec proxy.EpochRecord) {
+		if sink != nil {
+			sink(rec)
+		}
+		if rec.Batch == 0 {
+			return // no epoch released: the log's only
+		}
 		if a != nil {
-			a.ObserveEpoch(name, batch)
+			a.ObserveEpoch(rec.Node, rec.Batch)
 		}
 		if eval != nil {
-			epoch := untraced.Add(1) - 1
-			if tr != nil {
-				epoch = tr.Epoch()
-			}
-			eval.Sample(name, epoch)
+			eval.Sample(rec.Node, rec.Epoch, rec.Stages)
 		}
 		// The emitter follows the engines, so its snapshot sees the
 		// epoch's audit and perf samples applied.
 		if em != nil {
-			em.ObserveEpoch(batch)
+			em.ObserveEpoch(rec.Epoch, rec.Batch)
 		}
 		if onEpoch != nil {
 			onEpoch()

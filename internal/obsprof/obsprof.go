@@ -84,8 +84,12 @@ type Meta struct {
 	Reason    string `json:"reason"`
 	FromState string `json:"from_state"`
 	ToState   string `json:"to_state"`
-	// Epoch is the shuffle-epoch id of the breach exemplar that
-	// triggered the capture (0 when unknown).
+	// Epoch is the newest breach exemplar once the profiles are taken (0
+	// when there is none yet). A transition seen on a read (a /metrics
+	// scrape, a telemetry snapshot) can precede the release of the epoch
+	// that holds the breach, so the read waits for the profiles. It stays
+	// 0 when no epoch is released meanwhile, and under steady traffic it
+	// may name a later breach than the one that tripped the capture.
 	Epoch uint64 `json:"epoch"`
 	// UnixSeconds is the capture time, whole seconds. Captures are rare
 	// operator events, not per-request telemetry, so a coarse wall-clock
@@ -120,11 +124,11 @@ func New(cfg Config) (*Harvester, error) {
 	return &Harvester{cfg: cfg}, nil
 }
 
-// Trigger requests a capture for an SLO transition. It returns
-// immediately; the capture runs on its own goroutine. Triggers are
-// dropped while a capture is in flight or within the cooldown window.
-// Safe on a nil harvester.
-func (h *Harvester) Trigger(reason string, epoch uint64, fromState, toState string) {
+// Trigger requests a capture for an SLO transition; epoch is read for
+// meta.json once the profiles are taken. It returns immediately; the
+// capture runs on its own goroutine. Triggers are dropped while a capture
+// is in flight or within the cooldown window. Safe on a nil harvester.
+func (h *Harvester) Trigger(reason string, epoch func() uint64, fromState, toState string) {
 	if h == nil {
 		return
 	}
@@ -184,7 +188,7 @@ func (h *Harvester) Captures() []string {
 }
 
 // capture takes one snapshot into cap-<seq>-<slug>/ and prunes the ring.
-func (h *Harvester) capture(seq uint64, reason string, epoch uint64, fromState, toState string, at time.Time) error {
+func (h *Harvester) capture(seq uint64, reason string, epoch func() uint64, fromState, toState string, at time.Time) error {
 	dir := filepath.Join(h.cfg.Dir, fmt.Sprintf("cap-%06d-%s", seq, slug(reason)))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -194,7 +198,6 @@ func (h *Harvester) capture(seq uint64, reason string, epoch uint64, fromState, 
 		Reason:      reason,
 		FromState:   fromState,
 		ToState:     toState,
-		Epoch:       epoch,
 		UnixSeconds: at.Unix(),
 	}
 	kinds := []string{"cpu", "heap", "goroutine"}
@@ -215,6 +218,7 @@ func (h *Harvester) capture(seq uint64, reason string, epoch uint64, fromState, 
 		}
 		meta.Profiles = append(meta.Profiles, kind+".pprof")
 	}
+	meta.Epoch = epoch()
 	mb, err := json.MarshalIndent(meta, "", "  ")
 	if err == nil {
 		err = os.WriteFile(filepath.Join(dir, "meta.json"), append(mb, '\n'), 0o644)
@@ -225,7 +229,7 @@ func (h *Harvester) capture(seq uint64, reason string, epoch uint64, fromState, 
 	h.prune()
 	if h.cfg.Logger != nil {
 		h.cfg.Logger.Info("profile capture",
-			"dir", dir, "reason", reason, "epoch", epoch,
+			"dir", dir, "reason", reason, "epoch", meta.Epoch,
 			"profiles", len(meta.Profiles))
 	}
 	return firstErr

@@ -28,7 +28,7 @@ func TestDisabledWhenNoDir(t *testing.T) {
 	if err != nil || h != nil {
 		t.Fatalf("New with empty dir = (%v, %v), want (nil, nil)", h, err)
 	}
-	h.Trigger("x", 1, "ok", "warn") // nil-safe
+	h.Trigger("x", epochOf(1), "ok", "warn") // nil-safe
 	h.Wait()
 	if got := h.Captures(); got != nil {
 		t.Fatalf("nil harvester captures = %v", got)
@@ -49,7 +49,17 @@ func TestTriggerCapturesFromHTTPSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Trigger("latency objective shuffle_wait on ua-0 violated", 42, "ok", "violated")
+	// The exemplar is read once the profiles are on disk, so a breach
+	// sampled while they were taken is the one meta.json names.
+	epoch := func() uint64 {
+		if caps := h.Captures(); len(caps) == 1 {
+			if _, err := os.Stat(filepath.Join(caps[0], "goroutine.pprof")); err == nil {
+				return 42
+			}
+		}
+		return 0
+	}
+	h.Trigger("latency objective shuffle_wait on ua-0 violated", epoch, "ok", "violated")
 	h.Wait()
 
 	caps := h.Captures()
@@ -90,9 +100,9 @@ func TestCooldownSuppressesRetrigger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Trigger("first", 1, "ok", "warn")
+	h.Trigger("first", epochOf(1), "ok", "warn")
 	h.Wait()
-	h.Trigger("second", 2, "warn", "violated") // within cooldown: dropped
+	h.Trigger("second", epochOf(2), "warn", "violated") // within cooldown: dropped
 	h.Wait()
 	if caps := h.Captures(); len(caps) != 1 {
 		t.Fatalf("captures = %v, want cooldown to drop the second", caps)
@@ -117,7 +127,7 @@ func TestRingBoundsCaptures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		h.Trigger("burst", uint64(i), "ok", "warn")
+		h.Trigger("burst", epochOf(uint64(i)), "ok", "warn")
 		h.Wait()
 	}
 	caps := h.Captures()
@@ -146,7 +156,7 @@ func TestLocalCaptureWithoutSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Trigger("local", 3, "ok", "warn")
+	h.Trigger("local", epochOf(3), "ok", "warn")
 	h.Wait()
 	caps := h.Captures()
 	if len(caps) != 1 {
@@ -163,3 +173,6 @@ func TestLocalCaptureWithoutSource(t *testing.T) {
 		}
 	}
 }
+
+// epochOf is a fixed exemplar source.
+func epochOf(n uint64) func() uint64 { return func() uint64 { return n } }

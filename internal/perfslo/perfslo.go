@@ -15,13 +15,14 @@
 // fixes the privacy story for exemplars. A conventional latency exemplar
 // carries a trace/request id — exactly the ingress↔egress correlator the
 // proxy layers exist to destroy. Here a breach exemplar is a shuffle
-// EPOCH id, the granularity internal/trace already exports: a p99 spike
-// links to "epoch 17 on ua-0", whose trace records are themselves
-// shuffled and coarsened. The adversary test in internal/adversary
-// proves /perf plus exemplars add zero linking advantage.
+// EPOCH number: a p99 spike links to "epoch 17 on ua-0", whose epoch
+// record holds only that epoch's stage-histogram bucket counts. The
+// adversary test in internal/adversary proves /perf plus exemplars add
+// zero linking advantage.
 package perfslo
 
 import (
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -109,19 +110,27 @@ func (e *Evaluator) AddObjective(name, node string, hist *metrics.Histogram, q, 
 
 // Sample records an epoch flush on a node: every objective keyed to that
 // node records a cumulative histogram reading stamped with the flush
-// time, and — if the objective is burning and this epoch's interval
-// contained over-threshold observations — the epoch id as a breach
-// exemplar. epoch must be the trace epoch the flushed records carry, so
-// an exemplar resolves to a real per-epoch trace.
-func (e *Evaluator) Sample(node string, epoch uint64) {
+// time, and — if the objective is burning and the epoch's record holds
+// over-threshold observations of its stage — the epoch number as a breach
+// exemplar. epoch and stages are the layer's epoch record (its number,
+// from 1, and its stage → le → count growth), so an exemplar names a
+// record whose counts hold the breach, whatever lands in the histograms
+// while the record is passed around.
+func (e *Evaluator) Sample(node string, epoch uint64, stages map[string]map[string]uint64) {
 	e.Update(func(now time.Time) {
 		for _, o := range e.objectives {
 			if o.node != node {
 				continue
 			}
-			prev, cur := o.Record(now, 0)
+			o.Record(now, 0)
 			o.lastEpoch = epoch
-			if cur.Bad == prev.Bad {
+			var bad uint64
+			for le, n := range stages[o.name] {
+				if bound, _ := strconv.ParseFloat(le, 64); bound > o.threshold {
+					bad += n
+				}
+			}
+			if bad == 0 {
 				continue
 			}
 			if s, _ := o.Evaluate(now); s != slo.StateOK {
@@ -146,6 +155,7 @@ func (e *Evaluator) exemplar(o *objective, epoch uint64) {
 }
 
 // NewestExemplar is the most recent breach epoch across the objectives (0
-// when none), so a profile capture's meta.json points at the shuffle
-// epoch that tripped it. It takes no lock: a transition hook may call it.
+// when none: epochs number from 1), so a profile capture's meta.json
+// points at the shuffle epoch that tripped it. It takes no lock: a
+// transition hook may call it.
 func (e *Evaluator) NewestExemplar() uint64 { return e.newest.Load() }

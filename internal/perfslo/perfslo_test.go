@@ -19,6 +19,28 @@ type clock struct{ t time.Time }
 func (c *clock) now() time.Time          { return c.t }
 func (c *clock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
+// stageRecord stands in for a layer's epoch records of one histogram: each
+// next is the bucket growth since the previous one, under the "stage" key
+// the test objective reads.
+type stageRecord struct {
+	h    *metrics.Histogram
+	prev []uint64
+}
+
+func (r *stageRecord) next() map[string]map[string]uint64 {
+	grew := make(map[string]uint64)
+	for i, n := range r.h.Buckets(nil) {
+		if i == len(r.prev) {
+			r.prev = append(r.prev, 0)
+		}
+		if n > r.prev[i] {
+			grew[r.h.LE(i)] = n - r.prev[i]
+			r.prev[i] = n
+		}
+	}
+	return map[string]map[string]uint64{"stage": grew}
+}
+
 func newTestEval(c *clock) (*Evaluator, *metrics.Histogram) {
 	r := metrics.NewRegistry()
 	h := r.Histogram("test_stage_seconds", "test", []float64{0.001, 0.01, 0.1, 1})
@@ -36,13 +58,14 @@ func newTestEval(c *clock) (*Evaluator, *metrics.Histogram) {
 func TestEvaluatorStaysOKWithinBudget(t *testing.T) {
 	c := &clock{t: time.Unix(1000, 0)}
 	e, h := newTestEval(c)
+	rec := &stageRecord{h: h}
 	for epoch := uint64(0); epoch < 20; epoch++ {
 		// 19 fast, 1 slow per epoch: exactly 5% slow < 10% budget.
 		for i := 0; i < 19; i++ {
 			h.Observe(0.0005)
 		}
 		h.Observe(0.5)
-		e.Sample("ua-0", epoch)
+		e.Sample("ua-0", epoch, rec.next())
 		c.advance(100 * time.Millisecond)
 	}
 	if got := e.State(); got != StateOK {
@@ -57,6 +80,7 @@ func TestEvaluatorStaysOKWithinBudget(t *testing.T) {
 func TestEvaluatorViolatesAndRecordsExemplars(t *testing.T) {
 	c := &clock{t: time.Unix(1000, 0)}
 	e, h := newTestEval(c)
+	rec := &stageRecord{h: h}
 	var transitions []string
 	e.OnTransition = func(from, to State, reason string) {
 		transitions = append(transitions, from.String()+">"+to.String())
@@ -66,7 +90,7 @@ func TestEvaluatorViolatesAndRecordsExemplars(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			h.Observe(0.5)
 		}
-		e.Sample("ua-0", epoch)
+		e.Sample("ua-0", epoch, rec.next())
 		c.advance(100 * time.Millisecond)
 	}
 	if got := e.State(); got != StateViolated {
@@ -99,10 +123,11 @@ func TestEvaluatorViolatesAndRecordsExemplars(t *testing.T) {
 func TestEvaluatorRecoversAsWindowsDrain(t *testing.T) {
 	c := &clock{t: time.Unix(1000, 0)}
 	e, h := newTestEval(c)
+	rec := &stageRecord{h: h}
 	for i := 0; i < 10; i++ {
 		h.Observe(0.5)
 	}
-	e.Sample("ua-0", 1)
+	e.Sample("ua-0", 1, rec.next())
 	if got := e.State(); got != StateViolated {
 		t.Fatalf("state = %v, want violated", got)
 	}
@@ -110,7 +135,7 @@ func TestEvaluatorRecoversAsWindowsDrain(t *testing.T) {
 	// ages out of both windows (samples keep the baseline fresh).
 	for epoch := uint64(2); epoch < 130; epoch++ {
 		h.Observe(0.0005)
-		e.Sample("ua-0", epoch)
+		e.Sample("ua-0", epoch, rec.next())
 		c.advance(100 * time.Millisecond)
 	}
 	if got := e.State(); got != StateOK {
@@ -121,19 +146,20 @@ func TestEvaluatorRecoversAsWindowsDrain(t *testing.T) {
 func TestWarnWhenOnlyShortWindowBurns(t *testing.T) {
 	c := &clock{t: time.Unix(1000, 0)}
 	e, h := newTestEval(c)
+	rec := &stageRecord{h: h}
 	// A long healthy history dilutes the long window below its burn
 	// threshold...
 	for epoch := uint64(1); epoch < 90; epoch++ {
 		for i := 0; i < 10; i++ {
 			h.Observe(0.0005)
 		}
-		e.Sample("ua-0", epoch)
+		e.Sample("ua-0", epoch, rec.next())
 		c.advance(100 * time.Millisecond)
 	}
 	// ...then a short burst of slow requests trips only the 1s window.
 	for epoch := uint64(90); epoch < 95; epoch++ {
 		h.Observe(0.5)
-		e.Sample("ua-0", epoch)
+		e.Sample("ua-0", epoch, rec.next())
 		c.advance(100 * time.Millisecond)
 	}
 	if got := e.State(); got != slo.StateWarn {
@@ -144,8 +170,9 @@ func TestWarnWhenOnlyShortWindowBurns(t *testing.T) {
 func TestHandlerServesJSONWithoutInfinities(t *testing.T) {
 	c := &clock{t: time.Unix(1000, 0)}
 	e, h := newTestEval(c)
+	rec := &stageRecord{h: h}
 	h.Observe(5) // beyond the last bound: lifetime quantile is +Inf
-	e.Sample("ua-0", 7)
+	e.Sample("ua-0", 7, rec.next())
 	srv := httptest.NewServer(e.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + PerfPath)
@@ -169,10 +196,11 @@ func TestHandlerServesJSONWithoutInfinities(t *testing.T) {
 func TestRegisterMetricsExportsFamilies(t *testing.T) {
 	c := &clock{t: time.Unix(1000, 0)}
 	e, h := newTestEval(c)
+	rec := &stageRecord{h: h}
 	for i := 0; i < 10; i++ {
 		h.Observe(0.5)
 	}
-	e.Sample("ua-0", 3)
+	e.Sample("ua-0", 3, rec.next())
 	r := metrics.NewRegistry()
 	e.RegisterMetrics(r)
 	snap := r.Snapshot()
@@ -217,6 +245,7 @@ func TestThresholdAlignsToBucketBound(t *testing.T) {
 func TestSlowCountNeverDropsUnderConcurrentObservers(t *testing.T) {
 	c := &clock{t: time.Unix(1000, 0)}
 	e, h := newTestEval(c)
+	rec := &stageRecord{h: h}
 	o := e.objectives[0]
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -246,7 +275,7 @@ func TestSlowCountNeverDropsUnderConcurrentObservers(t *testing.T) {
 		}
 		prev = r
 		if i%10 == 0 {
-			e.Sample("ua-0", uint64(i/10))
+			e.Sample("ua-0", uint64(i/10), rec.next())
 			c.advance(time.Second)
 			if st := e.State(); st != StateOK {
 				t.Fatalf("state %v after %d fast-only samples", st, i/10+1)
@@ -255,5 +284,37 @@ func TestSlowCountNeverDropsUnderConcurrentObservers(t *testing.T) {
 	}
 	if v, w := e.Transitions(); v+w != 0 {
 		t.Fatalf("%d violation and %d warn transitions without one slow observation", v, w)
+	}
+}
+
+// TestExemplarNamesTheRecordThatHoldsTheBreach: observations that land
+// after a record was taken — while its observer runs — belong to the
+// next record, and so does their exemplar. Deciding on the live
+// histogram instead named a record that holds no breaching observation.
+func TestExemplarNamesTheRecordThatHoldsTheBreach(t *testing.T) {
+	c := &clock{t: time.Unix(1000, 0)}
+	e, h := newTestEval(c)
+	rec := &stageRecord{h: h}
+
+	for i := 0; i < 10; i++ {
+		h.Observe(0.5)
+	}
+	e.Sample("ua-0", 1, rec.next())
+	c.advance(100 * time.Millisecond)
+
+	h.Observe(0.0005)
+	second := rec.next() // epoch 2's record: one fast observation
+	for i := 0; i < 10; i++ {
+		h.Observe(0.5) // lands while epoch 2's record is passed around
+	}
+	e.Sample("ua-0", 2, second)
+	c.advance(100 * time.Millisecond)
+	e.Sample("ua-0", 3, rec.next())
+
+	if got := e.State(); got != StateViolated {
+		t.Fatalf("state = %v, want violated", got)
+	}
+	if got := e.Report().Objectives[0].ExemplarEpochs; len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Errorf("exemplars = %v, want [1 3]: epoch 2's record holds no slow observation", got)
 	}
 }

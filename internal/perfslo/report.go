@@ -14,8 +14,8 @@ import (
 // /privacy report it contains nothing an on-path adversary does not
 // already observe: objectives and thresholds are configuration, burn
 // rates and quantiles are coarse aggregates over whole windows, and
-// exemplars are shuffle-EPOCH ids — the granularity the trace exporter
-// already publishes. No per-request records, no identifiers, no
+// exemplars are shuffle-EPOCH ids — the granularity the epoch records
+// already publish. No per-request records, no identifiers, no
 // pseudonyms, no fine-grained timestamps; the adversary test asserts
 // that mechanically.
 type Report struct {
@@ -48,7 +48,7 @@ type ObjectiveReport struct {
 	RawThresholdSeconds float64 `json:"raw_threshold_seconds"`
 	// ObservedSeconds is the current lifetime quantile estimate at
 	// histogram resolution. Observations past the last bucket bound
-	// report the largest bound ×10 (the trace exporter's +Inf stand-in);
+	// report the largest bound ×10 (a +Inf stand-in JSON can carry);
 	// ObservedOverflow marks that case.
 	ObservedSeconds  float64 `json:"observed_seconds"`
 	ObservedOverflow bool    `json:"observed_overflow,omitempty"`
@@ -59,8 +59,8 @@ type ObjectiveReport struct {
 	// Windows are the burn-rate evaluations, shortest first.
 	Windows []windowEval `json:"windows"`
 	// ExemplarEpochs are the shuffle-epoch ids of recent SLO breaches,
-	// oldest first (bounded ring). Each id resolves to that epoch's
-	// records in the trace export — and to nothing finer.
+	// oldest first (bounded ring). Each id names the node's epoch record
+	// of that number — and nothing finer.
 	ExemplarEpochs []uint64 `json:"exemplar_epochs,omitempty"`
 	// LastEpoch is the most recent epoch sampled on this objective's
 	// node.

@@ -12,7 +12,6 @@ import (
 	"pprox/internal/enclave"
 	"pprox/internal/message"
 	"pprox/internal/resilience"
-	"pprox/internal/trace"
 )
 
 // This file is the request pipeline (DESIGN.md §4f), the only one. A
@@ -40,8 +39,7 @@ type batchItem struct {
 	isGet bool
 	body  []byte
 	ctx   context.Context
-	enq   time.Time
-	wait  trace.Span       // the shuffle_wait span, ended at release
+	enq   time.Time        // the shuffle_wait stage runs from here to release
 	done  chan batchResult // buffered 1: delivery never blocks the pipeline
 }
 
@@ -76,7 +74,6 @@ func (l *Layer) admit(ctx context.Context, body []byte, isGet bool) (int, []byte
 		body:  out,
 		ctx:   ctx,
 		enq:   time.Now(),
-		wait:  l.tracer.Load().Start(StageShuffleWait),
 		done:  make(chan batchResult, 1),
 	}
 	if err := l.shuffler.Enqueue(it); err != nil {
@@ -213,7 +210,6 @@ func (l *Layer) runBatch(vals []any) {
 	entries := make([]message.BatchEntry, len(owners))
 	for i, it := range owners {
 		l.observeStageDur(StageShuffleWait, now.Sub(it.enq))
-		it.wait.End()
 		kind := message.BatchKindPost
 		if it.isGet {
 			kind = message.BatchKindGet
@@ -366,7 +362,7 @@ func (l *Layer) runBatch(vals []any) {
 // handleBatch demultiplexes one batch frame: batch ECALLs for the enclave
 // stages, per-message LRS traffic under the bounded fan-out, and one
 // response frame whose entry order follows this layer's own shuffle
-// permutation — so inbound epochs feed the auditor, tracer, and cache.
+// permutation — so inbound epochs feed the epoch record and the cache.
 func (l *Layer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(r.Body, maxBatchBody)
 	if err != nil {

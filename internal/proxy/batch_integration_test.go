@@ -118,8 +118,8 @@ func TestBatchGarbageNeverTakesAShuffleSlot(t *testing.T) {
 		},
 	})
 	auditor := audit.New(audit.Config{TargetS: s})
-	st.ua.SetEpochObserver(func(batch int) { auditor.ObserveEpoch("ua", batch) })
-	st.ia.SetEpochObserver(func(batch int) { auditor.ObserveEpoch("ia", batch) })
+	st.ua.SetEpochObserver(func(rec proxy.EpochRecord) { auditor.ObserveEpoch("ua", rec.Batch) })
+	st.ia.SetEpochObserver(func(rec proxy.EpochRecord) { auditor.ObserveEpoch("ia", rec.Batch) })
 	ctx := ctxT(t)
 
 	// S−1 well-formed requests whose user field decrypts to nothing.

@@ -6,19 +6,19 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"pprox/internal/hopwire"
 	"pprox/internal/message"
 	"pprox/internal/metrics"
 	"pprox/internal/reccache"
-	"pprox/internal/trace"
 )
 
 // Pipeline stage names, the values of the `stage` label on
-// pprox_proxy_stage_seconds and of trace span records. They follow the
-// paper's cost attribution (§7.2/§8): enclave cryptography, shuffling
-// delay, and network hops.
+// pprox_proxy_stage_seconds and the keys of EpochRecord.Stages. They
+// follow the paper's cost attribution (§7.2/§8): enclave cryptography,
+// shuffling delay, and network hops.
 const (
 	// StageEcallDecrypt is the request-path ECALL (pseudonymization /
 	// decryption), including the wait for a data-processing worker —
@@ -80,11 +80,15 @@ var pendingDepthBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 // instruments holds the layer's cached metric children so the hot path
 // never takes a registry or family lock.
 type instruments struct {
+	node           string
 	stage          map[string]*metrics.Histogram
 	ecall          map[string]*metrics.Histogram
 	pendingDepth   *metrics.Histogram
 	batchSize      *metrics.Histogram
 	ecallBatchSize *metrics.Histogram
+	// recorded holds each stage's bucket counts as of the last epoch
+	// record; only record touches it, under the layer's rec lock.
+	recorded map[string][]uint64
 }
 
 func (l *Layer) roleLabel() string { return strings.ToLower(l.cfg.Role.String()) }
@@ -165,13 +169,16 @@ func (l *Layer) RegisterMetrics(r *metrics.Registry, node string) {
 	}
 
 	inst := &instruments{
-		stage: make(map[string]*metrics.Histogram, len(Stages)),
-		ecall: make(map[string]*metrics.Histogram),
+		node:     node,
+		stage:    make(map[string]*metrics.Histogram, len(Stages)),
+		recorded: make(map[string][]uint64, len(Stages)),
+		ecall:    make(map[string]*metrics.Histogram),
 	}
 	stageVec := r.HistogramVec("pprox_proxy_stage_seconds",
 		"Time spent per proxy pipeline stage.", nil, "layer", "node", "stage")
 	for _, s := range Stages {
 		inst.stage[s] = stageVec.With(role, node, s)
+		inst.recorded[s] = inst.stage[s].Buckets(nil)
 	}
 	ecallVec := r.HistogramVec("pprox_enclave_ecall_seconds",
 		"ECALL handler duration per entry point.", nil, "layer", "node", "ecall")
@@ -328,31 +335,86 @@ func (l *Layer) registerCacheMetrics(r *metrics.Registry, c *reccache.Cache, rol
 		With(func() float64 { return float64(c.Stats().Pages) }, role, node)
 }
 
-// SetTracer installs the layer's hop-local tracer. Its epoch advances on
-// every shuffle flush, so trace export can never be finer-grained than
-// the shuffle batches the privacy argument relies on; Close flushes the
-// final partial epoch.
-func (l *Layer) SetTracer(t *trace.Tracer) {
-	l.tracer.Store(t)
-	l.rewireShuffler()
+// EpochRecord is what a layer reports at each epoch it releases: how its
+// stage histograms grew since the previous record, as bucket counts. It
+// holds no sums, no IDs and no timestamps — an epoch's record is that
+// epoch's share of pprox_proxy_stage_seconds and nothing finer, so it
+// grants no linking advantage the histograms do not (the adversary test
+// in internal/adversary).
+type EpochRecord struct {
+	// Node names the instance (the node label of its metrics).
+	Node string `json:"node"`
+	// Epoch numbers the layer's records from 1: a shuffler flush or an
+	// inbound ReleaseBatch is epoch n.
+	Epoch uint64 `json:"epoch"`
+	// Batch is the number of messages the epoch released, its anonymity
+	// set. 0 marks a record that released no epoch (Record): it belongs
+	// in the log only.
+	Batch int `json:"batch"`
+	// Stages maps stage → bucket upper bound (le, as /metrics renders it)
+	// → observations that bucket gained since the previous record.
+	// Stages and buckets that gained none are left out.
+	Stages map[string]map[string]uint64 `json:"stages"`
 }
 
-// Tracer returns the layer's tracer (nil when tracing is off).
-func (l *Layer) Tracer() *trace.Tracer { return l.tracer.Load() }
+// epochRecords numbers the layer's records.
+type epochRecords struct {
+	mu    sync.Mutex
+	epoch uint64
+	cur   []uint64 // scratch
+}
 
-// SetEpochObserver installs a callback receiving every shuffle-epoch
-// release with the batch size the shuffler actually let go — the
-// effective anonymity set of the requests in that epoch. This is the
-// privacy auditor's feed (audit.Auditor.ObserveEpoch). The callback runs
-// on the flush path, so it must be cheap and must not call back into the
+// SetEpochObserver installs the callback receiving the layer's epoch
+// records: one per shuffle epoch released, its Batch the effective
+// anonymity set of the requests in it, plus the Batch-0 records Record
+// writes. Calls are serialized, in epoch order. A release calls it on the
+// flush path, so it must be cheap and must not call back into the
 // shuffler. Nil uninstalls.
-func (l *Layer) SetEpochObserver(fn func(batch int)) {
+func (l *Layer) SetEpochObserver(fn func(EpochRecord)) {
 	if fn == nil {
 		l.epochFn.Store(nil)
 	} else {
 		l.epochFn.Store(&fn)
 	}
-	l.rewireShuffler()
+}
+
+// Record hands the epoch observer a record of the stage observations
+// since the last one without releasing an epoch (Batch 0) — nothing when
+// there were none. Close writes the final partial record this way, and a
+// node whose layer has no shuffler calls it on the flush timer.
+func (l *Layer) Record() { l.record(0) }
+
+// record numbers the next record and hands it, with the stage histograms'
+// growth since the previous one, to the observer.
+func (l *Layer) record(batch int) {
+	r := &l.rec
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rec := EpochRecord{Node: l.roleLabel(), Batch: batch, Stages: make(map[string]map[string]uint64)}
+	if obs := l.obs.Load(); obs != nil {
+		rec.Node = obs.node
+		for _, s := range Stages {
+			h, prev := obs.stage[s], obs.recorded[s]
+			r.cur = h.Buckets(r.cur[:0])
+			for i, n := range r.cur {
+				if n > prev[i] {
+					if rec.Stages[s] == nil {
+						rec.Stages[s] = make(map[string]uint64)
+					}
+					rec.Stages[s][h.LE(i)] = n - prev[i]
+					prev[i] = n
+				}
+			}
+		}
+	}
+	if batch == 0 && len(rec.Stages) == 0 {
+		return
+	}
+	r.epoch++
+	rec.Epoch = r.epoch
+	if fn := l.epochFn.Load(); fn != nil {
+		(*fn)(rec)
+	}
 }
 
 // SetLogger installs the layer's structured logger (request failures,
@@ -371,36 +433,28 @@ func (l *Layer) logWarn(msg string, args ...any) {
 }
 
 // rewireShuffler points the shuffler's hooks at the current instrument
-// set and tracer.
+// set. Every flush closes an epoch record.
 func (l *Layer) rewireShuffler() {
 	if l.shuffler == nil {
 		return
 	}
 	obs := l.obs.Load()
-	tr := l.tracer.Load()
-	epochFn := l.epochFn.Load()
 	cache := l.cfg.RecCache
-	var onEnqueue, onFlush func(int)
+	var onEnqueue func(int)
 	if obs != nil && obs.pendingDepth != nil {
 		onEnqueue = func(depth int) { obs.pendingDepth.Observe(float64(depth)) }
 	}
-	if (obs != nil && obs.batchSize != nil) || tr != nil || epochFn != nil || cache != nil {
-		onFlush = func(batch int) {
-			if obs != nil && obs.batchSize != nil {
-				obs.batchSize.Observe(float64(batch))
-			}
-			if epochFn != nil {
-				(*epochFn)(batch)
-			}
-			if cache != nil {
-				// Cache counters become visible one shuffle epoch at a
-				// time, exactly like trace epochs.
-				cache.PublishEpoch()
-			}
-			tr.AdvanceEpoch()
+	l.shuffler.SetHooks(onEnqueue, func(batch int) {
+		if obs != nil && obs.batchSize != nil {
+			obs.batchSize.Observe(float64(batch))
 		}
-	}
-	l.shuffler.SetHooks(onEnqueue, onFlush)
+		l.record(batch)
+		if cache != nil {
+			// Cache counters become visible one shuffle epoch at a
+			// time, exactly like epoch records.
+			cache.PublishEpoch()
+		}
+	})
 }
 
 // StageHistogram returns the layer's histogram for one pipeline stage
@@ -414,13 +468,9 @@ func (l *Layer) StageHistogram(stage string) *metrics.Histogram {
 	return nil
 }
 
-// observeStage records one finished stage into the per-stage histogram.
+// observeStage records one stage, begun at start, into its histogram.
 func (l *Layer) observeStage(stage string, start time.Time) {
-	if obs := l.obs.Load(); obs != nil {
-		if h := obs.stage[stage]; h != nil {
-			h.ObserveSince(start)
-		}
-	}
+	l.observeStageDur(stage, time.Since(start))
 }
 
 // observeStageDur is observeStage for pre-measured durations (the batch

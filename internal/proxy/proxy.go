@@ -38,7 +38,6 @@ import (
 	"pprox/internal/message"
 	"pprox/internal/reccache"
 	"pprox/internal/resilience"
-	"pprox/internal/trace"
 	"pprox/internal/transport"
 )
 
@@ -151,13 +150,14 @@ type Layer struct {
 	batchDegraded atomic.Uint64
 	epcFallbacks  atomic.Uint64
 
-	// obs and tracer are installed by RegisterMetrics / SetTracer and
-	// read lock-free on the request path.
-	obs    atomic.Pointer[instruments]
-	tracer atomic.Pointer[trace.Tracer]
-	// epochFn and logger are installed by SetEpochObserver / SetLogger.
-	epochFn atomic.Pointer[func(int)]
+	// obs is installed by RegisterMetrics and read lock-free on the
+	// request path.
+	obs atomic.Pointer[instruments]
+	// epochFn and logger are installed by SetEpochObserver / SetLogger;
+	// rec numbers the epoch records.
+	epochFn atomic.Pointer[func(EpochRecord)]
 	logger  atomic.Pointer[slog.Logger]
+	rec     epochRecords
 
 	// Drain lifecycle (drain.go): draining marks the soft phase (serve
 	// but break keep-alive), refusing the hard phase (503 new requests),
@@ -268,7 +268,7 @@ const workers = 2
 const defaultClientTimeout = 30 * time.Second
 
 // Close releases buffered messages, waits for in-flight epochs, and
-// flushes the final partial trace epoch (shutdown path). The shuffler
+// writes the final partial epoch record (shutdown path). The shuffler
 // closes first — its final flush still starts that epoch's goroutine, and
 // no flush can follow it — then every started epoch runs to completion,
 // so no admitted request is left without a response.
@@ -288,7 +288,7 @@ func (l *Layer) Close() {
 	l.closeCrossings()
 	l.epochs.Wait()
 	l.hop.Close()
-	l.tracer.Load().AdvanceEpoch()
+	l.Record()
 }
 
 // Hopwire exposes the layer's frame transport client, for metrics and
@@ -388,15 +388,9 @@ func (l *Layer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	l.inflight.Add(1)
 	defer l.inflight.Add(-1)
-	// The serve span wraps the whole hop, success or failure: it is the
-	// end-to-end histogram the latency SLO evaluates, and — like every
-	// stage — it surfaces in traces only as an epoch-batched record.
-	span := l.tracer.Load().Start(StageServe)
-	start := time.Now()
-	defer func() {
-		l.observeStage(StageServe, start)
-		span.End()
-	}()
+	// The serve stage wraps the whole hop, success or failure: it is the
+	// end-to-end histogram the latency SLO evaluates.
+	defer l.observeStage(StageServe, time.Now())
 	serve(w, r)
 }
 
@@ -518,12 +512,7 @@ func (l *Layer) dropHandle(handle string) {
 // ECALL-only duration is measured separately by the enclave's own
 // observer.
 func (l *Layer) onWorker(stage string, work func() ([]byte, error)) ([]byte, error) {
-	span := l.tracer.Load().Start(stage)
-	start := time.Now()
-	defer func() {
-		l.observeStage(stage, start)
-		span.End()
-	}()
+	defer l.observeStage(stage, time.Now())
 	l.workers <- struct{}{}
 	defer func() { <-l.workers }()
 	return work()
@@ -604,12 +593,7 @@ func (l *Layer) forwardResilient(ctx context.Context, path string, body []byte, 
 // drops the hop back to HTTP — transport faults surface to the breaker
 // and retry ladder exactly like HTTP faults.
 func (l *Layer) forward(ctx context.Context, path string, body []byte) (int, []byte, error) {
-	span := l.tracer.Load().Start(StageForward)
-	start := time.Now()
-	defer func() {
-		l.observeStage(StageForward, start)
-		span.End()
-	}()
+	defer l.observeStage(StageForward, time.Now())
 	status, respBody, err := l.hop.RoundTrip(ctx, path, body)
 	if err == nil {
 		return status, respBody, nil

@@ -50,12 +50,12 @@ func latency(c *clock) instance {
 	e.AddObjective("stage", "ua-0", h, 0.9, 0.01)
 	var epoch uint64
 	return instance{e.Engine, func(bad bool) {
-		v := 0.0005
+		v, le := 0.0005, "0.001"
 		if bad {
-			v = 0.5
+			v, le = 0.5, "+Inf"
 		}
 		h.Observe(v)
-		e.Sample("ua-0", epoch)
+		e.Sample("ua-0", epoch, map[string]map[string]uint64{"stage": {le: 1}})
 		epoch++
 	}}
 }

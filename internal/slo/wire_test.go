@@ -130,7 +130,7 @@ func TestPerfWireFormat(t *testing.T) {
 	e := perfslo.New(perfslo.Config{})
 	e.AddObjective("stage", "ua-0", h, 0.9, 0.01)
 	h.Observe(5) // past the last bound: the overflow key appears
-	e.Sample("ua-0", 1)
+	e.Sample("ua-0", 1, map[string]map[string]uint64{"stage": {"+Inf": 1}})
 	reg := metrics.NewRegistry()
 	e.RegisterMetrics(reg)
 

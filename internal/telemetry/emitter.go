@@ -113,13 +113,14 @@ func NewEmitter(cfg EmitterConfig) (*Emitter, error) {
 	return e, nil
 }
 
-// ObserveEpoch records one shuffle flush and schedules a push. It is the
-// proxy layer's epoch-observer hook and never blocks the flush path.
-func (e *Emitter) ObserveEpoch(batch int) {
+// ObserveEpoch records the layer's released epoch number epoch, of batch
+// messages, and schedules a push. It is fed from the proxy layer's epoch
+// observer and never blocks the flush path.
+func (e *Emitter) ObserveEpoch(epoch uint64, batch int) {
 	if batch > 0 {
 		e.lastBatch.Store(int64(batch))
 	}
-	e.epoch.Add(1)
+	e.epoch.Store(epoch)
 	select {
 	case e.kick <- struct{}{}:
 	default:
@@ -184,7 +185,6 @@ func (e *Emitter) loop() {
 			return
 		case <-e.kick:
 		case <-tick:
-			e.epoch.Add(1)
 		}
 		if e.paused.Load() {
 			continue

@@ -179,7 +179,7 @@ func TestEmitterEpochsAndHeartbeat(t *testing.T) {
 	}
 	defer em.Close()
 
-	em.ObserveEpoch(8)
+	em.ObserveEpoch(1, 8)
 	waitFor(t, func() bool { return p.count() >= 1 }, "epoch-kicked push")
 	if s := p.last(t); s.LastBatch != 8 || s.Epoch == 0 {
 		t.Errorf("epoch snapshot: batch=%d epoch=%d, want batch 8, epoch > 0", s.LastBatch, s.Epoch)
@@ -194,6 +194,28 @@ func TestEmitterEpochsAndHeartbeat(t *testing.T) {
 	waitFor(t, func() bool { return p.count() >= base+3 }, "heartbeat pushes")
 }
 
+// TestEmitterEpochIsTheLayersEpoch: on a proxy node the snapshot's Epoch
+// is the number of the layer's latest released epoch — the number its
+// epoch records and /perf exemplars carry — however many heartbeats pass.
+func TestEmitterEpochIsTheLayersEpoch(t *testing.T) {
+	reg := metrics.NewRegistry()
+	p := &capturePusher{}
+	em, err := NewEmitter(EmitterConfig{
+		Node: "ua-0", Registry: reg, Pusher: p,
+		Interval: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer em.Close()
+
+	em.ObserveEpoch(1, 8)
+	waitFor(t, func() bool { return p.count() >= 5 }, "heartbeat pushes after the epoch")
+	if s := p.last(t); s.Epoch != 1 || s.LastBatch != 8 {
+		t.Errorf("snapshot after %d pushes: epoch=%d batch=%d, want epoch 1, batch 8", p.count(), s.Epoch, s.LastBatch)
+	}
+}
+
 // TestEmitterPauseResume: a paused emitter pushes nothing (the cluster
 // pauses a killed node's emitter); Resume schedules a push immediately.
 func TestEmitterPauseResume(t *testing.T) {
@@ -206,7 +228,7 @@ func TestEmitterPauseResume(t *testing.T) {
 	defer em.Close()
 
 	em.Pause()
-	em.ObserveEpoch(8)
+	em.ObserveEpoch(1, 8)
 	time.Sleep(20 * time.Millisecond)
 	if got := p.count(); got != 0 {
 		t.Fatalf("paused emitter pushed %d snapshots", got)

@@ -22,8 +22,8 @@ const FleetPath = "/fleet"
 // Snapshot is one node's epoch-granular telemetry record.
 //
 // There is deliberately no time.Time anywhere in this struct: ordering
-// is carried by Seq (per-emitter monotonic) and Epoch (shuffle epochs
-// observed), both of which are epoch-granular by construction. The
+// is carried by Seq (per-emitter monotonic) and Epoch (the latest
+// shuffle epoch), both of which are epoch-granular by construction. The
 // collector keys staleness off its own arrival clock.
 type Snapshot struct {
 	// Node and Role identify the emitting process ("ua-0", role "ua").
@@ -36,8 +36,10 @@ type Snapshot struct {
 	// drops the stale incarnation's history.
 	Seq uint64 `json:"seq"`
 
-	// Epoch counts shuffle epochs observed by this emitter incarnation.
-	// For timer-driven nodes (LRS, stub) it counts timer intervals.
+	// Epoch is the number of the layer's latest released epoch — the
+	// number its epoch records, /perf exemplars and profile captures
+	// carry (from 1; 0 before the first). Heartbeats leave it alone, so
+	// it stays 0 on the LRS and the stub, which release no epochs.
 	Epoch uint64 `json:"epoch"`
 
 	// LastBatch is the size of the most recent shuffle flush (the

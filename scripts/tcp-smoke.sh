@@ -4,6 +4,9 @@
 # and the sidecar. It sends one get and one post through the sidecar with
 # curl and fails unless both answer 200, the get returns 20 items, and the
 # UA forwarded in hopwire frames (exchanges > 0) without one HTTP fallback.
+# Then it stops the UA with SIGTERM and fails unless its -trace-log holds
+# epochs 1 and 2 of one request each, and the serve counts of all its
+# records, Close's final one included, sum to the two requests.
 #
 #	GO=go sh scripts/tcp-smoke.sh
 set -eu
@@ -47,7 +50,8 @@ start "$dir/bin/pprox-stub" -listen $stub -pseudonymize-with "$dir/keys/keys.jso
 healthy $stub
 start "$dir/bin/pprox-proxy" -role ia -listen $ia -next http://$stub -keys "$dir/keys/keys.json"
 healthy $ia
-start "$dir/bin/pprox-proxy" -role ua -listen $ua -next http://$ia -keys "$dir/keys/keys.json"
+start "$dir/bin/pprox-proxy" -role ua -listen $ua -next http://$ia -keys "$dir/keys/keys.json" -trace-log "$dir/ua.epochs"
+ua_pid=$!
 healthy $ua
 start "$dir/bin/pprox-sidecar" -listen $sidecar -target http://$ua -bundle "$dir/keys/bundle.json"
 healthy $sidecar
@@ -65,4 +69,12 @@ exchanges=$(awk '/^pprox_hopwire_exchanges_total/ {print $2}' "$dir/ua.metrics")
 fallbacks=$(awk '/^pprox_hopwire_fallbacks_total/ {print $2}' "$dir/ua.metrics")
 [ "${exchanges:-0}" -gt 0 ] || fail "the UA completed no hopwire exchange"
 [ "$fallbacks" = 0 ] || fail "the UA fell back to HTTP $fallbacks times"
-echo "tcp-smoke: get 200 with $items items, post 200, UA hopwire exchanges $exchanges, fallbacks $fallbacks"
+
+kill -TERM $ua_pid
+wait $ua_pid || fail "the UA exited $? on SIGTERM"
+for e in 1 2; do
+	grep -q "\"epoch\":$e,\"batch\":1," "$dir/ua.epochs" || fail "no record of epoch $e with batch 1: $(cat "$dir/ua.epochs")"
+done
+serves=$(grep -o '"serve":{[^}]*}' "$dir/ua.epochs" | grep -o ':[0-9][0-9]*' | tr -d : | awk '{n += $1} END {print n + 0}')
+[ "$serves" -eq 2 ] || fail "the UA's records count $serves serves, want 2: $(cat "$dir/ua.epochs")"
+echo "tcp-smoke: get 200 with $items items, post 200, UA hopwire exchanges $exchanges, fallbacks $fallbacks, $(wc -l <"$dir/ua.epochs") epoch records with $serves serves"
