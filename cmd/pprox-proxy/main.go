@@ -27,7 +27,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -166,7 +165,9 @@ func flagSet(o *options) (fs *flag.FlagSet, finish func() error) {
 type instance struct {
 	*node.Proxy
 	harvester *obsprof.Harvester
+	trace     *traceLog
 	traceFile *os.File
+	logger    *slog.Logger
 }
 
 // assemble provisions the enclave from the key file and builds the
@@ -202,7 +203,7 @@ func assemble(o options, logger *slog.Logger) (*instance, error) {
 	}
 	named := logger.With("node", cfg.Name)
 	env.Auditor = node.NewAuditor(cfg, env.Registry, named)
-	in := &instance{}
+	in := &instance{logger: named}
 	// Profiles come from the -debug-addr pprof server, in process without one.
 	source := o.debugAddr
 	if strings.HasPrefix(source, ":") {
@@ -218,10 +219,8 @@ func assemble(o options, logger *slog.Logger) (*instance, error) {
 		if in.traceFile, err = os.OpenFile(o.traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 			return nil, err
 		}
-		// One JSON line per epoch record; the layer serializes the calls.
-		// A failed write loses one line of telemetry, never a request.
-		enc := json.NewEncoder(in.traceFile)
-		env.TraceSink = func(r proxy.EpochRecord) { _ = enc.Encode(r) }
+		in.trace = newTraceLog(in.traceFile)
+		env.TraceSink = in.trace.record
 	}
 	if in.Proxy, err = node.NewProxy(cfg, env); err != nil {
 		in.close()
@@ -241,7 +240,11 @@ func (in *instance) close() {
 		in.Proxy.Close()
 	}
 	in.harvester.Wait()
-	if in.traceFile != nil {
+	if in.trace != nil {
+		// After the layer's close, so its batch-0 record is written too.
+		if dropped := in.trace.close(); dropped > 0 {
+			in.logger.Warn("trace log fell behind; epoch records dropped", "dropped", dropped)
+		}
 		in.traceFile.Close()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -89,10 +90,10 @@ func TestCallBatchPerMessageErrors(t *testing.T) {
 func TestCallBatchEPCAccounting(t *testing.T) {
 	p, as := newTestPlatform(t)
 	e := p.LaunchWithEPC(uaIdentity, 4) // 4 pages = 16 KiB
-	var observedUsed int
+	var observedUsed atomic.Int64       // the batch's handlers run concurrently
 	e.Register("probe", func(s Secrets, kv *KV, in []byte) ([]byte, error) {
 		used, _ := e.EPCUsage()
-		observedUsed = used
+		observedUsed.Store(int64(used))
 		return in, nil
 	})
 	if err := AttestAndProvision(as, e, Measure(uaIdentity), map[string][]byte{"k": []byte("v")}); err != nil {
@@ -106,8 +107,8 @@ func TestCallBatchEPCAccounting(t *testing.T) {
 	if _, _, err := e.CallBatch("probe", ins); err != nil {
 		t.Fatalf("CallBatch: %v", err)
 	}
-	if observedUsed < baseline+2 {
-		t.Errorf("EPC pages used during crossing = %d, want ≥ %d", observedUsed, baseline+2)
+	if got := int(observedUsed.Load()); got < baseline+2 {
+		t.Errorf("EPC pages used during crossing = %d, want ≥ %d", got, baseline+2)
 	}
 	if used, _ := e.EPCUsage(); used != baseline {
 		t.Errorf("EPC pages used after crossing = %d, want %d (released)", used, baseline)

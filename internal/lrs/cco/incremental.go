@@ -35,8 +35,8 @@ import (
 // row once, against the counts as they stand then, and empties the set.
 // A row five folds touched before the next Rescore is scored once, not
 // five times — the engine rescores at the next read, so seeding a model
-// costs a fold per event. Apply is the two back to back. Model scores
-// every row and so leaves nothing pending.
+// costs a fold per event. Apply is the two back to back. EachRow and
+// Model score every row and so leave nothing pending.
 //
 // The popularity ranking (ranking.go) rides on the same deltas: each of
 // the two places Fold changes a popularity count re-ranks that one item
@@ -296,13 +296,19 @@ func (inc *Incremental) addPair(a, b, d int32) {
 	inc.rows[a] = row
 }
 
-// scoreRow computes one item's indicator row from the current counts —
-// the same filter/sort/cap pipeline as Train, ordered in scratch storage
-// and copied out once. Callers hold inc.mu.
+// scoreRow computes one item's indicator row from the current counts in
+// fresh storage; nil when no correlator passes. Callers hold inc.mu.
 func (inc *Incremental) scoreRow(id int32) []Correlation {
+	return inc.appendRow(nil, id)
+}
+
+// appendRow appends one item's indicator row, computed from the current
+// counts, to dst — the same filter/sort/cap pipeline as Train, ordered in
+// scratch storage and copied out once. Callers hold inc.mu.
+func (inc *Incremental) appendRow(dst []Correlation, id int32) []Correlation {
 	row := inc.rows[id]
 	if len(row) == 0 {
-		return nil
+		return dst
 	}
 	total, count := len(inc.users), int(inc.pop[id])
 	sc := inc.scratch[:0]
@@ -315,7 +321,7 @@ func (inc *Incremental) scoreRow(id int32) []Correlation {
 	}
 	inc.scratch = sc
 	if len(sc) == 0 {
-		return nil
+		return dst
 	}
 	// Order: LLR descending, item name ascending on ties. The order is
 	// total (names are distinct), so keeping the best cap while walking the
@@ -344,11 +350,13 @@ func (inc *Incremental) scoreRow(id int32) []Correlation {
 	} else {
 		slices.SortFunc(sc, ahead)
 	}
-	cs := make([]Correlation, len(sc))
-	for i, s := range sc {
-		cs[i] = Correlation{Item: inc.names[s.other], LLR: s.llr}
+	if cap(dst)-len(dst) < len(sc) {
+		dst = append(make([]Correlation, 0, len(dst)+len(sc)), dst...)
 	}
-	return cs
+	for _, s := range sc {
+		dst = append(dst, Correlation{Item: inc.names[s.other], LLR: s.llr})
+	}
+	return dst
 }
 
 // Row returns one item's indicator row scored against the current counts
@@ -363,6 +371,29 @@ func (inc *Incremental) Row(item string) []Correlation {
 	return inc.scoreRow(id)
 }
 
+// EachRow scores every row against the current counts and hands each
+// that keeps a correlator to fn with its item. The row's storage is
+// reused for the next one, so fn copies what it keeps. fn runs under the
+// model's lock, so every row is scored from the same counts; it must not
+// call back into inc. Every row having just been scored, nothing is
+// pending afterwards.
+func (inc *Incremental) EachRow(fn func(item string, row []Correlation)) {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	inc.eachRow(fn)
+}
+
+// eachRow is EachRow for callers holding inc.mu.
+func (inc *Incremental) eachRow(fn func(item string, row []Correlation)) {
+	inc.dropPending()
+	var row []Correlation
+	for id := range inc.rows {
+		if row = inc.appendRow(row[:0], int32(id)); len(row) > 0 {
+			fn(inc.names[id], row)
+		}
+	}
+}
+
 // Model materializes the full model from the current counts: every row
 // re-scored; popularity, its ranking and the user count copied. The
 // result equals Train(events, cfg) over the folded event stream. Every
@@ -370,7 +401,6 @@ func (inc *Incremental) Row(item string) []Correlation {
 func (inc *Incremental) Model() *Model {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	inc.dropPending()
 	m := &Model{
 		Indicators: make(map[string][]Correlation, inc.nrows),
 		Popularity: make(map[string]int, len(inc.rank)),
@@ -380,11 +410,9 @@ func (inc *Incremental) Model() *Model {
 	for _, e := range inc.rank {
 		m.Popularity[e.item] = e.count
 	}
-	for id := range inc.rows {
-		if cs := inc.scoreRow(int32(id)); len(cs) > 0 {
-			m.Indicators[inc.names[id]] = cs
-		}
-	}
+	inc.eachRow(func(item string, row []Correlation) {
+		m.Indicators[item] = slices.Clone(row)
+	})
 	return m
 }
 

@@ -89,7 +89,7 @@ type Engine struct {
 	log *store.ShardedLog
 
 	index atomic.Pointer[search.Index]
-	model atomic.Pointer[cco.MultiModel]
+	model atomic.Pointer[served]
 	inc   atomic.Pointer[cco.Incremental] // nil unless cfg.Incremental
 
 	trainMu sync.Mutex  // serializes batch training jobs
@@ -116,6 +116,20 @@ type Engine struct {
 	idem idemRegistry
 
 	logger atomic.Pointer[slog.Logger]
+}
+
+// served is the model state the engine serves beside its index, as the
+// last TrainNow or Refresh swapped it in.
+type served struct {
+	// Primary serves the cold-start popularity in batch mode. In
+	// incremental mode it is nil: cco.Incremental holds the live counts
+	// and the index the scored rows, so only the cross-indicator half is
+	// kept, for every Refresh to write into its index again.
+	*cco.MultiModel
+	// users, items and rows size the primary model the index was built
+	// from — its users, its items with a popularity, its items with an
+	// indicator row — for ModelInfo.
+	users, items, rows int
 }
 
 // SetLogger installs the engine's structured logger. Ingest records wrap
@@ -220,16 +234,16 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg, log: lg}
 	e.index.Store(search.NewIndex())
-	e.model.Store(&cco.MultiModel{
-		Primary: &cco.Model{
-			Indicators: map[string][]cco.Correlation{},
-			Popularity: map[string]int{},
-		},
-		Cross: map[string]map[string][]cco.Correlation{},
-	})
+	m := &cco.MultiModel{Cross: map[string]map[string][]cco.Correlation{}}
 	if cfg.Incremental {
 		e.inc.Store(cco.NewIncremental(cfg.Trainer))
+	} else {
+		m.Primary = &cco.Model{
+			Indicators: map[string][]cco.Correlation{},
+			Popularity: map[string]int{},
+		}
 	}
+	e.model.Store(&served{MultiModel: m})
 	if lg.Count() > 0 {
 		e.recallIdemKeys()
 		if err := e.TrainNow(); err != nil {
@@ -419,31 +433,66 @@ func (e *Engine) rescorePending() {
 	}
 	start := time.Now()
 	updates := e.inc.Load().Rescore()
-	idx := e.index.Load()
+	// Only the primary field changes: whatever cross-indicator fields
+	// the last batch train put on a document stay.
+	w := rowWriter{idx: e.index.Load()}
 	for _, up := range updates {
-		applyRowUpdate(idx, up)
+		w.put(up.Item, primaryField, up.Indicators)
 	}
 	e.pending.Store(false)
 	e.rescored.Add(uint64(len(updates)))
 	e.applyNanos.Add(time.Since(start).Nanoseconds())
 }
 
-// applyRowUpdate patches one item's primary-indicator field in the live
-// index, preserving whatever cross-indicator fields the last batch train
-// put on the document.
-func applyRowUpdate(idx *search.Index, up cco.RowUpdate) {
-	var terms []string
-	if len(up.Indicators) > 0 {
-		terms = make([]string, len(up.Indicators))
-		for i, c := range up.Indicators {
-			terms[i] = c.Item
-		}
+// primaryField is the index field holding an item's primary indicators.
+const primaryField = "indicators"
+
+// crossField names the index field holding cross-indicators of a type.
+func crossField(typ string) string { return "indicators_" + typ }
+
+// rowWriter writes indicator rows into an index the way the Universal
+// Recommender lays out Elasticsearch documents: one document per item,
+// its "id" self-field plus one field per indicator type. The index keeps
+// term IDs, not the slices it is handed, so one term list and one
+// document serve every row.
+type rowWriter struct {
+	idx   *search.Index
+	terms []string
+	doc   search.Doc
+	self  [1]string
+}
+
+// put writes one item's row into the field: the item's document gains,
+// changes or drops the field, is created for a row it lacks, and goes
+// once nothing but its self-field is left.
+func (w *rowWriter) put(item, field string, row []cco.Correlation) {
+	w.terms = w.terms[:0]
+	for _, c := range row {
+		w.terms = append(w.terms, c.Item)
 	}
-	switch fields, indexed := idx.SetField(up.Item, "indicators", terms); {
-	case !indexed && terms != nil:
-		idx.Put(search.Doc{ID: up.Item, Fields: map[string][]string{"id": {up.Item}, "indicators": terms}})
-	case indexed && fields <= 1: // nothing left but the "id" self-field
-		idx.Delete(up.Item)
+	switch fields, indexed := w.idx.SetField(item, field, w.terms); {
+	case !indexed && len(row) > 0:
+		if w.doc.Fields == nil {
+			w.doc.Fields = make(map[string][]string, 2)
+		}
+		clear(w.doc.Fields)
+		w.self[0] = item
+		w.doc.ID = item
+		w.doc.Fields["id"] = w.self[:]
+		w.doc.Fields[field] = w.terms
+		w.idx.Put(w.doc)
+	case indexed && fields <= 1:
+		w.idx.Delete(item)
+	}
+}
+
+// putCross writes every cross-indicator row of a batch train.
+func (w *rowWriter) putCross(cross map[string]map[string][]cco.Correlation) {
+	for typ, byItem := range cross {
+		field := crossField(typ)
+		for item, row := range byItem {
+			w.put(item, field, row)
+		}
 	}
 }
 
@@ -508,11 +557,22 @@ func (e *Engine) TrainNow() error {
 		return true
 	})
 
-	model := cco.TrainMulti(events, e.cfg.Trainer)
-	idx := buildIndex(model)
+	trained := cco.TrainMulti(events, e.cfg.Trainer)
+	w := rowWriter{idx: search.NewIndex()}
+	for item, row := range trained.Primary.Indicators {
+		w.put(item, primaryField, row)
+	}
+	w.putCross(trained.Cross)
+	model := &served{
+		MultiModel: trained,
+		users:      trained.Primary.Users,
+		items:      len(trained.Primary.Popularity),
+		rows:       len(trained.Primary.Indicators),
+	}
 
 	if e.inc.Load() != nil {
-		// Counts only: the batch model above holds every row, scored.
+		// Counts only: the batch model above holds every row, scored, and
+		// the index now holds them; the reseeded counts serve popularity.
 		inc := cco.NewIncremental(e.cfg.Trainer)
 		for _, ev := range events {
 			if ev.Type == "" {
@@ -522,9 +582,11 @@ func (e *Engine) TrainNow() error {
 		inc.DropPending()
 		e.inc.Store(inc)
 		e.pending.Store(false)
+		model.MultiModel = &cco.MultiModel{Cross: trained.Cross}
 	}
 
 	e.model.Store(model)
+	idx := w.idx
 	e.index.Store(idx)
 	e.trains.Add(1)
 	e.trainNanos.Store(time.Since(start).Nanoseconds())
@@ -536,46 +598,9 @@ func (e *Engine) TrainNow() error {
 	return nil
 }
 
-// buildIndex lays the model out the way the Universal Recommender lays
-// out Elasticsearch documents: one document per item carrying its primary
-// indicators and one cross-indicator field per secondary type.
-func buildIndex(model *cco.MultiModel) *search.Index {
-	idx := search.NewIndex()
-	docs := make(map[string]search.Doc)
-	docFor := func(item string) search.Doc {
-		d, ok := docs[item]
-		if !ok {
-			d = search.Doc{ID: item, Fields: map[string][]string{"id": {item}}}
-			docs[item] = d
-		}
-		return d
-	}
-	for item, correlations := range model.Primary.Indicators {
-		terms := make([]string, len(correlations))
-		for i, c := range correlations {
-			terms[i] = c.Item
-		}
-		docFor(item).Fields["indicators"] = terms
-	}
-	for typ, byItem := range model.Cross {
-		field := crossField(typ)
-		for item, correlations := range byItem {
-			terms := make([]string, len(correlations))
-			for i, c := range correlations {
-				terms[i] = c.Item
-			}
-			docFor(item).Fields[field] = terms
-		}
-	}
-	for _, d := range docs {
-		idx.Put(d)
-	}
-	return idx
-}
-
-// Refresh re-scores every row of the incremental model and swaps in a
-// fully rebuilt index and primary model, without re-reading the event
-// log (cross-indicators keep their last batch state). It closes the gap
+// Refresh re-scores every row of the incremental model straight into a
+// fresh index and swaps it in, without re-reading the event log
+// (cross-indicators keep their last batch state). It closes the gap
 // online rescoring leaves open: rows whose pair counts never changed
 // carry scores from an older population. Pending rows are among every
 // row, so none is left for the next read. A no-op in batch mode.
@@ -585,9 +610,17 @@ func (e *Engine) Refresh() {
 	}
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
-	model := &cco.MultiModel{Primary: e.inc.Load().Model(), Cross: e.model.Load().Cross}
-	e.model.Store(model)
-	e.index.Store(buildIndex(model))
+	inc, cur := e.inc.Load(), e.model.Load()
+	w := rowWriter{idx: search.NewIndex()}
+	rows := 0
+	inc.EachRow(func(item string, row []cco.Correlation) {
+		w.put(item, primaryField, row)
+		rows++
+	})
+	w.putCross(cur.Cross)
+	users, items, _ := inc.Counts()
+	e.model.Store(&served{MultiModel: cur.MultiModel, users: users, items: items, rows: rows})
+	e.index.Store(w.idx)
 	e.pending.Store(false)
 }
 
@@ -600,9 +633,6 @@ func (e *Engine) Compact() error {
 	}
 	return e.log.Compact()
 }
-
-// crossField names the index field holding cross-indicators of a type.
-func crossField(typ string) string { return "indicators_" + typ }
 
 // Recommend returns up to n item identifiers for the user, best first.
 // The query model is the Universal Recommender's: the user's recent
@@ -629,7 +659,7 @@ func (e *Engine) Recommend(user string, n int) []string {
 	if len(primary) > 0 || len(byType) > 0 {
 		q := search.Query{Size: n}
 		for _, item := range tail(primary, e.cfg.MaxQueryHistory) {
-			q.Should = append(q.Should, search.TermQuery{Field: "indicators", Term: item})
+			q.Should = append(q.Should, search.TermQuery{Field: primaryField, Term: item})
 		}
 		// Clauses are the order a score's floats are summed in, so the
 		// types go in sorted order, not the map's.
@@ -662,9 +692,11 @@ func (e *Engine) Recommend(user string, n int) []string {
 		// Cold-start popularity: live counts in incremental mode, the
 		// last batch model otherwise.
 		e.fills.Add(1)
-		popFn := model.Primary.AppendPopular
+		var popFn func([]string, int, map[string]bool) []string
 		if inc := e.inc.Load(); inc != nil {
 			popFn = inc.AppendPopular
+		} else {
+			popFn = model.Primary.AppendPopular
 		}
 		recs = fillWithPopular(recs, primary, popFn, n)
 	}
@@ -753,11 +785,13 @@ func (e *Engine) SaveSnapshotFile(path string) error {
 	return e.log.WriteSnapshotFile(path)
 }
 
-// ModelInfo summarizes the served model for operational visibility.
+// ModelInfo summarizes the served model for operational visibility: the
+// size of the primary model the index was last built from, and in
+// incremental mode the live counts beside it.
 func (e *Engine) ModelInfo() string {
 	m := e.model.Load()
 	info := fmt.Sprintf("users=%d items=%d indicators=%d cross-types=%d",
-		m.Primary.Users, len(m.Primary.Popularity), len(m.Primary.Indicators), len(m.Cross))
+		m.users, m.items, m.rows, len(m.Cross))
 	if inc := e.inc.Load(); inc != nil {
 		users, items, rows := inc.Counts()
 		info += fmt.Sprintf(" incremental[users=%d items=%d rows=%d applied=%d]",

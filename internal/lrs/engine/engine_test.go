@@ -268,11 +268,58 @@ func TestStatsAndModelInfo(t *testing.T) {
 	if posts != 1 || queries != 1 || trains != 1 {
 		t.Errorf("stats = %d/%d/%d", posts, queries, trains)
 	}
-	if e.ModelInfo() == "" {
-		t.Error("empty model info")
-	}
 	if e.EventCount() != 1 {
 		t.Errorf("EventCount = %d", e.EventCount())
+	}
+
+	// The model line /metrics and /healthz show, in both modes through a
+	// model's life: untrained; trained over a stream with a secondary
+	// type; after more posts and a read, when the line still sizes the
+	// model the index was built from and only the incremental counts are
+	// live; after Refresh, a no-op in batch mode. Each line is what the
+	// engine printed when it kept that primary model beside its index.
+	for _, tc := range []struct {
+		name        string
+		incremental bool
+		want        []string
+	}{
+		{"batch", false, []string{
+			"users=0 items=0 indicators=0 cross-types=0",
+			"users=11 items=19 indicators=18 cross-types=1",
+			"users=11 items=19 indicators=18 cross-types=1",
+			"users=11 items=19 indicators=18 cross-types=1",
+		}},
+		{"incremental", true, []string{
+			"users=0 items=0 indicators=0 cross-types=0 incremental[users=11 items=19 rows=18 applied=151]",
+			"users=11 items=19 indicators=18 cross-types=1 incremental[users=11 items=19 rows=18 applied=151]",
+			"users=11 items=19 indicators=18 cross-types=1 incremental[users=15 items=25 rows=24 applied=251]",
+			"users=15 items=25 indicators=24 cross-types=1 incremental[users=15 items=25 rows=24 applied=251]",
+		}},
+	} {
+		cfg := DefaultConfig()
+		cfg.Trainer = tinyTrainer()
+		cfg.Incremental = tc.incremental
+		e := New(cfg)
+		feedStream(1, 150, 10, 20, e)
+		e.InsertEvent("loner", "solo", "") // an item with a popularity and no row
+		for u := 0; u < 10; u++ {
+			e.InsertTypedEvent(fmt.Sprintf("user-%02d", u), fmt.Sprintf("item-%02d", u%3), "", "view")
+		}
+		got := []string{e.ModelInfo()}
+		if err := e.TrainNow(); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, e.ModelInfo())
+		feedStream(2, 100, 14, 24, e)
+		e.Recommend("user-01", 10)
+		got = append(got, e.ModelInfo())
+		e.Refresh()
+		got = append(got, e.ModelInfo())
+		for i, stage := range []string{"untrained", "trained", "posted", "refreshed"} {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s, %s: ModelInfo\n%s\nwant\n%s", tc.name, stage, got[i], tc.want[i])
+			}
+		}
 	}
 }
 

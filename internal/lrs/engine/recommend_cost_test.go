@@ -11,11 +11,8 @@ import (
 // window finds it: benchEngine seeded with 6,000 events of seed 601 and
 // refreshed. It returns the seeded users, in order of first appearance.
 func seededBenchEngine(tb testing.TB) (*Engine, []string) {
-	e := benchEngine(tb)
 	events := scaledEvents(601, 6000)
-	for _, ev := range events {
-		e.InsertEvent(ev.User, ev.Item, ev.Rating)
-	}
+	e := postedBenchEngine(tb, events)
 	e.Refresh()
 	return e, (&workload.Dataset{Events: events}).DistinctUsers()
 }

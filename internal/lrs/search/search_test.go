@@ -268,15 +268,16 @@ func referenceSearch(ix *Index, q Query) []Hit {
 
 	excluded := make(map[string]bool)
 	for _, mn := range q.MustNot {
-		for _, p := range ix.postings[mn.Field][mn.Term] {
-			excluded[ix.names[p.slot]] = true
+		_, ps := ix.lookup(mn.Field, mn.Term)
+		for _, slot := range ps {
+			excluded[ix.names[slot]] = true
 		}
 	}
 
-	n := float64(len(ix.docs))
+	n := float64(ix.docs)
 	scores := make(map[string]float64)
 	for _, tq := range q.Should {
-		ps := ix.postings[tq.Field][tq.Term]
+		f, ps := ix.lookup(tq.Field, tq.Term)
 		if len(ps) == 0 {
 			continue
 		}
@@ -285,12 +286,12 @@ func referenceSearch(ix *Index, q Query) []Hit {
 			boost = 1
 		}
 		idf := math.Log1p(n / float64(len(ps)))
-		for _, p := range ps {
-			id := ix.names[p.slot]
+		for _, slot := range ps {
+			id := ix.names[slot]
 			if excluded[id] {
 				continue
 			}
-			scores[id] += boost * idf * p.weight
+			scores[id] += boost * idf * f.norms[slot]
 		}
 	}
 
@@ -608,3 +609,73 @@ func BenchmarkIndexSearch(b *testing.B) {
 }
 
 var searchSink []Hit
+
+// TestTablesStayBounded: the index numbers IDs, terms and fields for
+// good, so under a long churn of Put, SetField and Delete over k IDs and t
+// terms its tables stop at k slots and t terms, however many writes go
+// by, and an ID put back after a delete is at its old slot.
+func TestTablesStayBounded(t *testing.T) {
+	const k, universe, steps = 20, 16, 5000
+	rng := rand.New(rand.NewSource(3))
+	ix := NewIndex()
+	offered := make(map[string]bool) // every term written, IDs in the "id" field among them
+	slotOf := make(map[string]int32)
+	var reput int
+	for step := 0; step < steps; step++ {
+		id := fmt.Sprintf("d%02d", rng.Intn(k))
+		switch op := rng.Intn(10); {
+		case op < 3:
+			_, held := ix.Get(id)
+			doc := randomDoc(rng, id, universe)
+			for _, terms := range doc.Fields {
+				for _, term := range terms {
+					offered[term] = true
+				}
+			}
+			ix.Put(doc)
+			if slot, seen := slotOf[id]; !seen {
+				slotOf[id] = ix.slots[id]
+			} else if ix.slots[id] != slot {
+				t.Fatalf("step %d: %s put back at slot %d, first put at %d", step, id, ix.slots[id], slot)
+			} else if !held {
+				reput++
+			}
+		case op < 8:
+			field := twinFields[rng.Intn(len(twinFields))]
+			cur, _ := ix.Get(id)
+			terms := nextTerms(rng, rng.Intn(8), cur.Fields[field], universe)
+			for _, term := range terms {
+				offered[term] = true
+			}
+			ix.SetField(id, field, terms)
+		default:
+			ix.Delete(id)
+		}
+	}
+	if reput == 0 {
+		t.Fatal("no ID was put back after a delete: the churn shows nothing")
+	}
+	if len(ix.names) > k || len(ix.slots) > k || len(ix.held) > k {
+		t.Errorf("slot table: %d names, %d slots, %d held flags for %d IDs", len(ix.names), len(ix.slots), len(ix.held), k)
+	}
+	if len(ix.terms) > len(offered) || len(ix.termIDs) > len(offered) {
+		t.Errorf("term dictionary: %d terms, %d IDs for %d terms written", len(ix.terms), len(ix.termIDs), len(offered))
+	}
+	if want := len(twinFields) + 1; len(ix.fields) != want || len(ix.postings) != want {
+		t.Errorf("%d fields, %d posting tables; the documents have %d fields", len(ix.fields), len(ix.postings), want)
+	}
+	for fi, f := range ix.fields {
+		if len(f.lists) > k || len(f.norms) > k {
+			t.Errorf("field %s: %d lists, %d norms for %d IDs", f.name, len(f.lists), len(f.norms), k)
+		}
+		if len(ix.postings[fi]) > len(ix.terms) {
+			t.Errorf("field %s: posting lists for %d terms, dictionary %d", f.name, len(ix.postings[fi]), len(ix.terms))
+		}
+		for _, ps := range ix.postings[fi] {
+			if len(ps) > k {
+				t.Errorf("field %s: a posting list of %d slots for %d IDs", f.name, len(ps), k)
+			}
+		}
+	}
+	t.Logf("%d writes: %d slots, %d terms (%d written), %d IDs put back", steps, len(ix.names), len(ix.terms), len(offered), reput)
+}

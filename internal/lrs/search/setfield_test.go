@@ -32,18 +32,23 @@ func putReplace(ix *Index, id, field string, terms []string) (fields int, ok boo
 // weight: what Search reads, with the order of a posting list taken out.
 func postingSets(ix *Index) map[string]map[string]map[string]float64 {
 	out := make(map[string]map[string]map[string]float64)
-	for field, byTerm := range ix.postings {
-		for term, ps := range byTerm {
+	for fi, byTerm := range ix.postings {
+		f := ix.fields[fi]
+		for t, ps := range byTerm {
+			if len(ps) == 0 {
+				continue // a term whose last posting went
+			}
+			field, term := f.name, ix.terms[t]
 			if out[field] == nil {
 				out[field] = make(map[string]map[string]float64)
 			}
 			set := make(map[string]float64, len(ps))
-			for _, p := range ps {
-				id := ix.names[p.slot]
+			for _, slot := range ps {
+				id := ix.names[slot]
 				if _, twice := set[id]; twice {
 					panic(fmt.Sprintf("document %s posted twice under %s/%s", id, field, term))
 				}
-				set[id] = p.weight
+				set[id] = f.norms[slot]
 			}
 			out[field][term] = set
 		}
