@@ -23,9 +23,7 @@ import (
 	"pprox/internal/hopwire"
 	"pprox/internal/lrs/engine"
 	"pprox/internal/metrics"
-	"pprox/internal/node"
 	"pprox/internal/obslog"
-	"pprox/internal/telemetry"
 )
 
 func main() {
@@ -36,9 +34,7 @@ func main() {
 	walDir := flag.String("wal-dir", "", "WAL-back every event-log shard under this directory: accepted posts survive a process crash (off when empty; see -wal-sync for power-loss durability)")
 	walSync := flag.Bool("wal-sync", false, "fsync every WAL append before acknowledging the post: durability extends to OS crashes and power loss (needs -wal-dir)")
 	incremental := flag.Bool("incremental", false, "fold each accepted event into the CCO model online; periodic training becomes compaction")
-	opsAddr := flag.String("ops-addr", "", "pprox-ops collector address, e.g. localhost:9090: stream periodic telemetry snapshots (off when empty)")
-	node := flag.String("node", "lrs", "node name reported to -ops-addr")
-	telemetryEvery := flag.Duration("telemetry-interval", 0, "telemetry snapshot cadence toward -ops-addr (default 250ms)")
+	node := flag.String("node", "lrs", "node name in metrics")
 	debugAddr := flag.String("debug-addr", "", "pprof listen address, e.g. localhost:6061 (off when empty)")
 	faultSpec := flag.String("inject-fault", "", "fault injection rules, e.g. 'error:status=503:count=10' (chaos testing)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed of the deterministic fault-injection stream")
@@ -46,20 +42,19 @@ func main() {
 	flag.Parse()
 
 	logger := obslog.New(os.Stderr, "pprox-lrs", obslog.ParseLevel(*logLevel))
-	tele := telemetry.EmitterConfig{Node: *node, Role: "lrs", Interval: *telemetryEvery, Logger: logger}
 	engCfg := engine.DefaultConfig()
 	engCfg.Shards = *shards
 	engCfg.WALDir = *walDir
 	engCfg.WALSync = *walSync
 	engCfg.Incremental = *incremental
-	if err := run(*listen, *trainEvery, *snapshot, *debugAddr, *faultSpec, *faultSeed, engCfg, *opsAddr, tele, logger); err != nil {
+	if err := run(*listen, *trainEvery, *snapshot, *debugAddr, *faultSpec, *faultSeed, engCfg, *node, logger); err != nil {
 		logger.Error("fatal", "error", err.Error())
 		os.Exit(1)
 	}
 }
 
-// run serves the engine; with opsAddr set, tele streams its telemetry.
-func run(listen string, trainEvery time.Duration, snapshot, debugAddr, faultSpec string, faultSeed uint64, engCfg engine.Config, opsAddr string, tele telemetry.EmitterConfig, logger *slog.Logger) error {
+// run serves the engine, its metrics labelled with node.
+func run(listen string, trainEvery time.Duration, snapshot, debugAddr, faultSpec string, faultSeed uint64, engCfg engine.Config, node string, logger *slog.Logger) error {
 	eng, err := loadOrNewEngine(engCfg, snapshot, logger)
 	if err != nil {
 		return err
@@ -69,7 +64,7 @@ func run(listen string, trainEvery time.Duration, snapshot, debugAddr, faultSpec
 	reg := metrics.NewRegistry()
 	metrics.RegisterBuildInfo(reg)
 	metrics.RegisterRuntimeMetrics(reg)
-	instrument := eng.RegisterMetrics(reg, tele.Node)
+	instrument := eng.RegisterMetrics(reg, node)
 	app := instrument(engine.NewHandler(eng))
 	if faultSpec != "" {
 		rules, err := faults.ParseSpec(faultSpec)
@@ -82,15 +77,6 @@ func run(listen string, trainEvery time.Duration, snapshot, debugAddr, faultSpec
 		logger.Info("fault injection armed", "spec", faultSpec)
 	}
 	handler := metrics.Mux(reg, eng.Health, app)
-
-	var emitter *telemetry.Emitter
-	if opsAddr != "" {
-		tele.Registry = reg
-		if emitter, err = node.NewEmitter(&net.Dialer{Timeout: 10 * time.Second}, opsAddr, tele); err != nil {
-			return err
-		}
-		logger.Info("telemetry streaming", "ops", opsAddr, "node", tele.Node)
-	}
 
 	stopDebug := func() error { return nil }
 	if debugAddr != "" {
@@ -157,12 +143,6 @@ func run(listen string, trainEvery time.Duration, snapshot, debugAddr, faultSpec
 	}
 	posts, queries, trains := eng.Stats()
 	logger.Info("shutting down", "posts", posts, "queries", queries, "trains", trains)
-	// Final telemetry snapshot leaves before the listener closes.
-	if emitter != nil {
-		if err := emitter.Close(); err != nil {
-			logger.Warn("final telemetry flush failed", "error", err.Error())
-		}
-	}
 	if err := stopDebug(); err != nil {
 		logger.Warn("debug server shutdown", "error", err.Error())
 	}

@@ -109,9 +109,7 @@ func flagSet(o *options) (fs *flag.FlagSet, finish func() error) {
 	fs.IntVar(&c.LRSConcurrency, "lrs-concurrency", proxy.DefaultLRSConcurrency, "bound on concurrent IA→LRS requests (ia role; negative = unbounded)")
 	fs.BoolVar(&c.NoItemPseudonyms, "no-item-pseudonyms", false, "send item identifiers to the LRS in the clear (§6.3)")
 	fs.BoolVar(&c.PassThrough, "passthrough", false, "forward without cryptography (baseline m1)")
-	fs.StringVar(&c.OpsAddr, "ops-addr", "", "pprox-ops collector address, e.g. localhost:9090: stream one telemetry snapshot per shuffle epoch (off when empty)")
-	fs.StringVar(&c.Name, "node", "", "node name in metrics, logs and telemetry (default: the role)")
-	fs.DurationVar(&c.TelemetryInterval, "telemetry-interval", 0, "telemetry heartbeat when no shuffle epochs fire (default: -shuffle-timeout)")
+	fs.StringVar(&c.Name, "node", "", "node name in metrics and logs (default: the role)")
 	fs.StringVar(&o.fleetURL, "fleet", "", "fleet registry base URL, e.g. http://ops:9090: register on boot, heartbeat, and drain at a shuffle-epoch boundary on SIGTERM (DESIGN.md §4j; off when empty)")
 	fs.StringVar(&o.fleetService, "fleet-service", "", "service name announced to the fleet registry (default: the role)")
 	fs.StringVar(&o.advertise, "advertise", "", "address peers should dial for this instance (default: the bound listen address)")
@@ -262,9 +260,6 @@ func run(o options, logger *slog.Logger) error {
 	if in.harvester != nil {
 		logger.Info("profile capture armed", "dir", cfg.ProfileDir)
 	}
-	if in.Emitter != nil {
-		logger.Info("telemetry streaming", "ops", cfg.OpsAddr, "node", cfg.Name, "heartbeat", cfg.TelemetryInterval.String())
-	}
 
 	stopDebug := func() error { return nil }
 	if o.debugAddr != "" {
@@ -331,17 +326,9 @@ func run(o options, logger *slog.Logger) error {
 		"served", served, "failed", failed, "retries", retried, "fail_fast", failFast)
 	// Drain order: the fleet drain runs first (routing stops, in-flight
 	// work finishes, the final shuffle epoch leaves whole, we deregister),
-	// then the final telemetry snapshot flushes while this process's
-	// listener is still up (the collector is a separate process, but a
-	// shared shutdown sweep should see the last epoch's counters either
-	// way), then the listeners close.
+	// then the listeners close.
 	if agent != nil {
 		drainFleet(agent, layer, cfg.DrainTimeout, logger)
-	}
-	if in.Emitter != nil {
-		if err := in.Emitter.Close(); err != nil {
-			logger.Warn("final telemetry flush failed", "error", err.Error())
-		}
 	}
 	if err := stopDebug(); err != nil {
 		logger.Warn("debug server shutdown", "error", err.Error())

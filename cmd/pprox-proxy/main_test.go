@@ -48,9 +48,7 @@ func TestEveryFlagLandsInItsField(t *testing.T) {
 		{[]string{"-lrs-concurrency", "5"}, func(o *options) { o.node.LRSConcurrency = 5 }},
 		{[]string{"-no-item-pseudonyms"}, func(o *options) { o.node.NoItemPseudonyms = true }},
 		{[]string{"-passthrough"}, func(o *options) { o.node.PassThrough = true }},
-		{[]string{"-ops-addr", "ops:9090"}, func(o *options) { o.node.OpsAddr = "ops:9090" }},
 		{[]string{"-node", "ua-7"}, func(o *options) { o.node.Name = "ua-7" }},
-		{[]string{"-telemetry-interval", "2s"}, func(o *options) { o.node.TelemetryInterval = 2 * time.Second }},
 		{[]string{"-fleet", "ops:9090"}, func(o *options) { o.fleetURL = "ops:9090" }},
 		{[]string{"-fleet-service", "edge"}, func(o *options) { o.fleetService = "edge" }},
 		{[]string{"-advertise", "ua-7:8081"}, func(o *options) { o.advertise = "ua-7:8081" }},
@@ -110,8 +108,8 @@ func TestEveryFlagLandsInItsField(t *testing.T) {
 			t.Errorf("flag -%s has no case", f.Name)
 		}
 	})
-	if n != 35 {
-		t.Errorf("pprox-proxy declares %d flags, want 35", n)
+	if n != 33 {
+		t.Errorf("pprox-proxy declares %d flags, want 33", n)
 	}
 }
 
@@ -204,7 +202,7 @@ func keyFile(t *testing.T) string {
 // default wherever that entry point can set it, and follows each field
 // to what it configures: proxy.Config, the enclave's transition cost,
 // the recommendation cache, the auditor and its checks, the perf
-// objectives and thresholds, telemetry and the drain timeout. A third
+// objectives and thresholds and the drain timeout. A third
 // and fourth instance cover pass-through, which leaves no enclave to
 // inspect.
 func TestEveryConfigFieldReachesItsTarget(t *testing.T) {
@@ -217,7 +215,7 @@ func TestEveryConfigFieldReachesItsTarget(t *testing.T) {
 		"-cache", "-cache-ttl", "2m", "-cache-epc-pages", "64",
 		"-hop-timeout", "3s", "-retries", "4", "-retry-backoff", "7ms", "-breaker-threshold", "3", "-breaker-cooldown", "4s",
 		"-audit", "-audit-objective", "0.9", "-perf", "-perf-quantile", "0.95", "-profile-dir", t.TempDir(),
-		"-ops-addr", "127.0.0.1:1", "-telemetry-interval", "1h", "-drain-timeout", "9s",
+		"-drain-timeout", "9s",
 		"-inject-fault", "error:status=418:path=/events", "-fault-seed", "9")
 	spec := fromSpec(t, cluster.Spec{
 		ProxyEnabled: true, UA: 1, IA: 1, Encryption: true,
@@ -226,7 +224,6 @@ func TestEveryConfigFieldReachesItsTarget(t *testing.T) {
 		EcallCost: ecallCost, Resilience: &pol,
 		Audit: &audit.Config{Objective: 0.9}, PerfSLO: &perfslo.Config{},
 		PerfThresholds: map[string]float64{proxy.StageForward: 1.5}, ProfileDir: t.TempDir(),
-		OpsAddr: "ops", TelemetryInterval: time.Hour,
 		Elastic: &cluster.ElasticSpec{DrainTimeout: 9 * time.Second},
 		UseStub: true,
 	}, "ia-0")
@@ -350,16 +347,6 @@ func TestEveryConfigFieldReachesItsTarget(t *testing.T) {
 		{"ProfileDir", both, func(t *testing.T, pr probe) {
 			if pr.profiles == nil {
 				t.Error("no profile harvester")
-			}
-		}},
-		{"OpsAddr", both, func(t *testing.T, pr probe) {
-			if pr.p.Emitter == nil {
-				t.Error("no telemetry emitter")
-			}
-		}},
-		{"TelemetryInterval", both, func(t *testing.T, pr probe) {
-			if got := pr.p.Config.TelemetryInterval; got != time.Hour {
-				t.Errorf("telemetry interval %v", got)
 			}
 		}},
 		{"DrainTimeout", both, func(t *testing.T, pr probe) {

@@ -24,11 +24,9 @@ import (
 	"pprox/internal/faults"
 	"pprox/internal/hopwire"
 	"pprox/internal/metrics"
-	"pprox/internal/node"
 	"pprox/internal/obslog"
 	"pprox/internal/proxy"
 	"pprox/internal/stub"
-	"pprox/internal/telemetry"
 )
 
 func main() {
@@ -36,9 +34,7 @@ func main() {
 	items := flag.Int("items", 20, "static recommendation list size")
 	delay := flag.Duration("delay", 0, "artificial service time per request")
 	keysPath := flag.String("pseudonymize-with", "", "key file; serve items pseudonymized under the IA permanent key")
-	opsAddr := flag.String("ops-addr", "", "pprox-ops collector address, e.g. localhost:9090: stream periodic telemetry snapshots (off when empty)")
-	node := flag.String("node", "stub", "node name reported to -ops-addr")
-	telemetryEvery := flag.Duration("telemetry-interval", 0, "telemetry snapshot cadence toward -ops-addr (default 250ms)")
+	node := flag.String("node", "stub", "node name in metrics")
 	debugAddr := flag.String("debug-addr", "", "pprof listen address (off when empty)")
 	faultSpec := flag.String("inject-fault", "", "fault injection rules, e.g. 'drop:count=5,latency:delay=20ms' (chaos testing)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed of the deterministic fault-injection stream")
@@ -46,15 +42,14 @@ func main() {
 	flag.Parse()
 
 	logger := obslog.New(os.Stderr, "pprox-stub", obslog.ParseLevel(*logLevel))
-	tele := telemetry.EmitterConfig{Node: *node, Role: "stub", Interval: *telemetryEvery, Logger: logger}
-	if err := run(*listen, *items, *delay, *keysPath, *debugAddr, *faultSpec, *faultSeed, *opsAddr, tele, logger); err != nil {
+	if err := run(*listen, *items, *delay, *keysPath, *debugAddr, *faultSpec, *faultSeed, *node, logger); err != nil {
 		logger.Error("fatal", "error", err.Error())
 		os.Exit(1)
 	}
 }
 
-// run serves the stub; with opsAddr set, tele streams its telemetry.
-func run(listen string, items int, delay time.Duration, keysPath, debugAddr, faultSpec string, faultSeed uint64, opsAddr string, tele telemetry.EmitterConfig, logger *slog.Logger) error {
+// run serves the stub, its metrics labelled with node.
+func run(listen string, items int, delay time.Duration, keysPath, debugAddr, faultSpec string, faultSeed uint64, node string, logger *slog.Logger) error {
 	var s *stub.Server
 	var err error
 	if keysPath != "" {
@@ -86,7 +81,7 @@ func run(listen string, items int, delay time.Duration, keysPath, debugAddr, fau
 	reg := metrics.NewRegistry()
 	metrics.RegisterBuildInfo(reg)
 	metrics.RegisterRuntimeMetrics(reg)
-	s.RegisterMetrics(reg, tele.Node)
+	s.RegisterMetrics(reg, node)
 	var app http.Handler = s
 	if faultSpec != "" {
 		rules, err := faults.ParseSpec(faultSpec)
@@ -99,15 +94,6 @@ func run(listen string, items int, delay time.Duration, keysPath, debugAddr, fau
 		logger.Info("fault injection armed", "spec", faultSpec)
 	}
 	handler := metrics.Mux(reg, s.Health, app)
-
-	var emitter *telemetry.Emitter
-	if opsAddr != "" {
-		tele.Registry = reg
-		if emitter, err = node.NewEmitter(&net.Dialer{Timeout: 10 * time.Second}, opsAddr, tele); err != nil {
-			return err
-		}
-		logger.Info("telemetry streaming", "ops", opsAddr, "node", tele.Node)
-	}
 
 	stopDebug := func() error { return nil }
 	if debugAddr != "" {
@@ -133,12 +119,6 @@ func run(listen string, items int, delay time.Duration, keysPath, debugAddr, fau
 	<-sig
 	posts, gets := s.Counts()
 	logger.Info("shutting down", "posts", posts, "gets", gets)
-	// Final telemetry snapshot leaves before the listener closes.
-	if emitter != nil {
-		if err := emitter.Close(); err != nil {
-			logger.Warn("final telemetry flush failed", "error", err.Error())
-		}
-	}
 	if err := stopDebug(); err != nil {
 		logger.Warn("debug server shutdown", "error", err.Error())
 	}

@@ -10,10 +10,9 @@ import (
 
 // Signals are the live inputs to one scaling decision, read from the
 // surfaces the deployment already exports rather than from any new
-// instrumentation: the request rate and shuffle occupancy come from the
-// /metrics registry, the fleet goodput from the telemetry collector's
-// /fleet rollup. Negative values mean "unknown" (the source has not
-// observed enough yet); the reconciler skips or degrades gracefully.
+// instrumentation: the request rate and shuffle occupancy both come from
+// the /metrics registry. Negative values mean "unknown" (the source has
+// not observed enough yet); the reconciler skips or degrades gracefully.
 type Signals struct {
 	// RPS is the fleet-wide request arrival rate at the UA layer.
 	RPS float64
@@ -22,9 +21,6 @@ type Signals struct {
 	// timer, low values mean starved buffers paying timer-bound fills
 	// (the paper's Fig. 8 scale-down argument).
 	Occupancy float64
-	// Goodput is the fleet goodput in RPS as the telemetry collector
-	// rolls it up, an end-to-end cross-check on the registry-local RPS.
-	Goodput float64
 }
 
 // SignalSourceConfig wires a SignalSource to its inputs.
@@ -34,9 +30,6 @@ type SignalSourceConfig struct {
 	// ShuffleSize is S, the denominator of the occupancy fraction.
 	// Values ≤ 1 leave Occupancy unknown.
 	ShuffleSize int
-	// Goodput, when set, reads the fleet goodput rollup (telemetry
-	// collector). Nil leaves Goodput unknown.
-	Goodput func() float64
 }
 
 // SignalSource derives Signals from successive registry snapshots: RPS
@@ -64,10 +57,7 @@ func NewSignalSource(cfg SignalSourceConfig) *SignalSource {
 // any call with no elapsed wall time) returns unknown RPS and occupancy:
 // both are window deltas and need two samples.
 func (s *SignalSource) Sample(now time.Time) Signals {
-	sig := Signals{RPS: -1, Occupancy: -1, Goodput: -1}
-	if s.cfg.Goodput != nil {
-		sig.Goodput = s.cfg.Goodput()
-	}
+	sig := Signals{RPS: -1, Occupancy: -1}
 	if s.cfg.Snapshot == nil {
 		return sig
 	}

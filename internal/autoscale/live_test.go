@@ -25,7 +25,7 @@ func TestSignalSourceFirstSampleUnknown(t *testing.T) {
 		ShuffleSize: 8,
 	})
 	sig := s.Sample(time.Unix(1000, 0))
-	if sig.RPS >= 0 || sig.Occupancy >= 0 || sig.Goodput >= 0 {
+	if sig.RPS >= 0 || sig.Occupancy >= 0 {
 		t.Fatalf("first sample = %+v, want all unknown", sig)
 	}
 }
@@ -35,7 +35,6 @@ func TestSignalSourceComputesWindowDeltas(t *testing.T) {
 	s := NewSignalSource(SignalSourceConfig{
 		Snapshot:    func() map[string]float64 { return snapshotAt(served, bsum, bcount)() },
 		ShuffleSize: 8,
-		Goodput:     func() float64 { return 42 },
 	})
 	now := time.Unix(1000, 0)
 	s.Sample(now)
@@ -50,9 +49,6 @@ func TestSignalSourceComputesWindowDeltas(t *testing.T) {
 	}
 	if sig.Occupancy != 0.75 {
 		t.Errorf("Occupancy = %v, want 0.75", sig.Occupancy)
-	}
-	if sig.Goodput != 42 {
-		t.Errorf("Goodput = %v, want 42", sig.Goodput)
 	}
 
 	// No epochs in the next window: occupancy unknown again, RPS zero.
@@ -84,7 +80,7 @@ func TestSignalSourceCounterResetClampsToZero(t *testing.T) {
 
 func TestDesiredLiveUnknownRPSHolds(t *testing.T) {
 	c := DefaultController()
-	if got := c.DesiredLive(Signals{RPS: -1, Occupancy: 0.1, Goodput: -1}, 3); got != 3 {
+	if got := c.DesiredLive(Signals{RPS: -1, Occupancy: 0.1}, 3); got != 3 {
 		t.Errorf("DesiredLive with unknown RPS = %d, want hold at 3", got)
 	}
 	if got := c.DesiredLive(Signals{RPS: -1}, 0); got != c.Min {
@@ -104,23 +100,23 @@ func TestDesiredLiveOccupancyOverridesHysteresis(t *testing.T) {
 		OccupancyFloor:    0.5,
 	}
 	// 45 RPS at 2 pairs: rate-only policy holds (45 ≥ 25 margin).
-	base := Signals{RPS: 45, Occupancy: -1, Goodput: -1}
+	base := Signals{RPS: 45, Occupancy: -1}
 	if got := c.DesiredLive(base, 2); got != 2 {
 		t.Fatalf("rate-only hold = %d, want 2", got)
 	}
 	// Same rate but starved buffers (mean batch 30%% of S): scale down
 	// to raw demand.
-	starved := Signals{RPS: 45, Occupancy: 0.3, Goodput: -1}
+	starved := Signals{RPS: 45, Occupancy: 0.3}
 	if got := c.DesiredLive(starved, 2); got != 1 {
 		t.Fatalf("starved-buffer override = %d, want 1", got)
 	}
 	// Healthy occupancy: no override.
-	healthy := Signals{RPS: 45, Occupancy: 0.9, Goodput: -1}
+	healthy := Signals{RPS: 45, Occupancy: 0.9}
 	if got := c.DesiredLive(healthy, 2); got != 2 {
 		t.Fatalf("healthy occupancy = %d, want hold at 2", got)
 	}
 	// The override never cuts below raw demand: 95 RPS needs 2 pairs.
-	loaded := Signals{RPS: 95, Occupancy: 0.3, Goodput: -1}
+	loaded := Signals{RPS: 95, Occupancy: 0.3}
 	if got := c.DesiredLive(loaded, 2); got != 2 {
 		t.Fatalf("override below raw demand = %d, want 2", got)
 	}
@@ -134,7 +130,7 @@ func TestDesiredLiveDisabledFloor(t *testing.T) {
 		Max:               8,
 		Hysteresis:        0.75,
 	}
-	sig := Signals{RPS: 45, Occupancy: 0.1, Goodput: -1}
+	sig := Signals{RPS: 45, Occupancy: 0.1}
 	if got := c.DesiredLive(sig, 2); got != 2 {
 		t.Errorf("zero OccupancyFloor still overrode: got %d, want 2", got)
 	}

@@ -23,7 +23,6 @@ import (
 	"pprox/internal/reccache"
 	"pprox/internal/resilience"
 	"pprox/internal/stub"
-	"pprox/internal/telemetry"
 	"pprox/internal/transport"
 )
 
@@ -135,21 +134,10 @@ type Spec struct {
 	// Requires ProxyEnabled. Spec.Elastic implies Fleet.
 	Fleet bool
 	// Elastic arms the closed autoscaling loop on top of the fleet
-	// registry: a reconciler samples live signals (UA request rate,
-	// shuffle occupancy, and — with OpsAddr set — collector goodput) and
-	// drives the deployed pair count through AddPair/DrainPair.
+	// registry: a reconciler samples live signals (UA request rate and
+	// shuffle occupancy) and drives the deployed pair count through
+	// AddPair/DrainPair.
 	Elastic *ElasticSpec
-	// OpsAddr deploys the fleet telemetry plane: a collector node
-	// (cmd/pprox-ops equivalent) served at this in-memory address, plus
-	// one telemetry emitter per node streaming epoch-granular snapshots
-	// to it over hopwire frames. The collector gets its OWN registry: it models an operator service
-	// outside the trust boundary, so it must not share the deployment's.
-	// Empty disables telemetry.
-	OpsAddr string
-	// TelemetryInterval is every emitter's heartbeat: the slowest a node
-	// pushes snapshots when no shuffle epochs fire (idle proxies, LRS
-	// front ends). Default: the flush timer (node.Config.Resolve).
-	TelemetryInterval time.Duration
 	// ProfileDir arms triggered profile capture: on a performance-SLO
 	// warn/violated transition the deployment snapshots CPU + heap +
 	// goroutine profiles into this bounded on-disk ring. Requires
@@ -248,13 +236,6 @@ type Deployment struct {
 	// RecCaches are the per-IA-instance recommendation caches, indexed
 	// like IALayers (nil without Spec.Cache).
 	RecCaches []*reccache.Cache
-	// Ops is the fleet telemetry collector (nil unless Spec.OpsAddr).
-	// It serves /fleet and /telemetry at Spec.OpsAddr.
-	Ops *telemetry.Collector
-	// OpsMetrics is the collector node's own registry, separate from the
-	// deployment registry because the collector sits outside the trust
-	// boundary.
-	OpsMetrics *metrics.Registry
 	// Registry is the live fleet route registry (nil unless Spec.Fleet).
 	Registry *fleet.Registry
 	// Reconciler is the autoscaling loop closing live signals over the
@@ -289,7 +270,6 @@ type Deployment struct {
 	// pick the same victim pair.
 	drainMu sync.Mutex
 
-	fleetEmitter  *telemetry.Emitter
 	stopReconcile func()
 }
 
@@ -297,11 +277,6 @@ type Deployment struct {
 // place for crash/recovery experiments.
 type runningNode struct {
 	handler http.Handler
-	// emitter is the node's telemetry emitter (nil without Spec.OpsAddr
-	// or on the ops node itself). Kill pauses it — the in-process
-	// handler survives a "crash", so without the pause a killed node
-	// would keep reporting and never go stale at the collector.
-	emitter *telemetry.Emitter
 
 	mu       sync.Mutex
 	shutdown func() error // nil while killed
@@ -332,9 +307,9 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 		nextUA:  spec.UA,
 		nextIA:  spec.IA,
 	}
-	// The shared settings of every instance: the SLO engines and the
-	// telemetry heartbeat derive from them, and a spec no instance could
-	// run is refused before anything comes up.
+	// The shared settings of every instance: the SLO engines derive from
+	// them, and a spec no instance could run is refused before anything
+	// comes up.
 	shared, err := d.nodeConfig(proxy.RoleIA, "").Resolve()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -358,22 +333,6 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 			built.Close()
 		}
 	}()
-
-	// Fleet telemetry collector, brought up FIRST so it is torn down
-	// LAST (Close kills in reverse bring-up order): every other node's
-	// final snapshot flush still finds it listening.
-	if spec.OpsAddr != "" {
-		d.Ops = telemetry.NewCollector(telemetry.CollectorConfig{Logger: spec.Logger})
-		d.OpsMetrics = metrics.NewRegistry()
-		metrics.RegisterBuildInfo(d.OpsMetrics)
-		metrics.RegisterRuntimeMetrics(d.OpsMetrics)
-		d.Ops.RegisterMetrics(d.OpsMetrics)
-		ops := d.Ops
-		h := metrics.MuxRoutes(d.OpsMetrics, ops.Health, ops.Routes(), http.NotFoundHandler())
-		if err := d.serve(spec.OpsAddr, h); err != nil {
-			return nil, err
-		}
-	}
 
 	d.env = node.Env{
 		HTTPClient: transport.HTTPClient(d.Balancer, 30*time.Second),
@@ -420,7 +379,7 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 		d.env.OnEpoch = func() { reg.EpochBoundary() }
 	}
 
-	if err := d.deployLRS(spec, shared.TelemetryInterval); err != nil {
+	if err := d.deployLRS(spec); err != nil {
 		return nil, err
 	}
 
@@ -489,16 +448,10 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 		d.PerfSLO.RegisterMetrics(d.Metrics)
 	}
 
-	// The autoscaling loop and the fleet-view emitter come up last, once
-	// the initial membership is final: the reconciler's first sample then
-	// sees the full fleet, and the emitter's first snapshot carries it.
+	// The autoscaling loop comes up last, once the initial membership is
+	// final: its first sample then sees the full fleet.
 	if spec.Elastic != nil {
 		if err := d.startReconciler(spec); err != nil {
-			return nil, err
-		}
-	}
-	if d.Ops != nil && d.Registry != nil {
-		if err := d.startFleetTelemetry(shared.TelemetryInterval); err != nil {
 			return nil, err
 		}
 	}
@@ -512,21 +465,19 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 func (d *Deployment) nodeConfig(role proxy.Role, addr string) node.Config {
 	s := d.spec
 	c := node.Config{
-		Role:              role,
-		Name:              addr,
-		Next:              "http://ia",
-		ShuffleSize:       s.Shuffle,
-		ShuffleTimeout:    s.ShuffleTimeout,
-		PassThrough:       !s.Encryption,
-		NoItemPseudonyms:  !s.ItemPseudonyms,
-		EcallCost:         s.EcallCost,
-		Resilience:        s.Resilience,
-		Audit:             s.Audit,
-		PerfSLO:           s.PerfSLO,
-		PerfThresholds:    s.PerfThresholds,
-		ProfileDir:        s.ProfileDir,
-		OpsAddr:           s.OpsAddr,
-		TelemetryInterval: s.TelemetryInterval,
+		Role:             role,
+		Name:             addr,
+		Next:             "http://ia",
+		ShuffleSize:      s.Shuffle,
+		ShuffleTimeout:   s.ShuffleTimeout,
+		PassThrough:      !s.Encryption,
+		NoItemPseudonyms: !s.ItemPseudonyms,
+		EcallCost:        s.EcallCost,
+		Resilience:       s.Resilience,
+		Audit:            s.Audit,
+		PerfSLO:          s.PerfSLO,
+		PerfThresholds:   s.PerfThresholds,
+		ProfileDir:       s.ProfileDir,
 	}
 	if role == proxy.RoleIA {
 		c.Next = "http://lrs"
@@ -553,7 +504,6 @@ func (d *Deployment) addProxy(role proxy.Role, addr string) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.nodes[addr].emitter = p.Emitter
 	d.proxies[addr] = p
 	if role == proxy.RoleUA {
 		d.UALayers = append(d.UALayers, p.Layer)
@@ -582,7 +532,7 @@ func (d *Deployment) logger(node string) *slog.Logger {
 	return d.spec.Logger.With("node", node)
 }
 
-func (d *Deployment) deployLRS(spec Spec, heartbeat time.Duration) error {
+func (d *Deployment) deployLRS(spec Spec) error {
 	var handler http.Handler
 	if spec.UseStub {
 		names := make([]string, message.MaxRecommendations)
@@ -630,11 +580,9 @@ func (d *Deployment) deployLRS(spec Spec, heartbeat time.Duration) error {
 	}
 
 	var health metrics.HealthFunc
-	role := "lrs"
 	if d.Stub != nil {
 		d.Stub.RegisterMetrics(d.Metrics, "lrs")
 		health = d.Stub.Health
-		role = "stub"
 	} else {
 		instrument := d.Engine.RegisterMetrics(d.Metrics, "lrs")
 		handler = instrument(handler)
@@ -651,19 +599,6 @@ func (d *Deployment) deployLRS(spec Spec, heartbeat time.Duration) error {
 		backends[i] = addr
 		if err := d.serve(addr, handler); err != nil {
 			return err
-		}
-		// LRS front ends observe no shuffle epochs; their emitters are
-		// purely heartbeat-driven.
-		if d.Ops != nil {
-			em, err := node.NewEmitter(d.Balancer, spec.OpsAddr, telemetry.EmitterConfig{
-				Node: addr, Role: role, Registry: d.Metrics, Interval: heartbeat, Logger: spec.Logger,
-			})
-			if err != nil {
-				return err
-			}
-			d.mu.Lock()
-			d.nodes[addr].emitter = em
-			d.mu.Unlock()
 		}
 	}
 	d.Balancer.Register("lrs", backends...)
@@ -708,11 +643,6 @@ func (d *Deployment) Kill(addr string) error {
 	}
 	shutdown := n.shutdown
 	n.shutdown = nil
-	// The process "died": silence its telemetry so the collector sees it
-	// go stale, exactly as after a real crash.
-	if n.emitter != nil {
-		n.emitter.Pause()
-	}
 	return shutdown()
 }
 
@@ -736,9 +666,6 @@ func (d *Deployment) Restart(addr string) error {
 		return err
 	}
 	n.shutdown = hopwire.ServeHTTPAndFrames(l, n.handler)
-	if n.emitter != nil {
-		n.emitter.Resume()
-	}
 	return nil
 }
 
@@ -774,19 +701,6 @@ func (d *Deployment) Close() error {
 		proxies[addr] = p
 	}
 	d.mu.Unlock()
-	// Emitters close first — their final snapshot flush needs the ops
-	// node still listening (it is killed last, being served first).
-	if d.fleetEmitter != nil {
-		d.fleetEmitter.Close()
-	}
-	for _, addr := range order {
-		d.mu.Lock()
-		n := d.nodes[addr]
-		d.mu.Unlock()
-		if n != nil && n.emitter != nil {
-			n.emitter.Close()
-		}
-	}
 	var firstErr error
 	for i := len(order) - 1; i >= 0; i-- {
 		if err := d.Kill(order[i]); err != nil && firstErr == nil {

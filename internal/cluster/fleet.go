@@ -11,7 +11,6 @@ import (
 	"pprox/internal/fleet"
 	"pprox/internal/node"
 	"pprox/internal/proxy"
-	"pprox/internal/telemetry"
 )
 
 // ElasticSpec arms the closed autoscaling loop on a fleet deployment: a
@@ -104,7 +103,7 @@ func (d *Deployment) DrainPair() error {
 //     an instance torn down still-dirty is recorded in its drain report
 //     and trips the auditor's violation check.
 //  4. Only then do the endpoints deregister and the instances shut
-//     down, their final telemetry snapshot flushed to the collector.
+//     down.
 //
 // The newest active pair is the victim, never the last one: the fleet
 // floor is one routable pair per layer.
@@ -143,14 +142,6 @@ func (d *Deployment) DrainPairContext(ctx context.Context) error {
 	d.Registry.Deregister("ua", uaAddr)
 	d.Registry.Deregister("ia", iaAddr)
 	for _, addr := range []string{uaAddr, iaAddr} {
-		d.mu.Lock()
-		n := d.nodes[addr]
-		d.mu.Unlock()
-		if n != nil && n.emitter != nil {
-			// Close flushes the final snapshot: the collector sees the
-			// instance leave rather than go stale.
-			n.emitter.Close()
-		}
 		if kerr := d.Kill(addr); kerr != nil && err == nil {
 			err = kerr
 		}
@@ -200,22 +191,15 @@ func (d *Deployment) FleetOverview() *fleet.Overview {
 
 // startReconciler wires the autoscaling loop: live signals from the
 // deployment's own /metrics registry (UA request rate, shuffle
-// occupancy), fleet goodput from the telemetry collector when one is
-// deployed, decisions actuated through the deployment itself.
+// occupancy), decisions actuated through the deployment itself.
 func (d *Deployment) startReconciler(spec Spec) error {
 	ctrl := spec.Elastic.Controller
 	if ctrl == nil {
 		ctrl = autoscale.DefaultController()
 	}
-	var goodput func() float64
-	if d.Ops != nil {
-		ops := d.Ops
-		goodput = func() float64 { return ops.Fleet().Rollups.GoodputRPS }
-	}
 	src := autoscale.NewSignalSource(autoscale.SignalSourceConfig{
 		Snapshot:    d.Metrics.Snapshot,
 		ShuffleSize: spec.Shuffle,
-		Goodput:     goodput,
 	})
 	var logf func(string, ...any)
 	if spec.Logger != nil {
@@ -239,26 +223,6 @@ func (d *Deployment) startReconciler(spec Spec) error {
 	if spec.Elastic.Interval > 0 {
 		d.stopReconcile = rec.Run(spec.Elastic.Interval)
 	}
-	return nil
-}
-
-// startFleetTelemetry adds the control-plane emitter: the deployment
-// hosts the fleet registry, so it is the one node whose snapshots carry
-// the fleet overview (membership and scaling decisions — endpoint-
-// granular, never request-granular).
-func (d *Deployment) startFleetTelemetry(heartbeat time.Duration) error {
-	em, err := node.NewEmitter(d.Balancer, d.spec.OpsAddr, telemetry.EmitterConfig{
-		Node:     "fleet-0",
-		Role:     "fleet",
-		Registry: d.Metrics,
-		Fleet:    d.FleetOverview,
-		Interval: heartbeat,
-		Logger:   d.spec.Logger,
-	})
-	if err != nil {
-		return err
-	}
-	d.fleetEmitter = em
 	return nil
 }
 

@@ -16,6 +16,7 @@ import (
 	"pprox/internal/fleet"
 	"pprox/internal/message"
 	"pprox/internal/proxy"
+	"pprox/internal/telemetry"
 	"pprox/internal/transport"
 )
 
@@ -127,9 +128,10 @@ func TestFleetScaleLifecycle(t *testing.T) {
 
 // TestElasticReconcilerClosesLoop drives the full autoscaling loop with
 // manual ticks: load pushes the desired pair count up (AddPair), idleness
-// brings it back down (DrainPair), and the fleet view reaches the
-// telemetry collector. The auditor reads ok through every phase: a pair
-// joins and leaves at epoch boundaries, never splitting an epoch.
+// brings it back down (DrainPair), and the operator's scrape of the UA
+// shows its goodput after the drain. The auditor reads ok through every
+// phase: a pair joins and leaves at epoch boundaries, never splitting an
+// epoch.
 func TestElasticReconcilerClosesLoop(t *testing.T) {
 	const s = 4
 	// A vanishingly small pair capacity makes any traffic demand Max
@@ -143,18 +145,16 @@ func TestElasticReconcilerClosesLoop(t *testing.T) {
 		Hysteresis:        1,
 	}
 	d, err := cluster.Deploy(cluster.Spec{
-		ProxyEnabled:      true,
-		UA:                1,
-		IA:                1,
-		Encryption:        true,
-		ItemPseudonyms:    true,
-		Shuffle:           s,
-		ShuffleTimeout:    300 * time.Millisecond, // a round's gets all arrive, even under -race
-		UseStub:           true,
-		Audit:             &audit.Config{},
-		Elastic:           &cluster.ElasticSpec{Controller: ctrl},
-		OpsAddr:           "ops",
-		TelemetryInterval: 50 * time.Millisecond,
+		ProxyEnabled:   true,
+		UA:             1,
+		IA:             1,
+		Encryption:     true,
+		ItemPseudonyms: true,
+		Shuffle:        s,
+		ShuffleTimeout: 300 * time.Millisecond, // a round's gets all arrive, even under -race
+		UseStub:        true,
+		Audit:          &audit.Config{},
+		Elastic:        &cluster.ElasticSpec{Controller: ctrl},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,19 +255,21 @@ func TestElasticReconcilerClosesLoop(t *testing.T) {
 		t.Fatalf("decision ring %+v missing scale-up or scale-down", ov.Decisions)
 	}
 
-	// Goodput recovers on the remaining pair.
+	// Goodput recovers on the remaining pair: the operator's two scrapes
+	// of ua-0 around the post-drain rounds see it serve.
+	hc := d.HTTPClient(5 * time.Second)
+	targets := []string{"http://ua-0"}
+	before := telemetry.ScrapeAll(hc, targets)
+	start := time.Now()
 	round(s, 5)
 	round(s, 6)
 	auditOK("after post-drain traffic")
-
-	// The control-plane emitter carries the fleet view to the collector,
-	// and the operator reads it over HTTP.
-	var fv *fleet.Overview
-	waitFor(t, "goodput and a 1/1 fleet view on /fleet", func() bool {
-		f := fetchFleetHTTP(t, d, "ops")
-		fv = f.Rollups.Fleet
-		return f.Rollups.GoodputRPS > 0 && fv != nil && fv.CurrentPairs == 1 && fv.DesiredPairs == 1
-	})
+	view := telemetry.View(before, telemetry.ScrapeAll(hc, targets), time.Since(start))
+	fv := d.FleetOverview()
+	if view.Rollups.GoodputRPS <= 0 || fv == nil || fv.CurrentPairs != 1 || fv.DesiredPairs != 1 {
+		t.Fatalf("after the drain: goodput %g, fleet %+v; want goodput and 1/1 pairs\n%+v",
+			view.Rollups.GoodputRPS, fv, view.Nodes)
+	}
 	ups, downs := 0, 0
 	for _, dd := range fv.Decisions {
 		switch dd.Action {
@@ -278,7 +280,7 @@ func TestElasticReconcilerClosesLoop(t *testing.T) {
 		}
 	}
 	if ups != 1 || downs != 1 {
-		t.Errorf("/fleet decisions %+v, want one scale-up and one scale-down", fv.Decisions)
+		t.Errorf("fleet decisions %+v, want one scale-up and one scale-down", fv.Decisions)
 	}
 }
 

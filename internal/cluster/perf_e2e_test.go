@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -29,7 +28,7 @@ import (
 // harvester captures a profile into the ring. One number names an epoch
 // everywhere: each breach exemplar is an epoch record holding the
 // over-threshold forwards, the profile's meta.json names an exemplar, and
-// each proxy's telemetry snapshot names its latest record.
+// each proxy's EPOCH in the operator's fleet view is its latest record.
 func TestPerfSLOFlagsInjectedLatencyRegression(t *testing.T) {
 	const s = 4
 	inj := faults.NewInjector(1)
@@ -46,10 +45,6 @@ func TestPerfSLOFlagsInjectedLatencyRegression(t *testing.T) {
 		ShuffleTimeout: 50 * time.Millisecond,
 		UseStub:        true,
 		Trace:          true,
-		// Snapshots go out per epoch only: heartbeats would add load that
-		// the healthy phase's 25 ms ecall objective can feel under -race.
-		OpsAddr:           "ops-0",
-		TelemetryInterval: time.Hour,
 		PerfSLO: &perfslo.Config{
 			Windows: []slo.Window{
 				{Name: "500ms", Duration: 500 * time.Millisecond, Burn: 1},
@@ -156,17 +151,17 @@ func TestPerfSLOFlagsInjectedLatencyRegression(t *testing.T) {
 		}
 	}
 
-	// Each proxy's latest telemetry snapshot names its latest record.
-	for _, name := range []string{"ua-0", "ia-0"} {
-		recs := d.Traces.Records(name)
+	// Each proxy's EPOCH in the fleet view is its latest record.
+	names := []string{"ua-0", "ia-0"}
+	round := telemetry.ScrapeAll(httpClient, []string{"http://ua-0", "http://ia-0"})
+	for i, n := range telemetry.View(nil, round, 0).Nodes {
+		recs := d.Traces.Records(names[i])
 		if len(recs) == 0 {
-			t.Fatalf("no epoch records on %s", name)
+			t.Fatalf("no epoch records on %s", names[i])
 		}
-		last := recs[len(recs)-1].Epoch
-		waitFleet(t, d, func(f telemetry.FleetReport) bool {
-			n, ok := fleetNode(f, name)
-			return ok && n.Epoch == last
-		}, fmt.Sprintf("%s snapshot at epoch %d", name, last))
+		if last := recs[len(recs)-1].Epoch; n.Node != names[i] || n.Epoch != last {
+			t.Errorf("fleet view row %s at epoch %d, want %s at %d", n.Node, n.Epoch, names[i], last)
+		}
 	}
 
 	// The transition triggered a profile capture into the ring.

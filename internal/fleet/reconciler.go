@@ -41,16 +41,15 @@ type Decision struct {
 	Seq       uint64  `json:"seq"`
 	RPS       float64 `json:"rps"`
 	Occupancy float64 `json:"occupancy"`
-	Goodput   float64 `json:"goodput"`
 	Current   int     `json:"current"`
 	Desired   int     `json:"desired"`
 	Action    Action  `json:"action"`
 	Err       string  `json:"err,omitempty"`
 }
 
-// Overview is the fleet-membership + scaling view exported to telemetry
-// snapshots and the /fleet rollup: who is in the fleet, in what state,
-// and the recent scaling decisions that produced that shape.
+// Overview is the fleet-membership + scaling view the registry host
+// serves on /fleet: who is in the fleet, in what state, and the recent
+// scaling decisions that produced that shape.
 type Overview struct {
 	CurrentPairs int        `json:"current_pairs"`
 	DesiredPairs int        `json:"desired_pairs"`
@@ -123,7 +122,6 @@ func (r *Reconciler) Tick() Decision {
 	d := Decision{
 		RPS:       sig.RPS,
 		Occupancy: sig.Occupancy,
-		Goodput:   sig.Goodput,
 		Current:   current,
 		Desired:   desired,
 		Action:    ActionHold,

@@ -45,7 +45,7 @@ func testController() *autoscale.Controller {
 
 func TestReconcilerScalesUpOneStepPerTick(t *testing.T) {
 	drv := &fakeDriver{pairs: 1}
-	sig := autoscale.Signals{RPS: 350, Occupancy: -1, Goodput: -1}
+	sig := autoscale.Signals{RPS: 350, Occupancy: -1}
 	rec, err := NewReconciler(ReconcilerConfig{
 		Controller: testController(),
 		Signals:    func() autoscale.Signals { return sig },
@@ -79,7 +79,7 @@ func TestReconcilerScalesDown(t *testing.T) {
 	rec, _ := NewReconciler(ReconcilerConfig{
 		Controller: testController(),
 		Signals: func() autoscale.Signals {
-			return autoscale.Signals{RPS: 50, Occupancy: -1, Goodput: -1}
+			return autoscale.Signals{RPS: 50, Occupancy: -1}
 		},
 		Driver: drv,
 	})
@@ -96,7 +96,7 @@ func TestReconcilerUnknownSignalsHold(t *testing.T) {
 	rec, _ := NewReconciler(ReconcilerConfig{
 		Controller: testController(),
 		Signals: func() autoscale.Signals {
-			return autoscale.Signals{RPS: -1, Occupancy: -1, Goodput: -1}
+			return autoscale.Signals{RPS: -1, Occupancy: -1}
 		},
 		Driver: drv,
 	})
@@ -113,7 +113,7 @@ func TestReconcilerRecordsDriverError(t *testing.T) {
 	rec, _ := NewReconciler(ReconcilerConfig{
 		Controller: testController(),
 		Signals: func() autoscale.Signals {
-			return autoscale.Signals{RPS: 350, Occupancy: -1, Goodput: -1}
+			return autoscale.Signals{RPS: 350, Occupancy: -1}
 		},
 		Driver: drv,
 		Keep:   2,
@@ -136,7 +136,7 @@ func TestReconcilerHousekeepsRegistry(t *testing.T) {
 	rec, _ := NewReconciler(ReconcilerConfig{
 		Controller: testController(),
 		Signals: func() autoscale.Signals {
-			return autoscale.Signals{RPS: 150, Occupancy: -1, Goodput: -1}
+			return autoscale.Signals{RPS: 150, Occupancy: -1}
 		},
 		Driver:   drv,
 		Registry: reg,
@@ -155,7 +155,7 @@ func TestBuildOverview(t *testing.T) {
 	rec, _ := NewReconciler(ReconcilerConfig{
 		Controller: testController(),
 		Signals: func() autoscale.Signals {
-			return autoscale.Signals{RPS: 250, Occupancy: -1, Goodput: -1}
+			return autoscale.Signals{RPS: 250, Occupancy: -1}
 		},
 		Driver:   drv,
 		Registry: reg,

@@ -19,6 +19,9 @@ const (
 	DrainPath      = "/fleet/drain"
 	DeregisterPath = "/fleet/deregister"
 	MembersPath    = "/fleet/members"
+	// OverviewPath serves the registry host's Overview: membership and
+	// recent scaling decisions (OverviewHandler).
+	OverviewPath = "/fleet"
 )
 
 // wireEndpoint is the request body for all mutation endpoints.
@@ -236,4 +239,15 @@ func (a *Agent) Stop() {
 		a.stopped = true
 		close(a.stop)
 	}
+}
+
+// OverviewHandler serves ov's fleet overview as JSON on GET OverviewPath.
+func OverviewHandler(ov func() *Overview) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			http.Error(w, "GET required", http.StatusMethodNotAllowed)
+			return
+		}
+		writeJSON(w, http.StatusOK, ov())
+	})
 }

@@ -161,17 +161,6 @@ func (c *Client) RoundTrip(ctx context.Context, path string, body []byte) (int, 
 		if err != nil {
 			return 0, nil, err
 		}
-	case message.TelemetryPath:
-		// One snapshot per slot; the frame kind itself is the route, so
-		// the entry carries no per-message kind tag.
-		epoch = c.seq.Add(1)
-		reqKind = message.FrameTelemetry
-		var err error
-		frame, err = message.AppendBatchFrame(nil, message.FrameTelemetry, epoch,
-			[]message.BatchEntry{{ID: 0, Body: body}})
-		if err != nil {
-			return 0, nil, err
-		}
 	default:
 		// Health probes and any future route stay on HTTP.
 		return 0, nil, ErrUnsupported
@@ -387,7 +376,7 @@ func (c *Client) exchange(ctx context.Context, pc *poolConn, frame []byte, epoch
 		}
 		c.putConn(pc)
 		return http.StatusOK, full, true, nil
-	case message.FrameSingle, message.FrameTelemetry:
+	case message.FrameSingle:
 		if h.Kind != reqKind {
 			return 0, nil, true, fmt.Errorf("hopwire: kind-%d response to a kind-%d frame", h.Kind, reqKind)
 		}

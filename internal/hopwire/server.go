@@ -16,8 +16,7 @@ import (
 
 // Server serves frame connections by bridging each frame into the node's
 // existing HTTP stack: a batch frame becomes an in-memory POST /batch, a
-// single frame a POST to its entry's per-message path, a telemetry frame
-// a POST /telemetry at the fleet collector. The bridge keeps
+// single frame a POST to its entry's per-message path. The bridge keeps
 // every middleware the node already stacks — fault injection, metrics,
 // audit routes — on the frame path for free, and guarantees that frames
 // and HTTP expose the same behaviour at every node.
@@ -147,20 +146,16 @@ func (s *Server) dispatch(h message.FrameHeader, frame []byte, remote string) (r
 			return body, rec.last()
 		}
 		return message.AppendErrorFrame(nil, h.Epoch, rec.status, errText(rec.buf.Bytes())), rec.last()
-	case message.FrameSingle, message.FrameTelemetry:
+	case message.FrameSingle:
 		_, entries, err := message.DecodeBatchFrame(frame)
 		if err != nil {
 			return message.AppendErrorFrame(nil, h.Epoch, http.StatusBadRequest, "bad frame"), false
 		}
+		// A single frame's entry carries the per-message path it stands for.
 		e := entries[0]
-		// A telemetry frame's kind IS its route; a single frame's entry
-		// carries the per-message path it stands for.
-		path := message.TelemetryPath
-		if h.Kind == message.FrameSingle {
-			var ok bool
-			if path, ok = message.BatchKindPath(e.Kind); !ok {
-				return message.AppendErrorFrame(nil, h.Epoch, http.StatusBadRequest, "bad entry kind"), false
-			}
+		path, ok := message.BatchKindPath(e.Kind)
+		if !ok {
+			return message.AppendErrorFrame(nil, h.Epoch, http.StatusBadRequest, "bad entry kind"), false
 		}
 		rec := s.bridge(path, e.Body, remote)
 		if rec == nil {

@@ -73,14 +73,6 @@ const (
 	// FrameSingle carries exactly one slot: the per-message hop path
 	// (events/queries) riding the same persistent connection.
 	FrameSingle byte = 3
-	// FrameTelemetry carries exactly one slot holding an epoch-granular
-	// node snapshot (internal/telemetry) bound for the fleet collector's
-	// POST /telemetry route. It is structurally a FrameSingle — same slot
-	// envelope, padding, and bounds — under its own kind byte so a frame
-	// server routes it without inspecting the body, and so operator
-	// telemetry is distinguishable from user traffic in a capture (its
-	// content is already public: what /metrics exposes, nothing finer).
-	FrameTelemetry byte = 4
 )
 
 // frameMagic starts every binary frame.
@@ -181,7 +173,7 @@ func ParseFrameHeader(data []byte) (FrameHeader, error) {
 		return FrameHeader{}, fmt.Errorf("%w: payload %d exceeds bound", ErrMalformedFrame, h.PayloadLen)
 	}
 	switch h.Kind {
-	case FrameBatch, FrameSingle, FrameTelemetry:
+	case FrameBatch, FrameSingle:
 		if h.Count == 0 {
 			return FrameHeader{}, fmt.Errorf("%w: no entries", ErrMalformedFrame)
 		}
@@ -231,7 +223,7 @@ func slotSizeFor(entries []BatchEntry) int {
 func AppendBatchFrame(dst []byte, kind byte, epoch uint64, entries []BatchEntry) ([]byte, error) {
 	switch kind {
 	case FrameBatch:
-	case FrameSingle, FrameTelemetry:
+	case FrameSingle:
 		if len(entries) != 1 {
 			return nil, fmt.Errorf("%w: single frame needs exactly 1 entry, got %d", ErrMalformedFrame, len(entries))
 		}

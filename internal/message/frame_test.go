@@ -170,6 +170,7 @@ func TestFrameDecodeRejectsBadInput(t *testing.T) {
 		{"bad magic", mutate(func(b []byte) { b[0] = 'X' }), ErrNotFrame},
 		{"bad version", mutate(func(b []byte) { b[4] = 99 }), ErrMalformedFrame},
 		{"unknown frame kind", mutate(func(b []byte) { b[5] = 77 }), ErrMalformedFrame},
+		{"retired frame kind 4", mutate(func(b []byte) { b[5] = 4 }), ErrMalformedFrame},
 		{"truncated header", good[:FrameHeaderSize-1], ErrMalformedFrame},
 		{"truncated payload", good[:len(good)-3], ErrMalformedFrame},
 		{"trailing garbage", append(append([]byte(nil), good...), 0xFF), ErrMalformedFrame},
@@ -219,6 +220,38 @@ func TestFrameEncodeRejectsUnrepresentable(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := MarshalBatch(tc.entries); err == nil {
 			t.Errorf("%s: encoder accepted it", tc.name)
+		}
+	}
+}
+
+// TestTelemetryFrameRequiresSingleSlot: the single-slot shape is
+// enforced on both sides — encoding more than one entry into a
+// FrameSingle fails, and a forged multi-count single header is rejected
+// by the parser. Kind 4, which once carried telemetry snapshots in a
+// single slot, is refused outright in either direction.
+func TestTelemetryFrameRequiresSingleSlot(t *testing.T) {
+	two := []BatchEntry{
+		{ID: 0, Kind: BatchKindPost, Body: []byte("a")},
+		{ID: 1, Kind: BatchKindPost, Body: []byte("b")},
+	}
+	if _, err := AppendBatchFrame(nil, FrameSingle, 1, two); !errors.Is(err, ErrMalformedFrame) {
+		t.Errorf("two-slot single frame encoded: err = %v", err)
+	}
+	if _, err := AppendBatchFrame(nil, 4, 1, two[:1]); !errors.Is(err, ErrMalformedFrame) {
+		t.Errorf("retired frame kind 4 encoded: err = %v", err)
+	}
+
+	// Forge: take a two-entry batch frame and rewrite its kind byte. The
+	// header parser must refuse count != 1 for a single frame, and kind 4
+	// at any count.
+	data, err := AppendBatchFrame(nil, FrameBatch, 1, two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []byte{FrameSingle, 4} {
+		data[5] = kind
+		if _, err := ParseFrameHeader(data); !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("forged two-slot kind %d header accepted: err = %v", kind, err)
 		}
 	}
 }

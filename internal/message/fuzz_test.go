@@ -65,15 +65,16 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	f.Add(good[:FrameHeaderSize])
 	f.Add(good[:len(good)-1])
 	f.Add(AppendErrorFrame(nil, 1, 503, "down"))
-	// Telemetry frames ride the same decoder: seed a well-formed one, a
-	// truncated one, and a kind-byte forgery of the batch seed.
-	tele, _ := AppendBatchFrame(nil, FrameTelemetry, 3,
-		[]BatchEntry{{ID: 0, Kind: BatchKindPost, Body: []byte(`{"node":"ua-0","seq":1}`)}})
-	f.Add(tele)
-	f.Add(tele[:len(tele)-2])
-	forged := append([]byte(nil), good...)
-	forged[5] = FrameTelemetry
-	f.Add(forged)
+	// Kind 4 is retired (it once carried pushed telemetry): a batch or
+	// single frame relabelled with it, whole or truncated, must be
+	// refused like any unknown kind.
+	single, _ := AppendBatchFrame(nil, FrameSingle, 3,
+		[]BatchEntry{{ID: 0, Kind: BatchKindPost, Body: []byte("opaque")}})
+	for _, frame := range [][]byte{good, single, single[:len(single)-2]} {
+		retired := append([]byte(nil), frame...)
+		retired[5] = 4
+		f.Add(retired)
+	}
 	f.Add([]byte("PPXB"))
 	f.Add([]byte(`{"v":1,"entries":[{"id":0}]}`))
 	f.Add([]byte{})

@@ -35,11 +35,6 @@ const (
 	// serves. The LRS never serves it: the IA demultiplexes and speaks
 	// the legacy per-message API downstream.
 	BatchPath = "/batch"
-	// TelemetryPath accepts one epoch-granular node snapshot
-	// (internal/telemetry) at the fleet collector. Frame speakers carry
-	// the same body as a FrameTelemetry frame; frame-illiterate nodes
-	// POST it here directly.
-	TelemetryPath = "/telemetry"
 )
 
 // Batch entry kinds, the request-direction dispatch tag standing in for

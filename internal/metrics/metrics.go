@@ -311,28 +311,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
-// SnapshotDetailed samples every series like Snapshot and additionally
-// reports which series are monotonic: counters and every histogram
-// component (_bucket, _sum, _count — all non-decreasing for the
-// non-negative observations this registry records). Delta-based consumers
-// (the telemetry emitter) subtract successive samples of monotonic series
-// only; gauges must travel as absolute values.
-func (r *Registry) SnapshotDetailed() (values map[string]float64, monotonic map[string]bool) {
-	values = make(map[string]float64)
-	monotonic = make(map[string]bool)
-	for _, f := range r.sortedFamilies() {
-		mono := f.typ != typeGauge
-		for _, s := range f.collect() {
-			key := f.name + s.suffix + s.labels
-			values[key] = s.value
-			if mono {
-				monotonic[key] = true
-			}
-		}
-	}
-	return values, monotonic
-}
-
 func (r *Registry) sortedFamilies() []*family {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))

@@ -9,7 +9,7 @@ import (
 // memStatsTTL bounds how often a scrape may trigger runtime.ReadMemStats.
 // Reading memstats stops the world briefly; one read serves every
 // pprox_go_* series of a scrape, and scrapes closer together than the TTL
-// (e.g. a telemetry flush racing an operator scrape) share the cached
+// (e.g. two operators scraping at once) share the cached
 // read rather than pausing the process twice.
 const memStatsTTL = 250 * time.Millisecond
 

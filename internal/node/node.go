@@ -3,8 +3,7 @@
 // provisioned instances (§5); pprox-proxy fills a Config from its flags,
 // the in-process cluster fills one per instance from its Spec, and both
 // build the instance through NewProxy: enclave and cache, auditor checks,
-// performance objectives, epoch observer, telemetry and the operational
-// routes. What differs between a process and the in-process deployment —
+// performance objectives, epoch observer and the operational routes. What differs between a process and the in-process deployment —
 // how the next hop is reached, where the keys come from, which engines are
 // shared — travels in Env.
 package node
@@ -28,7 +27,6 @@ import (
 	"pprox/internal/proxy"
 	"pprox/internal/reccache"
 	"pprox/internal/resilience"
-	"pprox/internal/telemetry"
 	"pprox/internal/transport"
 )
 
@@ -37,8 +35,8 @@ import (
 type Config struct {
 	// Role selects the UA or IA layer.
 	Role proxy.Role
-	// Name labels the instance in metrics, logs, epoch records, the
-	// auditor and telemetry (default: the role, "ua" or "ia").
+	// Name labels the instance in metrics, logs, epoch records and the
+	// auditor (default: the role, "ua" or "ia").
 	Name string
 	// Next is the base URL of the next hop: the IA layer for a UA, the
 	// LRS for an IA.
@@ -74,11 +72,6 @@ type Config struct {
 	PerfThresholds map[string]float64
 	// ProfileDir arms profile capture on a perf-SLO warn or violation.
 	ProfileDir string
-	// OpsAddr is the telemetry collector; empty is off.
-	OpsAddr string
-	// TelemetryInterval is the emitter's heartbeat when no epochs fire
-	// (default ShuffleTimeout).
-	TelemetryInterval time.Duration
 	// DrainTimeout bounds the graceful drain before stragglers are refused
 	// (default 2×ShuffleTimeout + 5s: the final timer flush plus the
 	// in-flight tail).
@@ -95,10 +88,6 @@ const DefaultShuffleTimeout = 500 * time.Millisecond
 // forwardObjective is the IA→LRS forward stage's default latency
 // threshold: generous against an LRS answering in milliseconds.
 const forwardObjective = 250 * time.Millisecond
-
-// heartbeat is the telemetry cadence of a node that releases no shuffle
-// epochs (LRS front ends, the stub, the fleet registry).
-const heartbeat = 250 * time.Millisecond
 
 // Resolve returns the configuration with every default derived and the
 // settings validated: the configuration an instance actually runs.
@@ -120,9 +109,6 @@ func (c Config) Resolve() (Config, error) {
 	if c.PerfQuantile <= 0 || c.PerfQuantile >= 1 {
 		c.PerfQuantile = 0.99
 	}
-	if c.TelemetryInterval <= 0 {
-		c.TelemetryInterval = c.ShuffleTimeout
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 2*c.ShuffleTimeout + 5*time.Second
 	}
@@ -132,8 +118,7 @@ func (c Config) Resolve() (Config, error) {
 // Env is what differs between a pprox-proxy process and the in-process
 // deployment.
 type Env struct {
-	// HTTPClient reaches Next over HTTP; Dialer dials Next's frame links
-	// and the telemetry collector.
+	// HTTPClient reaches Next over HTTP; Dialer dials Next's frame links.
 	HTTPClient *http.Client
 	Dialer     transport.Dialer
 	// Provision provisions the enclave; nil only with PassThrough.
@@ -257,32 +242,6 @@ func NewEvaluator(c Config, profileSource string, logger *slog.Logger) (*perfslo
 	return eval, harvester, nil
 }
 
-// NewEmitter starts a node's telemetry stream to the collector at opsAddr,
-// dialed through d and scoped to the node's own series of a registry
-// instances may share (series labelled with another node are left out).
-// A zero Interval heartbeats every 250ms.
-func NewEmitter(d transport.Dialer, opsAddr string, cfg telemetry.EmitterConfig) (*telemetry.Emitter, error) {
-	pusher, err := telemetry.NewClient(d, opsAddr)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = heartbeat
-	}
-	cfg.Pusher = pusher
-	cfg.Filter = func(series string) bool {
-		_, labels := metrics.ParseSeries(series)
-		n, ok := labels["node"]
-		return !ok || n == cfg.Node
-	}
-	em, err := telemetry.NewEmitter(cfg)
-	if err != nil {
-		pusher.Close()
-		return nil, err
-	}
-	return em, nil
-}
-
 // Proxy is one assembled proxy instance.
 type Proxy struct {
 	// Config is the resolved configuration the instance runs.
@@ -290,8 +249,6 @@ type Proxy struct {
 	Layer  *proxy.Layer
 	// Handler serves the layer behind /metrics, /healthz and Env.Routes.
 	Handler http.Handler
-	// Emitter streams the instance's telemetry; nil without OpsAddr.
-	Emitter *telemetry.Emitter
 
 	faults *faults.Injector
 	// stopRecords stops the unshuffled IA's record timer; recordsDone
@@ -300,9 +257,9 @@ type Proxy struct {
 }
 
 // NewProxy assembles one proxy instance: the provisioned enclave (and
-// cache), the layer, its auditor checks, latency objectives, epoch log
-// and telemetry, each epoch record fed to them, and the handler to
-// serve. Serve Handler, and Close once the listener has stopped.
+// cache), the layer, its auditor checks, latency objectives and epoch log,
+// each epoch record fed to them, and the handler to serve. Serve Handler,
+// and Close once the listener has stopped.
 func NewProxy(c Config, env Env) (_ *Proxy, err error) {
 	if c, err = c.Resolve(); err != nil {
 		return nil, err
@@ -364,26 +321,7 @@ func NewProxy(c Config, env Env) (_ *Proxy, err error) {
 	if env.PerfSLO != nil {
 		addObjectives(env.PerfSLO, layer, c)
 	}
-	if c.OpsAddr != "" {
-		ecfg := telemetry.EmitterConfig{
-			Node:     c.Name,
-			Role:     strings.ToLower(c.Role.String()),
-			Registry: env.Registry,
-			Interval: c.TelemetryInterval,
-			Logger:   logger,
-		}
-		// The snapshot carries only the engines' state strings.
-		if a := env.Auditor; a != nil {
-			ecfg.AuditState = func() string { return a.State().String() }
-		}
-		if eval := env.PerfSLO; eval != nil {
-			ecfg.PerfState = func() string { return eval.State().String() }
-		}
-		if p.Emitter, err = NewEmitter(env.Dialer, c.OpsAddr, ecfg); err != nil {
-			return nil, err
-		}
-	}
-	observeEpochs(layer, env, p.Emitter)
+	observeEpochs(layer, env)
 
 	var app http.Handler = layer
 	if c.Faults != "" {
@@ -400,13 +338,9 @@ func NewProxy(c Config, env Env) (_ *Proxy, err error) {
 	return p, nil
 }
 
-// Close stops the instance's telemetry (flushing a final snapshot),
-// releases its shuffled messages and waits for its in-flight epochs. Call
-// it after the listener serving Handler has stopped.
+// Close releases the instance's shuffled messages and waits for its
+// in-flight epochs. Call it after the listener serving Handler has stopped.
 func (p *Proxy) Close() {
-	if p.Emitter != nil {
-		p.Emitter.Close()
-	}
 	if p.stopRecords != nil {
 		close(p.stopRecords)
 		<-p.recordsDone
@@ -457,9 +391,9 @@ func recordEvery(layer *proxy.Layer, interval time.Duration, stop, done chan str
 
 // observeEpochs hands each of the layer's epoch records to the log, and
 // each released epoch to the engines that watch it: all of them read the
-// one record, so the log, the /perf exemplars and the telemetry snapshot
-// name the same epoch numbers.
-func observeEpochs(layer *proxy.Layer, env Env, em *telemetry.Emitter) {
+// one record, so the log and the /perf exemplars name the same epoch
+// numbers.
+func observeEpochs(layer *proxy.Layer, env Env) {
 	a, eval, sink, onEpoch := env.Auditor, env.PerfSLO, env.TraceSink, env.OnEpoch
 	layer.SetEpochObserver(func(rec proxy.EpochRecord) {
 		if sink != nil {
@@ -473,11 +407,6 @@ func observeEpochs(layer *proxy.Layer, env Env, em *telemetry.Emitter) {
 		}
 		if eval != nil {
 			eval.Sample(rec.Node, rec.Epoch, rec.Stages)
-		}
-		// The emitter follows the engines, so its snapshot sees the
-		// epoch's audit and perf samples applied.
-		if em != nil {
-			em.ObserveEpoch(rec.Epoch, rec.Batch)
 		}
 		if onEpoch != nil {
 			onEpoch()

@@ -50,6 +50,14 @@ func rsaOnly(lk *LayerKeys) *LayerKeys {
 	return &LayerKeys{Pair: lk.Pair, Permanent: lk.Permanent, LinkKey: lk.LinkKey}
 }
 
+// boxField reports whether a key or bundle file names a box field. Every
+// box field name holds "box_", which standard base64 cannot: its alphabet
+// has no underscore, so a key that happens to encode to "...box..." does
+// not count.
+func boxField(data []byte) bool {
+	return bytes.Contains(data, []byte("box_"))
+}
+
 // TestRSAOnlyFilesStillLoad: key and bundle files without the box fields —
 // every file in the field when this version ships — load as RSA-only
 // material, and writing that material back adds nothing to them.
@@ -60,7 +68,7 @@ func TestRSAOnlyFilesStillLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "box") {
+	if boxField(data) {
 		t.Errorf("RSA-only key file mentions a box key:\n%s", data)
 	}
 	gotUA, gotIA, err := UnmarshalKeyFile(data)
@@ -81,7 +89,7 @@ func TestRSAOnlyFilesStillLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(bundle), "box") {
+	if boxField(bundle) {
 		t.Errorf("RSA-only bundle file mentions a box key:\n%s", bundle)
 	}
 	got, err := UnmarshalBundleFile(bundle)

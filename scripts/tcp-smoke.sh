@@ -4,7 +4,8 @@
 # and the sidecar. It sends one get and one post through the sidecar with
 # curl and fails unless both answer 200, the get returns 20 items, and the
 # UA forwarded in hopwire frames (exchanges > 0) without one HTTP fallback.
-# Then it stops the UA with SIGTERM and fails unless its -trace-log holds
+# pprox-ops top -once then scrapes the UA, the IA and the stub and must
+# exit 0 with one row per node, the UA's at epoch 1 or later. Then it stops the UA with SIGTERM and fails unless its -trace-log holds
 # epochs 1 and 2 of one request each, and the serve counts of all its
 # records, Close's final one included, sum to the two requests.
 #
@@ -42,7 +43,7 @@ healthy() {
 	fail "$1 never became healthy"
 }
 
-$GO build -o "$dir/bin/" ./cmd/pprox-keygen ./cmd/pprox-stub ./cmd/pprox-proxy ./cmd/pprox-sidecar
+$GO build -o "$dir/bin/" ./cmd/pprox-keygen ./cmd/pprox-stub ./cmd/pprox-proxy ./cmd/pprox-sidecar ./cmd/pprox-ops
 "$dir/bin/pprox-keygen" -out "$dir/keys" >/dev/null
 
 stub=127.0.0.1:18180 ia=127.0.0.1:18181 ua=127.0.0.1:18182 sidecar=127.0.0.1:18183
@@ -70,6 +71,13 @@ fallbacks=$(awk '/^pprox_hopwire_fallbacks_total/ {print $2}' "$dir/ua.metrics")
 [ "${exchanges:-0}" -gt 0 ] || fail "the UA completed no hopwire exchange"
 [ "$fallbacks" = 0 ] || fail "the UA fell back to HTTP $fallbacks times"
 
+"$dir/bin/pprox-ops" top -once -interval 200ms -targets http://$ua,http://$ia,http://$stub >"$dir/top" 2>>"$dir/log" ||
+	fail "pprox-ops top -once exited $?: $(cat "$dir/top")"
+rows=$(awk '$1 == "NODE" {table = 1; next} table && NF == 0 {table = 0} table' "$dir/top" | wc -l)
+[ "$rows" -eq 3 ] || fail "top shows $rows node rows, want 3: $(cat "$dir/top")"
+ua_epoch=$(awk '$1 == "ua" && $2 == "ua" && $3 == "up" {print $4}' "$dir/top")
+[ "${ua_epoch:-0}" -ge 1 ] || fail "top shows the UA at epoch ${ua_epoch:-none}, want ≥ 1: $(cat "$dir/top")"
+
 kill -TERM $ua_pid
 wait $ua_pid || fail "the UA exited $? on SIGTERM"
 for e in 1 2; do
@@ -77,4 +85,4 @@ for e in 1 2; do
 done
 serves=$(grep -o '"serve":{[^}]*}' "$dir/ua.epochs" | grep -o ':[0-9][0-9]*' | tr -d : | awk '{n += $1} END {print n + 0}')
 [ "$serves" -eq 2 ] || fail "the UA's records count $serves serves, want 2: $(cat "$dir/ua.epochs")"
-echo "tcp-smoke: get 200 with $items items, post 200, UA hopwire exchanges $exchanges, fallbacks $fallbacks, $(wc -l <"$dir/ua.epochs") epoch records with $serves serves"
+echo "tcp-smoke: get 200 with $items items, post 200, UA hopwire exchanges $exchanges, fallbacks $fallbacks, top: $rows nodes with the UA at epoch $ua_epoch, $(wc -l <"$dir/ua.epochs") epoch records with $serves serves"
