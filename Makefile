@@ -22,11 +22,12 @@ race:
 	$(GO) test -race ./...
 
 # The LRS post and get paths' cost benchmarks, the Refresh that rebuilds
-# its index, and the event store's insert and lookup, one iteration each:
+# its index, the event store's insert and lookup, and the popularity
+# ranking's re-rank and top-n read, one iteration each:
 # they are the only place its per-event, per-get and per-refresh costs
 # are priced, so they must keep running.
 lrs-bench-once:
-	$(GO) test -run '^$$' -bench 'Incremental|SetField|Search|Recommend|Refresh|ShardedLog' -benchtime 1x ./internal/lrs/...
+	$(GO) test -run '^$$' -bench 'Incremental|SetField|Search|Recommend|Refresh|ShardedLog|Ranking|PopularItems' -benchtime 1x ./internal/lrs/...
 
 # The IA enclave's get path (ia/get + ia/get-response on a 20-item
 # reply), one iteration per key material, so the benchmark keeps building

@@ -106,7 +106,7 @@ type Incremental struct {
 	pop   []int32          // id → users whose window holds the item
 	rows  [][]pair         // id → co-occurrence row, ascending by other
 	nrows int              // rows that are not empty
-	rank  ranking          // pop in cold-start order, kept current by Fold
+	rank  idRanking        // pop in cold-start order, kept current by Fold
 
 	dirty  []int32 // ids whose rows changed since they were last scored
 	marked []bool  // id → in dirty
@@ -195,7 +195,7 @@ func (inc *Incremental) fold(ev Event) bool {
 		uw.window = uw.window[:len(uw.window)-1]
 		inc.pop[oldest]--
 		c := int(inc.pop[oldest])
-		inc.rank.move(inc.names[oldest], c+1, c)
+		inc.rank.move(oldest, c+1, c, inc.names)
 		for _, w := range uw.window {
 			inc.addPair(oldest, w, -1)
 			inc.addPair(w, oldest, -1)
@@ -212,7 +212,7 @@ func (inc *Incremental) fold(ev Event) bool {
 	uw.window = append(uw.window, item)
 	inc.pop[item]++
 	c := int(inc.pop[item])
-	inc.rank.move(inc.names[item], c-1, c)
+	inc.rank.move(item, c-1, c, inc.names)
 	return true
 }
 
@@ -405,10 +405,12 @@ func (inc *Incremental) Model() *Model {
 		Indicators: make(map[string][]Correlation, inc.nrows),
 		Popularity: make(map[string]int, len(inc.rank)),
 		Users:      len(inc.users),
-		ranked:     append(ranking(nil), inc.rank...),
+		ranked:     make(ranking, len(inc.rank)),
 	}
-	for _, e := range inc.rank {
-		m.Popularity[e.item] = e.count
+	for i, e := range inc.rank {
+		item, count := inc.names[e.id], int(e.count)
+		m.ranked[i] = ranked{item, count}
+		m.Popularity[item] = count
 	}
 	inc.eachRow(func(item string, row []Correlation) {
 		m.Indicators[item] = slices.Clone(row)
@@ -422,7 +424,7 @@ func (inc *Incremental) Model() *Model {
 func (inc *Incremental) PopularItems(n int) []string {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	return inc.rank.top(n)
+	return inc.rank.top(n, inc.names)
 }
 
 // AppendPopular appends the most popular items not in skip to dst, in
@@ -430,7 +432,7 @@ func (inc *Incremental) PopularItems(n int) []string {
 func (inc *Incremental) AppendPopular(dst []string, n int, skip map[string]bool) []string {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	return inc.rank.appendTop(dst, n, skip)
+	return inc.rank.appendTop(dst, n, skip, inc.names)
 }
 
 // Users returns the distinct-user count.

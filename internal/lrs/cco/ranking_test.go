@@ -159,7 +159,11 @@ func syntheticPopularity(n int) map[string]int {
 // given map, as if that many events had been applied.
 func syntheticIncremental(pop map[string]int) *Incremental {
 	inc := NewIncremental(DefaultConfig())
-	inc.rank = rankPopularity(pop)
+	for _, e := range rankPopularity(pop) {
+		id := inc.intern(e.item)
+		inc.pop[id] = int32(e.count)
+		inc.rank = append(inc.rank, idRanked{id, int32(e.count)})
+	}
 	return inc
 }
 
@@ -179,8 +183,8 @@ func TestRankingAllocs(t *testing.T) {
 	const item = "item-001000"
 	c := pop[item]
 	if a := testing.AllocsPerRun(100, func() {
-		inc.rank.move(item, c, c+1)
-		inc.rank.move(item, c+1, c)
+		inc.rank.move(inc.ids[item], c, c+1, inc.names)
+		inc.rank.move(inc.ids[item], c+1, c, inc.names)
 	}); a != 0 {
 		t.Errorf("re-ranking an existing item allocates %v times, want 0", a)
 	}
@@ -222,14 +226,14 @@ func BenchmarkPopularItems(b *testing.B) {
 // whole tie group — the longest span a ±1 delta can move.
 func BenchmarkRankingMove(b *testing.B) {
 	for _, size := range catalogueSizes {
-		pop := syntheticPopularity(size)
-		r := rankPopularity(pop)
-		item := r[len(r)-1].item
+		inc := syntheticIncremental(syntheticPopularity(size))
+		r, names := inc.rank, inc.names
+		id := r[len(r)-1].id
 		b.Run(fmt.Sprintf("items=%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r.move(item, 1, 2)
-				r.move(item, 2, 1)
+				r.move(id, 1, 2, names)
+				r.move(id, 2, 1, names)
 			}
 		})
 	}

@@ -115,7 +115,6 @@ type WALShard struct {
 	wal        *wal
 	seq        uint64 // last sequence number handed out
 	appliedSeq uint64 // sequence covered by the on-disk snapshot
-	fsync      bool   // fsync after every append (power-loss durability)
 }
 
 // shardSnapPath and shardWALPath name one shard's files.
@@ -185,27 +184,22 @@ func OpenWALShard(dir string, id int, indexFields ...string) (*WALShard, error) 
 func (w *WALShard) SetSync(on bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.fsync = on
+	w.wal.fsync = on
 }
 
+// Insert appends the event to the WAL, then applies it in memory. An
+// append that fails (a short write, a failed fsync) leaves nothing in the
+// log and nothing applied: the insert is rejected, and its sequence
+// number goes to the next insert.
 func (w *WALShard) Insert(fields map[string]string) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	rec := walRecord{Seq: w.seq + 1, Fields: fields}
-	if err := w.wal.append(rec); err != nil {
+	packed := pack(fields)
+	if err := w.wal.append(walRecord{Seq: w.seq + 1, Fields: fields}, packed); err != nil {
 		return err
 	}
-	if w.fsync {
-		if err := w.wal.sync(); err != nil {
-			// The record may or may not have reached the platter. The
-			// insert is rejected (not applied in memory, not acked), but
-			// a restart that finds the record intact will replay it —
-			// at-least-once on a failing disk, never a silent loss.
-			return fmt.Errorf("store: fsync wal append: %w", err)
-		}
-	}
 	w.seq++
-	w.col.insert(fields)
+	w.col.insertPacked(packed)
 	return nil
 }
 

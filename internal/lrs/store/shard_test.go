@@ -58,7 +58,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("empty WAL last seq = %d", last)
 	}
 	for i := 1; i <= 3; i++ {
-		if err := w.append(walRecord{Seq: uint64(i), Fields: map[string]string{"user": fmt.Sprintf("u%d", i)}}); err != nil {
+		if err := appendRecord(w, walRecord{Seq: uint64(i), Fields: map[string]string{"user": fmt.Sprintf("u%d", i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestWALTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(walRecord{Seq: 1, Fields: map[string]string{"user": "alpha"}}); err != nil {
+	if err := appendRecord(w, walRecord{Seq: 1, Fields: map[string]string{"user": "alpha"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
@@ -118,7 +118,7 @@ func TestWALTruncatesTornTail(t *testing.T) {
 		}
 		// The torn bytes are gone: a new append then a clean reopen sees
 		// exactly two records.
-		if err := w.append(walRecord{Seq: 2, Fields: map[string]string{"user": "beta"}}); err != nil {
+		if err := appendRecord(w, walRecord{Seq: 2, Fields: map[string]string{"user": "beta"}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.close(); err != nil {
@@ -147,8 +147,8 @@ func TestWALCorruptRecordCutsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.append(walRecord{Seq: 1, Fields: map[string]string{"user": "a"}})
-	w.append(walRecord{Seq: 2, Fields: map[string]string{"user": "b"}})
+	appendRecord(w, walRecord{Seq: 1, Fields: map[string]string{"user": "a"}})
+	appendRecord(w, walRecord{Seq: 2, Fields: map[string]string{"user": "b"}})
 	w.close()
 
 	b, _ := os.ReadFile(path)
@@ -174,7 +174,7 @@ func FuzzDecodeWALRecords(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		w.append(walRecord{Seq: 1, Fields: map[string]string{"user": "u", "item": "i"}})
+		appendRecord(w, walRecord{Seq: 1, Fields: map[string]string{"user": "u", "item": "i"}})
 		w.close()
 		b, _ := os.ReadFile(path)
 		buf.Write(b)
@@ -273,9 +273,9 @@ func TestWALShardCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.append(walRecord{Seq: 1, Fields: map[string]string{"user": "a", "item": "1"}})
-	w.append(walRecord{Seq: 2, Fields: map[string]string{"user": "a", "item": "2"}})
-	w.append(walRecord{Seq: 3, Fields: map[string]string{"user": "a", "item": "3"}})
+	appendRecord(w, walRecord{Seq: 1, Fields: map[string]string{"user": "a", "item": "1"}})
+	appendRecord(w, walRecord{Seq: 2, Fields: map[string]string{"user": "a", "item": "2"}})
+	appendRecord(w, walRecord{Seq: 3, Fields: map[string]string{"user": "a", "item": "3"}})
 	w.close()
 
 	s2, err := OpenWALShard(dir, 0)

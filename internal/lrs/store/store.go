@@ -312,7 +312,11 @@ func (c *Collection) Insert(fields map[string]string) string {
 
 // insert is Insert without building the key: shards never read it.
 func (c *Collection) insert(fields map[string]string) uint64 {
-	packed := pack(fields)
+	return c.insertPacked(pack(fields))
+}
+
+// insertPacked is insert of a document its caller has already packed.
+func (c *Collection) insertPacked(packed string) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextID++

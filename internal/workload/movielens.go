@@ -1,8 +1,8 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // The paper's experimental workload is the MovieLens ml-20m dataset
@@ -93,17 +93,40 @@ func Generate(p Params) *Dataset {
 		events[i] = Event{
 			User:   UserID(u),
 			Item:   ItemID(it),
-			Rating: fmt.Sprintf("%.1f", 0.5+float64(rng.Intn(10))*0.5),
+			Rating: ratings[rng.Intn(len(ratings))],
 		}
 	}
 	return &Dataset{Events: events, Users: p.Users, Items: p.Items}
 }
 
-// UserID names the i-th synthetic user.
-func UserID(i int) string { return fmt.Sprintf("ml-user-%05d", i) }
+// ratings are the ten ratings a synthetic event carries, 0.5 to 5.0 in
+// half-star steps, written with one decimal.
+var ratings = [10]string{"0.5", "1.0", "1.5", "2.0", "2.5", "3.0", "3.5", "4.0", "4.5", "5.0"}
 
-// ItemID names the i-th synthetic movie.
-func ItemID(i int) string { return fmt.Sprintf("ml-movie-%06d", i) }
+// UserID names the i-th synthetic user: "ml-user-" and i, zero-padded to
+// five digits.
+func UserID(i int) string { return paddedID("ml-user-", i, 5) }
+
+// ItemID names the i-th synthetic movie: "ml-movie-" and i, zero-padded
+// to six digits.
+func ItemID(i int) string { return paddedID("ml-movie-", i, 6) }
+
+// paddedID is prefix followed by i zero-padded to width characters, the
+// sign included — what fmt's %0*d writes.
+func paddedID(prefix string, i, width int) string {
+	var buf [40]byte
+	var num [20]byte
+	b := append(buf[:0], prefix...)
+	digits := strconv.AppendInt(num[:0], int64(i), 10)
+	if i < 0 {
+		b = append(b, '-')
+		digits, width = digits[1:], width-1
+	}
+	for n := len(digits); n < width; n++ {
+		b = append(b, '0')
+	}
+	return string(append(b, digits...))
+}
 
 // DistinctUsers returns the distinct users appearing in the event stream,
 // in first-appearance order — the population the get-phase draws from.

@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"sync/atomic"
@@ -237,4 +238,36 @@ func TestGenerateUserSkewTailMass(t *testing.T) {
 		t.Errorf("bottom 50%% of users carry %.1f%% of events; want ≤ 20%% for Zipf(1.2)", frac*100)
 	}
 	t.Logf("tail mass: bottom half carries %.1f%% of %d events", frac*100, total)
+}
+
+// TestIDsAndRatingsMatchFmt: the names and ratings Generate writes are the
+// strings fmt.Sprintf wrote for them — every user and item ID below the
+// 10×-MovieLens counts, a few past them and below zero, and all ten
+// ratings — so the generated datasets are what they were.
+func TestIDsAndRatingsMatchFmt(t *testing.T) {
+	p := ScaledMovieLensParams(10)
+	extra := []int{-123456, -1, 999999, 1000000, 1234567890}
+	for i := 0; i < p.Users; i++ {
+		if got, want := UserID(i), fmt.Sprintf("ml-user-%05d", i); got != want {
+			t.Fatalf("UserID(%d) = %q, want %q", i, got, want)
+		}
+	}
+	for i := 0; i < p.Items; i++ {
+		if got, want := ItemID(i), fmt.Sprintf("ml-movie-%06d", i); got != want {
+			t.Fatalf("ItemID(%d) = %q, want %q", i, got, want)
+		}
+	}
+	for _, i := range extra {
+		if got, want := UserID(i), fmt.Sprintf("ml-user-%05d", i); got != want {
+			t.Errorf("UserID(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := ItemID(i), fmt.Sprintf("ml-movie-%06d", i); got != want {
+			t.Errorf("ItemID(%d) = %q, want %q", i, got, want)
+		}
+	}
+	for k, got := range ratings {
+		if want := fmt.Sprintf("%.1f", 0.5+float64(k)*0.5); got != want {
+			t.Errorf("rating %d = %q, want %q", k, got, want)
+		}
+	}
 }
