@@ -119,7 +119,8 @@ func run(what string, opts sim.RunOptions, csvDir string) error {
 }
 
 // printElastic runs the §5 elastic-scaling extension experiment: a fixed
-// 4-pair fleet vs the autoscale controller over a diurnal load trace.
+// 4-pair fleet vs the scaling controller (sim.Controller) over a diurnal
+// load trace.
 func printElastic(opts sim.RunOptions) {
 	fmt.Println("\n=== elastic scaling (§5 extension) — fixed 4-pair fleet vs controller ===")
 	fixed, elastic := sim.RunElastic(4, sim.ElasticTrace(), opts)

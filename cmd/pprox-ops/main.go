@@ -1,10 +1,9 @@
 // Command pprox-ops is the operator's tool for a PProx fleet. It reads
 // the nodes' own endpoints — /metrics everywhere, /privacy and /perf
-// where the SLO engines run — and hosts the fleet route registry.
+// where the SLO engines run.
 //
 // Modes:
 //
-//	pprox-ops -listen :9090                    # host the fleet registry; /fleet serves its overview
 //	pprox-ops top -targets http://ua-0:8081,http://ia-0:8082,http://lrs-0:8080
 //	pprox-ops top -once -targets …             # two scrapes, one frame, then the exit status
 //	pprox-ops audit -targets http://ua-0:8081,http://ia-0:8082
@@ -13,9 +12,7 @@
 // one row per node (DOWN when it does not answer), goodput from the
 // served counters' growth between two scrapes, cross-node per-stage
 // latency quantiles, the worst-epoch anonymity watermark, the SLO/audit
-// state matrix, the LRS rollup and build-SHA skew. A target that serves
-// /fleet — the registry host — adds the elastic fleet's membership and
-// scaling decisions.
+// state matrix, the LRS rollup and build-SHA skew.
 //
 // audit renders each node's privacy report (it must serve /privacy) and,
 // where served, its perf report: privacy-SLO state, effective anonymity
@@ -29,24 +26,17 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"sort"
-	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"pprox/internal/audit"
-	"pprox/internal/fleet"
 	"pprox/internal/metrics"
 	"pprox/internal/obslog"
 	"pprox/internal/perfslo"
@@ -62,88 +52,8 @@ func main() {
 			os.Exit(runAudit(os.Args[2:], os.Stdout))
 		}
 	}
-
-	listen := flag.String("listen", ":9090", "listen address")
-	debugAddr := flag.String("debug-addr", "", "pprof listen address, e.g. localhost:6061 (off when empty)")
-	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
-	flag.Parse()
-
-	logger := obslog.New(os.Stderr, "pprox-ops", obslog.ParseLevel(*logLevel))
-	if err := runServe(*listen, *debugAddr, logger); err != nil {
-		logger.Error("fatal", "error", err.Error())
-		os.Exit(1)
-	}
-}
-
-// runServe hosts the fleet route registry: pprox-proxy -fleet instances
-// register, heartbeat and drain here (DESIGN.md §4j), and /fleet serves
-// the registry's overview.
-func runServe(listen, debugAddr string, logger *slog.Logger) error {
-	// Agents heartbeat every 2s; five missed beats means the instance is
-	// gone and staleness pruning collects the entry.
-	freg := fleet.NewRegistry(fleet.Config{StaleAfter: 10 * time.Second})
-	reg := metrics.NewRegistry()
-	metrics.RegisterBuildInfo(reg)
-	metrics.RegisterRuntimeMetrics(reg)
-	freg.RegisterMetrics(reg)
-	routes := (&fleet.Server{Registry: freg}).Routes()
-	routes[fleet.OverviewPath] = fleet.OverviewHandler(func() *fleet.Overview {
-		pairs := freg.Count("ua", fleet.StatePending) + freg.Count("ua", fleet.StateActive)
-		return fleet.BuildOverview(freg, nil, pairs)
-	})
-	health := func() metrics.Health {
-		return metrics.Health{OK: true, Checks: map[string]string{"endpoints": strconv.Itoa(len(freg.Membership()))}}
-	}
-	handler := metrics.MuxRoutes(reg, health, routes, http.NotFoundHandler())
-
-	// Housekeeping: remote proxies cannot signal shuffle-epoch boundaries
-	// to an out-of-process registry, so pending endpoints are admitted on
-	// the idle path, and dead ones pruned.
-	stopHousekeeping := make(chan struct{})
-	defer close(stopHousekeeping)
-	go func() {
-		t := time.NewTicker(2 * time.Second)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopHousekeeping:
-				return
-			case <-t.C:
-				freg.Prune()
-				freg.AdmitIdle(5 * time.Second)
-			}
-		}
-	}()
-
-	stopDebug := func() error { return nil }
-	if debugAddr != "" {
-		var err error
-		stopDebug, err = metrics.ServeDebug(debugAddr)
-		if err != nil {
-			return err
-		}
-		defer stopDebug()
-		logger.Info("pprof serving", "addr", debugAddr)
-	}
-
-	l, err := net.Listen("tcp", listen)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
-	go srv.Serve(l)
-	logger.Info("fleet registry serving", "listen", l.Addr().String(), "stale_after", "10s")
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	logger.Info("shutting down")
-	if err := stopDebug(); err != nil {
-		logger.Warn("debug server shutdown", "error", err.Error())
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return srv.Shutdown(ctx)
+	fmt.Fprintln(os.Stderr, "usage: pprox-ops top|audit -targets URL[,URL...]")
+	os.Exit(2)
 }
 
 // splitTargets parses a -targets list.
@@ -162,7 +72,7 @@ func splitTargets(list string) []string {
 // one -interval apart, renders one frame and returns the gate's status.
 func runTop(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("top", flag.ContinueOnError)
-	targets := fs.String("targets", "", "comma-separated node base URLs to scrape (e.g. http://ua-0:8081,http://ia-0:8082); a registry host among them adds the elastic fleet")
+	targets := fs.String("targets", "", "comma-separated node base URLs to scrape (e.g. http://ua-0:8081,http://ia-0:8082,http://lrs-0:8080)")
 	interval := fs.Duration("interval", time.Second, "time between scrapes; goodput is the served counters' growth over it")
 	once := fs.Bool("once", false, "take two scrapes -interval apart, render one frame (no screen clearing) and exit: 3 when any node's privacy or perf SLO reads violated, 1 when a scrape fails")
 	if err := fs.Parse(args); err != nil {

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"pprox/internal/audit"
-	"pprox/internal/fleet"
 	"pprox/internal/perfslo"
 	"pprox/internal/telemetry"
 )
@@ -139,39 +138,24 @@ func TestAuditPerfUnavailableIsAScrapeFailure(t *testing.T) {
 
 // TestRenderFleet renders top's view through top -once: a UA row with its
 // epoch, goodput over the interval and SLO states, a DOWN row for a dead
-// target, build skew between the UA and the registry host, the registry
-// host's elastic fleet and the merged stage latency, with a stage whose
-// mass lies beyond the last bucket marked so. A dead target fails the
-// gate.
+// target, build skew between the UA and a node built from another commit,
+// and the merged stage latency, with a stage whose mass lies beyond the
+// last bucket marked so. A dead target fails the gate.
 func TestRenderFleet(t *testing.T) {
 	ua := fakeNode{auditState: "ok", perfState: "warn", perfStatus: http.StatusOK, sha: "abc123"}.serve(t)
-	overview := &fleet.Overview{
-		CurrentPairs: 2,
-		DesiredPairs: 1,
-		Endpoints: []fleet.Endpoint{
-			{Service: "ua", Addr: "ua-0", State: "active"},
-			{Service: "ua", Addr: "ua-1", State: "draining"},
-		},
-		Decisions: []fleet.Decision{
-			{Seq: 1, Action: fleet.ActionHold, Current: 1, Desired: 1},
-			{Seq: 2, Action: fleet.ActionUp, Current: 1, Desired: 2, RPS: 80},
-			{Seq: 3, Action: fleet.ActionHold, Current: 2, Desired: 2},
-			{Seq: 4, Action: fleet.ActionDown, Current: 2, Desired: 1, Err: "drain timed out"},
-		},
-	}
-	routes := http.NewServeMux()
-	routes.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, `pprox_fleet_endpoints{service="ua",state="active"} 1`)
+	other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/metrics" {
+			http.NotFound(w, r)
+			return
+		}
 		fmt.Fprintln(w, `pprox_build_info{git_sha="def456"} 1`)
-	})
-	routes.Handle(fleet.OverviewPath, fleet.OverviewHandler(func() *fleet.Overview { return overview }))
-	registry := httptest.NewServer(routes)
-	defer registry.Close()
+	}))
+	defer other.Close()
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 
 	var b bytes.Buffer
-	code := runTop([]string{"-once", "-interval", "100ms", "-targets", ua.URL + "," + registry.URL + "," + dead.URL}, &b)
+	code := runTop([]string{"-once", "-interval", "100ms", "-targets", ua.URL + "," + other.URL + "," + dead.URL}, &b)
 	if code != telemetry.ExitFailed {
 		t.Errorf("top -once with a dead target exited %d, want %d", code, telemetry.ExitFailed)
 	}
@@ -183,20 +167,12 @@ func TestRenderFleet(t *testing.T) {
 		"ua-0       ua    up           5 ",
 		" ok        warn\n",
 		fmt.Sprintf("%-10s -     DOWN         0       0.0 -         -\n", deadHost),
-		"elastic fleet: 2 pairs current / 1 desired",
-		"  ua   ua-1         DRAINING",
-		"    #2 scale-up   1→2  rps 80.0  occ 0.00",
-		"    #4 scale-down 2→1  rps 0.0  occ 0.00  err: drain timed out",
 		"  serve          p50    5.000  p90   10.000  p99   10.000  over 40 obs\n",
 		"  shuffle_wait   p50  100.000  p90  100.000  p99  100.000  over 40 obs  (beyond last bucket)\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("fleet view lacks %q:\n%s", want, got)
 		}
-	}
-	// Only the three most recent decisions are shown.
-	if strings.Contains(got, "#1 ") {
-		t.Errorf("fleet view shows more than the last 3 decisions:\n%s", got)
 	}
 	// Two scrapes 100ms apart, 10 served between them: goodput is the
 	// counter's growth over the operator's clock, so it is positive and

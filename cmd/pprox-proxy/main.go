@@ -8,8 +8,11 @@
 // REST API and binary hop frames on one listener; toward -next it speaks
 // frames, falling back to HTTP against a peer that does not. Horizontal
 // scaling = more processes behind a load balancer, each provisioned with
-// the same key file (§5). The flags fill a node.Config, the same
-// configuration the in-process cluster builds its instances from.
+// the same key file (§5). On SIGTERM the instance drains before its
+// listener closes (DESIGN.md §4d): its final shuffle epoch leaves whole,
+// within -drain-timeout, and the log says whether the drain was clean.
+// The flags fill a node.Config, the same configuration the in-process
+// cluster builds its instances from.
 //
 // Fault handling toward the next hop is on by default (-no-resilience
 // turns it off): every forward gets a per-attempt deadline (-hop-timeout),
@@ -38,7 +41,6 @@ import (
 	"time"
 
 	"pprox/internal/audit"
-	"pprox/internal/fleet"
 	"pprox/internal/hopwire"
 	"pprox/internal/metrics"
 	"pprox/internal/node"
@@ -52,18 +54,15 @@ import (
 )
 
 // options is one process: the instance's node.Config plus what only a
-// process has — its listener, key file, fleet membership, pprof server,
-// epoch-record log and log level.
+// process has — its listener, key file, pprof server, epoch-record log
+// and log level.
 type options struct {
-	node         node.Config
-	listen       string
-	keysPath     string
-	fleetURL     string
-	fleetService string
-	advertise    string
-	debugAddr    string
-	traceLog     string
-	logLevel     string
+	node      node.Config
+	listen    string
+	keysPath  string
+	debugAddr string
+	traceLog  string
+	logLevel  string
 }
 
 func main() {
@@ -110,10 +109,7 @@ func flagSet(o *options) (fs *flag.FlagSet, finish func() error) {
 	fs.BoolVar(&c.NoItemPseudonyms, "no-item-pseudonyms", false, "send item identifiers to the LRS in the clear (§6.3)")
 	fs.BoolVar(&c.PassThrough, "passthrough", false, "forward without cryptography (baseline m1)")
 	fs.StringVar(&c.Name, "node", "", "node name in metrics and logs (default: the role)")
-	fs.StringVar(&o.fleetURL, "fleet", "", "fleet registry base URL, e.g. http://ops:9090: register on boot, heartbeat, and drain at a shuffle-epoch boundary on SIGTERM (DESIGN.md §4j; off when empty)")
-	fs.StringVar(&o.fleetService, "fleet-service", "", "service name announced to the fleet registry (default: the role)")
-	fs.StringVar(&o.advertise, "advertise", "", "address peers should dial for this instance (default: the bound listen address)")
-	fs.DurationVar(&c.DrainTimeout, "drain-timeout", 0, "bound on the graceful drain before stragglers are refused (default: 2×-shuffle-timeout + 5s)")
+	fs.DurationVar(&c.DrainTimeout, "drain-timeout", 0, "bound on the graceful drain on SIGTERM before stragglers are refused (default: 2×-shuffle-timeout + 5s)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "pprof listen address, e.g. localhost:6060 (off when empty)")
 	fs.StringVar(&o.traceLog, "trace-log", "", "append the per-epoch stage records (JSON lines) to this file")
 	fs.StringVar(&o.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")
@@ -236,6 +232,11 @@ func assemble(o options, logger *slog.Logger) (*instance, error) {
 func (in *instance) close() {
 	if in.Proxy != nil {
 		in.Proxy.Close()
+		// After Close, so a message the drain left buffered shows as a
+		// split epoch.
+		if rep := in.Layer.DrainReport(); rep.Draining {
+			in.logger.Info("drain complete", "clean", rep.Clean, "sheds", rep.Sheds)
+		}
 	}
 	in.harvester.Wait()
 	if in.trace != nil {
@@ -281,79 +282,24 @@ func run(o options, logger *slog.Logger) error {
 		"node", cfg.Name, "listen", l.Addr().String(), "next", cfg.Next,
 		"shuffle", cfg.ShuffleSize, "audit", cfg.Audit != nil)
 
-	// Fleet membership: register with the route registry once the
-	// listener is up, heartbeat until shutdown, and leave through the
-	// §4j drain protocol on SIGTERM.
-	var agent *fleet.Agent
-	if o.fleetURL != "" {
-		service := o.fleetService
-		if service == "" {
-			service = strings.ToLower(cfg.Role.String())
-		}
-		advertise := o.advertise
-		if advertise == "" {
-			advertise = l.Addr().String()
-		}
-		base := o.fleetURL
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		lg := logger.With("node", cfg.Name)
-		agent, err = fleet.NewAgent(fleet.AgentConfig{
-			BaseURL: strings.TrimRight(base, "/"),
-			Service: service,
-			Addr:    advertise,
-			Logger:  func(format string, args ...any) { lg.Warn(fmt.Sprintf(format, args...)) },
-		})
-		if err != nil {
-			return err
-		}
-		regCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err = agent.Start(regCtx)
-		cancel()
-		if err != nil {
-			return fmt.Errorf("fleet registration: %w", err)
-		}
-		logger.Info("fleet registered", "registry", base, "service", service, "advertise", advertise)
-	}
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
+	// The layer drains before the listeners close: in-flight work
+	// finishes and the final shuffle epoch leaves whole. What arrives
+	// after that is refused, not buffered for Close to flush early.
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.DrainTimeout)
+	if err := node.Drain(ctx, layer); err != nil {
+		logger.Warn("graceful drain timed out; stragglers refused", "error", err.Error())
+	}
+	cancel()
+	layer.RefuseNew()
 	served, failed := layer.Stats()
 	retried, failFast := layer.RetryStats()
 	logger.Info("shutting down",
 		"served", served, "failed", failed, "retries", retried, "fail_fast", failFast)
-	// Drain order: the fleet drain runs first (routing stops, in-flight
-	// work finishes, the final shuffle epoch leaves whole, we deregister),
-	// then the listeners close.
-	if agent != nil {
-		drainFleet(agent, layer, cfg.DrainTimeout, logger)
-	}
 	if err := stopDebug(); err != nil {
 		logger.Warn("debug server shutdown", "error", err.Error())
 	}
 	return shutdown()
-}
-
-// drainFleet runs the §4j scale-down protocol for a SIGTERM'd instance:
-// the registry stops routing to us first, then the layer drains (see
-// node.Drain), and only then do we deregister.
-func drainFleet(agent *fleet.Agent, layer *proxy.Layer, timeout time.Duration, logger *slog.Logger) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	if err := agent.Drain(ctx); err != nil {
-		logger.Warn("fleet drain announcement failed", "error", err.Error())
-	}
-	if err := node.Drain(ctx, layer); err != nil {
-		logger.Warn("graceful drain timed out; stragglers refused", "error", err.Error())
-	}
-	agent.Stop()
-	dctx, cancelDereg := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelDereg()
-	if err := agent.Deregister(dctx); err != nil {
-		logger.Warn("fleet deregister failed; staleness pruning will collect the entry", "error", err.Error())
-	}
-	rep := layer.DrainReport()
-	logger.Info("fleet drain complete", "clean", rep.Clean, "sheds", rep.Sheds)
 }

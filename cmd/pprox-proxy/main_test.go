@@ -49,9 +49,6 @@ func TestEveryFlagLandsInItsField(t *testing.T) {
 		{[]string{"-no-item-pseudonyms"}, func(o *options) { o.node.NoItemPseudonyms = true }},
 		{[]string{"-passthrough"}, func(o *options) { o.node.PassThrough = true }},
 		{[]string{"-node", "ua-7"}, func(o *options) { o.node.Name = "ua-7" }},
-		{[]string{"-fleet", "ops:9090"}, func(o *options) { o.fleetURL = "ops:9090" }},
-		{[]string{"-fleet-service", "edge"}, func(o *options) { o.fleetService = "edge" }},
-		{[]string{"-advertise", "ua-7:8081"}, func(o *options) { o.advertise = "ua-7:8081" }},
 		{[]string{"-drain-timeout", "9s"}, func(o *options) { o.node.DrainTimeout = 9 * time.Second }},
 		{[]string{"-debug-addr", ":6060"}, func(o *options) { o.debugAddr = ":6060" }},
 		{[]string{"-trace-log", "t.jsonl"}, func(o *options) { o.traceLog = "t.jsonl" }},
@@ -108,8 +105,8 @@ func TestEveryFlagLandsInItsField(t *testing.T) {
 			t.Errorf("flag -%s has no case", f.Name)
 		}
 	})
-	if n != 33 {
-		t.Errorf("pprox-proxy declares %d flags, want 33", n)
+	if n != 30 {
+		t.Errorf("pprox-proxy declares %d flags, want 30", n)
 	}
 }
 
@@ -224,7 +221,6 @@ func TestEveryConfigFieldReachesItsTarget(t *testing.T) {
 		EcallCost: ecallCost, Resilience: &pol,
 		Audit: &audit.Config{Objective: 0.9}, PerfSLO: &perfslo.Config{},
 		PerfThresholds: map[string]float64{proxy.StageForward: 1.5}, ProfileDir: t.TempDir(),
-		Elastic: &cluster.ElasticSpec{DrainTimeout: 9 * time.Second},
 		UseStub: true,
 	}, "ia-0")
 	flagsPT := fromFlags(t, "-role", "ua", "-passthrough", "-next", "http://ia")
@@ -349,7 +345,7 @@ func TestEveryConfigFieldReachesItsTarget(t *testing.T) {
 				t.Error("no profile harvester")
 			}
 		}},
-		{"DrainTimeout", both, func(t *testing.T, pr probe) {
+		{"DrainTimeout", both[:1], func(t *testing.T, pr probe) {
 			if got := pr.p.Config.DrainTimeout; got != 9*time.Second {
 				t.Errorf("drain timeout %v", got)
 			}

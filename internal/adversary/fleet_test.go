@@ -12,25 +12,25 @@ import (
 	"pprox/internal/audit"
 	"pprox/internal/client"
 	"pprox/internal/cluster"
-	"pprox/internal/fleet"
 	"pprox/internal/message"
+	"pprox/internal/node"
 	"pprox/internal/ppcrypto"
 	"pprox/internal/proxy"
 )
 
-// fleet_test.go attacks the elastic fleet (DESIGN §4j): membership churn
-// — a pair admitted mid-run, a pair drained mid-run — must not hand the
+// fleet_test.go attacks membership churn on a static 2×2 deployment: a
+// pair taken into the balancer's rotation between epochs, then taken out
+// and retired through the drain protocol (DESIGN §4d), must not hand the
 // on-path adversary anything beyond the steady-state 1/S bound. The
 // hazard is epoch splitting: an instance leaving with a partly-routed
-// epoch, or a new instance siphoning messages out of one still filling,
-// would release sub-S batches whose members correlate above 1/S.
+// epoch would release sub-S batches whose members correlate above 1/S.
 
 // TestLinkingBoundHoldsDuringFleetChurn runs the §6.2 in-order
 // correlation attack across a scale-up and a scale-down and asserts the
-// three invariants together: the attack stays at ≈ 1/S, every epoch
-// released anywhere in the fleet carried exactly S messages (the
-// effective anonymity set never shrank), and the deployed auditor —
-// including its fleet drain-integrity check — stayed "ok" throughout.
+// invariants together: the attack stays at ≈ 1/S, every epoch released
+// anywhere in the deployment carried exactly S messages (the effective
+// anonymity set never shrank), the drained pair's reports are clean, and
+// the deployed auditor stayed "ok" throughout.
 func TestLinkingBoundHoldsDuringFleetChurn(t *testing.T) {
 	eachKeyMaterial(t, testLinkingBoundHoldsDuringFleetChurn)
 }
@@ -41,14 +41,13 @@ func testLinkingBoundHoldsDuringFleetChurn(t *testing.T, km keyMaterial) {
 	d, err := cluster.Deploy(cluster.Spec{
 		RSAOnlyKeys:    km.rsaOnly,
 		ProxyEnabled:   true,
-		UA:             1,
-		IA:             1,
+		UA:             2,
+		IA:             2,
 		Encryption:     true,
 		ItemPseudonyms: true,
 		Shuffle:        s,
 		ShuffleTimeout: 300 * time.Millisecond,
 		UseStub:        true,
-		Fleet:          true,
 		Audit:          &audit.Config{},
 		LRSMiddleware: func(h http.Handler) http.Handler {
 			return adversary.Tap(rec, "ia→lrs", func(body []byte) string {
@@ -103,41 +102,40 @@ func testLinkingBoundHoldsDuringFleetChurn(t *testing.T, km keyMaterial) {
 		}
 		wg.Wait()
 	}
-	waitActive := func(n int) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for d.Registry.Count("ua", fleet.StateActive) != n ||
-			d.Registry.Count("ia", fleet.StateActive) != n {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %d active pairs", n)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+	// Membership changes between rounds: a round returns only once every
+	// epoch it filled has left, so no epoch is in flight anywhere.
+	route := func(ua, ia []string) {
+		d.Balancer.Register("ua", ua...)
+		d.Balancer.Register("ia", ia...)
 	}
 
 	// Steady state on one pair.
+	route([]string{"ua-0"}, []string{"ia-0"})
 	round("a0", s)
 	round("a1", s)
 
-	// Scale up mid-run: the new pair is pending — invisible to routing —
-	// until the epoch in flight below flushes and admits it.
-	if err := d.AddPair(); err != nil {
-		t.Fatal(err)
-	}
-	round("admit", s)
-	waitActive(2)
+	// Scale up: the second pair joins the rotation.
+	route([]string{"ua-0", "ua-1"}, []string{"ia-0", "ia-1"})
 
 	// Churned state: rounds of 2S split S/S across the two UAs, so every
 	// epoch anywhere in the fleet still fills to exactly S.
 	round("b0", 2*s)
 	round("b1", 2*s)
 
-	// Scale down mid-run: the newest pair leaves through the drain
-	// protocol — final epoch whole, then deregister.
-	if err := d.DrainPair(); err != nil {
+	// Scale down: the second pair leaves the rotation, then drains —
+	// final epoch whole — until nothing is left for a close to flush.
+	route([]string{"ua-0"}, []string{"ia-0"})
+	retired := []*proxy.Layer{d.UALayers[1], d.IALayers[1]}
+	dctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := node.Drain(dctx, retired...); err != nil {
 		t.Fatal(err)
 	}
-	waitActive(1)
+	for _, l := range retired {
+		if rep := l.DrainReport(); !rep.Clean || rep.Pending != 0 || rep.InFlight != 0 {
+			t.Errorf("drain report %+v, want clean and empty", rep)
+		}
+	}
 	round("c0", s)
 	round("c1", s)
 
@@ -172,9 +170,6 @@ func testLinkingBoundHoldsDuringFleetChurn(t *testing.T, km keyMaterial) {
 		t.Errorf("audit state after churn = %s, want ok\nreport: %+v", rep.State, rep)
 	}
 	if len(rep.DegradedChecks) != 0 {
-		t.Errorf("degraded checks after churn = %v (drain split an epoch?)", rep.DegradedChecks)
-	}
-	if st := d.Registry.Stats(); st.Drains != 2 || st.Deregistrations != 2 {
-		t.Errorf("registry stats = %+v, want 2 drains and 2 deregistrations", st)
+		t.Errorf("degraded checks after churn = %v", rep.DegradedChecks)
 	}
 }

@@ -29,33 +29,20 @@ import (
 // rotation; after the cooldown one dial per cooldown is admitted as a
 // trial, and a successful trial re-admits the backend.
 //
-// Backend sets are either static (Register) or live (UseSource): a
-// source-driven service re-reads its backend list from the fleet
-// registry's routable set whenever the registry's generation number
-// moves. Either way, a backend that survives an update keeps its breaker
-// — ejection state is the balancer's accumulated knowledge about a
-// backend's health, and a membership change elsewhere in the set is no
-// evidence about this backend.
+// Re-registering a service replaces its backend set; a backend that
+// survives the update keeps its breaker — ejection state is the
+// balancer's accumulated knowledge about a backend's health, and a
+// membership change elsewhere in the set is no evidence about this
+// backend.
 type Balancer struct {
 	under transport.Dialer
 
 	mu       sync.Mutex
 	services map[string]*service
-	src      RouteSource
 	// breaker policy applied to services registered afterwards; zero
 	// threshold disables ejection.
 	threshold int
 	cooldown  time.Duration
-}
-
-// RouteSource is a live backend-set provider (fleet.Registry). Generation
-// must be cheap — the balancer polls it on every dial of a source-driven
-// service.
-type RouteSource interface {
-	// Generation is the routable-set version; any change moves it.
-	Generation() uint64
-	// Routable returns the service's currently routable backends.
-	Routable(service string) []string
 }
 
 // backend pairs an address with its breaker so updates can preserve
@@ -71,11 +58,6 @@ type service struct {
 	// the lock is released.
 	backends []*backend
 	next     atomic.Uint64
-	// lastGen is the source generation backends was built from; compared
-	// against RouteSource.Generation per dial for source-driven services.
-	lastGen atomic.Uint64
-	// live marks the service as source-driven.
-	live bool
 }
 
 // NewBalancer wraps a dialer (usually the memnet Network).
@@ -98,45 +80,17 @@ func (b *Balancer) SetBreakerPolicy(threshold int, cooldown time.Duration) {
 func (b *Balancer) Register(name string, backends ...string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.setBackendsLocked(b.serviceLocked(name), backends)
-}
-
-// UseSource routes the named services from a live RouteSource: their
-// backend sets follow the source's routable sets, refreshed whenever the
-// source generation moves. Services keep any statically registered
-// backends until the first refresh.
-func (b *Balancer) UseSource(src RouteSource, services ...string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.src = src
-	gen := src.Generation()
-	for _, name := range services {
-		svc := b.serviceLocked(name)
-		svc.live = true
-		b.setBackendsLocked(svc, src.Routable(name))
-		svc.lastGen.Store(gen)
-	}
-}
-
-// serviceLocked returns the named service, creating it if needed.
-func (b *Balancer) serviceLocked(name string) *service {
 	svc := b.services[name]
 	if svc == nil {
 		svc = &service{}
 		b.services[name] = svc
 	}
-	return svc
-}
-
-// setBackendsLocked replaces a service's backend set, carrying breakers
-// over by address.
-func (b *Balancer) setBackendsLocked(svc *service, addrs []string) {
 	prev := make(map[string]*backend, len(svc.backends))
 	for _, bk := range svc.backends {
 		prev[bk.addr] = bk
 	}
-	next := make([]*backend, 0, len(addrs))
-	for _, addr := range addrs {
+	next := make([]*backend, 0, len(backends))
+	for _, addr := range backends {
 		if bk := prev[addr]; bk != nil {
 			next = append(next, bk)
 			continue
@@ -148,21 +102,14 @@ func (b *Balancer) setBackendsLocked(svc *service, addrs []string) {
 	svc.backends = next
 }
 
-// snapshot returns the service's current backend slice, refreshing a
-// source-driven service first if the source generation moved. The
-// returned slice is immutable.
+// snapshot returns the service and its current backend slice, nil for an
+// unregistered name. The returned slice is immutable.
 func (b *Balancer) snapshot(name string) (*service, []*backend) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	svc := b.services[name]
 	if svc == nil {
 		return nil, nil
-	}
-	if svc.live && b.src != nil {
-		if gen := b.src.Generation(); gen != svc.lastGen.Load() {
-			b.setBackendsLocked(svc, b.src.Routable(name))
-			svc.lastGen.Store(gen)
-		}
 	}
 	return svc, svc.backends
 }
@@ -209,27 +156,10 @@ func (b *Balancer) DialContext(ctx context.Context, network, addr string) (net.C
 	return nil, fmt.Errorf("cluster: service %q: all backends failed: %w", name, lastErr)
 }
 
-// Backends returns the service's current backend addresses, for tests and
-// operational visibility.
-func (b *Balancer) Backends(name string) []string {
-	_, backends := b.snapshot(name)
-	out := make([]string, len(backends))
-	for i, bk := range backends {
-		out[i] = bk.addr
-	}
-	return out
-}
-
 // Ejected returns the currently ejected backends of a service, for tests
 // and operational visibility.
 func (b *Balancer) Ejected(name string) []string {
-	b.mu.Lock()
-	svc := b.services[name]
-	var backends []*backend
-	if svc != nil {
-		backends = svc.backends
-	}
-	b.mu.Unlock()
+	_, backends := b.snapshot(name)
 	var out []string
 	for _, bk := range backends {
 		if bk.br.State() == resilience.StateOpen {

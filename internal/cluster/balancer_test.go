@@ -6,8 +6,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"pprox/internal/fleet"
 )
 
 // fakeDialer succeeds or refuses per address and counts dials.
@@ -96,104 +94,5 @@ func TestRegisterDropsRemovedBackends(t *testing.T) {
 	}
 	if under.dials["b1"] != 0 {
 		t.Fatalf("removed backend b1 still dialed %d times", under.dials["b1"])
-	}
-}
-
-// TestBalancerFollowsRouteSource wires the balancer to a fleet registry
-// and verifies it tracks admissions, drains and deregistrations through
-// the generation number — including breaker preservation across refreshes.
-func TestBalancerFollowsRouteSource(t *testing.T) {
-	under := newFakeDialer()
-	b := NewBalancer(under)
-	b.SetBreakerPolicy(2, time.Hour)
-
-	reg := fleet.NewRegistry(fleet.Config{})
-	reg.Register("svc", "b1")
-	b.UseSource(reg, "svc")
-	if got := b.Backends("svc"); len(got) != 1 || got[0] != "b1" {
-		t.Fatalf("initial backends = %v, want [b1]", got)
-	}
-
-	// A pending registration must not appear until the epoch boundary.
-	reg.Register("svc", "b2")
-	if got := b.Backends("svc"); len(got) != 1 {
-		t.Fatalf("pending endpoint routable: %v", got)
-	}
-	reg.EpochBoundary()
-	if got := b.Backends("svc"); len(got) != 2 {
-		t.Fatalf("backends after admission = %v, want [b1 b2]", got)
-	}
-
-	// Eject b1, then churn the set (admit b3): b1 must stay ejected.
-	under.dead["b1"] = true
-	ejectBackend(t, b, "svc", "b1", 2)
-	reg.Register("svc", "b3")
-	reg.EpochBoundary()
-	if got := b.Backends("svc"); len(got) != 3 {
-		t.Fatalf("backends = %v, want 3", got)
-	}
-	if ej := b.Ejected("svc"); len(ej) != 1 || ej[0] != "b1" {
-		t.Fatalf("ejection lost across source refresh: %v", ej)
-	}
-
-	// Drain b2: the balancer stops handing it out on the next refresh.
-	reg.BeginDrain("svc", "b2")
-	for k := range under.dials {
-		delete(under.dials, k)
-	}
-	ctx := context.Background()
-	for i := 0; i < 6; i++ {
-		conn, err := b.DialContext(ctx, "mem", "svc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn.Close()
-	}
-	if under.dials["b2"] != 0 {
-		t.Fatalf("draining backend b2 dialed %d times", under.dials["b2"])
-	}
-	if under.dials["b3"] == 0 {
-		t.Fatalf("active backend b3 never dialed")
-	}
-}
-
-func TestUseSourceKeepsStaticServicesStatic(t *testing.T) {
-	under := newFakeDialer()
-	b := NewBalancer(under)
-	b.Register("static", "s1")
-	reg := fleet.NewRegistry(fleet.Config{})
-	reg.Register("svc", "b1")
-	b.UseSource(reg, "svc")
-	reg.Register("static", "ghost") // registry entry for a non-live service
-	reg.EpochBoundary()
-	if got := b.Backends("static"); len(got) != 1 || got[0] != "s1" {
-		t.Fatalf("static service followed the source: %v", got)
-	}
-}
-
-func TestBreakerCooldownStillReAdmitsUnderSource(t *testing.T) {
-	under := newFakeDialer()
-	b := NewBalancer(under)
-	b.SetBreakerPolicy(2, 20*time.Millisecond)
-	reg := fleet.NewRegistry(fleet.Config{})
-	reg.Register("svc", "b1")
-	reg.Register("svc", "b2")
-	reg.EpochBoundary()
-	b.UseSource(reg, "svc")
-
-	under.dead["b1"] = true
-	ejectBackend(t, b, "svc", "b1", 2)
-	under.dead["b1"] = false
-
-	ctx := context.Background()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(b.Ejected("svc")) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("recovered backend never re-admitted")
-		}
-		time.Sleep(5 * time.Millisecond)
-		if conn, err := b.DialContext(ctx, "mem", "svc"); err == nil {
-			conn.Close()
-		}
 	}
 }

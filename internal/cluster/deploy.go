@@ -11,7 +11,6 @@ import (
 
 	"pprox/internal/audit"
 	"pprox/internal/client"
-	"pprox/internal/fleet"
 	"pprox/internal/hopwire"
 	"pprox/internal/lrs/engine"
 	"pprox/internal/message"
@@ -126,18 +125,6 @@ type Spec struct {
 	// PerfThresholds overrides the derived per-stage latency thresholds,
 	// in seconds, keyed by stage label (proxy.StageServe etc.).
 	PerfThresholds map[string]float64
-	// Fleet deploys the live route registry (DESIGN.md §4j): every
-	// UA/IA/LRS endpoint registers with it, the balancer consumes its
-	// routable sets instead of the static backend lists, and membership
-	// changes are epoch-aligned — new endpoints are admitted at shuffle-
-	// epoch boundaries, departing ones drain their final epoch whole.
-	// Requires ProxyEnabled. Spec.Elastic implies Fleet.
-	Fleet bool
-	// Elastic arms the closed autoscaling loop on top of the fleet
-	// registry: a reconciler samples live signals (UA request rate and
-	// shuffle occupancy) and drives the deployed pair count through
-	// AddPair/DrainPair.
-	Elastic *ElasticSpec
 	// ProfileDir arms triggered profile capture: on a performance-SLO
 	// warn/violated transition the deployment snapshots CPU + heap +
 	// goroutine profiles into this bounded on-disk ring. Requires
@@ -236,41 +223,23 @@ type Deployment struct {
 	// RecCaches are the per-IA-instance recommendation caches, indexed
 	// like IALayers (nil without Spec.Cache).
 	RecCaches []*reccache.Cache
-	// Registry is the live fleet route registry (nil unless Spec.Fleet).
-	Registry *fleet.Registry
-	// Reconciler is the autoscaling loop closing live signals over the
-	// registry (nil unless Spec.Elastic). With ElasticSpec.Interval ≤ 0
-	// it never ticks on its own; tests drive it with Tick.
-	Reconciler *fleet.Reconciler
 
 	spec Spec
-	// mu guards the mutable membership state below — nodes, order, the
-	// layer slices and the pair bookkeeping — which the elastic fleet
-	// mutates after deploy, concurrently with chaos tests and Close.
+	// mu guards the node bookkeeping below, which chaos tests read
+	// concurrently with Close.
 	mu sync.Mutex
 	// nodes tracks every served node by address so chaos tests can kill
 	// and restart individual instances; order preserves bring-up order
 	// for reverse shutdown.
 	nodes map[string]*runningNode
 	order []string
-	// proxies maps a node address to its proxy instance, for drain victim
-	// lookup and teardown; drained holds retired layers so the auditor
-	// can keep checking their drain reports stayed clean.
+	// proxies maps a node address to its proxy instance, for lookup and
+	// teardown.
 	proxies map[string]*node.Proxy
-	drained []*proxy.Layer
-	// nextUA/nextIA number the next spawned instance of each layer.
-	nextUA, nextIA int
 
 	// env is what every proxy instance is built from — the deployment's
-	// network, keys and engines — so AddPair builds later instances
-	// exactly like the initial ones.
+	// network, keys and engines.
 	env node.Env
-
-	// drainMu serializes DrainPair calls so two concurrent drains cannot
-	// pick the same victim pair.
-	drainMu sync.Mutex
-
-	stopReconcile func()
 }
 
 // runningNode is one HTTP server the deployment runs, restartable in
@@ -290,12 +259,6 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 	if spec.ProxyEnabled && (spec.UA <= 0 || spec.IA <= 0) {
 		return nil, errors.New("cluster: proxy deployment needs at least one instance per layer")
 	}
-	if spec.Elastic != nil {
-		spec.Fleet = true
-	}
-	if spec.Fleet && !spec.ProxyEnabled {
-		return nil, errors.New("cluster: fleet mode needs the proxy deployed")
-	}
 
 	d = &Deployment{
 		Net:     transport.NewNetwork(),
@@ -304,8 +267,6 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 		Traces:  &EpochLog{recs: make(map[string][]proxy.EpochRecord)},
 		nodes:   make(map[string]*runningNode),
 		proxies: make(map[string]*node.Proxy),
-		nextUA:  spec.UA,
-		nextIA:  spec.IA,
 	}
 	// The shared settings of every instance: the SLO engines derive from
 	// them, and a spec no instance could run is refused before anything
@@ -313,10 +274,6 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 	shared, err := d.nodeConfig(proxy.RoleIA, "").Resolve()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	if spec.Fleet {
-		d.Registry = fleet.NewRegistry(fleet.Config{})
-		d.Registry.RegisterMetrics(d.Metrics)
 	}
 	d.Balancer = NewBalancer(d.Net)
 	if spec.Resilience != nil {
@@ -371,13 +328,6 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 	if spec.Trace {
 		d.env.TraceSink = d.Traces.add
 	}
-	if d.Registry != nil {
-		// A flush is a shuffle-epoch boundary: the moment no epoch is in
-		// flight on that instance, so pending fleet members can be
-		// admitted onto a fresh epoch. One atomic load when none are.
-		reg := d.Registry
-		d.env.OnEpoch = func() { reg.EpochBoundary() }
-	}
 
 	if err := d.deployLRS(spec); err != nil {
 		return nil, err
@@ -409,22 +359,6 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 	}
 	d.Balancer.Register("ua", uaBackends...)
 
-	// Fleet mode: seed the registry with the initial membership and hand
-	// the balancer over to it. The first endpoint of each service is
-	// admitted on registration; one pre-traffic epoch boundary promotes
-	// the rest (no epoch is in flight before the first request), so the
-	// deployment comes up with its full initial capacity routable.
-	if d.Registry != nil {
-		for _, addr := range iaBackends {
-			d.Registry.Register("ia", addr)
-		}
-		for _, addr := range uaBackends {
-			d.Registry.Register("ua", addr)
-		}
-		d.Registry.EpochBoundary()
-		d.Balancer.UseSource(d.Registry, "ua", "ia", "lrs")
-	}
-
 	// Backend ejection starves the surviving shufflers' buffers, so it is
 	// a degraded-path SLO signal in its own right.
 	if d.Auditor != nil {
@@ -433,27 +367,12 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 				return len(d.Balancer.Ejected(svc)) > 0
 			})
 		}
-		if d.Registry != nil {
-			// A drained instance that closed with messages still buffered
-			// released a sub-S batch: the exact epoch split the drain
-			// protocol exists to prevent, and a direct breach of the 1/S
-			// linking bound. Scale-down events must never trip this.
-			d.Auditor.AddViolationCheck("fleet drain split a shuffle epoch", d.dirtyDrain)
-		}
 	}
 
 	// Objectives are complete once every layer is served; only now can
 	// the evaluator's per-objective series register.
 	if d.PerfSLO != nil {
 		d.PerfSLO.RegisterMetrics(d.Metrics)
-	}
-
-	// The autoscaling loop comes up last, once the initial membership is
-	// final: its first sample then sees the full fleet.
-	if spec.Elastic != nil {
-		if err := d.startReconciler(spec); err != nil {
-			return nil, err
-		}
 	}
 
 	d.Entry = "http://ua"
@@ -483,9 +402,6 @@ func (d *Deployment) nodeConfig(role proxy.Role, addr string) node.Config {
 		c.Next = "http://lrs"
 		c.LRSConcurrency = s.LRSConcurrency
 		c.Cache = s.Cache
-	}
-	if s.Elastic != nil {
-		c.DrainTimeout = s.Elastic.DrainTimeout
 	}
 	return c
 }
@@ -602,11 +518,6 @@ func (d *Deployment) deployLRS(spec Spec) error {
 		}
 	}
 	d.Balancer.Register("lrs", backends...)
-	if d.Registry != nil {
-		for _, addr := range backends {
-			d.Registry.Register("lrs", addr)
-		}
-	}
 	return nil
 }
 
@@ -688,11 +599,6 @@ func (d *Deployment) Client(timeout time.Duration) *client.Client {
 // Close shuts every server down and closes the network, waiting out any
 // in-flight profile capture.
 func (d *Deployment) Close() error {
-	// The reconciler stops first — its stop waits out an in-flight tick,
-	// so no AddPair/DrainPair can race the teardown below.
-	if d.stopReconcile != nil {
-		d.stopReconcile()
-	}
 	d.Profiles.Wait()
 	d.mu.Lock()
 	order := append([]string(nil), d.order...)

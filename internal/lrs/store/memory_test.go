@@ -2,7 +2,9 @@ package store
 
 import (
 	"math"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -23,10 +25,11 @@ func benchShapeEvents() []map[string]string {
 }
 
 // fillLog inserts events into a fresh four-shard log indexed by user, as
-// the engine opens it. Each event's strings are fresh copies, as a
-// decoded request's are, so whatever the log retains of them counts.
-func fillLog(tb testing.TB, events []map[string]string) *ShardedLog {
-	l, err := OpenShardedLog(ShardedConfig{Shards: 4, IndexFields: []string{"user"}})
+// the engine opens it: in memory, or WAL-backed under dir when it is set.
+// Each event's strings are fresh copies, as a decoded request's are, so
+// whatever the log retains of them counts.
+func fillLog(tb testing.TB, events []map[string]string, dir string) *ShardedLog {
+	l, err := OpenShardedLog(ShardedConfig{Shards: 4, IndexFields: []string{"user"}, Dir: dir})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func liveHeap() uint64 {
 // holds per stored event.
 func heapPerEvent(tb testing.TB, events []map[string]string) float64 {
 	before := liveHeap()
-	l := fillLog(tb, events)
+	l := fillLog(tb, events, "")
 	after := liveHeap()
 	runtime.KeepAlive(l)
 	return float64(int64(after)-int64(before)) / float64(len(events))
@@ -85,11 +88,32 @@ func BenchmarkShardedLogInsert(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		logSink = fillLog(b, events)
+		logSink = fillLog(b, events, "")
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
 	b.ReportMetric(heapPerEvent(b, events), "B/event")
+}
+
+// BenchmarkShardedLogInsertWAL is BenchmarkShardedLogInsert on the
+// WAL-backed shards the engine runs with a WAL directory (no fsync, its
+// default): the difference between the two is the price of the WAL
+// append, one frame encode and one write per event.
+func BenchmarkShardedLogInsertWAL(b *testing.B) {
+	events := benchShapeEvents()
+	base := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := fillLog(b, events, filepath.Join(base, strconv.Itoa(i)))
+		b.StopTimer()
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
 }
 
 // BenchmarkShardedLogFindBy prices a get's history read on the seeded
@@ -97,7 +121,7 @@ func BenchmarkShardedLogInsert(b *testing.B) {
 // document returned.
 func BenchmarkShardedLogFindBy(b *testing.B) {
 	events := benchShapeEvents()
-	l := fillLog(b, events)
+	l := fillLog(b, events, "")
 	b.ReportAllocs()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

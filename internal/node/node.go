@@ -132,10 +132,7 @@ type Env struct {
 	// TraceSink is the log of the instance's epoch records: every record,
 	// including the Batch-0 ones no epoch released; nil is no log.
 	TraceSink func(proxy.EpochRecord)
-	// OnEpoch runs after every shuffle epoch the instance releases (the
-	// fleet registry's EpochBoundary).
-	OnEpoch func()
-	Logger  *slog.Logger
+	Logger    *slog.Logger
 }
 
 // Routes are the operational routes beside /metrics and /healthz every
@@ -351,7 +348,7 @@ func (p *Proxy) Close() {
 	}
 }
 
-// Drain retires layers without splitting a shuffle epoch (DESIGN.md §4j):
+// Drain retires layers without splitting a shuffle epoch (DESIGN.md §4d):
 // each soft-drains — serving on, but answering Connection: close so
 // pooled HTTP and frame links evict themselves — until nothing is in
 // flight or buffered, its final epoch leaving whole through the shuffler's
@@ -394,7 +391,7 @@ func recordEvery(layer *proxy.Layer, interval time.Duration, stop, done chan str
 // one record, so the log and the /perf exemplars name the same epoch
 // numbers.
 func observeEpochs(layer *proxy.Layer, env Env) {
-	a, eval, sink, onEpoch := env.Auditor, env.PerfSLO, env.TraceSink, env.OnEpoch
+	a, eval, sink := env.Auditor, env.PerfSLO, env.TraceSink
 	layer.SetEpochObserver(func(rec proxy.EpochRecord) {
 		if sink != nil {
 			sink(rec)
@@ -407,9 +404,6 @@ func observeEpochs(layer *proxy.Layer, env Env) {
 		}
 		if eval != nil {
 			eval.Sample(rec.Node, rec.Epoch, rec.Stages)
-		}
-		if onEpoch != nil {
-			onEpoch()
 		}
 	})
 }

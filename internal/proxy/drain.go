@@ -7,7 +7,7 @@ import (
 )
 
 // Drain is the privacy-safe way to retire a layer instance (DESIGN.md
-// §4j). The rule it enforces: a draining instance's buffered shuffle
+// §4d). The rule it enforces: a draining instance's buffered shuffle
 // epochs leave exactly as they would have on a healthy instance — full
 // batches, or the one timer-bound flush the shuffler would have run
 // anyway — and teardown happens only once nothing is buffered. The
@@ -16,20 +16,21 @@ import (
 //
 // The protocol has two phases:
 //
-//  1. BeginDrain (soft): the fleet registry has already stopped routing
-//     new connections here; responses carry Connection: close so pooled
-//     keep-alive connections (transport.HTTPClient keeps up to 1024 per
-//     host) and pooled frame links (the hopwire server closes a link
-//     after such a reply) evict themselves instead of carrying new
-//     requests back. In-flight and still-arriving requests are served
-//     normally and keep filling the shuffler, which flushes on size or
-//     timer as ever.
+//  1. BeginDrain (soft): the caller has already stopped routing new
+//     connections here (a balancer re-registered without this instance,
+//     or a process taken out of its load balancer before its SIGTERM).
+//     Responses carry Connection: close so pooled keep-alive connections
+//     (transport.HTTPClient keeps up to 1024 per host) and pooled frame
+//     links (the hopwire server closes a link after such a reply) evict
+//     themselves instead of carrying new requests back. In-flight and
+//     still-arriving requests are served normally and keep filling the
+//     shuffler, which flushes on size or timer as ever.
 //  2. RefuseNew (hard): after the caller's grace deadline, remaining
 //     arrivals get 503 so the sender's resilience ladder retries them on
 //     a live instance.
 //
 // AwaitDrained completes when no request is in flight and the shuffler
-// is empty; only then may the caller deregister and Close the layer.
+// is empty; only then may the caller close its listeners and the layer.
 type DrainReport struct {
 	// Draining reports whether BeginDrain has run.
 	Draining bool `json:"draining"`
@@ -97,7 +98,8 @@ func (l *Layer) AwaitDrained(ctx context.Context) error {
 }
 
 // DrainReport returns the drain state and its privacy invariant. Valid
-// after Close as well — the auditor checks retired instances' reports.
+// after Close as well, and only then final: a message Close found still
+// buffered turns it dirty.
 func (l *Layer) DrainReport() DrainReport {
 	rep := DrainReport{
 		Draining:       l.draining.Load(),

@@ -1,9 +1,8 @@
-package autoscale
+package sim
 
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestDesiredScalesUpWithLoad(t *testing.T) {
@@ -63,44 +62,6 @@ func TestDesiredMonotoneInLoadProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRateEstimatorTracksSteadyRate(t *testing.T) {
-	r := NewRateEstimator(2 * time.Second)
-	now := time.Unix(1000, 0)
-	// 100 RPS for 30 seconds.
-	for i := 0; i < 3000; i++ {
-		now = now.Add(10 * time.Millisecond)
-		r.Observe(now)
-	}
-	rate := r.Rate(now)
-	if rate < 80 || rate > 120 {
-		t.Errorf("estimated rate %.1f, want ≈ 100", rate)
-	}
-}
-
-func TestRateEstimatorAdaptsToChange(t *testing.T) {
-	r := NewRateEstimator(2 * time.Second)
-	now := time.Unix(1000, 0)
-	for i := 0; i < 2000; i++ { // 100 RPS for 20 s
-		now = now.Add(10 * time.Millisecond)
-		r.Observe(now)
-	}
-	for i := 0; i < 4000; i++ { // 400 RPS for 10 s
-		now = now.Add(2500 * time.Microsecond)
-		r.Observe(now)
-	}
-	rate := r.Rate(now)
-	if rate < 250 {
-		t.Errorf("estimator stuck at %.1f after load quadrupled", rate)
-	}
-}
-
-func TestRateEstimatorEmpty(t *testing.T) {
-	r := NewRateEstimator(time.Second)
-	if got := r.Rate(time.Now()); got != 0 {
-		t.Errorf("rate with no observations = %v", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package telemetry is the operator's read of a PProx fleet. Every node
 // already serves its state on public endpoints — /metrics everywhere,
-// /privacy and /perf where the SLO engines run, /fleet on the fleet
-// registry's host — and this package scrapes them: ScrapeNode reads one
+// /privacy and /perf where the SLO engines run — and this package
+// scrapes them: ScrapeNode reads one
 // node, Gate turns scrapes into the exit status of an operator check, and
 // View folds two rounds of scrapes into the fleet view pprox-ops top
 // renders.
@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"pprox/internal/audit"
-	"pprox/internal/fleet"
 	"pprox/internal/metrics"
 	"pprox/internal/perfslo"
 )
@@ -37,9 +36,6 @@ type Scrape struct {
 	// auditor or no perf evaluator.
 	Privacy *audit.Report
 	Perf    *perfslo.Report
-	// Fleet is the elastic-fleet overview, served by the registry host
-	// only.
-	Fleet *fleet.Overview
 	// Err is why the read failed: the node counts as down.
 	Err error
 }
@@ -51,8 +47,8 @@ const maxBody = 32 << 20
 var errNotFound = errors.New("not served")
 
 // ScrapeNode reads target's /metrics and, where that exposition carries
-// the engine's series, /privacy (pprox_audit_*), /perf (pprox_perfslo_*)
-// and /fleet (pprox_fleet_*). A node without those series gets no probe,
+// the engine's series, /privacy (pprox_audit_*) and /perf
+// (pprox_perfslo_*). A node without those series gets no probe,
 // so a scrape adds nothing to the node's own request histograms. A 404
 // on a probed route still means the node does not serve it (in-process
 // nodes share one registry, and so each other's series); any other
@@ -72,7 +68,6 @@ func ScrapeNode(c *http.Client, target string) Scrape {
 	}{
 		{"pprox_audit_", audit.PrivacyPath, &s.Privacy},
 		{"pprox_perfslo_", perfslo.PerfPath, &s.Perf},
-		{"pprox_fleet_", fleet.OverviewPath, &s.Fleet},
 	} {
 		if !exports(s.Metrics, route.prefix) {
 			continue

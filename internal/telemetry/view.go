@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"pprox/internal/fleet"
 	"pprox/internal/metrics"
 )
 
@@ -26,8 +25,7 @@ type FleetReport struct {
 // NodeStatus is one node's row.
 type NodeStatus struct {
 	Node string
-	// Role is "ua", "ia", "lrs", "stub" or "fleet" (the registry host),
-	// read from the series the node exports; empty when none tells.
+	// Role is "ua", "ia", "lrs" or "stub", read from the series the node exports; empty when none tells.
 	Role string
 	// Down marks a node whose latest scrape failed.
 	Down bool
@@ -62,10 +60,6 @@ type Rollups struct {
 	// BuildSkew flags a mixed-version fleet.
 	BuildSHAs []string
 	BuildSkew bool
-	// Fleet is the elastic-fleet overview a registry-host target serves:
-	// membership (with drain states) and recent scaling decisions. Nil
-	// when no target hosts the registry.
-	Fleet *fleet.Overview
 	// LRS aggregates the recommendation backends' training and
 	// re-pseudonymization state. Nil when no LRS node answers.
 	LRS *LRSRollup
@@ -168,8 +162,6 @@ func scope(s Scrape) node {
 		}
 	}
 	switch {
-	case s.Fleet != nil:
-		n.role = "fleet"
 	case n.role == "" && stub:
 		n.role = "stub"
 	case n.role == "" && lrs:
@@ -257,9 +249,6 @@ func View(prev, cur []Scrape, elapsed time.Duration) FleetReport {
 		if n.role == "lrs" {
 			accumulateLRS(&report.Rollups, n.series)
 		}
-		if s.Fleet != nil {
-			report.Rollups.Fleet = s.Fleet
-		}
 		if st.AuditState != "" || st.PerfState != "" {
 			report.Rollups.States[st.Node] = NodeStates{Audit: st.AuditState, Perf: st.PerfState}
 		}
@@ -345,22 +334,6 @@ func Render(w io.Writer, r FleetReport) {
 		}
 		fmt.Fprintf(w, "%-10s %-5s %-5s %8d %9.1f %-9s %s\n",
 			n.Node, orDash(n.Role), state, n.Epoch, n.GoodputRPS, orDash(n.AuditState), orDash(n.PerfState))
-	}
-	if fv := r.Rollups.Fleet; fv != nil {
-		fmt.Fprintf(w, "\nelastic fleet: %d pairs current / %d desired\n", fv.CurrentPairs, fv.DesiredPairs)
-		for _, ep := range fv.Endpoints {
-			fmt.Fprintf(w, "  %-4s %-12s %s\n", ep.Service, ep.Addr, strings.ToUpper(ep.State))
-		}
-		if n := len(fv.Decisions); n > 0 {
-			fmt.Fprintf(w, "  recent scaling decisions:\n")
-			for _, dec := range fv.Decisions[max(0, n-3):] {
-				line := fmt.Sprintf("    #%d %-10s %d→%d  rps %.1f  occ %.2f", dec.Seq, dec.Action, dec.Current, dec.Desired, dec.RPS, dec.Occupancy)
-				if dec.Err != "" {
-					line += "  err: " + dec.Err
-				}
-				fmt.Fprintln(w, line)
-			}
-		}
 	}
 	if len(r.Rollups.StageQuantiles) > 0 {
 		fmt.Fprintf(w, "\nmerged stage latency (ms):\n")

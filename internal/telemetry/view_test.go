@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"pprox/internal/audit"
-	"pprox/internal/fleet"
 	"pprox/internal/metrics"
 	"pprox/internal/perfslo"
 	"pprox/internal/stub"
@@ -62,17 +61,6 @@ func TestGoodputAndWorstBatch(t *testing.T) {
 	// Without a first round, goodput is unknown and reads 0.
 	if got := View(nil, cur, 0).Rollups.GoodputRPS; got != 0 {
 		t.Errorf("goodput from one scrape = %g, want 0", got)
-	}
-}
-
-// TestCollectorNoFleetIsNil: deployments without a fleet keep the rollup
-// nil. Only a registry-host target serves the /fleet overview, so a view
-// whose targets are proxy nodes alone carries no overview, not an empty
-// one.
-func TestCollectorNoFleetIsNil(t *testing.T) {
-	round := []Scrape{proxyScrape("http://10.0.0.1:8081", "ua-0", "UA", 1, 1)}
-	if fv := View(nil, round, 0).Rollups.Fleet; fv != nil {
-		t.Fatalf("rollup fleet = %+v, want nil", fv)
 	}
 }
 
@@ -173,7 +161,7 @@ func TestLRSRollup(t *testing.T) {
 	}
 }
 
-// TestScrapeNodeOptionalRoutes: /privacy, /perf and /fleet are optional
+// TestScrapeNodeOptionalRoutes: /privacy and /perf are optional
 // only as far as a 404 goes. A node that answers them is read, and one
 // that fails them in any other way fails the scrape: a 503 on /perf must
 // not read as "no perf SLO".
@@ -187,12 +175,9 @@ func TestScrapeNodeOptionalRoutes(t *testing.T) {
 			// shared in-process registry.
 			fmt.Fprintln(w, `pprox_audit_slo_state 0`)
 			fmt.Fprintln(w, `pprox_perfslo_state 2`)
-			fmt.Fprintln(w, `pprox_fleet_generation 1`)
 		case perfslo.PerfPath:
 			w.WriteHeader(perfStatus)
 			fmt.Fprint(w, `{"state":"violated"}`)
-		case fleet.OverviewPath:
-			fmt.Fprint(w, `{"current_pairs":2,"desired_pairs":3}`)
 		default:
 			http.NotFound(w, r)
 		}
@@ -203,11 +188,11 @@ func TestScrapeNodeOptionalRoutes(t *testing.T) {
 	if s.Err != nil {
 		t.Fatal(s.Err)
 	}
-	if s.Privacy != nil || s.Perf == nil || s.Perf.State != "violated" || s.Fleet == nil || s.Fleet.DesiredPairs != 3 {
-		t.Errorf("scrape = privacy %v, perf %+v, fleet %+v", s.Privacy, s.Perf, s.Fleet)
+	if s.Privacy != nil || s.Perf == nil || s.Perf.State != "violated" {
+		t.Errorf("scrape = privacy %v, perf %+v", s.Privacy, s.Perf)
 	}
-	if got := View(nil, []Scrape{s}, 0).Nodes[0].Role; got != "fleet" {
-		t.Errorf("the registry host's role = %q, want fleet", got)
+	if got := View(nil, []Scrape{s}, 0).Nodes[0].Role; got != "ua" {
+		t.Errorf("the node's role = %q, want ua", got)
 	}
 
 	perfStatus = http.StatusServiceUnavailable
@@ -220,8 +205,8 @@ func TestScrapeNodeOptionalRoutes(t *testing.T) {
 }
 
 // TestScrapeProbesOnlyExportedEngines: a node whose /metrics carries no
-// audit, perf-SLO or fleet series is not asked for /privacy, /perf or
-// /fleet, so scraping a stub leaves its request histograms as they were.
+// audit or perf-SLO series is not asked for /privacy or /perf, so
+// scraping a stub leaves its request histograms as they were.
 func TestScrapeProbesOnlyExportedEngines(t *testing.T) {
 	st, err := stub.New(3)
 	if err != nil {
@@ -249,7 +234,7 @@ func TestScrapeProbesOnlyExportedEngines(t *testing.T) {
 	if a, b := other(first), other(second); a != 0 || b != 0 {
 		t.Errorf("other-path requests across two scrapes = %g, %g; want 0, 0", a, b)
 	}
-	if second.Privacy != nil || second.Perf != nil || second.Fleet != nil {
-		t.Errorf("stub scrape read privacy %v, perf %v, fleet %v", second.Privacy, second.Perf, second.Fleet)
+	if second.Privacy != nil || second.Perf != nil {
+		t.Errorf("stub scrape read privacy %v, perf %v", second.Privacy, second.Perf)
 	}
 }

@@ -5,9 +5,11 @@
 # curl and fails unless both answer 200, the get returns 20 items, and the
 # UA forwarded in hopwire frames (exchanges > 0) without one HTTP fallback.
 # pprox-ops top -once then scrapes the UA, the IA and the stub and must
-# exit 0 with one row per node, the UA's at epoch 1 or later. Then it stops the UA with SIGTERM and fails unless its -trace-log holds
-# epochs 1 and 2 of one request each, and the serve counts of all its
-# records, Close's final one included, sum to the two requests.
+# exit 0 with one row per node, the UA's at epoch 1 or later. Then it
+# stops the UA with SIGTERM and fails unless the UA logs a clean drain,
+# its -trace-log holds epochs 1 and 2 of one request each, and the serve
+# counts of all its records, Close's final one included, sum to the two
+# requests.
 #
 #	GO=go sh scripts/tcp-smoke.sh
 set -eu
@@ -80,9 +82,11 @@ ua_epoch=$(awk '$1 == "ua" && $2 == "ua" && $3 == "up" {print $4}' "$dir/top")
 
 kill -TERM $ua_pid
 wait $ua_pid || fail "the UA exited $? on SIGTERM"
+drained=$(grep '"msg":"drain complete"' "$dir/log" | grep '"node":"ua"' || true)
+echo "$drained" | grep -q '"clean":true,"sheds":0' || fail "the UA logged no clean drain on SIGTERM: ${drained:-none}"
 for e in 1 2; do
 	grep -q "\"epoch\":$e,\"batch\":1," "$dir/ua.epochs" || fail "no record of epoch $e with batch 1: $(cat "$dir/ua.epochs")"
 done
 serves=$(grep -o '"serve":{[^}]*}' "$dir/ua.epochs" | grep -o ':[0-9][0-9]*' | tr -d : | awk '{n += $1} END {print n + 0}')
 [ "$serves" -eq 2 ] || fail "the UA's records count $serves serves, want 2: $(cat "$dir/ua.epochs")"
-echo "tcp-smoke: get 200 with $items items, post 200, UA hopwire exchanges $exchanges, fallbacks $fallbacks, top: $rows nodes with the UA at epoch $ua_epoch, $(wc -l <"$dir/ua.epochs") epoch records with $serves serves"
+echo "tcp-smoke: get 200 with $items items, post 200, UA hopwire exchanges $exchanges, fallbacks $fallbacks, top: $rows nodes with the UA at epoch $ua_epoch, clean drain, $(wc -l <"$dir/ua.epochs") epoch records with $serves serves"
