@@ -53,8 +53,9 @@ verify: build vet test race lrs-bench-once ia-bench-once crypto-bench-once
 # Real-binary smoke test over localhost TCP: pprox-keygen, pprox-stub
 # -pseudonymize-with, pprox-proxy for the IA and the UA, and pprox-sidecar;
 # one get and one post with curl. Fails unless both answer 200, the get
-# returns 20 items, and the UA's /metrics shows hopwire exchanges and no
-# HTTP fallback — the shipped binaries speak frames between hops.
+# returns 20 items, the UA's /metrics shows hopwire exchanges, the IA's
+# none, and the stub counts the get and the post — the shipped binaries
+# speak frames UA→IA and plain REST IA→LRS.
 tcp-smoke:
 	GO=$(GO) sh scripts/tcp-smoke.sh
 

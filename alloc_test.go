@@ -45,7 +45,8 @@ func TestAllocationCeilings(t *testing.T) {
 	var frame []byte
 	var epoch uint64
 	// The m3 shape: encryption and enclaves on both layers, no shuffle,
-	// default (box) key material, frames on both hops, the stub LRS.
+	// default (box) key material, frames UA→IA and REST IA→LRS, the stub
+	// LRS.
 	d, err := cluster.Deploy(cluster.Spec{
 		ProxyEnabled: true, UA: 1, IA: 1,
 		Encryption: true, ItemPseudonyms: true,
@@ -84,7 +85,7 @@ func TestAllocationCeilings(t *testing.T) {
 			frame, err = message.MarshalBatchEpoch(frame[:0], epoch, entries)
 			return err
 		}},
-		{"full_path_get", 340, func() error {
+		{"full_path_get", 425, func() error {
 			_, err := cl.Get(ctx, "bench-user")
 			return err
 		}},

@@ -541,9 +541,10 @@ func benchShuffleTimer(b *testing.B, timeout time.Duration) {
 // read on every hop used to be a bare io.ReadAll — one fresh grow-chain
 // per message — and is now fed from a pooled buffer: on HTTP hops, at 300
 // gets/op on the dev container, io.ReadAll cost 805 allocs/op and
-// 131074 B/op, pooled 798 allocs/op and 123965 B/op. The hops now ride
-// binary frames (DESIGN.md §4h), which took the path from 799 to 647
-// allocs/op; the pooled read remains on the HTTP client edge.
+// 131074 B/op, pooled 798 allocs/op and 123965 B/op. Binary frames on
+// both hops (DESIGN.md §4h) then took the path from 799 to 647
+// allocs/op; the IA→LRS hop is plain REST again, and the pooled read
+// serves it and the HTTP client edge.
 // Run with: go test -bench Ablation_BodyBuffers -benchmem .
 func BenchmarkAblation_BodyBuffers(b *testing.B) {
 	_, cl := deployMicro(b, "m3", nil)

@@ -20,10 +20,10 @@ import (
 	"time"
 
 	"pprox/internal/faults"
-	"pprox/internal/hopwire"
 	"pprox/internal/lrs/engine"
 	"pprox/internal/metrics"
 	"pprox/internal/obslog"
+	"pprox/internal/transport"
 )
 
 func main() {
@@ -92,9 +92,8 @@ func run(listen string, trainEvery time.Duration, snapshot, debugAddr, faultSpec
 	if err != nil {
 		return err
 	}
-	// Dual-protocol listener: IA instances reach this server in binary
-	// frames, REST clients and probes over plain HTTP.
-	shutdown := hopwire.ServeHTTPAndFrames(l, handler)
+	// Plain REST: IA instances, direct clients and probes all speak HTTP.
+	shutdown := transport.Serve(l, handler)
 	logger.Info("serving", "listen", l.Addr().String(), "train_every", trainEvery.String())
 
 	stopTrainer := make(chan struct{})

@@ -50,7 +50,6 @@ import (
 	"pprox/internal/proxy"
 	"pprox/internal/reccache"
 	"pprox/internal/resilience"
-	"pprox/internal/transport"
 )
 
 // options is one process: the instance's node.Config plus what only a
@@ -172,10 +171,9 @@ func assemble(o options, logger *slog.Logger) (*instance, error) {
 		return nil, err
 	}
 	env := node.Env{
-		HTTPClient: transport.DefaultHTTPClient(30 * time.Second),
-		Dialer:     &net.Dialer{Timeout: 10 * time.Second},
-		Registry:   metrics.NewRegistry(),
-		Logger:     logger,
+		Dialer:   &net.Dialer{Timeout: 10 * time.Second},
+		Registry: metrics.NewRegistry(),
+		Logger:   logger,
 	}
 	metrics.RegisterBuildInfo(env.Registry)
 	metrics.RegisterRuntimeMetrics(env.Registry)

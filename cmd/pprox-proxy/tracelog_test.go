@@ -12,7 +12,6 @@ import (
 	"pprox/internal/metrics"
 	"pprox/internal/node"
 	"pprox/internal/proxy"
-	"pprox/internal/transport"
 )
 
 // stalledWriter blocks every write until released, as a stalled disk
@@ -43,10 +42,9 @@ func TestTraceLogNeverHoldsTheFlush(t *testing.T) {
 	p, err := node.NewProxy(
 		node.Config{Role: proxy.RoleUA, PassThrough: true, Next: "http://127.0.0.1:1", ShuffleSize: 2},
 		node.Env{
-			HTTPClient: transport.DefaultHTTPClient(time.Second),
-			Dialer:     &net.Dialer{Timeout: time.Second},
-			Registry:   metrics.NewRegistry(),
-			TraceSink:  tl.record,
+			Dialer:    &net.Dialer{Timeout: time.Second},
+			Registry:  metrics.NewRegistry(),
+			TraceSink: tl.record,
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -22,11 +22,11 @@ import (
 	"time"
 
 	"pprox/internal/faults"
-	"pprox/internal/hopwire"
 	"pprox/internal/metrics"
 	"pprox/internal/obslog"
 	"pprox/internal/proxy"
 	"pprox/internal/stub"
+	"pprox/internal/transport"
 )
 
 func main() {
@@ -109,9 +109,8 @@ func run(listen string, items int, delay time.Duration, keysPath, debugAddr, fau
 	if err != nil {
 		return err
 	}
-	// Dual-protocol listener: IA instances reach this server in binary
-	// frames, REST clients and probes over plain HTTP.
-	shutdown := hopwire.ServeHTTPAndFrames(l, handler)
+	// Plain REST: IA instances, direct clients and probes all speak HTTP.
+	shutdown := transport.Serve(l, handler)
 	logger.Info("serving", "items", items, "listen", l.Addr().String())
 
 	sig := make(chan os.Signal, 1)

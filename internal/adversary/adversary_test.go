@@ -130,8 +130,8 @@ func newTappedStackEngine(t *testing.T, km keyMaterial, shuffleSize int, cache *
 	httpClient := transport.HTTPClient(st.net, 30*time.Second)
 	ia, err := proxy.New(proxy.Config{
 		Role: proxy.RoleIA, Enclave: st.iaEncl, Next: "http://lrs",
-		HTTPClient: httpClient, ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
-		RecCache: cache, HopDialer: st.net,
+		ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
+		RecCache: cache, Dialer: st.net,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +141,8 @@ func newTappedStackEngine(t *testing.T, km keyMaterial, shuffleSize int, cache *
 
 	ua, err := proxy.New(proxy.Config{
 		Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://ia",
-		HTTPClient: httpClient, ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
-		HopDialer: st.net,
+		ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
+		Dialer: st.net,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -68,8 +68,8 @@ func newBatchTappedStack(t *testing.T, km keyMaterial, shuffleSize int, wrapIA f
 	httpClient := transport.HTTPClient(st.net, 30*time.Second)
 	ia, err := proxy.New(proxy.Config{
 		Role: proxy.RoleIA, Enclave: st.iaEncl, Next: "http://lrs",
-		HTTPClient: httpClient, ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
-		HopDialer: st.net,
+		ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
+		Dialer: st.net,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +83,8 @@ func newBatchTappedStack(t *testing.T, km keyMaterial, shuffleSize int, wrapIA f
 
 	ua, err := proxy.New(proxy.Config{
 		Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://ia",
-		HTTPClient: httpClient, ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
-		HopDialer: st.net,
+		ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
+		Dialer: st.net,
 	})
 	if err != nil {
 		t.Fatal(err)

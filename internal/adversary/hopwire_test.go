@@ -124,8 +124,8 @@ func testHopwireFramesCloseSizeChannel(t *testing.T, km keyMaterial) {
 	httpClient := transport.HTTPClient(net2, 30*time.Second)
 	ia, err := proxy.New(proxy.Config{
 		Role: proxy.RoleIA, Enclave: iaEncl, Next: "http://lrs",
-		HTTPClient: httpClient, ShuffleSize: s, ShuffleTimeout: 2 * time.Second,
-		HopDialer: net2,
+		ShuffleSize: s, ShuffleTimeout: 2 * time.Second,
+		Dialer: net2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +143,8 @@ func testHopwireFramesCloseSizeChannel(t *testing.T, km keyMaterial) {
 	tapped := &recordingDialer{Dialer: net2, target: "ia"}
 	ua, err := proxy.New(proxy.Config{
 		Role: proxy.RoleUA, Enclave: uaEncl, Next: "http://ia",
-		HTTPClient: httpClient, ShuffleSize: s, ShuffleTimeout: 2 * time.Second,
-		HopDialer: tapped,
+		ShuffleSize: s, ShuffleTimeout: 2 * time.Second,
+		Dialer: tapped,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"slices"
 	"sync"
@@ -55,9 +56,9 @@ type Spec struct {
 	// LRSConcurrency bounds each IA instance's concurrent LRS requests
 	// (0 = the proxy default, negative = unbounded).
 	LRSConcurrency int
-	// Hopwire is ignored: every hop speaks the binary frame protocol
-	// (DESIGN.md §4h) and every node serves frames and HTTP side by side,
-	// so there is nothing to switch.
+	// Hopwire is ignored: the UA→IA hop always speaks the binary frame
+	// protocol and the IA→LRS hop plain REST (DESIGN.md §4h), so there
+	// is nothing to switch.
 	//
 	// Deprecated: kept so the frozen benchmark keeps compiling; the next
 	// benchmark PR deletes it.
@@ -242,10 +243,14 @@ type Deployment struct {
 	env node.Env
 }
 
-// runningNode is one HTTP server the deployment runs, restartable in
-// place for crash/recovery experiments.
+// runningNode is one server the deployment runs, restartable in place
+// for crash/recovery experiments.
 type runningNode struct {
 	handler http.Handler
+	// serve brings the node up on a listener: hopwire.ServeHTTPAndFrames
+	// for a proxy, which takes the UA's frames beside HTTP, and
+	// transport.Serve for an LRS front end, which speaks only REST.
+	serve func(net.Listener, http.Handler) func() error
 
 	mu       sync.Mutex
 	shutdown func() error // nil while killed
@@ -292,10 +297,9 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 	}()
 
 	d.env = node.Env{
-		HTTPClient: transport.HTTPClient(d.Balancer, 30*time.Second),
-		Dialer:     d.Balancer,
-		Registry:   d.Metrics,
-		Logger:     spec.Logger,
+		Dialer:   d.Balancer,
+		Registry: d.Metrics,
+		Logger:   spec.Logger,
 	}
 	if spec.ProxyEnabled && spec.Encryption {
 		newKeys := proxy.NewLayerKeys
@@ -414,7 +418,7 @@ func (d *Deployment) addProxy(role proxy.Role, addr string) error {
 	if err != nil {
 		return err
 	}
-	if err := d.serve(addr, p.Handler); err != nil {
+	if err := d.serve(addr, p.Handler, hopwire.ServeHTTPAndFrames); err != nil {
 		p.Close()
 		return err
 	}
@@ -513,7 +517,7 @@ func (d *Deployment) deployLRS(spec Spec) error {
 	for i := range backends {
 		addr := fmt.Sprintf("lrs-%d", i)
 		backends[i] = addr
-		if err := d.serve(addr, handler); err != nil {
+		if err := d.serve(addr, handler, transport.Serve); err != nil {
 			return err
 		}
 	}
@@ -521,7 +525,7 @@ func (d *Deployment) deployLRS(spec Spec) error {
 	return nil
 }
 
-func (d *Deployment) serve(addr string, h http.Handler) error {
+func (d *Deployment) serve(addr string, h http.Handler, serve func(net.Listener, http.Handler) func() error) error {
 	if d.spec.NodeMiddleware != nil {
 		h = d.spec.NodeMiddleware(addr, h)
 	}
@@ -529,7 +533,7 @@ func (d *Deployment) serve(addr string, h http.Handler) error {
 	if err != nil {
 		return err
 	}
-	n := &runningNode{handler: h, shutdown: hopwire.ServeHTTPAndFrames(l, h)}
+	n := &runningNode{handler: h, serve: serve, shutdown: serve(l, h)}
 	d.mu.Lock()
 	d.nodes[addr] = n
 	d.order = append(d.order, addr)
@@ -576,7 +580,7 @@ func (d *Deployment) Restart(addr string) error {
 	if err != nil {
 		return err
 	}
-	n.shutdown = hopwire.ServeHTTPAndFrames(l, n.handler)
+	n.shutdown = n.serve(l, n.handler)
 	return nil
 }
 

@@ -35,9 +35,9 @@ type restStack struct {
 }
 
 // newRESTStack deploys the stack with the LRS served either as an
-// unmodified REST service (an httptest.Server, no frames) or, for the
-// twin, on the frame-and-HTTP listener every in-repo node serves.
-func newRESTStack(t *testing.T, ua, ia *proxy.LayerKeys, s int, frames bool) *restStack {
+// unmodified REST service (an httptest.Server) or, for the twin, the way
+// pprox-lrs serves it (transport.Serve). Both speak only REST.
+func newRESTStack(t *testing.T, ua, ia *proxy.LayerKeys, s int, twin bool) *restStack {
 	t.Helper()
 	st := &restStack{}
 	eng, err := engine.Open(engine.DefaultConfig())
@@ -58,8 +58,8 @@ func newRESTStack(t *testing.T, ua, ia *proxy.LayerKeys, s int, frames bool) *re
 		inner.ServeHTTP(w, r)
 	})
 	var lrsURL string
-	if frames {
-		lrsURL = serveTCP(t, lrs)
+	if twin {
+		lrsURL = serveTCP(t, lrs, transport.Serve)
 	} else {
 		srv := httptest.NewServer(lrs)
 		t.Cleanup(srv.Close)
@@ -71,10 +71,9 @@ func newRESTStack(t *testing.T, ua, ia *proxy.LayerKeys, s int, frames bool) *re
 		t.Fatal(err)
 	}
 	env := node.Env{
-		HTTPClient: transport.DefaultHTTPClient(10 * time.Second),
-		Dialer:     &net.Dialer{Timeout: 5 * time.Second},
-		Registry:   metrics.NewRegistry(),
-		Provision:  prov,
+		Dialer:    &net.Dialer{Timeout: 5 * time.Second},
+		Registry:  metrics.NewRegistry(),
+		Provision: prov,
 	}
 	build := func(role proxy.Role, name, next string) (*node.Proxy, string) {
 		p, err := node.NewProxy(node.Config{
@@ -87,24 +86,24 @@ func newRESTStack(t *testing.T, ua, ia *proxy.LayerKeys, s int, frames bool) *re
 			t.Fatal(err)
 		}
 		t.Cleanup(p.Close)
-		return p, serveTCP(t, p.Handler)
+		return p, serveTCP(t, p.Handler, hopwire.ServeHTTPAndFrames)
 	}
 	var iaURL, uaURL string
 	st.ia, iaURL = build(proxy.RoleIA, "ia-0", lrsURL)
 	_, uaURL = build(proxy.RoleUA, "ua-0", iaURL)
-	st.cl = client.New(proxy.Bundle(ua, ia), transport.DefaultHTTPClient(10*time.Second), uaURL)
+	st.cl = client.New(proxy.Bundle(ua, ia), transport.HTTPClient(&net.Dialer{Timeout: 5 * time.Second}, 10*time.Second), uaURL)
 	return st
 }
 
-// serveTCP serves h, frames and HTTP, on a localhost port until the test
-// ends and returns its base URL.
-func serveTCP(t *testing.T, h http.Handler) string {
+// serveTCP serves h with serve on a localhost port until the test ends
+// and returns its base URL.
+func serveTCP(t *testing.T, h http.Handler, serve func(net.Listener, http.Handler) func() error) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	shutdown := hopwire.ServeHTTPAndFrames(l, h)
+	shutdown := serve(l, h)
 	t.Cleanup(func() { shutdown() })
 	return "http://" + l.Addr().String()
 }
@@ -138,11 +137,11 @@ func (st *restStack) round(t *testing.T, users []string, do func(ctx context.Con
 // TestUnmodifiedRESTLRSBehindTheProxies is the paper's premise (§3, §7):
 // PProx fronts an existing recommender's REST API without changing it.
 // The IA forwards into an httptest.Server holding nothing but the
-// engine's REST handler, so every LRS call falls back to HTTP. Posts with
-// lost replies are retried under the enclave's idempotency key, gets
-// follow training, and the test requires: the answers of the frame-served
-// twin; exactly-once storage of every post; and at the LRS, requests
-// arriving S to an epoch.
+// engine's REST handler. Posts with lost replies are retried under the
+// enclave's idempotency key, gets follow training, and the test requires:
+// the answers of the twin served as pprox-lrs serves the engine;
+// exactly-once storage of every post; and at the LRS, requests arriving
+// S to an epoch.
 func TestUnmodifiedRESTLRSBehindTheProxies(t *testing.T) {
 	const s, users, postRounds = 4, 8, 6
 	ua, err := proxy.NewLayerKeys()
@@ -158,8 +157,8 @@ func TestUnmodifiedRESTLRSBehindTheProxies(t *testing.T) {
 	}
 	name := func(u int) string { return fmt.Sprintf("rest-user-%d", u) }
 
-	run := func(frames bool) map[string][]string {
-		st := newRESTStack(t, ua, ia, s, frames)
+	run := func(twin bool) map[string][]string {
+		st := newRESTStack(t, ua, ia, s, twin)
 		// Each post round is S distinct users, so a user's history has
 		// the same order on both stacks whatever the shuffle did.
 		for r := 0; r < postRounds; r++ {
@@ -178,14 +177,14 @@ func TestUnmodifiedRESTLRSBehindTheProxies(t *testing.T) {
 				want += 2 // the two posts whose replies were lost, retried
 			}
 			if got != want {
-				t.Errorf("frames=%v: post round %d reached the LRS as %d requests, want %d", frames, r, got, want)
+				t.Errorf("twin=%v: post round %d reached the LRS as %d requests, want %d", twin, r, got, want)
 			}
 		}
 		if n, want := st.eng.EventCount(), postRounds*s; n != want {
-			t.Errorf("frames=%v: the LRS stores %d events, want exactly %d", frames, n, want)
+			t.Errorf("twin=%v: the LRS stores %d events, want exactly %d", twin, n, want)
 		}
 		if dups := st.eng.DupEvents(); dups != 2 {
-			t.Errorf("frames=%v: %d deduplicated deliveries, want 2", frames, dups)
+			t.Errorf("twin=%v: %d deduplicated deliveries, want 2", twin, dups)
 		}
 		if err := st.eng.TrainNow(); err != nil {
 			t.Fatal(err)
@@ -206,20 +205,13 @@ func TestUnmodifiedRESTLRSBehindTheProxies(t *testing.T) {
 				return err
 			})
 			if got != s {
-				t.Errorf("frames=%v: get round %d reached the LRS as %d requests, want %d", frames, r, got, s)
+				t.Errorf("twin=%v: get round %d reached the LRS as %d requests, want %d", twin, r, got, s)
 			}
 		}
 
 		stats := st.ia.Layer.BatchStats()
 		if want := uint64(postRounds + users/s); stats.Batches != want || stats.Messages != want*s {
-			t.Errorf("frames=%v: IA batch stats %+v, want %d epochs of %d", frames, stats, want, s)
-		}
-		hop := st.ia.Layer.Hopwire().Stats()
-		if frames && (hop.Exchanges == 0 || hop.Fallbacks != 0) {
-			t.Errorf("twin IA hop stats %+v, want frame exchanges only", hop)
-		}
-		if !frames && (hop.Exchanges != 0 || hop.Fallbacks == 0) {
-			t.Errorf("REST IA hop stats %+v, want every LRS call on HTTP", hop)
+			t.Errorf("twin=%v: IA batch stats %+v, want %d epochs of %d", twin, stats, want, s)
 		}
 		return answers
 	}
@@ -235,6 +227,6 @@ func TestUnmodifiedRESTLRSBehindTheProxies(t *testing.T) {
 		t.Errorf("no get answered any item: %v", rest)
 	}
 	if !reflect.DeepEqual(rest, twin) {
-		t.Errorf("REST-served answers differ from the frame-served twin's:\nREST %v\ntwin %v", rest, twin)
+		t.Errorf("httptest-served answers differ from the twin's:\nREST %v\ntwin %v", rest, twin)
 	}
 }

@@ -3,7 +3,6 @@ package hopwire
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -18,9 +17,11 @@ import (
 	"pprox/internal/transport"
 )
 
-// Client carries frames to one peer over pooled persistent connections.
-// It is safe for concurrent use; each in-flight exchange owns one
-// connection.
+// Client carries batch frames to one peer over pooled persistent
+// connections. It is safe for concurrent use; each in-flight exchange
+// owns one connection. A nil *Client reads as zero Stats and closes as a
+// no-op, so the hop of a layer that holds none (the IA, which reaches the
+// LRS over HTTP) can be read and closed like any other.
 type Client struct {
 	dialer transport.Dialer
 	addr   string
@@ -30,29 +31,14 @@ type Client struct {
 	exchangeTimeout time.Duration
 	idleTTL         time.Duration
 	maxIdle         int
-	cooldown        time.Duration
-	probeTimeout    time.Duration
 
-	// seq mints exchange ids for single frames (batch frames carry the
-	// epoch id their builder minted).
-	seq atomic.Uint64
-
-	// verified latches once any frame exchange has completed against the
-	// peer. Until then the peer may be a frame-illiterate HTTP server
-	// whose request parser stops reading mid-frame — an unbounded write
-	// of a large frame would then wedge until the exchange deadline, so
-	// unverified writes are probe-bounded (see exchange).
-	verified atomic.Bool
-
-	mu               sync.Mutex
-	idle             []*poolConn
-	closed           bool
-	unsupportedUntil time.Time
+	mu     sync.Mutex
+	idle   []*poolConn
+	closed bool
 
 	dials     atomic.Uint64
 	reuses    atomic.Uint64
 	exchanges atomic.Uint64
-	fallbacks atomic.Uint64
 }
 
 // poolConn is one pooled connection with its read buffer; the buffer must
@@ -86,8 +72,6 @@ func NewClient(d transport.Dialer, next string) (*Client, error) {
 		exchangeTimeout: defaultExchangeTimeout,
 		idleTTL:         defaultIdleTTL,
 		maxIdle:         defaultMaxIdle,
-		cooldown:        defaultUnsupportedCooldown,
-		probeTimeout:    probeWriteTimeout,
 	}, nil
 }
 
@@ -99,23 +83,29 @@ type Stats struct {
 	Reuses uint64
 	// Exchanges is completed frame round trips.
 	Exchanges uint64
-	// Fallbacks is exchanges refused with ErrUnsupported (peer not
-	// speaking frames, or cooldown latch still warm).
+	// Fallbacks is always 0: nothing falls back to HTTP. Only the
+	// benchmark reads it; it goes with the next change to the benchmark.
 	Fallbacks uint64
 }
 
-// Stats returns the client's counters.
+// Stats returns the client's counters (zero for a nil client).
 func (c *Client) Stats() Stats {
+	if c == nil {
+		return Stats{}
+	}
 	return Stats{
 		Dials:     c.dials.Load(),
 		Reuses:    c.reuses.Load(),
 		Exchanges: c.exchanges.Load(),
-		Fallbacks: c.fallbacks.Load(),
 	}
 }
 
-// Close drops every pooled connection and refuses further exchanges.
+// Close drops every pooled connection and refuses further exchanges. It
+// is a no-op on a nil client.
 func (c *Client) Close() {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	idle := c.idle
 	c.idle = nil
@@ -126,49 +116,21 @@ func (c *Client) Close() {
 	}
 }
 
-// RoundTrip performs one exchange with HTTP-equivalent semantics: the
-// request that would have been POSTed to path travels as a frame, and the
-// result comes back as (status, body). For the batch path the body IS the
-// marshalled frame and the response body is the raw response frame, the
-// same bytes an HTTP /batch exchange carries. ErrUnsupported means the peer does not speak frames and the
-// caller should use its HTTP path; any other error is a transport fault
-// for the caller's breaker and retry ladder.
+// RoundTrip sends one batch frame and returns the answer with
+// HTTP-equivalent semantics, (status, body): path must be
+// message.BatchPath and body the marshalled frame, and the response body
+// is the raw response frame — the same bytes an HTTP /batch exchange
+// carries. An error frame comes back as its status and text. Every error
+// is a transport fault for the caller's breaker and retry ladder; an
+// answer that is not a frame (an HTTP-only server's error line) yields
+// one wrapping message.ErrNotFrame.
 func (c *Client) RoundTrip(ctx context.Context, path string, body []byte) (int, []byte, error) {
-	var frame []byte
-	var epoch uint64
-	var reqKind byte
-	switch path {
-	case message.BatchPath:
-		if !message.IsFrame(body) {
-			// Only frames ride hopwire; anything else is the HTTP
-			// path's to send and the IA's to refuse.
-			return 0, nil, ErrUnsupported
-		}
-		h, err := message.ParseFrameHeader(body)
-		if err != nil {
-			return 0, nil, err
-		}
-		epoch = h.Epoch
-		reqKind = message.FrameBatch
-		frame = body
-	case message.EventsPath, message.QueriesPath:
-		kind, _ := message.PathBatchKind(path)
-		epoch = c.seq.Add(1)
-		reqKind = message.FrameSingle
-		var err error
-		frame, err = message.AppendBatchFrame(nil, message.FrameSingle, epoch,
-			[]message.BatchEntry{{ID: 0, Kind: kind, Body: body}})
-		if err != nil {
-			return 0, nil, err
-		}
-	default:
-		// Health probes and any future route stay on HTTP.
-		return 0, nil, ErrUnsupported
+	if path != message.BatchPath {
+		return 0, nil, fmt.Errorf("hopwire: only %s rides frames, not %s", message.BatchPath, path)
 	}
-
-	if c.inCooldown() {
-		c.fallbacks.Add(1)
-		return 0, nil, ErrUnsupported
+	h, err := message.ParseFrameHeader(body)
+	if err != nil {
+		return 0, nil, err
 	}
 
 	// A pooled connection can go stale between the health check and the
@@ -181,15 +143,10 @@ func (c *Client) RoundTrip(ctx context.Context, path string, body []byte) (int, 
 		if err != nil {
 			return 0, nil, err
 		}
-		status, resp, gotBytes, err := c.exchange(ctx, pc, frame, epoch, reqKind)
+		status, resp, gotBytes, err := c.exchange(ctx, pc, body, h.Epoch)
 		if err == nil {
 			c.exchanges.Add(1)
 			return status, resp, nil
-		}
-		if err == ErrUnsupported {
-			c.markUnsupported()
-			c.fallbacks.Add(1)
-			return 0, nil, ErrUnsupported
 		}
 		if !reused || gotBytes || ctx.Err() != nil {
 			return 0, nil, err
@@ -198,19 +155,6 @@ func (c *Client) RoundTrip(ctx context.Context, path string, body []byte) (int, 
 	// Unreachable: attempt 1 uses a fresh dial, so reused is false and
 	// the loop returns from inside.
 	return 0, nil, fmt.Errorf("hopwire: exchange with %s failed", c.addr)
-}
-
-// inCooldown reports whether the unsupported latch is still warm.
-func (c *Client) inCooldown() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Now().Before(c.unsupportedUntil)
-}
-
-func (c *Client) markUnsupported() {
-	c.mu.Lock()
-	c.unsupportedUntil = time.Now().Add(c.cooldown)
-	c.mu.Unlock()
 }
 
 // getConn returns a healthy pooled connection or dials a new one. fresh
@@ -285,13 +229,11 @@ func (c *Client) putConn(pc *poolConn) {
 	c.mu.Unlock()
 }
 
-// exchange writes one frame and reads one response frame. gotBytes
+// exchange writes one batch frame and reads one response frame. gotBytes
 // reports whether any response bytes arrived — the retry-safety signal.
 // On success the connection returns to the pool; on any error it is
-// closed (a half-finished exchange can never be reused). reqKind is the
-// request frame's kind: the response must answer in the same kind (or an
-// error frame), anything else is a desynced stream.
-func (c *Client) exchange(ctx context.Context, pc *poolConn, frame []byte, epoch uint64, reqKind byte) (status int, resp []byte, gotBytes bool, err error) {
+// closed (a half-finished exchange can never be reused).
+func (c *Client) exchange(ctx context.Context, pc *poolConn, frame []byte, epoch uint64) (status int, resp []byte, gotBytes bool, err error) {
 	defer func() {
 		if err != nil {
 			pc.Close()
@@ -305,31 +247,8 @@ func (c *Client) exchange(ctx context.Context, pc *poolConn, frame []byte, epoch
 	if err := pc.SetDeadline(deadline); err != nil {
 		return 0, nil, false, err
 	}
-
-	verified := c.verified.Load()
-	if !verified {
-		// Probe-bound the write until the peer has proven it speaks
-		// frames: a frame-illiterate server stops reading mid-frame, so
-		// an unbounded write of a large frame would wedge for the whole
-		// exchange deadline without ever producing the non-frame
-		// response that latches the fallback.
-		probe := time.Now().Add(c.probeTimeout)
-		if probe.Before(deadline) {
-			pc.SetWriteDeadline(probe)
-		}
-	}
 	if _, err := pc.Write(frame); err != nil {
-		var ne net.Error
-		if !verified && errors.As(err, &ne) && ne.Timeout() {
-			// The peer stopped reading our frame: it does not speak the
-			// protocol. gotBytes=true so RoundTrip does not retry the
-			// probe on a fresh dial.
-			return 0, nil, true, ErrUnsupported
-		}
 		return 0, nil, false, fmt.Errorf("hopwire: write to %s: %w", c.addr, err)
-	}
-	if !verified {
-		pc.SetWriteDeadline(deadline)
 	}
 
 	hdr := make([]byte, message.FrameHeaderSize)
@@ -337,18 +256,11 @@ func (c *Client) exchange(ctx context.Context, pc *poolConn, frame []byte, epoch
 	if err != nil {
 		return 0, nil, n > 0, fmt.Errorf("hopwire: read from %s: %w", c.addr, err)
 	}
-	if !message.IsFrame(hdr) {
-		// The peer answered with something else — typically an HTTP/1.1
-		// error line from a frame-illiterate server. ErrUnsupported; the
-		// caller falls back to HTTP (and RoundTrip latches the verdict).
-		return 0, nil, true, ErrUnsupported
-	}
-	// A frame came back: the peer speaks the protocol, so later writes
-	// need no probe bound.
-	c.verified.Store(true)
 	h, err := message.ParseFrameHeader(hdr)
 	if err != nil {
-		return 0, nil, true, err
+		// Typically an HTTP/1.1 error line from a server that does not
+		// speak frames (ErrNotFrame), or a desynced stream.
+		return 0, nil, true, fmt.Errorf("hopwire: answer from %s: %w", c.addr, err)
 	}
 	full := make([]byte, h.FrameSize())
 	copy(full, hdr)
@@ -362,35 +274,14 @@ func (c *Client) exchange(ctx context.Context, pc *poolConn, frame []byte, epoch
 	}
 	pc.SetDeadline(time.Time{})
 
-	switch h.Kind {
-	case message.FrameError:
+	if h.Kind == message.FrameError {
 		_, st, text, derr := message.DecodeErrorFrame(full)
 		if derr != nil {
 			return 0, nil, true, derr
 		}
 		c.putConn(pc)
 		return st, []byte(text), true, nil
-	case message.FrameBatch:
-		if reqKind != message.FrameBatch {
-			return 0, nil, true, fmt.Errorf("hopwire: batch response to a kind-%d frame", reqKind)
-		}
-		c.putConn(pc)
-		return http.StatusOK, full, true, nil
-	case message.FrameSingle:
-		if h.Kind != reqKind {
-			return 0, nil, true, fmt.Errorf("hopwire: kind-%d response to a kind-%d frame", h.Kind, reqKind)
-		}
-		_, entries, derr := message.DecodeBatchFrame(full)
-		if derr != nil {
-			return 0, nil, true, derr
-		}
-		st := entries[0].Status
-		if st == 0 {
-			st = http.StatusOK
-		}
-		c.putConn(pc)
-		return st, entries[0].Body, true, nil
-	default:
-		return 0, nil, true, fmt.Errorf("hopwire: unexpected frame kind %d", h.Kind)
 	}
+	c.putConn(pc)
+	return http.StatusOK, full, true, nil
 }

@@ -17,9 +17,9 @@ import (
 	"pprox/internal/transport"
 )
 
-// echoHandler is a stand-in node: /batch echoes the envelope back with
-// statuses set (epoch echoed via the wire-format rule), per-message paths
-// echo the body, /healthz answers ok.
+// echoHandler is a stand-in node: /batch echoes the frame's entries
+// back with status 200 under the same epoch id (the wire-format rule),
+// /healthz answers ok.
 func echoHandler(t *testing.T) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
@@ -44,15 +44,48 @@ func echoHandler(t *testing.T) http.Handler {
 				return
 			}
 			w.Write(payload)
-		case message.EventsPath, message.QueriesPath:
-			body, _ := io.ReadAll(r.Body)
-			w.Write(append([]byte("re:"), body...))
 		case message.HealthPath:
 			fmt.Fprint(w, "ok")
 		default:
 			http.NotFound(w, r)
 		}
 	})
+}
+
+// frameOf marshals a one-entry batch frame carrying body.
+func frameOf(t *testing.T, epoch uint64, body []byte) []byte {
+	t.Helper()
+	frame, err := message.MarshalBatchEpoch(nil, epoch,
+		[]message.BatchEntry{{ID: 0, Kind: message.BatchKindGet, Body: body}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// echo sends a one-entry batch frame carrying body and returns the body
+// the echo peer sent back.
+func echo(ctx context.Context, c *Client, epoch uint64, body string) (string, error) {
+	frame, err := message.MarshalBatchEpoch(nil, epoch,
+		[]message.BatchEntry{{ID: 0, Kind: message.BatchKindGet, Body: []byte(body)}})
+	if err != nil {
+		return "", err
+	}
+	status, resp, err := c.RoundTrip(ctx, message.BatchPath, frame)
+	if err != nil {
+		return "", err
+	}
+	if status != http.StatusOK {
+		return "", fmt.Errorf("status %d", status)
+	}
+	got, out, err := message.UnmarshalBatchEpoch(resp)
+	if err != nil {
+		return "", err
+	}
+	if got != epoch || len(out) != 1 {
+		return "", fmt.Errorf("answer epoch %d with %d entries, want epoch %d with 1", got, len(out), epoch)
+	}
+	return string(out[0].Body), nil
 }
 
 func startFramePeer(t *testing.T, n *transport.Network, addr string, h http.Handler) func() error {
@@ -77,9 +110,10 @@ func TestBatchExchangeRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 
+	// The second body makes a frame far past any socket buffer.
 	in := []message.BatchEntry{
 		{ID: 0, Kind: message.BatchKindGet, Body: []byte("q-0")},
-		{ID: 1, Kind: message.BatchKindPost, Body: []byte("p-1")},
+		{ID: 1, Kind: message.BatchKindPost, Body: bytes.Repeat([]byte{0xC7}, 64<<10)},
 	}
 	frame, err := message.MarshalBatchEpoch(nil, 77, in)
 	if err != nil {
@@ -99,8 +133,8 @@ func TestBatchExchangeRoundTrip(t *testing.T) {
 	if epoch != 77 {
 		t.Fatalf("response epoch = %d, want 77", epoch)
 	}
-	if len(out) != 2 || !bytes.Equal(out[0].Body, []byte("q-0")) || out[1].Status != http.StatusOK {
-		t.Fatalf("out = %+v", out)
+	if len(out) != 2 || !bytes.Equal(out[0].Body, in[0].Body) || !bytes.Equal(out[1].Body, in[1].Body) || out[1].Status != http.StatusOK {
+		t.Fatalf("echo of %d entries does not match the request", len(out))
 	}
 }
 
@@ -116,12 +150,12 @@ func TestSingleExchangeAndConnReuse(t *testing.T) {
 	defer c.Close()
 
 	for i := 0; i < 5; i++ {
-		status, resp, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("hello"))
+		got, err := echo(context.Background(), c, uint64(i+1), "hello")
 		if err != nil {
 			t.Fatalf("exchange %d: %v", i, err)
 		}
-		if status != http.StatusOK || string(resp) != "re:hello" {
-			t.Fatalf("exchange %d: (%d, %q)", i, status, resp)
+		if got != "hello" {
+			t.Fatalf("exchange %d: echoed %q", i, got)
 		}
 	}
 	st := c.Stats()
@@ -149,14 +183,14 @@ func TestConcurrentExchanges(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body := []byte(fmt.Sprintf("msg-%d", i))
-			_, resp, err := c.RoundTrip(context.Background(), message.EventsPath, body)
+			want := fmt.Sprintf("msg-%d", i)
+			got, err := echo(context.Background(), c, uint64(i+1), want)
 			if err != nil {
 				errs <- err
 				return
 			}
-			if want := "re:" + string(body); string(resp) != want {
-				errs <- fmt.Errorf("got %q, want %q (cross-exchange mixup)", resp, want)
+			if got != want {
+				errs <- fmt.Errorf("got %q, want %q (cross-exchange mixup)", got, want)
 			}
 		}(i)
 	}
@@ -168,7 +202,7 @@ func TestConcurrentExchanges(t *testing.T) {
 }
 
 // The mux must keep serving HTTP on the same listener: health probes and
-// JSON-era peers share the address with frame traffic.
+// metrics scrapes share a proxy's address with frame traffic.
 func TestMuxServesHTTPAlongsideFrames(t *testing.T) {
 	n := transport.NewNetwork()
 	defer n.Close()
@@ -187,74 +221,52 @@ func TestMuxServesHTTPAlongsideFrames(t *testing.T) {
 
 	c, _ := NewClient(n, "http://peer")
 	defer c.Close()
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("x")); err != nil {
+	if _, err := echo(context.Background(), c, 1, "x"); err != nil {
 		t.Fatalf("frames over mux: %v", err)
 	}
 }
 
-// A plain-HTTP peer (no frame support) must latch ErrUnsupported so the
-// proxy falls back to its HTTP path — the rolling-upgrade contract. The
-// peer is a raw responder emitting an HTTP status line for whatever
-// arrives, the provable non-frame reply the client keys on.
-func TestFallbackAgainstHTTPOnlyPeer(t *testing.T) {
+// Only batch frames ride the transport: any other path, or a body that
+// is not a batch frame, is refused before a connection is dialled. A nil
+// client (an IA holds none) reads as zero and closes as a no-op.
+func TestClientSendsOnlyBatchFrames(t *testing.T) {
 	n := transport.NewNetwork()
 	defer n.Close()
-	l, err := n.Listen("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				// Drain whatever the client writes (the pipe is
-				// synchronous) while answering with an HTTP status line;
-				// the client closes the conn once it sees non-frame bytes.
-				go io.Copy(io.Discard, conn)
-				io.WriteString(conn, "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n")
-			}(conn)
-		}
-	}()
-
-	c, err := NewClient(n, "http://legacy")
+	startFramePeer(t, n, "peer", echoHandler(t))
+	c, err := NewClient(n, "http://peer")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("x")); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
+	ctx := context.Background()
+	frame := frameOf(t, 1, []byte("x"))
+	if _, _, err := c.RoundTrip(ctx, message.QueriesPath, frame); err == nil {
+		t.Error("a frame to a per-message path was sent")
 	}
-	// The verdict is latched: the next exchange refuses immediately
-	// without probing the peer again.
-	start := time.Now()
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("x")); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("latched err = %v, want ErrUnsupported", err)
+	if _, _, err := c.RoundTrip(ctx, message.BatchPath, []byte(`{"v":1}`)); !errors.Is(err, message.ErrNotFrame) {
+		t.Errorf("non-frame body: err = %v, want ErrNotFrame", err)
 	}
-	if time.Since(start) > 100*time.Millisecond {
-		t.Fatal("latched fallback still probed the peer")
+	if st := c.Stats(); st.Dials != 0 {
+		t.Errorf("refused sends dialled %d connections", st.Dials)
 	}
-	if st := c.Stats(); st.Fallbacks != 2 {
-		t.Fatalf("fallbacks = %d, want 2", st.Fallbacks)
+
+	var none *Client
+	if st := none.Stats(); st != (Stats{}) {
+		t.Errorf("nil client stats = %+v", st)
 	}
+	none.Close()
 }
 
-// The same fallback against a real net/http server, which behaves very
-// differently from the canned responder above: it reads the request line
-// until it sees a newline. Encrypted slot bodies may contain none, so
-// detection must not depend on payload bytes — the frame header's fixed
-// CRLF terminates the read, the server answers 400 at once, and the
-// client latches ErrUnsupported promptly instead of hanging until the
-// exchange deadline (which is how a rolling-upgrade mix was discovered to
-// stall in live TCP testing).
-func TestFallbackAgainstRealNetHTTPServer(t *testing.T) {
-	n := transport.NewNetwork()
-	defer n.Close()
-	l, err := n.Listen("legacy")
+// A UA pointed at an HTTP-only peer by mistake must fail fast instead of
+// wedging in its write. A real net/http server reads the request line
+// until a newline; the frame header's fixed CRLF ends it within 8 bytes,
+// so the server answers 400 and closes while the client is still writing
+// a frame far larger than any socket buffer — and newline-free, so
+// nothing in the body could end the line instead. The client must see a
+// transport error, not a timeout, well before its exchange deadline.
+func TestHTTPOnlyPeerIsFastTransportError(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,123 +276,29 @@ func TestFallbackAgainstRealNetHTTPServer(t *testing.T) {
 	go srv.Serve(l)
 	defer srv.Close()
 
-	c, err := NewClient(n, "http://legacy")
+	c, err := NewClient(&net.Dialer{}, "http://"+l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// A body with no 0x0A anywhere: without the header CRLF the server
-	// would block awaiting the rest of its "request line".
-	body := bytes.Repeat([]byte{0xC7}, 700)
+	frame := frameOf(t, 1, bytes.Repeat([]byte{0xC7}, 1<<20))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	start := time.Now()
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, body); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
+	_, _, err = c.RoundTrip(ctx, message.BatchPath, frame)
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("the exchange took %v; the write wedged", d)
 	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("detection took %v; the server sat on an unterminated request line", d)
+	if err == nil {
+		t.Fatal("an HTTP-only peer answered a frame")
 	}
-	if st := c.Stats(); st.Fallbacks != 1 || st.Exchanges != 0 {
-		t.Fatalf("stats = %+v, want 1 fallback, 0 exchanges", st)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("err = %v, want a transport error, not a timeout", err)
 	}
-}
-
-// A frame LARGER than the HTTP server's read buffer never makes it out:
-// the frame-illiterate server stops reading once its request parser
-// chokes, so the write itself wedges and no response bytes ever come
-// back to trip the non-frame check. The probe-bounded first write must
-// convert that wedge into a fast ErrUnsupported instead of sitting on
-// the full exchange deadline.
-func TestFallbackWhenLargeFrameWedgesWrite(t *testing.T) {
-	n := transport.NewNetwork()
-	defer n.Close()
-	l, err := n.Listen("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})}
-	go srv.Serve(l)
-	defer srv.Close()
-
-	c, err := NewClient(n, "http://legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.probeTimeout = 50 * time.Millisecond
-
-	// Far past any server-side read buffer, and 0x0A-free so the server
-	// never even finds the end of its "request line".
-	body := bytes.Repeat([]byte{0xC7}, 64<<10)
-	start := time.Now()
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, body); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("detection took %v; the probe bound did not fire", d)
-	}
-	if st := c.Stats(); st.Fallbacks != 1 || st.Exchanges != 0 {
-		t.Fatalf("stats = %+v, want 1 fallback, 0 exchanges", st)
-	}
-	if !c.inCooldown() {
-		t.Fatal("write-wedge verdict did not latch the fallback cooldown")
-	}
-}
-
-// A verified peer (one completed frame exchange) must NOT inherit the
-// probe bound: large frames to a slow-but-frame-speaking peer get the
-// full exchange deadline.
-func TestVerifiedPeerSkipsProbeBound(t *testing.T) {
-	n := transport.NewNetwork()
-	defer n.Close()
-	startFramePeer(t, n, "peer", echoHandler(t))
-
-	c, err := NewClient(n, "http://peer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if !c.verified.Load() {
-		t.Fatal("successful frame exchange did not verify the peer")
-	}
-	// A payload well past the probe-era frame sizes still round-trips.
-	big := bytes.Repeat([]byte{0xC7}, 64<<10)
-	st, resp, err := c.RoundTrip(context.Background(), message.QueriesPath, big)
-	if err != nil || st != http.StatusOK {
-		t.Fatalf("large verified exchange: status %d, err %v", st, err)
-	}
-	if !bytes.HasPrefix(resp, []byte("re:")) {
-		t.Fatalf("resp = %.16q..., want echo", resp)
-	}
-}
-
-// After the cooldown expires the client probes again — a restarted,
-// now-frame-speaking peer is picked up without intervention.
-func TestUnsupportedCooldownExpires(t *testing.T) {
-	n := transport.NewNetwork()
-	defer n.Close()
-	startFramePeer(t, n, "peer", echoHandler(t))
-
-	c, err := NewClient(n, "http://peer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.cooldown = 10 * time.Millisecond
-	c.markUnsupported()
-
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("x")); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("during cooldown: err = %v, want ErrUnsupported", err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("x")); err != nil {
-		t.Fatalf("after cooldown: %v", err)
+	if st := c.Stats(); st.Exchanges != 0 {
+		t.Errorf("stats = %+v, want no completed exchange", st)
 	}
 }
 
@@ -398,7 +316,7 @@ func TestPooledConnSurvivesPeerRestart(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("a")); err != nil {
+	if _, err := echo(context.Background(), c, 1, "a"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -413,12 +331,12 @@ func TestPooledConnSurvivesPeerRestart(t *testing.T) {
 	shutdown2 := ServeHTTPAndFrames(l, echoHandler(t))
 	defer shutdown2()
 
-	status, resp, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("b"))
+	got, err := echo(context.Background(), c, 2, "b")
 	if err != nil {
 		t.Fatalf("exchange after peer restart: %v", err)
 	}
-	if status != http.StatusOK || string(resp) != "re:b" {
-		t.Fatalf("got (%d, %q)", status, resp)
+	if got != "b" {
+		t.Fatalf("echoed %q", got)
 	}
 }
 
@@ -435,7 +353,7 @@ func TestErrorFrameMapsToStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	status, body, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("x"))
+	status, body, err := c.RoundTrip(context.Background(), message.BatchPath, frameOf(t, 1, []byte("x")))
 	if err != nil {
 		t.Fatalf("error statuses are results, not transport errors: %v", err)
 	}
@@ -447,8 +365,7 @@ func TestErrorFrameMapsToStatus(t *testing.T) {
 	}
 }
 
-// A dead peer is a transport error (for the breaker/ladder), never a
-// silent fallback.
+// A dead peer is a transport error, for the breaker and the retry ladder.
 func TestDeadPeerIsTransportError(t *testing.T) {
 	n := transport.NewNetwork()
 	defer n.Close()
@@ -457,9 +374,8 @@ func TestDeadPeerIsTransportError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, _, err = c.RoundTrip(context.Background(), message.QueriesPath, []byte("x"))
-	if err == nil || errors.Is(err, ErrUnsupported) {
-		t.Fatalf("err = %v, want a transport error", err)
+	if _, _, err := c.RoundTrip(context.Background(), message.BatchPath, frameOf(t, 1, []byte("x"))); err == nil {
+		t.Fatal("a frame to a dead peer succeeded")
 	}
 }
 

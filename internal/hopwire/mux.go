@@ -20,9 +20,9 @@ const sniffTimeout = 30 * time.Second
 // accepted connection is sniffed on its first four bytes — the frame
 // magic routes it to the frame server, anything else to a regular HTTP
 // server running the same handler. One address therefore serves hopwire
-// exchanges, health probes, metrics scrapes, and direct REST clients at
-// once — an LRS answers the IA in frames and its own REST clients (b1,
-// lrs_direct_mixed) over HTTP on the same port.
+// exchanges, health probes and metrics scrapes at once: an IA takes the
+// UA's frames and every operator's HTTP on its one port. Nodes that take
+// no frames (the LRS, the stub) serve with transport.Serve.
 //
 // The returned shutdown stops accepting, closes live frame connections
 // and connections that never spoke, and drains the HTTP side exactly like

@@ -15,11 +15,11 @@ import (
 )
 
 // Server serves frame connections by bridging each frame into the node's
-// existing HTTP stack: a batch frame becomes an in-memory POST /batch, a
-// single frame a POST to its entry's per-message path. The bridge keeps
-// every middleware the node already stacks — fault injection, metrics,
-// audit routes — on the frame path for free, and guarantees that frames
-// and HTTP expose the same behaviour at every node.
+// existing HTTP stack: a batch frame becomes an in-memory POST /batch
+// whose body is the frame itself. The bridge keeps every middleware the
+// node already stacks — fault injection, metrics, audit routes — on the
+// frame path for free, and guarantees that frames and HTTP expose the
+// same behaviour at every node.
 type Server struct {
 	h http.Handler
 
@@ -135,50 +135,27 @@ func (s *Server) ServeConn(conn net.Conn) {
 // the peer's pool evicts the link and redials through its balancer. A nil
 // response means the handler aborted the exchange.
 func (s *Server) dispatch(h message.FrameHeader, frame []byte, remote string) (resp []byte, last bool) {
-	switch h.Kind {
-	case message.FrameBatch:
-		// The frame IS the /batch body — no re-encode on either side.
-		rec := s.bridge(message.BatchPath, frame, remote)
-		if rec == nil {
-			return nil, true
-		}
-		if body := rec.buf.Bytes(); rec.status == http.StatusOK && message.IsFrame(body) {
-			return body, rec.last()
-		}
-		return message.AppendErrorFrame(nil, h.Epoch, rec.status, errText(rec.buf.Bytes())), rec.last()
-	case message.FrameSingle:
-		_, entries, err := message.DecodeBatchFrame(frame)
-		if err != nil {
-			return message.AppendErrorFrame(nil, h.Epoch, http.StatusBadRequest, "bad frame"), false
-		}
-		// A single frame's entry carries the per-message path it stands for.
-		e := entries[0]
-		path, ok := message.BatchKindPath(e.Kind)
-		if !ok {
-			return message.AppendErrorFrame(nil, h.Epoch, http.StatusBadRequest, "bad entry kind"), false
-		}
-		rec := s.bridge(path, e.Body, remote)
-		if rec == nil {
-			return nil, true
-		}
-		resp, err := message.AppendBatchFrame(nil, h.Kind, h.Epoch,
-			[]message.BatchEntry{{ID: e.ID, Status: rec.status, Body: rec.buf.Bytes()}})
-		if err != nil {
-			return message.AppendErrorFrame(nil, h.Epoch, http.StatusInternalServerError, "encode response"), rec.last()
-		}
-		return resp, rec.last()
-	default:
+	if h.Kind != message.FrameBatch {
 		return message.AppendErrorFrame(nil, h.Epoch, http.StatusBadRequest, "bad frame kind"), false
 	}
+	// The frame IS the /batch body — no re-encode on either side.
+	rec := s.bridge(frame, remote)
+	if rec == nil {
+		return nil, true
+	}
+	if body := rec.buf.Bytes(); rec.status == http.StatusOK && message.IsFrame(body) {
+		return body, rec.last()
+	}
+	return message.AppendErrorFrame(nil, h.Epoch, rec.status, errText(rec.buf.Bytes())), rec.last()
 }
 
-// bridge synthesizes an in-memory POST against the node's handler stack.
-// It returns nil when the handler panicked with http.ErrAbortHandler —
-// net/http's signal to drop the connection unanswered, which a frame link
-// honours the same way.
-func (s *Server) bridge(path string, body []byte, remote string) (rec *respRecorder) {
+// bridge synthesizes an in-memory POST /batch against the node's handler
+// stack. It returns nil when the handler panicked with
+// http.ErrAbortHandler — net/http's signal to drop the connection
+// unanswered, which a frame link honours the same way.
+func (s *Server) bridge(body []byte, remote string) (rec *respRecorder) {
 	rec = &respRecorder{}
-	req, err := http.NewRequestWithContext(s.ctx, http.MethodPost, path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(s.ctx, http.MethodPost, message.BatchPath, bytes.NewReader(body))
 	if err != nil {
 		rec.status = http.StatusInternalServerError
 		return rec

@@ -74,15 +74,8 @@ func TestBatchKindPaths(t *testing.T) {
 		if !ok || got != path {
 			t.Errorf("BatchKindPath(%q) = %q/%v, want %q", kind, got, ok, path)
 		}
-		back, ok := PathBatchKind(path)
-		if !ok || back != kind {
-			t.Errorf("PathBatchKind(%q) = %q/%v, want %q", path, back, ok, kind)
-		}
 	}
 	if _, ok := BatchKindPath("nope"); ok {
 		t.Error("BatchKindPath accepted an unknown kind")
-	}
-	if _, ok := PathBatchKind("/nope"); ok {
-		t.Error("PathBatchKind accepted an unknown path")
 	}
 }

@@ -18,7 +18,7 @@ import (
 //	[epoch uint64]   [count uint32] [slot size uint32] [payload len uint32]
 //	payload
 //
-// A batch or single frame's payload is `count` fixed-size slots:
+// A batch frame's payload is `count` fixed-size slots:
 //
 //	[id uint32] [entry kind byte] [status uint16] [body, padded to slot size]
 //
@@ -70,10 +70,11 @@ const (
 	// FrameError carries a whole-exchange failure: status plus
 	// constant-class text, no slots.
 	FrameError byte = 2
-	// FrameSingle carries exactly one slot: the per-message hop path
-	// (events/queries) riding the same persistent connection.
-	FrameSingle byte = 3
 )
+
+// Kinds 3 (one-slot per-message frames, from when the IA→LRS hop rode
+// frames) and 4 (pushed telemetry snapshots) are retired: the parser
+// refuses them like any unknown kind.
 
 // frameMagic starts every binary frame.
 var frameMagic = [4]byte{'P', 'P', 'X', 'B'}
@@ -81,11 +82,11 @@ var frameMagic = [4]byte{'P', 'P', 'X', 'B'}
 // Header bytes 6–7 are a literal CRLF, not free reserved space. An
 // HTTP/1.x server that receives a frame reads the request line until it
 // sees a newline; encrypted slot bodies may contain none, so without this
-// the server would block indefinitely and the hopwire client could not
-// tell "peer is slow" from "peer does not speak frames". With CRLF at a
-// fixed offset the first 8 bytes always terminate the request line: a
-// frame-illiterate server answers 400 and closes at once, which is the
-// prompt ErrUnsupported signal the HTTP fallback detection relies on.
+// a UA pointed at an HTTP-only peer by mistake would sit in a wedged
+// write until its exchange deadline. With CRLF at a fixed offset the
+// first 8 bytes always terminate the request line: such a server answers
+// 400 and closes at once, and the UA gets a fast transport error for its
+// breaker and retry ladder.
 const (
 	frameCR byte = '\r'
 	frameLF byte = '\n'
@@ -173,15 +174,12 @@ func ParseFrameHeader(data []byte) (FrameHeader, error) {
 		return FrameHeader{}, fmt.Errorf("%w: payload %d exceeds bound", ErrMalformedFrame, h.PayloadLen)
 	}
 	switch h.Kind {
-	case FrameBatch, FrameSingle:
+	case FrameBatch:
 		if h.Count == 0 {
 			return FrameHeader{}, fmt.Errorf("%w: no entries", ErrMalformedFrame)
 		}
 		if h.Count > MaxFrameEntries {
 			return FrameHeader{}, fmt.Errorf("%w: %d entries exceeds bound", ErrMalformedFrame, h.Count)
-		}
-		if h.Kind != FrameBatch && h.Count != 1 {
-			return FrameHeader{}, fmt.Errorf("%w: single frame with %d entries", ErrMalformedFrame, h.Count)
 		}
 		if h.SlotSize <= 0 || h.SlotSize%SlotQuantum != 0 {
 			return FrameHeader{}, fmt.Errorf("%w: bad slot size %d", ErrMalformedFrame, h.SlotSize)
@@ -216,20 +214,13 @@ func slotSizeFor(entries []BatchEntry) int {
 	return (max + 1 + SlotQuantum - 1) / SlotQuantum * SlotQuantum
 }
 
-// AppendBatchFrame appends one binary frame of kind FrameBatch or
-// FrameSingle to dst and returns the extended slice. dst may come from a
-// pool: the encoder grows it once to the exact frame size and writes in
-// place — no intermediate buffers, no base64.
-func AppendBatchFrame(dst []byte, kind byte, epoch uint64, entries []BatchEntry) ([]byte, error) {
-	switch kind {
-	case FrameBatch:
-	case FrameSingle:
-		if len(entries) != 1 {
-			return nil, fmt.Errorf("%w: single frame needs exactly 1 entry, got %d", ErrMalformedFrame, len(entries))
-		}
-	default:
-		return nil, fmt.Errorf("%w: cannot encode frame kind %d", ErrMalformedFrame, kind)
-	}
+// MarshalBatchEpoch appends one batch frame tagged with an epoch id to
+// dst and returns the extended slice; the epoch id lets a
+// persistent-connection transport match a pooled response to its
+// request. dst may come from a pool (pass nil for a fresh buffer): the
+// encoder grows it once to the exact frame size and writes in place — no
+// intermediate buffers, no base64.
+func MarshalBatchEpoch(dst []byte, epoch uint64, entries []BatchEntry) ([]byte, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("%w: no entries", ErrMalformedFrame)
 	}
@@ -249,7 +240,7 @@ func AppendBatchFrame(dst []byte, kind byte, epoch uint64, entries []BatchEntry)
 
 	copy(buf, frameMagic[:])
 	buf[4] = FrameVersion
-	buf[5] = kind
+	buf[5] = FrameBatch
 	buf[6], buf[7] = frameCR, frameLF
 	binary.BigEndian.PutUint64(buf[8:16], epoch)
 	binary.BigEndian.PutUint32(buf[16:20], uint32(len(entries)))
@@ -310,7 +301,7 @@ func AppendErrorFrame(dst []byte, epoch uint64, status int, text string) []byte 
 	return dst
 }
 
-// DecodeBatchFrame parses a batch or single frame. Decoded entry bodies
+// DecodeBatchFrame parses a batch frame. Decoded entry bodies
 // alias data — the caller owns data and must not recycle it while the
 // entries live. Entry ids are validated unique and in range.
 func DecodeBatchFrame(data []byte) (uint64, []BatchEntry, error) {

@@ -224,34 +224,29 @@ func TestFrameEncodeRejectsUnrepresentable(t *testing.T) {
 	}
 }
 
-// TestTelemetryFrameRequiresSingleSlot: the single-slot shape is
-// enforced on both sides — encoding more than one entry into a
-// FrameSingle fails, and a forged multi-count single header is rejected
-// by the parser. Kind 4, which once carried telemetry snapshots in a
-// single slot, is refused outright in either direction.
+// TestTelemetryFrameRequiresSingleSlot: the retired one-slot kinds are
+// refused. Kind 3 carried one per-message request when the IA→LRS hop
+// rode frames, kind 4 pushed telemetry snapshots; the encoder can no
+// longer emit either, and the parser refuses both at any slot count, so
+// a forged header fails as an unknown kind.
 func TestTelemetryFrameRequiresSingleSlot(t *testing.T) {
 	two := []BatchEntry{
 		{ID: 0, Kind: BatchKindPost, Body: []byte("a")},
 		{ID: 1, Kind: BatchKindPost, Body: []byte("b")},
 	}
-	if _, err := AppendBatchFrame(nil, FrameSingle, 1, two); !errors.Is(err, ErrMalformedFrame) {
-		t.Errorf("two-slot single frame encoded: err = %v", err)
-	}
-	if _, err := AppendBatchFrame(nil, 4, 1, two[:1]); !errors.Is(err, ErrMalformedFrame) {
-		t.Errorf("retired frame kind 4 encoded: err = %v", err)
-	}
-
-	// Forge: take a two-entry batch frame and rewrite its kind byte. The
-	// header parser must refuse count != 1 for a single frame, and kind 4
-	// at any count.
-	data, err := AppendBatchFrame(nil, FrameBatch, 1, two)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []byte{FrameSingle, 4} {
-		data[5] = kind
-		if _, err := ParseFrameHeader(data); !errors.Is(err, ErrMalformedFrame) {
-			t.Errorf("forged two-slot kind %d header accepted: err = %v", kind, err)
+	for _, entries := range [][]BatchEntry{two[:1], two} {
+		data, err := MarshalBatchEpoch(nil, 1, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []byte{3, 4} {
+			data[5] = kind
+			if _, err := ParseFrameHeader(data); !errors.Is(err, ErrMalformedFrame) {
+				t.Errorf("forged %d-slot kind %d header accepted: err = %v", len(entries), kind, err)
+			}
+			if _, _, err := DecodeBatchFrame(data); !errors.Is(err, ErrMalformedFrame) {
+				t.Errorf("forged %d-slot kind %d frame decoded: err = %v", len(entries), kind, err)
+			}
 		}
 	}
 }

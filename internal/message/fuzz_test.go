@@ -65,14 +65,17 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	f.Add(good[:FrameHeaderSize])
 	f.Add(good[:len(good)-1])
 	f.Add(AppendErrorFrame(nil, 1, 503, "down"))
-	// Kind 4 is retired (it once carried pushed telemetry): a batch or
-	// single frame relabelled with it, whole or truncated, must be
-	// refused like any unknown kind.
-	single, _ := AppendBatchFrame(nil, FrameSingle, 3,
+	// Kinds 3 (per-message frames) and 4 (pushed telemetry) are
+	// retired: a frame relabelled with either, whole or truncated, must
+	// be refused like any unknown kind.
+	one, _ := MarshalBatchEpoch(nil, 3,
 		[]BatchEntry{{ID: 0, Kind: BatchKindPost, Body: []byte("opaque")}})
-	for _, frame := range [][]byte{good, single, single[:len(single)-2]} {
-		retired := append([]byte(nil), frame...)
-		retired[5] = 4
+	for _, r := range []struct {
+		frame []byte
+		kind  byte
+	}{{good, 4}, {one, 3}, {one[:len(one)-2], 3}} {
+		retired := append([]byte(nil), r.frame...)
+		retired[5] = r.kind
 		f.Add(retired)
 	}
 	f.Add([]byte("PPXB"))
@@ -84,6 +87,9 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 		_, entries, err := UnmarshalBatchEpoch(data)
 		if err != nil {
 			return
+		}
+		if data[5] != FrameBatch {
+			t.Fatalf("decoded entries from a kind-%d frame", data[5])
 		}
 		if len(entries) == 0 || len(entries) > MaxFrameEntries {
 			t.Fatalf("accepted %d entries", len(entries))

@@ -168,14 +168,6 @@ func MarshalBatch(entries []BatchEntry) ([]byte, error) {
 	return MarshalBatchEpoch(nil, 0, entries)
 }
 
-// MarshalBatchEpoch frames entries as a binary batch frame tagged with an
-// epoch id, appending to dst (which may come from a pool; pass nil for a
-// fresh buffer). The epoch id lets a persistent-connection transport
-// match a pooled response to its request.
-func MarshalBatchEpoch(dst []byte, epoch uint64, entries []BatchEntry) ([]byte, error) {
-	return AppendBatchFrame(dst, FrameBatch, epoch, entries)
-}
-
 // UnmarshalBatch parses and validates a batch frame. Entry ids are
 // unique, so a receiver can key per-message results by id without
 // aliasing.
@@ -198,18 +190,6 @@ func BatchKindPath(kind string) (string, bool) {
 		return EventsPath, true
 	case BatchKindGet:
 		return QueriesPath, true
-	}
-	return "", false
-}
-
-// PathBatchKind maps a per-message path to its batch entry kind,
-// reporting false for paths that do not batch.
-func PathBatchKind(path string) (string, bool) {
-	switch path {
-	case EventsPath:
-		return BatchKindPost, true
-	case QueriesPath:
-		return BatchKindGet, true
 	}
 	return "", false
 }

@@ -118,9 +118,8 @@ func (c Config) Resolve() (Config, error) {
 // Env is what differs between a pprox-proxy process and the in-process
 // deployment.
 type Env struct {
-	// HTTPClient reaches Next over HTTP; Dialer dials Next's frame links.
-	HTTPClient *http.Client
-	Dialer     transport.Dialer
+	// Dialer reaches Next: a UA's frame links and an IA's LRS requests.
+	Dialer transport.Dialer
 	// Provision provisions the enclave; nil only with PassThrough.
 	Provision *Provisioning
 	// Registry receives the instance's metrics. Auditor and PerfSLO are
@@ -264,8 +263,7 @@ func NewProxy(c Config, env Env) (_ *Proxy, err error) {
 	pc := proxy.Config{
 		Role:           c.Role,
 		Next:           c.Next,
-		HTTPClient:     env.HTTPClient,
-		HopDialer:      env.Dialer,
+		Dialer:         env.Dialer,
 		ShuffleSize:    c.ShuffleSize,
 		ShuffleTimeout: c.ShuffleTimeout,
 		PassThrough:    c.PassThrough,

@@ -35,7 +35,7 @@ func TestArrivalEPCFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseline, _ := e.EPCUsage()
-	l, err := New(Config{Role: RoleUA, Next: "http://ia", Enclave: e, ShuffleSize: 4, HopDialer: hopDialer})
+	l, err := New(Config{Role: RoleUA, Next: "http://ia", Enclave: e, ShuffleSize: 4, Dialer: testDialer})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -338,13 +338,13 @@ func TestBatchWithRecommendationCache(t *testing.T) {
 // TestBatchConfigValidation: there is one pipeline, so the configurations
 // that used to need the per-message path — pass-through, S ≤ 1 — are
 // valid, and a UA always gets a shuffler (size 1 when shuffling is off).
-// Every layer speaks frames toward its next hop, so it needs a dialer.
+// Every layer reaches its next hop through its dialer, so it needs one.
 func TestBatchConfigValidation(t *testing.T) {
 	dialer := &net.Dialer{}
 	for _, cfg := range []proxy.Config{
-		{Role: proxy.RoleUA, Next: "http://ia", PassThrough: true, ShuffleSize: 4, HopDialer: dialer},
-		{Role: proxy.RoleUA, Next: "http://ia", PassThrough: true, HopDialer: dialer},
-		{Role: proxy.RoleUA, Next: "http://ia", PassThrough: true, ShuffleSize: 1, HopDialer: dialer},
+		{Role: proxy.RoleUA, Next: "http://ia", PassThrough: true, ShuffleSize: 4, Dialer: dialer},
+		{Role: proxy.RoleUA, Next: "http://ia", PassThrough: true, Dialer: dialer},
+		{Role: proxy.RoleUA, Next: "http://ia", PassThrough: true, ShuffleSize: 1, Dialer: dialer},
 	} {
 		l, err := proxy.New(cfg)
 		if err != nil {
@@ -355,10 +355,10 @@ func TestBatchConfigValidation(t *testing.T) {
 		}
 		l.Close()
 	}
-	// New refuses a config without HopDialer.
+	// New refuses a config without Dialer.
 	if _, err := proxy.New(proxy.Config{
 		Role: proxy.RoleUA, Next: "http://ia", PassThrough: true,
 	}); err == nil {
-		t.Error("New accepted a config without HopDialer")
+		t.Error("New accepted a config without Dialer")
 	}
 }

@@ -30,7 +30,7 @@ func TestCallBatchEPCFallback(t *testing.T) {
 		Next:        "http://ia",
 		Enclave:     e,
 		ShuffleSize: 4,
-		HopDialer:   hopDialer,
+		Dialer:      testDialer,
 	})
 	if err != nil {
 		t.Fatal(err)

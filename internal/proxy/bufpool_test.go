@@ -44,8 +44,7 @@ func TestHandlersReject413OnOversizedBody(t *testing.T) {
 		Role:        RoleUA,
 		PassThrough: true,
 		Next:        "http://next",
-		HTTPClient:  &http.Client{},
-		HopDialer:   hopDialer,
+		Dialer:      testDialer,
 	})
 	if err != nil {
 		t.Fatal(err)

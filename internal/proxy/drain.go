@@ -20,9 +20,10 @@ import (
 //     connections here (a balancer re-registered without this instance,
 //     or a process taken out of its load balancer before its SIGTERM).
 //     Responses carry Connection: close so pooled keep-alive connections
-//     (transport.HTTPClient keeps up to 1024 per host) and pooled frame
-//     links (the hopwire server closes a link after such a reply) evict
-//     themselves instead of carrying new requests back. In-flight and
+//     (transport.HTTPClient keeps up to 1024 per host) and a UA's pooled
+//     frame links to a draining IA (the hopwire server closes a link
+//     after such a reply) evict themselves instead of carrying new
+//     requests back. In-flight and
 //     still-arriving requests are served normally and keep filling the
 //     shuffler, which flushes on size or timer as ever.
 //  2. RefuseNew (hard): after the caller's grace deadline, remaining

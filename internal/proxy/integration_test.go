@@ -136,14 +136,13 @@ func newStack(t *testing.T, opts stackOptions) *stack {
 		Role:           proxy.RoleIA,
 		Enclave:        st.iaEncl,
 		Next:           "http://lrs",
-		HTTPClient:     httpClient,
 		ShuffleSize:    opts.shuffleSize,
 		ShuffleTimeout: opts.shuffleTimeout,
 		PassThrough:    opts.passThrough,
 		RecCache:       opts.recCache,
 		Resilience:     opts.policy,
 		LRSConcurrency: opts.lrsConcurrency,
-		HopDialer:      st.net,
+		Dialer:         st.net,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,12 +157,11 @@ func newStack(t *testing.T, opts stackOptions) *stack {
 		Role:           proxy.RoleUA,
 		Enclave:        st.uaEncl,
 		Next:           "http://ia",
-		HTTPClient:     httpClient,
 		ShuffleSize:    opts.shuffleSize,
 		ShuffleTimeout: opts.shuffleTimeout,
 		PassThrough:    opts.passThrough,
 		Resilience:     opts.policy,
-		HopDialer:      st.net,
+		Dialer:         st.net,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -426,11 +424,10 @@ func TestUpstreamDownYieldsBadGateway(t *testing.T) {
 	// client sees an error status, never a hang.
 	httpClient := transport.HTTPClient(st.net, 2*time.Second)
 	ua, err := proxy.New(proxy.Config{
-		Role:       proxy.RoleUA,
-		Enclave:    st.uaEncl,
-		Next:       "http://nowhere",
-		HTTPClient: httpClient,
-		HopDialer:  st.net,
+		Role:    proxy.RoleUA,
+		Enclave: st.uaEncl,
+		Next:    "http://nowhere",
+		Dialer:  st.net,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -482,14 +479,14 @@ func TestEPCHandleClearedOnMalformedLRSResponse(t *testing.T) {
 	}))
 	httpClient := transport.HTTPClient(st.net, 5*time.Second)
 	ia, err := proxy.New(proxy.Config{
-		Role: proxy.RoleIA, Enclave: st.iaEncl, Next: "http://lrs-garbage", HTTPClient: httpClient, HopDialer: st.net,
+		Role: proxy.RoleIA, Enclave: st.iaEncl, Next: "http://lrs-garbage", Dialer: st.net,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.serve(t, "ia-garbage", ia)
 	ua, err := proxy.New(proxy.Config{
-		Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://ia-garbage", HTTPClient: httpClient, HopDialer: st.net,
+		Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://ia-garbage", Dialer: st.net,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -525,7 +522,7 @@ func TestHangingUpstreamBoundedByHopTimeout(t *testing.T) {
 
 	httpClient := transport.HTTPClient(st.net, 30*time.Second)
 	ua, err := proxy.New(proxy.Config{
-		Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://hung", HTTPClient: httpClient, HopDialer: st.net,
+		Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://hung", Dialer: st.net,
 		Resilience: &resilience.Policy{
 			HopTimeout:  100 * time.Millisecond,
 			MaxAttempts: 2,

@@ -250,7 +250,8 @@ func (l *Layer) RegisterMetrics(r *metrics.Registry, node string) {
 // registerBatchMetrics exposes the request pipeline's families: per-epoch
 // forwards and the degradation ladder (UA epochs and IA /batch
 // demultiplexing both feed the counters), plus the bounded IA→LRS fan-out
-// gauge when a semaphore is installed.
+// gauge when a semaphore is installed and the frame-link counters when
+// the layer holds a hop client (a UA).
 func (l *Layer) registerBatchMetrics(r *metrics.Registry, role, node string) {
 	batch := func(name, help string, read func(BatchStats) uint64) {
 		r.CounterFuncVec(name, help, "layer", "node").
@@ -279,6 +280,9 @@ func (l *Layer) registerBatchMetrics(r *metrics.Registry, role, node string) {
 			"In-flight IA→LRS requests (bounded by -lrs-concurrency).", "layer", "node").
 			With(func() float64 { return float64(l.LRSInFlight()) }, role, node)
 	}
+	if l.hop == nil {
+		return
+	}
 	counter := func(name, help string, read func(hopwire.Stats) uint64) {
 		r.CounterFuncVec(name, help, "layer", "node").
 			With(func() float64 { return float64(read(l.hop.Stats())) }, role, node)
@@ -292,9 +296,6 @@ func (l *Layer) registerBatchMetrics(r *metrics.Registry, role, node string) {
 	counter("pprox_hopwire_conn_reuses_total",
 		"Frame exchanges that rode a pooled connection.",
 		func(s hopwire.Stats) uint64 { return s.Reuses })
-	counter("pprox_hopwire_fallbacks_total",
-		"Exchanges that fell back to HTTP (peer not speaking frames).",
-		func(s hopwire.Stats) uint64 { return s.Fallbacks })
 }
 
 // registerCacheMetrics exposes the pprox_reccache_* families. Every value
@@ -512,7 +513,7 @@ func (l *Layer) Health() metrics.Health {
 		checks["next_hop"] = "bad next-hop URL"
 		return metrics.Health{OK: false, Checks: checks}
 	}
-	resp, err := l.cfg.HTTPClient.Do(req)
+	resp, err := l.http.Do(req)
 	if err != nil {
 		checks["next_hop"] = "unreachable"
 		ok = false

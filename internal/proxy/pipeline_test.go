@@ -4,21 +4,27 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"pprox/internal/hopwire"
 	"pprox/internal/message"
 )
 
-// fakeIA is an IA stand-in answering every /batch frame with 200 per
-// entry, echoing the frame's epoch; seen (may be nil) learns each frame's
-// entry count before the answer is written.
-func fakeIA(t *testing.T, seen func(entries int)) *httptest.Server {
+// fakeIA is an IA stand-in on a localhost port, taking frames as a real
+// IA does and answering every /batch frame with 200 per entry, echoing
+// the frame's epoch; seen (may be nil) learns each frame's entry count
+// before the answer is written. It returns the IA's base URL.
+func fakeIA(t *testing.T, seen func(entries int)) string {
 	t.Helper()
-	ia := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdown := hopwire.ServeHTTPAndFrames(l, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		epoch, entries, err := message.UnmarshalBatchEpoch(body)
 		if r.URL.Path != message.BatchPath || err != nil {
@@ -34,8 +40,8 @@ func fakeIA(t *testing.T, seen func(entries int)) *httptest.Server {
 		out, _ := message.MarshalBatchEpoch(nil, epoch, entries)
 		w.Write(out)
 	}))
-	t.Cleanup(ia.Close)
-	return ia
+	t.Cleanup(func() { shutdown() })
+	return "http://" + l.Addr().String()
 }
 
 // TestCloseResolvesEpochMidForward: Close joins every epoch it released —
@@ -49,7 +55,7 @@ func TestCloseResolvesEpochMidForward(t *testing.T) {
 		arrived <- n
 		<-gate
 	})
-	l, err := New(Config{Role: RoleUA, PassThrough: true, Next: ia.URL, ShuffleSize: 2, ShuffleTimeout: time.Hour, HopDialer: hopDialer})
+	l, err := New(Config{Role: RoleUA, PassThrough: true, Next: ia, ShuffleSize: 2, ShuffleTimeout: time.Hour, Dialer: testDialer})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,8 +72,12 @@ type Config struct {
 	// Next is the base URL of the next hop: the IA layer's balancer for
 	// a UA instance, the LRS for an IA instance.
 	Next string
-	// HTTPClient carries traffic to the next hop.
-	HTTPClient *http.Client
+	// Dialer reaches Next — the memnet network, a cluster balancer, or a
+	// *net.Dialer. The layer builds both of its clients on it: a UA's
+	// batch frames ride pooled hopwire connections (DESIGN.md §4h), an
+	// IA's LRS requests plain HTTP keep-alive, and either role's health
+	// probes HTTP. Required.
+	Dialer transport.Dialer
 	// ShuffleSize is S (§4.3). The UA layer shuffles requests, the IA
 	// layer shuffles responses. Values ≤ 1 turn shuffling off: the UA
 	// then releases every request as an epoch of one, the IA answers in
@@ -90,7 +94,7 @@ type Config struct {
 	// Resilience bounds this layer's fault handling toward the next hop:
 	// per-attempt deadline, retries, and the circuit breaker probing the
 	// hop's /healthz. Nil means a single attempt, bounded only by the
-	// HTTP client, with no breaker. Retries on the UA layer are
+	// client timeout, with no breaker. Retries on the UA layer are
 	// privacy-aware: each retry re-randomizes the hop envelope (when a
 	// link key is provisioned) and re-enters the shuffler.
 	Resilience *resilience.Policy
@@ -104,13 +108,6 @@ type Config struct {
 	// demultiplexed epoch. 0 selects DefaultLRSConcurrency; negative
 	// disables the bound.
 	LRSConcurrency int
-	// HopDialer dials the persistent binary-framed hop transport toward
-	// Next (DESIGN.md §4h) — the memnet network, a cluster balancer, or a
-	// *net.Dialer, matching how HTTPClient reaches Next. Batch frames and
-	// IA→LRS requests ride pooled frame connections; HTTPClient carries
-	// them only while the peer does not speak frames (an unmodified LRS).
-	// Required.
-	HopDialer transport.Dialer
 }
 
 // DefaultLRSConcurrency is the IA→LRS fan-out bound when the
@@ -131,7 +128,10 @@ type Layer struct {
 	cross  uaCrossings
 	// lrsSem bounds the IA→LRS fan-out (IA role; nil = unbounded).
 	lrsSem *resilience.Semaphore
-	// hop is the binary frame transport toward Next.
+	// http reaches Next over HTTP: an IA's LRS requests and either
+	// role's health probes.
+	http *http.Client
+	// hop is the UA's binary frame transport toward the IA; nil on an IA.
 	hop *hopwire.Client
 	// hopEpoch mints batch-frame epoch ids for this instance's envelopes.
 	hopEpoch atomic.Uint64
@@ -182,17 +182,8 @@ func New(cfg Config) (*Layer, error) {
 	if cfg.Next == "" {
 		return nil, errors.New("proxy: next hop required")
 	}
-	if cfg.HopDialer == nil {
-		return nil, errors.New("proxy: hop dialer required")
-	}
-	hop, err := hopwire.NewClient(cfg.HopDialer, cfg.Next)
-	if err != nil {
-		return nil, fmt.Errorf("proxy: %w", err)
-	}
-	if cfg.HTTPClient == nil {
-		// Never http.DefaultClient: it has no timeout, so one hung next
-		// hop would pin request goroutines forever.
-		cfg.HTTPClient = transport.DefaultHTTPClient(defaultClientTimeout)
+	if cfg.Dialer == nil {
+		return nil, errors.New("proxy: dialer required")
 	}
 	pol := resilience.Policy{MaxAttempts: 1}
 	if cfg.Resilience != nil {
@@ -202,7 +193,16 @@ func New(cfg Config) (*Layer, error) {
 		cfg:     cfg,
 		workers: make(chan struct{}, workers),
 		policy:  pol,
-		hop:     hop,
+		// Never http.DefaultClient: it has no timeout, so one hung next
+		// hop would pin request goroutines forever.
+		http: transport.HTTPClient(cfg.Dialer, defaultClientTimeout),
+	}
+	if cfg.Role == RoleUA {
+		hop, err := hopwire.NewClient(cfg.Dialer, cfg.Next)
+		if err != nil {
+			return nil, fmt.Errorf("proxy: %w", err)
+		}
+		l.hop = hop
 	}
 	if cfg.RecCache != nil {
 		if cfg.Role != RoleIA {
@@ -213,7 +213,7 @@ func New(cfg Config) (*Layer, error) {
 		}
 	}
 	l.breaker = resilience.NewBreaker(pol.BreakerThreshold, pol.BreakerCooldown,
-		resilience.HTTPHealthProbe(cfg.HTTPClient, cfg.Next+message.HealthPath, pol.HopTimeout))
+		resilience.HTTPHealthProbe(l.http, cfg.Next+message.HealthPath, pol.HopTimeout))
 	switch {
 	case cfg.Role == RoleUA:
 		// The UA always has epochs: at S ≤ 1 a size-1 shuffler flushes on
@@ -263,8 +263,7 @@ func New(cfg Config) (*Layer, error) {
 // paper's 2-core nodes.
 const workers = 2
 
-// defaultClientTimeout bounds next-hop requests when no HTTP client is
-// injected.
+// defaultClientTimeout bounds one next-hop request over HTTP.
 const defaultClientTimeout = 30 * time.Second
 
 // Close releases buffered messages, waits for in-flight epochs, and
@@ -288,11 +287,12 @@ func (l *Layer) Close() {
 	l.closeCrossings()
 	l.epochs.Wait()
 	l.hop.Close()
+	l.http.CloseIdleConnections()
 	l.Record()
 }
 
 // Hopwire exposes the layer's frame transport client, for metrics and
-// tests.
+// tests: the UA's link to the IA, nil on an IA.
 func (l *Layer) Hopwire() *hopwire.Client { return l.hop }
 
 // Config returns the configuration the layer runs, defaults applied.
@@ -587,31 +587,32 @@ func (l *Layer) forwardResilient(ctx context.Context, path string, body []byte, 
 }
 
 // forward relays a transformed request to the next hop and returns its
-// status and body. The whole round trip is the forward stage. The
-// exchange rides a pooled frame connection; only a peer that provably
-// does not speak the protocol (ErrUnsupported, latched with a cooldown)
-// drops the hop back to HTTP — transport faults surface to the breaker
-// and retry ladder exactly like HTTP faults.
+// status and body. The whole round trip is the forward stage. The role
+// picks the protocol: a UA's epoch frame rides a pooled frame
+// connection, an IA's request to the LRS is a plain REST POST over
+// keep-alive. Transport faults of either surface to the breaker and the
+// retry ladder.
 func (l *Layer) forward(ctx context.Context, path string, body []byte) (int, []byte, error) {
 	defer l.observeStage(StageForward, time.Now())
-	status, respBody, err := l.hop.RoundTrip(ctx, path, body)
-	if err == nil {
+	if l.hop != nil {
+		status, respBody, err := l.hop.RoundTrip(ctx, path, body)
+		if err != nil {
+			return 0, nil, fmt.Errorf("proxy: forward to %s: %w", l.cfg.Next, err)
+		}
 		return status, respBody, nil
-	}
-	if !errors.Is(err, hopwire.ErrUnsupported) {
-		return 0, nil, fmt.Errorf("proxy: forward to %s: %w", l.cfg.Next, err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, l.cfg.Next+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, fmt.Errorf("proxy: build forward request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := l.cfg.HTTPClient.Do(req)
+	resp, err := l.http.Do(req)
 	if err != nil {
 		return 0, nil, fmt.Errorf("proxy: forward to %s: %w", l.cfg.Next, err)
 	}
 	defer resp.Body.Close()
-	if respBody, err = readBody(resp.Body, maxBody); err != nil {
+	respBody, err := readBody(resp.Body, maxBody)
+	if err != nil {
 		return 0, nil, fmt.Errorf("proxy: read upstream response: %w", err)
 	}
 	return resp.StatusCode, respBody, nil

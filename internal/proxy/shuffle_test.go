@@ -183,7 +183,7 @@ func TestShufflerTableFullSheds(t *testing.T) {
 // TestShufflerContextCancellation: a UA caller that gives up returns its
 // context's error, and its message keeps its slot in the epoch.
 func TestShufflerContextCancellation(t *testing.T) {
-	l, err := New(Config{Role: RoleUA, PassThrough: true, Next: "http://ia", ShuffleSize: 10, ShuffleTimeout: time.Minute, HopDialer: hopDialer})
+	l, err := New(Config{Role: RoleUA, PassThrough: true, Next: "http://ia", ShuffleSize: 10, ShuffleTimeout: time.Minute, Dialer: testDialer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestShufflerSeedUnpredictable(t *testing.T) {
 func TestShufflerDepartedCallersAdvanceFlush(t *testing.T) {
 	frames := make(chan int, 4)
 	ia := fakeIA(t, func(n int) { frames <- n })
-	l, err := New(Config{Role: RoleUA, PassThrough: true, Next: ia.URL, ShuffleSize: 3, ShuffleTimeout: time.Minute, HopDialer: hopDialer})
+	l, err := New(Config{Role: RoleUA, PassThrough: true, Next: ia, ShuffleSize: 3, ShuffleTimeout: time.Minute, Dialer: testDialer})
 	if err != nil {
 		t.Fatal(err)
 	}

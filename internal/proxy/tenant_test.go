@@ -76,7 +76,7 @@ func newTenantStack(t *testing.T, tenants []string) *tenantStack {
 	t.Cleanup(func() { sd() })
 
 	httpClient := transport.HTTPClient(st.net, 10*time.Second)
-	ia, err := proxy.New(proxy.Config{Role: proxy.RoleIA, Enclave: st.iaEncl, Next: "http://lrs", HTTPClient: httpClient, HopDialer: st.net})
+	ia, err := proxy.New(proxy.Config{Role: proxy.RoleIA, Enclave: st.iaEncl, Next: "http://lrs", Dialer: st.net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func newTenantStack(t *testing.T, tenants []string) *tenantStack {
 	sd2 := hopwire.ServeHTTPAndFrames(l2, ia)
 	t.Cleanup(func() { sd2() })
 
-	ua, err := proxy.New(proxy.Config{Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://ia", HTTPClient: httpClient, HopDialer: st.net})
+	ua, err := proxy.New(proxy.Config{Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://ia", Dialer: st.net})
 	if err != nil {
 		t.Fatal(err)
 	}

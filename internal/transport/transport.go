@@ -217,17 +217,6 @@ func HTTPClient(d Dialer, timeout time.Duration) *http.Client {
 	}
 }
 
-// DefaultHTTPClient builds a plain TCP client with a total-request
-// timeout. It is the safe fallback where no client is injected — unlike
-// http.DefaultClient, which never times out and turns one hung upstream
-// into an unbounded goroutine pile-up.
-func DefaultHTTPClient(timeout time.Duration) *http.Client {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	return HTTPClient(&net.Dialer{Timeout: 10 * time.Second}, timeout)
-}
-
 // Serve runs an HTTP handler on a listener in a background goroutine and
 // returns a shutdown function. It is the common bring-up path for every
 // in-process node (proxy instances, LRS front ends, stubs).

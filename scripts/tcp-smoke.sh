@@ -2,8 +2,10 @@
 # tcp-smoke runs the real binaries on localhost: pprox-keygen, the stub LRS
 # serving items pseudonymized under the IA key, an IA and a UA pprox-proxy
 # and the sidecar. It sends one get and one post through the sidecar with
-# curl and fails unless both answer 200, the get returns 20 items, and the
-# UA forwarded in hopwire frames (exchanges > 0) without one HTTP fallback.
+# curl and fails unless both answer 200, the get returns 20 items, the UA
+# forwarded in hopwire frames (exchanges > 0), the IA made no frame
+# exchange, and the stub counted the one get and the one post, which it
+# can only have taken over HTTP: the IA reaches the LRS through its REST API.
 # pprox-ops top -once then scrapes the UA, the IA and the stub and must
 # exit 0 with one row per node, the UA's at epoch 1 or later. Then it
 # stops the UA with SIGTERM and fails unless the UA logs a clean drain,
@@ -68,10 +70,16 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -d '{"user":"alice","item":"stub-i
 [ "$code" = 200 ] || fail "post answered $code"
 
 curl -s http://$ua/metrics >"$dir/ua.metrics"
+curl -s http://$ia/metrics >"$dir/ia.metrics"
+curl -s http://$stub/metrics >"$dir/stub.metrics"
 exchanges=$(awk '/^pprox_hopwire_exchanges_total/ {print $2}' "$dir/ua.metrics")
-fallbacks=$(awk '/^pprox_hopwire_fallbacks_total/ {print $2}' "$dir/ua.metrics")
 [ "${exchanges:-0}" -gt 0 ] || fail "the UA completed no hopwire exchange"
-[ "$fallbacks" = 0 ] || fail "the UA fell back to HTTP $fallbacks times"
+ia_exchanges=$(awk '/^pprox_hopwire_exchanges_total/ {n += $2} END {print n + 0}' "$dir/ia.metrics")
+[ "$ia_exchanges" = 0 ] || fail "the IA completed $ia_exchanges hopwire exchanges, want none"
+stub_gets=$(awk '/^pprox_stub_gets_total/ {print $2}' "$dir/stub.metrics")
+stub_posts=$(awk '/^pprox_stub_posts_total/ {print $2}' "$dir/stub.metrics")
+[ "${stub_gets:-0}" = 1 ] && [ "${stub_posts:-0}" = 1 ] ||
+	fail "the stub served ${stub_gets:-no} gets and ${stub_posts:-no} posts over HTTP, want 1 and 1"
 
 "$dir/bin/pprox-ops" top -once -interval 200ms -targets http://$ua,http://$ia,http://$stub >"$dir/top" 2>>"$dir/log" ||
 	fail "pprox-ops top -once exited $?: $(cat "$dir/top")"
@@ -89,4 +97,4 @@ for e in 1 2; do
 done
 serves=$(grep -o '"serve":{[^}]*}' "$dir/ua.epochs" | grep -o ':[0-9][0-9]*' | tr -d : | awk '{n += $1} END {print n + 0}')
 [ "$serves" -eq 2 ] || fail "the UA's records count $serves serves, want 2: $(cat "$dir/ua.epochs")"
-echo "tcp-smoke: get 200 with $items items, post 200, UA hopwire exchanges $exchanges, fallbacks $fallbacks, top: $rows nodes with the UA at epoch $ua_epoch, clean drain, $(wc -l <"$dir/ua.epochs") epoch records with $serves serves"
+echo "tcp-smoke: get 200 with $items items, post 200, UA hopwire exchanges $exchanges, IA none, stub HTTP gets $stub_gets posts $stub_posts, top: $rows nodes with the UA at epoch $ua_epoch, clean drain, $(wc -l <"$dir/ua.epochs") epoch records with $serves serves"
