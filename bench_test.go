@@ -12,6 +12,7 @@ package pprox_test
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -593,33 +594,66 @@ func BenchmarkEnclave_SecureProvision(b *testing.B) {
 	}
 }
 
+// BenchmarkRotation_ReencryptDatabase measures the downtime of the
+// breach response: the 562,888-event MovieLens-shaped log, dumped from
+// the old LRS in log order, its user pseudonyms mapped to a fresh UA key,
+// and replayed event by event through POST /events into a fresh
+// incremental, 4-shard, WAL-backed LRS (no fsync) behind its REST
+// handler. Run it with -benchtime 1x; it reports the replay's wall time
+// and events per second.
 func BenchmarkRotation_ReencryptDatabase(b *testing.B) {
-	keys, err := proxy.NewLayerKeys()
+	ua, err := proxy.NewLayerKeys()
 	if err != nil {
 		b.Fatal(err)
 	}
-	// 1000 pseudonymized events.
-	users := make([]string, 100)
-	for i := range users {
-		users[i] = fmt.Sprintf("user-%03d", i)
-	}
-	pseudos, err := keys.PseudonymizeItems(users)
+	ia, err := proxy.NewLayerKeys()
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := engine.New(engine.DefaultConfig())
-		for j := 0; j < 1000; j++ {
-			e.InsertEvent(pseudos[j%len(pseudos)], fmt.Sprintf("item-%d", j%50), "")
+	old := engine.New(engine.DefaultConfig())
+	pseudonym := func(memo map[string]string, keys *proxy.LayerKeys, id string) string {
+		if p, ok := memo[id]; ok {
+			return p
 		}
-		current := keys
-		b.StartTimer()
-		res, err := rotation.RotateKeys(rotation.LayerUA, current, e)
+		ps, err := keys.PseudonymizeItems([]string{id})
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = res
+		memo[id] = ps[0]
+		return ps[0]
+	}
+	users, items := map[string]string{}, map[string]string{}
+	for j, ev := range workload.Generate(workload.MovieLensParams()).Events {
+		if _, err := old.InsertTypedEventIdem(pseudonym(users, ua, ev.User), pseudonym(items, ia, ev.Item), ev.Rating, "", fmt.Sprintf("%016x", j)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg := engine.DefaultConfig()
+	cfg.Incremental, cfg.Shards = true, 4
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg.WALDir = b.TempDir()
+		fresh, err := engine.Open(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := httptest.NewServer(engine.NewHandler(fresh))
+		b.StartTimer()
+		start := time.Now()
+		res, err := rotation.RotateKeys(rotation.LayerUA, ua, ia, old.ForEachEvent, rotation.PostTo(srv.Client(), srv.URL))
+		if err != nil {
+			b.Fatal(err)
+		}
+		elapsed := time.Since(start)
+		b.StopTimer()
+		if res.Replayed != old.EventCount() || fresh.EventCount() != res.Replayed {
+			b.Fatalf("replayed %d of %d events, the fresh LRS stores %d", res.Replayed, old.EventCount(), fresh.EventCount())
+		}
+		b.ReportMetric(elapsed.Seconds(), "replay-s")
+		b.ReportMetric(float64(res.Replayed)/elapsed.Seconds(), "events/s")
+		srv.Close()
+		fresh.Close()
+		b.StartTimer()
 	}
 }

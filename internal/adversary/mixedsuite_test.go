@@ -187,17 +187,7 @@ func TestMixedSuiteEpochIsAsStrongAsItsSmallerClass(t *testing.T) {
 // the link key the IA loot holds.
 func openHop(t *testing.T, loot adversary.Loot, body []byte) message.PostRequest {
 	t.Helper()
-	var env struct {
-		Link string `json:"link"`
-	}
-	if err := message.Unmarshal(body, &env); err != nil || env.Link == "" {
-		t.Fatalf("captured entry is not a hop envelope: %v", err)
-	}
-	ct, err := message.Decode64(env.Link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := ppcrypto.SymDecrypt(loot.IA["link"], ct)
+	plain, err := ppcrypto.SymDecrypt(loot.IA["link"], body)
 	if err != nil {
 		t.Fatal(err)
 	}

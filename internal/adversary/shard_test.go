@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -32,10 +33,10 @@ import (
 //     size S, timing correlation stays at the 1/S floor of §6.2 —
 //     per-shard WAL order reveals strictly less than global arrival
 //     order, which the shuffler already randomizes per epoch;
-//  3. a rotation-scale re-pseudonymization scrubs the old pseudonym
-//     space off the disk entirely: shard Replace compacts, so WALs
-//     truncate and snapshots speak only the fresh keys, and loot from
-//     the pre-rotation breach decrypts nothing that remains.
+//  3. a rotation's replay into a fresh LRS leaves none of the old
+//     pseudonym space on the fresh LRS's disk: its WALs speak only the
+//     fresh keys, and loot from the pre-rotation breach decrypts nothing
+//     the fresh LRS holds.
 
 // readShardWAL parses one shard's WAL the way the adversary would: raw
 // frames of [4B length LE][4B CRC][JSON {seq, fields}], no access to the
@@ -226,19 +227,17 @@ func testShardTapLinkingBoundedByShuffle(t *testing.T, km keyMaterial) {
 }
 
 // TestRotationScrubsOldPseudonymsFromDisk: after the breach response
-// re-pseudonymizes every shard, the old pseudonym space is gone from the
-// tapped volume — WALs truncated by the shard Replace, snapshots speaking
-// only fresh keys — and the adversary's pre-rotation loot decrypts
-// nothing that remains.
+// replays the LRS into a fresh, WAL-backed one, the old pseudonym space is
+// absent from the fresh LRS's volume — its WALs speak only fresh keys —
+// and the adversary's pre-rotation loot decrypts nothing it holds.
 func TestRotationScrubsOldPseudonymsFromDisk(t *testing.T) {
 	eachKeyMaterial(t, testRotationScrubsOldPseudonymsFromDisk)
 }
 
 func testRotationScrubsOldPseudonymsFromDisk(t *testing.T, km keyMaterial) {
-	dir := t.TempDir()
 	engCfg := engine.DefaultConfig()
 	engCfg.Shards = 3
-	engCfg.WALDir = dir
+	engCfg.WALDir = t.TempDir()
 	st := newTappedStackEngine(t, km, 0, nil, engCfg)
 	ctx := context.Background()
 
@@ -254,36 +253,45 @@ func testRotationScrubsOldPseudonymsFromDisk(t *testing.T, km keyMaterial) {
 	// pseudonym.
 	loot := adversary.Loot{UA: st.uaEncl.Compromise()}
 
-	res, err := rotation.RotateKeys(rotation.LayerUA, st.uaKeys, st.engine)
+	dir := t.TempDir()
+	engCfg.WALDir = dir
+	fresh, err := engine.Open(engCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Migrated != len(users) {
-		t.Fatalf("rotation migrated %d pseudonyms, want %d", res.Migrated, len(users))
+	defer fresh.Close()
+	srv := httptest.NewServer(engine.NewHandler(fresh))
+	defer srv.Close()
+	res, err := rotation.RotateKeys(rotation.LayerUA, st.uaKeys, st.iaKeys, st.engine.ForEachEvent, rotation.PostTo(srv.Client(), srv.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replayed != len(users) {
+		t.Fatalf("rotation replayed %d events, want %d", res.Replayed, len(users))
 	}
 
 	disk := diskBytes(t, dir)
 	for u, p := range oldTruth {
 		if bytes.Contains(disk, []byte(p)) {
-			t.Errorf("pre-rotation pseudonym of %s still on disk after re-pseudonymization", u)
+			t.Errorf("pre-rotation pseudonym of %s on the fresh LRS's disk", u)
 		}
 	}
 	for _, u := range users {
 		if bytes.Contains(disk, []byte(u)) {
 			t.Errorf("raw identifier %q on disk after rotation", u)
 		}
-		fresh, err := ppcrypto.Pseudonymize(res.Fresh.Permanent, u)
+		pseudo, err := ppcrypto.Pseudonymize(res.UA.Permanent, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Contains(disk, []byte(message.Encode64(fresh))) {
-			t.Errorf("fresh pseudonym of %s missing from disk — rotation did not persist", u)
+		if !bytes.Contains(disk, []byte(message.Encode64(pseudo))) {
+			t.Errorf("fresh pseudonym of %s missing from disk — the replay did not persist", u)
 		}
 	}
 
-	// The stolen key against the migrated database: zero users recovered.
+	// The stolen key against the fresh LRS: zero users recovered.
 	var db []adversary.DBEvent
-	st.engine.ForEachEvent(func(d store.Document) {
+	fresh.ForEachEvent(func(d store.Document) {
 		db = append(db, adversary.DBEvent{
 			UserPseudonym: d.Fields["user"],
 			ItemPseudonym: d.Fields["item"],

@@ -18,6 +18,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
@@ -221,11 +222,7 @@ func (c *Client) getOnce(ctx context.Context, user string) ([]string, int, error
 		return nil, status, fmt.Errorf("%w: %d", ErrServiceStatus, status)
 	}
 
-	var resp message.GetResponse
-	if err := message.Unmarshal(respBody, &resp); err != nil {
-		return nil, status, fmt.Errorf("%w: %v", ErrBadResponse, err)
-	}
-	ct, err := message.Decode64(resp.EncItems)
+	ct, err := encItems(respBody)
 	if err != nil {
 		return nil, status, fmt.Errorf("%w: %v", ErrBadResponse, err)
 	}
@@ -238,6 +235,17 @@ func (c *Client) getOnce(ctx context.Context, user string) ([]string, int, error
 		return nil, status, fmt.Errorf("%w: %v", ErrBadResponse, err)
 	}
 	return items, status, nil
+}
+
+// encItems reads the one field of a GetResponse, as the IA enclave renders
+// it: `{"enc_items":"<base64>"}` (appendGetResponse, byte for byte what
+// message.Marshal writes).
+func encItems(body []byte) ([]byte, error) {
+	const head, tail = `{"enc_items":"`, `"}`
+	if len(body) < len(head)+len(tail) || !bytes.HasPrefix(body, []byte(head)) || !bytes.HasSuffix(body, []byte(tail)) {
+		return nil, errors.New("not a get response")
+	}
+	return base64.StdEncoding.AppendDecode(nil, body[len(head):len(body)-len(tail)])
 }
 
 func (c *Client) getPlain(ctx context.Context, user string) ([]string, int, error) {

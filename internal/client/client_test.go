@@ -472,3 +472,23 @@ func TestGetDoesNotRetryBadRequests(t *testing.T) {
 		t.Errorf("server saw %d attempts for a 400, want 1 (not retryable)", calls)
 	}
 }
+
+// TestEncItemsMirrorsAppendGetResponse: the client reads a GetResponse as
+// message.Marshal (and so the IA enclave's appendGetResponse) renders it,
+// and refuses every other body.
+func TestEncItemsMirrorsAppendGetResponse(t *testing.T) {
+	for _, ct := range [][]byte{{}, {0}, bytes.Repeat([]byte{0xfb, 0xff}, 40)} {
+		body, err := message.Marshal(message.GetResponse{EncItems: message.Encode64(ct)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := encItems(body); err != nil || !bytes.Equal(got, ct) {
+			t.Errorf("encItems(%s) = %x, %v; want %x", body, got, err, ct)
+		}
+	}
+	for _, body := range []string{``, `{"enc_items":"`, `{"enc_items":"!!"}`, `{ "enc_items":"AA==" }`, `[]`} {
+		if _, err := encItems([]byte(body)); err == nil {
+			t.Errorf("encItems(%q) succeeded", body)
+		}
+	}
+}

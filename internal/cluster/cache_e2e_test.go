@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"pprox/internal/audit"
 	"pprox/internal/cluster"
+	"pprox/internal/lrs/engine"
 	"pprox/internal/reccache"
 	"pprox/internal/rotation"
 	"pprox/internal/workload"
@@ -295,8 +297,20 @@ func TestCompromiseCountermeasureFlushesDeployedCache(t *testing.T) {
 		t.Fatalf("cache holds %d entries after warm-up, want 4", cache.Len())
 	}
 
-	responder := rotation.NewResponder(d.Engine, d.UAKeys, d.IAKeys,
-		nil, func(err error) { t.Errorf("responder: %v", err) })
+	fresh, err := engine.Open(engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	srv := httptest.NewServer(engine.NewHandler(fresh))
+	defer srv.Close()
+	responder := rotation.NewResponder(func(layer rotation.Layer) error {
+		if cache.Len() != 0 {
+			t.Errorf("the IA layer rotates with %d cache entries left", cache.Len())
+		}
+		_, err := rotation.RotateKeys(layer, d.UAKeys, d.IAKeys, d.Engine.ForEachEvent, rotation.PostTo(srv.Client(), srv.URL))
+		return err
+	}, func(err error) { t.Errorf("responder: %v", err) })
 	responder.AddCache(cache)
 	gen := cache.Generation()
 	e := d.IALayers[0].Enclave()
@@ -312,8 +326,8 @@ func TestCompromiseCountermeasureFlushesDeployedCache(t *testing.T) {
 	if st := cache.Stats(); st.Flushes != 1 || st.FlushedOut != 4 {
 		t.Errorf("flush stats = %+v, want 1 flush covering 4 entries", st)
 	}
-	// The stack still serves (stale UA-side pseudonyms simply miss the
-	// migrated profiles) and the cache refills.
+	// The stack, left on the old LRS and keys, still serves and the
+	// cache refills.
 	if _, err := cl.Get(ctx, "member-0"); err != nil {
 		t.Fatalf("get after breach response: %v", err)
 	}

@@ -29,7 +29,7 @@ import (
 // loses the replies to the first two posts.
 type restStack struct {
 	eng      *engine.Engine
-	ia       *node.Proxy
+	ua, ia   *node.Proxy
 	cl       *client.Client
 	requests atomic.Int64
 }
@@ -66,6 +66,15 @@ func newRESTStack(t *testing.T, ua, ia *proxy.LayerKeys, s int, twin bool) *rest
 		lrsURL = srv.URL
 	}
 
+	st.front(t, ua, ia, s, lrsURL, nil)
+	return st
+}
+
+// front deploys the UA and IA in front of the LRS at lrsURL, provisioned
+// with ua and ia, and a client holding their bundle. tap, when set, wraps
+// the IA's handler, which takes the UA→IA frames.
+func (st *restStack) front(t *testing.T, ua, ia *proxy.LayerKeys, s int, lrsURL string, tap func(http.Handler) http.Handler) {
+	t.Helper()
 	prov, err := node.NewProvisioning(ua, ia)
 	if err != nil {
 		t.Fatal(err)
@@ -86,13 +95,16 @@ func newRESTStack(t *testing.T, ua, ia *proxy.LayerKeys, s int, twin bool) *rest
 			t.Fatal(err)
 		}
 		t.Cleanup(p.Close)
-		return p, serveTCP(t, p.Handler, hopwire.ServeHTTPAndFrames)
+		h := p.Handler
+		if role == proxy.RoleIA && tap != nil {
+			h = tap(h)
+		}
+		return p, serveTCP(t, h, hopwire.ServeHTTPAndFrames)
 	}
 	var iaURL, uaURL string
 	st.ia, iaURL = build(proxy.RoleIA, "ia-0", lrsURL)
-	_, uaURL = build(proxy.RoleUA, "ua-0", iaURL)
+	st.ua, uaURL = build(proxy.RoleUA, "ua-0", iaURL)
 	st.cl = client.New(proxy.Bundle(ua, ia), transport.HTTPClient(&net.Dialer{Timeout: 5 * time.Second}, 10*time.Second), uaURL)
-	return st
 }
 
 // serveTCP serves h with serve on a localhost port until the test ends

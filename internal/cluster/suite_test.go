@@ -7,12 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pprox/internal/client"
+	"pprox/internal/lrs/engine"
 	"pprox/internal/lrs/store"
 	"pprox/internal/message"
 	"pprox/internal/ppcrypto"
@@ -164,13 +167,23 @@ func TestDefaultDeploymentSealsBoxes(t *testing.T) {
 }
 
 // TestRotationOnLiveDeploymentReplacesTheBoxKey: a breach response on a
-// running default deployment replaces every asymmetric key of the layer.
-// The moment the enclave is re-provisioned, the old bundle — box or RSA —
-// stops opening, and the fresh bundle works on the very next message.
+// default deployment replaces every asymmetric key of the layer. Once the
+// LRS is replayed into a fresh one and both layers' enclaves are
+// re-provisioned, the old bundle — box or RSA — stops opening, and the
+// fresh bundle works on the very next message.
 func TestRotationOnLiveDeploymentReplacesTheBoxKey(t *testing.T) {
+	// The LRS front end serves whichever engine is current, so the
+	// deployment can move to the fresh LRS the rotation fills.
+	var current atomic.Pointer[http.Handler]
 	d, err := Deploy(Spec{
 		ProxyEnabled: true, UA: 1, IA: 1, Encryption: true, ItemPseudonyms: true,
 		LRSFrontends: 1,
+		LRSMiddleware: func(h http.Handler) http.Handler {
+			current.Store(&h)
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				(*current.Load()).ServeHTTP(w, r)
+			})
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,18 +201,30 @@ func TestRotationOnLiveDeploymentReplacesTheBoxKey(t *testing.T) {
 		}
 	}
 
-	res, err := rotation.RotateKeys(rotation.LayerUA, d.UAKeys, d.Engine)
+	fresh, err := engine.Open(engine.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fresh.Box == nil || res.Fresh.Box.Equal(d.UAKeys.Box) {
+	defer fresh.Close()
+	var freshHandler http.Handler = engine.NewHandler(fresh)
+	srv := httptest.NewServer(freshHandler)
+	defer srv.Close()
+	res, err := rotation.RotateKeys(rotation.LayerUA, d.UAKeys, d.IAKeys, d.Engine.ForEachEvent, rotation.PostTo(srv.Client(), srv.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.UA.Box == nil || res.UA.Box.Equal(d.UAKeys.Box) {
 		t.Fatal("rotation of default key material did not replace the box key")
 	}
-	if res.Fresh.Pair.Private.Equal(d.UAKeys.Pair.Private) {
+	if res.UA.Pair.Private.Equal(d.UAKeys.Pair.Private) {
 		t.Fatal("rotation did not replace the RSA key")
 	}
-	res.Fresh.LinkKey = d.UAKeys.LinkKey // the hop key is the deployment's, not the layer's
-	if err := res.Fresh.Provision(d.env.Provision.Attestation, d.UALayers[0].Enclave(), proxy.UAIdentity); err != nil {
+	// Both layers take the fresh link key; the IA keeps its other keys.
+	current.Store(&freshHandler)
+	if err := res.UA.Provision(d.env.Provision.Attestation, d.UALayers[0].Enclave(), proxy.UAIdentity); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.IA.Provision(d.env.Provision.Attestation, d.IALayers[0].Enclave(), proxy.IAIdentity); err != nil {
 		t.Fatal(err)
 	}
 
@@ -208,18 +233,19 @@ func TestRotationOnLiveDeploymentReplacesTheBoxKey(t *testing.T) {
 			t.Errorf("old %s bundle after rotation: err = %v, want a refused request", name, err)
 		}
 	}
-	fresh := client.New(proxy.Bundle(res.Fresh, d.IAKeys), hc, d.Entry)
-	if err := fresh.Post(ctx, "alice", "movie-2", "4.0"); err != nil {
+	freshClient := client.New(proxy.Bundle(res.UA, res.IA), hc, d.Entry)
+	if err := freshClient.Post(ctx, "alice", "movie-2", "4.0"); err != nil {
 		t.Errorf("fresh bundle on the first message after rotation: %v", err)
 	}
-	// And the event landed under the fresh pseudonym the migration moved
-	// alice's history to: 2 from before (re-keyed) + this one.
-	want, err := res.Fresh.PseudonymizeItems([]string{"alice"})
+	// And the event landed in the fresh LRS under the fresh pseudonym
+	// the replay moved alice's history to: 2 from before (re-keyed) +
+	// this one.
+	want, err := res.UA.PseudonymizeItems([]string{"alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	d.Engine.ForEachEvent(func(doc store.Document) {
+	fresh.ForEachEvent(func(doc store.Document) {
 		if doc.Fields["user"] == want[0] {
 			n++
 		}

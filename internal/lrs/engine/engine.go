@@ -108,11 +108,6 @@ type Engine struct {
 	trainNanos atomic.Int64  // duration of the last batch train
 	walErrs    atomic.Uint64 // posts rejected because the WAL append failed
 
-	repseudo         atomic.Pointer[RepseudoJob]
-	repseudoRuns     atomic.Uint64
-	repseudoFailures atomic.Uint64
-	repseudoMigrated atomic.Uint64
-
 	idem idemRegistry
 
 	logger atomic.Pointer[slog.Logger]
@@ -376,13 +371,7 @@ func (e *Engine) InsertTypedEventIdem(user, item, payload, eventType, idem strin
 	// with a batch retrain over the log. The rows the fold changed are
 	// rescored by the next read (rescorePending), not here.
 	e.applyMu.Lock()
-	var insErr error
-	if job := e.repseudo.Load(); job != nil {
-		insErr = job.insertOrJournal(fields)
-	} else {
-		_, insErr = e.log.Insert(fields)
-	}
-	if insErr != nil {
+	if _, insErr := e.log.Insert(fields); insErr != nil {
 		e.applyMu.Unlock()
 		if idem != "" {
 			e.idem.release(idem, idemSlot)

@@ -8,7 +8,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
+
+	"pprox/internal/lrs/store"
 )
 
 // durableIdemEngine opens a WAL-backed engine under dir.
@@ -121,30 +124,30 @@ func TestIdemSurvivesReshardedRestore(t *testing.T) {
 	}
 }
 
-// TestIdemSurvivesRepseudonymize: the key is enclave-minted, not a
-// pseudonym, so a rotation carries it over unchanged and a retry after
-// the rotation and a restart is still a duplicate.
-func TestIdemSurvivesRepseudonymize(t *testing.T) {
+// TestIdemSurvivesRotationReplay: the key is enclave-minted, not a
+// pseudonym, so a rotation's replay into a fresh LRS carries it over
+// unchanged, and a retry after the rotation and a restart of the fresh
+// LRS is still a duplicate.
+func TestIdemSurvivesRotationReplay(t *testing.T) {
+	old := durableIdemEngine(t, t.TempDir(), 4)
+	defer old.Close()
+	for i := 0; i < 12; i++ {
+		postIdem(t, old, fmt.Sprintf("old:u%d", i%4), fmt.Sprintf("item-%d", i), fmt.Sprintf("k%d", i), true)
+	}
 	dir := t.TempDir()
-	e := durableIdemEngine(t, dir, 4)
-	for i := 0; i < 12; i++ {
-		postIdem(t, e, fmt.Sprintf("old:u%d", i%4), fmt.Sprintf("item-%d", i), fmt.Sprintf("k%d", i), true)
-	}
-	job, err := e.Repseudonymize("user", rekeyUser)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := job.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
+	fresh := durableIdemEngine(t, dir, 4)
+	old.ForEachEvent(func(d store.Document) {
+		user := "new:" + strings.TrimPrefix(d.Fields["user"], "old:")
+		postIdem(t, fresh, user, d.Fields["item"], d.Fields[idemField], true)
+	})
+	fresh.Close()
 
-	e = durableIdemEngine(t, dir, 4)
-	defer e.Close()
+	fresh = durableIdemEngine(t, dir, 4)
+	defer fresh.Close()
 	for i := 0; i < 12; i++ {
-		postIdem(t, e, fmt.Sprintf("new:u%d", i%4), fmt.Sprintf("item-%d", i), fmt.Sprintf("k%d", i), false)
+		postIdem(t, fresh, fmt.Sprintf("new:u%d", i%4), fmt.Sprintf("item-%d", i), fmt.Sprintf("k%d", i), false)
 	}
-	if n := e.EventCount(); n != 12 {
+	if n := fresh.EventCount(); n != 12 {
 		t.Fatalf("%d events after retrying every key past a rotation, want 12", n)
 	}
 }

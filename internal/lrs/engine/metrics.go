@@ -62,38 +62,6 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry, node string) func(http.Han
 		"Posts rejected because the WAL append failed.", func() float64 {
 			return float64(e.WALErrors())
 		})
-	r.CounterFunc("pprox_lrs_repseudo_runs_total",
-		"Re-pseudonymization jobs started.", func() float64 {
-			runs, _, _ := e.RepseudoStats()
-			return float64(runs)
-		})
-	r.CounterFunc("pprox_lrs_repseudo_failures_total",
-		"Re-pseudonymization jobs that failed closed.", func() float64 {
-			_, failures, _ := e.RepseudoStats()
-			return float64(failures)
-		})
-	r.CounterFunc("pprox_lrs_repseudo_migrated_total",
-		"Events rewritten by re-pseudonymization jobs.", func() float64 {
-			_, _, migrated := e.RepseudoStats()
-			return float64(migrated)
-		})
-	r.Gauge("pprox_lrs_repseudo_running",
-		"1 while a re-pseudonymization job is active.", func() float64 {
-			if e.RepseudoActive() {
-				return 1
-			}
-			return 0
-		})
-	r.Gauge("pprox_lrs_repseudo_shards_done",
-		"Shards staged by the active re-pseudonymization job.", func() float64 {
-			done, _ := e.RepseudoProgress()
-			return float64(done)
-		})
-	r.Gauge("pprox_lrs_repseudo_shards_total",
-		"Shards the active re-pseudonymization job covers.", func() float64 {
-			_, total := e.RepseudoProgress()
-			return float64(total)
-		})
 
 	hv := r.HistogramVec("pprox_lrs_request_seconds",
 		"LRS request service time.", nil, "node", "path")

@@ -80,7 +80,7 @@ func sameDocs(got []Document, want []modelDoc) bool {
 }
 
 // TestCollectionMatchesModel drives a Collection and the reference model
-// with the same seeded stream of operations — inserts, deletes, clears,
+// with the same seeded stream of operations — inserts, deletes,
 // indexes created mid-stream, reads of every kind and snapshot round
 // trips — and requires identical answers at every step. A failure names
 // the seed and step that reproduce it.
@@ -142,9 +142,6 @@ func TestCollectionMatchesModel(t *testing.T) {
 				if got, want := c.Delete(id), m.delete(id); got != want {
 					fail("Delete(%q) = %v, want %v", id, got, want)
 				}
-			case op < 50:
-				c.Clear()
-				m.docs = nil
 			case op < 51:
 				fresh()
 			case op < 54:

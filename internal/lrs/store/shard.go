@@ -36,9 +36,6 @@ type Shard interface {
 	ScanOrdered(fn func(Document) bool)
 	// Count returns the number of stored documents.
 	Count() int
-	// Replace atomically swaps the shard contents for docs (in order).
-	// Durable shards persist the new state before returning.
-	Replace(docs []map[string]string) error
 	// Compact makes the current state the durable baseline (snapshot +
 	// empty WAL); a no-op for in-memory shards.
 	Compact() error
@@ -77,14 +74,6 @@ func (m *MemShard) FindBy(field, value string) []Document { return m.col.FindBy(
 func (m *MemShard) ScanOrdered(fn func(Document) bool)    { m.col.ScanOrdered(fn) }
 func (m *MemShard) Count() int                            { return m.col.Count() }
 
-func (m *MemShard) Replace(docs []map[string]string) error {
-	m.col.Clear()
-	for _, fields := range docs {
-		m.col.insert(fields)
-	}
-	return nil
-}
-
 func (m *MemShard) Compact() error { return nil }
 func (m *MemShard) Close() error   { return nil }
 
@@ -109,7 +98,7 @@ type WALShard struct {
 	dir string
 	id  int
 
-	mu         sync.Mutex // serializes appends, compaction, replace
+	mu         sync.Mutex // serializes appends and compaction
 	store      *Store
 	col        *Collection
 	wal        *wal
@@ -206,19 +195,6 @@ func (w *WALShard) Insert(fields map[string]string) error {
 func (w *WALShard) FindBy(field, value string) []Document { return w.col.FindBy(field, value) }
 func (w *WALShard) ScanOrdered(fn func(Document) bool)    { w.col.ScanOrdered(fn) }
 func (w *WALShard) Count() int                            { return w.col.Count() }
-
-// Replace swaps the shard contents and compacts immediately, so the
-// replacement (a re-pseudonymization apply, a restore re-route) is
-// durable the moment it returns.
-func (w *WALShard) Replace(docs []map[string]string) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.col.Clear()
-	for _, fields := range docs {
-		w.col.insert(fields)
-	}
-	return w.compactLocked()
-}
 
 // Compact writes the snapshot (atomically: temp + fsync + rename) with
 // applied_seq = the current WAL head, then truncates the WAL. Crash

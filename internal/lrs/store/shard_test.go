@@ -373,8 +373,8 @@ func TestShardedLogRoutesUserToOneShard(t *testing.T) {
 				t.Fatalf("user %s split across shards %d and %d", user, prev, shard)
 			}
 			owners[user] = shard
-			if shard != l.Owner(user) {
-				t.Fatalf("insert shard %d != Owner %d", shard, l.Owner(user))
+			if shard != l.ring.Owner(user) {
+				t.Fatalf("insert shard %d != Owner %d", shard, l.ring.Owner(user))
 			}
 		}
 	}
@@ -525,19 +525,6 @@ func TestShardedLogDurableRoundTrip(t *testing.T) {
 		if docs := l2.FindBy("user", fmt.Sprintf("u%d", u)); len(docs) != 5 {
 			t.Fatalf("u%d has %d docs after replay", u, len(docs))
 		}
-	}
-}
-
-func TestShardedLogReplaceShard(t *testing.T) {
-	l, _ := OpenShardedLog(ShardedConfig{Shards: 2, IndexFields: []string{"user"}})
-	defer l.Close()
-	shard, _ := l.Insert(map[string]string{"user": "u1", "item": "old"})
-	if err := l.ReplaceShard(shard, []map[string]string{{"user": "u1", "item": "new"}}); err != nil {
-		t.Fatal(err)
-	}
-	docs := l.FindBy("user", "u1")
-	if len(docs) != 1 || docs[0].Fields["item"] != "new" {
-		t.Fatalf("replace result = %v", docs)
 	}
 }
 

@@ -71,9 +71,6 @@ func (l *ShardedLog) NumShards() int { return len(l.shards) }
 // Durable reports whether shards are WAL-backed.
 func (l *ShardedLog) Durable() bool { return l.dir != "" }
 
-// Owner returns the shard index owning the routing key.
-func (l *ShardedLog) Owner(key string) int { return l.ring.Owner(key) }
-
 // Insert routes the event to the shard owning its user pseudonym and
 // appends it there, returning the shard index.
 func (l *ShardedLog) Insert(fields map[string]string) (int, error) {
@@ -120,14 +117,6 @@ func (l *ShardedLog) ScanOrdered(fn func(Document) bool) {
 // ScanShard visits one shard's documents in insertion order.
 func (l *ShardedLog) ScanShard(i int, fn func(Document) bool) {
 	l.shards[i].ScanOrdered(fn)
-}
-
-// ShardCount returns one shard's document count.
-func (l *ShardedLog) ShardCount(i int) int { return l.shards[i].Count() }
-
-// ReplaceShard atomically swaps one shard's contents.
-func (l *ShardedLog) ReplaceShard(i int, docs []map[string]string) error {
-	return l.shards[i].Replace(docs)
 }
 
 // Count sums document counts over all shards.

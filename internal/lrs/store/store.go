@@ -435,15 +435,3 @@ func (c *Collection) ScanOrdered(fn func(Document) bool) {
 		}
 	}
 }
-
-// Clear removes every document but keeps index definitions, as when the
-// training job consumes pending inputs.
-func (c *Collection) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.recs = nil
-	c.live = 0
-	for field := range c.indexes {
-		c.indexes[field] = make(map[string][]int32)
-	}
-}

@@ -96,7 +96,7 @@ func TestEnsureIndexBackfills(t *testing.T) {
 	}
 }
 
-func TestScanAndClear(t *testing.T) {
+func TestScan(t *testing.T) {
 	c := New().Collection("events")
 	for i := 0; i < 5; i++ {
 		c.Insert(map[string]string{"n": strconv.Itoa(i)})
@@ -110,19 +110,6 @@ func TestScanAndClear(t *testing.T) {
 	c.Scan(func(Document) bool { seen++; return false })
 	if seen != 1 {
 		t.Errorf("early-stop scan visited %d, want 1", seen)
-	}
-	c.EnsureIndex("n")
-	c.Clear()
-	if c.Count() != 0 {
-		t.Errorf("count after clear = %d", c.Count())
-	}
-	if len(c.FindBy("n", "3")) != 0 {
-		t.Error("index not cleared")
-	}
-	// Collection still usable after Clear.
-	c.Insert(map[string]string{"n": "9"})
-	if len(c.FindBy("n", "9")) != 1 {
-		t.Error("index broken after clear")
 	}
 }
 
@@ -227,8 +214,7 @@ func TestReadsReturnInsertionOrder(t *testing.T) {
 }
 
 // TestConcurrentScanOrderedWithWrites: ScanOrdered walks the records it
-// read under the lock after releasing it, so inserts, deletes and clears
-// may run during the walk; each walk still sees an insertion-ordered
+// read under the lock after releasing it, so inserts and deletes may run during the walk; each walk still sees an insertion-ordered
 // prefix of one state. Run under -race.
 func TestConcurrentScanOrderedWithWrites(t *testing.T) {
 	c := New().Collection("events")
@@ -237,13 +223,13 @@ func TestConcurrentScanOrderedWithWrites(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
+		// The last 100 documents stay live: every insert past them
+		// deletes the oldest.
+		var ids []string
 		for i := 1; i <= 2000; i++ {
-			id := c.Insert(map[string]string{"user": "u" + strconv.Itoa(i%5), "n": strconv.Itoa(i)})
-			switch {
-			case i%7 == 0:
-				c.Delete(id)
-			case i%500 == 0:
-				c.Clear()
+			ids = append(ids, c.Insert(map[string]string{"user": "u" + strconv.Itoa(i%5), "n": strconv.Itoa(i)}))
+			if len(ids) > 100 {
+				c.Delete(ids[len(ids)-101])
 			}
 		}
 	}()

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bytes"
+	"crypto/aes"
 	"errors"
 	"testing"
 	"time"
@@ -193,9 +194,10 @@ func (m mapSecrets) Derived(name string, build func([]byte) (any, error)) (any, 
 	return build(m[name])
 }
 
-// TestMaybeUnwrapLinkParsesEnvelopeOnce: sniffing a body for a link
-// envelope and opening it share one JSON parse, so the sniff costs no
-// allocation beyond opening an envelope known to be one.
+// TestMaybeUnwrapLinkParsesEnvelopeOnce: whether a body is an envelope
+// follows from the key material, never from parsing the body. With the
+// link key the raw envelope opens at no cost beyond unwrapLink's; without
+// it the body passes unchanged.
 func TestMaybeUnwrapLinkParsesEnvelopeOnce(t *testing.T) {
 	key, err := ppcrypto.NewSymmetricKey()
 	if err != nil {
@@ -206,17 +208,20 @@ func TestMaybeUnwrapLinkParsesEnvelopeOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(wrapped) != aes.BlockSize+len(plain) || bytes.Contains(wrapped, plain) {
+		t.Fatalf("envelope is %d bytes, want the IV and the ciphertext of %d bytes", len(wrapped), len(plain))
+	}
 	s := mapSecrets{SecretLinkKey: key}
 	if out, err := maybeUnwrapLink(s, wrapped); err != nil || !bytes.Equal(out, plain) {
 		t.Fatalf("maybeUnwrapLink = %q, %v", out, err)
 	}
-	if out, err := maybeUnwrapLink(s, plain); err != nil || !bytes.Equal(out, plain) {
-		t.Fatalf("plain body through maybeUnwrapLink = %q, %v", out, err)
+	if out, err := maybeUnwrapLink(mapSecrets{}, plain); err != nil || !bytes.Equal(out, plain) {
+		t.Fatalf("plain body without a link key = %q, %v", out, err)
 	}
 	open := testing.AllocsPerRun(50, func() { unwrapLink(key, wrapped) })
 	sniffAndOpen := testing.AllocsPerRun(50, func() { maybeUnwrapLink(s, wrapped) })
 	if sniffAndOpen > open {
-		t.Errorf("maybeUnwrapLink allocates %.0f, unwrapLink %.0f: the envelope is parsed twice", sniffAndOpen, open)
+		t.Errorf("maybeUnwrapLink allocates %.0f, unwrapLink %.0f: the body is inspected before it is opened", sniffAndOpen, open)
 	}
 }
 

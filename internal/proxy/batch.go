@@ -293,11 +293,13 @@ func (l *Layer) runBatch(vals []any) {
 
 	// prep re-randomizes the sub-epoch's hop envelopes as a unit before a
 	// retry leaves: one link/rewrap crossing for the whole sub-epoch, on a
-	// data-processing worker like every enclave step. (No shuffler
-	// re-entry: the epoch already granted these messages their anonymity
-	// set, and the frame itself leaves as one message.)
+	// data-processing worker like every enclave step. The enclave knows
+	// from its key material whether there is an envelope to re-randomize;
+	// a pass-through layer has no enclave and nothing to re-randomize.
+	// (No shuffler re-entry: the epoch already granted these messages
+	// their anonymity set, and the frame itself leaves as one message.)
 	prep := func(ids []int) error {
-		if len(ids) == 0 || !isLinkWrapped(entries[ids[0]].Body) {
+		if len(ids) == 0 || l.cfg.Enclave == nil {
 			return nil
 		}
 		ins := make([][]byte, len(ids))

@@ -94,15 +94,14 @@ func detStream(s enclave.Secrets, tenant string) (*ppcrypto.DetStream, error) {
 
 func parseDetStream(key []byte) (any, error) { return ppcrypto.NewDetStream(key) }
 
-// linkEnvelope is the hop-encrypted form of a message on the UA→IA link:
-// the inner JSON encrypted under the shared link key with ppcrypto's
-// randomized (fresh-IV) symmetric path, in base64. Its presence is
-// detectable by the host — that is fine, every message on the link looks
-// the same — but its content and the relation between two envelopes are
-// not.
-type linkEnvelope struct {
-	Link string `json:"link"`
-}
+// The hop envelope is the form of a message on the UA→IA link when a
+// link key is deployed: the inner JSON encrypted under the shared link
+// key with ppcrypto's randomized (fresh-IV) symmetric path, as the raw
+// IV‖ciphertext bytes of a frame slot. Whether a message is wrapped
+// follows from the key material alone — an enclave holding the link key
+// wraps and opens every message, one without it none — so no body is
+// ever parsed to find out. Every message on the link looks the same; the
+// content and the relation between two envelopes are hidden.
 
 // wrapLink seals plain into a fresh envelope. Each call draws a fresh IV,
 // so wrapping the same plaintext twice yields unrelated ciphertexts.
@@ -111,25 +110,12 @@ func wrapLink(key, plain []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errEnclave, err)
 	}
-	return message.Marshal(linkEnvelope{Link: message.Encode64(ct)})
+	return ct, nil
 }
 
 // unwrapLink opens an envelope produced by wrapLink.
 func unwrapLink(key, data []byte) ([]byte, error) {
-	var env linkEnvelope
-	if err := message.Unmarshal(data, &env); err != nil || env.Link == "" {
-		return nil, fmt.Errorf("%w: not a link envelope", errEnclave)
-	}
-	return openLink(key, env)
-}
-
-// openLink decrypts an already-parsed envelope.
-func openLink(key []byte, env linkEnvelope) ([]byte, error) {
-	ct, err := message.Decode64(env.Link)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errEnclave, err)
-	}
-	plain, err := ppcrypto.SymDecrypt(key, ct)
+	plain, err := ppcrypto.SymDecrypt(key, data)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errEnclave, err)
 	}
@@ -146,20 +132,14 @@ func maybeWrapLink(s enclave.Secrets, out []byte) ([]byte, error) {
 	return wrapLink(key, out)
 }
 
-// maybeUnwrapLink opens an inbound IA body if it is an envelope; plain
-// bodies (deployments without a link key) pass unchanged. An envelope
-// arriving at an enclave without the key is rejected rather than parsed as
-// a request.
+// maybeUnwrapLink opens an inbound IA body when the enclave holds the link
+// key; without one the body passes unchanged.
 func maybeUnwrapLink(s enclave.Secrets, data []byte) ([]byte, error) {
-	var env linkEnvelope
-	if err := message.Unmarshal(data, &env); err != nil || env.Link == "" {
-		return data, nil
-	}
 	key, ok := s.Get(SecretLinkKey)
 	if !ok {
-		return nil, fmt.Errorf("%w: link-wrapped message but no link key provisioned", errEnclave)
+		return data, nil
 	}
-	return openLink(key, env)
+	return unwrapLink(key, data)
 }
 
 // mintIdem draws a fresh idempotency key for a feedback event. Minted
@@ -287,11 +267,12 @@ func NewUAEnclave(p *enclave.Platform) *enclave.Enclave {
 	// link/rewrap re-randomizes a hop envelope before a retry leaves the
 	// UA again: decrypt, re-encrypt with a fresh IV. The retried request
 	// is byte-wise unrelated to the failed attempt, so an observer of the
-	// UA→IA link cannot tell a retry from a new request.
+	// UA→IA link cannot tell a retry from a new request. Without a link
+	// key nothing was wrapped, and the body leaves as it is.
 	e.Register(ecallLinkRewrap, func(s enclave.Secrets, _ *enclave.KV, in []byte) ([]byte, error) {
 		key, ok := s.Get(SecretLinkKey)
 		if !ok {
-			return nil, fmt.Errorf("%w: no link key provisioned", errEnclave)
+			return in, nil
 		}
 		plain, err := unwrapLink(key, in)
 		if err != nil {

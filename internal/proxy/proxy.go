@@ -24,7 +24,6 @@ package proxy
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -487,14 +486,6 @@ func failClass(err error) string {
 	default:
 		return "upstream"
 	}
-}
-
-// isLinkWrapped is the host-side envelope probe. The *presence* of an
-// envelope is plain wire format — every message on the link has one when a
-// link key is deployed — only its content is protected.
-func isLinkWrapped(body []byte) bool {
-	var env linkEnvelope
-	return json.Unmarshal(body, &env) == nil && env.Link != ""
 }
 
 // dropHandle clears a parked temporary key when the request it belongs to

@@ -7,19 +7,25 @@
 // the LRS state for local re-encryption before re-uploading it and
 // provisioning fresh enclaves and the user-side library with new secrets."
 //
-// This package implements the re-encryption option: the RaaS client
-// application generates fresh layer keys, migrates every pseudonym stored
-// by the LRS from the leaked permanent key to the fresh one (a bijection,
-// so user profiles and model continuity are preserved), and provisions
-// fresh enclaves. After rotation the adversary's loot decrypts nothing.
+// This package implements the re-encryption option as an offline
+// procedure on a drained deployment: the RaaS client application reads
+// the old LRS's events in log order, maps the leaked layer's pseudonyms
+// from the old permanent key to a fresh one (a bijection, so user
+// profiles and model continuity are preserved), and replays every event
+// into a fresh, empty LRS through its plain REST API. Fresh enclaves are
+// then provisioned with the fresh keys. After rotation the adversary's
+// loot decrypts nothing the fresh LRS holds.
 package rotation
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 
 	"pprox/internal/enclave"
-	"pprox/internal/lrs/engine"
+	"pprox/internal/lrs/store"
 	"pprox/internal/message"
 	"pprox/internal/ppcrypto"
 	"pprox/internal/proxy"
@@ -53,28 +59,51 @@ func (l Layer) String() string {
 // Result summarizes one completed rotation.
 type Result struct {
 	Layer Layer
-	// Fresh is the layer's replacement key material; the caller
-	// provisions fresh enclaves and redistributes the public bundle.
-	Fresh *proxy.LayerKeys
-	// Migrated counts re-encrypted pseudonyms.
-	Migrated int
+	// UA and IA are the layers' replacement key material; the caller
+	// provisions fresh enclaves of both layers and redistributes the
+	// public bundle. The rotated layer's keys are all fresh. The other
+	// layer keeps its keys, but both share a fresh link key: the leaked
+	// enclave held the old one.
+	UA, IA *proxy.LayerKeys
+	// Replayed counts the events stored in the fresh LRS.
+	Replayed int
 }
 
-// RotateKeys generates fresh keys for the given layer and re-encrypts the
-// engine's stored pseudonyms from old to fresh. The old keys — which the
-// adversary may hold — become useless against the migrated database.
+// RotateKeys rotates the given layer's keys and replays the old LRS's
+// events into a fresh one. events visits the old LRS's stored events in
+// log order (Engine.ForEachEvent has this shape); post stores one event in
+// the fresh, empty LRS (PostTo posts it to the LRS's REST API).
 //
-// The migration runs as the engine's background shard-at-a-time
-// re-pseudonymization job (engine.Repseudonymize): the LRS keeps serving
-// while shards are staged, and the job finishes with a retrain so the
-// served model speaks the fresh pseudonym space. RotateKeys blocks until
-// every shard has settled — callers that clear breach state (the
-// auditor) therefore only do so once the whole database is re-keyed.
+// Each event keeps its payload, type and idempotency key; only the
+// rotated layer's pseudonym changes, old → fresh. A replay in log order
+// keeps every user's event order, which is all the CCO model depends on,
+// so the fresh LRS serves the same model under the fresh pseudonyms.
 //
 // Every asymmetric key the layer held is replaced — the adversary has the
 // box key as surely as the RSA one — and the fresh material is of the old
 // one's kind, so a rotation never changes which suite a deployment runs.
-func RotateKeys(layer Layer, old *proxy.LayerKeys, eng *engine.Engine) (*Result, error) {
+//
+// RotateKeys fails closed: on the first pseudonym that does not decrypt
+// under the old key, or the first post the fresh LRS refuses, it returns
+// the error, and the old keys and the old LRS stay in force. Nothing is
+// retried, so an event without an idempotency key is never stored twice;
+// the fresh LRS holds a partial replay and is discarded, and a second run
+// goes into another fresh, empty LRS.
+func RotateKeys(layer Layer, ua, ia *proxy.LayerKeys, events func(func(store.Document)), post func(message.LRSPost) error) (*Result, error) {
+	// Copies: the caller's material stays as it was, in force until the
+	// caller installs the result.
+	uaCopy, iaCopy := *ua, *ia
+	res := &Result{Layer: layer, UA: &uaCopy, IA: &iaCopy}
+	var field string
+	var old *proxy.LayerKeys
+	switch layer {
+	case LayerUA:
+		field, old = "user", ua
+	case LayerIA:
+		field, old = "item", ia
+	default:
+		return nil, fmt.Errorf("%w: %d", ErrUnknownLayer, int(layer))
+	}
 	newKeys := proxy.NewLayerKeys
 	if old.Box == nil {
 		newKeys = proxy.NewRSAOnlyLayerKeys
@@ -83,27 +112,54 @@ func RotateKeys(layer Layer, old *proxy.LayerKeys, eng *engine.Engine) (*Result,
 	if err != nil {
 		return nil, fmt.Errorf("rotation: fresh keys: %w", err)
 	}
-
-	var field string
-	switch layer {
-	case LayerUA:
-		field = "user"
-	case LayerIA:
-		field = "item"
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownLayer, int(layer))
+	if layer == LayerUA {
+		res.UA = fresh
+	} else {
+		res.IA = fresh
+	}
+	if err := proxy.PairLinkKey(res.UA, res.IA); err != nil {
+		return nil, fmt.Errorf("rotation: %w", err)
 	}
 
-	job, err := eng.Repseudonymize(field, func(pseudonym string) (string, error) {
-		return reencryptPseudonym(old.Permanent, fresh.Permanent, pseudonym)
+	// A user's pseudonym recurs in every event of its history, an item's
+	// in every event about it: each is mapped once.
+	mapped := make(map[string]string)
+	events(func(d store.Document) {
+		if err != nil {
+			return
+		}
+		// The engine stores a post's fields under these names
+		// (Engine.InsertTypedEventIdem).
+		ev := message.LRSPost{
+			User:    d.Fields["user"],
+			Item:    d.Fields["item"],
+			Payload: d.Fields["payload"],
+			Event:   d.Fields["type"],
+			Idem:    d.Fields["idem"],
+		}
+		pseudo := &ev.User
+		if layer == LayerIA {
+			pseudo = &ev.Item
+		}
+		to, ok := mapped[*pseudo]
+		if !ok {
+			if to, err = reencryptPseudonym(old.Permanent, fresh.Permanent, *pseudo); err != nil {
+				err = fmt.Errorf("rotation: re-pseudonymize the %s of event %d: %w", field, res.Replayed+1, err)
+				return
+			}
+			mapped[*pseudo] = to
+		}
+		*pseudo = to
+		if err = post(ev); err != nil {
+			err = fmt.Errorf("rotation: replay event %d: %w", res.Replayed+1, err)
+			return
+		}
+		res.Replayed++
 	})
 	if err != nil {
-		return nil, fmt.Errorf("rotation: %w", err)
+		return nil, err
 	}
-	if err := job.Wait(); err != nil {
-		return nil, fmt.Errorf("rotation: %w", err)
-	}
-	return &Result{Layer: layer, Fresh: fresh, Migrated: int(job.Migrated())}, nil
+	return res, nil
 }
 
 // reencryptPseudonym maps det_enc(x, oldKey) to det_enc(x, freshKey)
@@ -124,16 +180,36 @@ func reencryptPseudonym(oldKey, freshKey []byte, pseudonym string) (string, erro
 	return message.Encode64(fresh), nil
 }
 
-// Responder wires the enclave breach detector to automatic rotation: when
-// a breach is detected on an enclave whose identity matches one of the
-// registered layers, it rotates that layer's keys and reports the result.
+// PostTo returns the replay sink of RotateKeys for the LRS at lrsURL: each
+// event is one plain POST /events, and any answer but 2xx fails it.
+func PostTo(c *http.Client, lrsURL string) func(message.LRSPost) error {
+	return func(ev message.LRSPost) error {
+		body, err := message.Marshal(ev)
+		if err != nil {
+			return err
+		}
+		resp, err := c.Post(lrsURL+message.EventsPath, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			return fmt.Errorf("LRS answered %s", resp.Status)
+		}
+		return nil
+	}
+}
+
+// Responder wires the enclave breach detector to the breach response:
+// when a breach is detected on an enclave whose identity matches one of
+// the layers, it flushes the registered caches, opens the auditor's
+// violation window and hands the layer to the rotate function. The
+// window closes only when that function succeeds.
 type Responder struct {
-	eng    *engine.Engine
-	uaKeys *proxy.LayerKeys
-	iaKeys *proxy.LayerKeys
-	// OnRotated receives each completed rotation (e.g. to provision
-	// fresh enclaves and push the new public bundle).
-	OnRotated func(*Result)
+	// rotate runs the offline procedure for one layer: RotateKeys into a
+	// fresh LRS, then fresh enclaves provisioned with the fresh keys.
+	rotate func(Layer) error
 	// OnError receives rotation failures.
 	OnError func(error)
 	// Audit, when set, receives the breach and the rotation outcome so
@@ -164,20 +240,20 @@ type Auditor interface {
 	ObserveRotation(layer string)
 }
 
-// NewResponder builds the breach-response hook.
-func NewResponder(eng *engine.Engine, uaKeys, iaKeys *proxy.LayerKeys, onRotated func(*Result), onError func(error)) *Responder {
-	return &Responder{eng: eng, uaKeys: uaKeys, iaKeys: iaKeys, OnRotated: onRotated, OnError: onError}
+// NewResponder builds the breach-response hook around the caller's
+// rotation procedure.
+func NewResponder(rotate func(Layer) error, onError func(error)) *Responder {
+	return &Responder{rotate: rotate, OnError: onError}
 }
 
 // Countermeasure is the enclave.BreachDetector callback.
 func (r *Responder) Countermeasure(e *enclave.Enclave) {
 	var layer Layer
-	var keys *proxy.LayerKeys
 	switch e.Identity().Name {
 	case proxy.UAIdentity.Name:
-		layer, keys = LayerUA, r.uaKeys
+		layer = LayerUA
 	case proxy.IAIdentity.Name:
-		layer, keys = LayerIA, r.iaKeys
+		layer = LayerIA
 	default:
 		if r.OnError != nil {
 			r.OnError(fmt.Errorf("%w: enclave %q", ErrUnknownLayer, e.Identity().Name))
@@ -195,25 +271,13 @@ func (r *Responder) Countermeasure(e *enclave.Enclave) {
 	for _, c := range r.caches {
 		c.Flush()
 	}
-	res, err := RotateKeys(layer, keys, r.eng)
-	if err != nil {
+	if err := r.rotate(layer); err != nil {
 		if r.OnError != nil {
-			r.OnError(err)
+			r.OnError(fmt.Errorf("rotation of the %v layer: %w", layer, err))
 		}
 		return
 	}
-	// Track the new keys so a second breach rotates from the right
-	// baseline.
-	switch layer {
-	case LayerUA:
-		r.uaKeys = res.Fresh
-	case LayerIA:
-		r.iaKeys = res.Fresh
-	}
 	if r.Audit != nil {
 		r.Audit.ObserveRotation(layer.String())
-	}
-	if r.OnRotated != nil {
-		r.OnRotated(res)
 	}
 }

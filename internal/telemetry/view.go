@@ -60,12 +60,12 @@ type Rollups struct {
 	// BuildSkew flags a mixed-version fleet.
 	BuildSHAs []string
 	BuildSkew bool
-	// LRS aggregates the recommendation backends' training and
-	// re-pseudonymization state. Nil when no LRS node answers.
+	// LRS aggregates the recommendation backends' training state. Nil
+	// when no LRS node answers.
 	LRS *LRSRollup
 }
 
-// LRSRollup is the fleet-wide LRS training/rotation aggregate.
+// LRSRollup is the fleet-wide LRS training aggregate.
 type LRSRollup struct {
 	// Shards sums event-log shards across LRS nodes.
 	Shards int
@@ -74,12 +74,6 @@ type LRSRollup struct {
 	// EventsApplied sums events folded into models by the online
 	// incremental path.
 	EventsApplied uint64
-	// RepseudoRunning counts nodes with a re-pseudonymization job in
-	// flight; breach auditors should treat the fleet as unsettled while
-	// it is non-zero.
-	RepseudoRunning int
-	// RepseudoMigrated sums pseudonyms rewritten by completed jobs.
-	RepseudoMigrated uint64
 }
 
 // StageQuantile is a merged per-stage latency summary.
@@ -307,12 +301,6 @@ func accumulateLRS(r *Rollups, series map[string]float64) {
 			lrs.TrainSeconds = max(lrs.TrainSeconds, v)
 		case "pprox_lrs_events_applied_total":
 			lrs.EventsApplied += uint64(v)
-		case "pprox_lrs_repseudo_running":
-			if v > 0 {
-				lrs.RepseudoRunning++
-			}
-		case "pprox_lrs_repseudo_migrated_total":
-			lrs.RepseudoMigrated += uint64(v)
 		}
 	}
 }

@@ -133,26 +133,24 @@ func TestDownNodeLeavesTheRollups(t *testing.T) {
 	}
 }
 
-// TestLRSRollup: LRS training/rotation series of the LRS nodes sum into
+// TestLRSRollup: LRS training series of the LRS nodes sum into
 // the fleet view; a fleet without an LRS node carries no rollup at all.
 func TestLRSRollup(t *testing.T) {
-	lrs := func(target string, shards, train, applied, running, migrated float64) Scrape {
+	lrs := func(target string, shards, train, applied float64) Scrape {
 		return Scrape{Target: target, Metrics: metrics.ScrapeSet{
-			"pprox_lrs_queries_total":           1,
-			"pprox_lrs_shards":                  shards,
-			"pprox_lrs_train_seconds":           train,
-			"pprox_lrs_events_applied_total":    applied,
-			"pprox_lrs_repseudo_running":        running,
-			"pprox_lrs_repseudo_migrated_total": migrated,
+			"pprox_lrs_queries_total":        1,
+			"pprox_lrs_shards":               shards,
+			"pprox_lrs_train_seconds":        train,
+			"pprox_lrs_events_applied_total": applied,
 		}}
 	}
 	round := []Scrape{
-		lrs("http://lrs-0", 4, 0.8, 1000, 1, 0),
-		lrs("http://lrs-1", 2, 2.5, 500, 0, 300),
+		lrs("http://lrs-0", 4, 0.8, 1000),
+		lrs("http://lrs-1", 2, 2.5, 500),
 		proxyScrape("http://ua-0", "ua-0", "UA", 1, 1),
 	}
 	got := View(nil, round, 0).Rollups.LRS
-	want := LRSRollup{Shards: 6, TrainSeconds: 2.5, EventsApplied: 1500, RepseudoRunning: 1, RepseudoMigrated: 300}
+	want := LRSRollup{Shards: 6, TrainSeconds: 2.5, EventsApplied: 1500}
 	if got == nil || *got != want {
 		t.Fatalf("LRS rollup = %+v, want %+v", got, want)
 	}
