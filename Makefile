@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lrs-bench-once ia-bench-once crypto-bench-once verify tcp-smoke bench clean
+.PHONY: all build vet test race lrs-bench-once ia-bench-once crypto-bench-once verify tcp-smoke lrs-restart-smoke bench clean
 
 all: verify
 
@@ -58,6 +58,12 @@ verify: build vet test race lrs-bench-once ia-bench-once crypto-bench-once
 # speak frames UA→IA and plain REST IA→LRS.
 tcp-smoke:
 	GO=$(GO) sh scripts/tcp-smoke.sh
+
+# Real-binary restart of pprox-lrs with both -wal-dir and -snapshot: one
+# post, SIGTERM, the same command again. Fails unless the restart serves
+# and /metrics reads pprox_lrs_events 1.
+lrs-restart-smoke:
+	GO=$(GO) sh scripts/lrs-restart-smoke.sh
 
 bench:
 	$(GO) test -bench=. -benchmem .

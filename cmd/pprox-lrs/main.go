@@ -134,7 +134,7 @@ func run(listen string, trainEvery time.Duration, snapshot, debugAddr, faultSpec
 	close(stopTrainer)
 	<-trainerDone
 	if snapshot != "" {
-		if err := saveSnapshot(eng, snapshot); err != nil {
+		if err := eng.SaveSnapshotFile(snapshot); err != nil {
 			logger.Warn("snapshot save failed", "error", err.Error())
 		} else {
 			logger.Info("snapshot written", "path", snapshot)
@@ -151,31 +151,30 @@ func run(listen string, trainEvery time.Duration, snapshot, debugAddr, faultSpec
 // loadOrNewEngine opens the engine (replaying any per-shard WALs under
 // -wal-dir) and, when a snapshot file exists and the WALs brought nothing
 // back, restores it and retrains — mirroring a Harness restart against
-// its persisted MongoDB.
+// its persisted MongoDB. The WALs win: a clean shutdown writes the
+// snapshot from the same events they hold.
 func loadOrNewEngine(cfg engine.Config, snapshot string, logger *slog.Logger) (*engine.Engine, error) {
-	if snapshot == "" {
-		return engine.Open(cfg)
+	eng, err := engine.Open(cfg)
+	if err != nil || snapshot == "" || eng.EventCount() > 0 {
+		return eng, err
 	}
 	f, err := os.Open(snapshot)
 	if os.IsNotExist(err) {
-		return engine.Open(cfg)
+		return eng, nil
 	}
+	eng.Close()
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	eng, err := engine.NewFromSnapshot(cfg, f)
+	eng, err = engine.NewFromSnapshot(cfg, f)
 	if err != nil {
 		return nil, fmt.Errorf("load snapshot %s: %w", snapshot, err)
 	}
 	if err := eng.TrainNow(); err != nil {
+		eng.Close()
 		return nil, err
 	}
 	logger.Info("snapshot restored", "events", eng.EventCount(), "path", snapshot)
 	return eng, nil
-}
-
-// saveSnapshot writes atomically: temp file, fsync, then rename.
-func saveSnapshot(eng *engine.Engine, path string) error {
-	return eng.SaveSnapshotFile(path)
 }

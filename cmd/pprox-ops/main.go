@@ -17,8 +17,7 @@
 // audit renders each node's privacy report (it must serve /privacy) and,
 // where served, its perf report: privacy-SLO state, effective anonymity
 // set, worst-epoch watermark, burn rates, breached layers, shuffler
-// sheds, the recommendation cache, and the per-stage latency-SLO
-// assessment.
+// sheds, and the per-stage latency-SLO assessment.
 //
 // top -once and audit are the cron/CI gate: they exit 3 when any node
 // reports its privacy or perf SLO violated and 1 when a scrape fails —
@@ -163,7 +162,6 @@ func renderNode(w io.Writer, v telemetry.Scrape) {
 	if sheds, ok := sumFamily(v.Metrics, "pprox_proxy_shuffle_shed_total"); ok {
 		fmt.Fprintf(w, "  shuffler sheds: %.0f  (requests released without full-epoch cover)\n", sheds)
 	}
-	renderCache(w, v.Metrics)
 	for _, win := range r.Windows {
 		state := "ok"
 		if win.Burning {
@@ -239,29 +237,6 @@ func sumFamily(set metrics.ScrapeSet, fam string) (total float64, ok bool) {
 		}
 	}
 	return total, ok
-}
-
-// renderCache prints the in-enclave recommendation cache's epoch-granular
-// counters when the node exports them (IA instances with -cache). The
-// shuffler line above is the privacy half of the story; this is the
-// efficiency half — hits, by construction, still travel in full epochs.
-func renderCache(w io.Writer, set metrics.ScrapeSet) {
-	hits, okH := sumFamily(set, "pprox_reccache_hits_total")
-	misses, okM := sumFamily(set, "pprox_reccache_misses_total")
-	if !okH && !okM {
-		return
-	}
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = hits / (hits + misses)
-	}
-	coalesced, _ := sumFamily(set, "pprox_reccache_coalesced_total")
-	evictions, _ := sumFamily(set, "pprox_reccache_evictions_total")
-	flushes, _ := sumFamily(set, "pprox_reccache_flushes_total")
-	entries, _ := sumFamily(set, "pprox_reccache_entries")
-	pages, _ := sumFamily(set, "pprox_reccache_epc_pages")
-	fmt.Fprintf(w, "  reccache: hit rate %.1f%% (%.0f hits, %.0f misses)  coalesced %.0f  evictions %.0f  flushes %.0f  resident %.0f entries / %.0f EPC pages\n",
-		rate*100, hits, misses, coalesced, evictions, flushes, entries, pages)
 }
 
 func writeJSON(path string, v any) error {

@@ -48,7 +48,6 @@ import (
 	"pprox/internal/obsprof"
 	"pprox/internal/perfslo"
 	"pprox/internal/proxy"
-	"pprox/internal/reccache"
 	"pprox/internal/resilience"
 )
 
@@ -93,10 +92,9 @@ func flagSet(o *options) (fs *flag.FlagSet, finish func() error) {
 	c := &o.node
 	fs = flag.NewFlagSet("pprox-proxy", flag.ContinueOnError)
 	var role string
-	var auditOn, perfOn, cacheOn, noResilience bool
+	var auditOn, perfOn, noResilience bool
 	var retries int
 	acfg := audit.Config{}
-	cache := reccache.Config{}
 	pol := resilience.DefaultPolicy()
 	fs.StringVar(&role, "role", "", "layer role: ua or ia")
 	fs.StringVar(&o.listen, "listen", ":8081", "listen address")
@@ -117,9 +115,6 @@ func flagSet(o *options) (fs *flag.FlagSet, finish func() error) {
 	fs.BoolVar(&perfOn, "perf", false, "run the per-stage latency SLO evaluator and serve its report on /perf")
 	fs.Float64Var(&c.PerfQuantile, "perf-quantile", 0, "latency quantile each perf objective constrains (default 0.99)")
 	fs.StringVar(&c.ProfileDir, "profile-dir", "", "capture CPU/heap/goroutine profiles into this directory on perf-SLO warn/violation (off when empty)")
-	fs.BoolVar(&cacheOn, "cache", false, "enable the in-enclave recommendation cache (IA role only)")
-	fs.DurationVar(&cache.TTL, "cache-ttl", reccache.DefaultTTL, "per-entry TTL of the recommendation cache")
-	fs.IntVar(&cache.MaxPages, "cache-epc-pages", reccache.DefaultMaxPages, "EPC page budget of the recommendation cache")
 	fs.BoolVar(&noResilience, "no-resilience", false, "disable retries, hop deadlines, and the circuit breaker (single attempts)")
 	fs.DurationVar(&pol.HopTimeout, "hop-timeout", pol.HopTimeout, "per-attempt deadline toward the next hop")
 	fs.IntVar(&retries, "retries", pol.MaxAttempts-1, "retry attempts after a failed forward (0 = one attempt)")
@@ -142,9 +137,6 @@ func flagSet(o *options) (fs *flag.FlagSet, finish func() error) {
 		}
 		if perfOn {
 			c.PerfSLO = &perfslo.Config{}
-		}
-		if cacheOn {
-			c.Cache = &cache
 		}
 		if !noResilience {
 			pol.MaxAttempts = retries + 1

@@ -21,7 +21,6 @@ import (
 	"pprox/internal/obsprof"
 	"pprox/internal/perfslo"
 	"pprox/internal/proxy"
-	"pprox/internal/reccache"
 	"pprox/internal/resilience"
 )
 
@@ -58,15 +57,6 @@ func TestEveryFlagLandsInItsField(t *testing.T) {
 		{[]string{"-perf"}, func(o *options) { o.node.PerfSLO = &perfslo.Config{} }},
 		{[]string{"-perf-quantile", "0.95"}, func(o *options) { o.node.PerfQuantile = 0.95 }},
 		{[]string{"-profile-dir", "prof"}, func(o *options) { o.node.ProfileDir = "prof" }},
-		{[]string{"-cache"}, func(o *options) {
-			o.node.Cache = &reccache.Config{TTL: reccache.DefaultTTL, MaxPages: reccache.DefaultMaxPages}
-		}},
-		{[]string{"-cache", "-cache-ttl", "2m"}, func(o *options) {
-			o.node.Cache = &reccache.Config{TTL: 2 * time.Minute, MaxPages: reccache.DefaultMaxPages}
-		}},
-		{[]string{"-cache", "-cache-epc-pages", "64"}, func(o *options) {
-			o.node.Cache = &reccache.Config{TTL: reccache.DefaultTTL, MaxPages: 64}
-		}},
 		{[]string{"-no-resilience"}, func(o *options) { o.node.Resilience = nil }},
 		{[]string{"-hop-timeout", "3s"}, func(o *options) { o.node.Resilience.HopTimeout = 3 * time.Second }},
 		{[]string{"-retries", "4"}, func(o *options) { o.node.Resilience.MaxAttempts = 5 }},
@@ -105,8 +95,8 @@ func TestEveryFlagLandsInItsField(t *testing.T) {
 			t.Errorf("flag -%s has no case", f.Name)
 		}
 	})
-	if n != 30 {
-		t.Errorf("pprox-proxy declares %d flags, want 30", n)
+	if n != 27 {
+		t.Errorf("pprox-proxy declares %d flags, want 27", n)
 	}
 }
 
@@ -198,7 +188,7 @@ func keyFile(t *testing.T) string {
 // and one from a cluster.Spec, every node.Config field set away from its
 // default wherever that entry point can set it, and follows each field
 // to what it configures: proxy.Config, the enclave's transition cost,
-// the recommendation cache, the auditor and its checks, the perf
+// the auditor and its checks, the perf
 // objectives and thresholds and the drain timeout. A third
 // and fourth instance cover pass-through, which leaves no enclave to
 // inspect.
@@ -209,7 +199,6 @@ func TestEveryConfigFieldReachesItsTarget(t *testing.T) {
 	pol.BreakerThreshold, pol.BreakerCooldown = 3, 4*time.Second
 	flags := fromFlags(t, "-role", "ia", "-node", "ia-0", "-next", "http://lrs", "-keys", keyFile(t),
 		"-shuffle", "6", "-shuffle-timeout", "300ms", "-lrs-concurrency", "5", "-no-item-pseudonyms",
-		"-cache", "-cache-ttl", "2m", "-cache-epc-pages", "64",
 		"-hop-timeout", "3s", "-retries", "4", "-retry-backoff", "7ms", "-breaker-threshold", "3", "-breaker-cooldown", "4s",
 		"-audit", "-audit-objective", "0.9", "-perf", "-perf-quantile", "0.95", "-profile-dir", t.TempDir(),
 		"-drain-timeout", "9s",
@@ -217,7 +206,6 @@ func TestEveryConfigFieldReachesItsTarget(t *testing.T) {
 	spec := fromSpec(t, cluster.Spec{
 		ProxyEnabled: true, UA: 1, IA: 1, Encryption: true,
 		Shuffle: 6, ShuffleTimeout: 300 * time.Millisecond, LRSConcurrency: 5,
-		Cache:     &reccache.Config{TTL: 2 * time.Minute, MaxPages: 64},
 		EcallCost: ecallCost, Resilience: &pol,
 		Audit: &audit.Config{Objective: 0.9}, PerfSLO: &perfslo.Config{},
 		PerfThresholds: map[string]float64{proxy.StageForward: 1.5}, ProfileDir: t.TempDir(),
@@ -280,12 +268,6 @@ func TestEveryConfigFieldReachesItsTarget(t *testing.T) {
 		{"NoItemPseudonyms", both, func(t *testing.T, pr probe) {
 			if got := pr.p.Layer.Enclave().Identity().Name; got != proxy.IAIdentityNoItemPseudonyms.Name {
 				t.Errorf("IA enclave identity %q", got)
-			}
-		}},
-		{"Cache", both, func(t *testing.T, pr probe) {
-			c := pr.p.Layer.RecCache()
-			if c == nil || c.TTL() != 2*time.Minute || c.MaxPages() != 64 {
-				t.Errorf("recommendation cache %+v", c)
 			}
 		}},
 		{"EcallCost", both[1:], func(t *testing.T, pr probe) {

@@ -19,7 +19,6 @@ import (
 	"pprox/internal/message"
 	"pprox/internal/ppcrypto"
 	"pprox/internal/proxy"
-	"pprox/internal/reccache"
 	"pprox/internal/transport"
 )
 
@@ -73,18 +72,12 @@ func eachKeyMaterial(t *testing.T, fn func(t *testing.T, km keyMaterial)) {
 }
 
 func newTappedStack(t *testing.T, km keyMaterial, shuffleSize int) *tappedStack {
-	return newTappedStackWithCache(t, km, shuffleSize, nil)
-}
-
-// newTappedStackWithCache optionally equips the IA layer with the
-// in-enclave recommendation cache, for the cache-specific attacks.
-func newTappedStackWithCache(t *testing.T, km keyMaterial, shuffleSize int, cache *reccache.Cache) *tappedStack {
-	return newTappedStackEngine(t, km, shuffleSize, cache, engine.DefaultConfig())
+	return newTappedStackEngine(t, km, shuffleSize, engine.DefaultConfig())
 }
 
 // newTappedStackEngine additionally takes the LRS engine configuration,
 // so the shard/WAL attacks can run against a durable sharded store.
-func newTappedStackEngine(t *testing.T, km keyMaterial, shuffleSize int, cache *reccache.Cache, engCfg engine.Config) *tappedStack {
+func newTappedStackEngine(t *testing.T, km keyMaterial, shuffleSize int, engCfg engine.Config) *tappedStack {
 	t.Helper()
 	st := &tappedStack{rec: adversary.NewRecorder(), net: transport.NewNetwork()}
 	t.Cleanup(func() { st.net.Close() })
@@ -93,10 +86,9 @@ func newTappedStackEngine(t *testing.T, km keyMaterial, shuffleSize int, cache *
 	if err != nil {
 		t.Fatal(err)
 	}
-	iaOpts := proxy.IAOptions{Cache: cache}
 	platform := enclave.NewPlatform(as)
 	st.uaEncl = proxy.NewUAEnclave(platform)
-	st.iaEncl = proxy.NewIAEnclave(platform, iaOpts)
+	st.iaEncl = proxy.NewIAEnclave(platform, proxy.IAOptions{})
 	if st.uaKeys, err = km.newKeys(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +98,7 @@ func newTappedStackEngine(t *testing.T, km keyMaterial, shuffleSize int, cache *
 	if err := st.uaKeys.Provision(as, st.uaEncl, proxy.UAIdentity); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.iaKeys.Provision(as, st.iaEncl, proxy.IAIdentityFor(iaOpts)); err != nil {
+	if err := st.iaKeys.Provision(as, st.iaEncl, proxy.IAIdentity); err != nil {
 		t.Fatal(err)
 	}
 
@@ -128,10 +120,14 @@ func newTappedStackEngine(t *testing.T, km keyMaterial, shuffleSize int, cache *
 	st.serve(t, "lrs", lrsTap)
 
 	httpClient := transport.HTTPClient(st.net, 30*time.Second)
+	// One LRS request at a time: the IA forwards an epoch in frame order,
+	// so the LRS link carries the UA shuffler's release order without the
+	// scrambling of a concurrent fan-out — the adversary's best case, and
+	// the one the 1/S bound must hold in.
 	ia, err := proxy.New(proxy.Config{
 		Role: proxy.RoleIA, Enclave: st.iaEncl, Next: "http://lrs",
 		ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
-		RecCache: cache, Dialer: st.net,
+		LRSConcurrency: 1, Dialer: st.net,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -93,11 +93,10 @@ type Auditor struct {
 	occ *slo.Objective
 
 	// Guarded by the engine lock.
-	occupancy    slo.Reading // full and under-filled epochs, lifetime
-	nodes        map[string]*nodeStats
-	rotations    map[string]time.Time // layer → last rotation (or baseline)
-	breaches     map[string]time.Time // layer → unremediated breach time
-	cacheWatches []*cacheWatch
+	occupancy slo.Reading // full and under-filled epochs, lifetime
+	nodes     map[string]*nodeStats
+	rotations map[string]time.Time // layer → last rotation (or baseline)
+	breaches  map[string]time.Time // layer → unremediated breach time
 }
 
 // New creates an auditor.
@@ -160,12 +159,6 @@ func (a *Auditor) ObserveEpoch(node string, batch int) {
 func (a *Auditor) ObserveBreach(layer string) {
 	a.Update(func(now time.Time) {
 		a.breaches[layer] = now
-		// Every registered recommendation cache now owes a wholesale
-		// flush, whichever layer leaked: cached lists derive from the
-		// pre-breach key world (see RegisterCacheCheck).
-		for _, w := range a.cacheWatches {
-			w.noteBreach()
-		}
 	})
 }
 

@@ -19,7 +19,6 @@ import (
 	"pprox/internal/obslog"
 	"pprox/internal/perfslo"
 	"pprox/internal/ppcrypto"
-	"pprox/internal/reccache"
 )
 
 // getBatch issues size concurrent gets and waits for them, so the batch
@@ -53,8 +52,6 @@ func getBatch(t *testing.T, d *cluster.Deployment, size, tag int) int {
 // its survivors leave on the flush timer as an under-filled epoch, and
 // the deployed auditor must transition to violated — observable through
 // the same /metrics, /privacy and /perf endpoints an operator scrapes.
-// Every batch asks for the same users, so the IA cache serves hits, and
-// those hits must not thin an epoch.
 func TestAuditorFlagsInjectedUnderfilledEpoch(t *testing.T) {
 	const s = 8
 	const dropped = 3
@@ -70,7 +67,6 @@ func TestAuditorFlagsInjectedUnderfilledEpoch(t *testing.T) {
 		Shuffle:        s,
 		ShuffleTimeout: 100 * time.Millisecond,
 		UseStub:        true,
-		Cache:          &reccache.Config{},
 		Audit:          &audit.Config{},
 		PerfSLO:        &perfslo.Config{},
 		NodeMiddleware: func(addr string, h http.Handler) http.Handler {
@@ -124,15 +120,6 @@ func TestAuditorFlagsInjectedUnderfilledEpoch(t *testing.T) {
 	if v := scraped["pprox_audit_violations_total"]; v < 1 {
 		t.Errorf("pprox_audit_violations_total = %g, want ≥ 1", v)
 	}
-	var hits float64
-	for series, v := range scraped {
-		if name, _ := metrics.ParseSeries(series); name == "pprox_reccache_hits_total" {
-			hits += v
-		}
-	}
-	if hits == 0 {
-		t.Error("the IA cache reports no hits over a repeating user set")
-	}
 
 	resp, err = httpClient.Get("http://ua-0" + audit.PrivacyPath)
 	if err != nil {
@@ -151,7 +138,7 @@ func TestAuditorFlagsInjectedUnderfilledEpoch(t *testing.T) {
 		t.Errorf("/privacy worst epoch batch = %d, want %d", rep.WorstEpochBatch, want)
 	}
 	// The flagged epochs are exactly those below S: the fault's, never a
-	// full epoch whose requests the cache answered.
+	// full epoch.
 	flagged := 0
 	for _, n := range rep.Nodes {
 		for _, e := range n.RecentEpochs {

@@ -244,6 +244,9 @@ func TestRetriedGetUnlinkableOnInterProxyLink(t *testing.T) {
 		t.Error("recovered get returned no items")
 	}
 
+	// The epoch's goroutine adds its retries once the ladder returns,
+	// which is after it delivered the answer the client just read.
+	waitFor(t, "the UA's retry count", func() bool { return d.UALayers[0].BatchStats().Retries != 0 })
 	if retries := d.UALayers[0].BatchStats().Retries; retries != 2 {
 		t.Errorf("UA frame retries = %d, want 2", retries)
 	}

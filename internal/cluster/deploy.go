@@ -20,7 +20,6 @@ import (
 	"pprox/internal/obsprof"
 	"pprox/internal/perfslo"
 	"pprox/internal/proxy"
-	"pprox/internal/reccache"
 	"pprox/internal/resilience"
 	"pprox/internal/stub"
 	"pprox/internal/transport"
@@ -69,10 +68,6 @@ type Spec struct {
 	// the epoch pipeline amortizes set it to hardware-like values
 	// (enclave.SetTransitionCost).
 	EcallCost time.Duration
-	// Cache arms the in-enclave recommendation cache on every IA instance
-	// (requires Encryption: lookups and fills are ECALLs); nil is off.
-	// MaxPages bounds each cache's share of its enclave's EPC budget.
-	Cache *reccache.Config
 	// UseStub serves the nginx-style static stub instead of the real
 	// engine (micro-benchmarks); StubDelay models its service time.
 	UseStub   bool
@@ -221,9 +216,6 @@ type Deployment struct {
 	// Profiles is the triggered-profile harvester (nil unless
 	// Spec.ProfileDir is set alongside Spec.PerfSLO).
 	Profiles *obsprof.Harvester
-	// RecCaches are the per-IA-instance recommendation caches, indexed
-	// like IALayers (nil without Spec.Cache).
-	RecCaches []*reccache.Cache
 
 	spec Spec
 	// mu guards the node bookkeeping below, which chaos tests read
@@ -405,7 +397,6 @@ func (d *Deployment) nodeConfig(role proxy.Role, addr string) node.Config {
 	if role == proxy.RoleIA {
 		c.Next = "http://lrs"
 		c.LRSConcurrency = s.LRSConcurrency
-		c.Cache = s.Cache
 	}
 	return c
 }
@@ -429,9 +420,6 @@ func (d *Deployment) addProxy(role proxy.Role, addr string) error {
 		d.UALayers = append(d.UALayers, p.Layer)
 	} else {
 		d.IALayers = append(d.IALayers, p.Layer)
-		if c := p.Layer.RecCache(); c != nil {
-			d.RecCaches = append(d.RecCaches, c)
-		}
 	}
 	return nil
 }

@@ -28,7 +28,8 @@ import (
 // pre-breach loot de-pseudonymizes nothing the fresh LRS holds; that
 // every event arrives exactly once; that the fresh LRS recommends what the
 // old one did, mapped through the rotation; that the auditor stays
-// violated until the replay succeeds; that fresh clients get their
+// violated until the replay succeeds; that the old stack keeps serving
+// after the breach response; that fresh clients get their
 // answers through the fresh enclaves; and that the leaked link key opens
 // none of the fresh UA→IA slots.
 func TestRotationThroughTheRESTFrontDoor(t *testing.T) {
@@ -129,6 +130,13 @@ func testRotationThroughTheRESTFrontDoor(t *testing.T, layer rotation.Layer) {
 	}
 	if aud.State() != audit.StateOK {
 		t.Errorf("auditor state %v after the replay succeeded, want ok", aud.State())
+	}
+	// The response leaves the old stack serving, on the old LRS and
+	// through the breached enclaves, until the fresh stack takes over.
+	for u, items := range gets(st) {
+		if !slices.Equal(items, before[u]) {
+			t.Errorf("%s gets %v through the old stack after the breach response, %v before", u, items, before[u])
+		}
 	}
 
 	// The loot is dead against the fresh LRS's data.

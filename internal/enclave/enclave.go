@@ -367,14 +367,6 @@ func (e *Enclave) allocLocked(pages int) error {
 	return nil
 }
 
-// ChargePages reserves EPC pages for in-enclave state held outside the
-// KV store (the recommendation cache). It fails with ErrEPCExhausted
-// exactly like a KV allocation would.
-func (e *Enclave) ChargePages(n int) error { return e.alloc(n) }
-
-// ReleasePages returns pages previously reserved with ChargePages.
-func (e *Enclave) ReleasePages(n int) { e.free(n) }
-
 func (e *Enclave) alloc(pages int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

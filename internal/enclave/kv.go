@@ -91,22 +91,6 @@ func (kv *KV) Delete(key string) int {
 	return p
 }
 
-// Flush removes every entry in one bulk release and returns the total EPC
-// pages freed. Key rotation and cache teardown use it instead of per-key
-// Delete loops.
-func (kv *KV) Flush() int {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	total := 0
-	for _, p := range kv.pages {
-		total += p
-	}
-	kv.owner.free(total)
-	kv.data = make(map[string][]byte)
-	kv.pages = make(map[string]int)
-	return total
-}
-
 // Len returns the number of stored entries.
 func (kv *KV) Len() int {
 	kv.mu.Lock()

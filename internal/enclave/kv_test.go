@@ -86,63 +86,3 @@ func TestKVDeleteReturnsFreedPages(t *testing.T) {
 		t.Fatalf("EPC used = %d after delete, want 0", used)
 	}
 }
-
-func TestKVFlushBulkRelease(t *testing.T) {
-	p, _ := newTestPlatform(t)
-	e := p.Launch(uaIdentity)
-	kv := e.KV()
-
-	want := 0
-	for _, k := range []string{"a", "b", "c"} {
-		if err := kv.Put(k, make([]byte, PageSize)); err != nil {
-			t.Fatal(err)
-		}
-		want += pagesFor(len(k) + PageSize)
-	}
-	if n := kv.Flush(); n != want {
-		t.Fatalf("Flush freed %d pages, want %d", n, want)
-	}
-	if kv.Len() != 0 {
-		t.Fatalf("Len = %d after Flush, want 0", kv.Len())
-	}
-	if used, _ := e.EPCUsage(); used != 0 {
-		t.Fatalf("EPC used = %d after Flush, want 0", used)
-	}
-	// Flushing an empty store is a no-op.
-	if n := kv.Flush(); n != 0 {
-		t.Fatalf("Flush of empty store freed %d pages", n)
-	}
-	// The store is still usable after a flush.
-	if err := kv.Put("d", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := kv.Get("d"); !ok || !bytes.Equal(v, []byte("v")) {
-		t.Fatalf("Get after Flush = (%q, %v)", v, ok)
-	}
-}
-
-func TestEnclaveChargeReleasePages(t *testing.T) {
-	p, _ := newTestPlatform(t)
-	e := p.LaunchWithEPC(uaIdentity, 4)
-
-	if err := e.ChargePages(3); err != nil {
-		t.Fatal(err)
-	}
-	if used, _ := e.EPCUsage(); used != 3 {
-		t.Fatalf("EPC used = %d, want 3", used)
-	}
-	if err := e.ChargePages(2); !errors.Is(err, ErrEPCExhausted) {
-		t.Fatalf("over-budget charge: err=%v, want ErrEPCExhausted", err)
-	}
-	e.ReleasePages(3)
-	if used, _ := e.EPCUsage(); used != 0 {
-		t.Fatalf("EPC used = %d after release, want 0", used)
-	}
-	// Cache charges and KV charges draw on the same budget.
-	if err := e.ChargePages(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.KV().Put("k", make([]byte, 2*PageSize)); !errors.Is(err, ErrEPCExhausted) {
-		t.Fatalf("KV put with cache pressure: err=%v, want ErrEPCExhausted", err)
-	}
-}

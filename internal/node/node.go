@@ -2,7 +2,7 @@
 // paper scales each layer horizontally with identical, identically
 // provisioned instances (§5); pprox-proxy fills a Config from its flags,
 // the in-process cluster fills one per instance from its Spec, and both
-// build the instance through NewProxy: enclave and cache, auditor checks,
+// build the instance through NewProxy: enclave, auditor checks,
 // performance objectives, epoch observer and the operational routes. What differs between a process and the in-process deployment —
 // how the next hop is reached, where the keys come from, which engines are
 // shared — travels in Env.
@@ -25,7 +25,6 @@ import (
 	"pprox/internal/obsprof"
 	"pprox/internal/perfslo"
 	"pprox/internal/proxy"
-	"pprox/internal/reccache"
 	"pprox/internal/resilience"
 	"pprox/internal/transport"
 )
@@ -53,8 +52,6 @@ type Config struct {
 	// NoItemPseudonyms sends item identifiers to the LRS in the clear
 	// (m4, §6.3).
 	NoItemPseudonyms bool
-	// Cache arms the in-enclave recommendation cache on an IA; nil is off.
-	Cache *reccache.Config
 	// EcallCost models the CPU every enclave crossing burns (0 = free).
 	EcallCost time.Duration
 	// Resilience is the next-hop fault policy; nil is single attempts.
@@ -97,8 +94,6 @@ func (c Config) Resolve() (Config, error) {
 		return c, fmt.Errorf("node: role must be UA or IA, got %v", c.Role)
 	case c.Next == "":
 		return c, errors.New("node: next hop required")
-	case c.Cache != nil && (c.Role != proxy.RoleIA || c.PassThrough):
-		return c, errors.New("node: the recommendation cache needs an IA on the encrypted path")
 	}
 	if c.Name == "" {
 		c.Name = strings.ToLower(c.Role.String())
@@ -168,34 +163,26 @@ func NewProvisioning(ua, ia *proxy.LayerKeys) (*Provisioning, error) {
 	return &Provisioning{Attestation: as, Platform: enclave.NewPlatform(as), UAKeys: ua, IAKeys: ia}, nil
 }
 
-// enclave launches and provisions the instance's enclave, with the IA's
-// recommendation cache inside it when the configuration arms one.
-func (p *Provisioning) enclave(c Config) (*enclave.Enclave, *reccache.Cache, error) {
+// enclave launches and provisions the instance's enclave.
+func (p *Provisioning) enclave(c Config) (*enclave.Enclave, error) {
 	if p == nil {
-		return nil, nil, errors.New("node: provisioning required unless pass-through")
+		return nil, errors.New("node: provisioning required unless pass-through")
 	}
 	var e *enclave.Enclave
-	var cache *reccache.Cache
 	if c.Role == proxy.RoleUA {
 		e = proxy.NewUAEnclave(p.Platform)
 		if err := p.UAKeys.Provision(p.Attestation, e, proxy.UAIdentity); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	} else {
 		opts := proxy.IAOptions{DisableItemPseudonymization: c.NoItemPseudonyms}
-		if c.Cache != nil {
-			// Bound inside NewIAEnclave: each cache draws on its own
-			// enclave's EPC budget.
-			cache = reccache.New(*c.Cache)
-			opts.Cache = cache
-		}
 		e = proxy.NewIAEnclave(p.Platform, opts)
 		if err := p.IAKeys.Provision(p.Attestation, e, proxy.IAIdentityFor(opts)); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	e.SetTransitionCost(c.EcallCost)
-	return e, cache, nil
+	return e, nil
 }
 
 // NewAuditor builds the privacy-SLO auditor instances of the configuration
@@ -252,8 +239,8 @@ type Proxy struct {
 	stopRecords, recordsDone chan struct{}
 }
 
-// NewProxy assembles one proxy instance: the provisioned enclave (and
-// cache), the layer, its auditor checks, latency objectives and epoch log,
+// NewProxy assembles one proxy instance: the provisioned enclave, the
+// layer, its auditor checks, latency objectives and epoch log,
 // each epoch record fed to them, and the handler to serve. Serve Handler,
 // and Close once the listener has stopped.
 func NewProxy(c Config, env Env) (_ *Proxy, err error) {
@@ -273,7 +260,7 @@ func NewProxy(c Config, env Env) (_ *Proxy, err error) {
 		pc.LRSConcurrency = c.LRSConcurrency
 	}
 	if !c.PassThrough {
-		if pc.Enclave, pc.RecCache, err = env.Provision.enclave(c); err != nil {
+		if pc.Enclave, err = env.Provision.enclave(c); err != nil {
 			return nil, err
 		}
 	}
@@ -308,9 +295,6 @@ func NewProxy(c Config, env Env) (_ *Proxy, err error) {
 		if e := layer.Enclave(); e != nil {
 			a.AddViolationCheck("enclave compromised on "+c.Name, e.Compromised)
 			a.SetKeyBaseline(c.Role.String())
-		}
-		if rc := layer.RecCache(); rc != nil {
-			a.RegisterCacheCheck(c.Name, rc)
 		}
 	}
 	if env.PerfSLO != nil {

@@ -364,7 +364,7 @@ func (l *Layer) runBatch(vals []any) {
 // handleBatch demultiplexes one batch frame: batch ECALLs for the enclave
 // stages, per-message LRS traffic under the bounded fan-out, and one
 // response frame whose entry order follows this layer's own shuffle
-// permutation — so inbound epochs feed the epoch record and the cache.
+// permutation — so inbound epochs feed the epoch record.
 func (l *Layer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(r.Body, maxBatchBody)
 	if err != nil {
@@ -545,28 +545,24 @@ func (l *Layer) processBatchPosts(ctx context.Context, entries []message.BatchEn
 type batchGetState struct {
 	idx    int    // position in entries/results
 	handle string // parked temporary-key handle
-	key    string // coalescing key (cache mode)
 	body   []byte // LRS request, then LRS response
-	fill   bool   // coalescing leader fills the cache
 	done   bool   // terminally resolved before the response crossing
 }
 
 // processBatchGets: one ia/get crossing parks every temporary key and
-// emits the LRS requests (or cache hits), the misses fetch under the
-// bounded fan-out with coalescing, and one ia/get-response crossing seals
-// every successful response. Handles are dropped on every early exit so
-// a failed entry cannot leak its parked key in the EPC.
+// emits the LRS requests, the requests fetch under the bounded fan-out,
+// and one ia/get-response crossing seals every successful response.
+// Handles are dropped on every early exit so a failed entry cannot leak
+// its parked key in the EPC.
 func (l *Layer) processBatchGets(ctx context.Context, entries []message.BatchEntry, idxs []int, results []message.BatchEntry) {
 	if len(idxs) == 0 {
 		return
 	}
-	cache := l.cfg.RecCache
-
 	handles := make([]string, len(idxs))
 	ins := make([][]byte, len(idxs))
 	for j, idx := range idxs {
 		handles[j] = strconv.FormatUint(l.nextHandle.Add(1), 36)
-		ins[j] = appendIAGetCall(nil, handles[j], false, entries[idx].Body)
+		ins[j] = appendIAGetCall(nil, handles[j], entries[idx].Body)
 	}
 	start := time.Now()
 	outs, errs := l.callBatch(ecallIAGet, ins)
@@ -579,32 +575,12 @@ func (l *Layer) processBatchGets(ctx context.Context, entries []message.BatchEnt
 			l.dropHandle(handles[j])
 			continue
 		}
-		st := &batchGetState{idx: idx, handle: handles[j]}
-		if cache == nil {
-			st.body = outs[j]
-		} else {
-			res, err := decodeIAGetResult(outs[j])
-			if err != nil {
-				results[idx] = errEntry(entries[idx].ID, fmt.Errorf("%w: %v", errEnclave, err))
-				l.dropHandle(handles[j])
-				continue
-			}
-			if res.Hit {
-				// Sealed inside the crossing; no LRS hop, no parked key.
-				results[idx] = message.BatchEntry{ID: entries[idx].ID, Status: http.StatusOK, Body: res.Body}
-				continue
-			}
-			st.key = string(res.Key)
-			st.body = res.Body
-		}
-		states = append(states, st)
+		states = append(states, &batchGetState{idx: idx, handle: handles[j], body: outs[j]})
 	}
 
-	// LRS round trips: bounded fan-out, coalesced per pseudonym when the
-	// cache is on (duplicate keys inside one epoch share a single fetch).
 	l.fanOut(len(states), func(k int) {
 		st := states[k]
-		status, reply, shared, err := l.batchGetFetch(ctx, st)
+		status, reply, err := l.forwardLRS(ctx, message.QueriesPath, st.body)
 		if err != nil {
 			results[st.idx] = errEntry(entries[st.idx].ID, err)
 			l.dropHandle(st.handle)
@@ -618,7 +594,6 @@ func (l *Layer) processBatchGets(ctx context.Context, entries []message.BatchEnt
 			return
 		}
 		st.body = reply
-		st.fill = cache != nil && !shared
 	})
 
 	var pending []*batchGetState
@@ -628,7 +603,7 @@ func (l *Layer) processBatchGets(ctx context.Context, entries []message.BatchEnt
 			continue
 		}
 		pending = append(pending, st)
-		respIns = append(respIns, appendIAGetCall(nil, st.handle, st.fill, st.body))
+		respIns = append(respIns, appendIAGetCall(nil, st.handle, st.body))
 	}
 	if len(pending) == 0 {
 		return
@@ -646,28 +621,4 @@ func (l *Layer) processBatchGets(ctx context.Context, entries []message.BatchEnt
 		}
 		results[st.idx] = message.BatchEntry{ID: entries[st.idx].ID, Status: http.StatusOK, Body: respOuts[k]}
 	}
-}
-
-// batchGetFetch runs one get's LRS round trip, coalescing concurrent
-// misses for the same pseudonym through the cache's single-flight door.
-func (l *Layer) batchGetFetch(ctx context.Context, st *batchGetState) (status int, body []byte, shared bool, err error) {
-	if st.key == "" {
-		status, body, err = l.forwardLRS(ctx, message.QueriesPath, st.body)
-		return status, body, false, err
-	}
-	fetch := func() (any, error) {
-		status, lrsBody, err := l.forwardLRS(ctx, message.QueriesPath, st.body)
-		return message.BatchEntry{Status: status, Body: lrsBody}, err
-	}
-	v, shared, err := l.cfg.RecCache.Do(ctx, st.key, fetch)
-	if err != nil && shared && ctx.Err() == nil {
-		// The leader failed under its own deadline and breaker draw;
-		// this follower is still alive, so give it one fetch of its own.
-		v, err = fetch()
-	}
-	if err != nil {
-		return 0, nil, shared, err
-	}
-	res := v.(message.BatchEntry)
-	return res.Status, res.Body, shared, nil
 }

@@ -12,7 +12,6 @@ import (
 	"pprox/internal/enclave"
 	"pprox/internal/message"
 	"pprox/internal/ppcrypto"
-	"pprox/internal/reccache"
 )
 
 // Secret names under which layer key material is provisioned into
@@ -290,25 +289,15 @@ type IAOptions struct {
 	// the clear (§6.3): useful for semantics-based recommenders, at the
 	// cost of weakening the adversary the design tolerates.
 	DisableItemPseudonymization bool
-	// Cache enables the in-enclave recommendation cache: get-path ECALLs
-	// look up the user pseudonym before asking the LRS, response ECALLs
-	// fill it, and rating POSTs invalidate it. The cache's EPC pages are
-	// charged against this enclave's budget (Bind happens at launch).
-	Cache *reccache.Cache
 }
 
 // IAIdentityFor returns the code identity matching the options, for
-// attestation. The cache variant changes the measurement — caching code
-// is part of what the provisioner trusts with keys.
+// attestation.
 func IAIdentityFor(opts IAOptions) enclave.CodeIdentity {
-	ci := IAIdentity
 	if opts.DisableItemPseudonymization {
-		ci = IAIdentityNoItemPseudonyms
+		return IAIdentityNoItemPseudonyms
 	}
-	if opts.Cache != nil {
-		ci.Version += "+cache"
-	}
-	return ci
+	return IAIdentity
 }
 
 // NewIAEnclave launches an Item Anonymizer enclave. The IA layer sees item
@@ -319,12 +308,6 @@ func IAIdentityFor(opts IAOptions) enclave.CodeIdentity {
 func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 	e := p.Launch(IAIdentityFor(opts))
 	clearItems := opts.DisableItemPseudonymization
-	if opts.Cache != nil {
-		// Cache entries draw on this enclave's EPC budget, like the KV
-		// store does; EPC pressure evicts LRU entries instead of
-		// failing requests.
-		opts.Cache.Bind(e)
-	}
 
 	decryptItem := func(s enclave.Secrets, tenant, encItem string) (string, error) {
 		block, err := open(s, tenant, ppcrypto.RoleIAItem, encItem)
@@ -350,11 +333,6 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 		item, err := decryptItem(s, req.Tenant, req.EncItem)
 		if err != nil {
 			return nil, err
-		}
-		if opts.Cache != nil {
-			// A new rating changes this user's profile: whatever list is
-			// cached for the pseudonym must not outlive the event.
-			opts.Cache.Invalidate(req.Tenant, req.EncUser)
 		}
 		lrsItem := item
 		if !opts.DisableItemPseudonymization {
@@ -398,39 +376,14 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 		if len(ku) != ppcrypto.SymmetricKeySize {
 			return nil, fmt.Errorf("%w: temporary key has wrong size", errEnclave)
 		}
-		if opts.Cache != nil {
-			if items, ok := opts.Cache.Get(req.Tenant, req.EncUser); ok {
-				// Cache hit: seal the pseudonymized list under this
-				// client's k_u right here, inside the enclave. The host
-				// gets a finished GetResponse and skips the LRS hop; the
-				// response still re-enters the shuffler like any miss.
-				list := make([][]byte, len(items))
-				for i, it := range items {
-					list[i] = []byte(it)
-				}
-				sealed, err := sealItems(s, req.Tenant, ku, list, clearItems)
-				if err != nil {
-					return nil, err
-				}
-				return appendIAGetResult(nil, true, "", sealed), nil
-			}
-		}
-		// Park k_u (plus the tenant whose kIA decodes the response and
-		// the pseudonym the response fills the cache under) in the EPC KV
-		// store until the LRS answers; none of it ever crosses the
+		// Park k_u (plus the tenant whose kIA decodes the response) in the
+		// EPC KV store until the LRS answers; neither ever crosses the
 		// enclave boundary. The store copies the value.
 		var parked [256]byte
-		if err := kv.Put(string(call.Handle), appendParkedKey(parked[:0], ku, req.Tenant, req.EncUser)); err != nil {
+		if err := kv.Put(string(call.Handle), appendParkedKey(parked[:0], ku, req.Tenant)); err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		lrs, err := message.Marshal(message.LRSGet{User: req.EncUser, N: message.MaxRecommendations, Tenant: req.Tenant})
-		if err != nil {
-			return nil, err
-		}
-		if opts.Cache == nil {
-			return lrs, nil
-		}
-		return appendIAGetResult(nil, false, req.Tenant+"\x00"+req.EncUser, lrs), nil
+		return message.Marshal(message.LRSGet{User: req.EncUser, N: message.MaxRecommendations, Tenant: req.Tenant})
 	})
 
 	e.Register(ecallIAGetResp, func(s enclave.Secrets, kv *enclave.KV, in []byte) ([]byte, error) {
@@ -451,22 +404,7 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 		if err != nil || len(pk.Ku) != ppcrypto.SymmetricKeySize {
 			return nil, fmt.Errorf("%w: pending-key state corrupt", errEnclave)
 		}
-
-		if len(items) > message.MaxRecommendations {
-			items = items[:message.MaxRecommendations]
-		}
-		tenant := string(pk.Tenant)
-		if opts.Cache != nil && call.Fill {
-			// Fill with the list exactly as the LRS returned it —
-			// pseudonymized, never client-encrypted. Best effort: a fill
-			// the EPC cannot hold is dropped, the request is not.
-			list := make([]string, len(items))
-			for i, it := range items {
-				list[i] = string(it)
-			}
-			_ = opts.Cache.Put(tenant, string(pk.User), list)
-		}
-		return sealItems(s, tenant, pk.Ku, items, clearItems)
+		return sealItems(s, string(pk.Tenant), pk.Ku, items, clearItems)
 	})
 
 	return e
@@ -474,9 +412,7 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 
 // sealItems finishes a recommendation list for release: truncate,
 // re-identify under kIA, pack, and encrypt under the client's temporary
-// key k_u. Shared by the cache-hit path and the LRS-response path, so a
-// cached entry is only ever sealed at release time, under the key of the
-// client asking *now* — nothing client-encrypted is ever stored.
+// key k_u.
 //
 // Re-identification works on blocks, not strings: a pseudonym decrypts
 // to its identifier's padded block, and a block UnpadID accepts is exactly

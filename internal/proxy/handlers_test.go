@@ -306,7 +306,7 @@ func testIAGetRoundTripThroughKV(t *testing.T, f *layerFixture) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed := appendIAGetCall(nil, "h-1", false, reqBody)
+	framed := appendIAGetCall(nil, "h-1", reqBody)
 	lrsReq, err := f.iaEncl.Ecall("ia/get", framed)
 	if err != nil {
 		t.Fatalf("ia/get: %v", err)
@@ -333,7 +333,7 @@ func testIAGetRoundTripThroughKV(t *testing.T, f *layerFixture) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	framedResp := appendIAGetCall(nil, "h-1", false, lrsResp)
+	framedResp := appendIAGetCall(nil, "h-1", lrsResp)
 	out, err := f.iaEncl.Ecall("ia/get-response", framedResp)
 	if err != nil {
 		t.Fatalf("ia/get-response: %v", err)
@@ -379,7 +379,7 @@ func testIAGetRejectsWrongSizeTempKey(t *testing.T, f *layerFixture) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed := appendIAGetCall(nil, "h-bad", false, reqBody)
+	framed := appendIAGetCall(nil, "h-bad", reqBody)
 	if _, err := f.iaEncl.Ecall("ia/get", framed); !errors.Is(err, errEnclave) {
 		t.Fatalf("err = %v, want errEnclave", err)
 	}
@@ -395,7 +395,7 @@ func TestIAGetResponseTruncatesOversizedLists(t *testing.T) {
 		EncUser:    f.pseudonym(t, f.uaKeys, "y"),
 		EncTempKey: encKu,
 	})
-	framed := appendIAGetCall(nil, "h-big", false, reqBody)
+	framed := appendIAGetCall(nil, "h-big", reqBody)
 	if _, err := f.iaEncl.Ecall("ia/get", framed); err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestIAGetResponseTruncatesOversizedLists(t *testing.T) {
 		items[i] = f.pseudonym(t, f.iaKeys, fmt.Sprintf("item-%d", i))
 	}
 	lrsResp, _ := message.Marshal(message.LRSGetResponse{Items: items})
-	framedResp := appendIAGetCall(nil, "h-big", false, lrsResp)
+	framedResp := appendIAGetCall(nil, "h-big", lrsResp)
 	out, err := f.iaEncl.Ecall("ia/get-response", framedResp)
 	if err != nil {
 		t.Fatalf("oversized LRS list: %v", err)
@@ -440,7 +440,7 @@ func TestIAGetResponseConstantSize(t *testing.T) {
 			EncTempKey: encKu,
 		})
 		handle := fmt.Sprintf("h-size-%d", n)
-		framed := appendIAGetCall(nil, handle, false, reqBody)
+		framed := appendIAGetCall(nil, handle, reqBody)
 		if _, err := f.iaEncl.Ecall("ia/get", framed); err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +449,7 @@ func TestIAGetResponseConstantSize(t *testing.T) {
 			items[i] = f.pseudonym(t, f.iaKeys, fmt.Sprintf("i%d", i))
 		}
 		lrsResp, _ := message.Marshal(message.LRSGetResponse{Items: items})
-		framedResp := appendIAGetCall(nil, handle, false, lrsResp)
+		framedResp := appendIAGetCall(nil, handle, lrsResp)
 		out, err := f.iaEncl.Ecall("ia/get-response", framedResp)
 		if err != nil {
 			t.Fatal(err)
@@ -594,14 +594,14 @@ func FuzzOpen(f *testing.F) {
 // hands it without panicking, refuses a length the input does not hold,
 // and round-trips with the body as the frame's trailing bytes.
 func FuzzIAGetCall(f *testing.F) {
-	f.Add("h", false, []byte(`{"enc_user":"AAA"}`))
-	f.Add("", true, []byte{})
-	f.Add("1z", true, []byte{0x80, 0xff, 0x00})
-	f.Fuzz(func(t *testing.T, handle string, fill bool, body []byte) {
-		frame := appendIAGetCall(nil, handle, fill, body)
+	f.Add("h", []byte(`{"enc_user":"AAA"}`))
+	f.Add("", []byte{})
+	f.Add("1z", []byte{0x80, 0xff, 0x00})
+	f.Fuzz(func(t *testing.T, handle string, body []byte) {
+		frame := appendIAGetCall(nil, handle, body)
 		got, err := decodeIAGetCall(frame)
-		if err != nil || string(got.Handle) != handle || got.Fill != fill || !bytes.Equal(got.Body, body) {
-			t.Fatalf("round trip of (%q, %v, %q) = %+v, %v", handle, fill, body, got, err)
+		if err != nil || string(got.Handle) != handle || !bytes.Equal(got.Body, body) {
+			t.Fatalf("round trip of (%q, %q) = %+v, %v", handle, body, got, err)
 		}
 		if len(body) > 0 && &got.Body[0] != &frame[len(frame)-len(body)] {
 			t.Fatal("body was copied, not sliced off the frame")
@@ -611,33 +611,26 @@ func FuzzIAGetCall(f *testing.F) {
 				t.Fatalf("frame truncated to %d of %d header bytes decoded", n, len(frame)-len(body))
 			}
 		}
-		// Arbitrary bytes as a frame, and as the other two frames: no panic.
+		// Arbitrary bytes as a frame, and as a parked key: no panic.
 		decodeIAGetCall(body)
-		decodeIAGetResult(body)
 		decodeParkedKey(body)
 	})
 }
 
-func TestIAGetResultAndParkedKeyRoundTrip(t *testing.T) {
-	for _, hit := range []bool{false, true} {
-		got, err := decodeIAGetResult(appendIAGetResult(nil, hit, "shop\x00pseudo", []byte("body")))
-		if err != nil || got.Hit != hit || string(got.Key) != "shop\x00pseudo" || string(got.Body) != "body" {
-			t.Errorf("iaGetResult round trip: %+v, %v", got, err)
-		}
-	}
+func TestParkedKeyRoundTrip(t *testing.T) {
 	ku := bytes.Repeat([]byte{7}, ppcrypto.SymmetricKeySize)
-	frame := appendParkedKey(nil, ku, "shop", "pseudo")
+	frame := appendParkedKey(nil, ku, "shop")
 	pk, err := decodeParkedKey(frame)
-	if err != nil || !bytes.Equal(pk.Ku, ku) || string(pk.Tenant) != "shop" || string(pk.User) != "pseudo" {
+	if err != nil || !bytes.Equal(pk.Ku, ku) || string(pk.Tenant) != "shop" {
 		t.Errorf("parkedKey round trip: %+v, %v", pk, err)
 	}
-	for n := 0; n < len(frame)-len("pseudo"); n++ {
+	for n := 0; n < len(frame)-len("shop"); n++ {
 		if _, err := decodeParkedKey(frame[:n]); err == nil {
 			t.Errorf("parkedKey truncated to %d bytes decoded", n)
 		}
 	}
-	if _, err := decodeIAGetCall([]byte{1, 'h', 2}); err == nil {
-		t.Error("a fill byte other than 0 or 1 decoded")
+	if _, err := decodeIAGetCall([]byte{2, 'h'}); err == nil {
+		t.Error("a handle longer than the frame decoded")
 	}
 }
 
@@ -687,10 +680,10 @@ func newIAGetPath(t testing.TB, f *layerFixture) *iaGetPath {
 
 func (p *iaGetPath) run(t testing.TB, handle string) []byte {
 	t.Helper()
-	if _, err := p.f.iaEncl.Ecall(ecallIAGet, appendIAGetCall(nil, handle, false, p.get)); err != nil {
+	if _, err := p.f.iaEncl.Ecall(ecallIAGet, appendIAGetCall(nil, handle, p.get)); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.f.iaEncl.Ecall(ecallIAGetResp, appendIAGetCall(nil, handle, false, p.lrsReply))
+	out, err := p.f.iaEncl.Ecall(ecallIAGetResp, appendIAGetCall(nil, handle, p.lrsReply))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,8 +703,8 @@ func TestIAGetPathAllocationCeilings(t *testing.T) {
 	if items := decodeSealed(t, p.ku, packed); len(items) != message.MaxRecommendations || items[0] != "stub-item-0000" {
 		t.Fatalf("sealed list = %v", items)
 	}
-	getFrame := appendIAGetCall(nil, "h", false, p.get)
-	respFrame := appendIAGetCall(nil, "h", false, p.lrsReply)
+	getFrame := appendIAGetCall(nil, "h", p.get)
+	respFrame := appendIAGetCall(nil, "h", p.lrsReply)
 	kv := f.iaEncl.KV()
 
 	get := testing.AllocsPerRun(50, func() {

@@ -20,7 +20,6 @@ import (
 	"pprox/internal/message"
 	"pprox/internal/ppcrypto"
 	"pprox/internal/proxy"
-	"pprox/internal/reccache"
 	"pprox/internal/resilience"
 	"pprox/internal/stub"
 	"pprox/internal/transport"
@@ -47,9 +46,6 @@ type stackOptions struct {
 	iaOpts         proxy.IAOptions
 	useStub        bool
 	passThrough    bool
-	// recCache equips the IA layer with the in-enclave recommendation
-	// cache.
-	recCache *reccache.Cache
 	// pairLink provisions the shared UA→IA hop-envelope key.
 	pairLink bool
 	// policy arms resilience on both layers.
@@ -75,9 +71,6 @@ func newStack(t *testing.T, opts stackOptions) *stack {
 	as, err := enclave.NewAttestationService()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if opts.recCache != nil {
-		opts.iaOpts.Cache = opts.recCache
 	}
 	platform := enclave.NewPlatform(as)
 	st.uaEncl = proxy.NewUAEnclave(platform)
@@ -139,7 +132,6 @@ func newStack(t *testing.T, opts stackOptions) *stack {
 		ShuffleSize:    opts.shuffleSize,
 		ShuffleTimeout: opts.shuffleTimeout,
 		PassThrough:    opts.passThrough,
-		RecCache:       opts.recCache,
 		Resilience:     opts.policy,
 		LRSConcurrency: opts.lrsConcurrency,
 		Dialer:         st.net,

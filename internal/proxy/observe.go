@@ -12,7 +12,6 @@ import (
 	"pprox/internal/hopwire"
 	"pprox/internal/message"
 	"pprox/internal/metrics"
-	"pprox/internal/reccache"
 )
 
 // Pipeline stage names, the values of the `stage` label on
@@ -240,9 +239,6 @@ func (l *Layer) RegisterMetrics(r *metrics.Registry, node string) {
 		})
 	}
 	l.registerBatchMetrics(r, role, node)
-	if c := l.cfg.RecCache; c != nil {
-		l.registerCacheMetrics(r, c, role, node)
-	}
 	l.obs.Store(inst)
 	l.rewireShuffler()
 }
@@ -296,44 +292,6 @@ func (l *Layer) registerBatchMetrics(r *metrics.Registry, role, node string) {
 	counter("pprox_hopwire_conn_reuses_total",
 		"Frame exchanges that rode a pooled connection.",
 		func(s hopwire.Stats) uint64 { return s.Reuses })
-}
-
-// registerCacheMetrics exposes the pprox_reccache_* families. Every value
-// reads the cache's *published* snapshot, which only advances on shuffle
-// flushes (PublishEpoch in the onFlush hook): a scraper polling /metrics
-// mid-epoch sees frozen counters, so the export is epoch-granular like
-// every other observability surface — it can never tell which request
-// inside an epoch hit the cache.
-func (l *Layer) registerCacheMetrics(r *metrics.Registry, c *reccache.Cache, role, node string) {
-	counter := func(name, help string, read func(reccache.Stats) float64) {
-		r.CounterFuncVec(name, help, "layer", "node").
-			With(func() float64 { return read(c.Stats()) }, role, node)
-	}
-	counter("pprox_reccache_hits_total",
-		"Recommendation-cache hits (epoch-granular).",
-		func(s reccache.Stats) float64 { return float64(s.Hits) })
-	counter("pprox_reccache_misses_total",
-		"Recommendation-cache misses (epoch-granular).",
-		func(s reccache.Stats) float64 { return float64(s.Misses) })
-	counter("pprox_reccache_coalesced_total",
-		"LRS fetches avoided by joining an in-flight fetch for the same pseudonym.",
-		func(s reccache.Stats) float64 { return float64(s.Coalesced) })
-	counter("pprox_reccache_invalidations_total",
-		"Cache entries dropped by rating POSTs for their pseudonym.",
-		func(s reccache.Stats) float64 { return float64(s.Invalidations) })
-	counter("pprox_reccache_flushes_total",
-		"Wholesale cache flushes (key rotation, enclave compromise).",
-		func(s reccache.Stats) float64 { return float64(s.Flushes) })
-	evict := r.CounterFuncVec("pprox_reccache_evictions_total",
-		"Cache entries evicted, by reason.", "layer", "node", "reason")
-	evict.With(func() float64 { return float64(c.Stats().EvictionsLRU) }, role, node, "lru")
-	evict.With(func() float64 { return float64(c.Stats().EvictionsTTL) }, role, node, "ttl")
-	r.GaugeVec("pprox_reccache_entries",
-		"Recommendation-cache entries resident at the last epoch flush.", "layer", "node").
-		With(func() float64 { return float64(c.Stats().Entries) }, role, node)
-	r.GaugeVec("pprox_reccache_epc_pages",
-		"EPC pages charged by the recommendation cache at the last epoch flush.", "layer", "node").
-		With(func() float64 { return float64(c.Stats().Pages) }, role, node)
 }
 
 // EpochRecord is what a layer reports at each epoch it releases: how its
@@ -440,7 +398,6 @@ func (l *Layer) rewireShuffler() {
 		return
 	}
 	obs := l.obs.Load()
-	cache := l.cfg.RecCache
 	var onEnqueue func(int)
 	if obs != nil && obs.pendingDepth != nil {
 		onEnqueue = func(depth int) { obs.pendingDepth.Observe(float64(depth)) }
@@ -450,11 +407,6 @@ func (l *Layer) rewireShuffler() {
 			obs.batchSize.Observe(float64(batch))
 		}
 		l.record(batch)
-		if cache != nil {
-			// Cache counters become visible one shuffle epoch at a
-			// time, exactly like epoch records.
-			cache.PublishEpoch()
-		}
 	})
 }
 

@@ -35,7 +35,6 @@ import (
 	"pprox/internal/enclave"
 	"pprox/internal/hopwire"
 	"pprox/internal/message"
-	"pprox/internal/reccache"
 	"pprox/internal/resilience"
 	"pprox/internal/transport"
 )
@@ -97,11 +96,6 @@ type Config struct {
 	// privacy-aware: each retry re-randomizes the hop envelope (when a
 	// link key is provisioned) and re-enters the shuffler.
 	Resilience *resilience.Policy
-	// RecCache is the in-enclave recommendation cache (IA role only).
-	// It must be the same cache passed to NewIAEnclave via
-	// IAOptions.Cache: the layer drives coalescing and epoch-granular
-	// stat publication on it, the enclave does lookups and fills.
-	RecCache *reccache.Cache
 	// LRSConcurrency bounds the IA→LRS fan-out (IA role only): at most
 	// this many LRS requests in flight per layer instance, across every
 	// demultiplexed epoch. 0 selects DefaultLRSConcurrency; negative
@@ -203,14 +197,6 @@ func New(cfg Config) (*Layer, error) {
 		}
 		l.hop = hop
 	}
-	if cfg.RecCache != nil {
-		if cfg.Role != RoleIA {
-			return nil, errors.New("proxy: recommendation cache is IA-only")
-		}
-		if cfg.PassThrough {
-			return nil, errors.New("proxy: recommendation cache requires the enclave path")
-		}
-	}
 	l.breaker = resilience.NewBreaker(pol.BreakerThreshold, pol.BreakerCooldown,
 		resilience.HTTPHealthProbe(l.http, cfg.Next+message.HealthPath, pol.HopTimeout))
 	switch {
@@ -236,15 +222,10 @@ func New(cfg Config) (*Layer, error) {
 		})
 	case cfg.ShuffleSize > 1:
 		l.shuffler = NewShuffler(cfg.ShuffleSize, cfg.ShuffleTimeout, cfg.TableSize)
-	case cfg.RecCache != nil:
-		// Without a shuffler there are no epochs to batch stat export
-		// into — and no 1/S bound for sub-epoch updates to erode — so
-		// cache counters publish live.
-		cfg.RecCache.SetPublishLive(true)
 	}
 	// Install the flush hooks that exist independently of metrics
-	// registration — in particular the cache's epoch-granular stat
-	// publication must not depend on an observability call.
+	// registration: epoch records must not depend on an observability
+	// call.
 	l.rewireShuffler()
 	if cfg.Role == RoleIA {
 		n := cfg.LRSConcurrency
@@ -350,10 +331,6 @@ func (l *Layer) Breaker() *resilience.Breaker { return l.breaker }
 // Enclave exposes the layer's enclave (nil in pass-through mode), for the
 // security experiments that compromise it.
 func (l *Layer) Enclave() *enclave.Enclave { return l.cfg.Enclave }
-
-// RecCache exposes the layer's recommendation cache (nil when disabled),
-// for rotation flush hooks, audit checks, and metrics.
-func (l *Layer) RecCache() *reccache.Cache { return l.cfg.RecCache }
 
 // ServeHTTP implements the layer's endpoint: a UA serves the LRS REST API
 // (/events, /queries) to clients, an IA serves only /batch frames from the

@@ -188,9 +188,9 @@ func (s *Shuffler) flushLocked() {
 // envelope demultiplexed on the IA — as a shuffle flush and returns the
 // permutation its releases must follow. The permutation draws on the same
 // crypto-seeded stream as Enqueue flushes, and the flush hooks fire so the
-// epoch record and the cache see inbound epochs exactly like outbound
-// ones. A nil shuffler (or S ≤ 1) returns the identity permutation and
-// touches nothing.
+// epoch record sees inbound epochs exactly like outbound ones. A nil
+// shuffler (or S ≤ 1) returns the identity permutation and touches
+// nothing.
 func (s *Shuffler) ReleaseBatch(n int) ([]int, error) {
 	if n < 0 {
 		n = 0

@@ -203,9 +203,9 @@ func PostTo(c *http.Client, lrsURL string) func(message.LRSPost) error {
 
 // Responder wires the enclave breach detector to the breach response:
 // when a breach is detected on an enclave whose identity matches one of
-// the layers, it flushes the registered caches, opens the auditor's
-// violation window and hands the layer to the rotate function. The
-// window closes only when that function succeeds.
+// the layers, it opens the auditor's violation window and hands the layer
+// to the rotate function. The window closes only when that function
+// succeeds.
 type Responder struct {
 	// rotate runs the offline procedure for one layer: RotateKeys into a
 	// fresh LRS, then fresh enclaves provisioned with the fresh keys.
@@ -216,21 +216,6 @@ type Responder struct {
 	// the privacy-SLO auditor can hold the deployment in the violated
 	// state for exactly the window where stolen keys were in service.
 	Audit Auditor
-
-	caches []CacheFlusher
-}
-
-// CacheFlusher is anything holding derived per-pseudonym state that a key
-// rotation invalidates — the IA recommendation caches. Flush drops every
-// entry and reports how many went.
-type CacheFlusher interface {
-	Flush() int
-}
-
-// AddCache registers a cache the countermeasure flushes before rotating.
-// Call during deployment wiring, before the breach detector can fire.
-func (r *Responder) AddCache(c CacheFlusher) {
-	r.caches = append(r.caches, c)
 }
 
 // Auditor is the subset of the privacy auditor the responder feeds:
@@ -262,14 +247,6 @@ func (r *Responder) Countermeasure(e *enclave.Enclave) {
 	}
 	if r.Audit != nil {
 		r.Audit.ObserveBreach(layer.String())
-	}
-	// Flush every recommendation cache before anything else: whichever
-	// layer leaked, cached lists derive from the old key world — a UA
-	// rotation re-keys the user pseudonyms entries are filed under, an
-	// IA rotation re-keys the item pseudonyms they contain — and a
-	// compromised IA enclave may itself have been serving from cache.
-	for _, c := range r.caches {
-		c.Flush()
 	}
 	if err := r.rotate(layer); err != nil {
 		if r.OnError != nil {

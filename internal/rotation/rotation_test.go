@@ -20,7 +20,6 @@ import (
 	"pprox/internal/lrs/store"
 	"pprox/internal/message"
 	"pprox/internal/proxy"
-	"pprox/internal/reccache"
 	"pprox/internal/rotation"
 )
 
@@ -461,39 +460,5 @@ func TestResponderSequentialBreaches(t *testing.T) {
 	}}, dbEvents(rot.lrs))
 	if len(f.Users) != 0 {
 		t.Error("first rotation's keys still live after the second rotation")
-	}
-}
-
-func TestResponderFlushesRegisteredCaches(t *testing.T) {
-	// A breach of EITHER layer must flush every registered
-	// recommendation cache before keys rotate: cached lists derive from
-	// the pre-breach key world.
-	d := deployAndSeed(t)
-	rot := newInProcessRotation(t, d)
-	responder := rotation.NewResponder(rot.rotate,
-		func(err error) { t.Errorf("responder error: %v", err) })
-
-	cache := reccache.New(reccache.Config{})
-	if err := cache.Put("", "pseudo-a", []string{"i1", "i2"}); err != nil {
-		t.Fatal(err)
-	}
-	responder.AddCache(cache)
-
-	gen := cache.Generation()
-	responder.Countermeasure(d.UALayers[0].Enclave())
-	if cache.Len() != 0 {
-		t.Errorf("cache holds %d entries after UA breach response, want 0", cache.Len())
-	}
-	if cache.Generation() != gen+1 {
-		t.Errorf("generation %d → %d across breach response, want +1", gen, cache.Generation())
-	}
-
-	// An IA breach flushes again.
-	if err := cache.Put("", "pseudo-b", []string{"i3"}); err != nil {
-		t.Fatal(err)
-	}
-	responder.Countermeasure(d.IALayers[0].Enclave())
-	if cache.Len() != 0 {
-		t.Errorf("cache holds %d entries after IA breach response, want 0", cache.Len())
 	}
 }

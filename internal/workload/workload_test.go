@@ -202,9 +202,8 @@ func userMassByRank(d *Dataset) (ranked []int, total int) {
 }
 
 func TestGenerateUserSkewHeadMass(t *testing.T) {
-	// The recommendation cache's whole value proposition rests on the
-	// user-activity head: a few hot users must dominate the GET stream.
-	// Zipf(1.2) head mass: the top 1% of users (at least one) must carry
+	// The user-activity head: a few hot users must dominate the GET
+	// stream. Zipf(1.2) head mass: the top 1% of users (at least one) must carry
 	// a disproportionate share of all events.
 	d := Generate(ScaledMovieLensParams(0.05))
 	ranked, total := userMassByRank(d)
