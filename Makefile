@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lrs-bench-once ia-bench-once crypto-bench-once verify tcp-smoke lrs-restart-smoke bench clean
+.PHONY: all build vet test race lrs-bench-once ia-bench-once crypto-bench-once verify tcp-smoke lrs-restart-smoke size bench clean
 
 all: verify
 
@@ -64,6 +64,11 @@ tcp-smoke:
 # and /metrics reads pprox_lrs_events 1.
 lrs-restart-smoke:
 	GO=$(GO) sh scripts/lrs-restart-smoke.sh
+
+# Code-size counts a change quotes: non-test Go lines outside benchmark/,
+# all Go lines, time.Sleep( calls in tests, Fuzz targets. Not a gate.
+size:
+	sh scripts/size.sh
 
 bench:
 	$(GO) test -bench=. -benchmem .

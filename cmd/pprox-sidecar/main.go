@@ -34,20 +34,19 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:8079", "local address the application talks to")
 	target := flag.String("target", "", "base URL of the PProx UA layer (or its balancer)")
 	bundlePath := flag.String("bundle", "", "public bundle from pprox-keygen")
-	tenant := flag.String("tenant", "", "tenant name on a multi-tenant deployment")
 	debugAddr := flag.String("debug-addr", "", "pprof listen address, e.g. localhost:6062 (off when empty)")
 	getRetries := flag.Int("get-retries", 2, "extra attempts for failed gets, each freshly encrypted; posts never retry client-side (0 = off)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 	flag.Parse()
 
 	logger := obslog.New(os.Stderr, "pprox-sidecar", obslog.ParseLevel(*logLevel))
-	if err := run(*listen, *target, *bundlePath, *tenant, *debugAddr, *getRetries, logger); err != nil {
+	if err := run(*listen, *target, *bundlePath, *debugAddr, *getRetries, logger); err != nil {
 		logger.Error("fatal", "error", err.Error())
 		os.Exit(1)
 	}
 }
 
-func run(listen, target, bundlePath, tenant, debugAddr string, getRetries int, logger *slog.Logger) error {
+func run(listen, target, bundlePath, debugAddr string, getRetries int, logger *slog.Logger) error {
 	if target == "" || bundlePath == "" {
 		return fmt.Errorf("-target and -bundle are required")
 	}
@@ -62,9 +61,6 @@ func run(listen, target, bundlePath, tenant, debugAddr string, getRetries int, l
 
 	httpClient := &http.Client{Timeout: 30 * time.Second}
 	cl := client.New(bundle, httpClient, target)
-	if tenant != "" {
-		cl = cl.ForTenant(tenant, bundle)
-	}
 	if getRetries > 0 {
 		// Gets retry with a fresh end-to-end encryption per attempt;
 		// posts make one attempt (retried idempotently on the IA→LRS

@@ -201,7 +201,7 @@ func testBatchEnvelopeLeaksNoCorrespondence(t *testing.T, km keyMaterial) {
 	truth := st.truth(t, users)
 	identityResponses := 0
 	for _, c := range captures {
-		reqEntries, err := message.UnmarshalBatch(c.req)
+		_, reqEntries, err := message.UnmarshalBatchEpoch(c.req)
 		if err != nil {
 			t.Fatalf("captured request envelope: %v", err)
 		}
@@ -227,7 +227,7 @@ func testBatchEnvelopeLeaksNoCorrespondence(t *testing.T, km keyMaterial) {
 				t.Errorf("entry %d body leaks inner message structure", i)
 			}
 		}
-		respEntries, err := message.UnmarshalBatch(c.resp)
+		_, respEntries, err := message.UnmarshalBatchEpoch(c.resp)
 		if err != nil {
 			t.Fatalf("captured response envelope: %v", err)
 		}
@@ -248,7 +248,7 @@ func testBatchEnvelopeLeaksNoCorrespondence(t *testing.T, km keyMaterial) {
 	// has probability 1/8! per epoch, so even one across the run flags a
 	// missing shuffle (tolerate it only if a single epoch was captured).
 	if identityResponses == len(captures) {
-		first, _ := message.UnmarshalBatch(captures[0].resp)
+		_, first, _ := message.UnmarshalBatchEpoch(captures[0].resp)
 		if len(first) >= 4 {
 			t.Errorf("every captured response envelope echoed request order: IA response shuffle missing")
 		}

@@ -210,7 +210,7 @@ func testHopwireFramesCloseSizeChannel(t *testing.T, km keyMaterial) {
 		if h.Kind != message.FrameBatch {
 			continue
 		}
-		epoch, entries, err := message.DecodeBatchFrame(frame)
+		epoch, entries, err := message.UnmarshalBatchEpoch(frame)
 		if err != nil {
 			t.Fatalf("captured batch frame: %v", err)
 		}

@@ -114,7 +114,7 @@ func TestMixedSuiteEpochIsAsStrongAsItsSmallerClass(t *testing.T) {
 	hits, tried := map[string]int{}, map[string]int{}
 	blind := 0
 	for e, env := range envelopes {
-		entries, err := message.UnmarshalBatch(env)
+		_, entries, err := message.UnmarshalBatchEpoch(env)
 		if err != nil || len(entries) != s {
 			t.Fatalf("epoch %d: %d entries, err %v; want a whole epoch of %d", e, len(entries), err, s)
 		}

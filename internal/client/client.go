@@ -47,9 +47,6 @@ type Client struct {
 	bundle proxy.PublicBundle
 	http   *http.Client
 	base   string
-	// tenant names this application on a multi-tenant proxy deployment
-	// (§6.3); empty on single-tenant deployments.
-	tenant string
 	// plain bypasses all encryption; it exists for the paper's m1
 	// baseline configuration and for talking to an unprotected LRS.
 	plain bool
@@ -73,16 +70,6 @@ type Client struct {
 func (c *Client) WithGetRetries(n int) *Client {
 	cp := *c
 	cp.getRetries = n
-	return &cp
-}
-
-// ForTenant returns a copy of the client addressing the named tenant's
-// keys on a multi-tenant proxy deployment. The bundle must be the
-// tenant's own public bundle.
-func (c *Client) ForTenant(tenant string, bundle proxy.PublicBundle) *Client {
-	cp := *c
-	cp.tenant = tenant
-	cp.bundle = bundle
 	return &cp
 }
 
@@ -139,7 +126,6 @@ func (c *Client) PostEvent(ctx context.Context, user, item, payload, eventType s
 			EncItem: message.Encode64(encItem),
 			Payload: payload,
 			Event:   eventType,
-			Tenant:  c.tenant,
 		})
 	}
 	if err != nil {
@@ -208,7 +194,6 @@ func (c *Client) getOnce(ctx context.Context, user string) ([]string, int, error
 	body, err := message.Marshal(message.GetRequest{
 		EncUser:    message.Encode64(encUser),
 		EncTempKey: message.Encode64(encKu),
-		Tenant:     c.tenant,
 	})
 	if err != nil {
 		return nil, 0, err

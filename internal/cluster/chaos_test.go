@@ -11,12 +11,10 @@ import (
 	"time"
 
 	"pprox/internal/adversary"
-	"pprox/internal/client"
 	"pprox/internal/cluster"
 	"pprox/internal/faults"
 	"pprox/internal/message"
 	"pprox/internal/ppcrypto"
-	"pprox/internal/proxy"
 	"pprox/internal/resilience"
 )
 
@@ -50,7 +48,7 @@ func lrsPostLabel(body []byte) string {
 // linkable signal.
 func TestChaosKillRestartGoodputAndLinking(t *testing.T) {
 	const s = 4
-	// Each batch posts one epoch's worth per UA so shufflers flush on
+	// Each batch posts two whole epochs so the shuffler flushes on
 	// occupancy; the timer is a backstop only. Timer-split partial
 	// epochs would sit right at the accuracy threshold (a 2-message
 	// epoch correlates at 0.5) and made this test flake under the CPU
@@ -58,9 +56,15 @@ func TestChaosKillRestartGoodputAndLinking(t *testing.T) {
 	const n = 2 * s
 	rec := adversary.NewRecorder()
 	d, err := cluster.Deploy(cluster.Spec{
-		ProxyEnabled:   true,
-		UA:             2,
+		ProxyEnabled: true,
+		// One UA, and one LRS request at a time per IA: an epoch reaches
+		// the LRS in the order the UA framed it, so only the shuffle can
+		// scramble the LRS link. Two UAs filling their epochs
+		// alternately, or a concurrent fan-out to the LRS, would scramble
+		// it by themselves and hide a missing shuffle.
+		UA:             1,
 		IA:             2,
+		LRSConcurrency: 1,
 		Encryption:     true,
 		ItemPseudonyms: true,
 		Shuffle:        s,
@@ -80,17 +84,7 @@ func TestChaosKillRestartGoodputAndLinking(t *testing.T) {
 	defer d.Close()
 
 	ctx := context.Background()
-	// Keep-alives off so every request dials: the balancer's per-dial
-	// round robin then splits each n-post batch exactly s/s across the
-	// two UAs and both shufflers fill to occupancy.
-	httpClient := &http.Client{
-		Timeout: 10 * time.Second,
-		Transport: &http.Transport{
-			DialContext:       d.Balancer.DialContext,
-			DisableKeepAlives: true,
-		},
-	}
-	cl := client.New(proxy.Bundle(d.UAKeys, d.IAKeys), httpClient, d.Entry)
+	cl := d.Client(10 * time.Second)
 
 	var mu sync.Mutex
 	var users []string
@@ -244,9 +238,8 @@ func TestRetriedGetUnlinkableOnInterProxyLink(t *testing.T) {
 		t.Error("recovered get returned no items")
 	}
 
-	// The epoch's goroutine adds its retries once the ladder returns,
-	// which is after it delivered the answer the client just read.
-	waitFor(t, "the UA's retry count", func() bool { return d.UALayers[0].BatchStats().Retries != 0 })
+	// A retry is counted before its attempt leaves, so the count is
+	// complete once the client holds its answer.
 	if retries := d.UALayers[0].BatchStats().Retries; retries != 2 {
 		t.Errorf("UA frame retries = %d, want 2", retries)
 	}
@@ -258,7 +251,7 @@ func TestRetriedGetUnlinkableOnInterProxyLink(t *testing.T) {
 	}
 	seen := make(map[string]bool, len(bodies))
 	for i, b := range bodies {
-		entries, err := message.UnmarshalBatch([]byte(b))
+		_, entries, err := message.UnmarshalBatchEpoch([]byte(b))
 		if err != nil || len(entries) != 1 {
 			t.Fatalf("attempt %d is not a one-entry frame (%v)", i, err)
 		}

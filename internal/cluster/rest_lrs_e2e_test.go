@@ -1,8 +1,11 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -25,8 +28,9 @@ import (
 
 // restStack is client → UA → IA → LRS over localhost TCP, with the real
 // engine behind the IA. The LRS handler is the engine's REST handler
-// under a counter of the requests it receives and a fault injector that
-// loses the replies to the first two posts.
+// under a counter of the requests it receives, a check that each body
+// carries only the REST contract's keys, and a fault injector that loses
+// the replies to the first two posts.
 type restStack struct {
 	eng      *engine.Engine
 	ua, ia   *node.Proxy
@@ -52,8 +56,9 @@ func newRESTStack(t *testing.T, ua, ia *proxy.LayerKeys, s int, twin bool) *rest
 	t.Cleanup(inj.Close)
 	inner := inj.Middleware(engine.NewHandler(eng))
 	lrs := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == message.EventsPath || r.URL.Path == message.QueriesPath {
+		if allowed, ok := restContractKeys[r.URL.Path]; ok {
 			st.requests.Add(1)
+			checkBodyKeys(t, r, allowed)
 		}
 		inner.ServeHTTP(w, r)
 	})
@@ -68,6 +73,34 @@ func newRESTStack(t *testing.T, ua, ia *proxy.LayerKeys, s int, twin bool) *rest
 
 	st.front(t, ua, ia, s, lrsURL, nil)
 	return st
+}
+
+// restContractKeys is every JSON key the LRS may receive per path: the
+// paper's post(u, i[, p]) and get(u) plus the indicator type and the
+// enclave-minted idempotency key on an event, and the list length on a
+// query. Nothing else reaches the LRS.
+var restContractKeys = map[string]map[string]bool{
+	message.EventsPath:  {"user": true, "item": true, "payload": true, "event": true, "idem": true},
+	message.QueriesPath: {"user": true, "n": true},
+}
+
+// checkBodyKeys fails the test if r's JSON body carries a key outside
+// allowed, and restores the body for the handler behind it.
+func checkBodyKeys(t *testing.T, r *http.Request, allowed map[string]bool) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		t.Errorf("read %s body: %v", r.URL.Path, err)
+	}
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body, &fields); err != nil {
+		t.Errorf("%s body is not a JSON object: %v", r.URL.Path, err)
+	}
+	for k := range fields {
+		if !allowed[k] {
+			t.Errorf("%s body carries %q, outside the REST contract", r.URL.Path, k)
+		}
+	}
 }
 
 // front deploys the UA and IA in front of the LRS at lrsURL, provisioned

@@ -195,7 +195,7 @@ func testRotationThroughTheRESTFrontDoor(t *testing.T, layer rotation.Layer) {
 	var slots [][]byte
 	tap := func(h http.Handler) http.Handler {
 		return adversary.Tap(adversary.NewRecorder(), "ua→ia", func(body []byte) string {
-			if entries, err := message.UnmarshalBatch(body); err == nil {
+			if _, entries, err := message.UnmarshalBatchEpoch(body); err == nil {
 				mu.Lock()
 				for _, e := range entries {
 					slots = append(slots, e.Body)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,59 +11,6 @@ import (
 // maxBodyBytes bounds REST request bodies; PProx messages are small and
 // constant-size, so anything large is malformed or hostile.
 const maxBodyBytes = 1 << 20
-
-// MultiHandler routes REST traffic to per-application engines by the
-// request's tenant field — the way a Harness deployment hosts one engine
-// per RaaS client application. Unknown tenants are rejected; the empty
-// tenant routes to the default engine when one is set.
-type MultiHandler struct {
-	engines map[string]*Engine
-	// fallback serves the empty tenant (single-tenant clients).
-	fallback *Handler
-	handlers map[string]*Handler
-}
-
-// NewMultiHandler builds the router. The defaultEngine may be nil if every
-// client names a tenant.
-func NewMultiHandler(engines map[string]*Engine, defaultEngine *Engine) *MultiHandler {
-	mh := &MultiHandler{engines: engines, handlers: make(map[string]*Handler, len(engines))}
-	for tenant, e := range engines {
-		mh.handlers[tenant] = NewHandler(e)
-	}
-	if defaultEngine != nil {
-		mh.fallback = NewHandler(defaultEngine)
-	}
-	return mh
-}
-
-// ServeHTTP routes by the tenant field of the JSON body.
-func (mh *MultiHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodGet && r.URL.Path == message.HealthPath {
-		fmt.Fprint(w, "ok")
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	var probe struct {
-		Tenant string `json:"tenant"`
-	}
-	// Tolerate non-JSON bodies here; the routed handler validates.
-	_ = message.Unmarshal(body, &probe)
-
-	h := mh.fallback
-	if probe.Tenant != "" {
-		h = mh.handlers[probe.Tenant]
-	}
-	if h == nil {
-		http.Error(w, "unknown tenant", http.StatusNotFound)
-		return
-	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	h.ServeHTTP(w, r)
-}
 
 // Handler exposes the engine over the LRS REST API (§2.1):
 //

@@ -110,86 +110,6 @@ func TestRESTQueryWithoutNUsesDefault(t *testing.T) {
 	}
 }
 
-func TestMultiHandlerRoutesByTenant(t *testing.T) {
-	shop := New(DefaultConfig())
-	forum := New(DefaultConfig())
-	mh := NewMultiHandler(map[string]*Engine{"shop": shop, "forum": forum}, nil)
-
-	rec := do(t, mh, http.MethodPost, message.EventsPath, `{"user":"u","item":"i","tenant":"shop"}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("shop event: %d %s", rec.Code, rec.Body)
-	}
-	if shop.EventCount() != 1 || forum.EventCount() != 0 {
-		t.Errorf("events routed wrong: shop=%d forum=%d", shop.EventCount(), forum.EventCount())
-	}
-
-	rec = do(t, mh, http.MethodPost, message.EventsPath, `{"user":"u","item":"i","tenant":"forum"}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("forum event: %d", rec.Code)
-	}
-	if forum.EventCount() != 1 {
-		t.Errorf("forum events = %d", forum.EventCount())
-	}
-}
-
-func TestMultiHandlerUnknownTenant(t *testing.T) {
-	mh := NewMultiHandler(map[string]*Engine{"shop": New(DefaultConfig())}, nil)
-	rec := do(t, mh, http.MethodPost, message.EventsPath, `{"user":"u","item":"i","tenant":"nope"}`)
-	if rec.Code != http.StatusNotFound {
-		t.Errorf("unknown tenant: %d, want 404", rec.Code)
-	}
-	// Empty tenant with no default engine is also unknown.
-	rec = do(t, mh, http.MethodPost, message.EventsPath, `{"user":"u","item":"i"}`)
-	if rec.Code != http.StatusNotFound {
-		t.Errorf("no default engine: %d, want 404", rec.Code)
-	}
-}
-
-func TestMultiHandlerDefaultEngine(t *testing.T) {
-	def := New(DefaultConfig())
-	mh := NewMultiHandler(nil, def)
-	rec := do(t, mh, http.MethodPost, message.EventsPath, `{"user":"u","item":"i"}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("default engine: %d", rec.Code)
-	}
-	if def.EventCount() != 1 {
-		t.Errorf("default engine events = %d", def.EventCount())
-	}
-	// Health works without tenant routing.
-	rec = do(t, mh, http.MethodGet, message.HealthPath, "")
-	if rec.Code != http.StatusOK {
-		t.Errorf("health = %d", rec.Code)
-	}
-}
-
-func TestMultiHandlerQueryRouting(t *testing.T) {
-	shop := New(DefaultConfig())
-	mh := NewMultiHandler(map[string]*Engine{"shop": shop}, nil)
-	for i := 0; i < 10; i++ {
-		u := fmt.Sprintf("u%d", i)
-		do(t, mh, http.MethodPost, message.EventsPath, fmt.Sprintf(`{"user":%q,"item":"a","tenant":"shop"}`, u))
-		do(t, mh, http.MethodPost, message.EventsPath, fmt.Sprintf(`{"user":%q,"item":"b","tenant":"shop"}`, u))
-	}
-	for i := 0; i < 4; i++ {
-		do(t, mh, http.MethodPost, message.EventsPath, fmt.Sprintf(`{"user":"s%d","item":"c","tenant":"shop"}`, i))
-	}
-	do(t, mh, http.MethodPost, message.EventsPath, `{"user":"probe","item":"a","tenant":"shop"}`)
-	if rec := do(t, mh, http.MethodPost, "/train", `{"tenant":"shop"}`); rec.Code != http.StatusOK {
-		t.Fatalf("train through router: %d", rec.Code)
-	}
-	rec := do(t, mh, http.MethodPost, message.QueriesPath, `{"user":"probe","tenant":"shop","n":1}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("query: %d %s", rec.Code, rec.Body)
-	}
-	var resp message.LRSGetResponse
-	if err := message.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Items) != 1 || resp.Items[0] != "b" {
-		t.Errorf("routed query items = %v", resp.Items)
-	}
-}
-
 // TestRESTEventStorageFailureAnswers503: when the engine cannot make an
 // event durable (the WAL append fails), the client must NOT be told
 // "ok" — it gets a retryable 503 and the event is counted rejected.

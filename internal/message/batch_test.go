@@ -12,11 +12,11 @@ func TestBatchEnvelopeRoundTrip(t *testing.T) {
 		{ID: 1, Kind: BatchKindPost, Body: []byte("opaque-1")},
 		{ID: 2, Kind: BatchKindGet, Status: 503, Body: nil},
 	}
-	data, err := MarshalBatch(in)
+	data, err := MarshalBatchEpoch(nil, 0, in)
 	if err != nil {
-		t.Fatalf("MarshalBatch: %v", err)
+		t.Fatalf("MarshalBatchEpoch: %v", err)
 	}
-	out, err := UnmarshalBatch(data)
+	_, out, err := UnmarshalBatchEpoch(data)
 	if err != nil {
 		t.Fatalf("UnmarshalBatch: %v", err)
 	}
@@ -35,7 +35,7 @@ func TestBatchEnvelopeRoundTrip(t *testing.T) {
 // refused — JSON of any shape as not a frame, broken frames as malformed
 // (frame_test.go covers every header and slot fault).
 func TestBatchEnvelopeRejectsBadInput(t *testing.T) {
-	good, err := MarshalBatch([]BatchEntry{{ID: 3, Kind: BatchKindGet}, {ID: 4, Kind: BatchKindPost}})
+	good, err := MarshalBatchEpoch(nil, 0, []BatchEntry{{ID: 3, Kind: BatchKindGet}, {ID: 4, Kind: BatchKindPost}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBatchEnvelopeRejectsBadInput(t *testing.T) {
 		{"duplicate ids", dup, ErrMalformedFrame},
 	}
 	for _, tc := range cases {
-		if _, err := UnmarshalBatch(tc.data); !errors.Is(err, tc.want) {
+		if _, _, err := UnmarshalBatchEpoch(tc.data); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}

@@ -301,10 +301,13 @@ func AppendErrorFrame(dst []byte, epoch uint64, status int, text string) []byte 
 	return dst
 }
 
-// DecodeBatchFrame parses a batch frame. Decoded entry bodies
-// alias data — the caller owns data and must not recycle it while the
-// entries live. Entry ids are validated unique and in range.
-func DecodeBatchFrame(data []byte) (uint64, []BatchEntry, error) {
+// UnmarshalBatchEpoch parses and validates a batch frame, returning its
+// epoch id (which a receiver echoes on the response frame) and entries.
+// Decoded entry bodies alias data — the caller owns data and must not
+// recycle it while the entries live. Entry ids are validated unique and
+// in range, so a receiver can key per-message results by id without
+// aliasing.
+func UnmarshalBatchEpoch(data []byte) (uint64, []BatchEntry, error) {
 	h, err := ParseFrameHeader(data)
 	if err != nil {
 		return 0, nil, err

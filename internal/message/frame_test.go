@@ -47,7 +47,7 @@ func TestFrameSlotsAreConstantSize(t *testing.T) {
 		{ID: 1, Kind: BatchKindPost, Body: bytes.Repeat([]byte("b"), 200)},
 		{ID: 2, Kind: BatchKindGet, Body: []byte{}},
 	}
-	data, err := MarshalBatch(in)
+	data, err := MarshalBatchEpoch(nil, 0, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFrameSlotsAreConstantSize(t *testing.T) {
 	}
 	// Two batches whose bodies differ in length (within a quantum) must
 	// produce byte-identical frame geometry.
-	other, err := MarshalBatch([]BatchEntry{
+	other, err := MarshalBatchEpoch(nil, 0, []BatchEntry{
 		{ID: 0, Kind: BatchKindGet, Body: bytes.Repeat([]byte("c"), 60)},
 		{ID: 1, Kind: BatchKindPost, Body: bytes.Repeat([]byte("d"), 201)},
 		{ID: 2, Kind: BatchKindGet, Body: []byte("ee")},
@@ -115,8 +115,8 @@ func TestErrorFrameRoundTrip(t *testing.T) {
 		t.Fatalf("got (%d, %d, %q)", epoch, status, text)
 	}
 	// Error frames are not entry frames.
-	if _, _, err := DecodeBatchFrame(data); !errors.Is(err, ErrMalformedFrame) {
-		t.Fatalf("DecodeBatchFrame(error frame): err = %v", err)
+	if _, _, err := UnmarshalBatchEpoch(data); !errors.Is(err, ErrMalformedFrame) {
+		t.Fatalf("UnmarshalBatchEpoch(error frame): err = %v", err)
 	}
 }
 
@@ -218,7 +218,7 @@ func TestFrameEncodeRejectsUnrepresentable(t *testing.T) {
 		{"status overflow", []BatchEntry{{ID: 0, Status: 1 << 17}}},
 	}
 	for _, tc := range cases {
-		if _, err := MarshalBatch(tc.entries); err == nil {
+		if _, err := MarshalBatchEpoch(nil, 0, tc.entries); err == nil {
 			t.Errorf("%s: encoder accepted it", tc.name)
 		}
 	}
@@ -244,7 +244,7 @@ func TestTelemetryFrameRequiresSingleSlot(t *testing.T) {
 			if _, err := ParseFrameHeader(data); !errors.Is(err, ErrMalformedFrame) {
 				t.Errorf("forged %d-slot kind %d header accepted: err = %v", len(entries), kind, err)
 			}
-			if _, _, err := DecodeBatchFrame(data); !errors.Is(err, ErrMalformedFrame) {
+			if _, _, err := UnmarshalBatchEpoch(data); !errors.Is(err, ErrMalformedFrame) {
 				t.Errorf("forged %d-slot kind %d frame decoded: err = %v", len(entries), kind, err)
 			}
 		}
@@ -258,8 +258,8 @@ func TestUnmarshalBatchRejectsLegacyJSON(t *testing.T) {
 	if IsFrame(legacy) {
 		t.Fatal("JSON envelope sniffed as a frame")
 	}
-	if _, err := UnmarshalBatch(legacy); !errors.Is(err, ErrNotFrame) {
-		t.Fatalf("UnmarshalBatch(JSON) err = %v, want ErrNotFrame", err)
+	if _, _, err := UnmarshalBatchEpoch(legacy); !errors.Is(err, ErrNotFrame) {
+		t.Fatalf("UnmarshalBatchEpoch(JSON) err = %v, want ErrNotFrame", err)
 	}
 }
 

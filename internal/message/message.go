@@ -78,12 +78,6 @@ type PostRequest struct {
 	// indicator. Like the payload, the indicator *type* is forwarded in
 	// the clear — it describes the application's schema, not the user.
 	Event string `json:"event,omitempty"`
-	// Tenant names the application when one proxy deployment serves
-	// several RaaS client applications (§6.3's multi-tenancy
-	// mitigation). It selects the per-tenant keys inside the enclaves
-	// and travels in the clear: the application identity is public, the
-	// user's is not. Empty selects the single-tenant keys.
-	Tenant string `json:"tenant,omitempty"`
 	// Idem is the idempotency key under which the LRS deduplicates this
 	// feedback event when a proxy hop retries it. It is minted by the UA
 	// enclave — never by the client — because a client-chosen key would
@@ -100,8 +94,6 @@ type PostRequest struct {
 type GetRequest struct {
 	EncUser    string `json:"enc_user"`
 	EncTempKey string `json:"enc_temp_key,omitempty"`
-	// Tenant selects per-tenant keys, see PostRequest.Tenant.
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // GetResponse carries enc({i1..in}, k_u): the fixed-size recommendation
@@ -119,9 +111,6 @@ type LRSPost struct {
 	// Event is the indicator type (empty = primary), see
 	// PostRequest.Event.
 	Event string `json:"event,omitempty"`
-	// Tenant routes to the application's engine on a multi-tenant LRS
-	// (Harness hosts one engine per application).
-	Tenant string `json:"tenant,omitempty"`
 	// Idem is the enclave-minted idempotency key copied through from
 	// PostRequest.Idem; the LRS drops a repeated key instead of
 	// double-counting the event when a proxy hop retried the insertion.
@@ -135,8 +124,6 @@ type LRSGet struct {
 	// N is the number of recommendations requested, capped at
 	// MaxRecommendations.
 	N int `json:"n,omitempty"`
-	// Tenant routes to the application's engine, see LRSPost.Tenant.
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // LRSGetResponse is the LRS reply: pseudonymized item identifiers.
@@ -161,25 +148,6 @@ type BatchEntry struct {
 	Kind   string
 	Status int
 	Body   []byte
-}
-
-// MarshalBatch frames entries as a binary batch frame (frame.go).
-func MarshalBatch(entries []BatchEntry) ([]byte, error) {
-	return MarshalBatchEpoch(nil, 0, entries)
-}
-
-// UnmarshalBatch parses and validates a batch frame. Entry ids are
-// unique, so a receiver can key per-message results by id without
-// aliasing.
-func UnmarshalBatch(data []byte) ([]BatchEntry, error) {
-	_, entries, err := UnmarshalBatchEpoch(data)
-	return entries, err
-}
-
-// UnmarshalBatchEpoch is UnmarshalBatch plus the frame's epoch id, so a
-// receiver can echo it on the response frame.
-func UnmarshalBatchEpoch(data []byte) (uint64, []BatchEntry, error) {
-	return DecodeBatchFrame(data)
 }
 
 // BatchKindPath maps an entry kind to the per-message path it stands for,

@@ -245,7 +245,7 @@ func (l *Layer) runBatch(vals []any) {
 		if status != http.StatusOK {
 			return fmt.Errorf("proxy: batch hop status %d", status)
 		}
-		results, err := message.UnmarshalBatch(respBody)
+		_, results, err := message.UnmarshalBatchEpoch(respBody)
 		if err != nil {
 			return err
 		}
@@ -270,8 +270,17 @@ func (l *Layer) runBatch(vals []any) {
 
 	// send forwards one (sub-)frame and delivers its results; an error
 	// means frame-level failure with nothing delivered, which is what the
-	// ladder retries, splits, and finally degrades.
+	// ladder retries, splits, and finally degrades. It counts its rung
+	// before anything is delivered: a send of fewer than all ids is a
+	// split half, a whole-epoch send after the first a retry.
+	sentWhole := false
 	send := func(ids []int) error {
+		if len(ids) < len(entries) {
+			l.batchSplits.Add(1)
+		} else if sentWhole {
+			l.batchRetries.Add(1)
+		}
+		sentWhole = true
 		if !l.breaker.Allow() {
 			l.failFast.Add(1)
 			return resilience.ErrBreakerOpen
@@ -324,6 +333,7 @@ func (l *Layer) runBatch(vals []any) {
 	// under the item's own context with the same rewrap prep on retries,
 	// so one poison message cannot wedge its epoch.
 	single := func(id int) {
+		l.batchDegraded.Add(1)
 		ids := []int{id}
 		payload, err := frame(ids)
 		if err == nil {
@@ -345,12 +355,7 @@ func (l *Layer) runBatch(vals []any) {
 		}
 	}
 
-	outcome, err := resilience.RunBatch(context.Background(), l.policy, len(entries), send, prep, single)
-	if outcome.Attempts > 1 {
-		l.batchRetries.Add(uint64(outcome.Attempts - 1))
-	}
-	l.batchSplits.Add(uint64(outcome.Splits))
-	l.batchDegraded.Add(uint64(outcome.Degraded))
+	err := resilience.RunBatch(context.Background(), l.policy, len(entries), send, prep, single)
 	if err == nil {
 		err = errors.New("proxy: batch epoch unresolved")
 	}

@@ -41,30 +41,6 @@ func decodeIAGetCall(in []byte) (iaGetCall, error) {
 	return iaGetCall{Handle: handle, Body: body}, nil
 }
 
-// parkedKey is the pending-response state the ia/get ECALL parks in the
-// EPC KV store until the LRS answers: the client's temporary key and the
-// tenant whose kIA decodes the response. It never leaves the enclave.
-type parkedKey struct {
-	Ku     []byte
-	Tenant []byte
-}
-
-// appendParkedKey encodes a parkedKey: k_u as a length-prefixed field,
-// the tenant as the trailing bytes.
-func appendParkedKey(dst, ku []byte, tenant string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ku)))
-	dst = append(dst, ku...)
-	return append(dst, tenant...)
-}
-
-func decodeParkedKey(in []byte) (parkedKey, error) {
-	ku, tenant, ok := readField(in)
-	if !ok {
-		return parkedKey{}, errFrame
-	}
-	return parkedKey{Ku: ku, Tenant: tenant}, nil
-}
-
 func appendField(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)

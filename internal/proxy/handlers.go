@@ -33,9 +33,7 @@ const (
 	// in a randomized AES-CTR envelope (fresh IV per encryption), and a
 	// retried request is re-wrapped before leaving again — so an observer
 	// of the UA→IA link never sees the same ciphertext twice and cannot
-	// link a retry to the attempt it repeats. It is deployment-wide, not
-	// per-tenant: the IA must strip the envelope before it can read which
-	// tenant a message belongs to.
+	// link a retry to the attempt it repeats.
 	SecretLinkKey = "link"
 )
 
@@ -66,27 +64,16 @@ var (
 // only that processing failed, never why a ciphertext was rejected.
 var errEnclave = errors.New("proxy: enclave processing failed")
 
-// TenantSecret qualifies a secret name for a tenant: one enclave may be
-// provisioned with several applications' keys (§6.3 multi-tenancy). The
-// empty tenant selects the single-tenant names.
-func TenantSecret(base, tenant string) string {
-	if tenant == "" {
-		return base
-	}
-	return base + "@" + tenant
-}
-
-// detStream returns the tenant's pseudonymization stream: kUA's or kIA's
+// detStream returns the layer's pseudonymization stream: kUA's or kIA's
 // deterministic key stream (ppcrypto.DetStream), which is the same bytes
 // for every identifier the key ever pseudonymizes. Like open()'s parsed
 // keys it is enclave-resident state derived from the provisioned secret,
 // built on first use after a provisioning and dropped with the secret set
 // when the next provisioning (a rotation) replaces it.
-func detStream(s enclave.Secrets, tenant string) (*ppcrypto.DetStream, error) {
-	name := TenantSecret(SecretPermanentKey, tenant)
-	v, err := s.Derived(name, parseDetStream)
+func detStream(s enclave.Secrets) (*ppcrypto.DetStream, error) {
+	v, err := s.Derived(SecretPermanentKey, parseDetStream)
 	if err != nil {
-		return nil, fmt.Errorf("%w: secret %q: %v", errEnclave, name, err)
+		return nil, fmt.Errorf("%w: secret %q: %v", errEnclave, SecretPermanentKey, err)
 	}
 	return v.(*ppcrypto.DetStream), nil
 }
@@ -166,16 +153,15 @@ func mintIdem() (string, error) {
 // key is enclave-resident state derived from the provisioned secret: built
 // on the first message after a provisioning and dropped with the secret
 // set when the next provisioning replaces it.
-func open(s enclave.Secrets, tenant string, role ppcrypto.Role, field string) ([]byte, error) {
+func open(s enclave.Secrets, role ppcrypto.Role, field string) ([]byte, error) {
 	ct, err := message.Decode64(field)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errEnclave, err)
 	}
-	base, parse := SecretBoxKey, parseBoxKey
+	name, parse := SecretBoxKey, parseBoxKey
 	if len(ct) == ppcrypto.RSACiphertextSize {
-		base, parse = SecretPrivateKey, parsePrivateKey
+		name, parse = SecretPrivateKey, parsePrivateKey
 	}
-	name := TenantSecret(base, tenant)
 	key, err := s.Derived(name, parse)
 	if err != nil {
 		return nil, fmt.Errorf("%w: secret %q: %v", errEnclave, name, err)
@@ -203,12 +189,12 @@ func parseBoxKey(der []byte) (any, error)     { return ppcrypto.UnmarshalBoxPriv
 func NewUAEnclave(p *enclave.Platform) *enclave.Enclave {
 	e := p.Launch(UAIdentity)
 
-	pseudonymizeUser := func(s enclave.Secrets, tenant, encUser string) (string, error) {
-		kUA, err := detStream(s, tenant)
+	pseudonymizeUser := func(s enclave.Secrets, encUser string) (string, error) {
+		kUA, err := detStream(s)
 		if err != nil {
 			return "", err
 		}
-		block, err := open(s, tenant, ppcrypto.RoleUAUser, encUser)
+		block, err := open(s, ppcrypto.RoleUAUser, encUser)
 		if err != nil {
 			return "", err
 		}
@@ -228,7 +214,7 @@ func NewUAEnclave(p *enclave.Platform) *enclave.Enclave {
 		if err := message.Unmarshal(in, &req); err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		pseudo, err := pseudonymizeUser(s, req.Tenant, req.EncUser)
+		pseudo, err := pseudonymizeUser(s, req.EncUser)
 		if err != nil {
 			return nil, err
 		}
@@ -251,7 +237,7 @@ func NewUAEnclave(p *enclave.Platform) *enclave.Enclave {
 		if err := message.Unmarshal(in, &req); err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		pseudo, err := pseudonymizeUser(s, req.Tenant, req.EncUser)
+		pseudo, err := pseudonymizeUser(s, req.EncUser)
 		if err != nil {
 			return nil, err
 		}
@@ -309,8 +295,8 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 	e := p.Launch(IAIdentityFor(opts))
 	clearItems := opts.DisableItemPseudonymization
 
-	decryptItem := func(s enclave.Secrets, tenant, encItem string) (string, error) {
-		block, err := open(s, tenant, ppcrypto.RoleIAItem, encItem)
+	decryptItem := func(s enclave.Secrets, encItem string) (string, error) {
+		block, err := open(s, ppcrypto.RoleIAItem, encItem)
 		if err != nil {
 			return "", err
 		}
@@ -330,13 +316,13 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 		if err := message.Unmarshal(in, &req); err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		item, err := decryptItem(s, req.Tenant, req.EncItem)
+		item, err := decryptItem(s, req.EncItem)
 		if err != nil {
 			return nil, err
 		}
 		lrsItem := item
 		if !opts.DisableItemPseudonymization {
-			kIA, err := detStream(s, req.Tenant)
+			kIA, err := detStream(s)
 			if err != nil {
 				return nil, err
 			}
@@ -351,7 +337,6 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 			Item:    lrsItem,
 			Payload: req.Payload,
 			Event:   req.Event,
-			Tenant:  req.Tenant,
 			Idem:    req.Idem, // UA-minted; the LRS dedups retried events
 		})
 	})
@@ -369,21 +354,19 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 		if err := message.Unmarshal(body, &req); err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		ku, err := open(s, req.Tenant, ppcrypto.RoleIATempKey, req.EncTempKey)
+		ku, err := open(s, ppcrypto.RoleIATempKey, req.EncTempKey)
 		if err != nil {
 			return nil, err
 		}
 		if len(ku) != ppcrypto.SymmetricKeySize {
 			return nil, fmt.Errorf("%w: temporary key has wrong size", errEnclave)
 		}
-		// Park k_u (plus the tenant whose kIA decodes the response) in the
-		// EPC KV store until the LRS answers; neither ever crosses the
-		// enclave boundary. The store copies the value.
-		var parked [256]byte
-		if err := kv.Put(string(call.Handle), appendParkedKey(parked[:0], ku, req.Tenant)); err != nil {
+		// Park k_u in the EPC KV store until the LRS answers; it never
+		// crosses the enclave boundary. The store copies the value.
+		if err := kv.Put(string(call.Handle), ku); err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		return message.Marshal(message.LRSGet{User: req.EncUser, N: message.MaxRecommendations, Tenant: req.Tenant})
+		return message.Marshal(message.LRSGet{User: req.EncUser, N: message.MaxRecommendations})
 	})
 
 	e.Register(ecallIAGetResp, func(s enclave.Secrets, kv *enclave.KV, in []byte) ([]byte, error) {
@@ -396,15 +379,14 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		parked, ok := kv.Take(string(call.Handle))
+		ku, ok := kv.Take(string(call.Handle))
 		if !ok {
 			return nil, fmt.Errorf("%w: no pending temporary key for handle", errEnclave)
 		}
-		pk, err := decodeParkedKey(parked)
-		if err != nil || len(pk.Ku) != ppcrypto.SymmetricKeySize {
+		if len(ku) != ppcrypto.SymmetricKeySize {
 			return nil, fmt.Errorf("%w: pending-key state corrupt", errEnclave)
 		}
-		return sealItems(s, string(pk.Tenant), pk.Ku, items, clearItems)
+		return sealItems(s, ku, items, clearItems)
 	})
 
 	return e
@@ -419,14 +401,14 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 // what PadID makes of that identifier, so the checked block goes into the
 // packed list as is. With cleartext set (item pseudonymization disabled,
 // §6.3) the items are identifiers and are padded instead.
-func sealItems(s enclave.Secrets, tenant string, ku []byte, items [][]byte, cleartext bool) ([]byte, error) {
+func sealItems(s enclave.Secrets, ku []byte, items [][]byte, cleartext bool) ([]byte, error) {
 	if len(items) > message.MaxRecommendations {
 		items = items[:message.MaxRecommendations]
 	}
 	var kIA *ppcrypto.DetStream
 	if !cleartext {
 		var err error
-		if kIA, err = detStream(s, tenant); err != nil {
+		if kIA, err = detStream(s); err != nil {
 			return nil, err
 		}
 	}

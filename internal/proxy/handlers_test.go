@@ -516,30 +516,22 @@ func TestOpenPicksTheKeyByLength(t *testing.T) {
 	if _, ok := rsaOnly[SecretBoxKey]; ok {
 		t.Fatal("RSA-only key material provisions a box key")
 	}
-	tenant := mapSecrets{}
-	for name, v := range both {
-		tenant[TenantSecret(name, "shop")] = v
-	}
 
 	for _, tc := range []struct {
 		name    string
 		secrets mapSecrets
-		tenant  string
 		field   string
 		asks    string
 		opens   bool
 	}{
-		{"both keys, box field", both, "", boxField, SecretBoxKey, true},
-		{"both keys, RSA field", both, "", rsaField, SecretPrivateKey, true},
-		{"RSA-only keys, RSA field", rsaOnly, "", rsaField, SecretPrivateKey, true},
-		{"RSA-only keys, box field", rsaOnly, "", boxField, SecretBoxKey, false},
-		{"tenant keys, box field", tenant, "shop", boxField, SecretBoxKey + "@shop", true},
-		{"tenant keys, RSA field", tenant, "shop", rsaField, SecretPrivateKey + "@shop", true},
-		{"another tenant's keys", tenant, "other", boxField, SecretBoxKey + "@other", false},
+		{"both keys, box field", both, boxField, SecretBoxKey, true},
+		{"both keys, RSA field", both, rsaField, SecretPrivateKey, true},
+		{"RSA-only keys, RSA field", rsaOnly, rsaField, SecretPrivateKey, true},
+		{"RSA-only keys, box field", rsaOnly, boxField, SecretBoxKey, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &recordingSecrets{mapSecrets: tc.secrets}
-			got, err := open(s, tc.tenant, ppcrypto.RoleUAUser, tc.field)
+			got, err := open(s, ppcrypto.RoleUAUser, tc.field)
 			if len(s.asked) != 1 || s.asked[0] != tc.asks {
 				t.Errorf("open asked for %v, want exactly [%s]", s.asked, tc.asks)
 			}
@@ -580,7 +572,7 @@ func FuzzOpen(f *testing.F) {
 		if len(ct) == ppcrypto.RSACiphertextSize {
 			want = SecretPrivateKey
 		}
-		_, err := open(s, "", ppcrypto.RoleIAItem, message.Encode64(ct))
+		_, err := open(s, ppcrypto.RoleIAItem, message.Encode64(ct))
 		if !errors.Is(err, errEnclave) {
 			t.Errorf("%d bytes nobody sealed as ia/item: err = %v, want errEnclave", len(ct), err)
 		}
@@ -611,27 +603,9 @@ func FuzzIAGetCall(f *testing.F) {
 				t.Fatalf("frame truncated to %d of %d header bytes decoded", n, len(frame)-len(body))
 			}
 		}
-		// Arbitrary bytes as a frame, and as a parked key: no panic.
+		// Arbitrary bytes as a frame: no panic.
 		decodeIAGetCall(body)
-		decodeParkedKey(body)
 	})
-}
-
-func TestParkedKeyRoundTrip(t *testing.T) {
-	ku := bytes.Repeat([]byte{7}, ppcrypto.SymmetricKeySize)
-	frame := appendParkedKey(nil, ku, "shop")
-	pk, err := decodeParkedKey(frame)
-	if err != nil || !bytes.Equal(pk.Ku, ku) || string(pk.Tenant) != "shop" {
-		t.Errorf("parkedKey round trip: %+v, %v", pk, err)
-	}
-	for n := 0; n < len(frame)-len("shop"); n++ {
-		if _, err := decodeParkedKey(frame[:n]); err == nil {
-			t.Errorf("parkedKey truncated to %d bytes decoded", n)
-		}
-	}
-	if _, err := decodeIAGetCall([]byte{2, 'h'}); err == nil {
-		t.Error("a handle longer than the frame decoded")
-	}
 }
 
 // TestGetResponseRenderingMatchesMarshal: the GetResponse the IA enclave
@@ -737,12 +711,12 @@ func TestIAGetPathAllocationCeilings(t *testing.T) {
 func TestPseudonymizeThroughDerivedStream(t *testing.T) {
 	f := newFixture(t)
 	s := memoSecrets{raw: secretsOf(t, f.uaKeys)}
-	stream, err := detStream(&s, "")
+	stream, err := detStream(&s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	derived := testing.AllocsPerRun(100, func() {
-		st, _ := detStream(&s, "")
+		st, _ := detStream(&s)
 		st.Pseudonymize("user-12345")
 	})
 	if derived > 1 {

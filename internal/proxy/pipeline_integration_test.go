@@ -29,7 +29,7 @@ func (ft *frameTap) wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		r.Body = io.NopCloser(bytes.NewReader(body))
-		if entries, err := message.UnmarshalBatch(body); err == nil {
+		if _, entries, err := message.UnmarshalBatchEpoch(body); err == nil {
 			ft.mu.Lock()
 			ft.frames = append(ft.frames, entries)
 			ft.mu.Unlock()

@@ -118,36 +118,6 @@ func (lk *LayerKeys) Provision(as *enclave.AttestationService, e *enclave.Enclav
 	return nil
 }
 
-// ProvisionTenants runs one attested handshake installing several
-// applications' keys into a shared enclave — the multi-tenancy deployment
-// of §6.3, where one proxy layer serves multiple RaaS client applications
-// to raise the minimum traffic level for shuffling. The paper's warning
-// applies and is tested: breaking one such enclave leaks every tenant's
-// secrets for that layer at once.
-func ProvisionTenants(as *enclave.AttestationService, e *enclave.Enclave, want enclave.CodeIdentity, tenants map[string]*LayerKeys) error {
-	all := make(map[string][]byte, 3*len(tenants))
-	for tenant, lk := range tenants {
-		secrets, err := lk.Secrets()
-		if err != nil {
-			return fmt.Errorf("provision tenant %q: %w", tenant, err)
-		}
-		for base, v := range secrets {
-			// The link key stays tenant-unqualified: the IA has to open
-			// the envelope before it can read which tenant a message
-			// belongs to, so there is exactly one per deployment.
-			if base == SecretLinkKey {
-				all[base] = v
-				continue
-			}
-			all[TenantSecret(base, tenant)] = v
-		}
-	}
-	if err := enclave.SecureAttestAndProvision(as, e, enclave.Measure(want), all); err != nil {
-		return fmt.Errorf("provision tenants: %w", err)
-	}
-	return nil
-}
-
 // PseudonymizeItems maps cleartext item identifiers to the pseudonyms the
 // LRS would store under this layer's permanent key. The evaluation uses it
 // to seed the nginx-style stub with Harness-shaped payloads (§7.1) that

@@ -64,18 +64,6 @@ func (s *Semaphore) Cap() int {
 	return cap(s.slots)
 }
 
-// BatchOutcome summarizes one epoch's trip down the batch→split→single
-// degradation ladder.
-type BatchOutcome struct {
-	// Attempts counts whole-envelope sends (1 when the first succeeded).
-	Attempts int
-	// Splits counts sub-envelope sends after splitting.
-	Splits int
-	// Degraded counts messages that fell through to a send of their
-	// own.
-	Degraded int
-}
-
 // RunBatch drives one batched forward down the degradation ladder. The
 // callbacks carry all transport and privacy knowledge; this driver only
 // decides what is tried, when, and at which granularity:
@@ -94,14 +82,17 @@ type BatchOutcome struct {
 // resolved exactly once unless RunBatch returns an error — only possible
 // when ctx ends or prep fails on the whole envelope mid-ladder — in
 // which case the caller must fail the unresolved ids itself.
+//
+// The driver keeps no counts: a caller that meters the ladder counts in
+// its own send and single, which run before their answers are delivered,
+// so a count is never behind the replies it explains.
 func RunBatch(ctx context.Context, p Policy, n int,
 	send func(ids []int) error,
 	prep func(ids []int) error,
-	single func(id int)) (BatchOutcome, error) {
+	single func(id int)) error {
 
-	var out BatchOutcome
 	if n <= 0 {
-		return out, nil
+		return nil
 	}
 	ids := make([]int, n)
 	for i := range ids {
@@ -115,44 +106,40 @@ func RunBatch(ctx context.Context, p Policy, n int,
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			if err := Sleep(ctx, p.Backoff(attempt)); err != nil {
-				return out, err
+				return err
 			}
 			if prep != nil {
 				if err := prep(ids); err != nil {
-					return out, err
+					return err
 				}
 			}
 		}
-		out.Attempts++
 		if send(ids) == nil {
-			return out, nil
+			return nil
 		}
 		if err := ctx.Err(); err != nil {
-			return out, err
+			return err
 		}
 	}
 
 	if n == 1 {
 		// Splitting a singleton is meaningless; degrade directly.
 		single(ids[0])
-		out.Degraded++
-		return out, nil
+		return nil
 	}
 	for _, half := range [][]int{ids[:n/2], ids[n/2:]} {
 		ok := false
 		if prep == nil || prep(half) == nil {
-			out.Splits++
 			ok = send(half) == nil
 		}
 		if err := ctx.Err(); err != nil && !ok {
-			return out, err
+			return err
 		}
 		if !ok {
 			for _, id := range half {
 				single(id)
-				out.Degraded++
 			}
 		}
 	}
-	return out, nil
+	return nil
 }

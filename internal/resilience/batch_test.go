@@ -78,15 +78,12 @@ var ladderPolicy = Policy{MaxAttempts: 2, BackoffBase: time.Microsecond, Backoff
 
 func TestRunBatchFirstAttemptSucceeds(t *testing.T) {
 	var sends, preps int
-	out, err := RunBatch(context.Background(), ladderPolicy, 4,
+	err := RunBatch(context.Background(), ladderPolicy, 4,
 		func(ids []int) error { sends++; return nil },
 		func(ids []int) error { preps++; return nil },
 		func(id int) { t.Errorf("single(%d) on the happy path", id) })
 	if err != nil {
 		t.Fatalf("RunBatch: %v", err)
-	}
-	if out.Attempts != 1 || out.Splits != 0 || out.Degraded != 0 {
-		t.Errorf("outcome = %+v, want one clean attempt", out)
 	}
 	if sends != 1 || preps != 0 {
 		t.Errorf("sends=%d preps=%d, want 1/0 (no prep before the first attempt)", sends, preps)
@@ -95,7 +92,7 @@ func TestRunBatchFirstAttemptSucceeds(t *testing.T) {
 
 func TestRunBatchRetriesThenSucceeds(t *testing.T) {
 	var sends, preps int
-	out, err := RunBatch(context.Background(), ladderPolicy, 4,
+	err := RunBatch(context.Background(), ladderPolicy, 4,
 		func(ids []int) error {
 			sends++
 			if sends == 1 {
@@ -114,8 +111,8 @@ func TestRunBatchRetriesThenSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunBatch: %v", err)
 	}
-	if out.Attempts != 2 || out.Splits != 0 || out.Degraded != 0 {
-		t.Errorf("outcome = %+v, want 2 attempts, no ladder descent", out)
+	if sends != 2 {
+		t.Errorf("sends = %d, want 2 whole-envelope attempts, no ladder descent", sends)
 	}
 	if preps != 1 {
 		t.Errorf("preps = %d, want 1 (before the retry)", preps)
@@ -128,7 +125,7 @@ func TestRunBatchRetriesThenSucceeds(t *testing.T) {
 func TestRunBatchDescendsLadder(t *testing.T) {
 	var envelope, halves int
 	var singles []int
-	out, err := RunBatch(context.Background(), ladderPolicy, 5,
+	err := RunBatch(context.Background(), ladderPolicy, 5,
 		func(ids []int) error {
 			if len(ids) == 5 {
 				envelope++
@@ -148,12 +145,12 @@ func TestRunBatchDescendsLadder(t *testing.T) {
 	if envelope != 2 {
 		t.Errorf("whole-envelope sends = %d, want MaxAttempts=2", envelope)
 	}
-	if out.Attempts != 2 || out.Splits != 2 {
-		t.Errorf("outcome = %+v, want 2 attempts and 2 split sends", out)
+	if halves != 2 {
+		t.Errorf("split sends = %d, want 2", halves)
 	}
 	// n=5 splits 2/3; the failing second half degrades ids 2,3,4.
-	if out.Degraded != 3 || len(singles) != 3 {
-		t.Fatalf("degraded = %d singles = %v, want ids 2..4", out.Degraded, singles)
+	if len(singles) != 3 {
+		t.Fatalf("singles = %v, want ids 2..4", singles)
 	}
 	for i, id := range []int{2, 3, 4} {
 		if singles[i] != id {
@@ -163,36 +160,37 @@ func TestRunBatchDescendsLadder(t *testing.T) {
 }
 
 func TestRunBatchSingletonSkipsSplit(t *testing.T) {
-	var singled bool
-	out, err := RunBatch(context.Background(), ladderPolicy, 1,
-		func(ids []int) error { return errors.New("down") },
+	var sends, singles int
+	err := RunBatch(context.Background(), ladderPolicy, 1,
+		func(ids []int) error { sends++; return errors.New("down") },
 		nil,
-		func(id int) { singled = true })
+		func(id int) { singles++ })
 	if err != nil {
 		t.Fatalf("RunBatch: %v", err)
 	}
-	if !singled || out.Degraded != 1 || out.Splits != 0 {
-		t.Errorf("outcome = %+v singled=%v, want direct degradation", out, singled)
+	if singles != 1 || sends != ladderPolicy.MaxAttempts {
+		t.Errorf("sends=%d singles=%d, want %d whole sends, no split, direct degradation", sends, singles, ladderPolicy.MaxAttempts)
 	}
 }
 
 func TestRunBatchStopsOnContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	out, err := RunBatch(ctx, ladderPolicy, 4,
-		func(ids []int) error { cancel(); return errors.New("down") },
+	sends := 0
+	err := RunBatch(ctx, ladderPolicy, 4,
+		func(ids []int) error { sends++; cancel(); return errors.New("down") },
 		nil,
 		func(id int) { t.Error("single after context death") })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if out.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1", out.Attempts)
+	if sends != 1 {
+		t.Errorf("sends = %d, want 1", sends)
 	}
 }
 
 func TestRunBatchPrepFailureAborts(t *testing.T) {
 	prepErr := errors.New("rewrap failed")
-	_, err := RunBatch(context.Background(), ladderPolicy, 4,
+	err := RunBatch(context.Background(), ladderPolicy, 4,
 		func(ids []int) error { return errors.New("down") },
 		func(ids []int) error { return prepErr },
 		func(id int) {})
